@@ -17,6 +17,7 @@ from .homology import (
     mobius,
     norm1,
     periodic_lefschetz,
+    powers,
     trace,
 )
 from .periods import (
@@ -26,7 +27,7 @@ from .periods import (
     criteria_doubling,
     criteria_lowgrow,
     dominant_periods,
-    fix_count,
+    fix_counts,
     fmbig_test,
     lefschetz_fix_check,
     lefschetz_per_count,
@@ -57,9 +58,8 @@ from .words import (
     action,
     apply_endo,
     chi,
-    chi_of_iterate,
+    first_letter,
     gamma,
-    gamma_of_iterate,
     iterate_action,
     orientation,
     word,

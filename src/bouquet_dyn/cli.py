@@ -29,7 +29,7 @@ from .errors import (
     InputError,
     LiftConstructionError,
 )
-from .homology import LefschetzTable, abelianize, norm1, mat_pow
+from .homology import Ladder, LefschetzTable, abelianize, norm1, powers
 from .periods import (
     FixCountTable,
     PeriodCertificate,
@@ -37,7 +37,7 @@ from .periods import (
     criteria_doubling,
     criteria_lowgrow,
     dominant_periods,
-    fix_count,
+    fix_counts,
     fmbig_test,
     lefschetz_fix_check,
     per_census,
@@ -222,22 +222,35 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
 
     Big integers serialize as decimal strings, rationals as p/q, reals
     with 15 significant digits, so the output round-trips losslessly.
+    Every matrix power and fixed-point count is computed once, on one
+    ladder M^1..M^K, and read by each consumer.
     """
     f = doc.action
-    horizon = options.horizon or doc.horizon or DEFAULT_HORIZON
+    horizon = options.horizon
+    if horizon is None:
+        horizon = DEFAULT_HORIZON if doc.horizon is None else doc.horizon
+    if horizon < 1:
+        raise InputError(f"horizon must be >= 1, got {horizon}")
+    if options.entropy_horizon < 1:
+        raise InputError(
+            f"entropy horizon must be >= 1, got {options.entropy_horizon}"
+        )
+    oracle_depth = 0 if options.no_oracle else options.oracle_depth
     warnings: list[str] = []
     mat = abelianize(f)
-    table = LefschetzTable.of(mat, horizon)
-    census = per_census(f, horizon)
+    ladder = powers(mat, max(horizon, options.entropy_horizon, oracle_depth))
+    fixes = fix_counts(f, ladder[: max(horizon, oracle_depth)])
+    table = LefschetzTable.of(ladder[:horizon])
+    census = per_census(fixes[:horizon])
     spectrum = eigenvalues(mat)
-    limit_seq = entropy_limit(mat, options.entropy_horizon)
+    limit_seq = entropy_limit(ladder[: options.entropy_horizon])
     h_spec = spectrum.entropy
     if spectrum.spectral_radius < 1.0 - 1e-12:
         warnings.append("spectral radius below 1; entropy clamped to 0")
 
     checks = []
     for m in range(1, horizon + 1):
-        c = lefschetz_fix_check(f, m)
+        c = lefschetz_fix_check(f, m, table.lefschetz_of(m), census.fix_of(m))
         checks.append(
             {
                 "m": m,
@@ -259,18 +272,18 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         cert = maker(f)
         if cert is not None:
             certificates.append(cert)
-    cert = criteria_delaylowgrow(f, max_m=min(horizon, 6))
+    cert = criteria_delaylowgrow(f, ladder[: min(horizon, 6)])
     if cert is not None:
         certificates.append(cert)
     for m in range(1, horizon + 1):
         cert = fmbig_test(census, m)
         if cert is not None:
             certificates.append(cert)
-    cert = dominant_periods(f, spectrum, horizon)
+    cert = dominant_periods(f, spectrum, census)
     if cert is not None:
         certificates.append(cert)
 
-    oracle = _run_oracle(f, options, warnings)
+    oracle = _run_oracle(f, options, ladder, fixes, warnings)
 
     claims = []
     for c in doc.claims:
@@ -346,7 +359,11 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
 
 
 def _run_oracle(
-    f: MapAction, options: ReportOptions, warnings: list[str]
+    f: MapAction,
+    options: ReportOptions,
+    ladder: Ladder,
+    fixes: tuple[int, ...],
+    warnings: list[str],
 ) -> dict:
     if options.no_oracle:
         return {"status": "skipped", "reason": "disabled by flag"}
@@ -369,7 +386,7 @@ def _run_oracle(
         )
     verdicts = []
     for m in range(1, options.oracle_depth + 1):
-        formula = fix_count(f, m)
+        formula = fixes[m - 1]
         try:
             lifted = count_fixed(lift, m)
         except BudgetError as e:
@@ -392,7 +409,6 @@ def _run_oracle(
             }
         )
     cover_checks = []
-    mat = abelianize(f)
     for m in range(1, min(options.oracle_depth, 8) + 1):
         try:
             cov = cover_growth(lift, m)
@@ -401,7 +417,7 @@ def _run_oracle(
                 {"m": m, "verdict": "skipped", "reason": f"budget: {e}"}
             )
             continue
-        nrm = norm1(mat_pow(mat, m))
+        nrm = norm1(ladder[m - 1])
         cover_checks.append(
             {
                 "m": m,

@@ -17,6 +17,9 @@ from .words import MapAction, chi
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
+#: (M^1, ..., M^k): ladder[m-1] is the m-th power
+Ladder = tuple[IntMatrix, ...]
+
 
 def abelianize(f: MapAction) -> IntMatrix:
     """The occurrence-count matrix of f acting on first homology."""
@@ -52,6 +55,17 @@ def mat_pow(a: IntMatrix, m: int) -> IntMatrix:
         base = mat_mul(base, base)
         m >>= 1
     return out
+
+
+def powers(a: IntMatrix, k: int) -> Ladder:
+    """The ladder (M^1, ..., M^k) as a running product, one multiplication
+    per power; every report reads its matrix powers from one ladder."""
+    if k < 0:
+        raise InputError(f"ladder length must be >= 0, got {k}")
+    out = [a] if k else []
+    while len(out) < k:
+        out.append(mat_mul(out[-1], a))
+    return tuple(out)
 
 
 def trace(a: IntMatrix) -> int:
@@ -135,10 +149,12 @@ class LefschetzTable:
     periodic_lefschetz_numbers: tuple[int, ...]
 
     @staticmethod
-    def of(mat: IntMatrix, horizon: int) -> "LefschetzTable":
+    def of(ladder: Ladder) -> "LefschetzTable":
+        """The table up to horizon len(ladder), read off the ladder's traces."""
+        horizon = len(ladder)
         if horizon < 1:
             raise InputError(f"horizon must be >= 1, got {horizon}")
-        traces = tuple(trace(mat_pow(mat, m)) for m in range(1, horizon + 1))
+        traces = tuple(trace(power) for power in ladder)
         lef = tuple(1 - t for t in traces)
         per = tuple(
             sum(mobius(r) * lef[m // r - 1] for r in divisors(m))

@@ -14,19 +14,19 @@ from dataclasses import dataclass, field
 from .errors import InconsistencyError, InputError
 from .homology import (
     IntMatrix,
+    Ladder,
     abelianize,
     divisors,
-    lefschetz,
-    mat_pow,
     mobius,
     periodic_lefschetz,
+    trace,
 )
 from .spectral import SpectrumReport, dominant_test, m0_bound
 from .words import (
     BRANCH_FREE,
+    Letter,
     MapAction,
-    chi_of_iterate,
-    gamma_of_iterate,
+    first_letter,
     orientation_of_power,
 )
 
@@ -34,22 +34,42 @@ from .words import (
 # ---------------------------------------------------------------------------
 # exact counts
 
-def fix_count(f: MapAction, m: int) -> int:
-    """Number of fixed points of the m-th iterate, exactly.
+def fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:
+    """Number of fixed points of every iterate m = 1..len(ladder), exactly.
 
-    When the branching point is not m-periodic (k infinite or k not
-    dividing m) the count is |1 - sum_j chi_j of the iterate images|;
-    when it is, the branching point contributes 1 and the interior
-    crossings are counted by gamma instead.
+    ladder[m-1] is M^m, whose diagonal entry j is chi_j of the iterate
+    image of generator j.  When the branching point is not m-periodic
+    (k infinite or k not dividing m) the count is |1 - tr M^m|; when it
+    is, the branching point contributes 1 and the interior crossings are
+    counted by gamma instead: chi_j less the first and last letters of
+    the iterate image when they are a_j (an image of one letter has no
+    interior).  Those letters are followed along the orbits of a_j and
+    a_j' under the one-step letter map, in one forward pass.
     """
-    if m < 1:
-        raise InputError(f"iterate must be >= 1, got {m}")
     k = f.branch_class
-    if k == BRANCH_FREE or m % int(k) != 0:
-        total = sum(chi_of_iterate(f, m, j) for j in range(1, f.n + 1))
-        return abs(1 - total)
-    total = sum(gamma_of_iterate(f, m, j) for j in range(1, f.n + 1))
-    return 1 + abs(total)
+    gens = range(1, f.n + 1)
+    firsts = [Letter(j, 1) for j in gens]
+    # the last letter of an image is the inverse of the first letter of
+    # the image of the inverse word
+    lasts_inv = [Letter(j, -1) for j in gens]
+    out = []
+    for m, power in enumerate(ladder, start=1):
+        firsts = [first_letter(f, l) for l in firsts]
+        lasts_inv = [first_letter(f, l) for l in lasts_inv]
+        if k == BRANCH_FREE or m % int(k) != 0:
+            out.append(abs(1 - trace(power)))
+            continue
+        total = 0
+        for j, first, last_inv in zip(gens, firsts, lasts_inv):
+            if sum(abs(row[j - 1]) for row in power) <= 1:
+                continue
+            total += power[j - 1][j - 1]
+            if first.index == j:
+                total -= first.sign
+            if last_inv.index == j:
+                total += last_inv.sign
+        out.append(1 + abs(total))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -71,17 +91,18 @@ class FixCountTable:
         return {m for m in range(1, self.horizon + 1) if self.per_of(m) > 0}
 
 
-def per_census(f: MapAction, horizon: int) -> FixCountTable:
-    """Full census: per(m) by Moebius inversion of the divisor identity
+def per_census(fixes: tuple[int, ...]) -> FixCountTable:
+    """Full census up to horizon len(fixes), where fixes[m-1] = fix(m):
+    per(m) by Moebius inversion of the divisor identity
     fix(m) = sum over r|m of per(r).
 
     A negative per count would mean the fixed-point formulas and the
     inversion disagree, which cannot happen for valid input; it is raised
     as an internal inconsistency naming the offending m.
     """
+    horizon = len(fixes)
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
-    fixes = tuple(fix_count(f, m) for m in range(1, horizon + 1))
     pers = []
     for m in range(1, horizon + 1):
         p = sum(mobius(m // r) * fixes[r - 1] for r in divisors(m))
@@ -129,8 +150,11 @@ class LefschetzFixCheck:
     fix_value: int
 
 
-def lefschetz_fix_check(f: MapAction, m: int) -> LefschetzFixCheck:
-    """Check the sign-matched Lefschetz/fixed-point relation at iterate m.
+def lefschetz_fix_check(
+    f: MapAction, m: int, lef: int, fix: int
+) -> LefschetzFixCheck:
+    """Check the sign-matched Lefschetz/fixed-point relation between
+    lef = L(f^m) and fix = #Fix(f^m).
 
     With a never-periodic (or not-yet-returned) branching point the
     relation is an equality: L = -#Fix when the iterate preserves
@@ -142,8 +166,6 @@ def lefschetz_fix_check(f: MapAction, m: int) -> LefschetzFixCheck:
     """
     if m < 1:
         raise InputError(f"iterate must be >= 1, got {m}")
-    lef = lefschetz(abelianize(f), m)
-    fix = fix_count(f, m)
     k = f.branch_class
     preserving = orientation_of_power(f, m) == "preserving"
     if k == BRANCH_FREE or m % int(k) != 0:
@@ -278,24 +300,21 @@ def _reinterpret_branch(branch_class: float, m: int) -> float:
     return k // math.gcd(k, m)
 
 
-def criteria_delaylowgrow(f: MapAction, max_m: int) -> PeriodCertificate | None:
-    """Apply the period criteria to iterates f^m for m = 2..max_m.
+def criteria_delaylowgrow(f: MapAction, ladder: Ladder) -> PeriodCertificate | None:
+    """Apply the period criteria to iterates f^m for m = 2..len(ladder).
 
-    The chi-matrix of f^m is the m-th matrix power, and the branching
+    The chi-matrix of f^m is ladder[m-1] = M^m, and the branching
     point's least period rescales to k / gcd(k, m).  Both the doubling
     and the low-growth hypothesis families are tried; a hit at m turns
     the all-periods conclusions into containments over multiples of m.
+    A ladder shorter than 2 gives no certificate.
     """
-    if max_m < 2:
-        raise InputError(f"max_m must be >= 2, got {max_m}")
-    base = abelianize(f)
     promote = {
         ALL_PERIODS: lambda m: multiples_of(m),
         ALL_BUT_1: lambda m: multiples_without(m, m),
         ALL_BUT_2: lambda m: multiples_without(m, 2 * m),
     }
-    for m in range(2, max_m + 1):
-        mat = mat_pow(base, m)
+    for m, mat in enumerate(ladder[1:], start=2):
         k_m = _reinterpret_branch(f.branch_class, m)
         for family, tester in (("doubling", _doubling_on), ("lowgrow", _lowgrow_on)):
             hit = tester(mat, k_m)
@@ -317,7 +336,8 @@ def fmbig_test(table: FixCountTable, m: int) -> PeriodCertificate | None:
     counts at m/p over the primes p dividing m."""
     if not 1 <= m <= table.horizon:
         raise InputError(f"m={m} outside table horizon {table.horizon}")
-    proper = [m // p for p in range(2, m + 1) if m % p == 0 and _is_prime(p)]
+    # the primes are the divisors with exactly two divisors
+    proper = [m // p for p in divisors(m) if len(divisors(p)) == 2]
     bound = sum(table.fix_of(r) for r in proper)
     if table.fix_of(m) > bound:
         return PeriodCertificate(
@@ -328,33 +348,22 @@ def fmbig_test(table: FixCountTable, m: int) -> PeriodCertificate | None:
     return None
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def dominant_periods(
-    f: MapAction, spectrum: SpectrumReport, horizon: int
+    f: MapAction, spectrum: SpectrumReport, table: FixCountTable
 ) -> PeriodCertificate | None:
     """All sufficiently large periods, under a dominant leading eigenvalue.
 
     The analytic threshold comes from the eigenvalue inequality behind
     m0_bound; the usually much smaller empirical threshold is the least m
     from which the fix-count comparison test fires at every iterate up to
-    the horizon.
+    the census horizon.
     """
     if not dominant_test(spectrum):
         return None
     m0 = m0_bound(spectrum, f.n)
     if m0 is None:
         return None
-    table = per_census(f, horizon)
+    horizon = table.horizon
     empirical = None
     for start in range(horizon, 0, -1):
         if fmbig_test(table, start) is None:

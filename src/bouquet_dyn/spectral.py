@@ -11,10 +11,11 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InputError
-from .homology import IntMatrix, identity, mat_mul, norm1, trace
+from .homology import IntMatrix, Ladder, identity, mat_mul, norm1, trace
 
 #: modulus gap below which two leading eigenvalues count as tied
 DOMINANCE_EPS = 1e-8
@@ -159,17 +160,16 @@ def _log_int(v: int) -> float:
     return math.log(v >> bits) + bits * math.log(2)
 
 
-def entropy_limit(a: IntMatrix, horizon: int) -> list[float]:
-    """The sequence s_m = log ||M^m|| / m for m = 1..horizon.
+def entropy_limit(ladder: Ladder) -> list[float]:
+    """The sequence s_m = log ||M^m|| / m for m = 1..len(ladder), where
+    ladder[m-1] = M^m.
 
     Norms are exact big integers; one float log per term.
     """
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
+    if not ladder:
+        raise InputError("entropy horizon must be >= 1, got 0")
     out = []
-    power = identity(len(a))
-    for m in range(1, horizon + 1):
-        power = mat_mul(power, a)
+    for m, power in enumerate(ladder, start=1):
         nrm = norm1(power)
         out.append(_log_int(nrm) / m if nrm > 0 else 0.0)
     return out
@@ -197,10 +197,13 @@ def m0_bound(s: SpectrumReport, dim: int) -> int | None:
 
     Returns the least m0 such that s1^m > d (s1^(m/2) + 1 + s2^m) + 1 for
     every m >= m0, where s1 >= s2 are the two largest eigenvalue moduli
-    and d the matrix dimension.  Under the dominance hypothesis the
-    inequality is eventually permanent, so a linear scan to a cap
-    suffices; computed in log space so huge powers never overflow.
-    Returns None when no m up to the cap works.
+    and d the matrix dimension.  Divided by s1^m the right-hand side is
+    d s1^(-m/2) + (d + 1) s1^(-m) + d (s2/s1)^m, which strictly
+    decreases in m once s1 > max(1, s2), as dominance guarantees; so the
+    first m that passes is final, and every later m passes.  That first m
+    is found by bisection over 1..M0_SCAN_CAP, in a few steps whatever
+    the spectrum.  Computed in log space so huge powers never overflow.
+    Returns None when no m up to the cap passes.
     """
     if not dominant_test(s):
         raise InputError("m0 bound needs a dominant leading eigenvalue")
@@ -209,18 +212,15 @@ def m0_bound(s: SpectrumReport, dim: int) -> int | None:
     log_s1 = math.log(s1)
     log_s2 = math.log(s2) if s2 > 0 else -math.inf
     log_d = math.log(dim)
-    first = None
-    for m in range(1, M0_SCAN_CAP + 1):
-        lhs = m * log_s1
+
+    def passes(m: int) -> bool:
         rhs = _logsumexp([
             log_d + (m / 2) * log_s1,
             log_d,
             log_d + m * log_s2,
             0.0,
         ])
-        if lhs > rhs:
-            if first is None:
-                first = m
-        else:
-            first = None
-    return first
+        return m * log_s1 > rhs
+
+    m0 = bisect_left(range(1, M0_SCAN_CAP + 1), True, key=passes) + 1
+    return m0 if m0 <= M0_SCAN_CAP else None

@@ -199,7 +199,7 @@ def iterate_action(f: MapAction, m: int, budget: int = 10**6) -> MapAction:
 
     Raises BudgetError (naming the smallest offending iterate) if the
     expanded words would exceed ``budget`` letters in total.  Large-m
-    counting should go through chi_of_iterate / gamma_of_iterate instead.
+    counting should read the matrix powers of ``homology.powers`` instead.
     """
     if m < 1:
         raise InputError(f"iterate must be >= 1, got {m}")
@@ -216,79 +216,17 @@ def iterate_action(f: MapAction, m: int, budget: int = 10**6) -> MapAction:
     return MapAction(f.n, words, f.branch_class)
 
 
-def _abelian_matrix(f: MapAction) -> list[list[int]]:
-    # entry (i, j) counts generator i in the image of generator j
-    return [[chi(f.image(j), i) for j in range(1, f.n + 1)]
-            for i in range(1, f.n + 1)]
+def first_letter(f: MapAction, l: Letter) -> Letter:
+    """First letter of the image of the one-letter word l.
 
-
-def _column_of_power(f: MapAction, m: int, j: int) -> list[int]:
-    """Column j of the m-th power of the occurrence-count matrix."""
-    mat = _abelian_matrix(f)
-    v = [0] * f.n
-    v[j - 1] = 1
-    for _ in range(m):
-        v = [sum(mat[i][k] * v[k] for k in range(f.n)) for i in range(f.n)]
-    return v
-
-
-def chi_of_iterate(f: MapAction, m: int, j: int) -> int:
-    """chi_j of the m-th iterate image of generator j, without expansion.
-
-    Valid because allowed words admit no cancellation: occurrence counts
-    compose linearly, so the answer is an entry of an exact integer matrix
-    power.
+    Allowed words never cancel, so the first letter of f(w) is the first
+    letter of the image of w's first letter, and the last letter of f(w)
+    is the inverse of the first letter of f(w^-1).  The orbits of a_j and
+    a_j' under this map therefore give the first and last letters of
+    every iterate image of a_j.
     """
-    if m < 1:
-        raise InputError(f"iterate must be >= 1, got {m}")
-    if not 1 <= j <= f.n:
-        raise InputError(f"generator index {j} out of range 1..{f.n}")
-    return _column_of_power(f, m, j)[j - 1]
-
-
-def boundary_letters(f: MapAction, m: int, j: int) -> tuple[Letter, Letter]:
-    """First and last letter of the m-th iterate image of generator j.
-
-    Tracked by an O(m) recursion: the first letter of f(w) is the first
-    letter of the image of w's first letter (with reversal under inverse
-    letters), and symmetrically for the last letter.
-    """
-    first = Letter(j, 1)
-    last = Letter(j, 1)
-    for _ in range(m):
-        if first.sign > 0:
-            first = f.image(first.index).letters[0]
-        else:
-            first = f.image(first.index).letters[-1].inverse()
-        if last.sign > 0:
-            last = f.image(last.index).letters[-1]
-        else:
-            last = f.image(last.index).letters[0].inverse()
-    return first, last
-
-
-def gamma_of_iterate(f: MapAction, m: int, j: int) -> int:
-    """gamma_j of the m-th iterate image of generator j, without expansion.
-
-    Computed as chi minus the signed boundary contributions of the first
-    and last letters.
-    """
-    if m < 1:
-        raise InputError(f"iterate must be >= 1, got {m}")
-    if not 1 <= j <= f.n:
-        raise InputError(f"generator index {j} out of range 1..{f.n}")
-    col = _column_of_power(f, m, j)
-    length = sum(abs(c) for c in col)
-    if length <= 1:
-        return 0
-    out = col[j - 1]
-    sign = f.global_sign if m % 2 == 1 else 1
-    first, last = boundary_letters(f, m, j)
-    if first.index == j:
-        out -= sign
-    if last.index == j:
-        out -= sign
-    return out
+    img = f.image(l.index)
+    return img.letters[0] if l.sign > 0 else img.letters[-1].inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """DSL parsing, report generation, exit codes, fixture corpus."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -115,6 +116,22 @@ class TestRunReport:
         report = run_report(doc, ReportOptions(no_oracle=True))
         assert report["oracle"]["status"] == "skipped"
 
+    def test_horizon_one(self):
+        # low growth fires the delayed criterion at m = 2, beyond horizon 1
+        doc = parse_spec(LOW_GROWTH_TEXT + "horizon: 1\n")
+        report = run_report(doc, ReportOptions())
+        assert report["census"]["fix"] == ["1"]
+        assert report["census"]["per"] == ["1"]
+        assert len(report["lefschetz_fix_checks"]) == 1
+        assert not any(
+            c["rule"].startswith("delaylowgrow")
+            for c in report["certificates"]
+        )
+        wide = run_report(parse_spec(LOW_GROWTH_TEXT), ReportOptions())
+        assert any(
+            c["rule"].startswith("delaylowgrow") for c in wide["certificates"]
+        )
+
     def test_json_round_trip(self):
         doc = parse_spec(LOW_GROWTH_TEXT)
         report = run_report(doc, ReportOptions())
@@ -142,6 +159,13 @@ class TestMain:
         assert main(["analyze", str(p)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--horizon", "--entropy-horizon"])
+    def test_nonpositive_horizon_exit_code(self, tmp_path, capsys, flag):
+        p = tmp_path / "map.bqd"
+        p.write_text("n=1\nbranch: free\na1 -> a1 a1\n")
+        assert main(["analyze", str(p), flag, "0"]) == 1
+        assert "horizon must be >= 1" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["analyze", "/nonexistent.bqd"]) == 1
 
@@ -153,10 +177,12 @@ class TestMain:
 
 class TestFixtureCorpus:
     def test_expected_reports_frozen(self):
+        # byte for byte: key order, number format and the final newline
+        root = resources.files("bouquet_dyn") / "fixtures"
         for name in fixture_names():
-            doc, expected = load_fixture(name)
-            assert expected is not None, f"{name} has no expected report"
-            assert run_report(doc, ReportOptions()) == expected, name
+            doc, _ = load_fixture(name)
+            frozen = (root / f"{name}.json").read_text(encoding="utf-8")
+            assert render_json(run_report(doc, ReportOptions())) == frozen, name
 
     def test_corpus_contents(self):
         names = fixture_names()

@@ -13,11 +13,12 @@ from bouquet_dyn import (
     mobius,
     norm1,
     periodic_lefschetz,
+    powers,
     trace,
 )
 from bouquet_dyn.errors import InputError
 from bouquet_dyn.homology import divisors, identity
-from bouquet_dyn.words import chi_of_iterate
+from bouquet_dyn.words import chi
 
 from conftest import random_action, random_matrix
 
@@ -63,9 +64,24 @@ class TestMatrixOps:
     def test_trace_bridge(self, rng):
         for _ in range(30):
             f = random_action(rng)
+            ladder = powers(abelianize(f), 4)
             for m in (1, 2, 3, 4):
-                total = sum(chi_of_iterate(f, m, j) for j in range(1, f.n + 1))
-                assert total == trace(mat_pow(abelianize(f), m))
+                g = iterate_action(f, m, budget=50000)
+                total = sum(chi(g.image(j), j) for j in range(1, f.n + 1))
+                assert total == trace(ladder[m - 1])
+
+    def test_ladder_matches_squaring(self, rng):
+        for _ in range(20):
+            m = random_matrix(rng, rng.randint(1, 4))
+            ladder = powers(m, 9)
+            assert len(ladder) == 9
+            for k in range(1, 10):
+                assert ladder[k - 1] == mat_pow(m, k)
+
+    def test_empty_ladder(self):
+        assert powers(((2,),), 0) == ()
+        with pytest.raises(InputError):
+            powers(((2,),), -1)
 
 
 class TestMobius:
@@ -139,14 +155,14 @@ class TestMif:
 class TestLefschetzTable:
     def test_consistency_with_pointwise(self, rng):
         m = random_matrix(rng, 3)
-        t = LefschetzTable.of(m, 10)
+        t = LefschetzTable.of(powers(m, 10))
         for i in range(1, 11):
             assert t.lefschetz_of(i) == lefschetz(m, i)
             assert t.periodic_lefschetz_of(i) == periodic_lefschetz(m, i)
 
     def test_inversion_identity(self, rng):
         m = random_matrix(rng, 4)
-        t = LefschetzTable.of(m, 12)
+        t = LefschetzTable.of(powers(m, 12))
         for i in range(1, 13):
             total = sum(t.periodic_lefschetz_of(r) for r in divisors(i))
             assert total == t.lefschetz_of(i)

@@ -1,6 +1,7 @@
 """Characteristic polynomial, eigenvalues, entropy, growth thresholds."""
 
 import math
+import random
 
 import pytest
 
@@ -15,9 +16,11 @@ from bouquet_dyn import (
     m0_bound,
     mat_pow,
     norm1,
+    powers,
     trace,
 )
 from bouquet_dyn.errors import InputError
+from bouquet_dyn.spectral import M0_SCAN_CAP, SpectrumReport
 
 from conftest import random_matrix
 
@@ -112,24 +115,28 @@ class TestEntropy:
             assert entropy_spectral(((0,),)) == 0.0
 
     def test_limit_sequence_low_growth(self):
-        seq = entropy_limit(LOW_GROWTH, 30)
+        seq = entropy_limit(powers(LOW_GROWTH, 30))
         # closed form from the printed powers: ||M^m|| = 10 * 2^(m-2), m >= 2
         for m in range(2, 31):
             assert abs(seq[m - 1] - (math.log(2) + math.log(10 / 4) / m)) < 1e-12
         assert abs(seq[29] - math.log(2)) < 0.08
 
     def test_limit_sequence_identity(self):
-        seq = entropy_limit(((1, 0), (0, 1)), 10)
+        seq = entropy_limit(powers(((1, 0), (0, 1)), 10))
         for m in range(1, 11):
             assert abs(seq[m - 1] - math.log(2) / m) < 1e-12
 
     def test_limit_matches_exact_norms(self, rng):
         m = random_matrix(rng, 3, lo=0, hi=2)
-        seq = entropy_limit(m, 8)
+        seq = entropy_limit(powers(m, 8))
         for k in range(1, 9):
             nrm = norm1(mat_pow(m, k))
             if nrm > 0:
                 assert abs(seq[k - 1] - math.log(nrm) / k) < 1e-12
+
+    def test_empty_ladder_rejected(self):
+        with pytest.raises(InputError):
+            entropy_limit(())
 
     def test_gelfand_agreement(self):
         for mat in (LOW_GROWTH, SIX_CYCLE, DELAYED, DOMINANT):
@@ -163,6 +170,41 @@ class TestM0Bound:
 
     def test_large_radius_small_threshold(self):
         assert m0_bound(eigenvalues(((10,),)), 1) == 1
+
+    def test_first_pass_is_final(self):
+        # the inequality divided by s1^m: 1 > d s1^(-m/2) + (d + 1) s1^(-m)
+        # + d (s2/s1)^m, evaluated independently of m0_bound's log space
+        def passes(s1, s2, d, m):
+            rhs = d * s1 ** (-m / 2) + (d + 1) * s1 ** (-m) + d * (s2 / s1) ** m
+            return rhs < 1
+
+        rng = random.Random(0x30B0)
+        cases = []
+        while len(cases) < 60:
+            n = rng.randint(1, 8)
+            s = eigenvalues(random_matrix(rng, n, lo=-1, hi=2))
+            if dominant_test(s):
+                cases.append((s, n))
+        # a radius barely above 1 never passes; one near 1 passes late
+        for values in ((1 + 1e-6, 0.5), (1.001, 0.5)):
+            cases.append((SpectrumReport((), values, 0.0), 1))
+        # the double root -2 of this Jordan block comes out split just past
+        # DOMINANCE_EPS, so the ratio s2/s1 is 1 - 1e-8 and nothing passes
+        jordan = eigenvalues(((-2, -1), (0, -2)))
+        assert dominant_test(jordan)
+        cases.append((jordan, 2))
+        found = set()
+        for s, n in cases:
+            s1, s2 = s.spectral_radius, s.second_modulus
+            m0 = m0_bound(s, n)
+            found.add(m0 is None or m0 > 100)
+            if m0 is None:
+                assert not passes(s1, s2, n, M0_SCAN_CAP)
+                continue
+            assert passes(s1, s2, n, m0)
+            assert m0 == 1 or not passes(s1, s2, n, m0 - 1)
+            assert all(passes(s1, s2, n, m) for m in range(m0, M0_SCAN_CAP + 1))
+        assert found == {True, False}
 
     def test_trace_growth_estimate(self):
         # |Tr(M^40)|^(1/40) approaches the dominant eigenvalue modulus

@@ -10,17 +10,19 @@ from bouquet_dyn import (
     MapAction,
     Word,
     action,
+    abelianize,
     apply_endo,
     chi,
-    chi_of_iterate,
+    first_letter,
+    fix_counts,
     gamma,
-    gamma_of_iterate,
     iterate_action,
     orientation,
+    powers,
     word,
 )
 from bouquet_dyn.errors import BudgetError, InputError
-from bouquet_dyn.words import boundary_letters, orientation_of_power
+from bouquet_dyn.words import orientation_of_power
 
 from conftest import random_action
 
@@ -158,46 +160,70 @@ class TestIterateAction:
         assert 2 <= e.value.smallest_m <= 8
 
 
+def _with_branch(f: MapAction, k) -> MapAction:
+    return MapAction(f.n, f.images, k)
+
+
+def _expanded_fix(f: MapAction, m: int) -> int:
+    """fix(m) counted on the expanded words of the m-th iterate."""
+    g = iterate_action(f, m, budget=20000)
+    k = f.branch_class
+    if k == BRANCH_FREE or m % k != 0:
+        return abs(1 - sum(chi(g.image(j), j) for j in range(1, f.n + 1)))
+    return 1 + abs(sum(gamma(g.image(j), j) for j in range(1, f.n + 1)))
+
+
 class TestIterateCounts:
+    """Iterate counts read off the power ladder and the letter orbits,
+    checked against expanded words."""
+
     def test_chi_of_square(self):
         f = action("a1' a1'")
-        assert chi_of_iterate(f, 2, 1) == 4
+        assert powers(abelianize(f), 2)[1][0][0] == 4
+        assert chi(iterate_action(f, 2).image(1), 1) == 4
 
     def test_chi_base_case(self, rng):
         for _ in range(20):
             f = random_action(rng)
+            first = powers(abelianize(f), 1)[0]
             for j in range(1, f.n + 1):
-                assert chi_of_iterate(f, 1, j) == chi(f.image(j), j)
+                assert first[j - 1][j - 1] == chi(f.image(j), j)
 
     def test_gamma_single_interior(self):
-        f = action("a1 a1 a1")
-        assert gamma_of_iterate(f, 1, 1) == 1
+        f = action("a1 a1 a1", k=1)
+        assert gamma(f.image(1), 1) == 1
+        assert fix_counts(f, powers(abelianize(f), 1)) == (1 + 1,)
 
     def test_counts_match_expansion(self, rng):
+        # free branch reads chi off the ladder's traces; branch classes 1
+        # and 2 read gamma at every (resp. every even) iterate
         for _ in range(40):
-            f = random_action(rng)
-            for m in (1, 2, 3, 4):
-                try:
-                    g = iterate_action(f, m, budget=20000)
-                except BudgetError:
-                    break
-                for j in range(1, f.n + 1):
-                    w = g.image(j)
-                    assert chi_of_iterate(f, m, j) == chi(w, j)
-                    assert gamma_of_iterate(f, m, j) == gamma(w, j)
+            base = random_action(rng)
+            for k in (BRANCH_FREE, 1, 2):
+                f = _with_branch(base, k)
+                ladder = powers(abelianize(f), 4)
+                fixes = fix_counts(f, ladder)
+                for m in (1, 2, 3, 4):
+                    try:
+                        expected = _expanded_fix(f, m)
+                    except BudgetError:
+                        break
+                    assert fixes[m - 1] == expected, (f, m)
 
     def test_boundary_letters_match_expansion(self, rng):
         for _ in range(40):
             f = random_action(rng)
-            for m in (1, 2, 3):
-                try:
-                    g = iterate_action(f, m, budget=20000)
-                except BudgetError:
-                    break
-                for j in range(1, f.n + 1):
-                    first, last = boundary_letters(f, m, j)
-                    assert first == g.image(j).letters[0]
-                    assert last == g.image(j).letters[-1]
+            for j in range(1, f.n + 1):
+                first, last_inv = Letter(j, 1), Letter(j, -1)
+                for m in (1, 2, 3):
+                    first = first_letter(f, first)
+                    last_inv = first_letter(f, last_inv)
+                    try:
+                        w = iterate_action(f, m, budget=20000).image(j)
+                    except BudgetError:
+                        break
+                    assert first == w.letters[0]
+                    assert last_inv.inverse() == w.letters[-1]
 
 
 class TestMapAction:
