@@ -40,6 +40,7 @@ from .pl_oracle import (
     cover_growth,
     iterate_lift,
     mono_cover_size,
+    oracle_counts,
 )
 from .spectral import (
     SpectrumReport,

@@ -24,11 +24,7 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import (
-    BudgetError,
-    InputError,
-    LiftConstructionError,
-)
+from .errors import InputError, LiftConstructionError
 from .homology import Ladder, LefschetzTable, abelianize, norm1, powers
 from .periods import (
     FixCountTable,
@@ -43,10 +39,10 @@ from .periods import (
     per_census,
 )
 from .pl_oracle import (
+    PIECE_BUDGET,
     build_lift,
-    count_fixed,
-    cover_growth,
     lift_branch_period,
+    oracle_counts,
 )
 from .spectral import eigenvalues, entropy_limit
 from .words import BRANCH_FREE, MapAction, Word, orientation
@@ -236,6 +232,8 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
             f"entropy horizon must be >= 1, got {options.entropy_horizon}"
         )
     oracle_depth = 0 if options.no_oracle else options.oracle_depth
+    if not options.no_oracle and oracle_depth < 1:
+        raise InputError(f"oracle depth must be >= 1, got {oracle_depth}")
     warnings: list[str] = []
     mat = abelianize(f)
     ladder = powers(mat, max(horizon, options.entropy_horizon, oracle_depth))
@@ -384,16 +382,17 @@ def _run_oracle(
             "the declaration says "
             + ("free" if declared_free else str(int(f.branch_class)))
         )
+    counts = oracle_counts(lift, options.oracle_depth, PIECE_BUDGET)
+    counted = len(counts.crossings)
+    skipped = {"verdict": "skipped",
+               "reason": f"budget: {counts.budget_error()}"}
     verdicts = []
     for m in range(1, options.oracle_depth + 1):
-        formula = fixes[m - 1]
-        try:
-            lifted = count_fixed(lift, m)
-        except BudgetError as e:
-            verdicts.append(
-                {"m": m, "verdict": "skipped", "reason": f"budget: {e}"}
-            )
+        if m > counted:
+            verdicts.append({"m": m, **skipped})
             continue
+        formula = fixes[m - 1]
+        lifted = counts.fixed(m, observed)
         if lifted == formula:
             verdict = "match"
         elif branch_mismatch:
@@ -410,13 +409,10 @@ def _run_oracle(
         )
     cover_checks = []
     for m in range(1, min(options.oracle_depth, 8) + 1):
-        try:
-            cov = cover_growth(lift, m)
-        except BudgetError as e:
-            cover_checks.append(
-                {"m": m, "verdict": "skipped", "reason": f"budget: {e}"}
-            )
+        if m > counted:
+            cover_checks.append({"m": m, **skipped})
             continue
+        cov = counts.covers[m - 1]
         nrm = norm1(ladder[m - 1])
         cover_checks.append(
             {

@@ -5,16 +5,18 @@ point.  Each circle [j-1, j] starts and ends at height 1/2, covers the
 second half of circle 1, then one full circle per remaining letter of the
 image word, then the first half of circle 1 (mirrored when orientation
 reverses).  All arithmetic is exact rational: crossing counts must be
-exact, so no floating point appears anywhere in this module.
+exact, so no floating point appears anywhere in this module.  Iterates
+are not stored: one depth-first walk over their linear pieces yields
+every count (`oracle_counts`).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import BudgetError, DegenerateMapError, LiftConstructionError
 from .words import MapAction, Word
@@ -144,131 +146,173 @@ def build_lift(f: MapAction) -> PLLift:
 
 
 @dataclass(frozen=True)
-class _ScaledLift:
-    """The same map with every coordinate multiplied by `scale`.
+class OracleCounts:
+    """One walk's counts for each iterate m = 1..len(crossings) in budget.
 
-    Slopes of the canonical lift and its composites are integers, so with
-    a common denominator factored out each piece is four plain integers
-    (lo, hi, slope, intercept).  Composition and counting then run on
-    machine integers instead of normalizing a Fraction per operation.
+    `crossings[m-1]` counts the diagonal crossings of f^m at non-integer
+    points, `covers[m-1]` the preimages of the branching point under f^m
+    (the refined cover size).  `over_budget` is the first iterate with
+    more than `budget` pieces, or None.
     """
 
-    n: int
-    scale: int
-    pieces: tuple[tuple[int, int, int, int], ...]
+    crossings: tuple[int, ...]
+    covers: tuple[int, ...]
+    over_budget: int | None
+    budget: int
+
+    def fixed(self, m: int, branch_period: int | None) -> int:
+        """Fixed points of f^m on the circles: the crossings, plus 1 when
+        the branching point is m-periodic (`branch_period` is the lift's,
+        observed to depth >= m)."""
+        periodic = branch_period is not None and m % branch_period == 0
+        return self.crossings[m - 1] + int(periodic)
+
+    def budget_error(self) -> BudgetError:
+        return _budget_error(self.budget, self.over_budget)
 
 
-def _to_scaled(lift: PLLift) -> _ScaledLift:
-    scale = 1
-    for p in lift.pieces:
-        assert p.slope.denominator == 1, "lift slopes must be integers"
-        scale = math.lcm(
-            scale, p.lo.denominator, p.hi.denominator, p.intercept.denominator
-        )
-    pieces = tuple(
-        (
-            int(p.lo * scale),
-            int(p.hi * scale),
-            int(p.slope),
-            int(p.intercept * scale),
-        )
-        for p in lift.pieces
-    )
-    return _ScaledLift(lift.n, scale, pieces)
+def _budget_error(budget: int, m: int | None) -> BudgetError:
+    return BudgetError(f"composed lift exceeds {budget} pieces", smallest_m=m)
 
 
-def _from_scaled(sl: _ScaledLift) -> PLLift:
-    s = sl.scale
-    return PLLift(
-        sl.n,
-        tuple(
-            Piece(Fraction(lo, s), Fraction(hi, s), Fraction(k), Fraction(b, s))
-            for lo, hi, k, b in sl.pieces
-        ),
-    )
+class _Walk:
+    """Depth-first walk, on an explicit stack, over the linear pieces of
+    f^1..f^depth, yielding (k, lo, hi, slope, intercept) as integers in
+    units of 1/scale.
 
-
-def _compose_scaled(
-    outer: _ScaledLift, inner: _ScaledLift, budget: int
-) -> _ScaledLift:
-    """Exact composition outer(inner(x)) in scaled-integer arithmetic.
-
-    Each inner piece is cut at the preimages of outer breakpoints; on the
-    resulting open subintervals the composite is linear, and the half-open
-    convention fixes the values at the cuts.  The common scale gains a
-    factor of lcm of the inner slopes so that every cut stays integral.
+    The children of a piece of f^k are f after it, cut where its image
+    crosses a breakpoint of f; they come left to right.  A cut divides by
+    the piece's slope, a product of k lift slopes, so a scale of the
+    lift's denominators times lcm(|slopes|)^(depth-1) keeps every cut and
+    intercept integral.  `pieces[k]` counts the pieces of f^k met; once it
+    passes `budget` (k >= 2) the walk stops going to depth k, so the first
+    such k is the first iterate over budget and shallower counts are
+    complete.
     """
-    slope_lcm = math.lcm(*(abs(s) for _, _, s, _ in inner.pieces))
-    scale = math.lcm(outer.scale, inner.scale) * slope_lcm
-    fo = scale // outer.scale
-    fi = scale // inner.scale
-    outer_pieces = [(lo * fo, s, b * fo) for lo, _, s, b in outer.pieces]
-    cuts = sorted({lo for lo, _, _ in outer_pieces}
-                  | {outer.pieces[-1][1] * fo})
-    outer_los2 = [2 * lo for lo, _, _ in outer_pieces]
-    pieces: list[tuple[int, int, int, int]] = []
-    for lo, hi, s, b in inner.pieces:
-        lo, hi, b = lo * fi, hi * fi, b * fi
-        xs = {lo, hi}
-        for t in cuts:
-            x = (t - b) // s  # exact: slope_lcm divides both t and b
-            if lo < x < hi:
-                xs.add(x)
-        ordered = sorted(xs)
-        for a, c in zip(ordered, ordered[1:]):
-            y2 = s * (a + c) + 2 * b  # image of the midpoint, doubled
-            q_slope, q_b = _piece_after(outer_los2, outer_pieces, y2)
-            pieces.append((a, c, q_slope * s, q_slope * b + q_b))
-        if len(pieces) > budget:
-            raise BudgetError(
-                f"composed lift exceeds {budget} pieces", smallest_m=None
-            )
-    return _ScaledLift(inner.n, *_reduce_scale(scale, pieces))
+
+    def __init__(self, lift: PLLift, depth: int, budget: int):
+        assert all(p.slope.denominator == 1 for p in lift.pieces), (
+            "lift slopes must be integers")
+        scale = math.lcm(*(q.denominator for p in lift.pieces
+                           for q in (p.lo, p.hi, p.intercept)))
+        slopes = math.lcm(*(p.slope.numerator for p in lift.pieces))
+        self.scale = scale * slopes ** (depth - 1)
+        self.base = [(int(p.lo * self.scale), int(p.hi * self.scale),
+                      p.slope.numerator, int(p.intercept * self.scale))
+                     for p in lift.pieces]
+        self.depth, self.budget = depth, budget
+        self.pieces = [0] * (depth + 1)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int, int]]:
+        base, pieces, budget = self.base, self.pieces, self.budget
+        los = [lo for lo, _, _, _ in base]
+        limit = self.depth
+        stack = [(1, *piece) for piece in reversed(base)]
+        while stack:
+            node = stack.pop()
+            k, lo, hi, s, b = node
+            if k > limit:
+                continue
+            pieces[k] += 1
+            if k > 1 and pieces[k] > budget:
+                limit = k - 1
+                continue
+            yield node
+            if k == limit:
+                continue
+            # los[i0:i1] are the breakpoints strictly inside the image;
+            # push the children right to left so they pop left to right
+            v_lo, v_hi = s * lo + b, s * hi + b
+            if s > 0:
+                i0, i1 = bisect_right(los, v_lo), bisect_left(los, v_hi)
+                order = range(i1 - 1, i0 - 2, -1)
+            else:
+                i0, i1 = bisect_right(los, v_hi), bisect_left(los, v_lo)
+                order = range(i0 - 1, i1)
+            x_hi = hi
+            for p in order:
+                t = p + (s < 0)  # the breakpoint at the child's left end
+                x_lo = (los[t] - b) // s if i0 <= t < i1 else lo
+                _, _, ps, pb = base[p]
+                stack.append((k + 1, x_lo, x_hi, ps * s, ps * b + pb))
+                x_hi = x_lo
+
+    def over_budget(self) -> int | None:
+        return next((k for k in range(2, self.depth + 1)
+                     if self.pieces[k] > self.budget), None)
 
 
-def _piece_after(los2: list[int], pieces: list[tuple[int, int, int]],
-                 y2: int) -> tuple[int, int]:
-    """Slope and intercept of the outer piece containing the point y2/2."""
-    k = bisect_right(los2, y2) - 1
-    _, s, b = pieces[k]
-    return s, b
+def oracle_counts(
+    lift: PLLift, depth: int, budget: int = PIECE_BUDGET
+) -> OracleCounts:
+    """Crossing and cover counts of f^1..f^depth from one depth-first walk.
+
+    Memory is the walk's stack, at most one lift's pieces per depth; no
+    composite is kept.  A piece lying on the diagonal means the map is
+    not expanding and is rejected.
+    """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    walk = _Walk(lift, depth, budget)
+    scale = walk.scale
+    top = lift.n * scale
+    crossings = [0] * (depth + 1)
+    covers = [0] * (depth + 1)
+    for k, lo, hi, s, b in walk:
+        # integers in the half-open image: [v_lo, v_hi) when ascending,
+        # (v_hi, v_lo] when descending
+        v_lo = s * lo + b
+        v_hi = s * hi + b
+        if s > 0:
+            covers[k] += -(-v_hi // scale) - -(-v_lo // scale)
+        else:
+            covers[k] += v_lo // scale - v_hi // scale
+        if s == 1:
+            if b == 0:
+                raise DegenerateMapError(
+                    f"iterate {k} of the lift is the identity on "
+                    f"[{Fraction(lo, scale)}, {Fraction(hi, scale)}); "
+                    "the map is not expanding"
+                )
+            continue
+        # fixed point x = b / (scale * (1 - s)); compare by cross-multiplying
+        d = 1 - s
+        lod, hid = lo * d, hi * d
+        in_piece = (lod <= b < hid) if d > 0 else (hid < b <= lod)
+        if not in_piece and hi == top and b == hid:
+            in_piece = True
+        if in_piece and b % (scale * d) != 0:
+            crossings[k] += 1
+    over = walk.over_budget()
+    counted = depth if over is None else over - 1
+    return OracleCounts(tuple(crossings[1 : counted + 1]),
+                        tuple(covers[1 : counted + 1]), over, budget)
 
 
-def _reduce_scale(
-    scale: int, pieces: list[tuple[int, int, int, int]]
-) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-    """Divide out the common factor so scales stay small across iterates."""
-    g = scale
-    for lo, hi, _, b in pieces:
-        g = math.gcd(g, lo, hi, b)
-        if g == 1:
-            return scale, tuple(pieces)
-    return scale // g, tuple(
-        (lo // g, hi // g, s, b // g) for lo, hi, s, b in pieces
-    )
-
-
-@lru_cache(maxsize=256)
-def _scaled_iterate(lift: PLLift, m: int, budget: int) -> _ScaledLift:
-    if m == 1:
-        return _to_scaled(lift)
-    prev = _scaled_iterate(lift, m - 1, budget)
-    try:
-        return _compose_scaled(_scaled_iterate(lift, 1, budget), prev, budget)
-    except BudgetError as e:
-        raise BudgetError(str(e), smallest_m=m) from None
+def _counts_to(lift: PLLift, m: int, budget: int) -> OracleCounts:
+    counts = oracle_counts(lift, m, budget)
+    if counts.over_budget is not None:
+        raise counts.budget_error()
+    return counts
 
 
 def iterate_lift(lift: PLLift, m: int, budget: int = PIECE_BUDGET) -> PLLift:
-    """Exact m-fold composition of the lift with itself.
-
-    Iterates are cached, so scanning m = 1..M composes each step once.
-    """
+    """Exact m-fold composition of the lift: the walk's depth-m pieces."""
     if m < 1:
         raise ValueError(f"iterate must be >= 1, got {m}")
     if m == 1:
         return lift
-    return _from_scaled(_scaled_iterate(lift, m, budget))
+    walk = _Walk(lift, m, budget)
+    scale = walk.scale
+    leaves = tuple(
+        Piece(Fraction(lo, scale), Fraction(hi, scale), Fraction(s),
+              Fraction(b, scale))
+        for k, lo, hi, s, b in walk if k == m
+    )
+    over = walk.over_budget()
+    if over is not None:
+        raise _budget_error(budget, over)
+    return PLLift(lift.n, leaves)
 
 
 def branch_orbit(lift: PLLift, depth: int) -> list[Fraction]:
@@ -294,54 +338,11 @@ def count_fixed(lift: PLLift, m: int, budget: int = PIECE_BUDGET) -> int:
     """Fixed points of the m-th iterate of the projected circle map.
 
     Counts exact diagonal crossings of the composed lift at non-integer
-    points, plus 1 when the branching point itself is m-periodic.  A
-    piece lying on the diagonal means the map is not expanding and is
-    rejected.
+    points, plus 1 when the branching point itself is m-periodic.  This
+    walks to depth m; `oracle_counts` gives every m <= depth in one walk.
     """
-    composed = _scaled_iterate(lift, m, budget)
-    scale = composed.scale
-    top = lift.n * scale
-    count = 0
-    for lo, hi, s, b in composed.pieces:
-        if s == 1:
-            if b == 0:
-                raise DegenerateMapError(
-                    f"iterate {m} of the lift is the identity on "
-                    f"[{Fraction(lo, scale)}, {Fraction(hi, scale)}); "
-                    "the map is not expanding"
-                )
-            continue
-        # fixed point x = b / (scale * (1 - s)); compare by cross-multiplying
-        d = 1 - s
-        lod, hid = lo * d, hi * d
-        in_piece = (lod <= b < hid) if d > 0 else (hid < b <= lod)
-        if not in_piece and hi == top and b == hid:
-            in_piece = True
-        if in_piece and b % (scale * d) != 0:
-            count += 1
-    t = lift_branch_period(lift, m)
-    if t is not None and m % t == 0:
-        count += 1
-    return count
-
-
-def _cover_count(sl: _ScaledLift) -> int:
-    """Integers in the half-open image of each piece, summed.
-
-    Ascending pieces cover [v_lo, v_hi) so contribute ceil(v_hi) -
-    ceil(v_lo); descending pieces cover (v_hi, v_lo] so contribute
-    floor(v_lo) - floor(v_hi).
-    """
-    scale = sl.scale
-    total = 0
-    for lo, hi, s, b in sl.pieces:
-        v_lo = s * lo + b
-        v_hi = s * hi + b
-        if s > 0:
-            total += -(-v_hi // scale) - -(-v_lo // scale)
-        else:
-            total += v_lo // scale - v_hi // scale
-    return total
+    counts = _counts_to(lift, m, budget)
+    return counts.fixed(m, lift_branch_period(lift, m))
 
 
 def mono_cover_size(lift: PLLift) -> int:
@@ -350,9 +351,9 @@ def mono_cover_size(lift: PLLift) -> int:
     Equals the entry-sum norm of the homology matrix: each monotone arc
     between consecutive preimages covers one full circle.
     """
-    return _cover_count(_to_scaled(lift))
+    return oracle_counts(lift, 1).covers[0]
 
 
 def cover_growth(lift: PLLift, m: int, budget: int = PIECE_BUDGET) -> int:
     """Branch-preimage count of the m-th iterate (the refined cover size)."""
-    return _cover_count(_scaled_iterate(lift, m, budget))
+    return _counts_to(lift, m, budget).covers[m - 1]

@@ -10,8 +10,6 @@ from bouquet_dyn import (
     abelianize,
     action,
     build_lift,
-    count_fixed,
-    cover_growth,
     criteria_delaylowgrow,
     criteria_doubling,
     criteria_lowgrow,
@@ -24,6 +22,7 @@ from bouquet_dyn import (
     m0_bound,
     mat_pow,
     norm1,
+    oracle_counts,
     per_census,
     periodic_lefschetz,
     powers,
@@ -31,6 +30,7 @@ from bouquet_dyn import (
 )
 from bouquet_dyn.cli import ReportOptions, load_fixture, run_report
 from bouquet_dyn.periods import ALL_PERIODS
+from bouquet_dyn.pl_oracle import lift_branch_period
 
 from conftest import random_expanding_action
 
@@ -158,11 +158,13 @@ def test_criterion_6_oracle_equivalence():
     for f, lift in cases:
         ladder = powers(abelianize(f), 8)
         fixes = fix_counts(f, ladder[:6])
+        counts = oracle_counts(lift, 8)
+        period = lift_branch_period(lift, 8)
         for m in range(1, 7):
-            if count_fixed(lift, m) != fixes[m - 1]:
+            if counts.fixed(m, period) != fixes[m - 1]:
                 ok = False
         for m in range(1, 9):
-            if cover_growth(lift, m) != norm1(ladder[m - 1]):
+            if counts.covers[m - 1] != norm1(ladder[m - 1]):
                 ok = False
     _verdict(6, "lift oracle: crossing counts and cover growth match "
                 "the word formulas exactly", ok)

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from bouquet_dyn import BRANCH_FREE
+from bouquet_dyn import BRANCH_FREE, cli
 from bouquet_dyn.cli import (
     ReportOptions,
     fixture_names,
@@ -132,6 +132,24 @@ class TestRunReport:
             c["rule"].startswith("delaylowgrow") for c in wide["certificates"]
         )
 
+    def test_oracle_budget_skips_deep_iterates(self, monkeypatch):
+        doc = parse_spec("n=1\nbranch: free\na1 -> a1' a1'\n")
+        full = run_report(doc, ReportOptions())["oracle"]
+        monkeypatch.setattr(cli, "PIECE_BUDGET", 20)
+        oracle = run_report(doc, ReportOptions())["oracle"]
+        first = next(
+            v["m"] for v in oracle["verdicts"] if v["verdict"] == "skipped"
+        )
+        assert 1 < first <= 6
+        skipped = {"verdict": "skipped",
+                   "reason": "budget: composed lift exceeds 20 pieces"}
+        for key in ("verdicts", "cover_checks"):
+            assert len(oracle[key]) == len(full[key]) == 6
+            for v, w in zip(oracle[key], full[key]):
+                assert w["verdict"] == "match"
+                assert v == (w if v["m"] < first else {"m": v["m"], **skipped})
+        assert oracle["status"] == full["status"] == "ok"
+
     def test_json_round_trip(self):
         doc = parse_spec(LOW_GROWTH_TEXT)
         report = run_report(doc, ReportOptions())
@@ -165,6 +183,15 @@ class TestMain:
         p.write_text("n=1\nbranch: free\na1 -> a1 a1\n")
         assert main(["analyze", str(p), flag, "0"]) == 1
         assert "horizon must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_nonpositive_oracle_depth_exit_code(self, tmp_path, capsys, depth):
+        p = tmp_path / "map.bqd"
+        p.write_text("n=1\nbranch: free\na1 -> a1 a1\n")
+        assert main(["analyze", str(p), "--oracle-depth", depth]) == 1
+        assert "oracle depth must be >= 1" in capsys.readouterr().err
+        flags = ["--oracle-depth", depth, "--no-oracle"]
+        assert main(["analyze", str(p), *flags]) == 0
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["analyze", "/nonexistent.bqd"]) == 1

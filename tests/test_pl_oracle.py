@@ -1,5 +1,7 @@
 """Piecewise-linear lift: construction, composition, crossing counts."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,9 @@ from bouquet_dyn import (
     mat_pow,
     mono_cover_size,
     norm1,
+    oracle_counts,
     per_census,
+    pl_oracle,
     powers,
 )
 from bouquet_dyn.errors import (
@@ -90,18 +94,27 @@ class TestIterateLift:
         assert all(p.slope == 8 for p in cubed.pieces)
 
     def test_composition_is_pointwise_power(self):
+        # the walk's depth-2 leaves tile [0, n] and agree with f(f(x)) at
+        # their left ends, their midpoints and interior sample points
         rng = __import__("random").Random(11)
         f, lift = random_expanding_action(rng)
         squared = iterate_lift(lift, 2)
-        for k in range(1, 40):
-            x = Fraction(k, 41) * f.n
+        assert squared.pieces[0].lo == 0 and squared.pieces[-1].hi == f.n
+        for p, q in zip(squared.pieces, squared.pieces[1:]):
+            assert p.hi == q.lo
+        points = [Fraction(k, 41) * f.n for k in range(1, 40)]
+        points += [p.lo for p in squared.pieces]
+        points += [(p.lo + p.hi) / 2 for p in squared.pieces]
+        for x in points:
             assert squared.value(x) == lift.value(lift.value(x))
 
     def test_budget_error(self):
         lift = build_lift(DOUBLE)
         with pytest.raises(BudgetError) as e:
             iterate_lift(lift, 12, budget=100)
-        assert e.value.smallest_m is not None
+        m = e.value.smallest_m
+        assert len(iterate_lift(lift, m).pieces) > 100
+        assert len(iterate_lift(lift, m - 1).pieces) <= 100
 
 
 class TestBranchOrbit:
@@ -132,9 +145,11 @@ class TestCountFixed:
         f = action("a1 a2", "a1 a2")
         lift = build_lift(f)
         census = per_census(formula_fixes(f, 6))
+        counts = oracle_counts(lift, 6)
+        period = lift_branch_period(lift, 6)
         for m in range(1, 7):
             expected = sum(census.per_of(r) for r in divisors(m))
-            assert count_fixed(lift, m) == expected
+            assert counts.fixed(m, period) == expected
 
     def test_fixed_branch_counted(self):
         lift = build_lift(LOW_GROWTH)
@@ -143,9 +158,39 @@ class TestCountFixed:
     def test_matches_formula_on_random_actions(self, rng):
         for _ in range(10):
             f, lift = random_expanding_action(rng)
-            fixes = formula_fixes(f, 6)
-            for m in range(1, 7):
-                assert count_fixed(lift, m) == fixes[m - 1], (f, m)
+            fixes = formula_fixes(f, 8)
+            counts = oracle_counts(lift, 8)
+            period = lift_branch_period(lift, 8)
+            for m in range(1, 9):
+                assert counts.fixed(m, period) == fixes[m - 1], (f, m)
+
+    @pytest.mark.xfail(strict=True, reason="branch-periodic fix(m) formula "
+                       "and lift disagree (known defect, see CHANGES.md)")
+    def test_periodic_branch_matches_formula(self):
+        f = action("a2 a1", "a4 a1", "a1", "a1", k=4)
+        lift = build_lift(f)
+        assert lift_branch_period(lift, 4) == 4
+        assert count_fixed(lift, 4) == formula_fixes(f, 4)[3]
+
+    def test_budget_keeps_shallow_counts(self, rng):
+        for _ in range(5):
+            _, lift = random_expanding_action(rng)
+            full = oracle_counts(lift, 8)
+            for budget in (1, 7, 40, 300):
+                counts = oracle_counts(lift, 8, budget)
+                counted = len(counts.crossings)
+                assert counts.crossings == full.crossings[:counted]
+                assert counts.covers == full.covers[:counted]
+                m = counts.over_budget
+                if m is None:
+                    assert counted == 8
+                    continue
+                assert counted == m - 1
+                assert len(iterate_lift(lift, m).pieces) > budget
+                assert m == 2 or len(iterate_lift(lift, m - 1).pieces) <= budget
+                with pytest.raises(BudgetError) as e:
+                    count_fixed(lift, m, budget)
+                assert e.value.smallest_m == m
 
 
 class TestCover:
@@ -165,14 +210,39 @@ class TestCover:
         for _ in range(5):
             f, lift = random_expanding_action(rng)
             mat = abelianize(f)
+            covers = oracle_counts(lift, 8).covers
             for m in range(1, 9):
-                assert cover_growth(lift, m) == norm1(mat_pow(mat, m))
+                assert covers[m - 1] == norm1(mat_pow(mat, m))
 
     def test_entropy_sequence_agreement(self):
         lift = build_lift(LOW_GROWTH)
         mat = abelianize(LOW_GROWTH)
+        covers = oracle_counts(lift, 7).covers
         for m in range(1, 8):
-            assert cover_growth(lift, m) == norm1(mat_pow(mat, m))
+            assert covers[m - 1] == norm1(mat_pow(mat, m))
+
+
+class TestOracleMemory:
+    def test_walk_memory_is_bounded(self):
+        # the heaviest lift of acceptance criterion 6: covers 12 ... 12288
+        # to depth 6; a materialized f^6 alone took about 7 MB
+        rng = random.Random(0xACCE55)
+        _, lift = max(
+            (random_expanding_action(rng) for _ in range(20)),
+            key=lambda case: norm1(abelianize(case[0])),
+        )
+        tracemalloc.start()
+        try:
+            counts = oracle_counts(lift, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.covers == (12, 48, 192, 768, 3072, 12288)
+        assert peak < 256 * 1024
+        assert not any(
+            callable(getattr(v, "cache_clear", None))
+            for v in vars(pl_oracle).values()
+        )
 
 
 class TestIterateConsistency:
