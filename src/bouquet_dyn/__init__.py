@@ -21,17 +21,16 @@ from .homology import (
     trace,
 )
 from .periods import (
+    Conclusion,
     FixCountTable,
     PeriodCertificate,
-    criteria_delaylowgrow,
-    criteria_doubling,
-    criteria_lowgrow,
     dominant_periods,
     fix_counts,
     fmbig_test,
     lefschetz_fix_check,
     lefschetz_per_count,
     per_census,
+    period_certificates,
 )
 from .pl_oracle import (
     PLLift,

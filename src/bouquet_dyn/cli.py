@@ -29,14 +29,10 @@ from .homology import Ladder, LefschetzTable, abelianize, norm1, powers
 from .periods import (
     FixCountTable,
     PeriodCertificate,
-    criteria_delaylowgrow,
-    criteria_doubling,
-    criteria_lowgrow,
-    dominant_periods,
     fix_counts,
-    fmbig_test,
     lefschetz_fix_check,
     per_census,
+    period_certificates,
 )
 from .pl_oracle import (
     PIECE_BUDGET,
@@ -44,7 +40,7 @@ from .pl_oracle import (
     lift_branch_period,
     oracle_counts,
 )
-from .spectral import eigenvalues, entropy_limit
+from .spectral import CLAMP_WARNING, eigenvalues, entropy_limit
 from .words import BRANCH_FREE, MapAction, Word, orientation
 
 DEFAULT_HORIZON = 12
@@ -191,7 +187,7 @@ def _fmt_int(v: int) -> str:
 def _certificate_json(cert: PeriodCertificate) -> dict:
     return {
         "rule": cert.rule,
-        "conclusion": cert.conclusion,
+        "conclusion": cert.conclusion.text(),
         "witness": {k: _fmt_int(v) if isinstance(v, int) else str(v)
                     for k, v in cert.witness.items()},
     }
@@ -243,8 +239,8 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     spectrum = eigenvalues(mat)
     limit_seq = entropy_limit(ladder[: options.entropy_horizon])
     h_spec = spectrum.entropy
-    if spectrum.spectral_radius < 1.0 - 1e-12:
-        warnings.append("spectral radius below 1; entropy clamped to 0")
+    if spectrum.radius_below_one:
+        warnings.append(CLAMP_WARNING)
 
     checks = []
     for m in range(1, horizon + 1):
@@ -265,21 +261,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
             if note not in warnings:
                 warnings.append(note)
 
-    certificates: list[PeriodCertificate] = []
-    for maker in (criteria_doubling, criteria_lowgrow):
-        cert = maker(f)
-        if cert is not None:
-            certificates.append(cert)
-    cert = criteria_delaylowgrow(f, ladder[: min(horizon, 6)])
-    if cert is not None:
-        certificates.append(cert)
-    for m in range(1, horizon + 1):
-        cert = fmbig_test(census, m)
-        if cert is not None:
-            certificates.append(cert)
-    cert = dominant_periods(f, spectrum, census)
-    if cert is not None:
-        certificates.append(cert)
+    certificates = period_certificates(f, ladder, census, spectrum)
 
     oracle = _run_oracle(f, options, ladder, fixes, warnings)
 

@@ -181,27 +181,66 @@ def lefschetz_fix_check(
 # ---------------------------------------------------------------------------
 # certificates
 
-#: conclusion strings, kept stable for machine-readable output
-ALL_PERIODS = "Per = N"
-ALL_BUT_1 = "Per contains N \\ {1}"
-ALL_BUT_2 = "Per contains N \\ {2}"
-PAIRWISE = "for every m, m or m+1 in Per"
+@dataclass(frozen=True)
+class Conclusion:
+    """What a certificate promises about the period set Per, as data.
+
+    kind is one of
+      "multiples": every multiple of m is a period, except `excluded`;
+      "tail":      every integer from m on is a period;
+      "single":    m is a period;
+      "pairwise":  of every two consecutive integers one is a period
+                   (m and excluded unused).
+    """
+
+    kind: str
+    m: int = 1
+    excluded: int | None = None
+
+    def text(self) -> str:
+        """The conclusion as printed in reports."""
+        if self.kind == "pairwise":
+            return "for every m, m or m+1 in Per"
+        if self.kind == "single":
+            return f"Per_{self.m} nonempty"
+        if self.kind == "tail":
+            return f"Per contains [{self.m}, inf)"
+        if self.m == 1 and self.excluded is None:
+            return "Per = N"
+        step = "N" if self.m == 1 else f"{self.m}N"
+        if self.excluded is None:
+            return f"Per contains {step}"
+        return f"Per contains {step} \\ {{{self.excluded}}}"
+
+    def periods(self, horizon: int) -> set[int]:
+        """Periods up to the horizon that the conclusion promises; the
+        pairwise conclusion promises no individual period."""
+        if self.kind == "pairwise":
+            return set()
+        if self.kind == "single":
+            return {self.m} if self.m <= horizon else set()
+        step = 1 if self.kind == "tail" else self.m
+        return set(range(self.m, horizon + 1, step)) - {self.excluded}
+
+    def promoted(self, m: int) -> Conclusion | None:
+        """The delayed rule: this conclusion about f^m, read as one about
+        f over multiples of m, the step and the excluded period scaled by
+        m.  Only "multiples" conclusions promote.
+
+        Not sound as it stands: a point of period 1 under f^m may have a
+        period under f that properly divides m, so a promised multiple can
+        be missing from Per (tests/test_periods.py pins a case).
+        """
+        if self.kind != "multiples":
+            return None
+        excluded = None if self.excluded is None else m * self.excluded
+        return Conclusion("multiples", m * self.m, excluded)
 
 
-def multiples_of(m: int) -> str:
-    return f"Per contains {m}N"
-
-
-def multiples_without(m: int, excluded: int) -> str:
-    return f"Per contains {m}N \\ {{{excluded}}}"
-
-
-def tail_from(m0: int) -> str:
-    return f"Per contains [{m0}, inf)"
-
-
-def nonempty_at(m: int) -> str:
-    return f"Per_{m} nonempty"
+ALL_PERIODS = Conclusion("multiples")
+ALL_BUT_1 = Conclusion("multiples", 1, 1)
+ALL_BUT_2 = Conclusion("multiples", 1, 2)
+PAIRWISE = Conclusion("pairwise")
 
 
 @dataclass(frozen=True)
@@ -209,7 +248,7 @@ class PeriodCertificate:
     """One applied period criterion with its re-checkable witness data."""
 
     rule: str
-    conclusion: str
+    conclusion: Conclusion
     witness: dict = field(default_factory=dict)
 
 
@@ -217,7 +256,7 @@ def _branch_is_fixed(branch_class: float) -> bool:
     return branch_class == 1
 
 
-def _doubling_on(mat: IntMatrix, branch_class: float) -> tuple[str, str, dict] | None:
+def _doubling_on(mat: IntMatrix, branch_class: float) -> tuple[str, Conclusion, dict] | None:
     """Entry-doubling cases on a chi-matrix; returns (case, conclusion, witness)."""
     n = len(mat)
     for j in range(2, n + 1):
@@ -251,7 +290,7 @@ def _lowgrow_pair(mat: IntMatrix, lo: int) -> tuple[int, int] | None:
     return None
 
 
-def _lowgrow_on(mat: IntMatrix, branch_class: float) -> tuple[str, str, dict] | None:
+def _lowgrow_on(mat: IntMatrix, branch_class: float) -> tuple[str, Conclusion, dict] | None:
     """Low-growth cases on a chi-matrix; returns (case, conclusion, witness)."""
     n = len(mat)
     if branch_class == BRANCH_FREE:
@@ -274,24 +313,6 @@ def _lowgrow_on(mat: IntMatrix, branch_class: float) -> tuple[str, str, dict] | 
     return None
 
 
-def criteria_doubling(f: MapAction) -> PeriodCertificate | None:
-    """First firing entry-doubling case on the homology matrix, if any."""
-    hit = _doubling_on(abelianize(f), f.branch_class)
-    if hit is None:
-        return None
-    case, conclusion, witness = hit
-    return PeriodCertificate(f"doubling({case})", conclusion, witness)
-
-
-def criteria_lowgrow(f: MapAction) -> PeriodCertificate | None:
-    """First firing low-growth case on the homology matrix, if any."""
-    hit = _lowgrow_on(abelianize(f), f.branch_class)
-    if hit is None:
-        return None
-    case, conclusion, witness = hit
-    return PeriodCertificate(f"lowgrow({case})", conclusion, witness)
-
-
 def _reinterpret_branch(branch_class: float, m: int) -> float:
     """Least period of the branching point under the m-th iterate."""
     if branch_class == BRANCH_FREE:
@@ -300,35 +321,19 @@ def _reinterpret_branch(branch_class: float, m: int) -> float:
     return k // math.gcd(k, m)
 
 
-def criteria_delaylowgrow(f: MapAction, ladder: Ladder) -> PeriodCertificate | None:
-    """Apply the period criteria to iterates f^m for m = 2..len(ladder).
+def _criteria_hits(f: MapAction, ladder: Ladder):
+    """Yield (m, family, case, conclusion, witness) for each hypothesis
+    family that fires on the chi-matrix ladder[m-1] = M^m of f^m, in
+    order of m, doubling before low growth.
 
-    The chi-matrix of f^m is ladder[m-1] = M^m, and the branching
-    point's least period rescales to k / gcd(k, m).  Both the doubling
-    and the low-growth hypothesis families are tried; a hit at m turns
-    the all-periods conclusions into containments over multiples of m.
-    A ladder shorter than 2 gives no certificate.
+    The branching point's least period rescales to k / gcd(k, m).
     """
-    promote = {
-        ALL_PERIODS: lambda m: multiples_of(m),
-        ALL_BUT_1: lambda m: multiples_without(m, m),
-        ALL_BUT_2: lambda m: multiples_without(m, 2 * m),
-    }
-    for m, mat in enumerate(ladder[1:], start=2):
+    for m, mat in enumerate(ladder, start=1):
         k_m = _reinterpret_branch(f.branch_class, m)
         for family, tester in (("doubling", _doubling_on), ("lowgrow", _lowgrow_on)):
             hit = tester(mat, k_m)
-            if hit is None:
-                continue
-            case, conclusion, witness = hit
-            if conclusion not in promote:
-                continue
-            return PeriodCertificate(
-                f"delaylowgrow(m={m}; {family}({case}))",
-                promote[conclusion](m),
-                {"m": m, **witness},
-            )
-    return None
+            if hit is not None:
+                yield (m, family, *hit)
 
 
 def fmbig_test(table: FixCountTable, m: int) -> PeriodCertificate | None:
@@ -342,17 +347,20 @@ def fmbig_test(table: FixCountTable, m: int) -> PeriodCertificate | None:
     if table.fix_of(m) > bound:
         return PeriodCertificate(
             "fmbig",
-            nonempty_at(m),
+            Conclusion("single", m),
             {"m": m, "fix_m": table.fix_of(m), "divisor_sum": bound},
         )
     return None
 
 
 def dominant_periods(
-    f: MapAction, spectrum: SpectrumReport, table: FixCountTable
+    f: MapAction,
+    spectrum: SpectrumReport,
+    fmbig: list[PeriodCertificate | None],
 ) -> PeriodCertificate | None:
     """All sufficiently large periods, under a dominant leading eigenvalue.
 
+    fmbig[m-1] is fmbig_test at m, for every m up to the census horizon.
     The analytic threshold comes from the eigenvalue inequality behind
     m0_bound; the usually much smaller empirical threshold is the least m
     from which the fix-count comparison test fires at every iterate up to
@@ -363,48 +371,48 @@ def dominant_periods(
     m0 = m0_bound(spectrum, f.n)
     if m0 is None:
         return None
-    horizon = table.horizon
+    horizon = len(fmbig)
     empirical = None
     for start in range(horizon, 0, -1):
-        if fmbig_test(table, start) is None:
+        if fmbig[start - 1] is None:
             break
         empirical = start
     witness = {"m0_analytic": m0, "horizon": horizon}
     if empirical is not None:
         witness["m0_empirical"] = empirical
-    return PeriodCertificate("dominant", tail_from(m0), witness)
+    return PeriodCertificate("dominant", Conclusion("tail", m0), witness)
 
 
-# ---------------------------------------------------------------------------
-# certified period sets (for census cross-validation)
+def period_certificates(
+    f: MapAction, ladder: Ladder, census: FixCountTable, spectrum: SpectrumReport
+) -> list[PeriodCertificate]:
+    """Every period certificate that fires for f, in report order.
 
-def certified_periods(cert: PeriodCertificate, horizon: int) -> set[int]:
-    """Periods up to the horizon that the certificate promises are present.
-
-    The pairwise conclusion promises no individual period, so it yields
-    the empty set.
+    The doubling and low-growth families are tried on M^1..M^min(H, 6),
+    read off the ladder, H being the census horizon.  At m = 1 each
+    family that fires gives its own certificate.  The first later hit
+    whose conclusion promotes gives one delayed certificate over
+    multiples of m.  Then fmbig is tested once at each m up to H, and the
+    dominant-eigenvalue certificate reads those same results.
     """
-    c = cert.conclusion
-    if c == ALL_PERIODS:
-        return set(range(1, horizon + 1))
-    if c == ALL_BUT_1:
-        return set(range(2, horizon + 1))
-    if c == ALL_BUT_2:
-        return set(range(1, horizon + 1)) - {2}
-    if c == PAIRWISE:
-        return set()
-    if c.startswith("Per_"):
-        m = int(c.split("_")[1].split()[0])
-        return {m} if m <= horizon else set()
-    if c.startswith("Per contains ["):
-        m0 = int(c.split("[")[1].split(",")[0])
-        return set(range(m0, horizon + 1))
-    if c.startswith("Per contains "):
-        rest = c[len("Per contains "):]
-        excluded: set[int] = set()
-        if "\\" in rest:
-            rest, exc = rest.split("\\")
-            excluded = {int(x) for x in exc.strip(" {}").split(",")}
-        m = int(rest.strip().rstrip("N"))
-        return {v for v in range(m, horizon + 1, m)} - excluded
-    raise InputError(f"unknown certificate conclusion {c!r}")
+    certs = []
+    for m, family, case, conclusion, witness in _criteria_hits(
+        f, ladder[: min(census.horizon, 6)]
+    ):
+        if m == 1:
+            certs.append(PeriodCertificate(f"{family}({case})", conclusion, witness))
+            continue
+        promoted = conclusion.promoted(m)
+        if promoted is not None:
+            certs.append(PeriodCertificate(
+                f"delaylowgrow(m={m}; {family}({case}))",
+                promoted,
+                {"m": m, **witness},
+            ))
+            break
+    fmbig = [fmbig_test(census, m) for m in range(1, census.horizon + 1)]
+    certs += [c for c in fmbig if c is not None]
+    dominant = dominant_periods(f, spectrum, fmbig)
+    if dominant is not None:
+        certs.append(dominant)
+    return certs
