@@ -57,6 +57,7 @@ from .words import (
     Word,
     action,
     apply_endo,
+    branch_period_under,
     chi,
     first_letter,
     gamma,

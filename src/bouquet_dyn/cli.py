@@ -73,7 +73,8 @@ class MapSpecDocument:
 def parse_spec(text: str) -> MapSpecDocument:
     """Parse the line-based map description; diagnostics carry line numbers."""
     n = None
-    branch: float | None = None
+    branch = BRANCH_FREE
+    branch_seen = False
     horizon = None
     images: dict[int, Word] = {}
     claims: list[Claim] = []
@@ -94,17 +95,16 @@ def parse_spec(text: str) -> MapSpecDocument:
             n = int(value)
             continue
         if line.startswith("branch:"):
-            if branch is not None:
+            if branch_seen:
                 raise err("duplicate branch declaration")
+            branch_seen = True
             rest = line[len("branch:"):].strip()
-            if rest == "free":
-                branch = BRANCH_FREE
-            elif rest.startswith("period"):
+            if rest.startswith("period"):
                 value = rest[len("period"):].strip()
                 if not value.isdigit() or int(value) < 1:
                     raise err(f"bad branch period {value!r}")
                 branch = int(value)
-            else:
+            elif rest != "free":
                 raise err(f"bad branch declaration {rest!r}")
             continue
         if line.startswith("horizon:"):
@@ -139,7 +139,7 @@ def parse_spec(text: str) -> MapSpecDocument:
         raise err(f"unrecognized line {line!r}")
     if n is None:
         raise InputError("missing n= declaration")
-    if branch is None:
+    if not branch_seen:
         raise InputError("missing branch declaration (branch: free or branch: period <k>)")
     missing = [j for j in range(1, n + 1) if j not in images]
     if missing:
@@ -154,11 +154,8 @@ def parse_spec(text: str) -> MapSpecDocument:
 def print_spec(doc: MapSpecDocument) -> str:
     """Canonical serialization; parse(print(doc)) round-trips."""
     f = doc.action
-    lines = [f"n={f.n}"]
-    if f.branch_class == BRANCH_FREE:
-        lines.append("branch: free")
-    else:
-        lines.append(f"branch: period {int(f.branch_class)}")
+    k = f.branch_class
+    lines = [f"n={f.n}", "branch: " + ("free" if k is None else f"period {k}")]
     if doc.horizon is not None:
         lines.append(f"horizon: {doc.horizon}")
     for j in range(1, f.n + 1):
@@ -182,6 +179,10 @@ def _fmt_real(x: float) -> str:
 
 def _fmt_int(v: int) -> str:
     return str(v)
+
+
+def _branch_text(k: int | None) -> str:
+    return "free" if k is None else _fmt_int(k)
 
 
 def _certificate_json(cert: PeriodCertificate) -> dict:
@@ -291,8 +292,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         "schema": 1,
         "input": {
             "n": f.n,
-            "branch": "free" if f.branch_class == BRANCH_FREE
-            else _fmt_int(int(f.branch_class)),
+            "branch": _branch_text(f.branch_class),
             "images": [f.image(j).text() for j in range(1, f.n + 1)],
             "horizon": horizon,
         },
@@ -352,17 +352,12 @@ def _run_oracle(
     except LiftConstructionError as e:
         return {"status": "unavailable", "reason": str(e)}
     observed = lift_branch_period(lift, max(13, options.oracle_depth + 1))
-    declared_free = f.branch_class == BRANCH_FREE
-    branch_mismatch = (
-        (declared_free and observed is not None)
-        or (not declared_free and observed != int(f.branch_class))
-    )
+    branch_mismatch = observed != f.branch_class
     if branch_mismatch:
         warnings.append(
             "branch-orbit mismatch: the canonical lift's branching point "
             f"has period {observed if observed else 'none observed'} but "
-            "the declaration says "
-            + ("free" if declared_free else str(int(f.branch_class)))
+            f"the declaration says {_branch_text(f.branch_class)}"
         )
     counts = oracle_counts(lift, options.oracle_depth, PIECE_BUDGET)
     counted = len(counts.crossings)
@@ -490,7 +485,7 @@ def render_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # entry points
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=int, default=None,
                    help="census/Lefschetz horizon (default: spec file or 12)")
     p.add_argument("--oracle-depth", type=int, default=DEFAULT_ORACLE_DEPTH,
@@ -525,33 +520,43 @@ def _analyze(args: argparse.Namespace) -> int:
     return 2 if report_has_failures(report) else 0
 
 
+def _fixture_dir():
+    return resources.files("bouquet_dyn") / "fixtures"
+
+
 def fixture_names() -> list[str]:
-    root = resources.files("bouquet_dyn") / "fixtures"
     return sorted(
-        p.name[: -len(".bqd")] for p in root.iterdir()
+        p.name[: -len(".bqd")] for p in _fixture_dir().iterdir()
         if p.name.endswith(".bqd")
     )
 
 
+def _fixture_texts(name: str) -> tuple[str, str | None]:
+    """The fixture's map text and its frozen JSON report text, if any."""
+    root = _fixture_dir()
+    expected = root / f"{name}.json"
+    return (
+        (root / f"{name}.bqd").read_text(encoding="utf-8"),
+        expected.read_text(encoding="utf-8") if expected.is_file() else None,
+    )
+
+
 def load_fixture(name: str) -> tuple[MapSpecDocument, dict | None]:
-    root = resources.files("bouquet_dyn") / "fixtures"
-    doc = parse_spec((root / f"{name}.bqd").read_text(encoding="utf-8"))
-    expected = None
-    expected_path = root / f"{name}.json"
-    if expected_path.is_file():
-        expected = json.loads(expected_path.read_text(encoding="utf-8"))
-    return doc, expected
+    text, expected = _fixture_texts(name)
+    return parse_spec(text), None if expected is None else json.loads(expected)
 
 
 def _fixtures(args: argparse.Namespace) -> int:
+    """Each fixture's default-options JSON report against its frozen
+    text, byte for byte."""
     failures = 0
     for name in fixture_names():
-        doc, expected = load_fixture(name)
-        report = run_report(doc, _options_from(args))
+        text, expected = _fixture_texts(name)
+        report = run_report(parse_spec(text), ReportOptions())
         if expected is None:
             status = "NO EXPECTED OUTPUT"
             failures += 1
-        elif report == expected:
+        elif render_json(report) == expected:
             status = "ok"
         else:
             status = "DIFFERS FROM EXPECTED"
@@ -569,13 +574,11 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_analyze = sub.add_parser("analyze", help="analyze one map description")
     p_analyze.add_argument("spec_file")
-    _add_common_flags(p_analyze)
+    _add_report_flags(p_analyze)
     p_analyze.set_defaults(func=_analyze)
-    p_fixtures = sub.add_parser(
+    sub.add_parser(
         "fixtures", help="run the bundled corpus against expected reports"
-    )
-    _add_common_flags(p_fixtures)
-    p_fixtures.set_defaults(func=_fixtures)
+    ).set_defaults(func=_fixtures)
     args = parser.parse_args(argv)
     return args.func(args)
 

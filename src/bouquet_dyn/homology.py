@@ -162,9 +162,6 @@ class LefschetzTable:
         )
         return LefschetzTable(horizon, traces, lef, per)
 
-    def trace_of(self, m: int) -> int:
-        return self.traces[m - 1]
-
     def lefschetz_of(self, m: int) -> int:
         return self.lefschetz_numbers[m - 1]
 

@@ -8,7 +8,6 @@ periodic Lefschetz number mixes two period counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import InconsistencyError, InputError
@@ -23,9 +22,9 @@ from .homology import (
 )
 from .spectral import SpectrumReport, dominant_test, m0_bound
 from .words import (
-    BRANCH_FREE,
     Letter,
     MapAction,
+    branch_period_under,
     first_letter,
     orientation_of_power,
 )
@@ -38,15 +37,14 @@ def fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:
     """Number of fixed points of every iterate m = 1..len(ladder), exactly.
 
     ladder[m-1] is M^m, whose diagonal entry j is chi_j of the iterate
-    image of generator j.  When the branching point is not m-periodic
-    (k infinite or k not dividing m) the count is |1 - tr M^m|; when it
+    image of generator j.  When the branching point is not fixed by f^m
+    (`branch_period_under` is not 1) the count is |1 - tr M^m|; when it
     is, the branching point contributes 1 and the interior crossings are
     counted by gamma instead: chi_j less the first and last letters of
     the iterate image when they are a_j (an image of one letter has no
     interior).  Those letters are followed along the orbits of a_j and
     a_j' under the one-step letter map, in one forward pass.
     """
-    k = f.branch_class
     gens = range(1, f.n + 1)
     firsts = [Letter(j, 1) for j in gens]
     # the last letter of an image is the inverse of the first letter of
@@ -56,7 +54,7 @@ def fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:
     for m, power in enumerate(ladder, start=1):
         firsts = [first_letter(f, l) for l in firsts]
         lasts_inv = [first_letter(f, l) for l in lasts_inv]
-        if k == BRANCH_FREE or m % int(k) != 0:
+        if branch_period_under(f.branch_class, m) != 1:
             out.append(abs(1 - trace(power)))
             continue
         total = 0
@@ -131,7 +129,7 @@ def lefschetz_per_count(f: MapAction, m: int) -> int | None:
     """
     if m < 1:
         raise InputError(f"iterate must be >= 1, got {m}")
-    if f.branch_class != BRANCH_FREE:
+    if f.branch_class is not None:
         raise InputError(
             "Lefschetz period counts need a never-periodic branching point"
         )
@@ -166,9 +164,8 @@ def lefschetz_fix_check(
     """
     if m < 1:
         raise InputError(f"iterate must be >= 1, got {m}")
-    k = f.branch_class
     preserving = orientation_of_power(f, m) == "preserving"
-    if k == BRANCH_FREE or m % int(k) != 0:
+    if branch_period_under(f.branch_class, m) != 1:
         if preserving:
             return LefschetzFixCheck(lef == -fix, "equality-preserving", lef, fix)
         return LefschetzFixCheck(lef == fix, "equality-reversing", lef, fix)
@@ -252,12 +249,9 @@ class PeriodCertificate:
     witness: dict = field(default_factory=dict)
 
 
-def _branch_is_fixed(branch_class: float) -> bool:
-    return branch_class == 1
-
-
-def _doubling_on(mat: IntMatrix, branch_class: float) -> tuple[str, Conclusion, dict] | None:
-    """Entry-doubling cases on a chi-matrix; returns (case, conclusion, witness)."""
+def _doubling_on(mat: IntMatrix, k: int | None) -> tuple[str, Conclusion, dict] | None:
+    """Entry-doubling cases on a chi-matrix whose branching point has
+    least period k; returns (case, conclusion, witness)."""
     n = len(mat)
     for j in range(2, n + 1):
         if abs(mat[j - 1][j - 1]) >= 2:
@@ -267,7 +261,7 @@ def _doubling_on(mat: IntMatrix, branch_class: float) -> tuple[str, Conclusion, 
         return ("b", ALL_PERIODS, {"d_11": d11})
     if d11 < -2:
         return ("c", ALL_PERIODS, {"d_11": d11})
-    if d11 == -2 and _branch_is_fixed(branch_class):
+    if d11 == -2 and k == 1:
         return ("d", ALL_PERIODS, {"d_11": d11, "branch_class": 1})
     if d11 == -2:
         return ("e", ALL_BUT_2, {"d_11": d11})
@@ -290,10 +284,11 @@ def _lowgrow_pair(mat: IntMatrix, lo: int) -> tuple[int, int] | None:
     return None
 
 
-def _lowgrow_on(mat: IntMatrix, branch_class: float) -> tuple[str, Conclusion, dict] | None:
-    """Low-growth cases on a chi-matrix; returns (case, conclusion, witness)."""
+def _lowgrow_on(mat: IntMatrix, k: int | None) -> tuple[str, Conclusion, dict] | None:
+    """Low-growth cases on a chi-matrix whose branching point has least
+    period k; returns (case, conclusion, witness)."""
     n = len(mat)
-    if branch_class == BRANCH_FREE:
+    if k is None:
         pair = _lowgrow_pair(mat, 2)
         if pair is not None:
             i, j = pair
@@ -305,20 +300,12 @@ def _lowgrow_on(mat: IntMatrix, branch_class: float) -> tuple[str, Conclusion, d
             if mat[i - 1][0] == -1:
                 return ("c", PAIRWISE, {"i": i, "d_i1": -1})
         return None
-    if _branch_is_fixed(branch_class):
+    if k == 1:
         pair = _lowgrow_pair(mat, 1)
         if pair is not None:
             i, j = pair
             return ("d", ALL_PERIODS, {"i": i, "j": j})
     return None
-
-
-def _reinterpret_branch(branch_class: float, m: int) -> float:
-    """Least period of the branching point under the m-th iterate."""
-    if branch_class == BRANCH_FREE:
-        return BRANCH_FREE
-    k = int(branch_class)
-    return k // math.gcd(k, m)
 
 
 def _criteria_hits(f: MapAction, ladder: Ladder):
@@ -329,7 +316,7 @@ def _criteria_hits(f: MapAction, ladder: Ladder):
     The branching point's least period rescales to k / gcd(k, m).
     """
     for m, mat in enumerate(ladder, start=1):
-        k_m = _reinterpret_branch(f.branch_class, m)
+        k_m = branch_period_under(f.branch_class, m)
         for family, tester in (("doubling", _doubling_on), ("lowgrow", _lowgrow_on)):
             hit = tester(mat, k_m)
             if hit is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, DegenerateMapError, LiftConstructionError
-from .words import MapAction, Word
+from .words import MapAction, Word, branch_period_under
 
 HALF = Fraction(1, 2)
 
@@ -39,11 +39,6 @@ class Piece:
     def value(self, x: Fraction) -> Fraction:
         return self.slope * x + self.intercept
 
-    def image(self) -> tuple[Fraction, Fraction]:
-        """Image as a half-open interval: [v(lo), v(hi)) ascending, or
-        (v(hi), v(lo)] descending."""
-        return self.value(self.lo), self.value(self.hi)
-
 
 @dataclass(frozen=True)
 class PLLift:
@@ -56,20 +51,10 @@ class PLLift:
     def piece_at(self, x: Fraction) -> Piece:
         if not 0 <= x <= self.n:
             raise ValueError(f"{x} outside [0, {self.n}]")
-        lo, hi = 0, len(self.pieces)
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if x < self.pieces[mid].lo:
-                hi = mid
-            else:
-                lo = mid
-        return self.pieces[lo]
+        return self.pieces[bisect_right(self.pieces, x, key=lambda p: p.lo) - 1]
 
     def value(self, x: Fraction) -> Fraction:
         return self.piece_at(x).value(x)
-
-    def breakpoints(self) -> list[Fraction]:
-        return [p.lo for p in self.pieces] + [self.pieces[-1].hi]
 
     def dump(self) -> str:
         """One line per piece: `lo hi slope intercept` in p/q notation."""
@@ -162,10 +147,10 @@ class OracleCounts:
 
     def fixed(self, m: int, branch_period: int | None) -> int:
         """Fixed points of f^m on the circles: the crossings, plus 1 when
-        the branching point is m-periodic (`branch_period` is the lift's,
+        f^m fixes the branching point (`branch_period` is the lift's,
         observed to depth >= m)."""
-        periodic = branch_period is not None and m % branch_period == 0
-        return self.crossings[m - 1] + int(periodic)
+        branch_fixed = branch_period_under(branch_period, m) == 1
+        return self.crossings[m - 1] + int(branch_fixed)
 
     def budget_error(self) -> BudgetError:
         return _budget_error(self.budget, self.over_budget)

@@ -9,15 +9,15 @@ models maps that are monotone on every petal.  Letters serialize as
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import BudgetError, InputError
 
 #: branch class of a map whose branching point is never periodic
-BRANCH_FREE = math.inf
+BRANCH_FREE = None
 
 _LETTER_RE = re.compile(r"^a([1-9][0-9]*)('?)$")
 
@@ -106,13 +106,15 @@ class MapAction:
     ``images[j-1]`` is the image word of generator j.  All image words must
     share one global sign (the map is orientation preserving or reversing
     as a whole).  ``branch_class`` is the least period k of the branching
-    point, or ``BRANCH_FREE`` if the branching point is never periodic; it
-    is user metadata — the words alone cannot determine it.
+    point, or ``BRANCH_FREE`` (None) if the branching point is never
+    periodic; it is user metadata — the words alone cannot determine it.
+    Under f^m the period is ``branch_period_under(k, m)``, and the
+    branching point is fixed by f^m exactly when that is 1.
     """
 
     n: int
     images: tuple[Word, ...]
-    branch_class: float = BRANCH_FREE
+    branch_class: int | None = BRANCH_FREE
 
     def __post_init__(self):
         if self.n < 1:
@@ -134,7 +136,7 @@ class MapAction:
                 "plain or all inverse"
             )
         k = self.branch_class
-        if k != BRANCH_FREE and (not isinstance(k, int) or k < 1):
+        if k is not None and (not isinstance(k, int) or k < 1):
             raise InputError(f"branch class must be a positive integer or free, got {k!r}")
 
     @property
@@ -147,14 +149,21 @@ class MapAction:
         return self.images[j - 1]
 
     @staticmethod
-    def from_texts(texts: Sequence[str], branch_class: float = BRANCH_FREE) -> "MapAction":
+    def from_texts(texts: Sequence[str], branch_class: int | None = BRANCH_FREE) -> "MapAction":
         ws = tuple(Word.parse(t) for t in texts)
         return MapAction(len(ws), ws, branch_class)
 
 
-def action(*texts: str, k: float = BRANCH_FREE) -> MapAction:
+def action(*texts: str, k: int | None = BRANCH_FREE) -> MapAction:
     """Shorthand: ``action("a1 a3", "a1", "a1 a3", k=1)``."""
     return MapAction.from_texts(texts, k)
+
+
+def branch_period_under(k: int | None, m: int) -> int | None:
+    """Least period of the branching point under f^m, given its least
+    period k under f (None: never periodic).  It is 1, so the branching
+    point is fixed by f^m, exactly when k divides m."""
+    return None if k is None else k // gcd(k, m)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +206,11 @@ def apply_endo(f: MapAction, w: Word) -> Word:
 def iterate_action(f: MapAction, m: int, budget: int = 10**6) -> MapAction:
     """The action of the m-th iterate, with image words fully expanded.
 
-    Raises BudgetError (naming the smallest offending iterate) if the
-    expanded words would exceed ``budget`` letters in total.  Large-m
-    counting should read the matrix powers of ``homology.powers`` instead.
+    The branching point's least period becomes
+    ``branch_period_under(k, m)``.  Raises BudgetError (naming the
+    smallest offending iterate) if the expanded words would exceed
+    ``budget`` letters in total.  Large-m counting should read the
+    matrix powers of ``homology.powers`` instead.
     """
     if m < 1:
         raise InputError(f"iterate must be >= 1, got {m}")
@@ -213,7 +224,7 @@ def iterate_action(f: MapAction, m: int, budget: int = 10**6) -> MapAction:
                 f"(budget {budget})",
                 smallest_m=step,
             )
-    return MapAction(f.n, words, f.branch_class)
+    return MapAction(f.n, words, branch_period_under(f.branch_class, m))
 
 
 def first_letter(f: MapAction, l: Letter) -> Letter:

@@ -26,6 +26,9 @@ a2 -> a1
 a3 -> a1 a3
 """
 
+# the canonical lift's branching point returns to an integer at step 4
+BRANCH_PERIOD_4 = "a1 -> a2 a1\na2 -> a4 a1\na3 -> a1\na4 -> a1\n"
+
 
 class TestParseSpec:
     def test_minimal(self):
@@ -63,6 +66,11 @@ class TestParseSpec:
     def test_missing_image(self):
         with pytest.raises(InputError, match="a2"):
             parse_spec("n=2\nbranch: free\na1 -> a1 a1\n")
+
+    def test_duplicate_branch(self):
+        # "free" is stored as None, so a second free line must still count
+        with pytest.raises(InputError, match="line 3: duplicate branch"):
+            parse_spec("n=1\nbranch: free\nbranch: free\na1 -> a1 a1\n")
 
     def test_duplicate_image(self):
         with pytest.raises(InputError, match="duplicate"):
@@ -150,6 +158,25 @@ class TestRunReport:
                 assert v == (w if v["m"] < first else {"m": v["m"], **skipped})
         assert oracle["status"] == full["status"] == "ok"
 
+    @pytest.mark.parametrize("declared, says, skipped", [
+        ("free", "free", []),
+        ("period 2", "2", [2, 4, 6]),
+        ("period 4", None, []),
+    ])
+    def test_branch_orbit_mismatch(self, declared, says, skipped):
+        doc = parse_spec(f"n=4\nbranch: {declared}\n" + BRANCH_PERIOD_4)
+        report = run_report(doc, ReportOptions())
+        oracle = report["oracle"]
+        assert oracle["branch_period_observed"] == 4
+        expected = [] if says is None else [
+            "branch-orbit mismatch: the canonical lift's branching point "
+            f"has period 4 but the declaration says {says}"
+        ]
+        assert [w for w in report["warnings"]
+                if w.startswith("branch-orbit mismatch")] == expected
+        assert [v["m"] for v in oracle["verdicts"]
+                if v["verdict"] == "skipped (branch-orbit mismatch)"] == skipped
+
     def test_json_round_trip(self):
         doc = parse_spec(LOW_GROWTH_TEXT)
         report = run_report(doc, ReportOptions())
@@ -200,6 +227,11 @@ class TestMain:
         assert main(["fixtures"]) == 0
         out = capsys.readouterr().out
         assert out.count(": ok") == len(fixture_names())
+
+
+    def test_fixtures_takes_no_flags(self):
+        with pytest.raises(SystemExit):
+            main(["fixtures", "--horizon", "5"])
 
 
 class TestFixtureCorpus:

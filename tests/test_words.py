@@ -12,6 +12,7 @@ from bouquet_dyn import (
     action,
     abelianize,
     apply_endo,
+    branch_period_under,
     chi,
     first_letter,
     fix_counts,
@@ -159,6 +160,22 @@ class TestIterateAction:
         assert e.value.smallest_m is not None
         assert 2 <= e.value.smallest_m <= 8
 
+    def test_branch_period_of_iterate(self):
+        # the branching point has least period k / gcd(k, m) under f^m, so
+        # fix(1) of the expanded iterate is fix(m) of f
+        rng = random.Random(1)
+        for _ in range(300):
+            base = random_action(rng)
+            ladder = powers(abelianize(base), 4)
+            for k in (BRANCH_FREE, 1, 2, 3):
+                f = _with_branch(base, k)
+                fixes = fix_counts(f, ladder)
+                for m in (2, 3, 4):
+                    g = iterate_action(f, m)
+                    assert g.branch_class == branch_period_under(k, m)
+                    first = fix_counts(g, powers(abelianize(g), 1))[0]
+                    assert first == fixes[m - 1], (f, m)
+
 
 def _with_branch(f: MapAction, k) -> MapAction:
     return MapAction(f.n, f.images, k)
@@ -167,8 +184,7 @@ def _with_branch(f: MapAction, k) -> MapAction:
 def _expanded_fix(f: MapAction, m: int) -> int:
     """fix(m) counted on the expanded words of the m-th iterate."""
     g = iterate_action(f, m, budget=20000)
-    k = f.branch_class
-    if k == BRANCH_FREE or m % k != 0:
+    if branch_period_under(f.branch_class, m) != 1:
         return abs(1 - sum(chi(g.image(j), j) for j in range(1, f.n + 1)))
     return 1 + abs(sum(gamma(g.image(j), j) for j in range(1, f.n + 1)))
 
