@@ -11,7 +11,8 @@ The input format is line-based:
     a3 -> a1 a3
     claim: l(3) = 2         # optional; mismatches become warnings
 
-Exit codes: 0 all checks pass, 1 input error, 2 cross-check mismatch.
+Exit codes: 0 all checks pass, 1 input error, 2 cross-check mismatch or
+two exact routes that disagree (`InconsistencyError`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import InputError, LiftConstructionError
+from .errors import InconsistencyError, InputError, LiftConstructionError
 from .homology import Ladder, LefschetzTable, abelianize, norm1, powers
 from .periods import (
     FixCountTable,
@@ -515,6 +516,9 @@ def _analyze(args: argparse.Namespace) -> int:
     except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except InconsistencyError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     out = render_json(report) if args.format == "json" else render_text(report)
     sys.stdout.write(out)
     return 2 if report_has_failures(report) else 0

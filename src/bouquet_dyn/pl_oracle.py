@@ -6,8 +6,11 @@ second half of circle 1, then one full circle per remaining letter of the
 image word, then the first half of circle 1 (mirrored when orientation
 reverses).  All arithmetic is exact rational: crossing counts must be
 exact, so no floating point appears anywhere in this module.  Iterates
-are not stored: one depth-first walk over their linear pieces yields
-every count (`oracle_counts`).
+are not stored.  `oracle_counts` sweeps f^1..f^depth one depth at a
+time: it walks one by one only the pieces that touch the integers or the
+branch orbit, and counts every other piece through a table, local to the
+call, of how many pieces share an image and a cell between those points.
+`iterate_lift` collects the pieces of one iterate from a depth-first walk.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ def build_lift(f: MapAction) -> PLLift:
 
 @dataclass(frozen=True)
 class OracleCounts:
-    """One walk's counts for each iterate m = 1..len(crossings) in budget.
+    """One call's counts for each iterate m = 1..len(crossings) in budget.
 
     `crossings[m-1]` counts the diagonal crossings of f^m at non-integer
     points, `covers[m-1]` the preimages of the branching point under f^m
@@ -160,31 +163,61 @@ def _budget_error(budget: int, m: int | None) -> BudgetError:
     return BudgetError(f"composed lift exceeds {budget} pieces", smallest_m=m)
 
 
+def _scaled(
+    lift: PLLift, depth: int
+) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """The scale of a walk to `depth` and the lift's pieces as integer
+    (lo, hi, slope, intercept) in units of 1/scale.
+
+    A child's cut divides by its parent's slope, a product of at most
+    depth - 1 lift slopes, so the lift's denominators times
+    lcm(|slopes|)^(depth-1) keep every cut and intercept integral.
+    """
+    assert all(p.slope.denominator == 1 for p in lift.pieces), (
+        "lift slopes must be integers")
+    scale = math.lcm(*(q.denominator for p in lift.pieces
+                       for q in (p.lo, p.hi, p.intercept)))
+    slopes = math.lcm(*(p.slope.numerator for p in lift.pieces))
+    scale *= slopes ** (depth - 1)
+    return scale, [(int(p.lo * scale), int(p.hi * scale), p.slope.numerator,
+                    int(p.intercept * scale)) for p in lift.pieces]
+
+
+def _children(
+    base: list[tuple[int, int, int, int]], los: list[int],
+    lo: int, hi: int, s: int, b: int,
+) -> Iterator[tuple[int, int, int, int]]:
+    """The pieces of f^(k+1) inside the piece (lo, hi, s, b) of f^k, right
+    to left: f after it, cut where its image crosses a breakpoint of f."""
+    # los[i0:i1] are the breakpoints strictly inside the image
+    v_lo, v_hi = s * lo + b, s * hi + b
+    if s > 0:
+        i0, i1 = bisect_right(los, v_lo), bisect_left(los, v_hi)
+        order = range(i1 - 1, i0 - 2, -1)
+    else:
+        i0, i1 = bisect_right(los, v_hi), bisect_left(los, v_lo)
+        order = range(i0 - 1, i1)
+    x_hi = hi
+    for p in order:
+        t = p + (s < 0)  # the breakpoint at the child's left end
+        x_lo = (los[t] - b) // s if i0 <= t < i1 else lo
+        _, _, ps, pb = base[p]
+        yield x_lo, x_hi, ps * s, ps * b + pb
+        x_hi = x_lo
+
+
 class _Walk:
     """Depth-first walk, on an explicit stack, over the linear pieces of
     f^1..f^depth, yielding (k, lo, hi, slope, intercept) as integers in
-    units of 1/scale.
+    units of 1/scale; the children of a piece come left to right.
 
-    The children of a piece of f^k are f after it, cut where its image
-    crosses a breakpoint of f; they come left to right.  A cut divides by
-    the piece's slope, a product of k lift slopes, so a scale of the
-    lift's denominators times lcm(|slopes|)^(depth-1) keeps every cut and
-    intercept integral.  `pieces[k]` counts the pieces of f^k met; once it
-    passes `budget` (k >= 2) the walk stops going to depth k, so the first
-    such k is the first iterate over budget and shallower counts are
-    complete.
+    `pieces[k]` counts the pieces of f^k met; once it passes `budget`
+    (k >= 2) the walk stops going to depth k, so the first such k is the
+    first iterate over budget and shallower pieces are complete.
     """
 
     def __init__(self, lift: PLLift, depth: int, budget: int):
-        assert all(p.slope.denominator == 1 for p in lift.pieces), (
-            "lift slopes must be integers")
-        scale = math.lcm(*(q.denominator for p in lift.pieces
-                           for q in (p.lo, p.hi, p.intercept)))
-        slopes = math.lcm(*(p.slope.numerator for p in lift.pieces))
-        self.scale = scale * slopes ** (depth - 1)
-        self.base = [(int(p.lo * self.scale), int(p.hi * self.scale),
-                      p.slope.numerator, int(p.intercept * self.scale))
-                     for p in lift.pieces]
+        self.scale, self.base = _scaled(lift, depth)
         self.depth, self.budget = depth, budget
         self.pieces = [0] * (depth + 1)
 
@@ -195,7 +228,7 @@ class _Walk:
         stack = [(1, *piece) for piece in reversed(base)]
         while stack:
             node = stack.pop()
-            k, lo, hi, s, b = node
+            k = node[0]
             if k > limit:
                 continue
             pieces[k] += 1
@@ -203,55 +236,35 @@ class _Walk:
                 limit = k - 1
                 continue
             yield node
-            if k == limit:
-                continue
-            # los[i0:i1] are the breakpoints strictly inside the image;
-            # push the children right to left so they pop left to right
-            v_lo, v_hi = s * lo + b, s * hi + b
-            if s > 0:
-                i0, i1 = bisect_right(los, v_lo), bisect_left(los, v_hi)
-                order = range(i1 - 1, i0 - 2, -1)
-            else:
-                i0, i1 = bisect_right(los, v_hi), bisect_left(los, v_lo)
-                order = range(i0 - 1, i1)
-            x_hi = hi
-            for p in order:
-                t = p + (s < 0)  # the breakpoint at the child's left end
-                x_lo = (los[t] - b) // s if i0 <= t < i1 else lo
-                _, _, ps, pb = base[p]
-                stack.append((k + 1, x_lo, x_hi, ps * s, ps * b + pb))
-                x_hi = x_lo
+            if k < limit:
+                stack.extend((k + 1, *child)
+                             for child in _children(base, los, *node[1:]))
 
     def over_budget(self) -> int | None:
         return next((k for k in range(2, self.depth + 1)
                      if self.pieces[k] > self.budget), None)
 
 
-def oracle_counts(
-    lift: PLLift, depth: int, budget: int = PIECE_BUDGET
-) -> OracleCounts:
-    """Crossing and cover counts of f^1..f^depth from one depth-first walk.
+def _cover(v_lo: int, v_hi: int, scale: int) -> int:
+    """Integers in a piece's half-open image, from the images of its left
+    and right ends: [v_lo, v_hi) ascending, (v_hi, v_lo] descending."""
+    if v_lo < v_hi:
+        return -(-v_hi // scale) - -(-v_lo // scale)
+    return v_lo // scale - v_hi // scale
 
-    Memory is the walk's stack, at most one lift's pieces per depth; no
-    composite is kept.  A piece lying on the diagonal means the map is
-    not expanding and is rejected.
-    """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    walk = _Walk(lift, depth, budget)
-    scale = walk.scale
-    top = lift.n * scale
-    crossings = [0] * (depth + 1)
-    covers = [0] * (depth + 1)
-    for k, lo, hi, s, b in walk:
-        # integers in the half-open image: [v_lo, v_hi) when ascending,
-        # (v_hi, v_lo] when descending
-        v_lo = s * lo + b
-        v_hi = s * hi + b
-        if s > 0:
-            covers[k] += -(-v_hi // scale) - -(-v_lo // scale)
-        else:
-            covers[k] += v_lo // scale - v_hi // scale
+
+#: (image of left end, image of right end, O-cell) -> [a piece, count]
+_Table = dict[tuple[int, int, int], list]
+
+
+def _count_walked(
+    walked: list[tuple[int, int, int, int]], k: int, scale: int, top: int
+) -> tuple[int, int]:
+    """Diagonal crossings off the integers and cover count of the pieces
+    of f^k handled one by one."""
+    crossed = covered = 0
+    for lo, hi, s, b in walked:
+        covered += _cover(s * lo + b, s * hi + b, scale)
         if s == 1:
             if b == 0:
                 raise DegenerateMapError(
@@ -267,11 +280,123 @@ def oracle_counts(
         if not in_piece and hi == top and b == hid:
             in_piece = True
         if in_piece and b % (scale * d) != 0:
-            crossings[k] += 1
-    over = walk.over_budget()
-    counted = depth if over is None else over - 1
-    return OracleCounts(tuple(crossings[1 : counted + 1]),
-                        tuple(covers[1 : counted + 1]), over, budget)
+            crossed += 1
+    return crossed, covered
+
+
+def _tally(table: _Table, piece: tuple[int, int, int, int], cell: int,
+           count: int) -> None:
+    lo, hi, s, b = piece
+    key = (s * lo + b, s * hi + b, cell)
+    if key in table:
+        table[key][1] += count
+    else:
+        table[key] = [piece, count]
+
+
+def _next_depth(
+    base: list[tuple[int, int, int, int]], los: list[int], points: list[int],
+    walked: list[tuple[int, int, int, int]], table: _Table,
+) -> tuple[list[tuple[int, int, int, int]], _Table]:
+    """The pieces of f^(k+1): the children of walked pieces that are not
+    clean, and the clean ones tallied by key.  One piece stands for each
+    key; its children, in its own cell, stand for all of the key's."""
+    next_walked: list[tuple[int, int, int, int]] = []
+    next_table: _Table = {}
+    for piece in walked:
+        for child in _children(base, los, *piece):
+            lo, hi, s, _ = child
+            cell = bisect_left(points, lo)
+            if abs(s) >= 2 and points[cell] > hi:
+                _tally(next_table, child, cell, 1)
+            else:
+                next_walked.append(child)
+    for (_, _, cell), (piece, count) in table.items():
+        for child in _children(base, los, *piece):
+            _tally(next_table, child, cell, count)
+    return next_walked, next_table
+
+
+def _marks(
+    lift: PLLift, depth: int, scale: int,
+    base: list[tuple[int, int, int, int]], los: list[int],
+) -> list[int]:
+    """O in units of 1/scale, sorted: the integers 0..n, and each value v
+    the lift takes at a piece end, with f(v) .. f^(depth-1)(v) when v is
+    not an integer.
+
+    A piece of f^k has image endpoints f_p(x) for lift pieces p and x an
+    end of p or an image endpoint of a piece of f^(k-1), so by induction
+    they all lie in O (an integer is always a piece end).  On a canonical
+    lift those values are the integers and 1/2 = f(0), and O is the
+    integers and f^1..f^depth of the branching point.
+    """
+    top = lift.n * scale
+    assert set(range(0, top, scale)) <= set(los), (
+        "every integer must be a piece end")
+    starts = {s * x + b for lo, hi, s, b in base for x in (lo, hi)}
+    points = set(range(0, top + 1, scale))
+    for v in starts:
+        if v % scale:
+            points.add(v)
+            points.update(int(x * scale) for x in
+                          _orbit(lift, Fraction(v, scale), depth - 1))
+    return sorted(points)
+
+
+def oracle_counts(
+    lift: PLLift, depth: int, budget: int = PIECE_BUDGET
+) -> OracleCounts:
+    """Crossing and cover counts of f^1..f^depth, one depth at a time.
+
+    Let O be the integers 0..n and the branch orbit f^t(0), 1 <= t <=
+    depth: every image endpoint of a piece of f^k (k <= depth) lies in O,
+    because the lift maps its breakpoints to integers or to 1/2 = f(0)
+    (`_marks` widens O for a lift that is not canonical).  A piece of f^k
+    is *clean* when k >= 2, its slope has modulus >= 2 and its closed
+    domain holds no point of O, so that it lies inside one open O-cell.
+    Every descendant of a clean piece lies in that cell too, and crosses
+    the diagonal (once, off the integers) exactly when its image contains
+    the cell; the children are the lift's pieces over the image, so they
+    depend on the image alone.  All the counts below a clean piece thus
+    depend only on its oriented image and its cell.
+
+    So the pieces of depth 1 and the pieces that are not clean (those
+    touching O: at most 2|O| per depth on a canonical lift) are walked
+    one by one, with the full crossing test and the identity check.  The
+    clean pieces of each depth live in a table keyed by (oriented image,
+    cell) that holds how many there are; each key's counts and children
+    are computed once.  The table lives for one call and is freed on
+    return; no composite is kept.  Piece counts are exact per depth, so
+    the sweep stops at the first depth k >= 2 with more than `budget`
+    pieces (`over_budget`) and every shallower count is complete.  A
+    piece of f^k within budget that lies on the diagonal means the map is
+    not expanding and is rejected.
+    """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    scale, base = _scaled(lift, depth)
+    los = [lo for lo, _, _, _ in base]
+    points = _marks(lift, depth, scale, base, los)
+    walked, table = base, {}
+    crossings: list[int] = []
+    covers: list[int] = []
+    over = None
+    for k in range(1, depth + 1):
+        if k > 1 and len(walked) + sum(c for _, c in table.values()) > budget:
+            over = k
+            break
+        crossed, covered = _count_walked(walked, k, scale, lift.n * scale)
+        for (v_lo, v_hi, cell), (_, count) in table.items():
+            covered += count * _cover(v_lo, v_hi, scale)
+            if (min(v_lo, v_hi) <= points[cell - 1]
+                    and max(v_lo, v_hi) >= points[cell]):
+                crossed += count
+        crossings.append(crossed)
+        covers.append(covered)
+        if k < depth:
+            walked, table = _next_depth(base, los, points, walked, table)
+    return OracleCounts(tuple(crossings), tuple(covers), over, budget)
 
 
 def _counts_to(lift: PLLift, m: int, budget: int) -> OracleCounts:
@@ -300,15 +425,19 @@ def iterate_lift(lift: PLLift, m: int, budget: int = PIECE_BUDGET) -> PLLift:
     return PLLift(lift.n, leaves)
 
 
-def branch_orbit(lift: PLLift, depth: int) -> list[Fraction]:
-    """Successive images of the branching point (coordinate 0) under the
-    lift, evaluated pointwise and exactly."""
+def _orbit(lift: PLLift, x: Fraction, steps: int) -> list[Fraction]:
+    """f(x), f^2(x), .., f^steps(x), evaluated pointwise and exactly."""
     out = []
-    x = Fraction(0)
-    for _ in range(depth):
+    for _ in range(steps):
         x = lift.value(x)
         out.append(x)
     return out
+
+
+def branch_orbit(lift: PLLift, depth: int) -> list[Fraction]:
+    """Successive images of the branching point (coordinate 0) under the
+    lift."""
+    return _orbit(lift, Fraction(0), depth)
 
 
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:
@@ -324,7 +453,7 @@ def count_fixed(lift: PLLift, m: int, budget: int = PIECE_BUDGET) -> int:
 
     Counts exact diagonal crossings of the composed lift at non-integer
     points, plus 1 when the branching point itself is m-periodic.  This
-    walks to depth m; `oracle_counts` gives every m <= depth in one walk.
+    counts to depth m; `oracle_counts` gives every m <= depth in one call.
     """
     counts = _counts_to(lift, m, budget)
     return counts.fixed(m, lift_branch_period(lift, m))

@@ -220,6 +220,26 @@ class TestMain:
         flags = ["--oracle-depth", depth, "--no-oracle"]
         assert main(["analyze", str(p), *flags]) == 0
 
+    def test_inconsistency_exit_code(self, tmp_path, capsys):
+        # a reflection of one circle: the census's per(2) comes out -2
+        p = tmp_path / "map.bqd"
+        p.write_text("n=1\nbranch: free\na1 -> a1'\n")
+        assert main(["analyze", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: census produced negative period "
+                                "count -2 at m=2\n")
+        assert captured.out == ""
+
+    def test_deep_oracle_depth(self, capsys):
+        # 2^21 - 1 pieces at depth 20: counted one by one they take seconds
+        root = resources.files("bouquet_dyn") / "fixtures"
+        path = root / "expand_double_g1.bqd"
+        flags = ["--oracle-depth", "20", "--format", "json"]
+        assert main(["analyze", str(path), *flags]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["oracle"]["verdicts"]
+        assert [v["m"] for v in verdicts] == list(range(1, 21))
+        assert all(v["verdict"] == "match" for v in verdicts)
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["analyze", "/nonexistent.bqd"]) == 1
 

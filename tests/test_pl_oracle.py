@@ -28,9 +28,16 @@ from bouquet_dyn.errors import (
     LiftConstructionError,
 )
 from bouquet_dyn.homology import divisors
-from bouquet_dyn.pl_oracle import branch_orbit, lift_branch_period
+from bouquet_dyn.pl_oracle import (
+    PIECE_BUDGET,
+    OracleCounts,
+    Piece,
+    PLLift,
+    branch_orbit,
+    lift_branch_period,
+)
 
-from conftest import random_expanding_action
+from conftest import random_action, random_expanding_action
 
 REFLECT = action("a1' a1'")
 DOUBLE = action("a1 a1")
@@ -39,6 +46,48 @@ LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
 
 def formula_fixes(f, depth):
     return fix_counts(f, powers(abelianize(f), depth))
+
+
+def walk_counts(lift, depth, budget=PIECE_BUDGET):
+    """Reference for `oracle_counts`: count every piece of the depth-first
+    walk, one at a time."""
+    walk = pl_oracle._Walk(lift, depth, budget)
+    scale = walk.scale
+    top = lift.n * scale
+    crossings = [0] * (depth + 1)
+    covers = [0] * (depth + 1)
+    for k, lo, hi, s, b in walk:
+        # integers in the half-open image: [v_lo, v_hi) when ascending,
+        # (v_hi, v_lo] when descending
+        v_lo = s * lo + b
+        v_hi = s * hi + b
+        if s > 0:
+            covers[k] += -(-v_hi // scale) - -(-v_lo // scale)
+        else:
+            covers[k] += v_lo // scale - v_hi // scale
+        if s == 1:
+            if b == 0:
+                raise DegenerateMapError(f"iterate {k} is the identity")
+            continue
+        # fixed point x = b / (scale * (1 - s)); compare by cross-multiplying
+        d = 1 - s
+        lod, hid = lo * d, hi * d
+        in_piece = (lod <= b < hid) if d > 0 else (hid < b <= lod)
+        if not in_piece and hi == top and b == hid:
+            in_piece = True
+        if in_piece and b % (scale * d) != 0:
+            crossings[k] += 1
+    over = walk.over_budget()
+    counted = depth if over is None else over - 1
+    return OracleCounts(tuple(crossings[1 : counted + 1]),
+                        tuple(covers[1 : counted + 1]), over, budget)
+
+
+def counts_or_degenerate(count, lift, depth):
+    try:
+        return count(lift, depth)
+    except DegenerateMapError:
+        return DegenerateMapError
 
 
 class TestBuildLift:
@@ -193,6 +242,57 @@ class TestCountFixed:
                 assert e.value.smallest_m == m
 
 
+class TestTableMatchesWalk:
+    """`oracle_counts` against the piece-by-piece reference walk."""
+
+    def test_lift_viable_to_depth_8(self):
+        # the sizes of the benchmark's oracle workload: words <= 3 letters
+        rng = random.Random(21)
+        for _ in range(150):
+            f, lift = random_expanding_action(rng, len_max=3)
+            assert oracle_counts(lift, 8) == walk_counts(lift, 8), f
+
+    def test_single_letter_images_to_depth_7(self):
+        # any random action with a lift, branch orbits that return to an
+        # integer included; single-letter images give slope-1 pieces
+        rng = random.Random(22)
+        compared = single = 0
+        for _ in range(600):
+            f = random_action(rng, n_max=4, len_max=3)
+            try:
+                lift = build_lift(f)
+            except LiftConstructionError:
+                continue
+            compared += 1
+            single += any(len(f.image(j)) == 1 for j in range(1, f.n + 1))
+            assert (counts_or_degenerate(oracle_counts, lift, 7)
+                    == counts_or_degenerate(walk_counts, lift, 7)), f
+        assert compared > 100 and single > 20, (compared, single)
+        # x -> 2 - x on [0, 2]: f^2 is the identity, so both must raise
+        flip = PLLift(2, tuple(Piece(Fraction(lo), Fraction(lo + 1),
+                                     Fraction(-1), Fraction(2))
+                               for lo in (0, 1)))
+        for count in (oracle_counts, walk_counts):
+            assert counts_or_degenerate(count, flip, 7) is DegenerateMapError
+
+    def test_composed_lifts(self):
+        # f^2 maps its breakpoints to f(0) and f^2(0) as well, so the points
+        # that split clean pieces must come from the lift, not f^2's orbit
+        rng = random.Random(3)
+        for _ in range(40):
+            _, lift = random_expanding_action(rng, len_max=3)
+            squared = iterate_lift(lift, 2)
+            assert oracle_counts(squared, 3) == walk_counts(squared, 3)
+
+    def test_budgets(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            _, lift = random_expanding_action(rng)
+            for budget in (1, 7, 40, 300):
+                assert (oracle_counts(lift, 8, budget)
+                        == walk_counts(lift, 8, budget)), budget
+
+
 class TestCover:
     def test_low_growth_cover(self):
         lift = build_lift(LOW_GROWTH)
@@ -238,6 +338,18 @@ class TestOracleMemory:
         finally:
             tracemalloc.stop()
         assert counts.covers == (12, 48, 192, 768, 3072, 12288)
+        assert peak < 256 * 1024
+        # a1 -> a1 a1 to depth 22, the last depth within PIECE_BUDGET:
+        # 2^23 - 1 pieces at depth 22
+        doubling = build_lift(DOUBLE)
+        tracemalloc.start()
+        try:
+            counts = oracle_counts(doubling, 22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.over_budget is None
+        assert counts.covers == tuple(2**m for m in range(1, 23))
         assert peak < 256 * 1024
         assert not any(
             callable(getattr(v, "cache_clear", None))
