@@ -11,12 +11,8 @@ from .errors import (
 from .homology import (
     LefschetzTable,
     abelianize,
-    lefschetz,
-    mat_pow,
-    mif_check,
     mobius,
     norm1,
-    periodic_lefschetz,
     powers,
     trace,
 )
@@ -28,17 +24,12 @@ from .periods import (
     fix_counts,
     fmbig_test,
     lefschetz_fix_check,
-    lefschetz_per_count,
     per_census,
     period_certificates,
 )
 from .pl_oracle import (
     PLLift,
     build_lift,
-    count_fixed,
-    cover_growth,
-    iterate_lift,
-    mono_cover_size,
     oracle_counts,
 )
 from .spectral import (
@@ -47,7 +38,6 @@ from .spectral import (
     dominant_test,
     eigenvalues,
     entropy_limit,
-    entropy_spectral,
     m0_bound,
 )
 from .words import (

@@ -2,10 +2,14 @@
 
 Abelianizing the induced endomorphism gives an n-by-n integer matrix M
 whose (i, j) entry is the signed occurrence count of generator i in the
-image of generator j.  Lefschetz numbers, periodic Lefschetz numbers and
-the Moebius-inversion identity all reduce to exact integer arithmetic on
-powers of M — no floating point appears anywhere in this module, since
-traces grow like the spectral radius to the m-th power.
+image of generator j.  A report builds the ladder M^1..M^K once
+(`powers`) and reads every per-iterate quantity from it.
+`LefschetzTable.of(ladder)` is the one route to the Lefschetz numbers
+L(f^m) = 1 - tr M^m (a bouquet has homology in dimensions 0 and 1 only,
+and every iterate acts on dimension 0 as the identity) and to their
+Moebius inversions l(f^m).  All of it is exact integer arithmetic: no
+floating point appears anywhere in this module, since traces grow like
+the spectral radius to the m-th power.
 """
 
 from __future__ import annotations
@@ -41,20 +45,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
         for row in a
     )
-
-
-def mat_pow(a: IntMatrix, m: int) -> IntMatrix:
-    """Exact m-th power by repeated squaring (m >= 0)."""
-    if m < 0:
-        raise InputError(f"matrix power must be >= 0, got {m}")
-    out = identity(len(a))
-    base = a
-    while m:
-        if m & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        m >>= 1
-    return out
 
 
 def powers(a: IntMatrix, k: int) -> Ladder:
@@ -108,35 +98,6 @@ def mobius(m: int) -> int:
     if m > 1:
         out = -out
     return out
-
-
-def lefschetz(mat: IntMatrix, m: int) -> int:
-    """Lefschetz number of the m-th iterate: 1 minus the trace of M^m.
-
-    The only graded pieces of a bouquet are dimension 0 (where every
-    iterate acts as the identity on one generator) and dimension 1.
-    """
-    if m < 1:
-        raise InputError(f"iterate must be >= 1, got {m}")
-    return 1 - trace(mat_pow(mat, m))
-
-
-def periodic_lefschetz(mat: IntMatrix, m: int) -> int:
-    """Moebius-weighted divisor sum l(f^m) = sum over r|m of mu(r) L(f^(m/r))."""
-    if m < 1:
-        raise InputError(f"iterate must be >= 1, got {m}")
-    return sum(mobius(r) * lefschetz(mat, m // r) for r in divisors(m))
-
-
-def mif_check(mat: IntMatrix, horizon: int) -> bool:
-    """Verify sum over r|m of l(f^r) = L(f^m) for every m up to horizon."""
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
-    l_vals = {m: periodic_lefschetz(mat, m) for m in range(1, horizon + 1)}
-    for m in range(1, horizon + 1):
-        if sum(l_vals[r] for r in divisors(m)) != lefschetz(mat, m):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

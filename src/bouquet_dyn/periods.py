@@ -11,15 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InconsistencyError, InputError
-from .homology import (
-    IntMatrix,
-    Ladder,
-    abelianize,
-    divisors,
-    mobius,
-    periodic_lefschetz,
-    trace,
-)
+from .homology import IntMatrix, Ladder, divisors, mobius, trace
 from .spectral import SpectrumReport, dominant_test, m0_bound
 from .words import (
     Letter,
@@ -118,25 +110,6 @@ def per_census(fixes: tuple[int, ...]) -> FixCountTable:
 
 # ---------------------------------------------------------------------------
 # Lefschetz cross-checks
-
-def lefschetz_per_count(f: MapAction, m: int) -> int | None:
-    """|l(f^m)| as a period-m orbit-point count, when the theory applies.
-
-    Applies to maps whose branching point is never periodic, for
-    orientation-preserving f, or reversing f with m odd or divisible
-    by 4.  Returns None in the remaining reversing case m = 2 (mod 4),
-    where l(f^m) mixes the period-m and period-(m/2) counts.
-    """
-    if m < 1:
-        raise InputError(f"iterate must be >= 1, got {m}")
-    if f.branch_class is not None:
-        raise InputError(
-            "Lefschetz period counts need a never-periodic branching point"
-        )
-    if f.global_sign < 0 and m % 2 == 0 and m % 4 != 0:
-        return None
-    return abs(periodic_lefschetz(abelianize(f), m))
-
 
 @dataclass(frozen=True)
 class LefschetzFixCheck:

@@ -10,7 +10,8 @@ are not stored.  `oracle_counts` sweeps f^1..f^depth one depth at a
 time: it walks one by one only the pieces that touch the integers or the
 branch orbit, and counts every other piece through a table, local to the
 call, of how many pieces share an image and a cell between those points.
-`iterate_lift` collects the pieces of one iterate from a depth-first walk.
+`OracleCounts` holds every iterate's counts from that one sweep, and
+`lift_branch_period` follows the branch orbit to its first integer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, DegenerateMapError, LiftConstructionError
+from .errors import (
+    BudgetError,
+    DegenerateMapError,
+    InputError,
+    LiftConstructionError,
+)
 from .words import MapAction, Word, branch_period_under
 
 HALF = Fraction(1, 2)
@@ -156,17 +162,14 @@ class OracleCounts:
         return self.crossings[m - 1] + int(branch_fixed)
 
     def budget_error(self) -> BudgetError:
-        return _budget_error(self.budget, self.over_budget)
-
-
-def _budget_error(budget: int, m: int | None) -> BudgetError:
-    return BudgetError(f"composed lift exceeds {budget} pieces", smallest_m=m)
+        return BudgetError(f"composed lift exceeds {self.budget} pieces",
+                           smallest_m=self.over_budget)
 
 
 def _scaled(
     lift: PLLift, depth: int
 ) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """The scale of a walk to `depth` and the lift's pieces as integer
+    """The scale of a sweep to `depth` and the lift's pieces as integer
     (lo, hi, slope, intercept) in units of 1/scale.
 
     A child's cut divides by its parent's slope, a product of at most
@@ -204,45 +207,6 @@ def _children(
         _, _, ps, pb = base[p]
         yield x_lo, x_hi, ps * s, ps * b + pb
         x_hi = x_lo
-
-
-class _Walk:
-    """Depth-first walk, on an explicit stack, over the linear pieces of
-    f^1..f^depth, yielding (k, lo, hi, slope, intercept) as integers in
-    units of 1/scale; the children of a piece come left to right.
-
-    `pieces[k]` counts the pieces of f^k met; once it passes `budget`
-    (k >= 2) the walk stops going to depth k, so the first such k is the
-    first iterate over budget and shallower pieces are complete.
-    """
-
-    def __init__(self, lift: PLLift, depth: int, budget: int):
-        self.scale, self.base = _scaled(lift, depth)
-        self.depth, self.budget = depth, budget
-        self.pieces = [0] * (depth + 1)
-
-    def __iter__(self) -> Iterator[tuple[int, int, int, int, int]]:
-        base, pieces, budget = self.base, self.pieces, self.budget
-        los = [lo for lo, _, _, _ in base]
-        limit = self.depth
-        stack = [(1, *piece) for piece in reversed(base)]
-        while stack:
-            node = stack.pop()
-            k = node[0]
-            if k > limit:
-                continue
-            pieces[k] += 1
-            if k > 1 and pieces[k] > budget:
-                limit = k - 1
-                continue
-            yield node
-            if k < limit:
-                stack.extend((k + 1, *child)
-                             for child in _children(base, los, *node[1:]))
-
-    def over_budget(self) -> int | None:
-        return next((k for k in range(2, self.depth + 1)
-                     if self.pieces[k] > self.budget), None)
 
 
 def _cover(v_lo: int, v_hi: int, scale: int) -> int:
@@ -374,7 +338,7 @@ def oracle_counts(
     not expanding and is rejected.
     """
     if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+        raise InputError(f"depth must be >= 1, got {depth}")
     scale, base = _scaled(lift, depth)
     los = [lo for lo, _, _, _ in base]
     points = _marks(lift, depth, scale, base, los)
@@ -399,32 +363,6 @@ def oracle_counts(
     return OracleCounts(tuple(crossings), tuple(covers), over, budget)
 
 
-def _counts_to(lift: PLLift, m: int, budget: int) -> OracleCounts:
-    counts = oracle_counts(lift, m, budget)
-    if counts.over_budget is not None:
-        raise counts.budget_error()
-    return counts
-
-
-def iterate_lift(lift: PLLift, m: int, budget: int = PIECE_BUDGET) -> PLLift:
-    """Exact m-fold composition of the lift: the walk's depth-m pieces."""
-    if m < 1:
-        raise ValueError(f"iterate must be >= 1, got {m}")
-    if m == 1:
-        return lift
-    walk = _Walk(lift, m, budget)
-    scale = walk.scale
-    leaves = tuple(
-        Piece(Fraction(lo, scale), Fraction(hi, scale), Fraction(s),
-              Fraction(b, scale))
-        for k, lo, hi, s, b in walk if k == m
-    )
-    over = walk.over_budget()
-    if over is not None:
-        raise _budget_error(budget, over)
-    return PLLift(lift.n, leaves)
-
-
 def _orbit(lift: PLLift, x: Fraction, steps: int) -> list[Fraction]:
     """f(x), f^2(x), .., f^steps(x), evaluated pointwise and exactly."""
     out = []
@@ -434,40 +372,12 @@ def _orbit(lift: PLLift, x: Fraction, steps: int) -> list[Fraction]:
     return out
 
 
-def branch_orbit(lift: PLLift, depth: int) -> list[Fraction]:
-    """Successive images of the branching point (coordinate 0) under the
-    lift."""
-    return _orbit(lift, Fraction(0), depth)
-
-
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:
-    """Least t <= depth with the branch orbit back at an integer, or None."""
-    for t, x in enumerate(branch_orbit(lift, depth), start=1):
+    """Least t <= depth with f^t(0), the branch orbit, at an integer, or
+    None."""
+    x = Fraction(0)
+    for t in range(1, depth + 1):
+        x = lift.value(x)
         if x.denominator == 1:
             return t
     return None
-
-
-def count_fixed(lift: PLLift, m: int, budget: int = PIECE_BUDGET) -> int:
-    """Fixed points of the m-th iterate of the projected circle map.
-
-    Counts exact diagonal crossings of the composed lift at non-integer
-    points, plus 1 when the branching point itself is m-periodic.  This
-    counts to depth m; `oracle_counts` gives every m <= depth in one call.
-    """
-    counts = _counts_to(lift, m, budget)
-    return counts.fixed(m, lift_branch_period(lift, m))
-
-
-def mono_cover_size(lift: PLLift) -> int:
-    """Number of preimages of the branching point, piece by piece.
-
-    Equals the entry-sum norm of the homology matrix: each monotone arc
-    between consecutive preimages covers one full circle.
-    """
-    return oracle_counts(lift, 1).covers[0]
-
-
-def cover_growth(lift: PLLift, m: int, budget: int = PIECE_BUDGET) -> int:
-    """Branch-preimage count of the m-th iterate (the refined cover size)."""
-    return _counts_to(lift, m, budget).covers[m - 1]

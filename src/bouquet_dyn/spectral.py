@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from .homology import IntMatrix, Ladder, identity, mat_mul, norm1, trace
 #: modulus gap below which two leading eigenvalues count as tied
 DOMINANCE_EPS = 1e-8
 
-#: scan cap for the sufficiently-large-period bound
+#: upper end of the range `m0_bound` bisects
 M0_SCAN_CAP = 10_000
 
 
@@ -143,18 +142,6 @@ def eigenvalues(a: IntMatrix) -> SpectrumReport:
     roots = found + [complex(0)] * zeros
     roots.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
     return SpectrumReport(tuple(exact), tuple(roots), residual)
-
-
-def entropy_spectral(a: IntMatrix) -> float:
-    """Natural log of the spectral radius; 0 when the radius is at most 1.
-
-    Topological entropy is nonnegative, so a radius below 1 (possible for
-    degenerate toy inputs) is clamped with a warning.
-    """
-    s = eigenvalues(a)
-    if s.radius_below_one:
-        warnings.warn(CLAMP_WARNING, stacklevel=2)
-    return s.entropy
 
 
 def _log_int(v: int) -> float:

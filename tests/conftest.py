@@ -1,12 +1,33 @@
-"""Shared helpers: seeded random map generators and paper-derived fixtures."""
+"""Shared helpers: seeded random map generators, paper-derived fixtures,
+and the independent references that the library's one route per
+quantity is checked against (repeated squaring for the power ladder, a
+depth-first walk over every piece for the oracle's table sweep)."""
 
 import random
+from collections.abc import Iterator
+from fractions import Fraction
 
 import pytest
 
-from bouquet_dyn import BRANCH_FREE, Letter, MapAction, Word, build_lift
-from bouquet_dyn.errors import LiftConstructionError
-from bouquet_dyn.pl_oracle import PLLift, lift_branch_period
+from bouquet_dyn import (
+    BRANCH_FREE,
+    LefschetzTable,
+    Letter,
+    MapAction,
+    Word,
+    build_lift,
+    powers,
+)
+from bouquet_dyn.errors import BudgetError, LiftConstructionError
+from bouquet_dyn.homology import IntMatrix, identity, mat_mul
+from bouquet_dyn.pl_oracle import (
+    PIECE_BUDGET,
+    Piece,
+    PLLift,
+    _children,
+    _scaled,
+    lift_branch_period,
+)
 
 
 def random_action(
@@ -65,3 +86,80 @@ def random_matrix(rng: random.Random, n: int, lo: int = -3, hi: int = 3):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xB0C1E7)
+
+
+def mat_pow(a: IntMatrix, m: int) -> IntMatrix:
+    """Exact m-th power by repeated squaring (m >= 0): a reference for
+    the ladder, which builds M^1..M^k as a running product."""
+    assert m >= 0, m
+    out = identity(len(a))
+    base = a
+    while m:
+        if m & 1:
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
+        m >>= 1
+    return out
+
+
+def lefschetz_table(mat: IntMatrix, horizon: int) -> LefschetzTable:
+    """L(f^m) and l(f^m) for m <= horizon, the way a report reads them."""
+    return LefschetzTable.of(powers(mat, horizon))
+
+
+class Walk:
+    """Depth-first walk, on an explicit stack, over the linear pieces of
+    f^1..f^depth, yielding (k, lo, hi, slope, intercept) as integers in
+    units of 1/scale; the children of a piece come left to right.
+
+    `pieces[k]` counts the pieces of f^k met; once it passes `budget`
+    (k >= 2) the walk stops going to depth k, so the first such k is the
+    first iterate over budget and shallower pieces are complete.
+    """
+
+    def __init__(self, lift: PLLift, depth: int, budget: int):
+        self.scale, self.base = _scaled(lift, depth)
+        self.depth, self.budget = depth, budget
+        self.pieces = [0] * (depth + 1)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int, int]]:
+        base, pieces, budget = self.base, self.pieces, self.budget
+        los = [lo for lo, _, _, _ in base]
+        limit = self.depth
+        stack = [(1, *piece) for piece in reversed(base)]
+        while stack:
+            node = stack.pop()
+            k = node[0]
+            if k > limit:
+                continue
+            pieces[k] += 1
+            if k > 1 and pieces[k] > budget:
+                limit = k - 1
+                continue
+            yield node
+            if k < limit:
+                stack.extend((k + 1, *child)
+                             for child in _children(base, los, *node[1:]))
+
+    def over_budget(self) -> int | None:
+        return next((k for k in range(2, self.depth + 1)
+                     if self.pieces[k] > self.budget), None)
+
+
+def iterate_lift(lift: PLLift, m: int, budget: int = PIECE_BUDGET) -> PLLift:
+    """Exact m-fold composition of the lift: the walk's depth-m pieces."""
+    assert m >= 1, m
+    if m == 1:
+        return lift
+    walk = Walk(lift, m, budget)
+    scale = walk.scale
+    leaves = tuple(
+        Piece(Fraction(lo, scale), Fraction(hi, scale), Fraction(s),
+              Fraction(b, scale))
+        for k, lo, hi, s, b in walk if k == m
+    )
+    over = walk.over_budget()
+    if over is not None:
+        raise BudgetError(f"composed lift exceeds {budget} pieces",
+                          smallest_m=over)
+    return PLLift(lift.n, leaves)

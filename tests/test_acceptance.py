@@ -7,21 +7,18 @@ import math
 import random
 
 from bouquet_dyn import (
+    LefschetzTable,
     abelianize,
     action,
     build_lift,
     dominant_test,
     eigenvalues,
-    entropy_spectral,
     fix_counts,
-    lefschetz,
     m0_bound,
-    mat_pow,
     norm1,
     oracle_counts,
     per_census,
     period_certificates,
-    periodic_lefschetz,
     powers,
     trace,
 )
@@ -69,12 +66,12 @@ def _verdict(number: int, label: str, ok: bool) -> None:
 
 
 def test_criterion_1_reflect_doubling():
-    mat = abelianize(REFLECT)
+    lef = LefschetzTable.of(powers(abelianize(REFLECT), 2))
     census_2 = census(REFLECT, 2)
     ok = (
-        lefschetz(mat, 1) == 3
-        and lefschetz(mat, 2) == -3
-        and periodic_lefschetz(mat, 2) == -6
+        lef.lefschetz_of(1) == 3
+        and lef.lefschetz_of(2) == -3
+        and lef.periodic_lefschetz_of(2) == -6
         and census_2.per_of(2) == 0
     )
     _verdict(1, "degree -2 reflection: L, l and empty period 2", ok)
@@ -82,15 +79,16 @@ def test_criterion_1_reflect_doubling():
 
 def test_criterion_2_low_growth():
     mat = abelianize(LOW_GROWTH)
+    ladder = powers(mat, 4)
     ok = mat == ((1, 1, 1), (0, 0, 0), (1, 0, 1))
     for m in (2, 3, 4):
         a, b = 2 ** (m - 1), 2 ** (m - 2)
-        ok = ok and mat_pow(mat, m) == ((a, b, a), (0, 0, 0), (a, b, a))
+        ok = ok and ladder[m - 1] == ((a, b, a), (0, 0, 0), (a, b, a))
     s = eigenvalues(mat)
     ok = ok and s.residual <= 1e-10
     ok = ok and abs(s.values[0] - 2) < 1e-10
     ok = ok and abs(s.values[1]) < 1e-10 and abs(s.values[2]) < 1e-10
-    ok = ok and abs(entropy_spectral(mat) - math.log(2)) <= 1e-9
+    ok = ok and abs(s.entropy - math.log(2)) <= 1e-9
     cert = certificate(LOW_GROWTH, "lowgrow(")
     ok = ok and cert is not None and cert.conclusion == ALL_PERIODS
     _verdict(2, "low-growth map: matrix powers, spectrum, all periods", ok)
@@ -98,15 +96,16 @@ def test_criterion_2_low_growth():
 
 def test_criterion_3_six_cycle():
     mat = abelianize(SIX_CYCLE)
+    lef = LefschetzTable.of(powers(mat, 12))
     ok = True
     for m in range(1, 13):
         expected = -3 if m % 3 == 0 else 0
-        ok = ok and lefschetz(mat, m) == expected
+        ok = ok and lef.lefschetz_of(m) == expected
     for m in range(4, 13):
-        ok = ok and periodic_lefschetz(mat, m) == 0
+        ok = ok and lef.periodic_lefschetz_of(m) == 0
     s = eigenvalues(mat)
     ok = ok and all(abs(abs(z) - 1) <= 1e-8 for z in s.values)
-    ok = ok and entropy_spectral(mat) == 0.0
+    ok = ok and s.entropy == 0.0
     ok = ok and census(SIX_CYCLE, 12).period_set() == {3}
     doc, _ = load_fixture("rotor_g4")
     report = run_report(doc, ReportOptions())
@@ -122,7 +121,7 @@ def test_criterion_4_delayed_growth():
     moduli = sorted(abs(z) for z in s.values)
     ok = abs(moduli[0] - 1) <= 1e-8
     ok = ok and all(abs(v - target) <= 1e-8 for v in moduli[1:])
-    ok = ok and abs(entropy_spectral(mat) - math.log(2) / 3) <= 1e-9
+    ok = ok and abs(s.entropy - math.log(2) / 3) <= 1e-9
     ok = ok and not dominant_test(s)
     cert = certificate(DELAYED, "delaylowgrow(")
     ok = (
@@ -137,10 +136,11 @@ def test_criterion_4_delayed_growth():
 
 def test_criterion_5_dominant_map():
     mat = abelianize(DOMINANT)
-    ok = mat_pow(mat, 2) == (
+    ladder = powers(mat, 3)
+    ok = ladder[1] == (
         (1, 2, 2, 3), (0, 0, 1, 1), (0, 0, 0, 1), (0, 1, 1, 1)
     )
-    ok = ok and mat_pow(mat, 3) == (
+    ok = ok and ladder[2] == (
         (1, 3, 4, 6), (0, 1, 1, 1), (0, 0, 1, 1), (0, 1, 1, 2)
     )
     s = eigenvalues(mat)
@@ -203,7 +203,7 @@ def test_criterion_8_trace_growth():
         s = eigenvalues(mat)
         if not dominant_test(s):
             continue
-        t = abs(trace(mat_pow(mat, 40)))
+        t = abs(trace(powers(mat, 40)[-1]))
         if abs(t ** (1 / 40) - s.spectral_radius) > 0.05:
             ok = False
     _verdict(8, "trace of the 40th power recovers the leading "

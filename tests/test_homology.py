@@ -7,12 +7,8 @@ from bouquet_dyn import (
     abelianize,
     action,
     iterate_action,
-    lefschetz,
-    mat_pow,
-    mif_check,
     mobius,
     norm1,
-    periodic_lefschetz,
     powers,
     trace,
 )
@@ -20,10 +16,19 @@ from bouquet_dyn.errors import InputError
 from bouquet_dyn.homology import divisors, identity
 from bouquet_dyn.words import chi
 
-from conftest import random_action, random_matrix
+from conftest import lefschetz_table, mat_pow, random_action, random_matrix
 
 LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
 SIX_CYCLE = action("a1", "a1 a3", "a1 a4", "a1 a2")
+
+
+def inversion_holds(t):
+    """The Moebius identity: sum over r|m of l(f^r) = L(f^m), every m."""
+    return all(
+        sum(t.periodic_lefschetz_of(r) for r in divisors(m))
+        == t.lefschetz_of(m)
+        for m in range(1, t.horizon + 1)
+    )
 
 
 class TestAbelianize:
@@ -47,11 +52,11 @@ class TestAbelianize:
 
 class TestMatrixOps:
     def test_low_growth_cube(self):
-        m3 = mat_pow(abelianize(LOW_GROWTH), 3)
+        m3 = powers(abelianize(LOW_GROWTH), 3)[2]
         assert m3 == ((4, 2, 4), (0, 0, 0), (4, 2, 4))
 
     def test_six_cycle_sixth_power(self):
-        m6 = mat_pow(abelianize(SIX_CYCLE), 6)
+        m6 = powers(abelianize(SIX_CYCLE), 6)[5]
         assert m6[0] == (1, 6, 6, 6)
         assert tuple(row[1:] for row in m6[1:]) == identity(3)
 
@@ -59,6 +64,7 @@ class TestMatrixOps:
         assert norm1(identity(3)) == 3
 
     def test_power_zero(self):
+        # the reference's zeroth power, which the ladder does not hold
         assert mat_pow(((5,),), 0) == ((1,),)
 
     def test_trace_bridge(self, rng):
@@ -113,52 +119,57 @@ class TestMobius:
 
 class TestLefschetz:
     def test_reversing_doubling(self):
-        m = ((-2,),)
-        assert lefschetz(m, 1) == 3
-        assert lefschetz(m, 2) == -3
+        t = lefschetz_table(((-2,),), 2)
+        assert t.lefschetz_of(1) == 3
+        assert t.lefschetz_of(2) == -3
 
     def test_six_cycle(self):
-        m = abelianize(SIX_CYCLE)
-        assert lefschetz(m, 2) == 0
-        assert lefschetz(m, 3) == -3
+        t = lefschetz_table(abelianize(SIX_CYCLE), 3)
+        assert t.lefschetz_of(2) == 0
+        assert t.lefschetz_of(3) == -3
 
     def test_zero_matrix(self):
-        assert lefschetz(((0, 0), (0, 0)), 5) == 1
+        assert lefschetz_table(((0, 0), (0, 0)), 5).lefschetz_of(5) == 1
 
     def test_periodic_doubling(self):
-        assert periodic_lefschetz(((-2,),), 2) == -6
+        assert lefschetz_table(((-2,),), 2).periodic_lefschetz_of(2) == -6
 
     def test_periodic_base_case(self, rng):
         for _ in range(20):
-            m = random_matrix(rng, rng.randint(1, 4))
-            assert periodic_lefschetz(m, 1) == lefschetz(m, 1)
+            t = lefschetz_table(random_matrix(rng, rng.randint(1, 4)), 1)
+            assert t.periodic_lefschetz_of(1) == t.lefschetz_of(1)
 
     def test_six_cycle_periodic(self):
-        m = abelianize(SIX_CYCLE)
-        assert periodic_lefschetz(m, 3) == -3
+        t = lefschetz_table(abelianize(SIX_CYCLE), 12)
+        assert t.periodic_lefschetz_of(3) == -3
         for k in range(4, 13):
-            assert periodic_lefschetz(m, k) == 0
+            assert t.periodic_lefschetz_of(k) == 0
 
 
 class TestMif:
     def test_low_growth(self):
-        assert mif_check(abelianize(LOW_GROWTH), 12)
+        assert inversion_holds(lefschetz_table(abelianize(LOW_GROWTH), 12))
 
     def test_doubling(self):
-        assert mif_check(((-2,),), 12)
+        assert inversion_holds(lefschetz_table(((-2,),), 12))
 
     def test_random_matrices(self, rng):
         for _ in range(30):
-            assert mif_check(random_matrix(rng, 4), 10)
+            assert inversion_holds(lefschetz_table(random_matrix(rng, 4), 10))
 
 
 class TestLefschetzTable:
     def test_consistency_with_pointwise(self, rng):
+        # against L(f^i) = 1 - tr M^i from repeated squaring, and its
+        # Moebius inversion summed divisor by divisor
         m = random_matrix(rng, 3)
-        t = LefschetzTable.of(powers(m, 10))
+        t = lefschetz_table(m, 10)
+        pointwise = {i: 1 - trace(mat_pow(m, i)) for i in range(1, 11)}
         for i in range(1, 11):
-            assert t.lefschetz_of(i) == lefschetz(m, i)
-            assert t.periodic_lefschetz_of(i) == periodic_lefschetz(m, i)
+            assert t.lefschetz_of(i) == pointwise[i]
+            assert t.periodic_lefschetz_of(i) == sum(
+                mobius(r) * pointwise[i // r] for r in divisors(i)
+            )
 
     def test_inversion_identity(self, rng):
         m = random_matrix(rng, 4)

@@ -9,7 +9,6 @@ from bouquet_dyn import (
     eigenvalues,
     fix_counts,
     lefschetz_fix_check,
-    lefschetz_per_count,
     per_census,
     period_certificates,
     powers,
@@ -23,6 +22,8 @@ from bouquet_dyn.periods import (
     ALL_PERIODS,
     PAIRWISE,
 )
+
+from conftest import lefschetz_table
 
 REFLECT = action("a1' a1'")
 LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
@@ -119,22 +120,27 @@ class TestCensus:
 
 
 class TestLefschetzPerCount:
+    """|l(f^m)| counts the period-m points of a map whose branching point
+    is never periodic, except for a reversing map at m = 2 (mod 4)."""
+
     def test_reversing_even_not_applicable(self):
-        assert lefschetz_per_count(REFLECT, 2) is None
+        # l(f^2) = -per(2) - 2 per(1) mixes two period counts
+        l2 = lefschetz_table(abelianize(REFLECT), 2).periodic_lefschetz_of(2)
+        t = census(REFLECT, 2)
+        assert (l2, t.per_of(2), t.per_of(1)) == (-6, 0, 3)
+        assert abs(l2) != t.per_of(2)
 
     def test_reversing_odd(self):
-        assert lefschetz_per_count(REFLECT, 3) == 6
+        lef = lefschetz_table(abelianize(REFLECT), 3)
+        assert lef.periodic_lefschetz_of(3) == 6
         assert census(REFLECT, 3).per_of(3) == 6
 
     def test_preserving(self):
         f = action("a1 a3", "a1", "a1 a3")
         t = census(f, 4)
+        lef = lefschetz_table(abelianize(f), 4)
         for m in range(1, 5):
-            assert lefschetz_per_count(f, m) == t.per_of(m)
-
-    def test_requires_free_branch(self):
-        with pytest.raises(InputError):
-            lefschetz_per_count(LOW_GROWTH, 1)
+            assert abs(lef.periodic_lefschetz_of(m)) == t.per_of(m)
 
 
 class TestLefschetzFixCheck:

@@ -10,12 +10,7 @@ from bouquet_dyn import (
     abelianize,
     action,
     build_lift,
-    count_fixed,
-    cover_growth,
     fix_counts,
-    iterate_lift,
-    mat_pow,
-    mono_cover_size,
     norm1,
     oracle_counts,
     per_census,
@@ -25,6 +20,7 @@ from bouquet_dyn import (
 from bouquet_dyn.errors import (
     BudgetError,
     DegenerateMapError,
+    InputError,
     LiftConstructionError,
 )
 from bouquet_dyn.homology import divisors
@@ -33,11 +29,16 @@ from bouquet_dyn.pl_oracle import (
     OracleCounts,
     Piece,
     PLLift,
-    branch_orbit,
     lift_branch_period,
 )
 
-from conftest import random_action, random_expanding_action
+from conftest import (
+    Walk,
+    iterate_lift,
+    mat_pow,
+    random_action,
+    random_expanding_action,
+)
 
 REFLECT = action("a1' a1'")
 DOUBLE = action("a1 a1")
@@ -48,10 +49,15 @@ def formula_fixes(f, depth):
     return fix_counts(f, powers(abelianize(f), depth))
 
 
+def lift_fix(lift, m):
+    """Fixed points of f^m on the circles, read off one oracle sweep."""
+    return oracle_counts(lift, m).fixed(m, lift_branch_period(lift, m))
+
+
 def walk_counts(lift, depth, budget=PIECE_BUDGET):
     """Reference for `oracle_counts`: count every piece of the depth-first
     walk, one at a time."""
-    walk = pl_oracle._Walk(lift, depth, budget)
+    walk = Walk(lift, depth, budget)
     scale = walk.scale
     top = lift.n * scale
     crossings = [0] * (depth + 1)
@@ -169,7 +175,7 @@ class TestIterateLift:
 class TestBranchOrbit:
     def test_reflection_orbit_stays_at_half(self):
         lift = build_lift(REFLECT)
-        assert branch_orbit(lift, 4) == [Fraction(1, 2)] * 4
+        assert pl_oracle._orbit(lift, Fraction(0), 4) == [Fraction(1, 2)] * 4
         assert lift_branch_period(lift, 12) is None
 
     def test_rotating_word_fixes_branch_orbit(self):
@@ -177,18 +183,19 @@ class TestBranchOrbit:
         # midpoint and stays there
         f = action("a3 a1", "a1 a1", "a1 a3")
         lift = build_lift(f)
-        orbit = branch_orbit(lift, 6)
+        orbit = pl_oracle._orbit(lift, Fraction(0), 6)
         assert all(x.denominator == 2 for x in orbit)
+        assert lift_branch_period(lift, 6) is None
 
 
 class TestCountFixed:
     def test_reflection_fixed_points(self):
         lift = build_lift(REFLECT)
-        assert count_fixed(lift, 1) == 3
+        assert lift_fix(lift, 1) == 3
 
     def test_doubling_square(self):
         lift = build_lift(DOUBLE)
-        assert count_fixed(lift, 2) == 3
+        assert lift_fix(lift, 2) == 3
 
     def test_divisor_identity_against_census(self):
         f = action("a1 a2", "a1 a2")
@@ -202,7 +209,7 @@ class TestCountFixed:
 
     def test_fixed_branch_counted(self):
         lift = build_lift(LOW_GROWTH)
-        assert count_fixed(lift, 1) == formula_fixes(LOW_GROWTH, 1)[0] == 1
+        assert lift_fix(lift, 1) == formula_fixes(LOW_GROWTH, 1)[0] == 1
 
     def test_matches_formula_on_random_actions(self, rng):
         for _ in range(10):
@@ -219,7 +226,7 @@ class TestCountFixed:
         f = action("a2 a1", "a4 a1", "a1", "a1", k=4)
         lift = build_lift(f)
         assert lift_branch_period(lift, 4) == 4
-        assert count_fixed(lift, 4) == formula_fixes(f, 4)[3]
+        assert lift_fix(lift, 4) == formula_fixes(f, 4)[3]
 
     def test_budget_keeps_shallow_counts(self, rng):
         for _ in range(5):
@@ -237,9 +244,10 @@ class TestCountFixed:
                 assert counted == m - 1
                 assert len(iterate_lift(lift, m).pieces) > budget
                 assert m == 2 or len(iterate_lift(lift, m - 1).pieces) <= budget
-                with pytest.raises(BudgetError) as e:
-                    count_fixed(lift, m, budget)
-                assert e.value.smallest_m == m
+                short = oracle_counts(lift, m, budget)
+                assert short.over_budget == m
+                assert short.crossings == full.crossings[: m - 1]
+                assert short.budget_error().smallest_m == m
 
 
 class TestTableMatchesWalk:
@@ -296,15 +304,16 @@ class TestTableMatchesWalk:
 class TestCover:
     def test_low_growth_cover(self):
         lift = build_lift(LOW_GROWTH)
-        assert mono_cover_size(lift) == 5 == norm1(abelianize(LOW_GROWTH))
+        cover = oracle_counts(lift, 1).covers[0]
+        assert cover == 5 == norm1(abelianize(LOW_GROWTH))
 
     def test_two_circle_permutation_style(self):
         f = action("a1 a2", "a1")
-        assert mono_cover_size(build_lift(f)) == 3
+        assert oracle_counts(build_lift(f), 1).covers == (3,)
 
     def test_low_growth_cube(self):
         lift = build_lift(LOW_GROWTH)
-        assert cover_growth(lift, 3) == 20
+        assert oracle_counts(lift, 3).covers[2] == 20
 
     def test_growth_matches_norms(self, rng):
         for _ in range(5):
@@ -320,6 +329,13 @@ class TestCover:
         covers = oracle_counts(lift, 7).covers
         for m in range(1, 8):
             assert covers[m - 1] == norm1(mat_pow(mat, m))
+
+
+class TestOracleArguments:
+    def test_depth_zero_rejected(self):
+        lift = build_lift(DOUBLE)
+        with pytest.raises(InputError):
+            oracle_counts(lift, 0)
 
 
 class TestOracleMemory:
@@ -366,4 +382,4 @@ class TestIterateConsistency:
         for m in (2, 3, 4):
             g = iterate_action(f, m)
             lift_m = build_lift(g)
-            assert count_fixed(lift_m, 1) == count_fixed(lift, m)
+            assert lift_fix(lift_m, 1) == lift_fix(lift, m)

@@ -12,16 +12,11 @@ from bouquet_dyn import (
     abelianize,
     eigenvalues,
     entropy_limit,
-    entropy_spectral,
     iterate_action,
-    lefschetz,
-    lefschetz_per_count,
-    mat_pow,
-    mif_check,
     fix_counts,
+    mobius,
     per_census,
     period_certificates,
-    periodic_lefschetz,
     powers,
     trace,
 )
@@ -29,7 +24,13 @@ from bouquet_dyn.errors import BudgetError
 from bouquet_dyn.homology import divisors
 from bouquet_dyn.words import chi
 
-from conftest import random_action, random_expanding_action, random_matrix
+from conftest import (
+    lefschetz_table,
+    mat_pow,
+    random_action,
+    random_expanding_action,
+    random_matrix,
+)
 
 CASES = 100
 
@@ -42,13 +43,19 @@ def test_mif_round_trip():
     rng = random.Random(101)
     for _ in range(CASES):
         mat = random_matrix(rng, rng.randint(1, 4))
-        assert mif_check(mat, 10)
-        # explicit inversion both ways
+        table = lefschetz_table(mat, 10)
+        # inversion both ways, against L(f^m) = 1 - tr M^m from
+        # repeated squaring
+        pointwise = {m: 1 - trace(mat_pow(mat, m)) for m in range(1, 11)}
         for m in range(1, 11):
-            recovered = sum(
-                periodic_lefschetz(mat, r) for r in divisors(m)
+            assert table.lefschetz_of(m) == pointwise[m]
+            assert table.periodic_lefschetz_of(m) == sum(
+                mobius(r) * pointwise[m // r] for r in divisors(m)
             )
-            assert recovered == lefschetz(mat, m)
+            recovered = sum(
+                table.periodic_lefschetz_of(r) for r in divisors(m)
+            )
+            assert recovered == pointwise[m]
 
 
 def test_abelianization_functoriality():
@@ -93,15 +100,20 @@ def test_census_nonnegative():
 
 
 def test_periodic_lefschetz_counts_orbits():
+    # never-periodic branching point: |l(f^m)| = per(m), except that a
+    # reversing map at m = 2 (mod 4) has l(f^m) = -per(m) - 2 per(m/2)
     rng = random.Random(105)
     for _ in range(CASES):
         f, _ = random_expanding_action(rng)
         table = census(f, 10)
+        lef = lefschetz_table(abelianize(f), 10)
         for m in range(1, 11):
-            expected = lefschetz_per_count(f, m)
-            if expected is None:
-                continue  # reversing with m = 2 mod 4
-            assert expected == table.per_of(m), (f, m)
+            lval = lef.periodic_lefschetz_of(m)
+            if f.global_sign < 0 and m % 4 == 2:
+                mixed = -table.per_of(m) - 2 * table.per_of(m // 2)
+                assert lval == mixed, (f, m)
+            else:
+                assert abs(lval) == table.per_of(m), (f, m)
 
 
 def test_even_iterate_identity():
@@ -110,10 +122,10 @@ def test_even_iterate_identity():
     rng = random.Random(106)
     for _ in range(CASES):
         f, _ = random_expanding_action(rng, sign=-1)
-        mat = abelianize(f)
+        lef = lefschetz_table(abelianize(f), 10)
         table = census(f, 10)
         for p in (3, 5):
-            lval = periodic_lefschetz(mat, 2 * p)
+            lval = lef.periodic_lefschetz_of(2 * p)
             assert lval == -table.per_of(2 * p) - 2 * table.per_of(p), (f, p)
 
 
@@ -122,9 +134,10 @@ def test_entropy_two_route_gap():
     for _ in range(CASES):
         f, _ = random_expanding_action(rng)
         mat = abelianize(f)
-        sigma = eigenvalues(mat).spectral_radius
+        spectrum = eigenvalues(mat)
+        sigma = spectrum.spectral_radius
         s30 = entropy_limit(powers(mat, 30))[-1]
-        assert abs(s30 - entropy_spectral(mat)) <= 0.1 * (1 + sigma), f
+        assert abs(s30 - spectrum.entropy) <= 0.1 * (1 + sigma), f
 
 
 def test_certificates_agree_with_census():

@@ -12,9 +12,7 @@ from bouquet_dyn import (
     dominant_test,
     eigenvalues,
     entropy_limit,
-    entropy_spectral,
     m0_bound,
-    mat_pow,
     norm1,
     powers,
     trace,
@@ -22,7 +20,7 @@ from bouquet_dyn import (
 from bouquet_dyn.errors import InputError
 from bouquet_dyn.spectral import M0_SCAN_CAP, SpectrumReport
 
-from conftest import random_matrix
+from conftest import mat_pow, random_matrix
 
 LOW_GROWTH = abelianize(action("a1 a3", "a1", "a1 a3", k=1))
 SIX_CYCLE = abelianize(action("a1", "a1 a3", "a1 a4", "a1 a2"))
@@ -102,17 +100,19 @@ class TestEigenvalues:
 
 class TestEntropy:
     def test_low_growth(self):
-        assert abs(entropy_spectral(LOW_GROWTH) - math.log(2)) < 1e-9
+        assert abs(eigenvalues(LOW_GROWTH).entropy - math.log(2)) < 1e-9
 
     def test_six_cycle_zero(self):
-        assert entropy_spectral(SIX_CYCLE) == 0.0
+        assert eigenvalues(SIX_CYCLE).entropy == 0.0
 
     def test_delayed(self):
-        assert abs(entropy_spectral(DELAYED) - math.log(2) / 3) < 1e-9
+        assert abs(eigenvalues(DELAYED).entropy - math.log(2) / 3) < 1e-9
 
     def test_clamped_below_one(self):
-        with pytest.warns(UserWarning):
-            assert entropy_spectral(((0,),)) == 0.0
+        s = eigenvalues(((0,),))
+        assert s.radius_below_one
+        assert s.entropy == 0.0
+        assert not eigenvalues(SIX_CYCLE).radius_below_one
 
     def test_limit_sequence_low_growth(self):
         seq = entropy_limit(powers(LOW_GROWTH, 30))
