@@ -11,7 +11,6 @@ from .errors import (
 from .homology import (
     LefschetzTable,
     abelianize,
-    mobius,
     norm1,
     powers,
     trace,

@@ -7,14 +7,18 @@ image of generator j.  A report builds the ladder M^1..M^K once
 `LefschetzTable.of(ladder)` is the one route to the Lefschetz numbers
 L(f^m) = 1 - tr M^m (a bouquet has homology in dimensions 0 and 1 only,
 and every iterate acts on dimension 0 as the identity) and to their
-Moebius inversions l(f^m).  All of it is exact integer arithmetic: no
-floating point appears anywhere in this module, since traces grow like
-the spectral radius to the m-th power.
+Moebius inversions l(f^m).  `invert_divisor_sums` is the one Moebius
+inversion, read by l(f^m) here and by the census's per(m); it sieves
+instead of summing mu(r) over the divisors of each m.  All of it is
+exact integer arithmetic: no floating point appears anywhere in this
+module, since traces grow like the spectral radius to the m-th power.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InputError
 from .words import MapAction, chi
@@ -42,8 +46,7 @@ def identity(n: int) -> IntMatrix:
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-        for row in a
+        tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a
     )
 
 
@@ -64,39 +67,31 @@ def trace(a: IntMatrix) -> int:
 
 def norm1(a: IntMatrix) -> int:
     """Sum of absolute values of all entries."""
-    return sum(abs(x) for row in a for x in row)
+    return sum(sum(map(abs, row)) for row in a)
 
 
-def divisors(m: int) -> list[int]:
-    """All positive divisors of m, ascending (trial division to sqrt m)."""
-    if m < 1:
-        raise InputError(f"need a positive integer, got {m}")
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+def divisor_sums(values: Sequence[int]) -> list[int]:
+    """out[m-1] = sum of values[d-1] over the divisors d of m, for every m
+    up to len(values): each d is added into its multiples, O(H log H)."""
+    horizon = len(values)
+    out = [0] * horizon
+    for d, v in enumerate(values, start=1):
+        for multiple in range(d - 1, horizon, d):
+            out[multiple] += v
+    return out
 
 
-def mobius(m: int) -> int:
-    """Moebius function: 1, 0 on square factors, else (-1)^(#prime factors)."""
-    if m < 1:
-        raise InputError(f"need a positive integer, got {m}")
-    out = 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
+def invert_divisor_sums(sums: Sequence[int]) -> list[int]:
+    """The sequence g with sums[m-1] = sum of g(d) over d | m: Moebius
+    inversion by the subtraction sieve.  In ascending d, out[d-1] is
+    final once every proper divisor of d is taken out, and is then taken
+    out of every proper multiple of d; O(H log H), no mu table."""
+    out = list(sums)
+    horizon = len(out)
+    for d in range(1, horizon + 1):
+        g = out[d - 1]
+        for multiple in range(2 * d - 1, horizon, d):
+            out[multiple] -= g
     return out
 
 
@@ -117,10 +112,7 @@ class LefschetzTable:
             raise InputError(f"horizon must be >= 1, got {horizon}")
         traces = tuple(trace(power) for power in ladder)
         lef = tuple(1 - t for t in traces)
-        per = tuple(
-            sum(mobius(r) * lef[m // r - 1] for r in divisors(m))
-            for m in range(1, horizon + 1)
-        )
+        per = tuple(invert_divisor_sums(lef))
         return LefschetzTable(horizon, traces, lef, per)
 
     def lefschetz_of(self, m: int) -> int:

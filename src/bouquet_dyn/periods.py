@@ -11,15 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InconsistencyError, InputError
-from .homology import IntMatrix, Ladder, divisors, mobius, trace
-from .spectral import SpectrumReport, dominant_test, m0_bound
-from .words import (
-    Letter,
-    MapAction,
-    branch_period_under,
-    first_letter,
-    orientation_of_power,
+from .homology import (
+    IntMatrix,
+    Ladder,
+    divisor_sums,
+    invert_divisor_sums,
+    trace,
 )
+from .spectral import SpectrumReport, dominant_test, m0_bound
+from .words import MapAction, branch_period_under, orientation_of_power
 
 
 # ---------------------------------------------------------------------------
@@ -35,17 +35,24 @@ def fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:
     counted by gamma instead: chi_j less the first and last letters of
     the iterate image when they are a_j (an image of one letter has no
     interior).  Those letters are followed along the orbits of a_j and
-    a_j' under the one-step letter map, in one forward pass.
+    a_j' under the one-step letter map (`words.first_letter`), in one
+    forward pass.  Letters are signed codes here: a_j is j and a_j' is
+    -j, and the one-step map is one dict over the codes +-1..+-n.
     """
+    step = {}
+    for j, img in enumerate(f.images, start=1):
+        first, last = img.letters[0], img.letters[-1]
+        step[j] = first.sign * first.index
+        # the last letter of an image is the inverse of the first letter
+        # of the image of the inverse word
+        step[-j] = -last.sign * last.index
     gens = range(1, f.n + 1)
-    firsts = [Letter(j, 1) for j in gens]
-    # the last letter of an image is the inverse of the first letter of
-    # the image of the inverse word
-    lasts_inv = [Letter(j, -1) for j in gens]
+    firsts = list(gens)
+    lasts_inv = [-j for j in gens]
     out = []
     for m, power in enumerate(ladder, start=1):
-        firsts = [first_letter(f, l) for l in firsts]
-        lasts_inv = [first_letter(f, l) for l in lasts_inv]
+        firsts = [step[c] for c in firsts]
+        lasts_inv = [step[c] for c in lasts_inv]
         if branch_period_under(f.branch_class, m) != 1:
             out.append(abs(1 - trace(power)))
             continue
@@ -54,10 +61,11 @@ def fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:
             if sum(abs(row[j - 1]) for row in power) <= 1:
                 continue
             total += power[j - 1][j - 1]
-            if first.index == j:
-                total -= first.sign
-            if last_inv.index == j:
-                total += last_inv.sign
+            # an end letter a_j (a_j') is not interior: take off +1 (-1)
+            if abs(first) == j:
+                total -= first // j
+            if abs(last_inv) == j:
+                total += last_inv // j
         out.append(1 + abs(total))
     return tuple(out)
 
@@ -83,29 +91,27 @@ class FixCountTable:
 
 def per_census(fixes: tuple[int, ...]) -> FixCountTable:
     """Full census up to horizon len(fixes), where fixes[m-1] = fix(m):
-    per(m) by Moebius inversion of the divisor identity
-    fix(m) = sum over r|m of per(r).
+    per(m) by Moebius inversion (`homology.invert_divisor_sums`) of the
+    divisor identity fix(m) = sum over r|m of per(r).
 
     A negative per count would mean the fixed-point formulas and the
     inversion disagree, which cannot happen for valid input; it is raised
-    as an internal inconsistency naming the offending m.
+    as an internal inconsistency naming the offending m, as is a broken
+    divisor identity, checked by one forward divisor-sum pass.
     """
     horizon = len(fixes)
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
-    pers = []
-    for m in range(1, horizon + 1):
-        p = sum(mobius(m // r) * fixes[r - 1] for r in divisors(m))
+    pers = invert_divisor_sums(fixes)
+    for m, p in enumerate(pers, start=1):
         if p < 0:
             raise InconsistencyError(
                 f"census produced negative period count {p} at m={m}"
             )
-        pers.append(p)
-    table = FixCountTable(horizon, fixes, tuple(pers))
-    for m in range(1, horizon + 1):
-        if table.fix_of(m) != sum(table.per_of(r) for r in divisors(m)):
+    for m, (fix, total) in enumerate(zip(fixes, divisor_sums(pers)), start=1):
+        if fix != total:
             raise InconsistencyError(f"census divisor identity broken at m={m}")
-    return table
+    return FixCountTable(horizon, fixes, tuple(pers))
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +302,27 @@ def _criteria_hits(f: MapAction, ladder: Ladder):
                 yield (m, family, *hit)
 
 
+def _primes_of(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
 def fmbig_test(table: FixCountTable, m: int) -> PeriodCertificate | None:
     """Certify a period-m orbit when fix(m) beats the sum of the fix
     counts at m/p over the primes p dividing m."""
     if not 1 <= m <= table.horizon:
         raise InputError(f"m={m} outside table horizon {table.horizon}")
-    # the primes are the divisors with exactly two divisors
-    proper = [m // p for p in divisors(m) if len(divisors(p)) == 2]
-    bound = sum(table.fix_of(r) for r in proper)
+    bound = sum(table.fix_of(m // p) for p in _primes_of(m))
     if table.fix_of(m) > bound:
         return PeriodCertificate(
             "fmbig",

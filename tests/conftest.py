@@ -1,7 +1,9 @@
 """Shared helpers: seeded random map generators, paper-derived fixtures,
 and the independent references that the library's one route per
-quantity is checked against (repeated squaring for the power ladder, a
-depth-first walk over every piece for the oracle's table sweep)."""
+quantity is checked against (repeated squaring for the power ladder,
+divisors and mu for the Moebius sieve, letter orbits for the fix
+counts' signed codes, a depth-first walk over every piece for the
+oracle's table sweep)."""
 
 import random
 from collections.abc import Iterator
@@ -18,8 +20,8 @@ from bouquet_dyn import (
     build_lift,
     powers,
 )
-from bouquet_dyn.errors import BudgetError, LiftConstructionError
-from bouquet_dyn.homology import IntMatrix, identity, mat_mul
+from bouquet_dyn.errors import BudgetError, InputError, LiftConstructionError
+from bouquet_dyn.homology import IntMatrix, Ladder, identity, mat_mul, trace
 from bouquet_dyn.pl_oracle import (
     PIECE_BUDGET,
     Piece,
@@ -28,6 +30,7 @@ from bouquet_dyn.pl_oracle import (
     _scaled,
     lift_branch_period,
 )
+from bouquet_dyn.words import branch_period_under, first_letter
 
 
 def random_action(
@@ -102,9 +105,69 @@ def mat_pow(a: IntMatrix, m: int) -> IntMatrix:
     return out
 
 
+def divisors(m: int) -> list[int]:
+    """All positive divisors of m, ascending (trial division to sqrt m)."""
+    if m < 1:
+        raise InputError(f"need a positive integer, got {m}")
+    small, large = [], []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            small.append(d)
+            if d != m // d:
+                large.append(m // d)
+        d += 1
+    return small + large[::-1]
+
+
+def mobius(m: int) -> int:
+    """Moebius function: 1, 0 on square factors, else (-1)^(#prime factors)."""
+    if m < 1:
+        raise InputError(f"need a positive integer, got {m}")
+    out = 1
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    if m > 1:
+        out = -out
+    return out
+
+
 def lefschetz_table(mat: IntMatrix, horizon: int) -> LefschetzTable:
     """L(f^m) and l(f^m) for m <= horizon, the way a report reads them."""
     return LefschetzTable.of(powers(mat, horizon))
+
+
+def letter_fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:
+    """fix(m) for m = 1..len(ladder), following the first letters of the
+    iterate images of a_j and a_j' as `Letter`s along `first_letter`: a
+    reference for `fix_counts`, which follows them as signed codes."""
+    gens = range(1, f.n + 1)
+    firsts = [Letter(j, 1) for j in gens]
+    lasts_inv = [Letter(j, -1) for j in gens]
+    out = []
+    for m, power in enumerate(ladder, start=1):
+        firsts = [first_letter(f, l) for l in firsts]
+        lasts_inv = [first_letter(f, l) for l in lasts_inv]
+        if branch_period_under(f.branch_class, m) != 1:
+            out.append(abs(1 - trace(power)))
+            continue
+        total = 0
+        for j, first, last_inv in zip(gens, firsts, lasts_inv):
+            if sum(abs(row[j - 1]) for row in power) <= 1:
+                continue
+            total += power[j - 1][j - 1]
+            if first.index == j:
+                total -= first.sign
+            if last_inv.index == j:
+                total += last_inv.sign
+        out.append(1 + abs(total))
+    return tuple(out)
 
 
 class Walk:

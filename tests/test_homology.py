@@ -1,5 +1,7 @@
 """Homology matrix, Lefschetz numbers, Moebius machinery."""
 
+import random
+
 import pytest
 
 from bouquet_dyn import (
@@ -7,16 +9,22 @@ from bouquet_dyn import (
     abelianize,
     action,
     iterate_action,
-    mobius,
     norm1,
     powers,
     trace,
 )
 from bouquet_dyn.errors import InputError
-from bouquet_dyn.homology import divisors, identity
+from bouquet_dyn.homology import divisor_sums, identity, invert_divisor_sums
 from bouquet_dyn.words import chi
 
-from conftest import lefschetz_table, mat_pow, random_action, random_matrix
+from conftest import (
+    divisors,
+    lefschetz_table,
+    mat_pow,
+    mobius,
+    random_action,
+    random_matrix,
+)
 
 LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
 SIX_CYCLE = action("a1", "a1 a3", "a1 a4", "a1 a2")
@@ -117,6 +125,46 @@ class TestMobius:
             mobius(0)
 
 
+def big_sequence(rng, horizon):
+    """A seeded sequence of signed integers of up to 200 bits."""
+    return [rng.randint(-(2**200), 2**200) for _ in range(horizon)]
+
+
+class TestDivisorSieve:
+    """The subtraction sieve and the forward divisor-sum pass, against
+    the divisor-by-divisor sums with the reference divisors and mu."""
+
+    HORIZONS = (*range(1, 61), 300)
+
+    def test_inversion_matches_mobius_sum(self):
+        rng = random.Random(8)
+        for horizon in self.HORIZONS:
+            seq = big_sequence(rng, horizon)
+            assert invert_divisor_sums(seq) == [
+                sum(mobius(m // r) * seq[r - 1] for r in divisors(m))
+                for m in range(1, horizon + 1)
+            ], horizon
+
+    def test_forward_matches_divisor_sum(self):
+        rng = random.Random(9)
+        for horizon in self.HORIZONS:
+            seq = big_sequence(rng, horizon)
+            assert divisor_sums(seq) == [
+                sum(seq[r - 1] for r in divisors(m))
+                for m in range(1, horizon + 1)
+            ], horizon
+
+    def test_round_trip(self):
+        rng = random.Random(10)
+        for horizon in (1, 2, 12, 300):
+            seq = big_sequence(rng, horizon)
+            assert divisor_sums(invert_divisor_sums(seq)) == seq
+            assert invert_divisor_sums(divisor_sums(seq)) == seq
+
+    def test_empty_sequence(self):
+        assert divisor_sums(()) == invert_divisor_sums(()) == []
+
+
 class TestLefschetz:
     def test_reversing_doubling(self):
         t = lefschetz_table(((-2,),), 2)
@@ -170,6 +218,10 @@ class TestLefschetzTable:
             assert t.periodic_lefschetz_of(i) == sum(
                 mobius(r) * pointwise[i // r] for r in divisors(i)
             )
+
+    def test_empty_ladder_rejected(self):
+        with pytest.raises(InputError):
+            LefschetzTable.of(())
 
     def test_inversion_identity(self, rng):
         m = random_matrix(rng, 4)

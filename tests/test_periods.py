@@ -1,13 +1,17 @@
 """Fixed-point counts, the census, and the certificate engine."""
 
+import random
+
 import pytest
 
 from bouquet_dyn import (
     Conclusion,
+    FixCountTable,
     abelianize,
     action,
     eigenvalues,
     fix_counts,
+    fmbig_test,
     lefschetz_fix_check,
     per_census,
     period_certificates,
@@ -15,7 +19,7 @@ from bouquet_dyn import (
     trace,
 )
 from bouquet_dyn.cli import load_fixture
-from bouquet_dyn.errors import InputError
+from bouquet_dyn.errors import InconsistencyError, InputError
 from bouquet_dyn.periods import (
     ALL_BUT_1,
     ALL_BUT_2,
@@ -23,7 +27,7 @@ from bouquet_dyn.periods import (
     PAIRWISE,
 )
 
-from conftest import lefschetz_table
+from conftest import divisors, lefschetz_table
 
 REFLECT = action("a1' a1'")
 LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
@@ -104,13 +108,17 @@ class TestCensus:
         with pytest.raises(InputError):
             per_census(())
 
+    def test_negative_count_names_first_m(self):
+        # fix(1) = 3 but fix(2) = 1 would need per(2) = -2
+        with pytest.raises(InconsistencyError, match=r"count -2 at m=2"):
+            per_census((3, 1, 3, 1))
+
     def test_horizon_one(self):
         t = census(REFLECT, 1)
         assert t.per_of(1) == t.fix_of(1) == 3
 
     def test_divisor_identity(self):
         t = census(DOMINANT, 12)
-        from bouquet_dyn.homology import divisors
         for m in range(1, 13):
             assert t.fix_of(m) == sum(t.per_of(r) for r in divisors(m))
 
@@ -268,6 +276,28 @@ class TestFmBig:
     def test_no_fire_when_flat(self):
         six = action("a1", "a1 a3", "a1 a4", "a1 a2")
         assert certificate(six, "fmbig", horizon=6, m=6) is None
+
+    def test_prime_rule_matches_two_divisor_rule(self):
+        # the primes of m by trial division against the earlier rule,
+        # "the divisors of m with exactly two divisors": on counts that
+        # grow fast enough for the test to fire at every m the witness
+        # sums agree, and on small random counts so does whether it fires
+        horizon = 1000
+        rng = random.Random(11)
+        growing = tuple(rng.randint(10**m, 2 * 10**m) for m in range(1, horizon + 1))
+        flat = tuple(rng.randint(0, 50) for _ in range(horizon))
+        for fixes in (growing, flat):
+            table = FixCountTable(horizon, fixes, (0,) * horizon)
+            for m in range(1, horizon + 1):
+                primes = [p for p in divisors(m) if len(divisors(p)) == 2]
+                bound = sum(table.fix_of(m // p) for p in primes)
+                cert = fmbig_test(table, m)
+                if fixes is growing:
+                    assert cert is not None, m
+                if cert is None:
+                    assert table.fix_of(m) <= bound, m
+                else:
+                    assert cert.witness["divisor_sum"] == bound, m
 
 
 class TestDominantPeriods:

@@ -23,7 +23,6 @@ from bouquet_dyn.errors import (
     InputError,
     LiftConstructionError,
 )
-from bouquet_dyn.homology import divisors
 from bouquet_dyn.pl_oracle import (
     PIECE_BUDGET,
     OracleCounts,
@@ -34,6 +33,7 @@ from bouquet_dyn.pl_oracle import (
 
 from conftest import (
     Walk,
+    divisors,
     iterate_lift,
     mat_pow,
     random_action,

@@ -14,19 +14,19 @@ from bouquet_dyn import (
     entropy_limit,
     iterate_action,
     fix_counts,
-    mobius,
     per_census,
     period_certificates,
     powers,
     trace,
 )
 from bouquet_dyn.errors import BudgetError
-from bouquet_dyn.homology import divisors
 from bouquet_dyn.words import chi
 
 from conftest import (
+    divisors,
     lefschetz_table,
     mat_pow,
+    mobius,
     random_action,
     random_expanding_action,
     random_matrix,

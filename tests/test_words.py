@@ -25,7 +25,7 @@ from bouquet_dyn import (
 from bouquet_dyn.errors import BudgetError, InputError
 from bouquet_dyn.words import orientation_of_power
 
-from conftest import random_action
+from conftest import letter_fix_counts, random_action, random_expanding_action
 
 
 class TestLetters:
@@ -225,6 +225,17 @@ class TestIterateCounts:
                     except BudgetError:
                         break
                     assert fixes[m - 1] == expected, (f, m)
+
+    def test_codes_match_letter_orbits(self):
+        # census-sized maps (n <= 6, words <= 3 letters, horizon 40) in
+        # every branch class: the signed codes against `Letter` orbits
+        rng = random.Random(40)
+        for _ in range(300):
+            base, _ = random_expanding_action(rng, n_max=6, len_max=3)
+            ladder = powers(abelianize(base), 40)
+            for k in (BRANCH_FREE, 1, 2, 3, 4):
+                f = _with_branch(base, k)
+                assert fix_counts(f, ladder) == letter_fix_counts(f, ladder), f
 
     def test_boundary_letters_match_expansion(self, rng):
         for _ in range(40):
