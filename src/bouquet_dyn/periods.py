@@ -19,7 +19,13 @@ from .homology import (
     trace,
 )
 from .spectral import SpectrumReport, dominant_test, m0_bound
-from .words import MapAction, branch_period_under, orientation_of_power
+from .words import (
+    Letter,
+    MapAction,
+    branch_period_under,
+    first_letter,
+    orientation_of_power,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -37,16 +43,15 @@ def fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:
     interior).  Those letters are followed along the orbits of a_j and
     a_j' under the one-step letter map (`words.first_letter`), in one
     forward pass.  Letters are signed codes here: a_j is j and a_j' is
-    -j, and the one-step map is one dict over the codes +-1..+-n.
+    -j, and the one-step map is one dict over the codes +-1..+-n, built
+    from `first_letter` once per call.
     """
-    step = {}
-    for j, img in enumerate(f.images, start=1):
-        first, last = img.letters[0], img.letters[-1]
-        step[j] = first.sign * first.index
-        # the last letter of an image is the inverse of the first letter
-        # of the image of the inverse word
-        step[-j] = -last.sign * last.index
     gens = range(1, f.n + 1)
+    step = {}
+    for j in gens:
+        for sign in (1, -1):
+            letter = first_letter(f, Letter(j, sign))
+            step[sign * j] = letter.sign * letter.index
     firsts = list(gens)
     lasts_inv = [-j for j in gens]
     out = []

@@ -1,7 +1,9 @@
 """Every committed benchmark record (`BENCH_*.json` at the repository
 root, written by `tools/bench_pair.py`) names the metric and workload it
 claims, holds that metric's median on both sides, and records that the
-parent and the change gave the same reports on every pair of runs."""
+parent and the change gave the same reports on every pair of runs.  It
+also names the committed change it measured, apart from its parent, and
+was timed at the run length `BENCHMARK.json` sets."""
 
 import json
 import re
@@ -10,6 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def records():
@@ -23,6 +26,11 @@ def test_records_exist():
 def test_records_are_complete():
     for path in records():
         rec = json.loads(path.read_text())
+        assert re.fullmatch(r"[0-9a-f]{40}", rec["change"]), path.name
+        assert rec["change"] != rec["parent"], path.name
+        assert rec["change_dirty"] is False, path.name
+        assert rec["src_sha256"]["change"] != rec["src_sha256"]["parent"], path.name
+        assert rec["seconds"] == BENCH["run_seconds"], path.name
         claim = rec["claim"]
         workload, metric = claim["workload"], claim["metric"]
         assert claim["better"] in ("higher", "lower"), path.name

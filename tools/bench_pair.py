@@ -11,13 +11,15 @@ metric on each side, the number of pairs each metric won (better on the
 change, by the direction `BENCHMARK.json` gives it), and whether the two
 sides gave the same digest, `attempted` and `failed` in every pair.
 
-    python3 tools/bench_pair.py --pr 8 --parent HEAD~1 \\
+    python3 tools/bench_pair.py --pr 8 --parent 4cea4e5 \\
         --claim census_deep.maps_per_s \\
-        --pairs census_deep=5 --pairs corpus_default=1 --pairs oracle_deep=1
+        --pairs census_deep=10 --pairs corpus_default=2 --pairs oracle_deep=2
 
-Standard library only.  The checkout's working tree is measured as it
-stands; the record names its HEAD, whether the tree was dirty, and a
-digest of the source files each side ran.
+Each run lasts the `run_seconds` that `BENCHMARK.json` sets.  Standard
+library only.  The checkout's working tree is measured as it stands;
+the record names its HEAD, whether the tree was dirty, and a digest of
+the source files each side ran, so commit the change before recording
+it.
 """
 
 from __future__ import annotations
@@ -144,7 +146,6 @@ def main(argv=None) -> int:
                     help="WORKLOAD.METRIC the change claims to improve")
     ap.add_argument("--pairs", action="append", required=True,
                     help="WORKLOAD=COUNT, repeatable")
-    ap.add_argument("--seconds", type=int, default=25)
     ap.add_argument("--first-seed", type=int, default=41)
     args = ap.parse_args(argv)
 
@@ -161,7 +162,7 @@ def main(argv=None) -> int:
         "change": git("rev-parse", "HEAD"),
         "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "command": bench["command"],
-        "seconds": args.seconds,
+        "seconds": bench["run_seconds"],
         "claim": {"workload": claim_workload, "metric": claim_metric,
                   "better": better[claim_metric]},
         "workloads": {},
@@ -177,7 +178,8 @@ def main(argv=None) -> int:
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    run = run_once(trees[side], workload, seed, args.seconds)
+                    run = run_once(trees[side], workload, seed,
+                                   bench["run_seconds"])
                     runs[side].append(run)
                     print(f"{workload} seed {seed} {side}: {claim_metric} "
                           f"{run['metrics'][claim_metric]:.6g}", flush=True)
