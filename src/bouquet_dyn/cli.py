@@ -41,7 +41,7 @@ from .pl_oracle import (
     lift_branch_period,
     oracle_counts,
 )
-from .spectral import CLAMP_WARNING, eigenvalues, entropy_limit
+from .spectral import eigenvalues, entropy_limit
 from .words import BRANCH_FREE, MapAction, Word, orientation
 
 DEFAULT_HORIZON = 12
@@ -49,7 +49,8 @@ DEFAULT_ORACLE_DEPTH = 6
 DEFAULT_ENTROPY_HORIZON = 30
 
 _CLAIM_RE = re.compile(
-    r"^claim:\s*(L|l|fix|per)\s*\(\s*(\d+)\s*\)\s*=\s*(-?\d+)\s*$"
+    r"^claim:\s*(L|l|fix|per)\s*\(\s*(\d+)\s*\)\s*=\s*(-?\d+)\s*$",
+    re.ASCII,
 )
 _IMAGE_RE = re.compile(r"^a([1-9][0-9]*)\s*->\s*(.+)$")
 
@@ -71,6 +72,13 @@ class MapSpecDocument:
     claims: tuple[Claim, ...] = ()
 
 
+def _positive(value: str, what: str, lineno: int) -> int:
+    """A positive integer written in ASCII decimal digits."""
+    if not (value.isascii() and value.isdigit()) or int(value) < 1:
+        raise InputError(f"line {lineno}: bad {what} {value!r}")
+    return int(value)
+
+
 def parse_spec(text: str) -> MapSpecDocument:
     """Parse the line-based map description; diagnostics carry line numbers."""
     n = None
@@ -90,10 +98,7 @@ def parse_spec(text: str) -> MapSpecDocument:
         if line.replace(" ", "").startswith("n="):
             if n is not None:
                 raise err("duplicate n= declaration")
-            value = line.split("=", 1)[1].strip()
-            if not value.isdigit() or int(value) < 1:
-                raise err(f"bad circle count {value!r}")
-            n = int(value)
+            n = _positive(line.split("=", 1)[1].strip(), "circle count", lineno)
             continue
         if line.startswith("branch:"):
             if branch_seen:
@@ -101,18 +106,14 @@ def parse_spec(text: str) -> MapSpecDocument:
             branch_seen = True
             rest = line[len("branch:"):].strip()
             if rest.startswith("period"):
-                value = rest[len("period"):].strip()
-                if not value.isdigit() or int(value) < 1:
-                    raise err(f"bad branch period {value!r}")
-                branch = int(value)
+                branch = _positive(
+                    rest[len("period"):].strip(), "branch period", lineno
+                )
             elif rest != "free":
                 raise err(f"bad branch declaration {rest!r}")
             continue
         if line.startswith("horizon:"):
-            value = line[len("horizon:"):].strip()
-            if not value.isdigit() or int(value) < 1:
-                raise err(f"bad horizon {value!r}")
-            horizon = int(value)
+            horizon = _positive(line[len("horizon:"):].strip(), "horizon", lineno)
             continue
         claim_match = _CLAIM_RE.match(line)
         if line.startswith("claim:"):
@@ -178,20 +179,15 @@ def _fmt_real(x: float) -> str:
     return format(x, ".15g")
 
 
-def _fmt_int(v: int) -> str:
-    return str(v)
-
-
 def _branch_text(k: int | None) -> str:
-    return "free" if k is None else _fmt_int(k)
+    return "free" if k is None else str(k)
 
 
 def _certificate_json(cert: PeriodCertificate) -> dict:
     return {
         "rule": cert.rule,
         "conclusion": cert.conclusion.text(),
-        "witness": {k: _fmt_int(v) if isinstance(v, int) else str(v)
-                    for k, v in cert.witness.items()},
+        "witness": {k: str(v) for k, v in cert.witness.items()},
     }
 
 
@@ -241,8 +237,6 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     spectrum = eigenvalues(mat)
     limit_seq = entropy_limit(ladder[: options.entropy_horizon])
     h_spec = spectrum.entropy
-    if spectrum.radius_below_one:
-        warnings.append(CLAMP_WARNING)
 
     checks = []
     for m in range(1, horizon + 1):
@@ -252,8 +246,8 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
                 "m": m,
                 "mode": c.mode,
                 "passed": c.passed,
-                "L": _fmt_int(c.lefschetz_value),
-                "fix": _fmt_int(c.fix_value),
+                "L": str(c.lefschetz_value),
+                "fix": str(c.fix_value),
             }
         )
         if c.mode == "bound-abs":
@@ -284,7 +278,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         claims.append(
             {
                 "text": c.text,
-                "computed": None if computed is None else _fmt_int(computed),
+                "computed": None if computed is None else str(computed),
                 "verdict": verdict,
             }
         )
@@ -298,21 +292,21 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
             "horizon": horizon,
         },
         "orientation": orientation(f),
-        "abelianization": [[_fmt_int(v) for v in row] for row in mat],
+        "abelianization": [list(map(str, row)) for row in mat],
         "lefschetz": {
             "horizon": horizon,
-            "trace": [_fmt_int(v) for v in table.traces],
-            "L": [_fmt_int(v) for v in table.lefschetz_numbers],
-            "l": [_fmt_int(v) for v in table.periodic_lefschetz_numbers],
+            "trace": list(map(str, table.traces)),
+            "L": list(map(str, table.lefschetz_numbers)),
+            "l": list(map(str, table.periodic_lefschetz_numbers)),
         },
         "census": {
-            "fix": [_fmt_int(v) for v in census.fix_counts],
-            "per": [_fmt_int(v) for v in census.per_counts],
+            "fix": list(map(str, census.fix_counts)),
+            "per": list(map(str, census.per_counts)),
             "period_set": sorted(census.period_set()),
         },
         "lefschetz_fix_checks": checks,
         "spectrum": {
-            "char_poly": [_fmt_int(c) for c in spectrum.char_coeffs],
+            "char_poly": list(map(str, spectrum.char_coeffs)),
             "eigenvalues": [
                 {
                     "re": _fmt_real(z.real),
@@ -380,8 +374,8 @@ def _run_oracle(
         verdicts.append(
             {
                 "m": m,
-                "lift_count": _fmt_int(lifted),
-                "formula_count": _fmt_int(formula),
+                "lift_count": str(lifted),
+                "formula_count": str(formula),
                 "verdict": verdict,
             }
         )
@@ -395,8 +389,8 @@ def _run_oracle(
         cover_checks.append(
             {
                 "m": m,
-                "cover": _fmt_int(cov),
-                "norm": _fmt_int(nrm),
+                "cover": str(cov),
+                "norm": str(nrm),
                 "verdict": "match" if cov == nrm else "mismatch",
             }
         )
@@ -479,8 +473,47 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def json_indent2(value, nl: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, for
+    values built from dict, list, str, int, bool and None; `nl` is the
+    newline plus the enclosing indent.  A list of strings is joined in
+    one C-level pass, the bulk of a report."""
+    t = type(value)
+    if t is str:
+        return _quote(value)
+    if t is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if t is bool:
+        return "true" if value else "false"
+    inner = nl + "  "
+    sep = "," + inner
+    if t is list:
+        if not value:
+            return "[]"
+        try:
+            body = sep.join(map(_quote, value))
+        except TypeError:
+            body = sep.join([json_indent2(v, inner) for v in value])
+        return "[" + inner + body + nl + "]"
+    if t is dict:
+        if not value:
+            return "{}"
+        body = sep.join([_quote(k) + ": " + json_indent2(value[k], inner)
+                         for k in sorted(value)])
+        return "{" + inner + body + nl + "}"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # from 3.13 the C encoder handles indent itself and beats json_indent2
+    if sys.version_info >= (3, 13):
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json_indent2(report) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,6 @@ def _durand_kerner(coeffs: list[float], iterations: int = 200) -> list[complex]:
     return roots
 
 
-#: the warning for a spectral radius below 1, whose entropy is clamped
-CLAMP_WARNING = "spectral radius below 1; entropy clamped to 0"
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Eigenvalues sorted by nonincreasing modulus, with derived data."""
@@ -112,12 +108,6 @@ class SpectrumReport:
         # radii within root-finder noise of 1 are genuinely 1 (the exact
         # characteristic polynomial has integer coefficients)
         return math.log(s) if s > 1.0 + 1e-12 else 0.0
-
-    @property
-    def radius_below_one(self) -> bool:
-        """True when the radius is below 1 beyond root-finder noise;
-        topological entropy is nonnegative, so the entropy is clamped."""
-        return self.spectral_radius < 1.0 - 1e-12
 
 
 def eigenvalues(a: IntMatrix) -> SpectrumReport:

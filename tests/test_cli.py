@@ -7,8 +7,10 @@ import pytest
 
 from bouquet_dyn import BRANCH_FREE, cli
 from bouquet_dyn.cli import (
+    MapSpecDocument,
     ReportOptions,
     fixture_names,
+    json_indent2,
     load_fixture,
     main,
     parse_spec,
@@ -16,7 +18,9 @@ from bouquet_dyn.cli import (
     render_json,
     run_report,
 )
-from bouquet_dyn.errors import InputError
+from bouquet_dyn.errors import InconsistencyError, InputError
+
+from conftest import random_action, random_expanding_action
 
 LOW_GROWTH_TEXT = """\
 n=3
@@ -87,6 +91,21 @@ class TestParseSpec:
     def test_roundtrip(self):
         doc = parse_spec(LOW_GROWTH_TEXT + "claim: per(1) = 1\n")
         assert parse_spec(print_spec(doc)) == doc
+
+    # "²" passes str.isdigit() but not int(); "٣" passes both
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+    @pytest.mark.parametrize("lineno, line", [
+        (1, "n={}"),
+        (2, "branch: period {}"),
+        (3, "horizon: {}"),
+        (4, "claim: fix({}) = 2"),
+    ])
+    def test_non_ascii_digits(self, lineno, line, digit):
+        lines = ["n=1", "branch: free", "horizon: 5", "claim: fix(1) = 2"]
+        lines[lineno - 1] = line.format(digit)
+        text = "\n".join(lines) + "\na1 -> a1 a1\n"
+        with pytest.raises(InputError, match=f"^line {lineno}: bad "):
+            parse_spec(text)
 
 
 class TestRunReport:
@@ -240,6 +259,14 @@ class TestMain:
         assert [v["m"] for v in verdicts] == list(range(1, 21))
         assert all(v["verdict"] == "match" for v in verdicts)
 
+    def test_non_ascii_digit_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "map.bqd"
+        p.write_text("n=\u00b2\nbranch: free\na1 -> a1 a1\n", encoding="utf-8")
+        assert main(["analyze", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: bad circle count '\u00b2'\n"
+        )
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["analyze", "/nonexistent.bqd"]) == 1
 
@@ -273,3 +300,66 @@ class TestFixtureCorpus:
         assert any(
             "l(3) = 2" in w for w in expected["warnings"]
         )
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonIndent2:
+    """`render_json` runs `json_indent2` before Python 3.13 and
+    `json.dumps` from 3.13 on; the two must give the same bytes, so the
+    writer is checked directly on every Python."""
+
+    def test_fixture_reports(self, monkeypatch):
+        variants = [
+            ReportOptions(),
+            ReportOptions(no_oracle=True),
+            ReportOptions(horizon=1),
+            ReportOptions(oracle_depth=1),
+        ]
+        docs = [load_fixture(name)[0] for name in fixture_names()]
+        for doc in docs:
+            for options in variants:
+                report = run_report(doc, options)
+                assert json_indent2(report) + "\n" == dumps(report)
+        monkeypatch.setattr(cli, "PIECE_BUDGET", 20)
+        skips = 0
+        for doc in docs:
+            report = run_report(doc, ReportOptions())
+            skips += sum(v["verdict"] == "skipped"
+                         for v in report["oracle"].get("verdicts", []))
+            assert json_indent2(report) + "\n" == dumps(report)
+        assert skips > 0
+
+    def test_random_reports(self, rng):
+        maps = [random_expanding_action(rng)[0] for _ in range(300)]
+        maps += [random_action(rng) for _ in range(300)]
+        statuses = set()
+        for f in maps:
+            try:
+                report = run_report(MapSpecDocument(f), ReportOptions())
+            except InconsistencyError:
+                continue
+            statuses.add(report["oracle"]["status"])
+            assert json_indent2(report) + "\n" == dumps(report), f
+        assert {"ok", "unavailable"} <= statuses
+
+    @pytest.mark.parametrize("value", [
+        {"quote": 'say "hi"', "backslash": "a\\b", "slash": "a/b"},
+        ["\x00\x01\x1f\t\n\r\x7f", "\u2028\u2029", "\U0001f600"],
+        {"caf\u00e9": "M\u00f6bius \u2013 \u00bd", "": "", "Z": "z", "a": "A"},
+        {}, [], "", {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {}}},
+        [None, True, False], {"none": None, "true": True, "false": False},
+        [-1, 0, 2**64 + 1, -(2**70)], ["a", 1, "b", None], ["x", ["y", "z"]],
+        "bare", 7, -7, None, True, False,
+    ])
+    def test_hand_built_values(self, value):
+        assert json_indent2(value) + "\n" == dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        1.5, (1, 2), {1: "a"}, ["a", 1.5], {"a": [{"b": (1,)}]},
+    ])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            json_indent2(value)

@@ -1,4 +1,5 @@
-"""Randomized property suites, 100 seeded cases each.
+"""Randomized property suites, 100 seeded cases each (300 for the
+spectral radius bound).
 
 Expanding cases come from the lift-viable generator (every image word
 visits circle 1 and the canonical lift's branch orbit stays off the
@@ -155,3 +156,13 @@ def test_certificates_agree_with_census():
             if cert.rule.startswith("delaylowgrow"):
                 continue
             assert cert.conclusion.periods(12) <= table.period_set(), (f, cert)
+
+
+def test_spectral_radius_at_least_one():
+    # image words are non-empty and sign-homogeneous, so +-M is
+    # nonnegative with every column sum >= 1: the radius is >= 1 and the
+    # entropy clamp never fires on a parsed map
+    rng = random.Random(109)
+    for _ in range(3 * CASES):
+        f = random_action(rng)
+        assert eigenvalues(abelianize(f)).spectral_radius >= 1 - 1e-12, f

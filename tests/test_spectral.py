@@ -109,10 +109,11 @@ class TestEntropy:
         assert abs(eigenvalues(DELAYED).entropy - math.log(2) / 3) < 1e-9
 
     def test_clamped_below_one(self):
+        # no parsed map has a radius below 1 (test_properties), but the
+        # clamp keeps a hand-made one at entropy 0
         s = eigenvalues(((0,),))
-        assert s.radius_below_one
+        assert s.spectral_radius < 1
         assert s.entropy == 0.0
-        assert not eigenvalues(SIX_CYCLE).radius_below_one
 
     def test_limit_sequence_low_growth(self):
         seq = entropy_limit(powers(LOW_GROWTH, 30))
