@@ -22,6 +22,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 
@@ -72,10 +73,11 @@ class MapSpecDocument:
     claims: tuple[Claim, ...] = ()
 
 
-def _positive(value: str, what: str, lineno: int) -> int:
-    """A positive integer written in ASCII decimal digits."""
+def _positive(value: str, what: str, err: Callable[[str], InputError]) -> int:
+    """A positive integer written in ASCII decimal digits; `err` builds
+    the line's InputError otherwise."""
     if not (value.isascii() and value.isdigit()) or int(value) < 1:
-        raise InputError(f"line {lineno}: bad {what} {value!r}")
+        raise err(f"bad {what} {value!r}")
     return int(value)
 
 
@@ -98,7 +100,7 @@ def parse_spec(text: str) -> MapSpecDocument:
         if line.replace(" ", "").startswith("n="):
             if n is not None:
                 raise err("duplicate n= declaration")
-            n = _positive(line.split("=", 1)[1].strip(), "circle count", lineno)
+            n = _positive(line.split("=", 1)[1].strip(), "circle count", err)
             continue
         if line.startswith("branch:"):
             if branch_seen:
@@ -107,13 +109,13 @@ def parse_spec(text: str) -> MapSpecDocument:
             rest = line[len("branch:"):].strip()
             if rest.startswith("period"):
                 branch = _positive(
-                    rest[len("period"):].strip(), "branch period", lineno
+                    rest[len("period"):].strip(), "branch period", err
                 )
             elif rest != "free":
                 raise err(f"bad branch declaration {rest!r}")
             continue
         if line.startswith("horizon:"):
-            horizon = _positive(line[len("horizon:"):].strip(), "horizon", lineno)
+            horizon = _positive(line[len("horizon:"):].strip(), "horizon", err)
             continue
         claim_match = _CLAIM_RE.match(line)
         if line.startswith("claim:"):
@@ -510,9 +512,6 @@ def json_indent2(value, nl: str = "\n") -> str:
 
 
 def render_json(report: dict) -> str:
-    # from 3.13 the C encoder handles indent itself and beats json_indent2
-    if sys.version_info >= (3, 13):
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
     return json_indent2(report) + "\n"
 
 

@@ -307,9 +307,8 @@ def dumps(value) -> str:
 
 
 class TestJsonIndent2:
-    """`render_json` runs `json_indent2` before Python 3.13 and
-    `json.dumps` from 3.13 on; the two must give the same bytes, so the
-    writer is checked directly on every Python."""
+    """`render_json` writes through `json_indent2` on every Python; its
+    bytes must equal `json.dumps(indent=2, sort_keys=True)`."""
 
     def test_fixture_reports(self, monkeypatch):
         variants = [
