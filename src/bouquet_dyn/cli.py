@@ -124,7 +124,7 @@ def parse_spec(text: str) -> MapSpecDocument:
             claims.append(
                 Claim(
                     claim_match.group(1),
-                    int(claim_match.group(2)),
+                    _positive(claim_match.group(2), "claim iterate", err),
                     int(claim_match.group(3)),
                     line,
                 )
@@ -196,8 +196,6 @@ def _certificate_json(cert: PeriodCertificate) -> dict:
 def _claim_value(
     c: Claim, table: LefschetzTable, census: FixCountTable
 ) -> int | None:
-    if c.m < 1:
-        return None
     if c.quantity == "L" and c.m <= table.horizon:
         return table.lefschetz_of(c.m)
     if c.quantity == "l" and c.m <= table.horizon:
@@ -359,7 +357,7 @@ def _run_oracle(
     counts = oracle_counts(lift, options.oracle_depth, PIECE_BUDGET)
     counted = len(counts.crossings)
     skipped = {"verdict": "skipped",
-               "reason": f"budget: {counts.budget_error()}"}
+               "reason": f"budget: composed lift exceeds {PIECE_BUDGET} pieces"}
     verdicts = []
     for m in range(1, options.oracle_depth + 1):
         if m > counted:
@@ -545,7 +543,7 @@ def _analyze(args: argparse.Namespace) -> int:
         with open(args.spec_file, encoding="utf-8") as fh:
             doc = parse_spec(fh.read())
         report = run_report(doc, _options_from(args))
-    except (InputError, OSError) as e:
+    except (InputError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except InconsistencyError as e:

@@ -7,9 +7,10 @@ image word, then the first half of circle 1 (mirrored when orientation
 reverses).  All arithmetic is exact rational: crossing counts must be
 exact, so no floating point appears anywhere in this module.  Iterates
 are not stored.  `oracle_counts` sweeps f^1..f^depth one depth at a
-time: it walks one by one only the pieces that touch the integers or the
-branch orbit, and counts every other piece through a table, local to the
-call, of how many pieces share an image and a cell between those points.
+time through one table per depth, local to the call: a piece that
+touches the integers or the branch orbit is an entry of its own, and the
+pieces that share an image and a cell between those points are one entry
+with their count.  Each entry is counted and expanded once.
 `OracleCounts` holds every iterate's counts from that one sweep, and
 `lift_branch_period` follows the branch orbit to its first integer.
 """
@@ -22,12 +23,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    BudgetError,
-    DegenerateMapError,
-    InputError,
-    LiftConstructionError,
-)
+from .errors import DegenerateMapError, InputError, LiftConstructionError
 from .words import MapAction, Word, branch_period_under
 
 HALF = Fraction(1, 2)
@@ -146,13 +142,12 @@ class OracleCounts:
     `crossings[m-1]` counts the diagonal crossings of f^m at non-integer
     points, `covers[m-1]` the preimages of the branching point under f^m
     (the refined cover size).  `over_budget` is the first iterate with
-    more than `budget` pieces, or None.
+    more pieces than the sweep's budget, or None.
     """
 
     crossings: tuple[int, ...]
     covers: tuple[int, ...]
     over_budget: int | None
-    budget: int
 
     def fixed(self, m: int, branch_period: int | None) -> int:
         """Fixed points of f^m on the circles: the crossings, plus 1 when
@@ -160,10 +155,6 @@ class OracleCounts:
         observed to depth >= m)."""
         branch_fixed = branch_period_under(branch_period, m) == 1
         return self.crossings[m - 1] + int(branch_fixed)
-
-    def budget_error(self) -> BudgetError:
-        return BudgetError(f"composed lift exceeds {self.budget} pieces",
-                           smallest_m=self.over_budget)
 
 
 def _scaled(
@@ -209,80 +200,66 @@ def _children(
         x_hi = x_lo
 
 
-def _cover(v_lo: int, v_hi: int, scale: int) -> int:
-    """Integers in a piece's half-open image, from the images of its left
-    and right ends: [v_lo, v_hi) ascending, (v_hi, v_lo] descending."""
-    if v_lo < v_hi:
-        return -(-v_hi // scale) - -(-v_lo // scale)
-    return v_lo // scale - v_hi // scale
-
-
-#: (image of left end, image of right end, O-cell) -> [a piece, count]
-_Table = dict[tuple[int, int, int], list]
-
-
-def _count_walked(
-    walked: list[tuple[int, int, int, int]], k: int, scale: int, top: int
+def _count(
+    piece: tuple[int, int, int, int], k: int, scale: int, top: int
 ) -> tuple[int, int]:
-    """Diagonal crossings off the integers and cover count of the pieces
-    of f^k handled one by one."""
-    crossed = covered = 0
-    for lo, hi, s, b in walked:
-        covered += _cover(s * lo + b, s * hi + b, scale)
-        if s == 1:
-            if b == 0:
-                raise DegenerateMapError(
-                    f"iterate {k} of the lift is the identity on "
-                    f"[{Fraction(lo, scale)}, {Fraction(hi, scale)}); "
-                    "the map is not expanding"
-                )
-            continue
-        # fixed point x = b / (scale * (1 - s)); compare by cross-multiplying
-        d = 1 - s
-        lod, hid = lo * d, hi * d
-        in_piece = (lod <= b < hid) if d > 0 else (hid < b <= lod)
-        if not in_piece and hi == top and b == hid:
-            in_piece = True
-        if in_piece and b % (scale * d) != 0:
-            crossed += 1
-    return crossed, covered
-
-
-def _tally(table: _Table, piece: tuple[int, int, int, int], cell: int,
-           count: int) -> None:
+    """Diagonal crossings off the integers (0 or 1) and cover count of one
+    piece of f^k."""
     lo, hi, s, b = piece
-    key = (s * lo + b, s * hi + b, cell)
-    if key in table:
-        table[key][1] += count
+    v_lo, v_hi = s * lo + b, s * hi + b
+    # integers in the half-open image: [v_lo, v_hi) ascending, (v_hi, v_lo]
+    # descending
+    if v_lo < v_hi:
+        covered = -(-v_hi // scale) - -(-v_lo // scale)
     else:
-        table[key] = [piece, count]
+        covered = v_lo // scale - v_hi // scale
+    if s == 1:
+        if b == 0:
+            raise DegenerateMapError(
+                f"iterate {k} of the lift is the identity on "
+                f"[{Fraction(lo, scale)}, {Fraction(hi, scale)}); "
+                "the map is not expanding"
+            )
+        return 0, covered
+    # fixed point x = b / (scale * (1 - s)); compare by cross-multiplying
+    d = 1 - s
+    lod, hid = lo * d, hi * d
+    in_piece = (lod <= b < hid) if d > 0 else (hid < b <= lod)
+    if not in_piece and hi == top and b == hid:
+        in_piece = True
+    return int(in_piece and b % (scale * d) != 0), covered
 
 
 def _next_depth(
     base: list[tuple[int, int, int, int]], los: list[int], points: list[int],
-    walked: list[tuple[int, int, int, int]], table: _Table,
-) -> tuple[list[tuple[int, int, int, int]], _Table]:
-    """The pieces of f^(k+1): the children of walked pieces that are not
-    clean, and the clean ones tallied by key.  One piece stands for each
-    key; its children, in its own cell, stand for all of the key's."""
-    next_walked: list[tuple[int, int, int, int]] = []
-    next_table: _Table = {}
-    for piece in walked:
+    entries: list[list],
+) -> list[list]:
+    """The [piece, count] entries of f^(k+1) from those of f^k.
+
+    A clean child is keyed by its oriented image and its O-cell, any other
+    child by itself (the pieces of f^(k+1) tile [0, n], so that key is
+    unique).  The children of a clean piece lie in its domain and their
+    slopes are multiples of its own, so they are clean and in its cell:
+    one piece stands for each key, and its children, counted `count`
+    times, stand for all of the key's."""
+    table: dict[tuple, list] = {}
+    for piece, count in entries:
         for child in _children(base, los, *piece):
-            lo, hi, s, _ = child
+            lo, hi, s, b = child
             cell = bisect_left(points, lo)
             if abs(s) >= 2 and points[cell] > hi:
-                _tally(next_table, child, cell, 1)
+                key = (s * lo + b, s * hi + b, cell)
             else:
-                next_walked.append(child)
-    for (_, _, cell), (piece, count) in table.items():
-        for child in _children(base, los, *piece):
-            _tally(next_table, child, cell, count)
-    return next_walked, next_table
+                key = child
+            if key in table:
+                table[key][1] += count
+            else:
+                table[key] = [child, count]
+    return list(table.values())
 
 
 def _marks(
-    lift: PLLift, depth: int, scale: int,
+    depth: int, scale: int, top: int,
     base: list[tuple[int, int, int, int]], los: list[int],
 ) -> list[int]:
     """O in units of 1/scale, sorted: the integers 0..n, and each value v
@@ -295,16 +272,17 @@ def _marks(
     lift those values are the integers and 1/2 = f(0), and O is the
     integers and f^1..f^depth of the branching point.
     """
-    top = lift.n * scale
     assert set(range(0, top, scale)) <= set(los), (
         "every integer must be a piece end")
     starts = {s * x + b for lo, hi, s, b in base for x in (lo, hi)}
     points = set(range(0, top + 1, scale))
-    for v in starts:
-        if v % scale:
-            points.add(v)
-            points.update(int(x * scale) for x in
-                          _orbit(lift, Fraction(v, scale), depth - 1))
+    for x in starts:
+        if x % scale:
+            points.add(x)
+            for _ in range(depth - 1):
+                _, _, s, b = base[bisect_right(los, x) - 1]
+                x = s * x + b
+                points.add(x)
     return sorted(points)
 
 
@@ -325,51 +303,41 @@ def oracle_counts(
     depend on the image alone.  All the counts below a clean piece thus
     depend only on its oriented image and its cell.
 
-    So the pieces of depth 1 and the pieces that are not clean (those
-    touching O: at most 2|O| per depth on a canonical lift) are walked
-    one by one, with the full crossing test and the identity check.  The
-    clean pieces of each depth live in a table keyed by (oriented image,
-    cell) that holds how many there are; each key's counts and children
-    are computed once.  The table lives for one call and is freed on
-    return; no composite is kept.  Piece counts are exact per depth, so
-    the sweep stops at the first depth k >= 2 with more than `budget`
-    pieces (`over_budget`) and every shallower count is complete.  A
-    piece of f^k within budget that lies on the diagonal means the map is
-    not expanding and is rejected.
+    So each depth is one table of [piece, count] entries: one entry per
+    (oriented image, cell) of clean pieces, holding how many there are,
+    and one entry of count 1 per other piece (at most 2|O| per depth on a
+    canonical lift).  Every entry is counted once, with the full crossing
+    test and the identity check, and its children are expanded once.  The
+    table lives for one call and is freed on return; no composite is
+    kept.  Piece counts are exact per depth, so the sweep stops at the
+    first depth k >= 2 with more than `budget` pieces (`over_budget`) and
+    every shallower count is complete.  A piece of f^k within budget that
+    lies on the diagonal means the map is not expanding and is rejected.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     scale, base = _scaled(lift, depth)
+    top = lift.n * scale
     los = [lo for lo, _, _, _ in base]
-    points = _marks(lift, depth, scale, base, los)
-    walked, table = base, {}
+    points = _marks(depth, scale, top, base, los)
+    entries = [[piece, 1] for piece in base]
     crossings: list[int] = []
     covers: list[int] = []
     over = None
     for k in range(1, depth + 1):
-        if k > 1 and len(walked) + sum(c for _, c in table.values()) > budget:
+        if k > 1 and sum(count for _, count in entries) > budget:
             over = k
             break
-        crossed, covered = _count_walked(walked, k, scale, lift.n * scale)
-        for (v_lo, v_hi, cell), (_, count) in table.items():
-            covered += count * _cover(v_lo, v_hi, scale)
-            if (min(v_lo, v_hi) <= points[cell - 1]
-                    and max(v_lo, v_hi) >= points[cell]):
-                crossed += count
+        crossed = covered = 0
+        for piece, count in entries:
+            crossing, cover = _count(piece, k, scale, top)
+            crossed += count * crossing
+            covered += count * cover
         crossings.append(crossed)
         covers.append(covered)
         if k < depth:
-            walked, table = _next_depth(base, los, points, walked, table)
-    return OracleCounts(tuple(crossings), tuple(covers), over, budget)
-
-
-def _orbit(lift: PLLift, x: Fraction, steps: int) -> list[Fraction]:
-    """f(x), f^2(x), .., f^steps(x), evaluated pointwise and exactly."""
-    out = []
-    for _ in range(steps):
-        x = lift.value(x)
-        out.append(x)
-    return out
+            entries = _next_depth(base, los, points, entries)
+    return OracleCounts(tuple(crossings), tuple(covers), over)
 
 
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:

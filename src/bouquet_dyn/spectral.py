@@ -157,13 +157,14 @@ def entropy_limit(ladder: Ladder) -> list[float]:
     return out
 
 
-def dominant_test(s: SpectrumReport, eps: float = DOMINANCE_EPS) -> bool:
-    """True when the leading modulus exceeds both 1 and the runner-up by eps."""
+def dominant_test(s: SpectrumReport) -> bool:
+    """True when the leading modulus exceeds both 1 and the runner-up by
+    DOMINANCE_EPS."""
     if not s.values:
         return False
     return (
-        s.spectral_radius > 1.0 + eps
-        and s.spectral_radius > s.second_modulus + eps
+        s.spectral_radius > 1.0 + DOMINANCE_EPS
+        and s.spectral_radius > s.second_modulus + DOMINANCE_EPS
     )
 
 

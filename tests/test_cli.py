@@ -270,6 +270,36 @@ class TestMain:
     def test_missing_file_exit_code(self, capsys):
         assert main(["analyze", "/nonexistent.bqd"]) == 1
 
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "map.bqd"
+        p.write_bytes(b"n=1\nbranch: free\na1 -> a1 a1 # caf\xe9\n")
+        assert main(["analyze", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't decode byte 0xe9 in position 34: "
+            "invalid continuation byte\n"
+        )
+
+    def test_claim_iterate_zero_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "map.bqd"
+        p.write_text("n=1\nbranch: free\na1 -> a1 a1\nclaim: fix(0) = 1\n")
+        assert main(["analyze", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 4: bad claim iterate '0'\n"
+        )
+
+    def test_claim_beyond_horizon_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "map.bqd"
+        p.write_text("n=1\nbranch: free\nhorizon: 12\na1 -> a1 a1\n"
+                     "claim: fix(13) = 1\n")
+        assert main(["analyze", str(p), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["claims"] == [{"text": "claim: fix(13) = 1",
+                                     "computed": None,
+                                     "verdict": "out-of-range"}]
+        assert report["warnings"] == [
+            "claim beyond computed horizon: claim: fix(13) = 1"
+        ]
+
     def test_fixtures_pass(self, capsys):
         assert main(["fixtures"]) == 0
         out = capsys.readouterr().out
