@@ -10,10 +10,8 @@ from .errors import (
 )
 from .homology import (
     LefschetzTable,
+    PowerSequences,
     abelianize,
-    norm1,
-    powers,
-    trace,
 )
 from .periods import (
     Conclusion,
@@ -33,7 +31,6 @@ from .pl_oracle import (
 )
 from .spectral import (
     SpectrumReport,
-    char_poly,
     dominant_test,
     eigenvalues,
     entropy_limit,

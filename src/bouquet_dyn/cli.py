@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import InconsistencyError, InputError, LiftConstructionError
-from .homology import Ladder, LefschetzTable, abelianize, norm1, powers
+from .homology import IntMatrix, LefschetzTable, PowerSequences, abelianize
 from .periods import (
     FixCountTable,
     PeriodCertificate,
@@ -36,18 +36,18 @@ from .periods import (
     per_census,
     period_certificates,
 )
-from .pl_oracle import (
-    PIECE_BUDGET,
-    build_lift,
-    lift_branch_period,
-    oracle_counts,
-)
+from .pl_oracle import PIECE_BUDGET, build_lift, oracle_counts
 from .spectral import eigenvalues, entropy_limit
 from .words import BRANCH_FREE, MapAction, Word, orientation
 
 DEFAULT_HORIZON = 12
 DEFAULT_ORACLE_DEPTH = 6
 DEFAULT_ENTROPY_HORIZON = 30
+
+#: the most decimal digits any integer in a report may need.  CPython
+#: 3.11+ refuses by default to convert an int of more than 4 300 digits to
+#: a string; the cap sits below that, and is the same on every version.
+DIGIT_CAP = 4000
 
 _CLAIM_RE = re.compile(
     r"^claim:\s*(L|l|fix|per)\s*\(\s*(\d+)\s*\)\s*=\s*(-?\d+)\s*$",
@@ -207,13 +207,37 @@ def _claim_value(
     return None
 
 
+def _digit_bound(mat: IntMatrix, iterates: int) -> float:
+    """An upper bound on the decimal digits of every integer a report
+    prints, when its census, Lefschetz table and oracle reach iterate
+    `iterates`.
+
+    Let c be the largest column sum of |M|, the longest image word.  The
+    column sums of |M^m| are at most c^m, so every trace, fix count,
+    norm and cover up to iterate K is at most 1 + n c^K + 2n <= 4 n c^K,
+    and every Moebius sum of them (l, per, the fmbig divisor sums) at
+    most K times that: fewer than K log10 c + log10(4 n K) + 1 digits.
+    A coefficient of the characteristic polynomial is at most
+    binomial(n, i) rho^i <= (2c)^n, for the spectral radius rho <= c.
+    """
+    n = len(mat)
+    c = max(sum(map(abs, col)) for col in zip(*mat))
+    return 1 + max(
+        iterates * math.log10(c) + math.log10(4 * n * iterates),
+        n * math.log10(2 * c),
+    )
+
+
 def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     """One deterministic machine-readable report for one map description.
 
     Big integers serialize as decimal strings, rationals as p/q, reals
     with 15 significant digits, so the output round-trips losslessly.
-    Every matrix power and fixed-point count is computed once, on one
-    ladder M^1..M^K, and read by each consumer.
+    Every per-iterate quantity is computed once, in one
+    `PowerSequences` record of M^1..M^K, K the largest of the horizon,
+    the entropy horizon and the oracle depth, and read by each consumer.
+    An input whose printed integers could need more than DIGIT_CAP
+    digits is refused before the record is built.
     """
     f = doc.action
     horizon = options.horizon
@@ -230,14 +254,25 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         raise InputError(f"oracle depth must be >= 1, got {oracle_depth}")
     warnings: list[str] = []
     mat = abelianize(f)
-    ladder = powers(mat, max(horizon, options.entropy_horizon, oracle_depth))
-    fixes = fix_counts(f, ladder[: max(horizon, oracle_depth)])
-    table = LefschetzTable.of(ladder[:horizon])
+    counted = max(horizon, oracle_depth)
+    digits = _digit_bound(mat, counted)
+    if digits > DIGIT_CAP:
+        raise InputError(
+            f"iterates up to {counted} could need integers of "
+            f"{math.ceil(digits)} digits, over the cap of {DIGIT_CAP} digits"
+        )
+    seqs = PowerSequences.of(
+        mat, max(horizon, options.entropy_horizon, oracle_depth))
+    fixes = fix_counts(f, seqs, counted)
+    table = LefschetzTable.of(seqs.traces[:horizon])
     census = per_census(fixes[:horizon])
-    spectrum = eigenvalues(mat)
-    limit_seq = entropy_limit(ladder[: options.entropy_horizon])
+    spectrum = eigenvalues(seqs.char)
+    limit_seq = entropy_limit(seqs.norms[: options.entropy_horizon])
     h_spec = spectrum.entropy
 
+    # each integer is written in decimal once, however often it is printed
+    lef_text = list(map(str, table.lefschetz_numbers))
+    fix_text = list(map(str, census.fix_counts))
     checks = []
     for m in range(1, horizon + 1):
         c = lefschetz_fix_check(f, m, table.lefschetz_of(m), census.fix_of(m))
@@ -246,8 +281,8 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
                 "m": m,
                 "mode": c.mode,
                 "passed": c.passed,
-                "L": str(c.lefschetz_value),
-                "fix": str(c.fix_value),
+                "L": lef_text[m - 1],
+                "fix": fix_text[m - 1],
             }
         )
         if c.mode == "bound-abs":
@@ -257,9 +292,9 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
             if note not in warnings:
                 warnings.append(note)
 
-    certificates = period_certificates(f, ladder, census, spectrum)
+    certificates = period_certificates(f, seqs, census, spectrum)
 
-    oracle = _run_oracle(f, options, ladder, fixes, warnings)
+    oracle = _run_oracle(f, options, seqs.norms, fixes, warnings)
 
     claims = []
     for c in doc.claims:
@@ -296,11 +331,11 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         "lefschetz": {
             "horizon": horizon,
             "trace": list(map(str, table.traces)),
-            "L": list(map(str, table.lefschetz_numbers)),
+            "L": lef_text,
             "l": list(map(str, table.periodic_lefschetz_numbers)),
         },
         "census": {
-            "fix": list(map(str, census.fix_counts)),
+            "fix": fix_text,
             "per": list(map(str, census.per_counts)),
             "period_set": sorted(census.period_set()),
         },
@@ -336,7 +371,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
 def _run_oracle(
     f: MapAction,
     options: ReportOptions,
-    ladder: Ladder,
+    norms: tuple[int, ...],
     fixes: tuple[int, ...],
     warnings: list[str],
 ) -> dict:
@@ -346,7 +381,8 @@ def _run_oracle(
         lift = build_lift(f)
     except LiftConstructionError as e:
         return {"status": "unavailable", "reason": str(e)}
-    observed = lift_branch_period(lift, max(13, options.oracle_depth + 1))
+    counts = oracle_counts(lift, options.oracle_depth, PIECE_BUDGET)
+    observed = counts.branch_period
     branch_mismatch = observed != f.branch_class
     if branch_mismatch:
         warnings.append(
@@ -354,7 +390,6 @@ def _run_oracle(
             f"has period {observed if observed else 'none observed'} but "
             f"the declaration says {_branch_text(f.branch_class)}"
         )
-    counts = oracle_counts(lift, options.oracle_depth, PIECE_BUDGET)
     counted = len(counts.crossings)
     skipped = {"verdict": "skipped",
                "reason": f"budget: composed lift exceeds {PIECE_BUDGET} pieces"}
@@ -385,7 +420,7 @@ def _run_oracle(
             cover_checks.append({"m": m, **skipped})
             continue
         cov = counts.covers[m - 1]
-        nrm = norm1(ladder[m - 1])
+        nrm = norms[m - 1]
         cover_checks.append(
             {
                 "m": m,

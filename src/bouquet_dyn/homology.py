@@ -2,16 +2,19 @@
 
 Abelianizing the induced endomorphism gives an n-by-n integer matrix M
 whose (i, j) entry is the signed occurrence count of generator i in the
-image of generator j.  A report builds the ladder M^1..M^K once
-(`powers`) and reads every per-iterate quantity from it.
-`LefschetzTable.of(ladder)` is the one route to the Lefschetz numbers
-L(f^m) = 1 - tr M^m (a bouquet has homology in dimensions 0 and 1 only,
-and every iterate acts on dimension 0 as the identity) and to their
-Moebius inversions l(f^m).  `invert_divisor_sums` is the one Moebius
-inversion, read by l(f^m) here and by the census's per(m); it sieves
-instead of summing mu(r) over the divisors of each m.  All of it is
-exact integer arithmetic: no floating point appears anywhere in this
-module, since traces grow like the spectral radius to the m-th power.
+image of generator j.  A report builds one `PowerSequences` record of
+M^1..M^K and reads every per-iterate quantity from it: only the first
+few powers are built as matrices, and the traces, diagonals, column sums
+and norms of the rest follow the recurrence of the characteristic
+polynomial.  `LefschetzTable.of(traces)` is the one route to the
+Lefschetz numbers L(f^m) = 1 - tr M^m (a bouquet has homology in
+dimensions 0 and 1 only, and every iterate acts on dimension 0 as the
+identity) and to their Moebius inversions l(f^m).  `invert_divisor_sums`
+is the one Moebius inversion, read by l(f^m) here and by the census's
+per(m); it sieves instead of summing mu(r) over the divisors of each m.
+All of it is exact integer arithmetic: no floating point appears
+anywhere in this module, since traces grow like the spectral radius to
+the m-th power.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .words import MapAction, chi
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
-#: (M^1, ..., M^k): ladder[m-1] is the m-th power
-Ladder = tuple[IntMatrix, ...]
+#: the record holds M^1..M^HEAD_POWERS as matrices (more when n is larger)
+HEAD_POWERS = 6
 
 
 def abelianize(f: MapAction) -> IntMatrix:
@@ -37,12 +40,6 @@ def abelianize(f: MapAction) -> IntMatrix:
     )
 
 
-def identity(n: int) -> IntMatrix:
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
-
-
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     bt = tuple(zip(*b))
     return tuple(
@@ -50,24 +47,65 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def powers(a: IntMatrix, k: int) -> Ladder:
-    """The ladder (M^1, ..., M^k) as a running product, one multiplication
-    per power; every report reads its matrix powers from one ladder."""
-    if k < 0:
-        raise InputError(f"ladder length must be >= 0, got {k}")
-    out = [a] if k else []
-    while len(out) < k:
-        out.append(mat_mul(out[-1], a))
-    return tuple(out)
+@dataclass(frozen=True)
+class PowerSequences:
+    """Per-iterate data of M^1..M^K, for a matrix M whose entries share
+    one sign s (every abelianized map's do: its image words share one).
 
+    `head` holds the full matrices M^1..M^h, h = max(n, min(K,
+    HEAD_POWERS)).  `char` is det(xI - M) as [c_0, ..., c_n], c_n = 1,
+    from Newton's identities on tr M^1..M^n; every division is exact,
+    which is asserted.  For m = 1..K, `diagonals[m-1]` is the diagonal of M^m and
+    `column_sums[m-1]` its signed column sums.  Past the head each of
+    these 2n sequences follows x_m = -(c_0 x_(m-n) + ... + c_(n-1)
+    x_(m-1)), because Cayley-Hamilton holds entry by entry; zero
+    coefficients are skipped.  `traces[m-1]` is tr M^m, and `norms[m-1]`
+    is ||M^m||_1, the sum of |entries|: every entry of M^m has the sign
+    s^m, so that is |sum of the column sums|, and a column's 1-norm is
+    the modulus of its sum.
+    """
 
-def trace(a: IntMatrix) -> int:
-    return sum(a[i][i] for i in range(len(a)))
+    head: tuple[IntMatrix, ...]
+    char: tuple[int, ...]
+    diagonals: tuple[tuple[int, ...], ...]
+    column_sums: tuple[tuple[int, ...], ...]
+    traces: tuple[int, ...]
+    norms: tuple[int, ...]
 
-
-def norm1(a: IntMatrix) -> int:
-    """Sum of absolute values of all entries."""
-    return sum(sum(map(abs, row)) for row in a)
+    @staticmethod
+    def of(a: IntMatrix, k: int) -> "PowerSequences":
+        """The record of M^1..M^k for M = a."""
+        if k < 0:
+            raise InputError(f"power count must be >= 0, got {k}")
+        if {x > 0 for row in a for x in row if x} == {True, False}:
+            raise InputError("matrix entries must share one sign")
+        n = len(a)
+        head = [a]
+        while len(head) < max(n, min(k, HEAD_POWERS)):
+            head.append(mat_mul(head[-1], a))
+        # one vector per power: its diagonal, then its column sums
+        vecs = [[p[j][j] for j in range(n)] + list(map(sum, zip(*p)))
+                for p in head]
+        head_traces = [sum(v[:n]) for v in vecs[:n]]
+        char = [0] * n + [1]
+        for i in range(1, n + 1):
+            t = sum(map(operator.mul, char[n - i + 1:], head_traces))
+            assert t % i == 0, "inexact division in characteristic polynomial"
+            char[n - i] = -t // i
+        lags = [n - i for i in range(n) if char[i]]
+        coeffs = [-char[i] for i in range(n) if char[i]]
+        for m in range(len(head), k):
+            rows = [vecs[m - lag] for lag in lags]
+            vecs.append([sum(map(operator.mul, coeffs, col))
+                         for col in zip(*rows)] or [0] * (2 * n))
+        del vecs[k:]
+        diagonals = tuple(tuple(v[:n]) for v in vecs)
+        column_sums = tuple(tuple(v[n:]) for v in vecs)
+        return PowerSequences(
+            tuple(head), tuple(char), diagonals, column_sums,
+            tuple(map(sum, diagonals)),
+            tuple(abs(sum(sums)) for sums in column_sums),
+        )
 
 
 def divisor_sums(values: Sequence[int]) -> list[int]:
@@ -105,12 +143,12 @@ class LefschetzTable:
     periodic_lefschetz_numbers: tuple[int, ...]
 
     @staticmethod
-    def of(ladder: Ladder) -> "LefschetzTable":
-        """The table up to horizon len(ladder), read off the ladder's traces."""
-        horizon = len(ladder)
+    def of(traces: Sequence[int]) -> "LefschetzTable":
+        """The table up to horizon len(traces), traces[m-1] = tr M^m."""
+        horizon = len(traces)
         if horizon < 1:
             raise InputError(f"horizon must be >= 1, got {horizon}")
-        traces = tuple(trace(power) for power in ladder)
+        traces = tuple(traces)
         lef = tuple(1 - t for t in traces)
         per = tuple(invert_divisor_sums(lef))
         return LefschetzTable(horizon, traces, lef, per)

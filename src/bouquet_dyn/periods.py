@@ -9,14 +9,15 @@ periodic Lefschetz number mixes two period counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import InconsistencyError, InputError
 from .homology import (
+    HEAD_POWERS,
     IntMatrix,
-    Ladder,
+    PowerSequences,
     divisor_sums,
     invert_divisor_sums,
-    trace,
 )
 from .spectral import SpectrumReport, dominant_test, m0_bound
 from .words import (
@@ -31,20 +32,24 @@ from .words import (
 # ---------------------------------------------------------------------------
 # exact counts
 
-def fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:
-    """Number of fixed points of every iterate m = 1..len(ladder), exactly.
+def fix_counts(
+    f: MapAction, seqs: PowerSequences, horizon: int | None = None
+) -> tuple[int, ...]:
+    """Number of fixed points of every iterate m = 1..horizon (default:
+    every iterate the record holds), exactly.
 
-    ladder[m-1] is M^m, whose diagonal entry j is chi_j of the iterate
-    image of generator j.  When the branching point is not fixed by f^m
-    (`branch_period_under` is not 1) the count is |1 - tr M^m|; when it
-    is, the branching point contributes 1 and the interior crossings are
-    counted by gamma instead: chi_j less the first and last letters of
-    the iterate image when they are a_j (an image of one letter has no
-    interior).  Those letters are followed along the orbits of a_j and
-    a_j' under the one-step letter map (`words.first_letter`), in one
-    forward pass.  Letters are signed codes here: a_j is j and a_j' is
-    -j, and the one-step map is one dict over the codes +-1..+-n, built
-    from `first_letter` once per call.
+    The record holds, per iterate, the diagonal of M^m, whose entry j is
+    chi_j of the iterate image of generator j, and the column sums of
+    M^m, whose modulus is the length of that image.  When the branching
+    point is not fixed by f^m (`branch_period_under` is not 1) the count
+    is |1 - tr M^m|; when it is, the branching point contributes 1 and
+    the interior crossings are counted by gamma instead: chi_j less the
+    first and last letters of the iterate image when they are a_j (an
+    image of one letter has no interior).  Those letters are followed
+    along the orbits of a_j and a_j' under the one-step letter map
+    (`words.first_letter`), in one forward pass.  Letters are signed
+    codes here: a_j is j and a_j' is -j, and the one-step map is one dict
+    over the codes +-1..+-n, built from `first_letter` once per call.
     """
     gens = range(1, f.n + 1)
     step = {}
@@ -55,17 +60,22 @@ def fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:
     firsts = list(gens)
     lasts_inv = [-j for j in gens]
     out = []
-    for m, power in enumerate(ladder, start=1):
+    per_iterate = zip(seqs.traces, seqs.diagonals, seqs.column_sums)
+    if horizon is not None:
+        per_iterate = islice(per_iterate, horizon)
+    for m, (tr, diagonal, sums) in enumerate(per_iterate, start=1):
         firsts = [step[c] for c in firsts]
         lasts_inv = [step[c] for c in lasts_inv]
         if branch_period_under(f.branch_class, m) != 1:
-            out.append(abs(1 - trace(power)))
+            out.append(abs(1 - tr))
             continue
         total = 0
-        for j, first, last_inv in zip(gens, firsts, lasts_inv):
-            if sum(abs(row[j - 1]) for row in power) <= 1:
+        for j, d_jj, sum_j, first, last_inv in zip(
+            gens, diagonal, sums, firsts, lasts_inv
+        ):
+            if abs(sum_j) <= 1:
                 continue
-            total += power[j - 1][j - 1]
+            total += d_jj
             # an end letter a_j (a_j') is not interior: take off +1 (-1)
             if abs(first) == j:
                 total -= first // j
@@ -292,14 +302,14 @@ def _lowgrow_on(mat: IntMatrix, k: int | None) -> tuple[str, Conclusion, dict] |
     return None
 
 
-def _criteria_hits(f: MapAction, ladder: Ladder):
+def _criteria_hits(f: MapAction, head: tuple[IntMatrix, ...]):
     """Yield (m, family, case, conclusion, witness) for each hypothesis
-    family that fires on the chi-matrix ladder[m-1] = M^m of f^m, in
-    order of m, doubling before low growth.
+    family that fires on the chi-matrix head[m-1] = M^m of f^m, in order
+    of m, doubling before low growth.
 
     The branching point's least period rescales to k / gcd(k, m).
     """
-    for m, mat in enumerate(ladder, start=1):
+    for m, mat in enumerate(head, start=1):
         k_m = branch_period_under(f.branch_class, m)
         for family, tester in (("doubling", _doubling_on), ("lowgrow", _lowgrow_on)):
             hit = tester(mat, k_m)
@@ -368,12 +378,15 @@ def dominant_periods(
 
 
 def period_certificates(
-    f: MapAction, ladder: Ladder, census: FixCountTable, spectrum: SpectrumReport
+    f: MapAction,
+    seqs: PowerSequences,
+    census: FixCountTable,
+    spectrum: SpectrumReport,
 ) -> list[PeriodCertificate]:
     """Every period certificate that fires for f, in report order.
 
     The doubling and low-growth families are tried on M^1..M^min(H, 6),
-    read off the ladder, H being the census horizon.  At m = 1 each
+    read off the record's head, H being the census horizon.  At m = 1 each
     family that fires gives its own certificate.  The first later hit
     whose conclusion promotes gives one delayed certificate over
     multiples of m.  Then fmbig is tested once at each m up to H, and the
@@ -381,7 +394,7 @@ def period_certificates(
     """
     certs = []
     for m, family, case, conclusion, witness in _criteria_hits(
-        f, ladder[: min(census.horizon, 6)]
+        f, seqs.head[: min(census.horizon, HEAD_POWERS)]
     ):
         if m == 1:
             certs.append(PeriodCertificate(f"{family}({case})", conclusion, witness))

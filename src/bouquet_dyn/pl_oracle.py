@@ -11,8 +11,9 @@ time through one table per depth, local to the call: a piece that
 touches the integers or the branch orbit is an entry of its own, and the
 pieces that share an image and a cell between those points are one entry
 with their count.  Each entry is counted and expanded once.
-`OracleCounts` holds every iterate's counts from that one sweep, and
-`lift_branch_period` follows the branch orbit to its first integer.
+`OracleCounts` holds every iterate's counts from that one sweep, and the
+branch period it observes on the one walk of the branch orbit that also
+marks the cells; `lift_branch_period` gives that period alone.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ HALF = Fraction(1, 2)
 
 #: composed lifts may not exceed this many linear pieces
 PIECE_BUDGET = 10**7
+
+#: `oracle_counts` follows the branch orbit at least this many steps
+BRANCH_WATCH = 13
 
 
 @dataclass(frozen=True)
@@ -142,17 +146,21 @@ class OracleCounts:
     `crossings[m-1]` counts the diagonal crossings of f^m at non-integer
     points, `covers[m-1]` the preimages of the branching point under f^m
     (the refined cover size).  `over_budget` is the first iterate with
-    more pieces than the sweep's budget, or None.
+    more pieces than the sweep's budget, or None.  `branch_period` is
+    the least t <= max(BRANCH_WATCH, depth + 1) with f^t(0) at an
+    integer, or None: the lift's branch period, as `lift_branch_period`
+    gives it.
     """
 
     crossings: tuple[int, ...]
     covers: tuple[int, ...]
     over_budget: int | None
+    branch_period: int | None
 
     def fixed(self, m: int, branch_period: int | None) -> int:
         """Fixed points of f^m on the circles: the crossings, plus 1 when
         f^m fixes the branching point (`branch_period` is the lift's,
-        observed to depth >= m)."""
+        observed to depth >= m, such as `self.branch_period`)."""
         branch_fixed = branch_period_under(branch_period, m) == 1
         return self.crossings[m - 1] + int(branch_fixed)
 
@@ -258,24 +266,50 @@ def _next_depth(
     return list(table.values())
 
 
+def _branch_orbit(
+    steps: int, scale: int,
+    base: list[tuple[int, int, int, int]], los: list[int],
+) -> tuple[list[int], int | None]:
+    """f^1(0), f^2(0), ... in units of 1/scale, up to `steps` points or
+    to the first integer among them, and the number t of that integer
+    (None if none is met), read through the lift's integer pieces."""
+    orbit: list[int] = []
+    x = 0
+    for t in range(1, steps + 1):
+        _, _, s, b = base[bisect_right(los, x) - 1]
+        x = s * x + b
+        orbit.append(x)
+        if x % scale == 0:
+            return orbit, t
+    return orbit, None
+
+
 def _marks(
     depth: int, scale: int, top: int,
     base: list[tuple[int, int, int, int]], los: list[int],
-) -> list[int]:
-    """O in units of 1/scale, sorted: the integers 0..n, and each value v
-    the lift takes at a piece end, with f(v) .. f^(depth-1)(v) when v is
-    not an integer.
+) -> tuple[list[int], int | None]:
+    """O in units of 1/scale, sorted, and the lift's branch period to
+    max(BRANCH_WATCH, depth + 1).  O holds the integers 0..n, and each
+    value v the lift takes at a piece end, with f(v) .. f^(depth-1)(v)
+    when v is not an integer.
 
     A piece of f^k has image endpoints f_p(x) for lift pieces p and x an
     end of p or an image endpoint of a piece of f^(k-1), so by induction
     they all lie in O (an integer is always a piece end).  On a canonical
     lift those values are the integers and 1/2 = f(0), and O is the
-    integers and f^1..f^depth of the branching point.
+    integers and f^1..f^depth of the branching point.  That orbit is
+    followed once, past depth for the branch period; only its first
+    depth points go into O.  After an integer f^t(0) the orbit goes on
+    as the orbit of f(f^t(0)), a piece-end value of its own.
     """
     assert set(range(0, top, scale)) <= set(los), (
         "every integer must be a piece end")
-    starts = {s * x + b for lo, hi, s, b in base for x in (lo, hi)}
+    orbit, period = _branch_orbit(max(BRANCH_WATCH, depth + 1), scale,
+                                  base, los)
     points = set(range(0, top + 1, scale))
+    points.update(orbit[:depth])
+    starts = {s * x + b for lo, hi, s, b in base for x in (lo, hi)}
+    starts.discard(orbit[0])
     for x in starts:
         if x % scale:
             points.add(x)
@@ -283,7 +317,7 @@ def _marks(
                 _, _, s, b = base[bisect_right(los, x) - 1]
                 x = s * x + b
                 points.add(x)
-    return sorted(points)
+    return sorted(points), period
 
 
 def oracle_counts(
@@ -319,7 +353,7 @@ def oracle_counts(
     scale, base = _scaled(lift, depth)
     top = lift.n * scale
     los = [lo for lo, _, _, _ in base]
-    points = _marks(depth, scale, top, base, los)
+    points, branch_period = _marks(depth, scale, top, base, los)
     entries = [[piece, 1] for piece in base]
     crossings: list[int] = []
     covers: list[int] = []
@@ -337,15 +371,11 @@ def oracle_counts(
         covers.append(covered)
         if k < depth:
             entries = _next_depth(base, los, points, entries)
-    return OracleCounts(tuple(crossings), tuple(covers), over)
+    return OracleCounts(tuple(crossings), tuple(covers), over, branch_period)
 
 
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:
     """Least t <= depth with f^t(0), the branch orbit, at an integer, or
     None."""
-    x = Fraction(0)
-    for t in range(1, depth + 1):
-        x = lift.value(x)
-        if x.denominator == 1:
-            return t
-    return None
+    scale, base = _scaled(lift, 1)
+    return _branch_orbit(depth, scale, base, [lo for lo, _, _, _ in base])[1]

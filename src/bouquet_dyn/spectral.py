@@ -1,9 +1,10 @@
 """Spectral data of the homology matrix: eigenvalues, entropy, growth bounds.
 
-The characteristic polynomial is computed exactly over the integers, zero
-roots are stripped exactly, and the remaining roots come from a
-deterministic simultaneous-iteration solver.  Entropy is the natural log
-of the spectral radius, clamped at zero for degenerate inputs.
+The exact integer characteristic polynomial comes from the report's
+`homology.PowerSequences` record, zero roots are stripped exactly, and
+the remaining roots come from a deterministic simultaneous-iteration
+solver.  Entropy is the natural log of the spectral radius, clamped at
+zero for degenerate inputs.
 """
 
 from __future__ import annotations
@@ -12,38 +13,15 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InputError
-from .homology import IntMatrix, Ladder, identity, mat_mul, norm1, trace
 
 #: modulus gap below which two leading eigenvalues count as tied
 DOMINANCE_EPS = 1e-8
 
 #: upper end of the range `m0_bound` bisects
 M0_SCAN_CAP = 10_000
-
-
-def char_poly(a: IntMatrix) -> list[int]:
-    """Coefficients [c_0, ..., c_n] of det(xI - A), c_n = 1, exact integers.
-
-    Trace-based coefficient recursion; every division is exact, which is
-    asserted.
-    """
-    n = len(a)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = identity(n)
-    for i in range(1, n + 1):
-        am = mat_mul(a, m)
-        t = trace(am)
-        assert t % i == 0, "inexact division in characteristic polynomial"
-        c = -t // i
-        coeffs[n - i] = c
-        m = tuple(
-            tuple(am[r][s] + (c if r == s else 0) for s in range(n))
-            for r in range(n)
-        )
-    return coeffs
 
 
 def _eval_poly(coeffs: list[float], z: complex) -> complex:
@@ -110,15 +88,16 @@ class SpectrumReport:
         return math.log(s) if s > 1.0 + 1e-12 else 0.0
 
 
-def eigenvalues(a: IntMatrix) -> SpectrumReport:
-    """All eigenvalues of A with multiplicity, zero roots split off exactly.
+def eigenvalues(char: Sequence[int]) -> SpectrumReport:
+    """All roots, with multiplicity, of the characteristic polynomial
+    char = [c_0, ..., c_n], c_n = 1 (`PowerSequences.char`); zero roots
+    are split off exactly.
 
     Sorted by modulus descending, ties broken by real part then imaginary
     part, both descending.  The residual is the largest |p(lambda)| over
     the scaled characteristic polynomial.
     """
-    exact = char_poly(a)
-    coeffs = list(exact)
+    coeffs = list(char)
     zeros = 0
     while coeffs[0] == 0 and len(coeffs) > 1:
         zeros += 1
@@ -131,7 +110,7 @@ def eigenvalues(a: IntMatrix) -> SpectrumReport:
     )
     roots = found + [complex(0)] * zeros
     roots.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
-    return SpectrumReport(tuple(exact), tuple(roots), residual)
+    return SpectrumReport(tuple(char), tuple(roots), residual)
 
 
 def _log_int(v: int) -> float:
@@ -142,17 +121,16 @@ def _log_int(v: int) -> float:
     return math.log(v >> bits) + bits * math.log(2)
 
 
-def entropy_limit(ladder: Ladder) -> list[float]:
-    """The sequence s_m = log ||M^m|| / m for m = 1..len(ladder), where
-    ladder[m-1] = M^m.
+def entropy_limit(norms: Sequence[int]) -> list[float]:
+    """The sequence s_m = log ||M^m|| / m for m = 1..len(norms), where
+    norms[m-1] = ||M^m||_1 (`PowerSequences.norms`).
 
     Norms are exact big integers; one float log per term.
     """
-    if not ladder:
+    if not norms:
         raise InputError("entropy horizon must be >= 1, got 0")
     out = []
-    for m, power in enumerate(ladder, start=1):
-        nrm = norm1(power)
+    for m, nrm in enumerate(norms, start=1):
         out.append(_log_int(nrm) / m if nrm > 0 else 0.0)
     return out
 

@@ -210,7 +210,7 @@ def iterate_action(f: MapAction, m: int, budget: int = 10**6) -> MapAction:
     ``branch_period_under(k, m)``.  Raises BudgetError (naming the
     smallest offending iterate) if the expanded words would exceed
     ``budget`` letters in total.  Large-m counting should read the
-    matrix powers of ``homology.powers`` instead.
+    per-iterate sequences of ``homology.PowerSequences`` instead.
     """
     if m < 1:
         raise InputError(f"iterate must be >= 1, got {m}")

@@ -1,9 +1,10 @@
 """Shared helpers: seeded random map generators, paper-derived fixtures,
 and the independent references that the library's one route per
-quantity is checked against (repeated squaring for the power ladder,
-divisors and mu for the Moebius sieve, letter orbits for the fix
-counts' signed codes, a depth-first walk over every piece for the
-oracle's table sweep)."""
+quantity is checked against (a ladder of matrix products and repeated
+squaring for the power sequences, Faddeev-LeVerrier for their
+characteristic polynomial, divisors and mu for the Moebius sieve, letter
+orbits for the fix counts' signed codes, a depth-first walk over every
+piece for the oracle's table sweep)."""
 
 import random
 from collections.abc import Iterator
@@ -18,10 +19,9 @@ from bouquet_dyn import (
     MapAction,
     Word,
     build_lift,
-    powers,
 )
 from bouquet_dyn.errors import BudgetError, InputError, LiftConstructionError
-from bouquet_dyn.homology import IntMatrix, Ladder, identity, mat_mul, trace
+from bouquet_dyn.homology import IntMatrix, mat_mul
 from bouquet_dyn.pl_oracle import (
     PIECE_BUDGET,
     Piece,
@@ -86,9 +86,69 @@ def random_matrix(rng: random.Random, n: int, lo: int = -3, hi: int = 3):
     )
 
 
+def random_signed_matrix(rng: random.Random, n: int, hi: int = 3):
+    """A random matrix whose entries share one sign, as an abelianized
+    map's do."""
+    sign = rng.choice((1, -1))
+    return tuple(
+        tuple(sign * x for x in row) for row in random_matrix(rng, n, 0, hi)
+    )
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xB0C1E7)
+
+
+#: (M^1, ..., M^k): ladder[m-1] is the m-th power
+Ladder = tuple[IntMatrix, ...]
+
+
+def identity(n: int) -> IntMatrix:
+    return tuple(
+        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
+    )
+
+
+def trace(a: IntMatrix) -> int:
+    return sum(a[i][i] for i in range(len(a)))
+
+
+def norm1(a: IntMatrix) -> int:
+    """Sum of absolute values of all entries."""
+    return sum(sum(map(abs, row)) for row in a)
+
+
+def powers(a: IntMatrix, k: int) -> Ladder:
+    """The ladder (M^1, ..., M^k) as a running product, one multiplication
+    per power: a reference for `PowerSequences`, which builds only the
+    first few powers as matrices."""
+    out = [a] if k else []
+    while len(out) < k:
+        out.append(mat_mul(out[-1], a))
+    return tuple(out)
+
+
+def char_poly(a: IntMatrix) -> list[int]:
+    """Coefficients [c_0, ..., c_n] of det(xI - A), c_n = 1, by the
+    Faddeev-LeVerrier recursion (n matrix products, every division exact):
+    a reference for `PowerSequences.char`, which reads Newton's
+    identities off the traces."""
+    n = len(a)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = identity(n)
+    for i in range(1, n + 1):
+        am = mat_mul(a, m)
+        t = trace(am)
+        assert t % i == 0, "inexact division in characteristic polynomial"
+        c = -t // i
+        coeffs[n - i] = c
+        m = tuple(
+            tuple(am[r][s] + (c if r == s else 0) for s in range(n))
+            for r in range(n)
+        )
+    return coeffs
 
 
 def mat_pow(a: IntMatrix, m: int) -> IntMatrix:
@@ -139,8 +199,9 @@ def mobius(m: int) -> int:
 
 
 def lefschetz_table(mat: IntMatrix, horizon: int) -> LefschetzTable:
-    """L(f^m) and l(f^m) for m <= horizon, the way a report reads them."""
-    return LefschetzTable.of(powers(mat, horizon))
+    """L(f^m) and l(f^m) for m <= horizon, read off the traces of the
+    reference ladder (so the entries of mat may have both signs)."""
+    return LefschetzTable.of([trace(power) for power in powers(mat, horizon)])
 
 
 def letter_fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ import random
 
 from bouquet_dyn import (
     LefschetzTable,
+    PowerSequences,
     abelianize,
     action,
     build_lift,
@@ -15,12 +16,9 @@ from bouquet_dyn import (
     eigenvalues,
     fix_counts,
     m0_bound,
-    norm1,
     oracle_counts,
     per_census,
     period_certificates,
-    powers,
-    trace,
 )
 from bouquet_dyn.cli import ReportOptions, load_fixture, run_report
 from bouquet_dyn.periods import ALL_PERIODS
@@ -48,14 +46,18 @@ ORACLE_FIXTURES = [
 
 
 def census(f, horizon):
-    return per_census(fix_counts(f, powers(abelianize(f), horizon)))
+    return per_census(fix_counts(f, PowerSequences.of(abelianize(f), horizon)))
+
+
+def spectrum(mat):
+    return eigenvalues(PowerSequences.of(mat, 1).char)
 
 
 def certificate(f, rule, horizon=12):
     """The first certificate of f whose rule starts with `rule`, or None."""
-    ladder = powers(abelianize(f), horizon)
+    seqs = PowerSequences.of(abelianize(f), horizon)
     certs = period_certificates(
-        f, ladder, census(f, horizon), eigenvalues(ladder[0])
+        f, seqs, census(f, horizon), eigenvalues(seqs.char)
     )
     return next((c for c in certs if c.rule.startswith(rule)), None)
 
@@ -66,7 +68,7 @@ def _verdict(number: int, label: str, ok: bool) -> None:
 
 
 def test_criterion_1_reflect_doubling():
-    lef = LefschetzTable.of(powers(abelianize(REFLECT), 2))
+    lef = LefschetzTable.of(PowerSequences.of(abelianize(REFLECT), 2).traces)
     census_2 = census(REFLECT, 2)
     ok = (
         lef.lefschetz_of(1) == 3
@@ -79,12 +81,12 @@ def test_criterion_1_reflect_doubling():
 
 def test_criterion_2_low_growth():
     mat = abelianize(LOW_GROWTH)
-    ladder = powers(mat, 4)
+    head = PowerSequences.of(mat, 4).head
     ok = mat == ((1, 1, 1), (0, 0, 0), (1, 0, 1))
     for m in (2, 3, 4):
         a, b = 2 ** (m - 1), 2 ** (m - 2)
-        ok = ok and ladder[m - 1] == ((a, b, a), (0, 0, 0), (a, b, a))
-    s = eigenvalues(mat)
+        ok = ok and head[m - 1] == ((a, b, a), (0, 0, 0), (a, b, a))
+    s = spectrum(mat)
     ok = ok and s.residual <= 1e-10
     ok = ok and abs(s.values[0] - 2) < 1e-10
     ok = ok and abs(s.values[1]) < 1e-10 and abs(s.values[2]) < 1e-10
@@ -96,14 +98,14 @@ def test_criterion_2_low_growth():
 
 def test_criterion_3_six_cycle():
     mat = abelianize(SIX_CYCLE)
-    lef = LefschetzTable.of(powers(mat, 12))
+    lef = LefschetzTable.of(PowerSequences.of(mat, 12).traces)
     ok = True
     for m in range(1, 13):
         expected = -3 if m % 3 == 0 else 0
         ok = ok and lef.lefschetz_of(m) == expected
     for m in range(4, 13):
         ok = ok and lef.periodic_lefschetz_of(m) == 0
-    s = eigenvalues(mat)
+    s = spectrum(mat)
     ok = ok and all(abs(abs(z) - 1) <= 1e-8 for z in s.values)
     ok = ok and s.entropy == 0.0
     ok = ok and census(SIX_CYCLE, 12).period_set() == {3}
@@ -116,7 +118,7 @@ def test_criterion_3_six_cycle():
 
 def test_criterion_4_delayed_growth():
     mat = abelianize(DELAYED)
-    s = eigenvalues(mat)
+    s = spectrum(mat)
     target = 2 ** (1 / 3)
     moduli = sorted(abs(z) for z in s.values)
     ok = abs(moduli[0] - 1) <= 1e-8
@@ -136,14 +138,14 @@ def test_criterion_4_delayed_growth():
 
 def test_criterion_5_dominant_map():
     mat = abelianize(DOMINANT)
-    ladder = powers(mat, 3)
-    ok = ladder[1] == (
+    head = PowerSequences.of(mat, 3).head
+    ok = head[1] == (
         (1, 2, 2, 3), (0, 0, 1, 1), (0, 0, 0, 1), (0, 1, 1, 1)
     )
-    ok = ok and ladder[2] == (
+    ok = ok and head[2] == (
         (1, 3, 4, 6), (0, 1, 1, 1), (0, 0, 1, 1), (0, 1, 1, 2)
     )
-    s = eigenvalues(mat)
+    s = spectrum(mat)
     ok = ok and s.residual <= 1e-10
     ok = ok and abs(s.spectral_radius - 1.47) <= 0.01
     ok = ok and m0_bound(s, 4) == 10
@@ -162,15 +164,15 @@ def test_criterion_6_oracle_equivalence():
     cases = [(f, build_lift(f)) for f in ORACLE_FIXTURES]
     cases += [random_expanding_action(rng) for _ in range(20)]
     for f, lift in cases:
-        ladder = powers(abelianize(f), 8)
-        fixes = fix_counts(f, ladder[:6])
+        seqs = PowerSequences.of(abelianize(f), 8)
+        fixes = fix_counts(f, seqs, 6)
         counts = oracle_counts(lift, 8)
         period = lift_branch_period(lift, 8)
         for m in range(1, 7):
             if counts.fixed(m, period) != fixes[m - 1]:
                 ok = False
         for m in range(1, 9):
-            if counts.covers[m - 1] != norm1(ladder[m - 1]):
+            if counts.covers[m - 1] != seqs.norms[m - 1]:
                 ok = False
     _verdict(6, "lift oracle: crossing counts and cover growth match "
                 "the word formulas exactly", ok)
@@ -200,10 +202,10 @@ def test_criterion_8_trace_growth():
     ok = True
     for f in (DOMINANT, action("a1 a1"), action("a1 a2", "a1 a2")):
         mat = abelianize(f)
-        s = eigenvalues(mat)
+        s = spectrum(mat)
         if not dominant_test(s):
             continue
-        t = abs(trace(powers(mat, 40)[-1]))
+        t = abs(PowerSequences.of(mat, 40).traces[-1])
         if abs(t ** (1 / 40) - s.spectral_radius) > 0.05:
             ok = False
     _verdict(8, "trace of the 40th power recovers the leading "

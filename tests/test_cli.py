@@ -1,12 +1,14 @@
 """DSL parsing, report generation, exit codes, fixture corpus."""
 
 import json
+import time
 from importlib import resources
 
 import pytest
 
 from bouquet_dyn import BRANCH_FREE, cli
 from bouquet_dyn.cli import (
+    DIGIT_CAP,
     MapSpecDocument,
     ReportOptions,
     fixture_names,
@@ -18,6 +20,7 @@ from bouquet_dyn.cli import (
     render_json,
     run_report,
 )
+from bouquet_dyn.homology import abelianize
 from bouquet_dyn.errors import InconsistencyError, InputError
 
 from conftest import random_action, random_expanding_action
@@ -32,6 +35,26 @@ a3 -> a1 a3
 
 # the canonical lift's branching point returns to an integer at step 4
 BRANCH_PERIOD_4 = "a1 -> a2 a1\na2 -> a4 a1\na3 -> a1\na4 -> a1\n"
+
+# fix(m) = 10^m - 1: at horizon 4 400 its digits pass CPython's default
+# int-to-str limit of 4 300
+TEN_LETTERS = "n=1\nbranch: free\na1 -> " + " ".join(["a1"] * 10) + "\n"
+
+#: report keys that hold floats, not integers
+FLOAT_KEYS = {"eigenvalues", "spectral_radius", "residual", "entropy"}
+
+
+def printed_integers(value):
+    """Every decimal integer string in a report, floats left out."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            if k not in FLOAT_KEYS:
+                yield from printed_integers(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from printed_integers(v)
+    elif isinstance(value, str) and value.lstrip("-").isdigit():
+        yield value.lstrip("-")
 
 
 class TestParseSpec:
@@ -200,6 +223,45 @@ class TestRunReport:
         doc = parse_spec(LOW_GROWTH_TEXT)
         report = run_report(doc, ReportOptions())
         assert json.loads(render_json(report)) == report
+
+
+class TestDigitCap:
+    def test_over_cap_exits_fast(self, tmp_path, capsys):
+        p = tmp_path / "ten.bqd"
+        p.write_text(TEN_LETTERS)
+        start = time.perf_counter()
+        flags = ["--horizon", "4400", "--no-oracle"]
+        assert main(["analyze", str(p), *flags]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"over the cap of {DIGIT_CAP} digits" in err, err
+
+    def test_just_under_cap_reports(self):
+        # a thousand letters reach the cap at a third of the horizon
+        doc = parse_spec("n=1\nbranch: free\na1 -> " + "a1 " * 1000 + "\n")
+        mat = abelianize(doc.action)
+        horizon = max(h for h in range(1200, 1400)
+                      if cli._digit_bound(mat, h) <= DIGIT_CAP)
+        options = ReportOptions(horizon=horizon, no_oracle=True)
+        report = run_report(doc, options)
+        digits = max(map(len, printed_integers(report)))
+        assert horizon < digits <= DIGIT_CAP
+        with pytest.raises(InputError, match=f"cap of {DIGIT_CAP} digits"):
+            run_report(doc, ReportOptions(horizon=horizon + 1, no_oracle=True))
+
+    def test_bound_covers_printed_integers(self, rng):
+        for _ in range(60):
+            f = random_action(rng, n_max=4, len_max=4)
+            doc = MapSpecDocument(f)
+            options = ReportOptions(
+                horizon=rng.randint(1, 40), oracle_depth=rng.randint(1, 6))
+            try:
+                report = run_report(doc, options)
+            except (InputError, InconsistencyError):
+                continue
+            bound = cli._digit_bound(abelianize(f), max(
+                options.horizon, options.oracle_depth))
+            assert max(map(len, printed_integers(report))) <= bound, f
 
 
 class TestMain:

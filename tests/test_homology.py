@@ -1,29 +1,36 @@
 """Homology matrix, Lefschetz numbers, Moebius machinery."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from bouquet_dyn import (
     LefschetzTable,
+    PowerSequences,
     abelianize,
     action,
     iterate_action,
-    norm1,
-    powers,
-    trace,
 )
 from bouquet_dyn.errors import InputError
-from bouquet_dyn.homology import divisor_sums, identity, invert_divisor_sums
-from bouquet_dyn.words import chi
+from bouquet_dyn.homology import divisor_sums, invert_divisor_sums
+from bouquet_dyn.periods import fix_counts
+from bouquet_dyn.words import Letter, MapAction, Word, branch_period_under, chi
 
 from conftest import (
+    char_poly,
     divisors,
+    identity,
     lefschetz_table,
+    letter_fix_counts,
     mat_pow,
     mobius,
+    norm1,
+    powers,
     random_action,
     random_matrix,
+    random_signed_matrix,
+    trace,
 )
 
 LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
@@ -60,42 +67,115 @@ class TestAbelianize:
 
 class TestMatrixOps:
     def test_low_growth_cube(self):
-        m3 = powers(abelianize(LOW_GROWTH), 3)[2]
+        m3 = PowerSequences.of(abelianize(LOW_GROWTH), 3).head[2]
         assert m3 == ((4, 2, 4), (0, 0, 0), (4, 2, 4))
 
     def test_six_cycle_sixth_power(self):
-        m6 = powers(abelianize(SIX_CYCLE), 6)[5]
+        m6 = PowerSequences.of(abelianize(SIX_CYCLE), 6).head[5]
         assert m6[0] == (1, 6, 6, 6)
         assert tuple(row[1:] for row in m6[1:]) == identity(3)
 
     def test_norm1_identity(self):
-        assert norm1(identity(3)) == 3
+        assert PowerSequences.of(identity(3), 4).norms == (3, 3, 3, 3)
 
     def test_power_zero(self):
-        # the reference's zeroth power, which the ladder does not hold
+        # the reference's zeroth power, which the record does not hold
         assert mat_pow(((5,),), 0) == ((1,),)
 
     def test_trace_bridge(self, rng):
         for _ in range(30):
             f = random_action(rng)
-            ladder = powers(abelianize(f), 4)
+            traces = PowerSequences.of(abelianize(f), 4).traces
             for m in (1, 2, 3, 4):
                 g = iterate_action(f, m, budget=50000)
                 total = sum(chi(g.image(j), j) for j in range(1, f.n + 1))
-                assert total == trace(ladder[m - 1])
+                assert total == traces[m - 1]
 
     def test_ladder_matches_squaring(self, rng):
         for _ in range(20):
-            m = random_matrix(rng, rng.randint(1, 4))
-            ladder = powers(m, 9)
-            assert len(ladder) == 9
+            m = random_signed_matrix(rng, rng.randint(1, 8))
+            seqs = PowerSequences.of(m, 9)
+            assert len(seqs.head) == max(len(m), 6)
+            for k in range(1, len(seqs.head) + 1):
+                assert seqs.head[k - 1] == mat_pow(m, k)
             for k in range(1, 10):
-                assert ladder[k - 1] == mat_pow(m, k)
+                power = mat_pow(m, k)
+                assert seqs.traces[k - 1] == trace(power)
 
     def test_empty_ladder(self):
-        assert powers(((2,),), 0) == ()
+        seqs = PowerSequences.of(((2,),), 0)
+        assert seqs.traces == seqs.norms == seqs.diagonals == ()
+        assert seqs.head == (((2,),),) and seqs.char == (-2, 1)
         with pytest.raises(InputError):
-            powers(((2,),), -1)
+            PowerSequences.of(((2,),), -1)
+
+
+def random_map(rng, n, sign, branch_class):
+    """A map on n circles with image words of 1 to 4 letters."""
+    images = tuple(
+        Word(tuple(Letter(rng.randint(1, n), sign)
+                   for _ in range(rng.randint(1, 4))))
+        for _ in range(n)
+    )
+    return MapAction(n, images, branch_class)
+
+
+class TestPowerSequences:
+    """The record against the reference ladder: matrix products, their
+    traces, diagonals, column sums and 1-norms, and Faddeev-LeVerrier."""
+
+    def test_matches_reference_ladder(self):
+        rng = random.Random(0x5E9)
+        seen = set()
+        for n in range(1, 13):
+            for k in sorted({1, 2, max(1, n - 1), 5, 6, 7,
+                             rng.randint(8, 60), 60}):
+                sign = rng.choice((1, -1))
+                branch = rng.choice((None, 1, 2, 3))
+                f = random_map(rng, n, sign, branch)
+                mat = abelianize(f)
+                seqs = PowerSequences.of(mat, k)
+                h = max(n, min(k, 6))
+                ladder = powers(mat, max(h, k))
+                assert seqs.head == ladder[:h], (f, k)
+                assert seqs.char == tuple(char_poly(mat)), f
+                ladder = ladder[:k]
+                assert seqs.traces == tuple(map(trace, ladder)), (f, k)
+                assert seqs.diagonals == tuple(
+                    tuple(p[j][j] for j in range(n)) for p in ladder)
+                assert seqs.column_sums == tuple(
+                    tuple(map(sum, zip(*p))) for p in ladder)
+                assert seqs.norms == tuple(map(norm1, ladder)), (f, k)
+                assert fix_counts(f, seqs) == letter_fix_counts(f, ladder)
+                gamma_route = any(
+                    branch_period_under(branch, m) == 1
+                    and any(abs(x) > 1 for x in seqs.column_sums[m - 1])
+                    for m in range(1, k + 1)
+                )
+                seen |= {("K < n", k < n), ("K <= 6", k <= 6),
+                         ("n > 6", n > 6), ("reversing", sign < 0),
+                         ("gamma route", gamma_route)}
+        assert all((what, True) in seen for what, _ in seen), seen
+
+    def test_rejects_mixed_signs(self):
+        with pytest.raises(InputError):
+            PowerSequences.of(((1, -1), (0, 1)), 3)
+        assert PowerSequences.of(((0, -1), (-2, 0)), 3).norms == (3, 4, 6)
+
+    def test_memory_below_half_the_ladder(self):
+        # n = 12, H = 400: the ladder holds 400 n^2 integers, the record
+        # six matrices and 2n integers per iterate
+        f = random_map(random.Random(0x3E3), 12, 1, None)
+        mat = abelianize(f)
+        peaks = []
+        for build in (PowerSequences.of, powers):
+            tracemalloc.start()
+            try:
+                build(mat, 400)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2, peaks
 
 
 class TestMobius:
@@ -225,7 +305,7 @@ class TestLefschetzTable:
 
     def test_inversion_identity(self, rng):
         m = random_matrix(rng, 4)
-        t = LefschetzTable.of(powers(m, 12))
+        t = lefschetz_table(m, 12)
         for i in range(1, 13):
             total = sum(t.periodic_lefschetz_of(r) for r in divisors(i))
             assert total == t.lefschetz_of(i)

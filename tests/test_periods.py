@@ -7,6 +7,7 @@ import pytest
 from bouquet_dyn import (
     Conclusion,
     FixCountTable,
+    PowerSequences,
     abelianize,
     action,
     eigenvalues,
@@ -15,8 +16,6 @@ from bouquet_dyn import (
     lefschetz_fix_check,
     per_census,
     period_certificates,
-    powers,
-    trace,
 )
 from bouquet_dyn.cli import load_fixture
 from bouquet_dyn.errors import InconsistencyError, InputError
@@ -35,18 +34,22 @@ DELAYED = action("a1", "a1 a3", "a1 a4 a4", "a1 a2")
 DOMINANT = action("a1", "a1 a3", "a1 a4", "a1 a2 a4")
 
 
+def record(f, k):
+    return PowerSequences.of(abelianize(f), k)
+
+
 def fix_count(f, m):
-    return fix_counts(f, powers(abelianize(f), m))[m - 1]
+    return fix_counts(f, record(f, m))[m - 1]
 
 
 def census(f, horizon):
-    return per_census(fix_counts(f, powers(abelianize(f), horizon)))
+    return per_census(fix_counts(f, record(f, horizon)))
 
 
 def certificates(f, horizon=12):
-    ladder = powers(abelianize(f), horizon)
+    seqs = record(f, horizon)
     return period_certificates(
-        f, ladder, per_census(fix_counts(f, ladder)), eigenvalues(ladder[0])
+        f, seqs, per_census(fix_counts(f, seqs)), eigenvalues(seqs.char)
     )
 
 
@@ -62,18 +65,19 @@ def certificate(f, rule, horizon=12, **witness):
 
 
 def check(f, m):
-    ladder = powers(abelianize(f), m)
+    seqs = record(f, m)
     return lefschetz_fix_check(
-        f, m, 1 - trace(ladder[-1]), fix_counts(f, ladder)[-1]
+        f, m, 1 - seqs.traces[-1], fix_counts(f, seqs)[-1]
     )
 
 
 class TestFixCount:
     def test_counts_independent_of_ladder_length(self):
         f = action("a1 a1 a1", k=2)
-        fixes = fix_counts(f, powers(abelianize(f), 6))
+        fixes = fix_counts(f, record(f, 6))
         assert fixes == tuple(fix_count(f, m) for m in range(1, 7))
-        assert fix_counts(f, ()) == ()
+        assert fix_counts(f, record(f, 6), 4) == fixes[:4]
+        assert fix_counts(f, record(f, 0)) == ()
 
     def test_reflect_doubling(self):
         assert fix_count(REFLECT, 1) == 3

@@ -7,15 +7,14 @@ from fractions import Fraction
 import pytest
 
 from bouquet_dyn import (
+    PowerSequences,
     abelianize,
     action,
     build_lift,
     fix_counts,
-    norm1,
     oracle_counts,
     per_census,
     pl_oracle,
-    powers,
 )
 from bouquet_dyn.errors import (
     BudgetError,
@@ -24,6 +23,7 @@ from bouquet_dyn.errors import (
     LiftConstructionError,
 )
 from bouquet_dyn.pl_oracle import (
+    BRANCH_WATCH,
     PIECE_BUDGET,
     OracleCounts,
     Piece,
@@ -36,6 +36,7 @@ from conftest import (
     divisors,
     iterate_lift,
     mat_pow,
+    norm1,
     random_action,
     random_expanding_action,
 )
@@ -46,12 +47,28 @@ LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
 
 
 def formula_fixes(f, depth):
-    return fix_counts(f, powers(abelianize(f), depth))
+    return fix_counts(f, PowerSequences.of(abelianize(f), depth))
 
 
 def lift_fix(lift, m):
     """Fixed points of f^m on the circles, read off one oracle sweep."""
     return oracle_counts(lift, m).fixed(m, lift_branch_period(lift, m))
+
+
+def orbit(lift, x, steps):
+    """f(x), f^2(x), .., f^steps(x), evaluated pointwise and exactly."""
+    out = []
+    for _ in range(steps):
+        x = lift.value(x)
+        out.append(x)
+    return out
+
+
+def orbit_period(lift, depth):
+    """Least t <= depth with f^t(0) an integer, or None, on the pointwise
+    `Fraction` orbit: a reference for the sweep's integer walk."""
+    return next((t for t, x in enumerate(orbit(lift, Fraction(0), depth), 1)
+                 if x.denominator == 1), None)
 
 
 def walk_counts(lift, depth, budget=PIECE_BUDGET):
@@ -86,7 +103,8 @@ def walk_counts(lift, depth, budget=PIECE_BUDGET):
     over = walk.over_budget()
     counted = depth if over is None else over - 1
     return OracleCounts(tuple(crossings[1 : counted + 1]),
-                        tuple(covers[1 : counted + 1]), over)
+                        tuple(covers[1 : counted + 1]), over,
+                        orbit_period(lift, max(BRANCH_WATCH, depth + 1)))
 
 
 def counts_or_degenerate(count, lift, depth):
@@ -172,15 +190,6 @@ class TestIterateLift:
         assert len(iterate_lift(lift, m - 1).pieces) <= 100
 
 
-def orbit(lift, x, steps):
-    """f(x), f^2(x), .., f^steps(x), evaluated pointwise and exactly."""
-    out = []
-    for _ in range(steps):
-        x = lift.value(x)
-        out.append(x)
-    return out
-
-
 class TestBranchOrbit:
     def test_reflection_orbit_stays_at_half(self):
         lift = build_lift(REFLECT)
@@ -194,6 +203,31 @@ class TestBranchOrbit:
         lift = build_lift(f)
         assert all(x.denominator == 2 for x in orbit(lift, Fraction(0), 6))
         assert lift_branch_period(lift, 6) is None
+
+    def test_sweep_period_matches_lift_branch_period(self):
+        # the sweep follows the branch orbit once, in its scaled integers,
+        # to max(BRANCH_WATCH, depth + 1) steps; on canonical lifts whose
+        # orbit may or may not return to an integer it gives the period
+        # of the public helper and of the pointwise orbit
+        rng = random.Random(12)
+        returns = []
+        while len(returns) < 150:
+            f = random_action(rng, n_max=4, len_max=3)
+            try:
+                lift = build_lift(f)
+                depth = rng.randint(1, 7)
+                counts = oracle_counts(lift, depth)
+            except LiftConstructionError:
+                continue
+            watch = max(BRANCH_WATCH, depth + 1)
+            period = lift_branch_period(lift, watch)
+            assert counts.branch_period == period, (f, depth)
+            assert period == orbit_period(lift, watch), f
+            for steps in (1, 2, 5):
+                assert lift_branch_period(lift, steps) == orbit_period(
+                    lift, steps), (f, steps)
+            returns.append(period is not None)
+        assert set(returns) == {True, False}
 
 
 class TestCountFixed:

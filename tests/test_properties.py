@@ -10,6 +10,7 @@ import math
 import random
 
 from bouquet_dyn import (
+    PowerSequences,
     abelianize,
     eigenvalues,
     entropy_limit,
@@ -17,8 +18,6 @@ from bouquet_dyn import (
     fix_counts,
     per_census,
     period_certificates,
-    powers,
-    trace,
 )
 from bouquet_dyn.errors import BudgetError
 from bouquet_dyn.words import chi
@@ -31,13 +30,14 @@ from conftest import (
     random_action,
     random_expanding_action,
     random_matrix,
+    trace,
 )
 
 CASES = 100
 
 
 def census(f, horizon):
-    return per_census(fix_counts(f, powers(abelianize(f), horizon)))
+    return per_census(fix_counts(f, PowerSequences.of(abelianize(f), horizon)))
 
 
 def test_mif_round_trip():
@@ -75,21 +75,21 @@ def test_abelianization_functoriality():
 
 
 def test_trace_bridge():
-    # the ladder's traces against repeated squaring, and against the
+    # the record's traces against repeated squaring, and against the
     # expanded words while they fit the budget
     rng = random.Random(103)
     for _ in range(CASES):
         f = random_action(rng)
         mat = abelianize(f)
-        ladder = powers(mat, 8)
+        traces = PowerSequences.of(mat, 8).traces
         for m in (1, 2, 3, 5, 8):
-            assert trace(ladder[m - 1]) == trace(mat_pow(mat, m))
+            assert traces[m - 1] == trace(mat_pow(mat, m))
             try:
                 g = iterate_action(f, m, budget=20000)
             except BudgetError:
                 continue
             total = sum(chi(g.image(j), j) for j in range(1, f.n + 1))
-            assert total == trace(ladder[m - 1])
+            assert total == traces[m - 1]
 
 
 def test_census_nonnegative():
@@ -134,10 +134,10 @@ def test_entropy_two_route_gap():
     rng = random.Random(107)
     for _ in range(CASES):
         f, _ = random_expanding_action(rng)
-        mat = abelianize(f)
-        spectrum = eigenvalues(mat)
+        seqs = PowerSequences.of(abelianize(f), 30)
+        spectrum = eigenvalues(seqs.char)
         sigma = spectrum.spectral_radius
-        s30 = entropy_limit(powers(mat, 30))[-1]
+        s30 = entropy_limit(seqs.norms)[-1]
         assert abs(s30 - spectrum.entropy) <= 0.1 * (1 + sigma), f
 
 
@@ -148,10 +148,10 @@ def test_certificates_agree_with_census():
     rng = random.Random(108)
     for _ in range(CASES):
         f, _ = random_expanding_action(rng)
-        ladder = powers(abelianize(f), 12)
-        table = per_census(fix_counts(f, ladder))
+        seqs = PowerSequences.of(abelianize(f), 12)
+        table = per_census(fix_counts(f, seqs))
         for cert in period_certificates(
-            f, ladder, table, eigenvalues(ladder[0])
+            f, seqs, table, eigenvalues(seqs.char)
         ):
             if cert.rule.startswith("delaylowgrow"):
                 continue
@@ -165,4 +165,5 @@ def test_spectral_radius_at_least_one():
     rng = random.Random(109)
     for _ in range(3 * CASES):
         f = random_action(rng)
-        assert eigenvalues(abelianize(f)).spectral_radius >= 1 - 1e-12, f
+        char = PowerSequences.of(abelianize(f), 1).char
+        assert eigenvalues(char).spectral_radius >= 1 - 1e-12, f

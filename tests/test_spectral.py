@@ -6,21 +6,30 @@ import random
 import pytest
 
 from bouquet_dyn import (
+    PowerSequences,
     abelianize,
     action,
-    char_poly,
     dominant_test,
     eigenvalues,
     entropy_limit,
     m0_bound,
-    norm1,
-    powers,
-    trace,
 )
 from bouquet_dyn.errors import InputError
 from bouquet_dyn.spectral import M0_SCAN_CAP, SpectrumReport
 
-from conftest import mat_pow, random_matrix
+from conftest import (
+    char_poly,
+    mat_pow,
+    norm1,
+    random_matrix,
+    random_signed_matrix,
+    trace,
+)
+
+
+def record_char(mat):
+    """The characteristic polynomial a report reads, from the record."""
+    return list(PowerSequences.of(mat, 1).char)
 
 LOW_GROWTH = abelianize(action("a1 a3", "a1", "a1 a3", k=1))
 SIX_CYCLE = abelianize(action("a1", "a1 a3", "a1 a4", "a1 a2"))
@@ -30,39 +39,41 @@ DOMINANT = abelianize(action("a1", "a1 a3", "a1 a4", "a1 a2 a4"))
 
 class TestCharPoly:
     def test_scalar(self):
-        assert char_poly(((2,),)) == [-2, 1]
+        assert record_char(((2,),)) == char_poly(((2,),)) == [-2, 1]
 
     def test_low_growth(self):
         # x^3 - 2x^2, roots {0, 0, 2}
-        assert char_poly(LOW_GROWTH) == [0, 0, -2, 1]
+        assert record_char(LOW_GROWTH) == char_poly(LOW_GROWTH)
+        assert record_char(LOW_GROWTH) == [0, 0, -2, 1]
 
     def test_matches_eigenvalue_product(self, rng):
         for _ in range(20):
-            m = random_matrix(rng, 3)
-            coeffs = char_poly(m)
+            m = random_signed_matrix(rng, 3)
+            coeffs = record_char(m)
+            assert coeffs == char_poly(m)
             assert coeffs[-1] == 1
             assert coeffs[2] == -trace(m)
 
     def test_root_residuals(self, rng):
         for _ in range(20):
             m = random_matrix(rng, rng.randint(1, 5))
-            s = eigenvalues(m)
+            s = eigenvalues(char_poly(m))
             assert s.residual <= 1e-10
 
 
 class TestEigenvalues:
     def test_low_growth_roots(self):
-        s = eigenvalues(LOW_GROWTH)
+        s = eigenvalues(char_poly(LOW_GROWTH))
         assert abs(s.values[0] - 2) < 1e-10
         assert abs(s.values[1]) < 1e-12 and abs(s.values[2]) < 1e-12
 
     def test_six_cycle_moduli(self):
-        s = eigenvalues(SIX_CYCLE)
+        s = eigenvalues(char_poly(SIX_CYCLE))
         for z in s.values:
             assert abs(abs(z) - 1) < 1e-8
 
     def test_delayed_moduli(self):
-        s = eigenvalues(DELAYED)
+        s = eigenvalues(char_poly(DELAYED))
         target = 2 ** (1 / 3)
         moduli = sorted(abs(z) for z in s.values)
         assert abs(moduli[0] - 1) < 1e-8
@@ -70,13 +81,13 @@ class TestEigenvalues:
             assert abs(v - target) < 1e-8
 
     def test_dominant_leading_value(self):
-        s = eigenvalues(DOMINANT)
+        s = eigenvalues(char_poly(DOMINANT))
         assert abs(s.values[0].real - 1.47) < 0.01
         assert abs(s.values[0].imag) < 1e-10
         assert abs(s.values[1] - 1) < 1e-8
 
     def test_identity_matrix(self):
-        s = eigenvalues(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        s = eigenvalues(char_poly(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
         # a triple root clusters with accuracy ~ cbrt(eps); the residual
         # stays tight
         assert all(abs(z - 1) < 1e-4 for z in s.values)
@@ -84,14 +95,14 @@ class TestEigenvalues:
 
     def test_sorted_by_modulus(self, rng):
         for _ in range(20):
-            s = eigenvalues(random_matrix(rng, 4))
+            s = eigenvalues(char_poly(random_matrix(rng, 4)))
             mods = [abs(z) for z in s.values]
             assert all(a >= b - 1e-9 for a, b in zip(mods, mods[1:]))
 
     def test_trace_identity(self, rng):
         for _ in range(10):
             m = random_matrix(rng, 3, lo=-2, hi=2)
-            s = eigenvalues(m)
+            s = eigenvalues(char_poly(m))
             for k in (1, 2, 3, 4):
                 approx = sum(z**k for z in s.values)
                 exact = trace(mat_pow(m, k))
@@ -100,36 +111,38 @@ class TestEigenvalues:
 
 class TestEntropy:
     def test_low_growth(self):
-        assert abs(eigenvalues(LOW_GROWTH).entropy - math.log(2)) < 1e-9
+        s = eigenvalues(char_poly(LOW_GROWTH))
+        assert abs(s.entropy - math.log(2)) < 1e-9
 
     def test_six_cycle_zero(self):
-        assert eigenvalues(SIX_CYCLE).entropy == 0.0
+        assert eigenvalues(char_poly(SIX_CYCLE)).entropy == 0.0
 
     def test_delayed(self):
-        assert abs(eigenvalues(DELAYED).entropy - math.log(2) / 3) < 1e-9
+        s = eigenvalues(char_poly(DELAYED))
+        assert abs(s.entropy - math.log(2) / 3) < 1e-9
 
     def test_clamped_below_one(self):
         # no parsed map has a radius below 1 (test_properties), but the
         # clamp keeps a hand-made one at entropy 0
-        s = eigenvalues(((0,),))
+        s = eigenvalues(char_poly(((0,),)))
         assert s.spectral_radius < 1
         assert s.entropy == 0.0
 
     def test_limit_sequence_low_growth(self):
-        seq = entropy_limit(powers(LOW_GROWTH, 30))
+        seq = entropy_limit(PowerSequences.of(LOW_GROWTH, 30).norms)
         # closed form from the printed powers: ||M^m|| = 10 * 2^(m-2), m >= 2
         for m in range(2, 31):
             assert abs(seq[m - 1] - (math.log(2) + math.log(10 / 4) / m)) < 1e-12
         assert abs(seq[29] - math.log(2)) < 0.08
 
     def test_limit_sequence_identity(self):
-        seq = entropy_limit(powers(((1, 0), (0, 1)), 10))
+        seq = entropy_limit(PowerSequences.of(((1, 0), (0, 1)), 10).norms)
         for m in range(1, 11):
             assert abs(seq[m - 1] - math.log(2) / m) < 1e-12
 
     def test_limit_matches_exact_norms(self, rng):
         m = random_matrix(rng, 3, lo=0, hi=2)
-        seq = entropy_limit(powers(m, 8))
+        seq = entropy_limit(PowerSequences.of(m, 8).norms)
         for k in range(1, 9):
             nrm = norm1(mat_pow(m, k))
             if nrm > 0:
@@ -141,7 +154,7 @@ class TestEntropy:
 
     def test_gelfand_agreement(self):
         for mat in (LOW_GROWTH, SIX_CYCLE, DELAYED, DOMINANT):
-            s = eigenvalues(mat)
+            s = eigenvalues(char_poly(mat))
             sigma = s.spectral_radius
             nrm = norm1(mat_pow(mat, 30))
             assert abs(nrm ** (1 / 30) - sigma) <= 0.15 * (1 + sigma)
@@ -149,28 +162,28 @@ class TestEntropy:
 
 class TestDominance:
     def test_dominant_fixture(self):
-        assert dominant_test(eigenvalues(DOMINANT))
+        assert dominant_test(eigenvalues(char_poly(DOMINANT)))
 
     def test_tied_moduli(self):
-        assert not dominant_test(eigenvalues(DELAYED))
+        assert not dominant_test(eigenvalues(char_poly(DELAYED)))
 
     def test_identity_not_dominant(self):
-        assert not dominant_test(eigenvalues(((1, 0), (0, 1))))
+        assert not dominant_test(eigenvalues(char_poly(((1, 0), (0, 1)))))
 
 
 class TestM0Bound:
     def test_dominant_fixture_threshold(self):
-        assert m0_bound(eigenvalues(DOMINANT), 4) == 10
+        assert m0_bound(eigenvalues(char_poly(DOMINANT)), 4) == 10
 
     def test_pure_doubling(self):
-        assert m0_bound(eigenvalues(((2,),)), 1) == 3
+        assert m0_bound(eigenvalues(char_poly(((2,),))), 1) == 3
 
     def test_requires_dominance(self):
         with pytest.raises(InputError):
-            m0_bound(eigenvalues(((1, 0), (0, 1))), 2)
+            m0_bound(eigenvalues(char_poly(((1, 0), (0, 1)))), 2)
 
     def test_large_radius_small_threshold(self):
-        assert m0_bound(eigenvalues(((10,),)), 1) == 1
+        assert m0_bound(eigenvalues(char_poly(((10,),))), 1) == 1
 
     def test_first_pass_is_final(self):
         # the inequality divided by s1^m: 1 > d s1^(-m/2) + (d + 1) s1^(-m)
@@ -183,7 +196,7 @@ class TestM0Bound:
         cases = []
         while len(cases) < 60:
             n = rng.randint(1, 8)
-            s = eigenvalues(random_matrix(rng, n, lo=-1, hi=2))
+            s = eigenvalues(char_poly(random_matrix(rng, n, lo=-1, hi=2)))
             if dominant_test(s):
                 cases.append((s, n))
         # a radius barely above 1 never passes; one near 1 passes late
@@ -191,7 +204,7 @@ class TestM0Bound:
             cases.append((SpectrumReport((), values, 0.0), 1))
         # the double root -2 of this Jordan block comes out split just past
         # DOMINANCE_EPS, so the ratio s2/s1 is 1 - 1e-8 and nothing passes
-        jordan = eigenvalues(((-2, -1), (0, -2)))
+        jordan = eigenvalues(char_poly(((-2, -1), (0, -2))))
         assert dominant_test(jordan)
         cases.append((jordan, 2))
         found = set()
@@ -209,6 +222,6 @@ class TestM0Bound:
 
     def test_trace_growth_estimate(self):
         # |Tr(M^40)|^(1/40) approaches the dominant eigenvalue modulus
-        s = eigenvalues(DOMINANT)
+        s = eigenvalues(char_poly(DOMINANT))
         t = abs(trace(mat_pow(DOMINANT, 40)))
         assert abs(t ** (1 / 40) - s.spectral_radius) <= 0.05

@@ -8,6 +8,7 @@ from bouquet_dyn import (
     BRANCH_FREE,
     Letter,
     MapAction,
+    PowerSequences,
     Word,
     action,
     abelianize,
@@ -19,13 +20,17 @@ from bouquet_dyn import (
     gamma,
     iterate_action,
     orientation,
-    powers,
     word,
 )
 from bouquet_dyn.errors import BudgetError, InputError
 from bouquet_dyn.words import orientation_of_power
 
-from conftest import letter_fix_counts, random_action, random_expanding_action
+from conftest import (
+    letter_fix_counts,
+    powers,
+    random_action,
+    random_expanding_action,
+)
 
 
 class TestLetters:
@@ -166,14 +171,15 @@ class TestIterateAction:
         rng = random.Random(1)
         for _ in range(300):
             base = random_action(rng)
-            ladder = powers(abelianize(base), 4)
+            seqs = PowerSequences.of(abelianize(base), 4)
             for k in (BRANCH_FREE, 1, 2, 3):
                 f = _with_branch(base, k)
-                fixes = fix_counts(f, ladder)
+                fixes = fix_counts(f, seqs)
                 for m in (2, 3, 4):
                     g = iterate_action(f, m)
                     assert g.branch_class == branch_period_under(k, m)
-                    first = fix_counts(g, powers(abelianize(g), 1))[0]
+                    seqs_g = PowerSequences.of(abelianize(g), 1)
+                    first = fix_counts(g, seqs_g)[0]
                     assert first == fixes[m - 1], (f, m)
 
 
@@ -190,35 +196,34 @@ def _expanded_fix(f: MapAction, m: int) -> int:
 
 
 class TestIterateCounts:
-    """Iterate counts read off the power ladder and the letter orbits,
+    """Iterate counts read off the power sequences and the letter orbits,
     checked against expanded words."""
 
     def test_chi_of_square(self):
         f = action("a1' a1'")
-        assert powers(abelianize(f), 2)[1][0][0] == 4
+        assert PowerSequences.of(abelianize(f), 2).diagonals[1] == (4,)
         assert chi(iterate_action(f, 2).image(1), 1) == 4
 
     def test_chi_base_case(self, rng):
         for _ in range(20):
             f = random_action(rng)
-            first = powers(abelianize(f), 1)[0]
+            first = PowerSequences.of(abelianize(f), 1).head[0]
             for j in range(1, f.n + 1):
                 assert first[j - 1][j - 1] == chi(f.image(j), j)
 
     def test_gamma_single_interior(self):
         f = action("a1 a1 a1", k=1)
         assert gamma(f.image(1), 1) == 1
-        assert fix_counts(f, powers(abelianize(f), 1)) == (1 + 1,)
+        assert fix_counts(f, PowerSequences.of(abelianize(f), 1)) == (1 + 1,)
 
     def test_counts_match_expansion(self, rng):
-        # free branch reads chi off the ladder's traces; branch classes 1
+        # free branch reads chi off the record's traces; branch classes 1
         # and 2 read gamma at every (resp. every even) iterate
         for _ in range(40):
             base = random_action(rng)
             for k in (BRANCH_FREE, 1, 2):
                 f = _with_branch(base, k)
-                ladder = powers(abelianize(f), 4)
-                fixes = fix_counts(f, ladder)
+                fixes = fix_counts(f, PowerSequences.of(abelianize(f), 4))
                 for m in (1, 2, 3, 4):
                     try:
                         expected = _expanded_fix(f, m)
@@ -232,10 +237,11 @@ class TestIterateCounts:
         rng = random.Random(40)
         for _ in range(300):
             base, _ = random_expanding_action(rng, n_max=6, len_max=3)
-            ladder = powers(abelianize(base), 40)
+            mat = abelianize(base)
+            seqs, ladder = PowerSequences.of(mat, 40), powers(mat, 40)
             for k in (BRANCH_FREE, 1, 2, 3, 4):
                 f = _with_branch(base, k)
-                assert fix_counts(f, ladder) == letter_fix_counts(f, ladder), f
+                assert fix_counts(f, seqs) == letter_fix_counts(f, ladder), f
 
     def test_boundary_letters_match_expansion(self, rng):
         for _ in range(40):
