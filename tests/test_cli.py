@@ -20,8 +20,8 @@ from bouquet_dyn.cli import (
     render_json,
     run_report,
 )
-from bouquet_dyn.homology import abelianize
 from bouquet_dyn.errors import InconsistencyError, InputError
+from bouquet_dyn.homology import abelianize
 
 from conftest import random_action, random_expanding_action
 

@@ -10,11 +10,11 @@ from bouquet_dyn import (
     PowerSequences,
     abelianize,
     action,
+    fix_counts,
     iterate_action,
 )
 from bouquet_dyn.errors import InputError
 from bouquet_dyn.homology import divisor_sums, invert_divisor_sums
-from bouquet_dyn.periods import fix_counts
 from bouquet_dyn.words import Letter, MapAction, Word, branch_period_under, chi
 
 from conftest import (
@@ -99,8 +99,7 @@ class TestMatrixOps:
             for k in range(1, len(seqs.head) + 1):
                 assert seqs.head[k - 1] == mat_pow(m, k)
             for k in range(1, 10):
-                power = mat_pow(m, k)
-                assert seqs.traces[k - 1] == trace(power)
+                assert seqs.traces[k - 1] == trace(mat_pow(m, k))
 
     def test_empty_ladder(self):
         seqs = PowerSequences.of(((2,),), 0)
