@@ -1,55 +1,13 @@
 """Fixed points, periods and entropy for monotone self-maps of a bouquet
-of circles, driven by the induced action on the fundamental group."""
+of circles, driven by the induced action on the fundamental group.
 
-from .errors import (
-    BudgetError,
-    DegenerateMapError,
-    InconsistencyError,
-    InputError,
-    LiftConstructionError,
-)
-from .homology import (
-    LefschetzTable,
-    PowerSequences,
-    abelianize,
-)
-from .periods import (
-    Conclusion,
-    FixCountTable,
-    PeriodCertificate,
-    dominant_periods,
-    fix_counts,
-    fmbig_test,
-    lefschetz_fix_check,
-    per_census,
-    period_certificates,
-)
-from .pl_oracle import (
-    PLLift,
-    build_lift,
-    oracle_counts,
-)
-from .spectral import (
-    SpectrumReport,
-    dominant_test,
-    eigenvalues,
-    entropy_limit,
-    m0_bound,
-)
-from .words import (
-    BRANCH_FREE,
-    Letter,
-    MapAction,
-    Word,
-    action,
-    apply_endo,
-    branch_period_under,
-    chi,
-    first_letter,
-    gamma,
-    iterate_action,
-    orientation,
-    word,
-)
+The top level holds what the README example uses; everything else is
+imported from its submodule."""
+
+from .homology import LefschetzTable, PowerSequences, abelianize
+from .periods import fix_counts, per_census
+from .pl_oracle import build_lift, oracle_counts
+from .spectral import eigenvalues
+from .words import action
 
 __version__ = "0.1.0"

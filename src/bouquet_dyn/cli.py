@@ -155,20 +155,6 @@ def parse_spec(text: str) -> MapSpecDocument:
     return MapSpecDocument(action, horizon, tuple(claims))
 
 
-def print_spec(doc: MapSpecDocument) -> str:
-    """Canonical serialization; parse(print(doc)) round-trips."""
-    f = doc.action
-    k = f.branch_class
-    lines = [f"n={f.n}", "branch: " + ("free" if k is None else f"period {k}")]
-    if doc.horizon is not None:
-        lines.append(f"horizon: {doc.horizon}")
-    for j in range(1, f.n + 1):
-        lines.append(f"a{j} -> {f.image(j).text()}")
-    for c in doc.claims:
-        lines.append(f"claim: {c.quantity}({c.m}) = {c.value}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class ReportOptions:
     horizon: int | None = None
@@ -399,7 +385,7 @@ def _run_oracle(
             verdicts.append({"m": m, **skipped})
             continue
         formula = fixes[m - 1]
-        lifted = counts.fixed(m, observed)
+        lifted = counts.fixed(m)
         if lifted == formula:
             verdict = "match"
         elif branch_mismatch:
@@ -608,11 +594,6 @@ def _fixture_texts(name: str) -> tuple[str, str | None]:
         (root / f"{name}.bqd").read_text(encoding="utf-8"),
         expected.read_text(encoding="utf-8") if expected.is_file() else None,
     )
-
-
-def load_fixture(name: str) -> tuple[MapSpecDocument, dict | None]:
-    text, expected = _fixture_texts(name)
-    return parse_spec(text), None if expected is None else json.loads(expected)
 
 
 def _fixtures(args: argparse.Namespace) -> int:

@@ -5,17 +5,6 @@ class InputError(ValueError):
     """Invalid user input (bad word, bad map description, bad argument)."""
 
 
-class BudgetError(RuntimeError):
-    """A computation exceeded its configured size budget.
-
-    `smallest_m` is the smallest iterate that does not fit.
-    """
-
-    def __init__(self, message, smallest_m=None):
-        super().__init__(message)
-        self.smallest_m = smallest_m
-
-
 class LiftConstructionError(InputError):
     """The piecewise-linear lift cannot be built for this action."""
 

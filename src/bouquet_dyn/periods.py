@@ -138,8 +138,6 @@ class LefschetzFixCheck:
 
     passed: bool
     mode: str
-    lefschetz_value: int
-    fix_value: int
 
 
 def lefschetz_fix_check(
@@ -161,12 +159,12 @@ def lefschetz_fix_check(
     preserving = orientation_of_power(f, m) == "preserving"
     if branch_period_under(f.branch_class, m) != 1:
         if preserving:
-            return LefschetzFixCheck(lef == -fix, "equality-preserving", lef, fix)
-        return LefschetzFixCheck(lef == fix, "equality-reversing", lef, fix)
+            return LefschetzFixCheck(lef == -fix, "equality-preserving")
+        return LefschetzFixCheck(lef == fix, "equality-reversing")
     bound_l = abs(lef) if preserving else lef
     mode = "bound-abs" if preserving else "bound"
     passed = bound_l <= fix <= 2 * f.n - 1 + bound_l
-    return LefschetzFixCheck(passed, mode, lef, fix)
+    return LefschetzFixCheck(passed, mode)
 
 
 # ---------------------------------------------------------------------------

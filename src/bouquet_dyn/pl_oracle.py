@@ -45,9 +45,6 @@ class Piece:
     slope: Fraction
     intercept: Fraction
 
-    def value(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
-
 
 @dataclass(frozen=True)
 class PLLift:
@@ -56,20 +53,6 @@ class PLLift:
 
     n: int
     pieces: tuple[Piece, ...]
-
-    def piece_at(self, x: Fraction) -> Piece:
-        if not 0 <= x <= self.n:
-            raise ValueError(f"{x} outside [0, {self.n}]")
-        return self.pieces[bisect_right(self.pieces, x, key=lambda p: p.lo) - 1]
-
-    def value(self, x: Fraction) -> Fraction:
-        return self.piece_at(x).value(x)
-
-    def dump(self) -> str:
-        """One line per piece: `lo hi slope intercept` in p/q notation."""
-        return "\n".join(
-            f"{p.lo} {p.hi} {p.slope} {p.intercept}" for p in self.pieces
-        )
 
 
 def _rotate_to_base(w: Word) -> Word:
@@ -157,11 +140,10 @@ class OracleCounts:
     over_budget: int | None
     branch_period: int | None
 
-    def fixed(self, m: int, branch_period: int | None) -> int:
+    def fixed(self, m: int) -> int:
         """Fixed points of f^m on the circles: the crossings, plus 1 when
-        f^m fixes the branching point (`branch_period` is the lift's,
-        observed to depth >= m, such as `self.branch_period`)."""
-        branch_fixed = branch_period_under(branch_period, m) == 1
+        f^m fixes the branching point, by the observed `branch_period`."""
+        branch_fixed = branch_period_under(self.branch_period, m) == 1
         return self.crossings[m - 1] + int(branch_fixed)
 
 

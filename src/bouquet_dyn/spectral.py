@@ -150,7 +150,8 @@ def _logsumexp(vals: list[float]) -> float:
     top = max(vals)
     if top == -math.inf:
         return top
-    return top + math.log(sum(math.exp(v - top) for v in vals))
+    # fsum is correctly rounded, so the sum is the same on every Python
+    return top + math.log(math.fsum(math.exp(v - top) for v in vals))
 
 
 def m0_bound(s: SpectrumReport, dim: int) -> int | None:
@@ -181,7 +182,10 @@ def m0_bound(s: SpectrumReport, dim: int) -> int | None:
             log_d + m * log_s2,
             0.0,
         ])
-        return m * log_s1 > rhs
+        # a margin makes an exact tie fail on every interpreter; it can
+        # only move m0 up, which keeps the bound sound
+        lhs = m * log_s1
+        return lhs - rhs > 1e-12 * max(1.0, lhs)
 
     m0 = bisect_left(range(1, M0_SCAN_CAP + 1), True, key=passes) + 1
     return m0 if m0 <= M0_SCAN_CAP else None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Sequence
 
-from .errors import BudgetError, InputError
+from .errors import InputError
 
 #: branch class of a map whose branching point is never periodic
 BRANCH_FREE = None
@@ -74,12 +74,6 @@ class Word:
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 
-    def inverse(self) -> "Word":
-        return Word(tuple(l.inverse() for l in reversed(self.letters)))
-
-    def concat(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
     def max_index(self) -> int:
         return max(l.index for l in self.letters)
 
@@ -92,11 +86,6 @@ class Word:
         if not toks:
             raise InputError("empty word")
         return Word(tuple(Letter.parse(t) for t in toks))
-
-
-def word(text: str) -> Word:
-    """Shorthand: ``word("a1 a2'")``."""
-    return Word.parse(text)
 
 
 @dataclass(frozen=True)
@@ -176,56 +165,8 @@ def chi(w: Word, j: int) -> int:
     return sum(l.sign for l in w if l.index == j)
 
 
-def gamma(w: Word, j: int) -> int:
-    """Signed occurrence count of generator j at strictly interior positions."""
-    if j < 1:
-        raise InputError(f"generator index {j} out of range")
-    return sum(l.sign for l in w.letters[1:-1] if l.index == j)
-
-
 # ---------------------------------------------------------------------------
 # the induced endomorphism
-
-def apply_endo(f: MapAction, w: Word) -> Word:
-    """Image of w under the endomorphism induced by f.
-
-    Each plain letter aj is replaced by its image word, each inverse
-    letter by the reversed sign-flipped image word; pieces concatenate in
-    order.  Allowed words never cancel, so no reduction is needed.
-    """
-    out: list[Letter] = []
-    for l in w:
-        img = f.image(l.index)
-        if l.sign > 0:
-            out.extend(img.letters)
-        else:
-            out.extend(img.inverse().letters)
-    return Word(tuple(out))
-
-
-def iterate_action(f: MapAction, m: int, budget: int = 10**6) -> MapAction:
-    """The action of the m-th iterate, with image words fully expanded.
-
-    The branching point's least period becomes
-    ``branch_period_under(k, m)``.  Raises BudgetError (naming the
-    smallest offending iterate) if the expanded words would exceed
-    ``budget`` letters in total.  Large-m counting should read the
-    per-iterate sequences of ``homology.PowerSequences`` instead.
-    """
-    if m < 1:
-        raise InputError(f"iterate must be >= 1, got {m}")
-    words = f.images
-    for step in range(2, m + 1):
-        words = tuple(apply_endo(f, w) for w in words)
-        total = sum(len(w) for w in words)
-        if total > budget:
-            raise BudgetError(
-                f"expanded words of iterate {step} need {total} letters "
-                f"(budget {budget})",
-                smallest_m=step,
-            )
-    return MapAction(f.n, words, branch_period_under(f.branch_class, m))
-
 
 def first_letter(f: MapAction, l: Letter) -> Letter:
     """First letter of the image of the one-letter word l.

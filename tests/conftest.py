@@ -3,34 +3,100 @@ and the independent references that the library's one route per
 quantity is checked against (a ladder of matrix products and repeated
 squaring for the power sequences, Faddeev-LeVerrier for their
 characteristic polynomial, divisors and mu for the Moebius sieve, letter
-orbits for the fix counts' signed codes, a depth-first walk over every
-piece for the oracle's table sweep)."""
+orbits for the fix counts' signed codes, iterate images expanded word by
+word for the per-iterate counts, a depth-first walk over every piece for
+the oracle's table sweep)."""
 
+import json
 import random
+from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
 
-from bouquet_dyn import (
-    BRANCH_FREE,
-    LefschetzTable,
-    Letter,
-    MapAction,
-    Word,
-    build_lift,
-)
-from bouquet_dyn.errors import BudgetError, InputError, LiftConstructionError
-from bouquet_dyn.homology import IntMatrix, mat_mul
+from bouquet_dyn import cli
+from bouquet_dyn.errors import InputError, LiftConstructionError
+from bouquet_dyn.homology import IntMatrix, LefschetzTable, mat_mul
 from bouquet_dyn.pl_oracle import (
     PIECE_BUDGET,
     Piece,
     PLLift,
     _children,
     _scaled,
+    build_lift,
     lift_branch_period,
 )
-from bouquet_dyn.words import branch_period_under, first_letter
+from bouquet_dyn.words import (
+    BRANCH_FREE,
+    Letter,
+    MapAction,
+    Word,
+    branch_period_under,
+    first_letter,
+)
+
+
+class BudgetError(RuntimeError):
+    """A reference computation exceeded its size budget; `smallest_m` is
+    the smallest iterate that does not fit."""
+
+    def __init__(self, message, smallest_m=None):
+        super().__init__(message)
+        self.smallest_m = smallest_m
+
+
+def load_fixture(name: str) -> tuple[cli.MapSpecDocument, dict | None]:
+    """A bundled fixture's parsed map and its frozen report, if any."""
+    text, expected = cli._fixture_texts(name)
+    return cli.parse_spec(text), None if expected is None else json.loads(expected)
+
+
+# ---------------------------------------------------------------------------
+# word expansion: the iterate images letter by letter
+
+def inverse(w: Word) -> Word:
+    """The reversed, sign-flipped word."""
+    return Word(tuple(l.inverse() for l in reversed(w.letters)))
+
+
+def concat(u: Word, v: Word) -> Word:
+    return Word(u.letters + v.letters)
+
+
+def gamma(w: Word, j: int) -> int:
+    """Signed occurrence count of generator j at strictly interior positions."""
+    return sum(l.sign for l in w.letters[1:-1] if l.index == j)
+
+
+def apply_endo(f: MapAction, w: Word) -> Word:
+    """Image of w under the endomorphism induced by f: each plain letter
+    aj becomes its image word, each inverse letter the inverse of it.
+    Allowed words never cancel, so no reduction is needed."""
+    out: list[Letter] = []
+    for l in w:
+        img = f.image(l.index)
+        out.extend(img.letters if l.sign > 0 else inverse(img).letters)
+    return Word(tuple(out))
+
+
+def iterate_action(f: MapAction, m: int, budget: int = 10**6) -> MapAction:
+    """The action of the m-th iterate, with image words fully expanded and
+    branch period `branch_period_under(k, m)`.  Raises BudgetError
+    (naming the smallest offending iterate) if the expanded words would
+    exceed `budget` letters in total."""
+    assert m >= 1, m
+    words = f.images
+    for step in range(2, m + 1):
+        words = tuple(apply_endo(f, w) for w in words)
+        total = sum(len(w) for w in words)
+        if total > budget:
+            raise BudgetError(
+                f"expanded words of iterate {step} need {total} letters "
+                f"(budget {budget})",
+                smallest_m=step,
+            )
+    return MapAction(f.n, words, branch_period_under(f.branch_class, m))
 
 
 def random_action(
@@ -287,3 +353,11 @@ def iterate_lift(lift: PLLift, m: int, budget: int = PIECE_BUDGET) -> PLLift:
         raise BudgetError(f"composed lift exceeds {budget} pieces",
                           smallest_m=over)
     return PLLift(lift.n, leaves)
+
+
+def lift_value(lift: PLLift, x: Fraction) -> Fraction:
+    """The lift at x in [0, n], read off the piece that holds x."""
+    if not 0 <= x <= lift.n:
+        raise ValueError(f"{x} outside [0, {lift.n}]")
+    p = lift.pieces[bisect_right(lift.pieces, x, key=lambda p: p.lo) - 1]
+    return p.slope * x + p.intercept

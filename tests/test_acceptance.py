@@ -12,19 +12,16 @@ from bouquet_dyn import (
     abelianize,
     action,
     build_lift,
-    dominant_test,
     eigenvalues,
     fix_counts,
-    m0_bound,
     oracle_counts,
     per_census,
-    period_certificates,
 )
-from bouquet_dyn.cli import ReportOptions, load_fixture, run_report
-from bouquet_dyn.periods import ALL_PERIODS
-from bouquet_dyn.pl_oracle import lift_branch_period
+from bouquet_dyn.cli import ReportOptions, run_report
+from bouquet_dyn.periods import ALL_PERIODS, period_certificates
+from bouquet_dyn.spectral import dominant_test, m0_bound
 
-from conftest import random_expanding_action
+from conftest import load_fixture, random_expanding_action
 
 REFLECT = action("a1' a1'")
 LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
@@ -167,9 +164,8 @@ def test_criterion_6_oracle_equivalence():
         seqs = PowerSequences.of(abelianize(f), 8)
         fixes = fix_counts(f, seqs, 6)
         counts = oracle_counts(lift, 8)
-        period = lift_branch_period(lift, 8)
         for m in range(1, 7):
-            if counts.fixed(m, period) != fixes[m - 1]:
+            if counts.fixed(m) != fixes[m - 1]:
                 ok = False
         for m in range(1, 9):
             if counts.covers[m - 1] != seqs.norms[m - 1]:

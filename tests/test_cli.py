@@ -6,24 +6,24 @@ from importlib import resources
 
 import pytest
 
-from bouquet_dyn import BRANCH_FREE, cli
+from bouquet_dyn import cli
 from bouquet_dyn.cli import (
     DIGIT_CAP,
     MapSpecDocument,
     ReportOptions,
     fixture_names,
     json_indent2,
-    load_fixture,
     main,
     parse_spec,
-    print_spec,
     render_json,
+    render_text,
     run_report,
 )
 from bouquet_dyn.errors import InconsistencyError, InputError
 from bouquet_dyn.homology import abelianize
+from bouquet_dyn.words import BRANCH_FREE
 
-from conftest import random_action, random_expanding_action
+from conftest import load_fixture, random_action, random_expanding_action
 
 LOW_GROWTH_TEXT = """\
 n=3
@@ -110,10 +110,6 @@ class TestParseSpec:
     def test_unknown_line(self):
         with pytest.raises(InputError, match="line 2"):
             parse_spec("n=1\nwat\nbranch: free\na1 -> a1 a1\n")
-
-    def test_roundtrip(self):
-        doc = parse_spec(LOW_GROWTH_TEXT + "claim: per(1) = 1\n")
-        assert parse_spec(print_spec(doc)) == doc
 
     # "²" passes str.isdigit() but not int(); "٣" passes both
     @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
@@ -392,6 +388,41 @@ class TestFixtureCorpus:
         assert any(
             "l(3) = 2" in w for w in expected["warnings"]
         )
+
+
+class TestRenderText:
+    def test_fixture_reports(self):
+        # the default --format text shows the whole table, the period set,
+        # every certificate, the oracle status and every warning
+        seen = set()
+        for name in fixture_names():
+            doc, _ = load_fixture(name)
+            report = run_report(doc, ReportOptions())
+            lines = render_text(report).splitlines()
+            horizon = report["input"]["horizon"]
+            lef, cen = report["lefschetz"], report["census"]
+            header = lines.index(f"{'m':>3} {'Tr':>8} {'L':>8} {'l':>8} "
+                                 f"{'fix':>8} {'per':>8}")
+            rows = [line.split() for line in lines[header + 1:header + 2 + horizon]]
+            assert rows[-1] == [], name
+            assert rows[:-1] == [
+                [str(m), lef["trace"][m - 1], lef["L"][m - 1], lef["l"][m - 1],
+                 cen["fix"][m - 1], cen["per"][m - 1]]
+                for m in range(1, horizon + 1)
+            ], name
+            assert (f"period set up to {horizon}: {cen['period_set']}"
+                    in lines), name
+            for cert in report["certificates"]:
+                assert f"  {cert['rule']}: {cert['conclusion']}" in lines, name
+            oracle = [line for line in lines if line.startswith("oracle: ")]
+            assert len(oracle) == 1, name
+            assert oracle[0].split()[1] == report["oracle"]["status"], name
+            for w in report["warnings"]:
+                assert f"warning: {w}" in lines, name
+            seen.add(report["oracle"]["status"])
+            seen |= {"certificates"} if report["certificates"] else set()
+            seen |= {"warnings"} if report["warnings"] else set()
+        assert {"ok", "unavailable", "certificates", "warnings"} <= seen
 
 
 def dumps(value) -> str:

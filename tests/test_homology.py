@@ -11,7 +11,6 @@ from bouquet_dyn import (
     abelianize,
     action,
     fix_counts,
-    iterate_action,
 )
 from bouquet_dyn.errors import InputError
 from bouquet_dyn.homology import divisor_sums, invert_divisor_sums
@@ -21,6 +20,7 @@ from conftest import (
     char_poly,
     divisors,
     identity,
+    iterate_action,
     lefschetz_table,
     letter_fix_counts,
     mat_pow,

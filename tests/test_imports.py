@@ -1,6 +1,8 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and defines
+nothing public that only tests use."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -27,3 +29,44 @@ def test_standard_library_only():
         if name not in allowed
     }
     assert not outside, sorted(outside)
+
+
+ROOT = PACKAGE.parents[1]
+
+
+def referenced_names(tree):
+    """Every name a module uses: `Name` ids, `Attribute` attrs and the
+    last part of each imported name (docstrings and comments don't count)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.rpartition(".")[2] for alias in node.names)
+
+
+def test_public_definitions_are_used():
+    # a public top-level function or class must be used by the package
+    # (re-exports in __init__ don't count), the README example or the
+    # benchmark; what only tests call belongs in tests/conftest.py
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            used.update(referenced_names(tree))
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        used.update(referenced_names(ast.parse(block)))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used.update(referenced_names(ast.parse(path.read_text(), str(path))))
+    defined = {
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    assert len(defined) > 30, defined
+    assert sorted(d for d in defined if d[1] not in used) == []

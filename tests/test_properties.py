@@ -13,17 +13,17 @@ from bouquet_dyn import (
     PowerSequences,
     abelianize,
     eigenvalues,
-    entropy_limit,
-    iterate_action,
     fix_counts,
     per_census,
-    period_certificates,
 )
-from bouquet_dyn.errors import BudgetError
+from bouquet_dyn.periods import period_certificates
+from bouquet_dyn.spectral import entropy_limit
 from bouquet_dyn.words import chi
 
 from conftest import (
+    BudgetError,
     divisors,
+    iterate_action,
     lefschetz_table,
     mat_pow,
     mobius,

@@ -5,17 +5,15 @@ import random
 
 import pytest
 
-from bouquet_dyn import (
-    PowerSequences,
-    abelianize,
-    action,
+from bouquet_dyn import PowerSequences, abelianize, action, eigenvalues
+from bouquet_dyn.errors import InputError
+from bouquet_dyn.spectral import (
+    M0_SCAN_CAP,
+    SpectrumReport,
     dominant_test,
-    eigenvalues,
     entropy_limit,
     m0_bound,
 )
-from bouquet_dyn.errors import InputError
-from bouquet_dyn.spectral import M0_SCAN_CAP, SpectrumReport
 
 from conftest import (
     char_poly,

@@ -4,28 +4,27 @@ import random
 
 import pytest
 
-from bouquet_dyn import (
+from bouquet_dyn import PowerSequences, abelianize, action, fix_counts
+from bouquet_dyn.errors import InputError
+from bouquet_dyn.words import (
     BRANCH_FREE,
     Letter,
     MapAction,
-    PowerSequences,
     Word,
-    action,
-    abelianize,
-    apply_endo,
     branch_period_under,
     chi,
     first_letter,
-    fix_counts,
-    gamma,
-    iterate_action,
     orientation,
-    word,
+    orientation_of_power,
 )
-from bouquet_dyn.errors import BudgetError, InputError
-from bouquet_dyn.words import orientation_of_power
 
 from conftest import (
+    BudgetError,
+    apply_endo,
+    concat,
+    gamma,
+    inverse,
+    iterate_action,
     letter_fix_counts,
     powers,
     random_action,
@@ -66,30 +65,30 @@ class TestWords:
             Word.parse("   ")
 
     def test_inverse_reverses_and_flips(self):
-        w = word("a1 a2 a3")
-        assert w.inverse().text() == "a3' a2' a1'"
+        w = Word.parse("a1 a2 a3")
+        assert inverse(w).text() == "a3' a2' a1'"
 
 
 class TestChiGamma:
     def test_chi_repeated_generator(self):
         # chi_j(a_j a_{j+1} a_j) = 2
-        assert chi(word("a2 a3 a2"), 2) == 2
+        assert chi(Word.parse("a2 a3 a2"), 2) == 2
 
     def test_chi_absent(self):
-        assert chi(word("a2 a3"), 1) == 0
+        assert chi(Word.parse("a2 a3"), 1) == 0
 
     def test_chi_inverse_pair(self):
-        assert chi(word("a1' a1'"), 1) == -2
+        assert chi(Word.parse("a1' a1'"), 1) == -2
 
     def test_gamma_boundary_only(self):
         # both occurrences of a_2 sit on the boundary
-        assert gamma(word("a2 a3 a2"), 2) == 0
+        assert gamma(Word.parse("a2 a3 a2"), 2) == 0
 
     def test_gamma_single_letter(self):
-        assert gamma(word("a2"), 2) == 0
+        assert gamma(Word.parse("a2"), 2) == 0
 
     def test_gamma_interior(self):
-        assert gamma(word("a2 a1 a1 a3"), 1) == 2
+        assert gamma(Word.parse("a2 a1 a1 a3"), 1) == 2
 
     def test_chi_concat_additive(self, rng):
         for _ in range(50):
@@ -98,7 +97,7 @@ class TestChiGamma:
             v = f.image(f.n)
             if u.sign != v.sign:
                 continue
-            uv = u.concat(v)
+            uv = concat(u, v)
             for j in range(1, f.n + 1):
                 assert chi(uv, j) == chi(u, j) + chi(v, j)
 
@@ -112,15 +111,15 @@ class TestChiGamma:
 class TestApplyEndo:
     def test_direct_substitution(self):
         f = action("a1 a2", "a1")
-        assert apply_endo(f, word("a2")).text() == "a1"
+        assert apply_endo(f, Word.parse("a2")).text() == "a1"
 
     def test_inverse_reversal_rule(self):
         f = action("a1' a1'")
-        assert apply_endo(f, word("a1'")).text() == "a1 a1"
+        assert apply_endo(f, Word.parse("a1'")).text() == "a1 a1"
 
     def test_concatenation(self):
         f = action("a1 a2", "a1")
-        assert apply_endo(f, word("a1 a2")).text() == "a1 a2 a1"
+        assert apply_endo(f, Word.parse("a1 a2")).text() == "a1 a2 a1"
 
     def test_homomorphism_law(self, rng):
         for _ in range(30):
@@ -128,15 +127,15 @@ class TestApplyEndo:
             u, v = f.image(1), f.image(f.n)
             if u.sign != v.sign:
                 continue
-            lhs = apply_endo(f, u.concat(v))
-            rhs = apply_endo(f, u).concat(apply_endo(f, v))
+            lhs = apply_endo(f, concat(u, v))
+            rhs = concat(apply_endo(f, u), apply_endo(f, v))
             assert lhs == rhs
 
     def test_inverse_law(self, rng):
         for _ in range(30):
             f = random_action(rng)
             w = f.image(1)
-            assert apply_endo(f, w.inverse()) == apply_endo(f, w).inverse()
+            assert apply_endo(f, inverse(w)) == inverse(apply_endo(f, w))
 
     def test_closure_sign(self, rng):
         for _ in range(30):
@@ -262,7 +261,7 @@ class TestIterateCounts:
 class TestMapAction:
     def test_global_sign_required(self):
         with pytest.raises(InputError):
-            MapAction(2, (word("a1 a2"), word("a1'")), BRANCH_FREE)
+            MapAction(2, (Word.parse("a1 a2"), Word.parse("a1'")), BRANCH_FREE)
 
     def test_index_range_checked(self):
         with pytest.raises(InputError):
