@@ -49,6 +49,10 @@ DEFAULT_ENTROPY_HORIZON = 30
 #: a string; the cap sits below that, and is the same on every version.
 DIGIT_CAP = 4000
 
+#: the most iterates a report may reach: a map of single-letter images
+#: grows no digits, so DIGIT_CAP alone does not bound its record
+ITERATE_CAP = 10_000
+
 _CLAIM_RE = re.compile(
     r"^claim:\s*(L|l|fix|per)\s*\(\s*(\d+)\s*\)\s*=\s*(-?\d+)\s*$",
     re.ASCII,
@@ -115,6 +119,8 @@ def parse_spec(text: str) -> MapSpecDocument:
                 raise err(f"bad branch declaration {rest!r}")
             continue
         if line.startswith("horizon:"):
+            if horizon is not None:
+                raise err("duplicate horizon declaration")
             horizon = _positive(line[len("horizon:"):].strip(), "horizon", err)
             continue
         claim_match = _CLAIM_RE.match(line)
@@ -195,8 +201,8 @@ def _claim_value(
 
 def _digit_bound(mat: IntMatrix, iterates: int) -> float:
     """An upper bound on the decimal digits of every integer a report
-    prints, when its census, Lefschetz table and oracle reach iterate
-    `iterates`.
+    prints or holds, when its record, census, Lefschetz table and oracle
+    reach iterate `iterates`.
 
     Let c be the largest column sum of |M|, the longest image word.  The
     column sums of |M^m| are at most c^m, so every trace, fix count,
@@ -222,8 +228,9 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     Every per-iterate quantity is computed once, in one
     `PowerSequences` record of M^1..M^K, K the largest of the horizon,
     the entropy horizon and the oracle depth, and read by each consumer.
-    An input whose printed integers could need more than DIGIT_CAP
-    digits is refused before the record is built.
+    An input whose record could hold integers of more than DIGIT_CAP
+    digits, or whose K is over ITERATE_CAP, is refused before the record
+    is built.
     """
     f = doc.action
     horizon = options.horizon
@@ -240,15 +247,20 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         raise InputError(f"oracle depth must be >= 1, got {oracle_depth}")
     warnings: list[str] = []
     mat = abelianize(f)
-    counted = max(horizon, oracle_depth)
-    digits = _digit_bound(mat, counted)
+    iterates = max(horizon, options.entropy_horizon, oracle_depth)
+    digits = _digit_bound(mat, iterates)
     if digits > DIGIT_CAP:
         raise InputError(
-            f"iterates up to {counted} could need integers of "
+            f"iterates up to {iterates} could need integers of "
             f"{math.ceil(digits)} digits, over the cap of {DIGIT_CAP} digits"
         )
-    seqs = PowerSequences.of(
-        mat, max(horizon, options.entropy_horizon, oracle_depth))
+    if iterates > ITERATE_CAP:
+        raise InputError(
+            f"iterates up to {iterates} requested, over the cap of "
+            f"{ITERATE_CAP} iterates"
+        )
+    seqs = PowerSequences.of(mat, iterates)
+    counted = max(horizon, oracle_depth)
     fixes = fix_counts(f, seqs, counted)
     table = LefschetzTable.of(seqs.traces[:horizon])
     census = per_census(fixes[:horizon])

@@ -4,10 +4,12 @@ The lift is a map of [0, n] with all integers identified to the branching
 point.  Each circle [j-1, j] starts and ends at height 1/2, covers the
 second half of circle 1, then one full circle per remaining letter of the
 image word, then the first half of circle 1 (mirrored when orientation
-reverses).  All arithmetic is exact rational: crossing counts must be
-exact, so no floating point appears anywhere in this module.  Iterates
-are not stored.  `oracle_counts` sweeps f^1..f^depth one depth at a
-time through one table per depth, local to the call: a piece that
+reverses).  All arithmetic is in exact integers: the lift is built in
+units of 1/scale, scale = 2 lcm(len(A_j)), and a sweep refines those
+units once so that every cut it makes stays integral.  Crossing counts
+must be exact, so no floating point appears anywhere in this module.
+Iterates are not stored.  `oracle_counts` sweeps f^1..f^depth one depth
+at a time through one table per depth, local to the call: a piece that
 touches the integers or the branch orbit is an entry of its own, and the
 pieces that share an image and a cell between those points are one entry
 with their count.  Each entry is counted and expanded once.
@@ -20,14 +22,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateMapError, InputError, LiftConstructionError
 from .words import MapAction, Word, branch_period_under
-
-HALF = Fraction(1, 2)
 
 #: composed lifts may not exceed this many linear pieces
 PIECE_BUDGET = 10**7
@@ -37,22 +37,16 @@ BRANCH_WATCH = 13
 
 
 @dataclass(frozen=True)
-class Piece:
-    """One linear piece x -> slope*x + intercept on [lo, hi)."""
-
-    lo: Fraction
-    hi: Fraction
-    slope: Fraction
-    intercept: Fraction
-
-
-@dataclass(frozen=True)
 class PLLift:
-    """A piecewise-linear self-map of [0, n], pieces half-open with the
-    final piece closed at n."""
+    """A piecewise-linear self-map of [0, n] in units of 1/scale.
+
+    Each piece (lo, hi, slope, intercept) is x -> slope*x + intercept on
+    [lo, hi), x and the intercept in those units; the pieces tile
+    [0, n*scale] in order, the final piece closed at its right end."""
 
     n: int
-    pieces: tuple[Piece, ...]
+    scale: int
+    pieces: tuple[tuple[int, int, int, int], ...]
 
 
 def _rotate_to_base(w: Word) -> Word:
@@ -77,7 +71,9 @@ def build_lift(f: MapAction) -> PLLift:
 
     Every integer maps to 1/2 (the branch image), and the restriction to
     [j-1, j] has constant slope of modulus len(A_j), traversing the
-    circles in the order of A_j's letters.
+    circles in the order of A_j's letters.  The pieces are written in
+    units of 1/scale, scale = 2 lcm(len(A_j)), the least in which every
+    half and full sub-arc, 1/(2 len(A_j)) and 1/len(A_j), is whole.
     """
     d11 = sum(l.sign for l in f.image(1) if l.index == 1)
     visits_others = any(l.index != 1 for l in f.image(1))
@@ -95,31 +91,25 @@ def build_lift(f: MapAction) -> PLLift:
             "identity on it"
         )
     sign = f.global_sign
-    pieces: list[Piece] = []
-    for j, w in enumerate(rotated, start=1):
-        r = len(w)
-        slope = Fraction(sign * r)
-        x = Fraction(j - 1)
-        half = Fraction(1, 2 * r)
-        full = Fraction(1, r)
-        # (start x, width, start value) per sub-arc of the traversal
-        if sign > 0:
-            stops: list[tuple[Fraction, Fraction]] = [(half, HALF)]
-            for letter in w.letters[1:]:
-                stops.append((full, Fraction(letter.index - 1)))
-            stops.append((half, Fraction(0)))
-        else:
-            stops = [(half, HALF)]
-            for letter in w.letters[1:]:
-                stops.append((full, Fraction(letter.index)))
-            stops.append((half, Fraction(1)))
+    scale = 2 * math.lcm(*map(len, rotated))
+    # a letter's arc starts at its circle's left end, or right end when
+    # reversing, and the traversal ends at that end of circle 1
+    end = 0 if sign > 0 else scale
+    pieces: list[tuple[int, int, int, int]] = []
+    for j, w in enumerate(rotated):
+        slope = sign * len(w)
+        full = scale // len(w)
+        x = j * scale
+        # (width, start value) per sub-arc of the traversal
+        stops = [(full // 2, scale // 2)]
+        stops += [(full, (l.index - 1) * scale + end) for l in w.letters[1:]]
+        stops.append((full // 2, end))
         for width, start_value in stops:
-            pieces.append(
-                Piece(x, x + width, slope, start_value - slope * x)
-            )
+            pieces.append((x, x + width, slope, start_value - slope * x))
             x += width
-        assert x == j, "circle traversal does not tile the interval"
-    return PLLift(f.n, tuple(pieces))
+        assert x == (j + 1) * scale, (
+            "circle traversal does not tile the interval")
+    return PLLift(f.n, scale, tuple(pieces))
 
 
 @dataclass(frozen=True)
@@ -128,16 +118,16 @@ class OracleCounts:
 
     `crossings[m-1]` counts the diagonal crossings of f^m at non-integer
     points, `covers[m-1]` the preimages of the branching point under f^m
-    (the refined cover size).  `over_budget` is the first iterate with
-    more pieces than the sweep's budget, or None.  `branch_period` is
-    the least t <= max(BRANCH_WATCH, depth + 1) with f^t(0) at an
+    (the refined cover size).  The sweep stops before the first iterate
+    with more pieces than its budget, so len(crossings) < depth means
+    iterate len(crossings) + 1 was over budget.  `branch_period` is the
+    least t <= max(BRANCH_WATCH, depth + 1) with f^t(0) at an
     integer, or None: the lift's branch period, as `lift_branch_period`
     gives it.
     """
 
     crossings: tuple[int, ...]
     covers: tuple[int, ...]
-    over_budget: int | None
     branch_period: int | None
 
     def fixed(self, m: int) -> int:
@@ -150,21 +140,16 @@ class OracleCounts:
 def _scaled(
     lift: PLLift, depth: int
 ) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """The scale of a sweep to `depth` and the lift's pieces as integer
-    (lo, hi, slope, intercept) in units of 1/scale.
+    """The scale of a sweep to `depth` and the lift's pieces in units of
+    1/scale.
 
     A child's cut divides by its parent's slope, a product of at most
-    depth - 1 lift slopes, so the lift's denominators times
+    depth - 1 lift slopes, so the lift's units refined by
     lcm(|slopes|)^(depth-1) keep every cut and intercept integral.
     """
-    assert all(p.slope.denominator == 1 for p in lift.pieces), (
-        "lift slopes must be integers")
-    scale = math.lcm(*(q.denominator for p in lift.pieces
-                       for q in (p.lo, p.hi, p.intercept)))
-    slopes = math.lcm(*(p.slope.numerator for p in lift.pieces))
-    scale *= slopes ** (depth - 1)
-    return scale, [(int(p.lo * scale), int(p.hi * scale), p.slope.numerator,
-                    int(p.intercept * scale)) for p in lift.pieces]
+    grow = math.lcm(*(s for _, _, s, _ in lift.pieces)) ** (depth - 1)
+    return lift.scale * grow, [(lo * grow, hi * grow, s, b * grow)
+                               for lo, hi, s, b in lift.pieces]
 
 
 def _children(
@@ -250,7 +235,7 @@ def _next_depth(
 
 def _branch_orbit(
     steps: int, scale: int,
-    base: list[tuple[int, int, int, int]], los: list[int],
+    base: Sequence[tuple[int, int, int, int]], los: list[int],
 ) -> tuple[list[int], int | None]:
     """f^1(0), f^2(0), ... in units of 1/scale, up to `steps` points or
     to the first integer among them, and the number t of that integer
@@ -325,10 +310,10 @@ def oracle_counts(
     canonical lift).  Every entry is counted once, with the full crossing
     test and the identity check, and its children are expanded once.  The
     table lives for one call and is freed on return; no composite is
-    kept.  Piece counts are exact per depth, so the sweep stops at the
-    first depth k >= 2 with more than `budget` pieces (`over_budget`) and
-    every shallower count is complete.  A piece of f^k within budget that
-    lies on the diagonal means the map is not expanding and is rejected.
+    kept.  Piece counts are exact per depth, so the sweep stops before the
+    first depth k >= 2 with more than `budget` pieces and every shallower
+    count is complete.  A piece of f^k within budget that lies on the
+    diagonal means the map is not expanding and is rejected.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
@@ -339,10 +324,8 @@ def oracle_counts(
     entries = [[piece, 1] for piece in base]
     crossings: list[int] = []
     covers: list[int] = []
-    over = None
     for k in range(1, depth + 1):
         if k > 1 and sum(count for _, count in entries) > budget:
-            over = k
             break
         crossed = covered = 0
         for piece, count in entries:
@@ -353,11 +336,11 @@ def oracle_counts(
         covers.append(covered)
         if k < depth:
             entries = _next_depth(base, los, points, entries)
-    return OracleCounts(tuple(crossings), tuple(covers), over, branch_period)
+    return OracleCounts(tuple(crossings), tuple(covers), branch_period)
 
 
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:
     """Least t <= depth with f^t(0), the branch orbit, at an integer, or
     None."""
-    scale, base = _scaled(lift, 1)
-    return _branch_orbit(depth, scale, base, [lo for lo, _, _, _ in base])[1]
+    los = [lo for lo, _, _, _ in lift.pieces]
+    return _branch_orbit(depth, lift.scale, lift.pieces, los)[1]

@@ -20,7 +20,6 @@ from bouquet_dyn.errors import InputError, LiftConstructionError
 from bouquet_dyn.homology import IntMatrix, LefschetzTable, mat_mul
 from bouquet_dyn.pl_oracle import (
     PIECE_BUDGET,
-    Piece,
     PLLift,
     _children,
     _scaled,
@@ -337,27 +336,34 @@ class Walk:
 
 
 def iterate_lift(lift: PLLift, m: int, budget: int = PIECE_BUDGET) -> PLLift:
-    """Exact m-fold composition of the lift: the walk's depth-m pieces."""
+    """Exact m-fold composition of the lift: the walk's depth-m pieces, in
+    the walk's units."""
     assert m >= 1, m
     if m == 1:
         return lift
     walk = Walk(lift, m, budget)
-    scale = walk.scale
-    leaves = tuple(
-        Piece(Fraction(lo, scale), Fraction(hi, scale), Fraction(s),
-              Fraction(b, scale))
-        for k, lo, hi, s, b in walk if k == m
-    )
+    leaves = tuple(node[1:] for node in walk if node[0] == m)
     over = walk.over_budget()
     if over is not None:
         raise BudgetError(f"composed lift exceeds {budget} pieces",
                           smallest_m=over)
-    return PLLift(lift.n, leaves)
+    return PLLift(lift.n, walk.scale, leaves)
+
+
+def fraction_pieces(
+    lift: PLLift,
+) -> list[tuple[Fraction, Fraction, int, Fraction]]:
+    """The lift's pieces as (lo, hi, slope, intercept) with the ends and
+    the intercept read out of units of 1/scale into `Fraction`s."""
+    scale = lift.scale
+    return [(Fraction(lo, scale), Fraction(hi, scale), s, Fraction(b, scale))
+            for lo, hi, s, b in lift.pieces]
 
 
 def lift_value(lift: PLLift, x: Fraction) -> Fraction:
     """The lift at x in [0, n], read off the piece that holds x."""
     if not 0 <= x <= lift.n:
         raise ValueError(f"{x} outside [0, {lift.n}]")
-    p = lift.pieces[bisect_right(lift.pieces, x, key=lambda p: p.lo) - 1]
-    return p.slope * x + p.intercept
+    pieces = fraction_pieces(lift)
+    _, _, s, b = pieces[bisect_right(pieces, x, key=lambda p: p[0]) - 1]
+    return s * x + b

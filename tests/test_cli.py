@@ -9,6 +9,7 @@ import pytest
 from bouquet_dyn import cli
 from bouquet_dyn.cli import (
     DIGIT_CAP,
+    ITERATE_CAP,
     MapSpecDocument,
     ReportOptions,
     fixture_names,
@@ -98,6 +99,12 @@ class TestParseSpec:
         # "free" is stored as None, so a second free line must still count
         with pytest.raises(InputError, match="line 3: duplicate branch"):
             parse_spec("n=1\nbranch: free\nbranch: free\na1 -> a1 a1\n")
+
+    def test_duplicate_horizon(self):
+        with pytest.raises(InputError,
+                           match="^line 4: duplicate horizon declaration$"):
+            parse_spec("n=1\nbranch: free\nhorizon: 5\nhorizon: 7\n"
+                       "a1 -> a1 a1\n")
 
     def test_duplicate_image(self):
         with pytest.raises(InputError, match="duplicate"):
@@ -258,6 +265,43 @@ class TestDigitCap:
             bound = cli._digit_bound(abelianize(f), max(
                 options.horizon, options.oracle_depth))
             assert max(map(len, printed_integers(report))) <= bound, f
+
+
+class TestIterateCap:
+    # one-letter images grow no digits, so only the iterate cap holds them
+    ONE_LETTER = "n=1\nbranch: free\na1 -> a1\n"
+
+    @pytest.mark.parametrize("flag", [
+        "--horizon", "--entropy-horizon", "--oracle-depth"])
+    def test_over_cap_exits_fast(self, tmp_path, capsys, flag):
+        p = tmp_path / "one.bqd"
+        p.write_text(self.ONE_LETTER)
+        start = time.perf_counter()
+        assert main(["analyze", str(p), flag, str(10**8)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"over the cap of {ITERATE_CAP} iterates" in err, err
+
+    @pytest.mark.parametrize("value", [20_000, 10**8])
+    def test_entropy_horizon_counts_in_digits(self, tmp_path, capsys, value):
+        # the record holds the norms to the entropy horizon, 2^E here
+        p = tmp_path / "double.bqd"
+        p.write_text("n=1\nbranch: free\na1 -> a1 a1\n")
+        start = time.perf_counter()
+        flags = ["--entropy-horizon", str(value), "--no-oracle"]
+        assert main(["analyze", str(p), *flags]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"over the cap of {DIGIT_CAP} digits" in err, err
+
+    def test_cap_is_inclusive(self):
+        doc = parse_spec(self.ONE_LETTER)
+        report = run_report(doc, ReportOptions(
+            entropy_horizon=ITERATE_CAP, no_oracle=True))
+        assert len(report["entropy"]["limit_sequence"]) == ITERATE_CAP
+        with pytest.raises(InputError, match="over the cap of"):
+            run_report(doc, ReportOptions(
+                entropy_horizon=ITERATE_CAP + 1, no_oracle=True))
 
 
 class TestMain:

@@ -1,5 +1,6 @@
 """Piecewise-linear lift: construction, composition, crossing counts."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -25,7 +26,6 @@ from bouquet_dyn.pl_oracle import (
     BRANCH_WATCH,
     PIECE_BUDGET,
     OracleCounts,
-    Piece,
     PLLift,
     lift_branch_period,
 )
@@ -34,6 +34,7 @@ from conftest import (
     BudgetError,
     Walk,
     divisors,
+    fraction_pieces,
     iterate_action,
     iterate_lift,
     lift_value,
@@ -105,7 +106,7 @@ def walk_counts(lift, depth, budget=PIECE_BUDGET):
     over = walk.over_budget()
     counted = depth if over is None else over - 1
     return OracleCounts(tuple(crossings[1 : counted + 1]),
-                        tuple(covers[1 : counted + 1]), over,
+                        tuple(covers[1 : counted + 1]),
                         orbit_period(lift, max(BRANCH_WATCH, depth + 1)))
 
 
@@ -121,18 +122,30 @@ class TestBuildLift:
         # a1 -> a1 a3 a1 a2 a2 within a G3 map: slope 5, six pieces on [0,1]
         f = action("a1 a3 a1 a2 a2", "a1 a1", "a1 a3")
         lift = build_lift(f)
-        first_circle = [p for p in lift.pieces if p.hi <= 1]
+        first_circle = [p for p in fraction_pieces(lift) if p[1] <= 1]
         assert len(first_circle) == 6
-        assert all(p.slope == 5 for p in first_circle)
-        bounds = [p.lo for p in first_circle] + [Fraction(1)]
+        assert all(s == 5 for _, _, s, _ in first_circle)
+        bounds = [lo for lo, _, _, _ in first_circle] + [Fraction(1)]
         assert bounds == [Fraction(v, 10) for v in (0, 1, 3, 5, 7, 9, 10)]
-        starts = [lift_value(lift, p.lo) for p in first_circle]
+        starts = [lift_value(lift, lo) for lo, _, _, _ in first_circle]
         assert starts == [Fraction(1, 2), 2, 0, 1, 1, 0]
 
     def test_integer_heights(self):
         f, lift = random_expanding_action(__import__("random").Random(7))
         for j in range(0, f.n + 1):
             assert lift_value(lift, Fraction(j)) == Fraction(1, 2)
+
+    def test_scale_is_least(self):
+        # whole entries with no factor shared by the scale and every end
+        # and intercept, so the sweep's integers never grow for nothing
+        rng = random.Random(13)
+        for sign in (1, -1):
+            for _ in range(100):
+                _, lift = random_expanding_action(rng, sign=sign)
+                entries = [lift.scale, *(v for p in lift.pieces for v in p)]
+                assert all(type(v) is int for v in entries), lift
+                ends = [v for lo, hi, _, b in lift.pieces for v in (lo, hi, b)]
+                assert math.gcd(lift.scale, *ends) == 1, lift
 
     def test_single_letter_circle_one_rejected(self):
         with pytest.raises(DegenerateMapError):
@@ -148,13 +161,13 @@ class TestBuildLift:
 
     def test_reflection_pieces(self):
         lift = build_lift(REFLECT)
-        assert [p.slope for p in lift.pieces] == [-2, -2, -2]
+        assert [s for _, _, s, _ in lift.pieces] == [-2, -2, -2]
         assert lift_value(lift, Fraction(0)) == Fraction(1, 2)
         assert lift_value(lift, Fraction(1)) == Fraction(1, 2)
 
     def test_dump_format(self):
         lift = build_lift(DOUBLE)
-        assert lift.pieces[0] == Piece(
+        assert fraction_pieces(lift)[0] == (
             Fraction(0), Fraction(1, 4), Fraction(2), Fraction(1, 2))
 
 
@@ -166,7 +179,7 @@ class TestIterateLift:
     def test_doubling_composition(self):
         lift = build_lift(DOUBLE)
         cubed = iterate_lift(lift, 3)
-        assert all(p.slope == 8 for p in cubed.pieces)
+        assert all(s == 8 for _, _, s, _ in cubed.pieces)
 
     def test_composition_is_pointwise_power(self):
         # the walk's depth-2 leaves tile [0, n] and agree with f(f(x)) at
@@ -174,12 +187,13 @@ class TestIterateLift:
         rng = __import__("random").Random(11)
         f, lift = random_expanding_action(rng)
         squared = iterate_lift(lift, 2)
-        assert squared.pieces[0].lo == 0 and squared.pieces[-1].hi == f.n
-        for p, q in zip(squared.pieces, squared.pieces[1:]):
-            assert p.hi == q.lo
+        pieces = fraction_pieces(squared)
+        assert pieces[0][0] == 0 and pieces[-1][1] == f.n
+        for p, q in zip(pieces, pieces[1:]):
+            assert p[1] == q[0]
         points = [Fraction(k, 41) * f.n for k in range(1, 40)]
-        points += [p.lo for p in squared.pieces]
-        points += [(p.lo + p.hi) / 2 for p in squared.pieces]
+        points += [lo for lo, _, _, _ in pieces]
+        points += [(lo + hi) / 2 for lo, hi, _, _ in pieces]
         for x in points:
             assert lift_value(squared, x) == lift_value(lift, lift_value(lift, x))
 
@@ -279,15 +293,13 @@ class TestCountFixed:
                 counted = len(counts.crossings)
                 assert counts.crossings == full.crossings[:counted]
                 assert counts.covers == full.covers[:counted]
-                m = counts.over_budget
-                if m is None:
-                    assert counted == 8
+                if counted == 8:
                     continue
-                assert counted == m - 1
+                m = counted + 1
                 assert len(iterate_lift(lift, m).pieces) > budget
                 assert m == 2 or len(iterate_lift(lift, m - 1).pieces) <= budget
                 short = oracle_counts(lift, m, budget)
-                assert short.over_budget == m
+                assert len(short.crossings) == m - 1
                 assert short.crossings == full.crossings[: m - 1]
 
 
@@ -318,9 +330,7 @@ class TestTableMatchesWalk:
                     == counts_or_degenerate(walk_counts, lift, 7)), f
         assert compared > 100 and single > 20, (compared, single)
         # x -> 2 - x on [0, 2]: f^2 is the identity, so both must raise
-        flip = PLLift(2, tuple(Piece(Fraction(lo), Fraction(lo + 1),
-                                     Fraction(-1), Fraction(2))
-                               for lo in (0, 1)))
+        flip = PLLift(2, 1, ((0, 1, -1, 2), (1, 2, -1, 2)))
         for count in (oracle_counts, walk_counts):
             assert counts_or_degenerate(count, flip, 7) is DegenerateMapError
         with pytest.raises(DegenerateMapError) as e:
@@ -409,7 +419,7 @@ class TestOracleMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert counts.over_budget is None
+        assert len(counts.crossings) == 22
         assert counts.covers == tuple(2**m for m in range(1, 23))
         assert peak < 256 * 1024
         assert not any(
