@@ -49,6 +49,10 @@ DEFAULT_ENTROPY_HORIZON = 30
 #: a string; the cap sits below that, and is the same on every version.
 DIGIT_CAP = 4000
 
+#: the most circles a map may have, checked at its n= line, before any
+#: image line is read
+CIRCLE_CAP = 64
+
 #: the most iterates a report may reach: a map of single-letter images
 #: grows no digits, so DIGIT_CAP alone does not bound its record
 ITERATE_CAP = 10_000
@@ -105,6 +109,8 @@ def parse_spec(text: str) -> MapSpecDocument:
             if n is not None:
                 raise err("duplicate n= declaration")
             n = _positive(line.split("=", 1)[1].strip(), "circle count", err)
+            if n > CIRCLE_CAP:
+                raise err(f"circle count {n} over the cap of {CIRCLE_CAP} circles")
             continue
         if line.startswith("branch:"):
             if branch_seen:
@@ -260,8 +266,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
             f"{ITERATE_CAP} iterates"
         )
     seqs = PowerSequences.of(mat, iterates)
-    counted = max(horizon, oracle_depth)
-    fixes = fix_counts(f, seqs, counted)
+    fixes = fix_counts(f, seqs.traces[: max(horizon, oracle_depth)])
     table = LefschetzTable.of(seqs.traces[:horizon])
     census = per_census(fixes[:horizon])
     spectrum = eigenvalues(seqs.char)

@@ -4,10 +4,10 @@ Abelianizing the induced endomorphism gives an n-by-n integer matrix M
 whose (i, j) entry is the signed occurrence count of generator i in the
 image of generator j.  A report builds one `PowerSequences` record of
 M^1..M^K and reads every per-iterate quantity from it: only the first
-few powers are built as matrices, and the traces, diagonals, column sums
-and norms of the rest follow the recurrence of the characteristic
-polynomial.  `LefschetzTable.of(traces)` is the one route to the
-Lefschetz numbers L(f^m) = 1 - tr M^m (a bouquet has homology in
+few powers are built as matrices, and past them the record holds two
+sequences, the traces and the norms, which follow the recurrence of the
+characteristic polynomial.  `LefschetzTable.of(traces)` is the one route
+to the Lefschetz numbers L(f^m) = 1 - tr M^m (a bouquet has homology in
 dimensions 0 and 1 only, and every iterate acts on dimension 0 as the
 identity) and to their Moebius inversions l(f^m).  `invert_divisor_sums`
 is the one Moebius inversion, read by l(f^m) here and by the census's
@@ -55,20 +55,17 @@ class PowerSequences:
     `head` holds the full matrices M^1..M^h, h = max(n, min(K,
     HEAD_POWERS)).  `char` is det(xI - M) as [c_0, ..., c_n], c_n = 1,
     from Newton's identities on tr M^1..M^n; every division is exact,
-    which is asserted.  For m = 1..K, `diagonals[m-1]` is the diagonal of M^m and
-    `column_sums[m-1]` its signed column sums.  Past the head each of
-    these 2n sequences follows x_m = -(c_0 x_(m-n) + ... + c_(n-1)
-    x_(m-1)), because Cayley-Hamilton holds entry by entry; zero
-    coefficients are skipped.  `traces[m-1]` is tr M^m, and `norms[m-1]`
-    is ||M^m||_1, the sum of |entries|: every entry of M^m has the sign
-    s^m, so that is |sum of the column sums|, and a column's 1-norm is
-    the modulus of its sum.
+    which is asserted.  For m = 1..K, `traces[m-1]` is tr M^m, and
+    `norms[m-1]` is ||M^m||_1, the sum of |entries|: every entry of M^m
+    has the sign s^m, so that is the modulus of the sum of its entries.
+    Past the head the trace and the sum of entries both follow x_m =
+    -(c_0 x_(m-n) + ... + c_(n-1) x_(m-1)), because Cayley-Hamilton holds
+    entry by entry; zero coefficients are skipped.  The record holds two
+    sequences whatever n is.
     """
 
     head: tuple[IntMatrix, ...]
     char: tuple[int, ...]
-    diagonals: tuple[tuple[int, ...], ...]
-    column_sums: tuple[tuple[int, ...], ...]
     traces: tuple[int, ...]
     norms: tuple[int, ...]
 
@@ -83,10 +80,10 @@ class PowerSequences:
         head = [a]
         while len(head) < max(n, min(k, HEAD_POWERS)):
             head.append(mat_mul(head[-1], a))
-        # one vector per power: its diagonal, then its column sums
-        vecs = [[p[j][j] for j in range(n)] + list(map(sum, zip(*p)))
-                for p in head]
-        head_traces = [sum(v[:n]) for v in vecs[:n]]
+        # one pair per power: its trace and the sum of its entries
+        pairs = [(sum(p[j][j] for j in range(n)), sum(map(sum, p)))
+                 for p in head]
+        head_traces = [tr for tr, _ in pairs[:n]]
         char = [0] * n + [1]
         for i in range(1, n + 1):
             t = sum(map(operator.mul, char[n - i + 1:], head_traces))
@@ -95,16 +92,14 @@ class PowerSequences:
         lags = [n - i for i in range(n) if char[i]]
         coeffs = [-char[i] for i in range(n) if char[i]]
         for m in range(len(head), k):
-            rows = [vecs[m - lag] for lag in lags]
-            vecs.append([sum(map(operator.mul, coeffs, col))
-                         for col in zip(*rows)] or [0] * (2 * n))
-        del vecs[k:]
-        diagonals = tuple(tuple(v[:n]) for v in vecs)
-        column_sums = tuple(tuple(v[n:]) for v in vecs)
+            rows = [pairs[m - lag] for lag in lags]
+            pairs.append(tuple(sum(map(operator.mul, coeffs, col))
+                               for col in zip(*rows)) or (0, 0))
+        del pairs[k:]
         return PowerSequences(
-            tuple(head), tuple(char), diagonals, column_sums,
-            tuple(map(sum, diagonals)),
-            tuple(abs(sum(sums)) for sums in column_sums),
+            tuple(head), tuple(char),
+            tuple(tr for tr, _ in pairs),
+            tuple(abs(total) for _, total in pairs),
         )
 
 

@@ -9,7 +9,7 @@ periodic Lefschetz number mixes two period counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from typing import Sequence
 
 from .errors import InconsistencyError, InputError
 from .homology import (
@@ -25,63 +25,61 @@ from .words import (
     MapAction,
     branch_period_under,
     first_letter,
-    orientation_of_power,
 )
 
 
 # ---------------------------------------------------------------------------
 # exact counts
 
-def fix_counts(
-    f: MapAction, seqs: PowerSequences, horizon: int | None = None
-) -> tuple[int, ...]:
-    """Number of fixed points of every iterate m = 1..horizon (default:
-    every iterate the record holds), exactly.
+def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
+    """Number of fixed points of every iterate m = 1..len(traces),
+    exactly, where traces[m-1] = tr M^m.
 
-    The record holds, per iterate, the diagonal of M^m, whose entry j is
-    chi_j of the iterate image of generator j, and the column sums of
-    M^m, whose modulus is the length of that image.  When the branching
-    point is not fixed by f^m (`branch_period_under` is not 1) the count
-    is |1 - tr M^m|; when it is, the branching point contributes 1 and
-    the interior crossings are counted by gamma instead: chi_j less the
-    first and last letters of the iterate image when they are a_j (an
-    image of one letter has no interior).  Those letters are followed
-    along the orbits of a_j and a_j' under the one-step letter map
-    (`words.first_letter`), in one forward pass.  Letters are signed
-    codes here: a_j is j and a_j' is -j, and the one-step map is one dict
-    over the codes +-1..+-n, built from `first_letter` once per call.
+    When the branching point is not fixed by f^m (`branch_period_under`
+    is not 1) the count is |1 - tr M^m|.  When it is, the branching point
+    contributes 1 and the interior crossings are counted by gamma: chi_j
+    of the iterate image of a_j, the diagonal entry j of M^m, less its
+    first and last letters when they are a_j or a_j'.  Summed over j that
+    is the trace less the end letters:
+
+        1 + |tr M^m - sum_j e(first_j) - sum_j e(last_j)|,
+
+    with e(a_j) = +1, e(a_j') = -1 and e = 0 for any other letter, and
+    the first-letter term dropped when the image of a_j is one letter,
+    which is then both ends.  The end letters follow the orbits of a_j and
+    a_j' under the one-step letter map (`words.first_letter`), in one
+    forward pass; the image of a_j is one letter exactly when every letter
+    on its first-letter orbit so far has a one-letter image.  Letters are
+    signed codes here: a_j is j and a_j' is -j, and the one-step map is
+    one dict over the codes +-1..+-n, built from `first_letter` once per
+    call.
     """
     gens = range(1, f.n + 1)
     step = {}
+    short = {}
     for j in gens:
         for sign in (1, -1):
             letter = first_letter(f, Letter(j, sign))
             step[sign * j] = letter.sign * letter.index
+        short[j] = short[-j] = len(f.image(j)) == 1
     firsts = list(gens)
     lasts_inv = [-j for j in gens]
+    singles = [True] * f.n
     out = []
-    per_iterate = zip(seqs.traces, seqs.diagonals, seqs.column_sums)
-    if horizon is not None:
-        per_iterate = islice(per_iterate, horizon)
-    for m, (tr, diagonal, sums) in enumerate(per_iterate, start=1):
+    for m, tr in enumerate(traces, start=1):
+        singles = [one and short[c] for one, c in zip(singles, firsts)]
         firsts = [step[c] for c in firsts]
         lasts_inv = [step[c] for c in lasts_inv]
         if branch_period_under(f.branch_class, m) != 1:
             out.append(abs(1 - tr))
             continue
-        total = 0
-        for j, d_jj, sum_j, first, last_inv in zip(
-            gens, diagonal, sums, firsts, lasts_inv
-        ):
-            if abs(sum_j) <= 1:
-                continue
-            total += d_jj
-            # an end letter a_j (a_j') is not interior: take off +1 (-1)
-            if abs(first) == j:
-                total -= first // j
-            if abs(last_inv) == j:
-                total += last_inv // j
-        out.append(1 + abs(total))
+        ends = 0
+        for j, first, last_inv, single in zip(gens, firsts, lasts_inv, singles):
+            if not single:
+                ends += (first == j) - (first == -j)
+            # the last letter is the inverse of last_inv
+            ends += (last_inv == -j) - (last_inv == j)
+        out.append(1 + abs(tr - ends))
     return tuple(out)
 
 
@@ -156,7 +154,7 @@ def lefschetz_fix_check(
     """
     if m < 1:
         raise InputError(f"iterate must be >= 1, got {m}")
-    preserving = orientation_of_power(f, m) == "preserving"
+    preserving = f.global_sign > 0 or m % 2 == 0
     if branch_period_under(f.branch_class, m) != 1:
         if preserving:
             return LefschetzFixCheck(lef == -fix, "equality-preserving")

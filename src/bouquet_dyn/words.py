@@ -187,10 +187,3 @@ def first_letter(f: MapAction, l: Letter) -> Letter:
 def orientation(f: MapAction) -> str:
     """'preserving' or 'reversing', read off the global word sign."""
     return "preserving" if f.global_sign > 0 else "reversing"
-
-
-def orientation_of_power(f: MapAction, m: int) -> str:
-    """Orientation of the m-th iterate (a reversing map squares to preserving)."""
-    if f.global_sign > 0 or m % 2 == 0:
-        return "preserving"
-    return "reversing"

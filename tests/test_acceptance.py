@@ -43,7 +43,8 @@ ORACLE_FIXTURES = [
 
 
 def census(f, horizon):
-    return per_census(fix_counts(f, PowerSequences.of(abelianize(f), horizon)))
+    seqs = PowerSequences.of(abelianize(f), horizon)
+    return per_census(fix_counts(f, seqs.traces))
 
 
 def spectrum(mat):
@@ -162,7 +163,7 @@ def test_criterion_6_oracle_equivalence():
     cases += [random_expanding_action(rng) for _ in range(20)]
     for f, lift in cases:
         seqs = PowerSequences.of(abelianize(f), 8)
-        fixes = fix_counts(f, seqs, 6)
+        fixes = fix_counts(f, seqs.traces[:6])
         counts = oracle_counts(lift, 8)
         for m in range(1, 7):
             if counts.fixed(m) != fixes[m - 1]:

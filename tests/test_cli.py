@@ -8,6 +8,7 @@ import pytest
 
 from bouquet_dyn import cli
 from bouquet_dyn.cli import (
+    CIRCLE_CAP,
     DIGIT_CAP,
     ITERATE_CAP,
     MapSpecDocument,
@@ -302,6 +303,29 @@ class TestIterateCap:
         with pytest.raises(InputError, match="over the cap of"):
             run_report(doc, ReportOptions(
                 entropy_horizon=ITERATE_CAP + 1, no_oracle=True))
+
+
+class TestCircleCap:
+    def test_over_cap_exits_fast(self, tmp_path, capsys):
+        # checked at the n= line, before the missing image lines are sought
+        p = tmp_path / "wide.bqd"
+        p.write_text("n=10000000\nbranch: free\na1 -> a1 a1\n")
+        start = time.perf_counter()
+        assert main(["analyze", str(p)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"line 1: circle count 10000000 over the cap of {CIRCLE_CAP} " \
+            "circles" in err, err
+
+    def test_cap_is_inclusive(self):
+        n = CIRCLE_CAP
+        images = "branch: free\na1 -> a1 a2\n" + "".join(
+            f"a{j} -> a1 a{j % n + 1}\n" for j in range(2, n + 1))
+        report = run_report(parse_spec(f"n={n}\n" + images), ReportOptions())
+        assert report["input"]["n"] == n
+        assert report["oracle"]["status"] == "ok"
+        with pytest.raises(InputError, match=f"cap of {CIRCLE_CAP} circles"):
+            parse_spec(f"n={n + 1}\n" + images)
 
 
 class TestMain:

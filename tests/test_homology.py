@@ -103,7 +103,7 @@ class TestMatrixOps:
 
     def test_empty_ladder(self):
         seqs = PowerSequences.of(((2,),), 0)
-        assert seqs.traces == seqs.norms == seqs.diagonals == ()
+        assert seqs.traces == seqs.norms == ()
         assert seqs.head == (((2,),),) and seqs.char == (-2, 1)
         with pytest.raises(InputError):
             PowerSequences.of(((2,),), -1)
@@ -119,9 +119,27 @@ def random_map(rng, n, sign, branch_class):
     return MapAction(n, images, branch_class)
 
 
+def traced_peak(build, *args):
+    """The `tracemalloc` peak, in bytes, of one call build(*args)."""
+    tracemalloc.start()
+    try:
+        build(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def two_letter_map(n):
+    """`a1 -> a1 a1` on one circle; `a1 -> a1 a2` and `aj -> a1 a(j+1)`,
+    indices mod n, on more.  Every image has two letters."""
+    if n == 1:
+        return action("a1 a1")
+    return action("a1 a2", *(f"a1 a{j % n + 1}" for j in range(2, n + 1)))
+
+
 class TestPowerSequences:
     """The record against the reference ladder: matrix products, their
-    traces, diagonals, column sums and 1-norms, and Faddeev-LeVerrier."""
+    traces and 1-norms, and Faddeev-LeVerrier."""
 
     def test_matches_reference_ladder(self):
         rng = random.Random(0x5E9)
@@ -140,16 +158,13 @@ class TestPowerSequences:
                 assert seqs.char == tuple(char_poly(mat)), f
                 ladder = ladder[:k]
                 assert seqs.traces == tuple(map(trace, ladder)), (f, k)
-                assert seqs.diagonals == tuple(
-                    tuple(p[j][j] for j in range(n)) for p in ladder)
-                assert seqs.column_sums == tuple(
-                    tuple(map(sum, zip(*p))) for p in ladder)
                 assert seqs.norms == tuple(map(norm1, ladder)), (f, k)
-                assert fix_counts(f, seqs) == letter_fix_counts(f, ladder)
+                assert fix_counts(f, seqs.traces) == \
+                    letter_fix_counts(f, ladder)
                 gamma_route = any(
                     branch_period_under(branch, m) == 1
-                    and any(abs(x) > 1 for x in seqs.column_sums[m - 1])
-                    for m in range(1, k + 1)
+                    and any(abs(sum(col)) > 1 for col in zip(*power))
+                    for m, power in enumerate(ladder, start=1)
                 )
                 seen |= {("K < n", k < n), ("K <= 6", k <= 6),
                          ("n > 6", n > 6), ("reversing", sign < 0),
@@ -163,18 +178,18 @@ class TestPowerSequences:
 
     def test_memory_below_half_the_ladder(self):
         # n = 12, H = 400: the ladder holds 400 n^2 integers, the record
-        # six matrices and 2n integers per iterate
-        f = random_map(random.Random(0x3E3), 12, 1, None)
-        mat = abelianize(f)
-        peaks = []
-        for build in (PowerSequences.of, powers):
-            tracemalloc.start()
-            try:
-                build(mat, 400)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        # n matrices and two integers per iterate
+        mat = abelianize(random_map(random.Random(0x3E3), 12, 1, None))
+        peaks = [traced_peak(build, mat, 400)
+                 for build in (PowerSequences.of, powers)]
         assert peaks[0] < peaks[1] / 2, peaks
+
+    def test_memory_flat_in_circle_count(self):
+        # K = 2000, spectral radius 2 at every n: the record holds the
+        # traces and norms, two sequences whatever n is
+        peaks = [traced_peak(PowerSequences.of, abelianize(two_letter_map(n)),
+                             2000) for n in (1, 8)]
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestMobius:

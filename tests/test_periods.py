@@ -38,17 +38,17 @@ def record(f, k):
 
 
 def fix_count(f, m):
-    return fix_counts(f, record(f, m))[m - 1]
+    return fix_counts(f, record(f, m).traces)[m - 1]
 
 
 def census(f, horizon):
-    return per_census(fix_counts(f, record(f, horizon)))
+    return per_census(fix_counts(f, record(f, horizon).traces))
 
 
 def certificates(f, horizon=12):
     seqs = record(f, horizon)
     return period_certificates(
-        f, seqs, per_census(fix_counts(f, seqs)), eigenvalues(seqs.char)
+        f, seqs, per_census(fix_counts(f, seqs.traces)), eigenvalues(seqs.char)
     )
 
 
@@ -66,17 +66,17 @@ def certificate(f, rule, horizon=12, **witness):
 def check(f, m):
     """The check of f^m, with the L(f^m) and fix(f^m) it was given."""
     seqs = record(f, m)
-    lef, fix = 1 - seqs.traces[-1], fix_counts(f, seqs)[-1]
+    lef, fix = 1 - seqs.traces[-1], fix_counts(f, seqs.traces)[-1]
     return lefschetz_fix_check(f, m, lef, fix), lef, fix
 
 
 class TestFixCount:
     def test_counts_independent_of_ladder_length(self):
         f = action("a1 a1 a1", k=2)
-        fixes = fix_counts(f, record(f, 6))
+        fixes = fix_counts(f, record(f, 6).traces)
         assert fixes == tuple(fix_count(f, m) for m in range(1, 7))
-        assert fix_counts(f, record(f, 6), 4) == fixes[:4]
-        assert fix_counts(f, record(f, 0)) == ()
+        assert fix_counts(f, record(f, 6).traces[:4]) == fixes[:4]
+        assert fix_counts(f, record(f, 0).traces) == ()
 
     def test_reflect_doubling(self):
         assert fix_count(REFLECT, 1) == 3

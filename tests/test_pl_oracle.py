@@ -50,7 +50,7 @@ LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
 
 
 def formula_fixes(f, depth):
-    return fix_counts(f, PowerSequences.of(abelianize(f), depth))
+    return fix_counts(f, PowerSequences.of(abelianize(f), depth).traces)
 
 
 def lift_fix(lift, m):

@@ -37,7 +37,8 @@ CASES = 100
 
 
 def census(f, horizon):
-    return per_census(fix_counts(f, PowerSequences.of(abelianize(f), horizon)))
+    seqs = PowerSequences.of(abelianize(f), horizon)
+    return per_census(fix_counts(f, seqs.traces))
 
 
 def test_mif_round_trip():
@@ -149,7 +150,7 @@ def test_certificates_agree_with_census():
     for _ in range(CASES):
         f, _ = random_expanding_action(rng)
         seqs = PowerSequences.of(abelianize(f), 12)
-        table = per_census(fix_counts(f, seqs))
+        table = per_census(fix_counts(f, seqs.traces))
         for cert in period_certificates(
             f, seqs, table, eigenvalues(seqs.char)
         ):

@@ -15,7 +15,6 @@ from bouquet_dyn.words import (
     chi,
     first_letter,
     orientation,
-    orientation_of_power,
 )
 
 from conftest import (
@@ -173,12 +172,12 @@ class TestIterateAction:
             seqs = PowerSequences.of(abelianize(base), 4)
             for k in (BRANCH_FREE, 1, 2, 3):
                 f = _with_branch(base, k)
-                fixes = fix_counts(f, seqs)
+                fixes = fix_counts(f, seqs.traces)
                 for m in (2, 3, 4):
                     g = iterate_action(f, m)
                     assert g.branch_class == branch_period_under(k, m)
                     seqs_g = PowerSequences.of(abelianize(g), 1)
-                    first = fix_counts(g, seqs_g)[0]
+                    first = fix_counts(g, seqs_g.traces)[0]
                     assert first == fixes[m - 1], (f, m)
 
 
@@ -200,7 +199,7 @@ class TestIterateCounts:
 
     def test_chi_of_square(self):
         f = action("a1' a1'")
-        assert PowerSequences.of(abelianize(f), 2).diagonals[1] == (4,)
+        assert PowerSequences.of(abelianize(f), 2).head[1] == ((4,),)
         assert chi(iterate_action(f, 2).image(1), 1) == 4
 
     def test_chi_base_case(self, rng):
@@ -213,7 +212,7 @@ class TestIterateCounts:
     def test_gamma_single_interior(self):
         f = action("a1 a1 a1", k=1)
         assert gamma(f.image(1), 1) == 1
-        assert fix_counts(f, PowerSequences.of(abelianize(f), 1)) == (1 + 1,)
+        assert fix_counts(f, PowerSequences.of(abelianize(f), 1).traces) == (1 + 1,)
 
     def test_counts_match_expansion(self, rng):
         # free branch reads chi off the record's traces; branch classes 1
@@ -222,7 +221,7 @@ class TestIterateCounts:
             base = random_action(rng)
             for k in (BRANCH_FREE, 1, 2):
                 f = _with_branch(base, k)
-                fixes = fix_counts(f, PowerSequences.of(abelianize(f), 4))
+                fixes = fix_counts(f, PowerSequences.of(abelianize(f), 4).traces)
                 for m in (1, 2, 3, 4):
                     try:
                         expected = _expanded_fix(f, m)
@@ -240,7 +239,7 @@ class TestIterateCounts:
             seqs, ladder = PowerSequences.of(mat, 40), powers(mat, 40)
             for k in (BRANCH_FREE, 1, 2, 3, 4):
                 f = _with_branch(base, k)
-                assert fix_counts(f, seqs) == letter_fix_counts(f, ladder), f
+                assert fix_counts(f, seqs.traces) == letter_fix_counts(f, ladder), f
 
     def test_boundary_letters_match_expansion(self, rng):
         for _ in range(40):
@@ -276,8 +275,3 @@ class TestMapAction:
     def test_orientation(self):
         assert orientation(action("a1 a1")) == "preserving"
         assert orientation(action("a1' a1'")) == "reversing"
-
-    def test_orientation_of_power(self):
-        f = action("a1' a1'")
-        assert orientation_of_power(f, 2) == "preserving"
-        assert orientation_of_power(f, 3) == "reversing"
