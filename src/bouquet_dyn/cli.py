@@ -11,8 +11,8 @@ The input format is line-based:
     a3 -> a1 a3
     claim: l(3) = 2         # optional; mismatches become warnings
 
-Exit codes: 0 all checks pass, 1 input error, 2 cross-check mismatch or
-two exact routes that disagree (`InconsistencyError`).
+Exit codes: 0 all checks pass, 1 input or usage error, 2 cross-check
+mismatch or two exact routes that disagree (`InconsistencyError`).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
+from typing import NoReturn
 
 from .errors import InconsistencyError, InputError, LiftConstructionError
 from .homology import IntMatrix, LefschetzTable, PowerSequences, abelianize
@@ -81,12 +82,25 @@ class MapSpecDocument:
     claims: tuple[Claim, ...] = ()
 
 
+def _integer(value: str, what: str, err: Callable[[str], InputError]) -> int:
+    """The integer that `value`, an optional minus sign and ASCII digits,
+    spells; past DIGIT_CAP digits `err` builds the line's InputError
+    before int() sees them (Python 3.11+ refuses over 4 300 digits)."""
+    digits = len(value.lstrip("-"))
+    if digits > DIGIT_CAP:
+        raise err(f"{what} has {digits} digits, over the cap of "
+                  f"{DIGIT_CAP} digits")
+    return int(value)
+
+
 def _positive(value: str, what: str, err: Callable[[str], InputError]) -> int:
     """A positive integer written in ASCII decimal digits; `err` builds
     the line's InputError otherwise."""
-    if not (value.isascii() and value.isdigit()) or int(value) < 1:
+    ascii_digits = value.isascii() and value.isdigit()
+    number = _integer(value, what, err) if ascii_digits else 0
+    if number < 1:
         raise err(f"bad {what} {value!r}")
-    return int(value)
+    return number
 
 
 def parse_spec(text: str) -> MapSpecDocument:
@@ -137,7 +151,7 @@ def parse_spec(text: str) -> MapSpecDocument:
                 Claim(
                     claim_match.group(1),
                     _positive(claim_match.group(2), "claim iterate", err),
-                    int(claim_match.group(3)),
+                    _integer(claim_match.group(3), "claim value", err),
                     line,
                 )
             )
@@ -397,46 +411,29 @@ def _run_oracle(
     skipped = {"verdict": "skipped",
                "reason": f"budget: composed lift exceeds {PIECE_BUDGET} pieces"}
     verdicts = []
+    cover_checks = []
     for m in range(1, options.oracle_depth + 1):
         if m > counted:
-            verdicts.append({"m": m, **skipped})
-            continue
-        formula = fixes[m - 1]
-        lifted = counts.fixed(m)
-        if lifted == formula:
-            verdict = "match"
-        elif branch_mismatch:
-            verdict = "skipped (branch-orbit mismatch)"
+            verdict = cover = skipped
         else:
-            verdict = "mismatch"
-        verdicts.append(
-            {
-                "m": m,
+            formula, lifted = fixes[m - 1], counts.fixed(m)
+            cov, nrm = counts.covers[m - 1], norms[m - 1]
+            verdict = {
                 "lift_count": str(lifted),
                 "formula_count": str(formula),
-                "verdict": verdict,
+                "verdict": "match" if lifted == formula
+                else "skipped (branch-orbit mismatch)" if branch_mismatch
+                else "mismatch",
             }
-        )
-    cover_checks = []
-    for m in range(1, min(options.oracle_depth, 8) + 1):
-        if m > counted:
-            cover_checks.append({"m": m, **skipped})
-            continue
-        cov = counts.covers[m - 1]
-        nrm = norms[m - 1]
-        cover_checks.append(
-            {
-                "m": m,
-                "cover": str(cov),
-                "norm": str(nrm),
-                "verdict": "match" if cov == nrm else "mismatch",
-            }
-        )
-    status = "ok"
-    if any(v["verdict"] == "mismatch" for v in verdicts + cover_checks):
-        status = "mismatch"
+            cover = {"cover": str(cov), "norm": str(nrm),
+                     "verdict": "match" if cov == nrm else "mismatch"}
+        verdicts.append({"m": m, **verdict})
+        if m <= 8:
+            cover_checks.append({"m": m, **cover})
+    rows = verdicts + cover_checks
+    mismatch = any(row["verdict"] == "mismatch" for row in rows)
     return {
-        "status": status,
+        "status": "mismatch" if mismatch else "ok",
         "branch_period_observed": observed,
         "verdicts": verdicts,
         "cover_checks": cover_checks,
@@ -632,8 +629,17 @@ def _fixtures(args: argparse.Namespace) -> int:
     return 2 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the input-error code;
+    its subcommand parsers are of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bouquet-dyn",
         description="Fixed points, periods and entropy for monotone "
         "self-maps of a bouquet of circles.",

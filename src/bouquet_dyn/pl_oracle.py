@@ -74,6 +74,8 @@ def build_lift(f: MapAction) -> PLLift:
     circles in the order of A_j's letters.  The pieces are written in
     units of 1/scale, scale = 2 lcm(len(A_j)), the least in which every
     half and full sub-arc, 1/(2 len(A_j)) and 1/len(A_j), is whole.
+    The contract `oracle_counts` relies on and checks: every integer is a
+    piece end, and every piece end maps to an integer or to f(0).
     """
     d11 = sum(l.sign for l in f.image(1) if l.index == 1)
     visits_others = any(l.index != 1 for l in f.image(1))
@@ -176,7 +178,7 @@ def _children(
 
 
 def _count(
-    piece: tuple[int, int, int, int], k: int, scale: int, top: int
+    piece: tuple[int, int, int, int], k: int, scale: int
 ) -> tuple[int, int]:
     """Diagonal crossings off the integers (0 or 1) and cover count of one
     piece of f^k."""
@@ -198,10 +200,7 @@ def _count(
         return 0, covered
     # fixed point x = b / (scale * (1 - s)); compare by cross-multiplying
     d = 1 - s
-    lod, hid = lo * d, hi * d
-    in_piece = (lod <= b < hid) if d > 0 else (hid < b <= lod)
-    if not in_piece and hi == top and b == hid:
-        in_piece = True
+    in_piece = (lo * d <= b < hi * d) if d > 0 else (hi * d < b <= lo * d)
     return int(in_piece and b % (scale * d) != 0), covered
 
 
@@ -251,40 +250,34 @@ def _branch_orbit(
     return orbit, None
 
 
+def _meets_contract(lift: PLLift) -> bool:
+    """Whether every integer is a piece end of the lift and every piece
+    end maps to an integer or to f(0), in one pass over its pieces."""
+    scale, f0 = lift.scale, lift.pieces[0][3]
+    ends = set()
+    for lo, hi, s, b in lift.pieces:
+        ends.update((lo, hi))
+        if any(v % scale and v != f0 for v in (s * lo + b, s * hi + b)):
+            return False
+    return ends.issuperset(range(0, lift.n * scale + 1, scale))
+
+
 def _marks(
     depth: int, scale: int, top: int,
     base: list[tuple[int, int, int, int]], los: list[int],
 ) -> tuple[list[int], int | None]:
-    """O in units of 1/scale, sorted, and the lift's branch period to
-    max(BRANCH_WATCH, depth + 1).  O holds the integers 0..n, and each
-    value v the lift takes at a piece end, with f(v) .. f^(depth-1)(v)
-    when v is not an integer.
+    """O in units of 1/scale, sorted: the integers 0..n and f^1(0) ..
+    f^depth(0); and the lift's branch period to max(BRANCH_WATCH,
+    depth + 1), from one walk of the orbit to its first integer.
 
-    A piece of f^k has image endpoints f_p(x) for lift pieces p and x an
-    end of p or an image endpoint of a piece of f^(k-1), so by induction
-    they all lie in O (an integer is always a piece end).  On a canonical
-    lift those values are the integers and 1/2 = f(0), and O is the
-    integers and f^1..f^depth of the branching point.  That orbit is
-    followed once, past depth for the branch period; only its first
-    depth points go into O.  After an integer f^t(0) the orbit goes on
-    as the orbit of f(f^t(0)), a piece-end value of its own.
+    An image endpoint of a piece of f^k is f_p(x), p a lift piece and x
+    an end of p or an image endpoint of a piece of f^(k-1).  By the
+    contract f_p maps an end of p into O, and a non-integer f^t(0) inside
+    p to f^(t+1)(0), so by induction it lies in O.
     """
-    assert set(range(0, top, scale)) <= set(los), (
-        "every integer must be a piece end")
     orbit, period = _branch_orbit(max(BRANCH_WATCH, depth + 1), scale,
                                   base, los)
-    points = set(range(0, top + 1, scale))
-    points.update(orbit[:depth])
-    starts = {s * x + b for lo, hi, s, b in base for x in (lo, hi)}
-    starts.discard(orbit[0])
-    for x in starts:
-        if x % scale:
-            points.add(x)
-            for _ in range(depth - 1):
-                _, _, s, b = base[bisect_right(los, x) - 1]
-                x = s * x + b
-                points.add(x)
-    return sorted(points), period
+    return sorted({*range(0, top + 1, scale), *orbit[:depth]}), period
 
 
 def oracle_counts(
@@ -293,30 +286,34 @@ def oracle_counts(
     """Crossing and cover counts of f^1..f^depth, one depth at a time.
 
     Let O be the integers 0..n and the branch orbit f^t(0), 1 <= t <=
-    depth: every image endpoint of a piece of f^k (k <= depth) lies in O,
-    because the lift maps its breakpoints to integers or to 1/2 = f(0)
-    (`_marks` widens O for a lift that is not canonical).  A piece of f^k
-    is *clean* when k >= 2, its slope has modulus >= 2 and its closed
-    domain holds no point of O, so that it lies inside one open O-cell.
-    Every descendant of a clean piece lies in that cell too, and crosses
-    the diagonal (once, off the integers) exactly when its image contains
-    the cell; the children are the lift's pieces over the image, so they
-    depend on the image alone.  All the counts below a clean piece thus
-    depend only on its oriented image and its cell.
+    depth: every image endpoint of a piece of f^k (k <= depth) lies in O
+    by `build_lift`'s contract, and a lift that breaks it is refused with
+    an InputError.  A piece of f^k is *clean* when k >= 2, its slope has
+    modulus >= 2 and its closed domain holds no point of O, so that it
+    lies inside one open O-cell.  Every descendant of a clean piece lies
+    in that cell too, and crosses the diagonal (once, off the integers)
+    exactly when its image contains the cell; the children are the
+    lift's pieces over the image, so they depend on the image alone.  All
+    the counts below a clean piece thus depend only on its oriented image
+    and its cell.
 
     So each depth is one table of [piece, count] entries: one entry per
-    (oriented image, cell) of clean pieces, holding how many there are,
-    and one entry of count 1 per other piece (at most 2|O| per depth on a
-    canonical lift).  Every entry is counted once, with the full crossing
-    test and the identity check, and its children are expanded once.  The
-    table lives for one call and is freed on return; no composite is
-    kept.  Piece counts are exact per depth, so the sweep stops before the
-    first depth k >= 2 with more than `budget` pieces and every shallower
-    count is complete.  A piece of f^k within budget that lies on the
-    diagonal means the map is not expanding and is rejected.
+    (oriented image, cell) of clean pieces, holding how many there are, and
+    one entry of count 1 per other piece (at most 2|O| per depth).  Every
+    entry is counted once, with the full crossing test and the identity
+    check, and its children are expanded once.  The table lives for one call
+    and is freed on return; no composite is kept.  Piece counts are exact
+    per depth, so the sweep stops before the first depth k >= 2 with more
+    than `budget` pieces and every shallower count is complete.  A piece of
+    f^k within budget that lies on the diagonal means the map is not
+    expanding and is rejected.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
+    if not _meets_contract(lift):
+        raise InputError(
+            "the lift breaks build_lift's contract: every integer must be "
+            "a piece end, and every piece end map to an integer or to f(0)")
     scale, base = _scaled(lift, depth)
     top = lift.n * scale
     los = [lo for lo, _, _, _ in base]
@@ -329,7 +326,7 @@ def oracle_counts(
             break
         crossed = covered = 0
         for piece, count in entries:
-            crossing, cover = _count(piece, k, scale, top)
+            crossing, cover = _count(piece, k, scale)
             crossed += count * crossing
             covered += count * cover
         crossings.append(crossed)

@@ -240,6 +240,35 @@ class TestDigitCap:
         err = capsys.readouterr().err
         assert f"over the cap of {DIGIT_CAP} digits" in err, err
 
+    BIG = "9" * 5000
+
+    @pytest.mark.parametrize("lineno, what, text", [
+        (1, "circle count", f"n={BIG}\nbranch: free\na1 -> a1 a1\n"),
+        (2, "branch period", f"n=1\nbranch: period {BIG}\na1 -> a1 a1\n"),
+        (3, "horizon", f"n=1\nbranch: free\nhorizon: {BIG}\na1 -> a1 a1\n"),
+        (4, "claim iterate",
+         f"n=1\nbranch: free\na1 -> a1 a1\nclaim: L({BIG}) = 1\n"),
+        (4, "claim value",
+         f"n=1\nbranch: free\na1 -> a1 a1\nclaim: L(1) = -{BIG}\n"),
+    ])
+    def test_long_spec_number_exits_fast(self, tmp_path, capsys, lineno,
+                                         what, text):
+        # int() itself refuses more than 4 300 digits on Python >= 3.11
+        p = tmp_path / "long.bqd"
+        p.write_text(text)
+        start = time.perf_counter()
+        assert main(["analyze", str(p)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: line {lineno}: {what} has 5000 digits, over the cap of "
+            f"{DIGIT_CAP} digits\n")
+
+    def test_spec_number_at_cap_parses(self):
+        at_cap = "9" * DIGIT_CAP
+        doc = parse_spec(f"n=1\nbranch: free\na1 -> a1 a1\n"
+                         f"claim: L({at_cap}) = -{at_cap}\n")
+        assert doc.claims[0].m == -doc.claims[0].value == int(at_cap)
+
     def test_just_under_cap_reports(self):
         # a thousand letters reach the cap at a third of the horizon
         doc = parse_spec("n=1\nbranch: free\na1 -> " + "a1 " * 1000 + "\n")
@@ -435,6 +464,27 @@ class TestMain:
     def test_fixtures_takes_no_flags(self):
         with pytest.raises(SystemExit):
             main(["fixtures", "--horizon", "5"])
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "rotor_g4.bqd", "--horizon", "abc"],
+        ["analyze", "rotor_g4.bqd", "--horizon", "9" * 5000],
+        [],
+    ])
+    def test_usage_error_exit_code(self, capsys, argv):
+        # exit 2 is kept for failed cross-checks
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1
+        assert time.perf_counter() - start < 1.0
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+    def test_help_exit_code(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+        assert "usage: bouquet-dyn" in capsys.readouterr().out
 
 
 class TestFixtureCorpus:

@@ -339,13 +339,35 @@ class TestTableMatchesWalk:
                                 "[0, 1); the map is not expanding")
 
     def test_composed_lifts(self):
-        # f^2 maps its breakpoints to f(0) and f^2(0) as well, so the points
-        # that split clean pieces must come from the lift, not f^2's orbit
+        # f^2 maps piece ends to 1/2 = f(0) and to f(1/2), its own value at
+        # 0: unless f fixes 1/2 that breaks build_lift's contract, and the
+        # sweep refuses it while the reference walk still counts it
         rng = random.Random(3)
+        refused = 0
         for _ in range(40):
             _, lift = random_expanding_action(rng, len_max=3)
             squared = iterate_lift(lift, 2)
-            assert oracle_counts(squared, 3) == walk_counts(squared, 3)
+            walked = walk_counts(squared, 3)
+            counts = oracle_counts(lift, 6)
+            assert walked.crossings == counts.crossings[1::2]
+            assert walked.covers == counts.covers[1::2]
+            if lift_value(lift, Fraction(1, 2)) == Fraction(1, 2):
+                assert oracle_counts(squared, 3) == walked
+                continue
+            refused += 1
+            with pytest.raises(InputError, match="build_lift's contract"):
+                oracle_counts(squared, 3)
+        # both kinds occur: 8 of the 40 composites are refused
+        assert 0 < refused < 40, refused
+
+    def test_lifts_breaking_the_contract_refused(self):
+        # `flip`'s map x -> 2 - x, cut so that a piece end (5/3) maps to
+        # 1/3, or left uncut at the integer 1
+        thirds = PLLift(2, 3, ((0, 3, -1, 6), (3, 5, -1, 6), (5, 6, -1, 6)))
+        uncut = PLLift(2, 1, ((0, 2, -1, 2),))
+        for lift in (thirds, uncut):
+            with pytest.raises(InputError, match="build_lift's contract"):
+                oracle_counts(lift, 3)
 
     def test_budgets(self):
         rng = random.Random(5)
