@@ -37,7 +37,7 @@ from .periods import (
     per_census,
     period_certificates,
 )
-from .pl_oracle import PIECE_BUDGET, build_lift, oracle_counts
+from .pl_oracle import build_lift, oracle_counts
 from .spectral import eigenvalues, entropy_limit
 from .words import BRANCH_FREE, MapAction, Word, orientation
 
@@ -63,6 +63,8 @@ _CLAIM_RE = re.compile(
     re.ASCII,
 )
 _IMAGE_RE = re.compile(r"^a([1-9][0-9]*)\s*->\s*(.+)$")
+#: the index of each letter-like token of an image word
+_INDEX_RE = re.compile(r"a([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,10 @@ class MapSpecDocument:
     claims: tuple[Claim, ...] = ()
 
 
-def _integer(value: str, what: str, err: Callable[[str], InputError]) -> int:
+def _integer(value: str, what: str, err: Callable[[str], Exception]) -> int:
     """The integer that `value`, an optional minus sign and ASCII digits,
-    spells; past DIGIT_CAP digits `err` builds the line's InputError
-    before int() sees them (Python 3.11+ refuses over 4 300 digits)."""
+    spells; past DIGIT_CAP digits `err` builds the error to raise before
+    int() sees them (Python 3.11+ refuses over 4 300 digits)."""
     digits = len(value.lstrip("-"))
     if digits > DIGIT_CAP:
         raise err(f"{what} has {digits} digits, over the cap of "
@@ -158,9 +160,11 @@ def parse_spec(text: str) -> MapSpecDocument:
             continue
         image_match = _IMAGE_RE.match(line)
         if image_match is not None:
-            j = int(image_match.group(1))
+            j = _integer(image_match.group(1), "generator index", err)
             if j in images:
                 raise err(f"duplicate image line for a{j}")
+            for index in _INDEX_RE.findall(image_match.group(2)):
+                _integer(index, "generator index", err)
             try:
                 images[j] = Word.parse(image_match.group(2))
             except InputError as e:
@@ -398,7 +402,7 @@ def _run_oracle(
         lift = build_lift(f)
     except LiftConstructionError as e:
         return {"status": "unavailable", "reason": str(e)}
-    counts = oracle_counts(lift, options.oracle_depth, PIECE_BUDGET)
+    counts = oracle_counts(lift, options.oracle_depth)
     observed = counts.branch_period
     branch_mismatch = observed != f.branch_class
     if branch_mismatch:
@@ -407,29 +411,22 @@ def _run_oracle(
             f"has period {observed if observed else 'none observed'} but "
             f"the declaration says {_branch_text(f.branch_class)}"
         )
-    counted = len(counts.crossings)
-    skipped = {"verdict": "skipped",
-               "reason": f"budget: composed lift exceeds {PIECE_BUDGET} pieces"}
     verdicts = []
-    cover_checks = []
     for m in range(1, options.oracle_depth + 1):
-        if m > counted:
-            verdict = cover = skipped
-        else:
-            formula, lifted = fixes[m - 1], counts.fixed(m)
-            cov, nrm = counts.covers[m - 1], norms[m - 1]
-            verdict = {
-                "lift_count": str(lifted),
-                "formula_count": str(formula),
-                "verdict": "match" if lifted == formula
-                else "skipped (branch-orbit mismatch)" if branch_mismatch
-                else "mismatch",
-            }
-            cover = {"cover": str(cov), "norm": str(nrm),
-                     "verdict": "match" if cov == nrm else "mismatch"}
-        verdicts.append({"m": m, **verdict})
-        if m <= 8:
-            cover_checks.append({"m": m, **cover})
+        formula, lifted = fixes[m - 1], counts.fixed(m)
+        verdicts.append({
+            "m": m,
+            "lift_count": str(lifted),
+            "formula_count": str(formula),
+            "verdict": "match" if lifted == formula
+            else "skipped (branch-orbit mismatch)" if branch_mismatch
+            else "mismatch",
+        })
+    cover_checks = [
+        {"m": m, "cover": str(cov), "norm": str(norms[m - 1]),
+         "verdict": "match" if cov == norms[m - 1] else "mismatch"}
+        for m, cov in enumerate(counts.covers, start=1)
+    ]
     rows = verdicts + cover_checks
     mismatch = any(row["verdict"] == "mismatch" for row in rows)
     return {
@@ -551,15 +548,26 @@ def render_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # entry points
 
+def _flag_integer(value: str) -> int:
+    """The argparse type of the integer flags: over DIGIT_CAP digits the
+    usage error names the count, where int's would echo the value."""
+    try:
+        return _integer(value, "value", argparse.ArgumentTypeError)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {value!r}") from None
+
+
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--horizon", type=int, default=None,
+    p.add_argument("--horizon", type=_flag_integer, default=None,
                    help="census/Lefschetz horizon (default: spec file or 12)")
-    p.add_argument("--oracle-depth", type=int, default=DEFAULT_ORACLE_DEPTH,
+    p.add_argument("--oracle-depth", type=_flag_integer,
+                   default=DEFAULT_ORACLE_DEPTH,
                    help="validate lift fixed-point counts up to this iterate")
     p.add_argument("--no-oracle", action="store_true",
                    help="skip the piecewise-linear lift cross-validation")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--entropy-horizon", type=int,
+    p.add_argument("--entropy-horizon", type=_flag_integer,
                    default=DEFAULT_ENTROPY_HORIZON,
                    help="terms of the norm-growth entropy sequence")
 

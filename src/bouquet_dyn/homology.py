@@ -53,15 +53,12 @@ class PowerSequences:
     one sign s (every abelianized map's do: its image words share one).
 
     `head` holds the full matrices M^1..M^h, h = max(n, min(K,
-    HEAD_POWERS)).  `char` is det(xI - M) as [c_0, ..., c_n], c_n = 1,
-    from Newton's identities on tr M^1..M^n; every division is exact,
-    which is asserted.  For m = 1..K, `traces[m-1]` is tr M^m, and
-    `norms[m-1]` is ||M^m||_1, the sum of |entries|: every entry of M^m
-    has the sign s^m, so that is the modulus of the sum of its entries.
-    Past the head the trace and the sum of entries both follow x_m =
-    -(c_0 x_(m-n) + ... + c_(n-1) x_(m-1)), because Cayley-Hamilton holds
-    entry by entry; zero coefficients are skipped.  The record holds two
-    sequences whatever n is.
+    HEAD_POWERS)).  `char` is det(xI - M) (`char_from_traces`).  For m =
+    1..K, `traces[m-1]` is tr M^m, and `norms[m-1]` is ||M^m||_1, the sum
+    of |entries|: every entry of M^m has the sign s^m, so that is the
+    modulus of the sum of its entries.  Past the head both follow the
+    characteristic recurrence (`recur`).  The record holds two sequences
+    whatever n is.
     """
 
     head: tuple[IntMatrix, ...]
@@ -80,27 +77,43 @@ class PowerSequences:
         head = [a]
         while len(head) < max(n, min(k, HEAD_POWERS)):
             head.append(mat_mul(head[-1], a))
-        # one pair per power: its trace and the sum of its entries
-        pairs = [(sum(p[j][j] for j in range(n)), sum(map(sum, p)))
-                 for p in head]
-        head_traces = [tr for tr, _ in pairs[:n]]
-        char = [0] * n + [1]
-        for i in range(1, n + 1):
-            t = sum(map(operator.mul, char[n - i + 1:], head_traces))
-            assert t % i == 0, "inexact division in characteristic polynomial"
-            char[n - i] = -t // i
-        lags = [n - i for i in range(n) if char[i]]
-        coeffs = [-char[i] for i in range(n) if char[i]]
-        for m in range(len(head), k):
-            rows = [pairs[m - lag] for lag in lags]
-            pairs.append(tuple(sum(map(operator.mul, coeffs, col))
-                               for col in zip(*rows)) or (0, 0))
-        del pairs[k:]
+        traces = [sum(p[j][j] for j in range(n)) for p in head]
+        totals = [sum(map(sum, p)) for p in head]
+        char = char_from_traces(traces[:n])
         return PowerSequences(
             tuple(head), tuple(char),
-            tuple(tr for tr, _ in pairs),
-            tuple(abs(total) for _, total in pairs),
+            tuple(recur(char, traces, k)),
+            tuple(map(abs, recur(char, totals, k))),
         )
+
+
+def char_from_traces(traces: Sequence[int]) -> list[int]:
+    """det(xI - M) as [c_0, ..., c_n], c_n = 1, for an n-by-n matrix M
+    with tr M^m = traces[m-1], m = 1..n, by Newton's identities; every
+    division is exact, which is asserted."""
+    n = len(traces)
+    char = [0] * n + [1]
+    for i in range(1, n + 1):
+        t = sum(map(operator.mul, char[n - i + 1:], traces))
+        assert t % i == 0, "inexact division in characteristic polynomial"
+        char[n - i] = -t // i
+    return char
+
+
+def recur(char: Sequence[int], head: Sequence[int], k: int) -> list[int]:
+    """The first k terms of the sequence that starts with `head` and then
+    follows x_m = -(c_0 x_(m-n) + ... + c_(n-1) x_(m-1)), for `char` =
+    [c_0, ..., c_n] and len(head) >= n; zero coefficients are skipped.
+    By Cayley-Hamilton every entry of M^m, and so every trace and sum of
+    entries, follows the recurrence of M's characteristic polynomial."""
+    n = len(char) - 1
+    lags = [n - i for i in range(n) if char[i]]
+    coeffs = [-char[i] for i in range(n) if char[i]]
+    out = list(head[:k])
+    for m in range(len(out), k):
+        out.append(sum(map(operator.mul, coeffs,
+                           [out[m - lag] for lag in lags])))
+    return out
 
 
 def divisor_sums(values: Sequence[int]) -> list[int]:

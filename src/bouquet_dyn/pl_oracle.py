@@ -4,18 +4,11 @@ The lift is a map of [0, n] with all integers identified to the branching
 point.  Each circle [j-1, j] starts and ends at height 1/2, covers the
 second half of circle 1, then one full circle per remaining letter of the
 image word, then the first half of circle 1 (mirrored when orientation
-reverses).  All arithmetic is in exact integers: the lift is built in
-units of 1/scale, scale = 2 lcm(len(A_j)), and a sweep refines those
-units once so that every cut it makes stays integral.  Crossing counts
-must be exact, so no floating point appears anywhere in this module.
-Iterates are not stored.  `oracle_counts` sweeps f^1..f^depth one depth
-at a time through one table per depth, local to the call: a piece that
-touches the integers or the branch orbit is an entry of its own, and the
-pieces that share an image and a cell between those points are one entry
-with their count.  Each entry is counted and expanded once.
-`OracleCounts` holds every iterate's counts from that one sweep, and the
-branch period it observes on the one walk of the branch orbit that also
-marks the cells; `lift_branch_period` gives that period alone.
+reverses).  It is written in exact integers, in units of 1/scale, scale
+= 2 lcm(len(A_j)); crossing counts must be exact, so no floating point
+appears anywhere in this module.  The lift maps (1/scale)Z into itself,
+so it is a Markov map on a finite invariant set, and `oracle_counts`
+counts every iterate f^1..f^depth on that one partition, composing none.
 """
 
 from __future__ import annotations
@@ -25,12 +18,15 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .errors import DegenerateMapError, InputError, LiftConstructionError
+from .homology import IntMatrix, char_from_traces, mat_mul, recur
 from .words import MapAction, Word, branch_period_under
 
-#: composed lifts may not exceed this many linear pieces
-PIECE_BUDGET = 10**7
+#: `oracle_counts` counts covers to this iterate, the last a report prints
+COVER_DEPTH = 8
 
 #: `oracle_counts` follows the branch orbit at least this many steps
 BRANCH_WATCH = 13
@@ -74,8 +70,8 @@ def build_lift(f: MapAction) -> PLLift:
     circles in the order of A_j's letters.  The pieces are written in
     units of 1/scale, scale = 2 lcm(len(A_j)), the least in which every
     half and full sub-arc, 1/(2 len(A_j)) and 1/len(A_j), is whole.
-    The contract `oracle_counts` relies on and checks: every integer is a
-    piece end, and every piece end maps to an integer or to f(0).
+    Every piece end maps to an integer or to 1/2, so the lift is
+    continuous on the quotient, as `oracle_counts` requires.
     """
     d11 = sum(l.sign for l in f.image(1) if l.index == 1)
     visits_others = any(l.index != 1 for l in f.image(1))
@@ -116,16 +112,15 @@ def build_lift(f: MapAction) -> PLLift:
 
 @dataclass(frozen=True)
 class OracleCounts:
-    """One call's counts for each iterate m = 1..len(crossings) in budget.
+    """The lift's counts for each iterate m = 1..depth of one call.
 
-    `crossings[m-1]` counts the diagonal crossings of f^m at non-integer
-    points, `covers[m-1]` the preimages of the branching point under f^m
-    (the refined cover size).  The sweep stops before the first iterate
-    with more pieces than its budget, so len(crossings) < depth means
-    iterate len(crossings) + 1 was over budget.  `branch_period` is the
-    least t <= max(BRANCH_WATCH, depth + 1) with f^t(0) at an
-    integer, or None: the lift's branch period, as `lift_branch_period`
-    gives it.
+    `crossings[m-1]` counts the fixed points of f^m off the integers,
+    `covers[m-1]` the preimages of the branching point under f^m (the
+    refined cover size) for m <= min(depth, COVER_DEPTH).  At a point
+    where f^m jumps (between two integers) both count by its value from
+    the right.  `branch_period` is the least t <= max(BRANCH_WATCH,
+    depth + 1) with f^t(0) at an integer, or None: the lift's branch
+    period, as `lift_branch_period` gives it.
     """
 
     crossings: tuple[int, ...]
@@ -139,205 +134,185 @@ class OracleCounts:
         return self.crossings[m - 1] + int(branch_fixed)
 
 
-def _scaled(
-    lift: PLLift, depth: int
-) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """The scale of a sweep to `depth` and the lift's pieces in units of
-    1/scale.
-
-    A child's cut divides by its parent's slope, a product of at most
-    depth - 1 lift slopes, so the lift's units refined by
-    lcm(|slopes|)^(depth-1) keep every cut and intercept integral.
-    """
-    grow = math.lcm(*(s for _, _, s, _ in lift.pieces)) ** (depth - 1)
-    return lift.scale * grow, [(lo * grow, hi * grow, s, b * grow)
-                               for lo, hi, s, b in lift.pieces]
-
-
-def _children(
-    base: list[tuple[int, int, int, int]], los: list[int],
-    lo: int, hi: int, s: int, b: int,
-) -> Iterator[tuple[int, int, int, int]]:
-    """The pieces of f^(k+1) inside the piece (lo, hi, s, b) of f^k, right
-    to left: f after it, cut where its image crosses a breakpoint of f."""
-    # los[i0:i1] are the breakpoints strictly inside the image
-    v_lo, v_hi = s * lo + b, s * hi + b
-    if s > 0:
-        i0, i1 = bisect_right(los, v_lo), bisect_left(los, v_hi)
-        order = range(i1 - 1, i0 - 2, -1)
-    else:
-        i0, i1 = bisect_right(los, v_hi), bisect_left(los, v_lo)
-        order = range(i0 - 1, i1)
-    x_hi = hi
-    for p in order:
-        t = p + (s < 0)  # the breakpoint at the child's left end
-        x_lo = (los[t] - b) // s if i0 <= t < i1 else lo
-        _, _, ps, pb = base[p]
-        yield x_lo, x_hi, ps * s, ps * b + pb
-        x_hi = x_lo
+def _cycles(step: Sequence[int]) -> Iterator[list[int]]:
+    """Each cycle of the map i -> step[i] on range(len(step)) once, as
+    the list of its points in orbit order; step[i] < 0 ends a path."""
+    state = [0] * len(step)  # 0 unseen, 1 on the current path, 2 done
+    for start in range(len(step)):
+        path = []
+        i = start
+        while i >= 0 and not state[i]:
+            state[i] = 1
+            path.append(i)
+            i = step[i]
+        if i >= 0 and state[i] == 1:
+            yield path[path.index(i):]
+        for i in path:
+            state[i] = 2
 
 
-def _count(
-    piece: tuple[int, int, int, int], k: int, scale: int
-) -> tuple[int, int]:
-    """Diagonal crossings off the integers (0 or 1) and cover count of one
-    piece of f^k."""
-    lo, hi, s, b = piece
-    v_lo, v_hi = s * lo + b, s * hi + b
-    # integers in the half-open image: [v_lo, v_hi) ascending, (v_hi, v_lo]
-    # descending
-    if v_lo < v_hi:
-        covered = -(-v_hi // scale) - -(-v_lo // scale)
-    else:
-        covered = v_lo // scale - v_hi // scale
-    if s == 1:
-        if b == 0:
-            raise DegenerateMapError(
-                f"iterate {k} of the lift is the identity on "
-                f"[{Fraction(lo, scale)}, {Fraction(hi, scale)}); "
-                "the map is not expanding"
-            )
-        return 0, covered
-    # fixed point x = b / (scale * (1 - s)); compare by cross-multiplying
-    d = 1 - s
-    in_piece = (lo * d <= b < hi * d) if d > 0 else (hi * d < b <= lo * d)
-    return int(in_piece and b % (scale * d) != 0), covered
+def _points(lift: PLLift) -> dict[int, tuple[int, int]]:
+    """O*, the integers, the piece ends and all their forward orbits, each
+    with the pieces to its left and right (-1 past 0 and n).
 
-
-def _next_depth(
-    base: list[tuple[int, int, int, int]], los: list[int], points: list[int],
-    entries: list[list],
-) -> list[list]:
-    """The [piece, count] entries of f^(k+1) from those of f^k.
-
-    A clean child is keyed by its oriented image and its O-cell, any other
-    child by itself (the pieces of f^(k+1) tile [0, n], so that key is
-    unique).  The children of a clean piece lie in its domain and their
-    slopes are multiples of its own, so they are clean and in its cell:
-    one piece stands for each key, and its children, counted `count`
-    times, stand for all of the key's."""
-    table: dict[tuple, list] = {}
-    for piece, count in entries:
-        for child in _children(base, los, *piece):
-            lo, hi, s, b = child
-            cell = bisect_left(points, lo)
-            if abs(s) >= 2 and points[cell] > hi:
-                key = (s * lo + b, s * hi + b, cell)
-            else:
-                key = child
-            if key in table:
-                table[key][1] += count
-            else:
-                table[key] = [child, count]
-    return list(table.values())
-
-
-def _branch_orbit(
-    steps: int, scale: int,
-    base: Sequence[tuple[int, int, int, int]], los: list[int],
-) -> tuple[list[int], int | None]:
-    """f^1(0), f^2(0), ... in units of 1/scale, up to `steps` points or
-    to the first integer among them, and the number t of that integer
-    (None if none is met), read through the lift's integer pieces."""
-    orbit: list[int] = []
-    x = 0
-    for t in range(1, steps + 1):
-        _, _, s, b = base[bisect_right(los, x) - 1]
-        x = s * x + b
-        orbit.append(x)
+    Refuses a lift that is not continuous on the quotient: its two
+    one-sided values at a point off the integers must agree or both be
+    integers, and its values at the integers must all agree or all be
+    integers; every value must lie in [0, n]."""
+    scale, pieces = lift.scale, lift.pieces
+    top = lift.n * scale
+    los = [lo for lo, _, _, _ in pieces]
+    todo = [*range(0, top + 1, scale), *los]
+    sides: dict[int, tuple[int, int]] = {}
+    at_integers = set()
+    while todo:
+        x = todo.pop()
+        if x in sides:
+            continue
+        left = bisect_left(los, x) - 1 if x else -1
+        right = bisect_right(los, x) - 1 if x < top else -1
+        sides[x] = left, right
+        values = {pieces[p][2] * x + pieces[p][3]
+                  for p in (left, right) if p >= 0}
         if x % scale == 0:
-            return orbit, t
-    return orbit, None
+            at_integers |= values
+        elif len(values) > 1 and any(v % scale for v in values):
+            raise InputError(f"the lift is not continuous at "
+                             f"{Fraction(x, scale)}")
+        if not all(0 <= v <= top for v in values):
+            raise InputError(f"the lift leaves [0, {lift.n}]")
+        todo.extend(values)
+    if len(at_integers) > 1 and any(v % scale for v in at_integers):
+        raise InputError("the lift is not continuous at the branching point")
+    return sides
 
 
-def _meets_contract(lift: PLLift) -> bool:
-    """Whether every integer is a piece end of the lift and every piece
-    end maps to an integer or to f(0), in one pass over its pieces."""
-    scale, f0 = lift.scale, lift.pieces[0][3]
-    ends = set()
-    for lo, hi, s, b in lift.pieces:
-        ends.update((lo, hi))
-        if any(v % scale and v != f0 for v in (s * lo + b, s * hi + b)):
-            return False
-    return ends.issuperset(range(0, lift.n * scale + 1, scale))
+def _traces(mat: IntMatrix, k: int) -> list[int]:
+    """tr M^1..M^k from about 2 sqrt(k) matrix products: for h =
+    isqrt(k), M^(hb + a) = M^a M^(hb) with a <= h, and the trace of a
+    product is one dot product per row."""
+    h = math.isqrt(k)
+    powers = [mat]
+    while len(powers) < h:
+        powers.append(mat_mul(powers[-1], mat))
+    out = [sum(p[i][i] for i in range(len(p))) for p in powers]
+    giant = powers[-1]
+    while len(out) < k:
+        cols = tuple(zip(*giant))
+        out += [sum(sum(map(mul, row, col)) for row, col in zip(p, cols))
+                for p in powers[:k - len(out)]]
+        if len(out) < k:
+            giant = mat_mul(giant, powers[-1])
+    return out
 
 
-def _marks(
-    depth: int, scale: int, top: int,
-    base: list[tuple[int, int, int, int]], los: list[int],
-) -> tuple[list[int], int | None]:
-    """O in units of 1/scale, sorted: the integers 0..n and f^1(0) ..
-    f^depth(0); and the lift's branch period to max(BRANCH_WATCH,
-    depth + 1), from one walk of the orbit to its first integer.
+def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
+    """Crossing and cover counts of f^1..f^depth on the lift's Markov
+    partition (Block, Guckenheimer, Misiurewicz and Young, LNM 819, 1980).
 
-    An image endpoint of a piece of f^k is f_p(x), p a lift piece and x
-    an end of p or an image endpoint of a piece of f^(k-1).  By the
-    contract f_p maps an end of p into O, and a non-integer f^t(0) inside
-    p to f^(t+1)(0), so by induction it lies in O.
-    """
-    orbit, period = _branch_orbit(max(BRANCH_WATCH, depth + 1), scale,
-                                  base, los)
-    return sorted({*range(0, top + 1, scale), *orbit[:depth]}), period
-
-
-def oracle_counts(
-    lift: PLLift, depth: int, budget: int = PIECE_BUDGET
-) -> OracleCounts:
-    """Crossing and cover counts of f^1..f^depth, one depth at a time.
-
-    Let O be the integers 0..n and the branch orbit f^t(0), 1 <= t <=
-    depth: every image endpoint of a piece of f^k (k <= depth) lies in O
-    by `build_lift`'s contract, and a lift that breaks it is refused with
-    an InputError.  A piece of f^k is *clean* when k >= 2, its slope has
-    modulus >= 2 and its closed domain holds no point of O, so that it
-    lies inside one open O-cell.  Every descendant of a clean piece lies
-    in that cell too, and crosses the diagonal (once, off the integers)
-    exactly when its image contains the cell; the children are the
-    lift's pieces over the image, so they depend on the image alone.  All
-    the counts below a clean piece thus depend only on its oriented image
-    and its cell.
-
-    So each depth is one table of [piece, count] entries: one entry per
-    (oriented image, cell) of clean pieces, holding how many there are, and
-    one entry of count 1 per other piece (at most 2|O| per depth).  Every
-    entry is counted once, with the full crossing test and the identity
-    check, and its children are expanded once.  The table lives for one call
-    and is freed on return; no composite is kept.  Piece counts are exact
-    per depth, so the sweep stops before the first depth k >= 2 with more
-    than `budget` pieces and every shallower count is complete.  A piece of
-    f^k within budget that lies on the diagonal means the map is not
-    expanding and is rejected.
+    O* (`_points`) is finite, and f maps each cell between neighbouring
+    points of O* linearly onto a run of cells.  A closed itinerary of m
+    cells has one fixed point of f^m in its closure: inside the cell, or
+    a point of O* whose germ (point, side) returns to itself after m
+    steps.  So the crossings are tr T^m, T the cells' transition matrix,
+    less the germs that return after m steps, plus the points of O* off
+    the integers that f^m fixes; both corrections are read off the
+    cycles of two finite maps.  tr T^m = tr S^m for the smaller S below,
+    from matrix products up to dim S and its characteristic recurrence
+    past it.  A cycle of cells that slope +-1 maps onto each other makes
+    an iterate the identity there; it is refused when that iterate is at
+    most `depth`.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
-    if not _meets_contract(lift):
-        raise InputError(
-            "the lift breaks build_lift's contract: every integer must be "
-            "a piece end, and every piece end map to an integer or to f(0)")
-    scale, base = _scaled(lift, depth)
-    top = lift.n * scale
-    los = [lo for lo, _, _, _ in base]
-    points, branch_period = _marks(depth, scale, top, base, los)
-    entries = [[piece, 1] for piece in base]
-    crossings: list[int] = []
-    covers: list[int] = []
-    for k in range(1, depth + 1):
-        if k > 1 and sum(count for _, count in entries) > budget:
-            break
-        crossed = covered = 0
-        for piece, count in entries:
-            crossing, cover = _count(piece, k, scale)
-            crossed += count * crossing
-            covered += count * cover
-        crossings.append(crossed)
-        covers.append(covered)
-        if k < depth:
-            entries = _next_depth(base, los, points, entries)
-    return OracleCounts(tuple(crossings), tuple(covers), branch_period)
+    scale, pieces = lift.scale, lift.pieces
+    sides = _points(lift)
+    pts = sorted(sides)
+    index = {x: i for i, x in enumerate(pts)}
+    cells = len(pts) - 1
+    # the point map, the germ map (germ 2i + 1 is right of point i, 2i
+    # left of it), and each cell's image (u, v): the cells u..v-1
+    point = [0] * len(pts)
+    germ = [-1] * (2 * len(pts))
+    images = []
+    for i, x in enumerate(pts):
+        left, right = sides[x]
+        for side, p in ((0, left), (1, right)):
+            if p >= 0:
+                _, _, s, b = pieces[p]
+                j = index[s * x + b]
+                germ[2 * i + side] = 2 * j + ((s > 0) == side)
+                point[i] = j
+        if i < cells:
+            _, _, s, b = pieces[right]
+            if s == 0:
+                raise InputError(f"the lift is constant at {Fraction(x, scale)}")
+            u, v = sorted((index[s * x + b], index[s * pts[i + 1] + b]))
+            images.append((u, v, s))
+    # cells that slope +-1 maps onto one cell: a cycle of them is the
+    # identity at its length, or at twice it when it reverses
+    unit = [u if abs(s) == 1 and v == u + 1 else -1 for u, v, s in images]
+    for cycle in _cycles(unit):
+        turns = sum(images[c][2] < 0 for c in cycle) % 2
+        k = len(cycle) << turns
+        if k <= depth:
+            c = min(cycle)
+            raise DegenerateMapError(
+                f"iterate {k} of the lift is the identity on "
+                f"[{Fraction(pts[c], scale)}, {Fraction(pts[c + 1], scale)}); "
+                "the map is not expanding")
+    # cut at every end of an image, the cells fall into blocks and each
+    # image is a run of blocks; S[a][b] counts the cells in block a whose
+    # image holds block b
+    edges = sorted({0, cells, *(e for u, v, _ in images for e in (u, v))})
+    block = {e: a for a, e in enumerate(edges)}
+    mat = []
+    for lo, hi in zip(edges, edges[1:]):
+        row = [0] * len(edges)
+        for u, v, _ in images[lo:hi]:
+            row[block[u]] += 1
+            row[block[v]] -= 1
+        mat.append(tuple(accumulate(row[:-1])))
+    traces = _traces(tuple(mat), min(depth, len(mat)))
+    if depth > len(mat):
+        traces = recur(char_from_traces(traces), traces, depth)
+    # f^m fixes the points of a cycle of length L, and returns its germs,
+    # exactly when L divides m
+    crossings = traces
+    for cycle in _cycles(germ):
+        for m in range(len(cycle), depth + 1, len(cycle)):
+            crossings[m - 1] -= len(cycle)
+    for cycle in _cycles(point):
+        off = sum(pts[i] % scale != 0 for i in cycle)
+        for m in range(len(cycle), depth + 1, len(cycle)):
+            crossings[m - 1] += off
+    # covers[m-1] = sum over cells of reach_m, the cell's points that f^m
+    # sends to an integer, plus the points of O* below n that it does;
+    # reach_m of a cell is reach_(m-1) over the cells in its image plus
+    # the points of O* inside its image that f^(m-1) sends to an integer
+    integer = [x % scale == 0 for x in pts]
+    orbit = list(range(len(pts)))
+    reach = [0] * cells
+    covers = []
+    for _ in range(min(depth, COVER_DEPTH)):
+        cells_sum = list(accumulate(reach, initial=0))
+        points_sum = list(accumulate((integer[j] for j in orbit), initial=0))
+        reach = [cells_sum[v] - cells_sum[u] + points_sum[v] - points_sum[u + 1]
+                 for u, v, _ in images]
+        orbit = [point[j] for j in orbit]
+        covers.append(sum(reach) + sum(integer[j] for j in orbit[:cells]))
+    return OracleCounts(tuple(crossings), tuple(covers), lift_branch_period(
+        lift, max(BRANCH_WATCH, depth + 1)))
 
 
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:
     """Least t <= depth with f^t(0), the branch orbit, at an integer, or
     None."""
     los = [lo for lo, _, _, _ in lift.pieces]
-    return _branch_orbit(depth, lift.scale, lift.pieces, los)[1]
+    x = 0
+    for t in range(1, depth + 1):
+        _, _, s, b = lift.pieces[bisect_right(los, x) - 1]
+        x = s * x + b
+        if x % lift.scale == 0:
+            return t
+    return None

@@ -4,12 +4,13 @@ quantity is checked against (a ladder of matrix products and repeated
 squaring for the power sequences, Faddeev-LeVerrier for their
 characteristic polynomial, divisors and mu for the Moebius sieve, letter
 orbits for the fix counts' signed codes, iterate images expanded word by
-word for the per-iterate counts, a depth-first walk over every piece for
-the oracle's table sweep)."""
+word for the per-iterate counts, a depth-first walk over every piece of
+the composed lifts for the oracle's count on the Markov partition)."""
 
 import json
+import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -18,14 +19,7 @@ import pytest
 from bouquet_dyn import cli
 from bouquet_dyn.errors import InputError, LiftConstructionError
 from bouquet_dyn.homology import IntMatrix, LefschetzTable, mat_mul
-from bouquet_dyn.pl_oracle import (
-    PIECE_BUDGET,
-    PLLift,
-    _children,
-    _scaled,
-    build_lift,
-    lift_branch_period,
-)
+from bouquet_dyn.pl_oracle import PLLift, build_lift, lift_branch_period
 from bouquet_dyn.words import (
     BRANCH_FREE,
     Letter,
@@ -294,6 +288,48 @@ def letter_fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:
                 total += last_inv.sign
         out.append(1 + abs(total))
     return tuple(out)
+
+
+#: composed lifts may not exceed this many linear pieces
+PIECE_BUDGET = 10**7
+
+
+def _scaled(
+    lift: PLLift, depth: int
+) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """The scale of a walk to `depth` and the lift's pieces in units of
+    1/scale.
+
+    A child's cut divides by its parent's slope, a product of at most
+    depth - 1 lift slopes, so the lift's units refined by
+    lcm(|slopes|)^(depth-1) keep every cut and intercept integral.
+    """
+    grow = math.lcm(*(s for _, _, s, _ in lift.pieces)) ** (depth - 1)
+    return lift.scale * grow, [(lo * grow, hi * grow, s, b * grow)
+                               for lo, hi, s, b in lift.pieces]
+
+
+def _children(
+    base: list[tuple[int, int, int, int]], los: list[int],
+    lo: int, hi: int, s: int, b: int,
+) -> Iterator[tuple[int, int, int, int]]:
+    """The pieces of f^(k+1) inside the piece (lo, hi, s, b) of f^k, right
+    to left: f after it, cut where its image crosses a breakpoint of f."""
+    # los[i0:i1] are the breakpoints strictly inside the image
+    v_lo, v_hi = s * lo + b, s * hi + b
+    if s > 0:
+        i0, i1 = bisect_right(los, v_lo), bisect_left(los, v_hi)
+        order = range(i1 - 1, i0 - 2, -1)
+    else:
+        i0, i1 = bisect_right(los, v_hi), bisect_left(los, v_lo)
+        order = range(i0 - 1, i1)
+    x_hi = hi
+    for p in order:
+        t = p + (s < 0)  # the breakpoint at the child's left end
+        x_lo = (los[t] - b) // s if i0 <= t < i1 else lo
+        _, _, ps, pb = base[p]
+        yield x_lo, x_hi, ps * s, ps * b + pb
+        x_hi = x_lo
 
 
 class Walk:

@@ -22,15 +22,17 @@ from bouquet_dyn.errors import (
     InputError,
     LiftConstructionError,
 )
+from bouquet_dyn.homology import recur
 from bouquet_dyn.pl_oracle import (
     BRANCH_WATCH,
-    PIECE_BUDGET,
+    COVER_DEPTH,
     OracleCounts,
     PLLift,
     lift_branch_period,
 )
 
 from conftest import (
+    PIECE_BUDGET,
     BudgetError,
     Walk,
     divisors,
@@ -47,6 +49,8 @@ from conftest import (
 REFLECT = action("a1' a1'")
 DOUBLE = action("a1 a1")
 LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
+# x -> 2 - x on [0, 2]
+FLIP = PLLift(2, 1, ((0, 1, -1, 2), (1, 2, -1, 2)))
 
 
 def formula_fixes(f, depth):
@@ -54,7 +58,7 @@ def formula_fixes(f, depth):
 
 
 def lift_fix(lift, m):
-    """Fixed points of f^m on the circles, read off one oracle sweep."""
+    """Fixed points of f^m on the circles, read off one oracle call."""
     return oracle_counts(lift, m).fixed(m)
 
 
@@ -69,15 +73,15 @@ def orbit(lift, x, steps):
 
 def orbit_period(lift, depth):
     """Least t <= depth with f^t(0) an integer, or None, on the pointwise
-    `Fraction` orbit: a reference for the sweep's integer walk."""
+    `Fraction` orbit: a reference for the oracle's integer walk."""
     return next((t for t, x in enumerate(orbit(lift, Fraction(0), depth), 1)
                  if x.denominator == 1), None)
 
 
-def walk_counts(lift, depth, budget=PIECE_BUDGET):
+def walk_counts(lift, depth):
     """Reference for `oracle_counts`: count every piece of the depth-first
-    walk, one at a time."""
-    walk = Walk(lift, depth, budget)
+    walk over the composed lifts f^1..f^depth, one at a time."""
+    walk = Walk(lift, depth, PIECE_BUDGET)
     scale = walk.scale
     top = lift.n * scale
     crossings = [0] * (depth + 1)
@@ -103,10 +107,9 @@ def walk_counts(lift, depth, budget=PIECE_BUDGET):
             in_piece = True
         if in_piece and b % (scale * d) != 0:
             crossings[k] += 1
-    over = walk.over_budget()
-    counted = depth if over is None else over - 1
-    return OracleCounts(tuple(crossings[1 : counted + 1]),
-                        tuple(covers[1 : counted + 1]),
+    assert walk.over_budget() is None, "reference walk over its budget"
+    return OracleCounts(tuple(crossings[1:]),
+                        tuple(covers[1 : min(depth, COVER_DEPTH) + 1]),
                         orbit_period(lift, max(BRANCH_WATCH, depth + 1)))
 
 
@@ -137,7 +140,7 @@ class TestBuildLift:
 
     def test_scale_is_least(self):
         # whole entries with no factor shared by the scale and every end
-        # and intercept, so the sweep's integers never grow for nothing
+        # and intercept, so the oracle's integers never grow for nothing
         rng = random.Random(13)
         for sign in (1, -1):
             for _ in range(100):
@@ -221,8 +224,8 @@ class TestBranchOrbit:
         assert lift_branch_period(lift, 6) is None
 
     def test_sweep_period_matches_lift_branch_period(self):
-        # the sweep follows the branch orbit once, in its scaled integers,
-        # to max(BRANCH_WATCH, depth + 1) steps; on canonical lifts whose
+        # the oracle follows the branch orbit in the lift's integers to
+        # max(BRANCH_WATCH, depth + 1) steps; on canonical lifts whose
         # orbit may or may not return to an integer it gives the period
         # of the public helper and of the pointwise orbit
         rng = random.Random(12)
@@ -284,24 +287,6 @@ class TestCountFixed:
         assert lift_branch_period(lift, 4) == 4
         assert lift_fix(lift, 4) == formula_fixes(f, 4)[3]
 
-    def test_budget_keeps_shallow_counts(self, rng):
-        for _ in range(5):
-            _, lift = random_expanding_action(rng)
-            full = oracle_counts(lift, 8)
-            for budget in (1, 7, 40, 300):
-                counts = oracle_counts(lift, 8, budget)
-                counted = len(counts.crossings)
-                assert counts.crossings == full.crossings[:counted]
-                assert counts.covers == full.covers[:counted]
-                if counted == 8:
-                    continue
-                m = counted + 1
-                assert len(iterate_lift(lift, m).pieces) > budget
-                assert m == 2 or len(iterate_lift(lift, m - 1).pieces) <= budget
-                short = oracle_counts(lift, m, budget)
-                assert len(short.crossings) == m - 1
-                assert short.crossings == full.crossings[: m - 1]
-
 
 class TestTableMatchesWalk:
     """`oracle_counts` against the piece-by-piece reference walk."""
@@ -330,52 +315,71 @@ class TestTableMatchesWalk:
                     == counts_or_degenerate(walk_counts, lift, 7)), f
         assert compared > 100 and single > 20, (compared, single)
         # x -> 2 - x on [0, 2]: f^2 is the identity, so both must raise
-        flip = PLLift(2, 1, ((0, 1, -1, 2), (1, 2, -1, 2)))
         for count in (oracle_counts, walk_counts):
-            assert counts_or_degenerate(count, flip, 7) is DegenerateMapError
+            assert counts_or_degenerate(count, FLIP, 7) is DegenerateMapError
         with pytest.raises(DegenerateMapError) as e:
-            oracle_counts(flip, 7)
+            oracle_counts(FLIP, 7)
         assert str(e.value) == ("iterate 2 of the lift is the identity on "
                                 "[0, 1); the map is not expanding")
 
+    def test_flip_counted_at_depth_1(self):
+        # f itself is no identity: its one fixed point, 1, is an integer
+        counts = oracle_counts(FLIP, 1)
+        assert counts == walk_counts(FLIP, 1)
+        assert counts.crossings == (0,) and counts.covers == (2,)
+
+    def test_both_trace_routes(self, monkeypatch):
+        # tr S^m comes from matrix products for m <= dim S and from the
+        # characteristic recurrence past it; random lifts at depths 1-8
+        # take both routes, and both match the walk
+        recurred = []
+
+        def spy(*args):
+            recurred[-1] = True
+            return recur(*args)
+
+        monkeypatch.setattr(pl_oracle, "recur", spy)
+        rng = random.Random(23)
+        for _ in range(300):
+            f = random_action(rng, n_max=3, len_max=3)
+            try:
+                lift = build_lift(f)
+            except LiftConstructionError:
+                continue
+            depth = rng.randint(1, 8)
+            recurred.append(False)
+            assert oracle_counts(lift, depth) == walk_counts(lift, depth), f
+        assert recurred.count(True) > 20 and recurred.count(False) > 20
+
     def test_composed_lifts(self):
-        # f^2 maps piece ends to 1/2 = f(0) and to f(1/2), its own value at
-        # 0: unless f fixes 1/2 that breaks build_lift's contract, and the
-        # sweep refuses it while the reference walk still counts it
+        # f^2 and f^3, composed by the walk, are lifts whose piece ends
+        # need not map to an integer or to their own value at 0, as a
+        # canonical lift's do; they are counted all the same
         rng = random.Random(3)
-        refused = 0
         for _ in range(40):
             _, lift = random_expanding_action(rng, len_max=3)
-            squared = iterate_lift(lift, 2)
-            walked = walk_counts(squared, 3)
             counts = oracle_counts(lift, 6)
-            assert walked.crossings == counts.crossings[1::2]
-            assert walked.covers == counts.covers[1::2]
-            if lift_value(lift, Fraction(1, 2)) == Fraction(1, 2):
-                assert oracle_counts(squared, 3) == walked
-                continue
-            refused += 1
-            with pytest.raises(InputError, match="build_lift's contract"):
-                oracle_counts(squared, 3)
-        # both kinds occur: 8 of the 40 composites are refused
-        assert 0 < refused < 40, refused
+            for m, depth in ((2, 3), (3, 2)):
+                composed = iterate_lift(lift, m)
+                walked = walk_counts(composed, depth)
+                assert oracle_counts(composed, depth) == walked
+                assert walked.crossings == counts.crossings[m - 1::m]
+                assert walked.covers == counts.covers[m - 1::m]
 
     def test_lifts_breaking_the_contract_refused(self):
-        # `flip`'s map x -> 2 - x, cut so that a piece end (5/3) maps to
-        # 1/3, or left uncut at the integer 1
+        # `FLIP`'s map x -> 2 - x, cut so that a piece end (5/3) maps to
+        # 1/3, or left uncut at the integer 1: both are the identity at
+        # iterate 2
         thirds = PLLift(2, 3, ((0, 3, -1, 6), (3, 5, -1, 6), (5, 6, -1, 6)))
         uncut = PLLift(2, 1, ((0, 2, -1, 2),))
         for lift in (thirds, uncut):
-            with pytest.raises(InputError, match="build_lift's contract"):
+            with pytest.raises(DegenerateMapError, match="iterate 2 "):
                 oracle_counts(lift, 3)
-
-    def test_budgets(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            _, lift = random_expanding_action(rng)
-            for budget in (1, 7, 40, 300):
-                assert (oracle_counts(lift, 8, budget)
-                        == walk_counts(lift, 8, budget)), budget
+            assert oracle_counts(lift, 1).crossings == (0,)
+        # one-sided values 1 and 3/4 at the piece end 1/4
+        torn = PLLift(1, 4, ((0, 1, 2, 2), (1, 3, -1, 4), (3, 4, 1, -2)))
+        with pytest.raises(InputError, match="not continuous at 1/4"):
+            oracle_counts(torn, 1)
 
 
 class TestCover:
@@ -432,17 +436,17 @@ class TestOracleMemory:
             tracemalloc.stop()
         assert counts.covers == (12, 48, 192, 768, 3072, 12288)
         assert peak < 256 * 1024
-        # a1 -> a1 a1 to depth 22, the last depth within PIECE_BUDGET:
-        # 2^23 - 1 pieces at depth 22
+        # a1 -> a1 a1 to depth 200: 2^200 pieces of f^200, counted on
+        # the lift's cells and read off the recurrence past dim S
         doubling = build_lift(DOUBLE)
         tracemalloc.start()
         try:
-            counts = oracle_counts(doubling, 22)
+            counts = oracle_counts(doubling, 200)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(counts.crossings) == 22
-        assert counts.covers == tuple(2**m for m in range(1, 23))
+        assert counts.crossings == tuple(2**m - 1 for m in range(1, 201))
+        assert counts.covers == tuple(2**m for m in range(1, 9))
         assert peak < 256 * 1024
         assert not any(
             callable(getattr(v, "cache_clear", None))
