@@ -84,14 +84,14 @@ class MapSpecDocument:
     claims: tuple[Claim, ...] = ()
 
 
-def _integer(value: str, what: str, err: Callable[[str], Exception]) -> int:
+def _integer(value: str, what: str, err: Callable[[str], Exception],
+             cap: int = DIGIT_CAP) -> int:
     """The integer that `value`, an optional minus sign and ASCII digits,
-    spells; past DIGIT_CAP digits `err` builds the error to raise before
+    spells; past `cap` digits `err` builds the error to raise before
     int() sees them (Python 3.11+ refuses over 4 300 digits)."""
     digits = len(value.lstrip("-"))
-    if digits > DIGIT_CAP:
-        raise err(f"{what} has {digits} digits, over the cap of "
-                  f"{DIGIT_CAP} digits")
+    if digits > cap:
+        raise err(f"{what} has {digits} digits, over the cap of {cap} digits")
     return int(value)
 
 
@@ -160,11 +160,12 @@ def parse_spec(text: str) -> MapSpecDocument:
             continue
         image_match = _IMAGE_RE.match(line)
         if image_match is not None:
-            j = _integer(image_match.group(1), "generator index", err)
+            cap = len(str(CIRCLE_CAP))  # the digits of the largest index
+            j = _integer(image_match.group(1), "generator index", err, cap)
             if j in images:
                 raise err(f"duplicate image line for a{j}")
             for index in _INDEX_RE.findall(image_match.group(2)):
-                _integer(index, "generator index", err)
+                _integer(index, "generator index", err, cap)
             try:
                 images[j] = Word.parse(image_match.group(2))
             except InputError as e:

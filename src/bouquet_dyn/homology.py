@@ -3,22 +3,22 @@
 Abelianizing the induced endomorphism gives an n-by-n integer matrix M
 whose (i, j) entry is the signed occurrence count of generator i in the
 image of generator j.  A report builds one `PowerSequences` record of
-M^1..M^K and reads every per-iterate quantity from it: only the first
-few powers are built as matrices, and past them the record holds two
-sequences, the traces and the norms, which follow the recurrence of the
-characteristic polynomial.  `LefschetzTable.of(traces)` is the one route
-to the Lefschetz numbers L(f^m) = 1 - tr M^m (a bouquet has homology in
-dimensions 0 and 1 only, and every iterate acts on dimension 0 as the
-identity) and to their Moebius inversions l(f^m).  `invert_divisor_sums`
-is the one Moebius inversion, read by l(f^m) here and by the census's
-per(m); it sieves instead of summing mu(r) over the divisors of each m.
-All of it is exact integer arithmetic: no floating point appears
-anywhere in this module, since traces grow like the spectral radius to
-the m-th power.
+M^1..M^K and reads every per-iterate quantity from it: `power_traces`,
+the one routine that raises M to powers, gives the first n traces and
+entry sums, and past them they follow the characteristic recurrence.
+`LefschetzTable.of(traces)` is the one route to the Lefschetz numbers
+L(f^m) = 1 - tr M^m (a bouquet has homology in dimensions 0 and 1 only,
+and every iterate acts on dimension 0 as the identity) and to their
+Moebius inversions l(f^m).  `invert_divisor_sums` is the one Moebius
+inversion, read by l(f^m) here and by the census's per(m); it sieves
+instead of summing mu(r) over the divisors of each m.  All of it is
+exact integer arithmetic: no floating point appears anywhere in this
+module, since traces grow like the spectral radius to the m-th power.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,7 +28,7 @@ from .words import MapAction, chi
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
-#: the record holds M^1..M^HEAD_POWERS as matrices (more when n is larger)
+#: the record holds M^1..M^min(K, HEAD_POWERS), or to M^isqrt(n) if more
 HEAD_POWERS = 6
 
 
@@ -52,13 +52,13 @@ class PowerSequences:
     """Per-iterate data of M^1..M^K, for a matrix M whose entries share
     one sign s (every abelianized map's do: its image words share one).
 
-    `head` holds the full matrices M^1..M^h, h = max(n, min(K,
-    HEAD_POWERS)).  `char` is det(xI - M) (`char_from_traces`).  For m =
-    1..K, `traces[m-1]` is tr M^m, and `norms[m-1]` is ||M^m||_1, the sum
-    of |entries|: every entry of M^m has the sign s^m, so that is the
-    modulus of the sum of its entries.  Past the head both follow the
-    characteristic recurrence (`recur`).  The record holds two sequences
-    whatever n is.
+    `head` holds M^1..M^h, h = max(isqrt(n), min(K, HEAD_POWERS)), the
+    baby steps of `power_traces`.  `char` is det(xI - M)
+    (`char_from_traces`).  For m = 1..K, `traces[m-1]` is tr M^m, and
+    `norms[m-1]` is ||M^m||_1, the sum of |entries|: every entry of M^m
+    has the sign s^m, so that is the modulus of the sum of its entries.
+    Up to m = n both come from `power_traces`, past it from the
+    characteristic recurrence (`recur`), whatever n is.
     """
 
     head: tuple[IntMatrix, ...]
@@ -74,17 +74,40 @@ class PowerSequences:
         if {x > 0 for row in a for x in row if x} == {True, False}:
             raise InputError("matrix entries must share one sign")
         n = len(a)
-        head = [a]
-        while len(head) < max(n, min(k, HEAD_POWERS)):
-            head.append(mat_mul(head[-1], a))
-        traces = [sum(p[j][j] for j in range(n)) for p in head]
-        totals = [sum(map(sum, p)) for p in head]
-        char = char_from_traces(traces[:n])
+        h = max(math.isqrt(n), min(k, HEAD_POWERS))
+        head, traces, totals = power_traces(a, n, h)
+        char = char_from_traces(traces)
         return PowerSequences(
             tuple(head), tuple(char),
             tuple(recur(char, traces, k)),
             tuple(map(abs, recur(char, totals, k))),
         )
+
+
+def power_traces(a: IntMatrix, k: int,
+                 h: int) -> tuple[list[IntMatrix], list[int], list[int]]:
+    """The baby steps M^1..M^h (h >= 1) and, for m = 1..k, tr M^m and the
+    sum of the entries of M^m, by baby and giant steps (Paterson and
+    Stockmeyer, SIAM J. Comput. 2, 1973).  Each giant step M^(hb) costs
+    one product and gives M^(hb+a) = M^a M^(hb), a = 1..h: its trace is
+    one dot product per row of M^a, its entry sum M^a's column sums
+    dotted with M^(hb)'s row sums, formed only when k > h."""
+    baby = [a]
+    while len(baby) < h:
+        baby.append(mat_mul(baby[-1], a))
+    traces = [sum(p[i][i] for i in range(len(p))) for p in baby[:k]]
+    totals = [sum(map(sum, p)) for p in baby[:k]]
+    col_sums = [tuple(map(sum, zip(*p))) for p in baby] if k > h else []
+    giant = baby[-1]
+    for hb in range(h, k, h):
+        cols, row_sums = tuple(zip(*giant)), tuple(map(sum, giant))
+        for p, c in zip(baby, col_sums[:k - hb]):
+            traces.append(sum(sum(map(operator.mul, row, col))
+                              for row, col in zip(p, cols)))
+            totals.append(sum(map(operator.mul, c, row_sums)))
+        if hb + h < k:
+            giant = mat_mul(giant, baby[-1])
+    return baby, traces, totals
 
 
 def char_from_traces(traces: Sequence[int]) -> list[int]:

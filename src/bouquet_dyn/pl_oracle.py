@@ -19,10 +19,9 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
 
 from .errors import DegenerateMapError, InputError, LiftConstructionError
-from .homology import IntMatrix, char_from_traces, mat_mul, recur
+from .homology import char_from_traces, power_traces, recur
 from .words import MapAction, Word, branch_period_under
 
 #: `oracle_counts` counts covers to this iterate, the last a report prints
@@ -187,25 +186,6 @@ def _points(lift: PLLift) -> dict[int, tuple[int, int]]:
     return sides
 
 
-def _traces(mat: IntMatrix, k: int) -> list[int]:
-    """tr M^1..M^k from about 2 sqrt(k) matrix products: for h =
-    isqrt(k), M^(hb + a) = M^a M^(hb) with a <= h, and the trace of a
-    product is one dot product per row."""
-    h = math.isqrt(k)
-    powers = [mat]
-    while len(powers) < h:
-        powers.append(mat_mul(powers[-1], mat))
-    out = [sum(p[i][i] for i in range(len(p))) for p in powers]
-    giant = powers[-1]
-    while len(out) < k:
-        cols = tuple(zip(*giant))
-        out += [sum(sum(map(mul, row, col)) for row, col in zip(p, cols))
-                for p in powers[:k - len(out)]]
-        if len(out) < k:
-            giant = mat_mul(giant, powers[-1])
-    return out
-
-
 def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
     """Crossing and cover counts of f^1..f^depth on the lift's Markov
     partition (Block, Guckenheimer, Misiurewicz and Young, LNM 819, 1980).
@@ -218,10 +198,10 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
     less the germs that return after m steps, plus the points of O* off
     the integers that f^m fixes; both corrections are read off the
     cycles of two finite maps.  tr T^m = tr S^m for the smaller S below,
-    from matrix products up to dim S and its characteristic recurrence
-    past it.  A cycle of cells that slope +-1 maps onto each other makes
-    an iterate the identity there; it is refused when that iterate is at
-    most `depth`.
+    by baby and giant steps (`power_traces`) up to dim S and its
+    characteristic recurrence past it.  A cycle of cells that slope +-1
+    maps onto each other makes an iterate the identity there; it is
+    refused when that iterate is at most `depth`.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
@@ -273,7 +253,8 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
             row[block[u]] += 1
             row[block[v]] -= 1
         mat.append(tuple(accumulate(row[:-1])))
-    traces = _traces(tuple(mat), min(depth, len(mat)))
+    k = min(depth, len(mat))
+    _, traces, _ = power_traces(tuple(mat), k, math.isqrt(k))
     if depth > len(mat):
         traces = recur(char_from_traces(traces), traces, depth)
     # f^m fixes the points of a cycle of length L, and returns its germs,

@@ -188,6 +188,15 @@ def powers(a: IntMatrix, k: int) -> Ladder:
     return tuple(out)
 
 
+def cap_edge_spec() -> str:
+    """A map on the cap's 64 circles whose every image has 64 letters:
+    a_j -> a1 a_((j i + i^2) mod 64 + 1) for i = 1..63."""
+    return "n=64\nbranch: free\n" + "".join(
+        f"a{j} -> a1 " + " ".join(f"a{(j * i + i * i) % 64 + 1}"
+                                  for i in range(1, 64)) + "\n"
+        for j in range(1, 65))
+
+
 def char_poly(a: IntMatrix) -> list[int]:
     """Coefficients [c_0, ..., c_n] of det(xI - A), c_n = 1, by the
     Faddeev-LeVerrier recursion (n matrix products, every division exact):

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -25,7 +26,12 @@ from bouquet_dyn.errors import InconsistencyError, InputError
 from bouquet_dyn.homology import abelianize
 from bouquet_dyn.words import BRANCH_FREE
 
-from conftest import load_fixture, random_action, random_expanding_action
+from conftest import (
+    cap_edge_spec,
+    load_fixture,
+    random_action,
+    random_expanding_action,
+)
 
 LOW_GROWTH_TEXT = """\
 n=3
@@ -223,6 +229,8 @@ class TestDigitCap:
         assert f"over the cap of {DIGIT_CAP} digits" in err, err
 
     BIG = "9" * 5000
+    #: a generator index within DIGIT_CAP
+    LONG = "9" * DIGIT_CAP
 
     @pytest.mark.parametrize("lineno, what, text", [
         (1, "circle count", f"n={BIG}\nbranch: free\na1 -> a1 a1\n"),
@@ -234,18 +242,26 @@ class TestDigitCap:
          f"n=1\nbranch: free\na1 -> a1 a1\nclaim: L(1) = -{BIG}\n"),
         (3, "generator index", f"n=1\nbranch: free\na{BIG} -> a1\n"),
         (3, "generator index", f"n=1\nbranch: free\na1 -> a1 a{BIG}\n"),
+        (3, "generator index", f"n=1\nbranch: free\na1 -> a1 a{LONG}\n"),
+        (4, "generator index", f"n=1\nbranch: free\na1 -> a1\na{LONG} -> a1\n"),
     ])
     def test_long_spec_number_exits_fast(self, tmp_path, capsys, lineno,
                                          what, text):
-        # int() itself refuses more than 4 300 digits on Python >= 3.11
+        # int() itself refuses more than 4 300 digits on Python >= 3.11; a
+        # generator index is held to the digits of CIRCLE_CAP, whatever
+        # its length
         p = tmp_path / "long.bqd"
         p.write_text(text)
         start = time.perf_counter()
         assert main(["analyze", str(p)]) == 1
         assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().err == (
-            f"error: line {lineno}: {what} has 5000 digits, over the cap of "
-            f"{DIGIT_CAP} digits\n")
+        digits = 5000 if self.BIG in text else DIGIT_CAP
+        cap = len(str(CIRCLE_CAP)) if what == "generator index" else DIGIT_CAP
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: line {lineno}: {what} has {digits} digits, over the cap "
+            f"of {cap} digits\n")
+        assert len(err) < 200
 
     def test_spec_number_at_cap_parses(self):
         at_cap = "9" * DIGIT_CAP
@@ -339,6 +355,19 @@ class TestCircleCap:
         assert report["oracle"]["status"] == "ok"
         with pytest.raises(InputError, match=f"cap of {CIRCLE_CAP} circles"):
             parse_spec(f"n={n + 1}\n" + images)
+
+    def test_cap_edge_memory(self):
+        # every image has 64 letters; the record holds isqrt(64) = 8
+        # powers of M as matrices, not all 64 of them
+        doc = parse_spec(cap_edge_spec())
+        tracemalloc.start()
+        try:
+            report = run_report(doc, ReportOptions())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report["oracle"]["status"] == "ok"
+        assert peak < 6_000_000, peak
 
 
 class TestMain:

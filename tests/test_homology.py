@@ -1,5 +1,6 @@
 """Homology matrix, Lefschetz numbers, Moebius machinery."""
 
+import math
 import random
 import tracemalloc
 
@@ -13,10 +14,18 @@ from bouquet_dyn import (
     fix_counts,
 )
 from bouquet_dyn.errors import InputError
-from bouquet_dyn.homology import divisor_sums, invert_divisor_sums
+from bouquet_dyn import homology
+from bouquet_dyn.cli import parse_spec
+from bouquet_dyn.homology import (
+    divisor_sums,
+    invert_divisor_sums,
+    mat_mul,
+    power_traces,
+)
 from bouquet_dyn.words import Letter, MapAction, Word, branch_period_under, chi
 
 from conftest import (
+    cap_edge_spec,
     char_poly,
     divisors,
     identity,
@@ -95,7 +104,7 @@ class TestMatrixOps:
         for _ in range(20):
             m = random_signed_matrix(rng, rng.randint(1, 8))
             seqs = PowerSequences.of(m, 9)
-            assert len(seqs.head) == max(len(m), 6)
+            assert len(seqs.head) == max(math.isqrt(len(m)), 6)
             for k in range(1, len(seqs.head) + 1):
                 assert seqs.head[k - 1] == mat_pow(m, k)
             for k in range(1, 10):
@@ -152,7 +161,7 @@ class TestPowerSequences:
                 f = random_map(rng, n, sign, branch)
                 mat = abelianize(f)
                 seqs = PowerSequences.of(mat, k)
-                h = max(n, min(k, 6))
+                h = max(math.isqrt(n), min(k, 6))
                 ladder = powers(mat, max(h, k))
                 assert seqs.head == ladder[:h], (f, k)
                 assert seqs.char == tuple(char_poly(mat)), f
@@ -190,6 +199,57 @@ class TestPowerSequences:
         peaks = [traced_peak(PowerSequences.of, abelianize(two_letter_map(n)),
                              2000) for n in (1, 8)]
         assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+class TestPowerTraces:
+    """Baby and giant steps against the reference ladder."""
+
+    def test_matches_reference_ladder(self, rng):
+        # signed (one sign, either) and nonnegative matrices; every entry
+        # of M^m has the sign s^m, so the entry sum is s^m ||M^m||_1
+        for n in range(1, 9):
+            for mat in (random_signed_matrix(rng, n),
+                        random_matrix(rng, n, 0, 3)):
+                s = -1 if any(x < 0 for row in mat for x in row) else 1
+                ladder = powers(mat, 3 * n + 1)
+                for h in range(1, n + 2):
+                    for k in range(3 * n + 1):
+                        baby, traces, totals = power_traces(mat, k, h)
+                        assert baby == list(ladder[:h]), (mat, k, h)
+                        assert traces == list(map(trace, ladder[:k]))
+                        assert totals == [s ** m * norm1(p) for m, p in
+                                          enumerate(ladder[:k], start=1)]
+
+    def count_products(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(homology, "mat_mul", counted)
+        return calls
+
+    def test_products_up_to_six_circles(self, monkeypatch, rng):
+        # the head M^1..M^6 alone: n <= 6 traces need no giant step
+        calls = self.count_products(monkeypatch)
+        for n in range(1, 7):
+            for k in (6, 7, 40):
+                calls.clear()
+                PowerSequences.of(random_signed_matrix(rng, n), k)
+                assert len(calls) == 5, (n, k)
+
+    def test_cap_edge(self, monkeypatch):
+        # n = 64: 7 products for the baby steps M^1..M^8 and one for each
+        # giant step M^16..M^56; M^1..M^64 one at a time would take 63
+        mat = abelianize(parse_spec(cap_edge_spec()).action)
+        calls = self.count_products(monkeypatch)
+        seqs = PowerSequences.of(mat, 70)
+        assert len(calls) <= 16, len(calls)
+        ladder = powers(mat, 70)
+        assert seqs.char == tuple(char_poly(mat))
+        assert seqs.traces == tuple(map(trace, ladder))
+        assert seqs.norms == tuple(map(norm1, ladder))
 
 
 class TestMobius:
