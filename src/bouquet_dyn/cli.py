@@ -415,11 +415,13 @@ def _run_oracle(
     verdicts = []
     for m in range(1, options.oracle_depth + 1):
         formula, lifted = fixes[m - 1], counts.fixed(m)
+        same = lifted == formula
+        lift_text = str(lifted)
         verdicts.append({
             "m": m,
-            "lift_count": str(lifted),
-            "formula_count": str(formula),
-            "verdict": "match" if lifted == formula
+            "lift_count": lift_text,
+            "formula_count": lift_text if same else str(formula),
+            "verdict": "match" if same
             else "skipped (branch-orbit mismatch)" if branch_mismatch
             else "mismatch",
         })

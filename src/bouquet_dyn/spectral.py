@@ -1,10 +1,11 @@
 """Spectral data of the homology matrix: eigenvalues, entropy, growth bounds.
 
 The exact integer characteristic polynomial comes from the report's
-`homology.PowerSequences` record, zero roots are stripped exactly, and
-the remaining roots come from a deterministic simultaneous-iteration
-solver.  Entropy is the natural log of the spectral radius, clamped at
-zero for degenerate inputs.
+`homology.PowerSequences` record.  Zero roots are stripped exactly, the
+rest is split exactly into its squarefree parts (Yun, 1976), so every
+multiplicity is exact, and the roots of each part come from a
+deterministic simultaneous-iteration solver.  Entropy is the natural log
+of the spectral radius, clamped at zero for degenerate inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import InputError
@@ -22,6 +24,10 @@ DOMINANCE_EPS = 1e-8
 
 #: upper end of the range `m0_bound` bisects
 M0_SCAN_CAP = 10_000
+
+#: the prime of `squarefree_parts`' quick test; a polynomial whose gcd
+#: with its derivative is trivial modulo it is squarefree over Q
+SQUAREFREE_PRIME = 32_749
 
 
 def _eval_poly(coeffs: list[float], z: complex) -> complex:
@@ -64,6 +70,99 @@ def _durand_kerner(coeffs: list[float], iterations: int = 200) -> list[complex]:
     return roots
 
 
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _derivative(p: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _gcd_is_trivial_mod(a: Sequence[int], b: Sequence[int], p: int) -> bool:
+    """Whether gcd(a, b) is a constant modulo the prime p."""
+    a = _trim([c % p for c in a])
+    b = _trim([c % p for c in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        while len(a) > db:
+            q = a[-1] * inv % p
+            shift = len(a) - 1 - db
+            for i in range(db):
+                a[shift + i] = (a[shift + i] - q * b[i]) % p
+            a.pop()
+            _trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p over the gcd of its coefficients, leading coefficient positive."""
+    g = math.gcd(*p) if p[-1] > 0 else -math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd(a, b) by primitive pseudo-remainders, leading coefficient
+    positive.  A monic integer a has only monic integer divisors, so the
+    gcd is monic then."""
+    a = _primitive(a)
+    b = _primitive(b) if b else b
+    while b:
+        r, lb, db = a, b[-1], len(b) - 1
+        while len(r) > db:
+            lr, shift = r[-1], len(r) - 1 - db
+            r = [lb * c for c in r]
+            for i in range(db):
+                r[shift + i] -= lr * b[i]
+            r.pop()
+            _trim(r)
+        a, b = b, _primitive(r) if r else r
+    return a
+
+
+def _div_monic(p: Sequence[int], q: list[int]) -> list[int]:
+    """p / q for a monic q that divides p."""
+    p, dq = list(p), len(q) - 1
+    out = [0] * max(len(p) - dq, 0)
+    for k in reversed(range(len(out))):
+        c = out[k] = p[k + dq]
+        for i in range(dq):
+            p[k + i] -= c * q[i]
+    assert not any(p[:dq]), "inexact division by a squarefree part"
+    return out
+
+
+def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """Yun's squarefree decomposition of a monic integer polynomial
+    char = [c_0, ..., c_d]: the pairs (a_i, i) with the a_i monic,
+    squarefree, pairwise coprime and nonconstant, and char = prod a_i^i.
+
+    Integers only: every gcd is a primitive pseudo-remainder sequence and
+    every division is by a monic divisor.  A gcd of char and char' that
+    is trivial modulo `SQUAREFREE_PRIME` proves char squarefree, and
+    returns [(char, 1)] without the exact route.
+    """
+    df = _derivative(char)
+    if _gcd_is_trivial_mod(char, df, SQUAREFREE_PRIME):
+        return [(tuple(char), 1)]
+    g = _gcd(list(char), df)
+    b, c = _div_monic(char, g), _div_monic(df, g)
+    parts = []
+    i = 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in
+                   zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _gcd(b, d)
+        b, c = _div_monic(b, a), _div_monic(d, a)
+        if len(a) > 1:
+            parts.append((tuple(a), i))
+        i += 1
+    return parts
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Eigenvalues sorted by nonincreasing modulus, with derived data."""
@@ -90,12 +189,14 @@ class SpectrumReport:
 
 def eigenvalues(char: Sequence[int]) -> SpectrumReport:
     """All roots, with multiplicity, of the characteristic polynomial
-    char = [c_0, ..., c_n], c_n = 1 (`PowerSequences.char`); zero roots
-    are split off exactly.
+    char = [c_0, ..., c_n], c_n = 1 (`PowerSequences.char`).  Zero roots
+    are split off exactly; the solver runs on each squarefree part of the
+    rest, and a part of multiplicity i gives each of its roots i times,
+    as equal values.
 
     Sorted by modulus descending, ties broken by real part then imaginary
     part, both descending.  The residual is the largest |p(lambda)| over
-    the scaled characteristic polynomial.
+    the scaled characteristic polynomial with its zero roots stripped.
     """
     coeffs = list(char)
     zeros = 0
@@ -103,7 +204,11 @@ def eigenvalues(char: Sequence[int]) -> SpectrumReport:
         zeros += 1
         coeffs = coeffs[1:]
     monic = [float(c) for c in coeffs]
-    found = _durand_kerner(monic)
+    found = [
+        z
+        for part, i in squarefree_parts(coeffs)
+        for z in _durand_kerner([float(c) for c in part]) * i
+    ]
     scale = 1.0 + max(abs(c) for c in monic)
     residual = max(
         (abs(_eval_poly(monic, z)) / scale for z in found), default=0.0

@@ -2,7 +2,8 @@
 and the independent references that the library's one route per
 quantity is checked against (a ladder of matrix products and repeated
 squaring for the power sequences, Faddeev-LeVerrier for their
-characteristic polynomial, divisors and mu for the Moebius sieve, letter
+characteristic polynomial, Euclid's algorithm in `Fraction`s for the
+squarefree parts of one, divisors and mu for the Moebius sieve, letter
 orbits for the fix counts' signed codes, iterate images expanded word by
 word for the per-iterate counts, a depth-first walk over every piece of
 the composed lifts for the oracle's count on the Markov partition)."""
@@ -217,6 +218,36 @@ def char_poly(a: IntMatrix) -> list[int]:
             for r in range(n)
         )
     return coeffs
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two polynomials [c_0, ..., c_d]."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_gcd(a: list[int], b: list[int]) -> list[Fraction]:
+    """The monic gcd over Q of two polynomials [c_0, ..., c_d], not both
+    zero, by Euclid's algorithm in `Fraction`s: a reference for
+    `spectral.squarefree_parts`, which stays in the integers."""
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    a = trim([Fraction(c) for c in a])
+    b = trim([Fraction(c) for c in b])
+    while b:
+        while len(a) >= len(b):
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            trim(a)
+        a, b = b, a
+    return [c / a[-1] for c in a]
 
 
 def mat_pow(a: IntMatrix, m: int) -> IntMatrix:

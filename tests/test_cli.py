@@ -165,6 +165,15 @@ class TestRunReport:
         assert report["claims"][0]["verdict"] == "mismatch"
         assert any("l(2) = 5" in w for w in report["warnings"])
 
+    def test_eightfold_root_exact(self):
+        # M = 2I: the root 2 of multiplicity 8 is exact, and not dominant
+        images = "".join(f"a{j} -> a{j} a{j}\n" for j in range(1, 9))
+        report = run_report(parse_spec("n=8\nbranch: free\n" + images),
+                            ReportOptions())
+        assert report["spectrum"]["spectral_radius"] == "2"
+        assert report["entropy"]["spectral"] == "0.693147180559945"
+        assert not any(c["rule"] == "dominant" for c in report["certificates"])
+
     def test_determinism(self):
         doc = parse_spec(LOW_GROWTH_TEXT)
         a = render_json(run_report(doc, ReportOptions()))

@@ -10,15 +10,19 @@ from bouquet_dyn.errors import InputError
 from bouquet_dyn.spectral import (
     M0_SCAN_CAP,
     SpectrumReport,
+    _durand_kerner,
     dominant_test,
     entropy_limit,
     m0_bound,
+    squarefree_parts,
 )
 
 from conftest import (
     char_poly,
     mat_pow,
     norm1,
+    poly_gcd,
+    poly_mul,
     random_matrix,
     random_signed_matrix,
     trace,
@@ -105,6 +109,82 @@ class TestEigenvalues:
                 approx = sum(z**k for z in s.values)
                 exact = trace(mat_pow(m, k))
                 assert abs(approx - exact) <= 1e-6 * (1 + abs(exact))
+
+
+def strip_zeros(char):
+    """char without its zero roots, and their number."""
+    zeros = next(i for i, c in enumerate(char) if c or i == len(char) - 1)
+    return list(char[zeros:]), zeros
+
+
+def random_product(rng):
+    """A monic integer polynomial of degree at most 12: a product of
+    random monic factors of degree 1-3, each to a power 1-3."""
+    char = [1]
+    while len(char) < 10:
+        factor = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] + [1]
+        for _ in range(rng.randint(1, 3)):
+            if len(char) + len(factor) - 2 > 12:
+                break
+            char = poly_mul(char, factor)
+    return char
+
+
+class TestSquarefreeParts:
+    def test_random_products(self, rng):
+        for _ in range(200):
+            char = random_product(rng)
+            parts = squarefree_parts(char)
+            product = [1]
+            for part, i in parts:
+                assert len(part) > 1 and part[-1] == 1
+                for _ in range(i):
+                    product = poly_mul(product, list(part))
+            assert product == char
+            assert [i for _, i in parts] == sorted({i for _, i in parts})
+            for k, (part, _) in enumerate(parts):
+                derivative = [j * c for j, c in enumerate(part)][1:]
+                assert poly_gcd(list(part), derivative) == [1]
+                for other, _ in parts[k + 1:]:
+                    assert poly_gcd(list(part), list(other)) == [1]
+
+    def test_sixty_four_fold_root(self):
+        char = [1]
+        for _ in range(64):
+            char = poly_mul(char, [-2, 1])
+        assert squarefree_parts(char) == [((-2, 1), 64)]
+
+    def test_squarefree_spectrum_is_the_solvers(self, rng):
+        # a squarefree polynomial is one part, and the solver runs on the
+        # whole of it
+        seen = 0
+        for _ in range(200):
+            char = char_poly(random_matrix(rng, rng.randint(1, 6)))
+            stripped, zeros = strip_zeros(char)
+            derivative = [j * c for j, c in enumerate(stripped)][1:]
+            if poly_gcd(stripped, derivative) != [1]:
+                continue
+            seen += 1
+            assert squarefree_parts(stripped) == [(tuple(stripped), 1)]
+            roots = _durand_kerner([float(c) for c in stripped])
+            roots += [complex(0)] * zeros
+            roots.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
+            assert eigenvalues(char).values == tuple(roots)
+        assert seen > 150
+
+    def test_repeated_roots_are_equal_values(self, rng):
+        for _ in range(50):
+            char = random_product(rng)
+            s = eigenvalues(char)
+            assert s.residual <= 1e-6
+            for part, i in squarefree_parts(strip_zeros(char)[0]):
+                for z in _durand_kerner([float(c) for c in part]):
+                    assert s.values.count(z) >= i
+
+    def test_identity_roots_exact(self):
+        s = eigenvalues(char_poly(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+        assert s.values == (1, 1, 1)
+        assert s.residual == 0.0
 
 
 class TestEntropy:
@@ -200,11 +280,11 @@ class TestM0Bound:
         # a radius barely above 1 never passes; one near 1 passes late
         for values in ((1 + 1e-6, 0.5), (1.001, 0.5)):
             cases.append((SpectrumReport((), values, 0.0), 1))
-        # the double root -2 of this Jordan block comes out split just past
-        # DOMINANCE_EPS, so the ratio s2/s1 is 1 - 1e-8 and nothing passes
+        # the double root -2 of this Jordan block comes out as two equal
+        # values, so it is not dominant and has no m0
         jordan = eigenvalues(char_poly(((-2, -1), (0, -2))))
-        assert dominant_test(jordan)
-        cases.append((jordan, 2))
+        assert jordan.values[0] == jordan.values[1]
+        assert not dominant_test(jordan)
         found = set()
         for s, n in cases:
             s1, s2 = s.spectral_radius, s.second_modulus
