@@ -1,9 +1,7 @@
 """Every committed benchmark record (`BENCH_*.json` at the repository
 root, written by `tools/bench_pair.py`) names the metric and workload it
 claims, holds that metric's median on both sides, and records that the
-parent and the change gave the same reports on every pair of runs, or,
-when it declares why the change alters reports (`report_change`), that
-both sides still analyzed the same maps with the same failures.  It
+parent and the change gave the same reports on every pair of runs.  It
 also names the committed change it measured, apart from its parent, and
 was timed at the run length `BENCHMARK.json` sets.  The gate logic of
 `tools/bench_pair.py` (wins, quartiles, `--pairs`, same output) is
@@ -42,10 +40,6 @@ def test_records_are_complete():
         workload, metric = claim["workload"], claim["metric"]
         assert claim["better"] in ("higher", "lower"), path.name
         assert workload in rec["workloads"], path.name
-        declared = rec.get("report_change") is not None
-        assert not declared or rec["report_change"].strip(), path.name
-        keys = ("attempted", "failed") if declared else (
-            "report_sha256", "attempted", "failed")
         for name, w in rec["workloads"].items():
             where = f"{path.name} {name}"
             assert w["seeds"], where
@@ -56,12 +50,9 @@ def test_records_are_complete():
                 assert w["median"][side][metric] == statistics.median(values), where
             for p, c in zip(w["runs"]["parent"], w["runs"]["change"]):
                 assert re.fullmatch(r"[0-9a-f]{64}", p["report_sha256"]), where
-                for key in keys:
+                for key in ("report_sha256", "attempted", "failed"):
                     assert p[key] == c[key], (where, p["seed"], key)
-            assert w["outputs_equal"] is True or declared, where
-        # a declared change of reports shows in the record
-        assert not declared or not all(
-            w["outputs_equal"] for w in rec["workloads"].values()), path.name
+            assert w["outputs_equal"] is True, where
 
 
 def load_bench_pair():

@@ -9,9 +9,7 @@ with, per workload: the seeds, each run's end-to-end metrics, report
 digest, `attempted` and `failed`, the medians and quartiles of every
 metric on each side, the number of pairs each metric won (better on the
 change, by the direction `BENCHMARK.json` gives it), and whether the two
-sides gave the same digest, `attempted` and `failed` in every pair.  A
-change that alters reports on purpose says why with `--report-change`;
-the record keeps that text, and its digests may then differ.
+sides gave the same digest, `attempted` and `failed` in every pair.
 
     python3 tools/bench_pair.py --pr 8 --parent 4cea4e5 \\
         --claim census_deep.maps_per_s \\
@@ -149,9 +147,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", action="append", required=True,
                     help="WORKLOAD=COUNT, repeatable")
     ap.add_argument("--first-seed", type=int, default=41)
-    ap.add_argument("--report-change",
-                    help="why the change's reports differ from the parent's, "
-                    "when they do on purpose")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -170,7 +165,6 @@ def main(argv=None) -> int:
         "seconds": bench["run_seconds"],
         "claim": {"workload": claim_workload, "metric": claim_metric,
                   "better": better[claim_metric]},
-        "report_change": args.report_change,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
