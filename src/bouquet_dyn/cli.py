@@ -17,15 +17,12 @@ mismatch or two exact routes that disagree (`InconsistencyError`).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
-from importlib import resources
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .errors import InconsistencyError, InputError, LiftConstructionError
 from .homology import IntMatrix, LefschetzTable, PowerSequences, abelianize
@@ -67,16 +64,14 @@ _IMAGE_RE = re.compile(r"^a([1-9][0-9]*)\s*->\s*(.+)$")
 _INDEX_RE = re.compile(r"a([0-9]+)")
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     quantity: str
     m: int
     value: int
     text: str
 
 
-@dataclass(frozen=True)
-class MapSpecDocument:
+class MapSpecDocument(NamedTuple):
     """A parsed map description plus optional horizon and claims."""
 
     action: MapAction
@@ -186,8 +181,7 @@ def parse_spec(text: str) -> MapSpecDocument:
     return MapSpecDocument(action, horizon, tuple(claims))
 
 
-@dataclass
-class ReportOptions:
+class ReportOptions(NamedTuple):
     horizon: int | None = None
     oracle_depth: int = DEFAULT_ORACLE_DEPTH
     no_oracle: bool = False
@@ -554,6 +548,8 @@ def render_json(report: dict) -> str:
 def _flag_integer(value: str) -> int:
     """The argparse type of the integer flags: over DIGIT_CAP digits the
     usage error names the count, where int's would echo the value."""
+    import argparse
+
     try:
         return _integer(value, "value", argparse.ArgumentTypeError)
     except ValueError:
@@ -601,6 +597,8 @@ def _analyze(args: argparse.Namespace) -> int:
 
 
 def _fixture_dir():
+    from importlib import resources
+
     return resources.files("bouquet_dyn") / "fixtures"
 
 
@@ -640,16 +638,19 @@ def _fixtures(args: argparse.Namespace) -> int:
     return 2 if failures else 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit 1, the input-error code;
-    its subcommand parsers are of the same class."""
-
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def main(argv: list[str] | None = None) -> int:
+    # argparse is loaded here, by the entry point alone: a library import
+    # of this module does not pay for it
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser whose usage errors exit 1, the input-error
+        code; its subcommand parsers are of the same class."""
+
+        def error(self, message: str) -> NoReturn:
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="bouquet-dyn",
         description="Fixed points, periods and entropy for monotone "

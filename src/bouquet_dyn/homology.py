@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
-from .words import MapAction, chi
+from .words import MapAction
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -33,11 +32,16 @@ HEAD_POWERS = 6
 
 
 def abelianize(f: MapAction) -> IntMatrix:
-    """The occurrence-count matrix of f acting on first homology."""
-    return tuple(
-        tuple(chi(f.image(j), i) for j in range(1, f.n + 1))
-        for i in range(1, f.n + 1)
-    )
+    """The occurrence-count matrix of f acting on first homology: entry
+    (i, j) is the signed count of generator i in the image of generator
+    j, column j counted in one pass over that word."""
+    columns = []
+    for word in f.images:
+        column = [0] * f.n
+        for index, sign in word:
+            column[index - 1] += sign
+        columns.append(column)
+    return tuple(zip(*columns))
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -47,8 +51,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-@dataclass(frozen=True)
-class PowerSequences:
+class PowerSequences(NamedTuple):
     """Per-iterate data of M^1..M^K, for a matrix M whose entries share
     one sign s (every abelianized map's do: its image words share one).
 
@@ -164,8 +167,7 @@ def invert_divisor_sums(sums: Sequence[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class LefschetzTable:
+class LefschetzTable(NamedTuple):
     """Traces, Lefschetz and periodic Lefschetz numbers up to a horizon."""
 
     horizon: int

@@ -8,8 +8,7 @@ periodic Lefschetz number mixes two period counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InconsistencyError, InputError
 from .homology import (
@@ -83,8 +82,7 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FixCountTable:
+class FixCountTable(NamedTuple):
     """Fixed-point and least-period counts for every m up to a horizon."""
 
     horizon: int
@@ -130,8 +128,7 @@ def per_census(fixes: tuple[int, ...]) -> FixCountTable:
 # ---------------------------------------------------------------------------
 # Lefschetz cross-checks
 
-@dataclass(frozen=True)
-class LefschetzFixCheck:
+class LefschetzFixCheck(NamedTuple):
     """Outcome of comparing L(f^m) against the exact fixed-point count."""
 
     passed: bool
@@ -168,8 +165,7 @@ def lefschetz_fix_check(
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass(frozen=True)
-class Conclusion:
+class Conclusion(NamedTuple):
     """What a certificate promises about the period set Per, as data.
 
     kind is one of
@@ -230,13 +226,12 @@ ALL_BUT_2 = Conclusion("multiples", 1, 2)
 PAIRWISE = Conclusion("pairwise")
 
 
-@dataclass(frozen=True)
-class PeriodCertificate:
+class PeriodCertificate(NamedTuple):
     """One applied period criterion with its re-checkable witness data."""
 
     rule: str
     conclusion: Conclusion
-    witness: dict = field(default_factory=dict)
+    witness: dict
 
 
 def _doubling_on(mat: IntMatrix, k: int | None) -> tuple[str, Conclusion, dict] | None:

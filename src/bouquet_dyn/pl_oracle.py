@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DegenerateMapError, InputError, LiftConstructionError
 from .homology import char_from_traces, power_traces, recur
@@ -31,8 +30,7 @@ COVER_DEPTH = 8
 BRANCH_WATCH = 13
 
 
-@dataclass(frozen=True)
-class PLLift:
+class PLLift(NamedTuple):
     """A piecewise-linear self-map of [0, n] in units of 1/scale.
 
     Each piece (lo, hi, slope, intercept) is x -> slope*x + intercept on
@@ -52,9 +50,9 @@ def _rotate_to_base(w: Word) -> Word:
     traversal of every circle to start and end at the midpoint of
     circle 1.
     """
-    for p, letter in enumerate(w.letters):
+    for p, letter in enumerate(w):
         if letter.index == 1:
-            return Word(w.letters[p:] + w.letters[:p])
+            return Word(w[p:] + w[:p])
     raise LiftConstructionError(
         f"image word '{w.text()}' never visits circle 1; the canonical "
         "lift construction cannot anchor it at the branch image"
@@ -99,7 +97,7 @@ def build_lift(f: MapAction) -> PLLift:
         x = j * scale
         # (width, start value) per sub-arc of the traversal
         stops = [(full // 2, scale // 2)]
-        stops += [(full, (l.index - 1) * scale + end) for l in w.letters[1:]]
+        stops += [(full, (l.index - 1) * scale + end) for l in w[1:]]
         stops.append((full // 2, end))
         for width, start_value in stops:
             pieces.append((x, x + width, slope, start_value - slope * x))
@@ -109,8 +107,7 @@ def build_lift(f: MapAction) -> PLLift:
     return PLLift(f.n, scale, tuple(pieces))
 
 
-@dataclass(frozen=True)
-class OracleCounts:
+class OracleCounts(NamedTuple):
     """The lift's counts for each iterate m = 1..depth of one call.
 
     `crossings[m-1]` counts the fixed points of f^m off the integers,
@@ -131,6 +128,12 @@ class OracleCounts:
         f^m fixes the branching point, by the observed `branch_period`."""
         branch_fixed = branch_period_under(self.branch_period, m) == 1
         return self.crossings[m - 1] + int(branch_fixed)
+
+
+def _ratio(x: int, scale: int) -> str:
+    """x / scale in lowest terms, printed as `str(Fraction(x, scale))`."""
+    g = math.gcd(x, scale)
+    return str(x // g) if g == scale else f"{x // g}/{scale // g}"
 
 
 def _cycles(step: Sequence[int]) -> Iterator[list[int]]:
@@ -177,7 +180,7 @@ def _points(lift: PLLift) -> dict[int, tuple[int, int]]:
             at_integers |= values
         elif len(values) > 1 and any(v % scale for v in values):
             raise InputError(f"the lift is not continuous at "
-                             f"{Fraction(x, scale)}")
+                             f"{_ratio(x, scale)}")
         if not all(0 <= v <= top for v in values):
             raise InputError(f"the lift leaves [0, {lift.n}]")
         todo.extend(values)
@@ -226,7 +229,7 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
         if i < cells:
             _, _, s, b = pieces[right]
             if s == 0:
-                raise InputError(f"the lift is constant at {Fraction(x, scale)}")
+                raise InputError(f"the lift is constant at {_ratio(x, scale)}")
             u, v = sorted((index[s * x + b], index[s * pts[i + 1] + b]))
             images.append((u, v, s))
     # cells that slope +-1 maps onto one cell: a cycle of them is the
@@ -239,7 +242,7 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
             c = min(cycle)
             raise DegenerateMapError(
                 f"iterate {k} of the lift is the identity on "
-                f"[{Fraction(pts[c], scale)}, {Fraction(pts[c + 1], scale)}); "
+                f"[{_ratio(pts[c], scale)}, {_ratio(pts[c + 1], scale)}); "
                 "the map is not expanding")
     # cut at every end of an image, the cells fall into blocks and each
     # image is a run of blocks; S[a][b] counts the cells in block a whose

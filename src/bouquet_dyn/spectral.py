@@ -13,9 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -163,8 +162,7 @@ def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     return parts
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Eigenvalues sorted by nonincreasing modulus, with derived data."""
 
     char_coeffs: tuple[int, ...]
@@ -218,9 +216,14 @@ def eigenvalues(char: Sequence[int]) -> SpectrumReport:
     return SpectrumReport(tuple(char), tuple(roots), residual)
 
 
+#: below this an int converts to float without overflow; a module constant,
+#: since CPython does not fold a power this large into the code
+_FLOAT_SAFE = 10**300
+
+
 def _log_int(v: int) -> float:
     """log of a positive integer without overflowing float conversion."""
-    if v < 10**300:
+    if v < _FLOAT_SAFE:
         return math.log(v)
     bits = v.bit_length() - 60
     return math.log(v >> bits) + bits * math.log(2)

@@ -10,9 +10,8 @@ models maps that are monotone on every petal.  Letters serialize as
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -22,74 +21,67 @@ BRANCH_FREE = None
 _LETTER_RE = re.compile(r"^a([1-9][0-9]*)('?)$")
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple("Letter", [("index", int), ("sign", int)])):
     """One generator symbol: ``a<index>`` or its inverse ``a<index>'``."""
 
-    index: int
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise InputError(f"generator index must be >= 1, got {self.index}")
-        if self.sign not in (1, -1):
-            raise InputError(f"letter sign must be +1 or -1, got {self.sign}")
+    def __new__(cls, index: int, sign: int) -> Letter:
+        if index < 1:
+            raise InputError(f"generator index must be >= 1, got {index}")
+        if sign not in (1, -1):
+            raise InputError(f"letter sign must be +1 or -1, got {sign}")
+        return tuple.__new__(cls, (index, sign))
 
-    def inverse(self) -> "Letter":
+    def inverse(self) -> Letter:
         return Letter(self.index, -self.sign)
 
     def token(self) -> str:
         return f"a{self.index}" + ("'" if self.sign < 0 else "")
 
     @staticmethod
-    def parse(tok: str) -> "Letter":
+    def parse(tok: str) -> Letter:
         m = _LETTER_RE.match(tok)
         if not m:
             raise InputError(f"bad letter token {tok!r} (expected e.g. a2 or a2')")
         return Letter(int(m.group(1)), -1 if m.group(2) else 1)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A nonempty, sign-homogeneous sequence of letters."""
+class Word(tuple):
+    """A nonempty, sign-homogeneous sequence of letters: the tuple of its
+    letters."""
 
-    letters: tuple[Letter, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.letters:
+    def __new__(cls, letters: Iterable[Letter]) -> Word:
+        w = tuple.__new__(cls, letters)
+        if not w:
             raise InputError("empty words are not allowed")
-        signs = {l.sign for l in self.letters}
-        if len(signs) > 1:
-            raise InputError(
-                "word mixes plain and inverse letters: " + self.text()
-            )
+        if len({sign for _, sign in w}) > 1:
+            raise InputError("word mixes plain and inverse letters: " + w.text())
+        return w
 
     @property
     def sign(self) -> int:
-        return self.letters[0].sign
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+        return self[0].sign
 
     def max_index(self) -> int:
-        return max(l.index for l in self.letters)
+        return max(index for index, _ in self)
 
     def text(self) -> str:
-        return " ".join(l.token() for l in self.letters)
+        return " ".join(l.token() for l in self)
 
     @staticmethod
-    def parse(text: str) -> "Word":
+    def parse(text: str) -> Word:
         toks = text.split()
         if not toks:
             raise InputError("empty word")
-        return Word(tuple(Letter.parse(t) for t in toks))
+        return Word(Letter.parse(t) for t in toks)
 
 
-@dataclass(frozen=True)
-class MapAction:
+class MapAction(NamedTuple("MapAction", [
+    ("n", int), ("images", "tuple[Word, ...]"), ("branch_class", "int | None"),
+])):
     """A bouquet self-map given by its petal images and branch-orbit class.
 
     ``images[j-1]`` is the image word of generator j.  All image words must
@@ -101,32 +93,28 @@ class MapAction:
     branching point is fixed by f^m exactly when that is 1.
     """
 
-    n: int
-    images: tuple[Word, ...]
-    branch_class: int | None = BRANCH_FREE
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"need at least one circle, got n={self.n}")
-        if len(self.images) != self.n:
-            raise InputError(
-                f"expected {self.n} image words, got {len(self.images)}"
-            )
-        for j, w in enumerate(self.images, start=1):
-            if w.max_index() > self.n:
+    def __new__(cls, n: int, images: tuple[Word, ...],
+                branch_class: int | None = BRANCH_FREE) -> MapAction:
+        if n < 1:
+            raise InputError(f"need at least one circle, got n={n}")
+        if len(images) != n:
+            raise InputError(f"expected {n} image words, got {len(images)}")
+        for j, w in enumerate(images, start=1):
+            if w.max_index() > n:
                 raise InputError(
-                    f"image of a{j} uses generator a{w.max_index()} "
-                    f"but n={self.n}"
+                    f"image of a{j} uses generator a{w.max_index()} but n={n}"
                 )
-        signs = {w.sign for w in self.images}
-        if len(signs) > 1:
+        if len({w.sign for w in images}) > 1:
             raise InputError(
                 "image words disagree on orientation: all words must be "
                 "plain or all inverse"
             )
-        k = self.branch_class
+        k = branch_class
         if k is not None and (not isinstance(k, int) or k < 1):
             raise InputError(f"branch class must be a positive integer or free, got {k!r}")
+        return tuple.__new__(cls, (n, images, k))
 
     @property
     def global_sign(self) -> int:
@@ -138,7 +126,7 @@ class MapAction:
         return self.images[j - 1]
 
     @staticmethod
-    def from_texts(texts: Sequence[str], branch_class: int | None = BRANCH_FREE) -> "MapAction":
+    def from_texts(texts: Sequence[str], branch_class: int | None = BRANCH_FREE) -> MapAction:
         ws = tuple(Word.parse(t) for t in texts)
         return MapAction(len(ws), ws, branch_class)
 
@@ -156,16 +144,6 @@ def branch_period_under(k: int | None, m: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# counting functions
-
-def chi(w: Word, j: int) -> int:
-    """Signed number of occurrences of generator j anywhere in w."""
-    if j < 1:
-        raise InputError(f"generator index {j} out of range")
-    return sum(l.sign for l in w if l.index == j)
-
-
-# ---------------------------------------------------------------------------
 # the induced endomorphism
 
 def first_letter(f: MapAction, l: Letter) -> Letter:
@@ -178,7 +156,7 @@ def first_letter(f: MapAction, l: Letter) -> Letter:
     every iterate image of a_j.
     """
     img = f.image(l.index)
-    return img.letters[0] if l.sign > 0 else img.letters[-1].inverse()
+    return img[0] if l.sign > 0 else img[-1].inverse()
 
 
 # ---------------------------------------------------------------------------

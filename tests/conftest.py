@@ -51,16 +51,22 @@ def load_fixture(name: str) -> tuple[cli.MapSpecDocument, dict | None]:
 
 def inverse(w: Word) -> Word:
     """The reversed, sign-flipped word."""
-    return Word(tuple(l.inverse() for l in reversed(w.letters)))
+    return Word(l.inverse() for l in reversed(w))
 
 
 def concat(u: Word, v: Word) -> Word:
-    return Word(u.letters + v.letters)
+    return Word(u + v)
+
+
+def chi(w: Word, j: int) -> int:
+    """Signed number of occurrences of generator j anywhere in w: a
+    reference for `abelianize`, which counts each word in one pass."""
+    return sum(l.sign for l in w if l.index == j)
 
 
 def gamma(w: Word, j: int) -> int:
     """Signed occurrence count of generator j at strictly interior positions."""
-    return sum(l.sign for l in w.letters[1:-1] if l.index == j)
+    return sum(l.sign for l in w[1:-1] if l.index == j)
 
 
 def apply_endo(f: MapAction, w: Word) -> Word:
@@ -70,8 +76,8 @@ def apply_endo(f: MapAction, w: Word) -> Word:
     out: list[Letter] = []
     for l in w:
         img = f.image(l.index)
-        out.extend(img.letters if l.sign > 0 else inverse(img).letters)
-    return Word(tuple(out))
+        out.extend(img if l.sign > 0 else inverse(img))
+    return Word(out)
 
 
 def iterate_action(f: MapAction, m: int, budget: int = 10**6) -> MapAction:

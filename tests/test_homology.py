@@ -22,11 +22,12 @@ from bouquet_dyn.homology import (
     mat_mul,
     power_traces,
 )
-from bouquet_dyn.words import Letter, MapAction, Word, branch_period_under, chi
+from bouquet_dyn.words import Letter, MapAction, Word, branch_period_under
 
 from conftest import (
     cap_edge_spec,
     char_poly,
+    chi,
     divisors,
     identity,
     iterate_action,

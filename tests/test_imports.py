@@ -1,8 +1,9 @@
-"""The package imports nothing outside the standard library, and defines
-nothing public that only tests use."""
+"""The package imports nothing outside the standard library, loads only
+what a report needs, and defines nothing public that only tests use."""
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,6 +30,26 @@ def test_standard_library_only():
         if name not in allowed
     }
     assert not outside, sorted(outside)
+
+
+#: modules a report does not need, each costly to import: the entry
+#: points load `argparse` and `importlib.resources` themselves
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "argparse",
+         "importlib.resources"}
+
+
+def test_import_loads_only_what_a_report_needs():
+    # the modules that importing the CLI module adds to a fresh isolated
+    # interpreter's start-up set; nothing is timed
+    code = ("import sys; before = set(sys.modules); "
+            "sys.path.insert(0, sys.argv[1]); import bouquet_dyn.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.split()
+    assert "bouquet_dyn.cli" in added
+    assert sorted(HEAVY.intersection(added)) == []
 
 
 ROOT = PACKAGE.parents[1]

@@ -18,10 +18,10 @@ from bouquet_dyn import (
 )
 from bouquet_dyn.periods import period_certificates
 from bouquet_dyn.spectral import entropy_limit
-from bouquet_dyn.words import chi
 
 from conftest import (
     BudgetError,
+    chi,
     divisors,
     iterate_action,
     lefschetz_table,

@@ -12,7 +12,6 @@ from bouquet_dyn.words import (
     MapAction,
     Word,
     branch_period_under,
-    chi,
     first_letter,
     orientation,
 )
@@ -20,6 +19,7 @@ from bouquet_dyn.words import (
 from conftest import (
     BudgetError,
     apply_endo,
+    chi,
     concat,
     gamma,
     inverse,
@@ -253,8 +253,8 @@ class TestIterateCounts:
                         w = iterate_action(f, m, budget=20000).image(j)
                     except BudgetError:
                         break
-                    assert first == w.letters[0]
-                    assert last_inv.inverse() == w.letters[-1]
+                    assert first == w[0]
+                    assert last_inv.inverse() == w[-1]
 
 
 class TestMapAction:
