@@ -22,7 +22,7 @@ import math
 import re
 import sys
 from collections.abc import Callable
-from typing import NamedTuple, NoReturn
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from .errors import InconsistencyError, InputError, LiftConstructionError
 from .homology import IntMatrix, LefschetzTable, PowerSequences, abelianize
@@ -37,6 +37,9 @@ from .periods import (
 from .pl_oracle import build_lift, oracle_counts
 from .spectral import eigenvalues, entropy_limit
 from .words import BRANCH_FREE, MapAction, Word, orientation
+
+if TYPE_CHECKING:  # the entry points import argparse when they run
+    import argparse
 
 DEFAULT_HORIZON = 12
 DEFAULT_ORACLE_DEPTH = 6

@@ -21,10 +21,17 @@ BRANCH_FREE = None
 _LETTER_RE = re.compile(r"^a([1-9][0-9]*)('?)$")
 
 
+def _make_checked(cls, values):
+    """A named tuple's `_make`, and so its `_replace`, through the
+    validating constructor of the subclass."""
+    return cls(*values)
+
+
 class Letter(NamedTuple("Letter", [("index", int), ("sign", int)])):
     """One generator symbol: ``a<index>`` or its inverse ``a<index>'``."""
 
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(cls, index: int, sign: int) -> Letter:
         if index < 1:
@@ -94,6 +101,7 @@ class MapAction(NamedTuple("MapAction", [
     """
 
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(cls, n: int, images: tuple[Word, ...],
                 branch_class: int | None = BRANCH_FREE) -> MapAction:

@@ -59,17 +59,16 @@ def test_records_are_immutable():
     lambda: Letter(0, 1),
     lambda: Letter(1, 0),
     lambda: Letter(1, 2),
-    lambda: Word(()),
-    lambda: Word([Letter(1, 1), Letter(2, -1)]),
     lambda: MapAction(0, ()),
     lambda: MapAction(2, (Word.parse("a1"),)),
-    lambda: MapAction(1, (Word.parse("a1 a2"),)),
-    lambda: MapAction(2, (Word.parse("a1 a2"), Word.parse("a1'"))),
-    lambda: MapAction(1, (Word.parse("a1 a1"),), 0),
-    lambda: MapAction(1, (Word.parse("a1 a1"),), 2.5),
     lambda: MapAction(1, (Word.parse("a1 a1"),), "1"),
+    lambda: Letter(1, 1)._replace(sign=5),
+    lambda: Letter._make((0, 1)),
+    lambda: F._replace(branch_class=0),
 ])
 def test_constructors_refuse(build):
+    # with the cases of tests/test_words.py: empty and mixed-sign words,
+    # indices past n, mixed orientations and bad branch classes
     with pytest.raises(InputError):
         build()
 
