@@ -12,7 +12,8 @@ The input format is line-based:
     claim: l(3) = 2         # optional; mismatches become warnings
 
 Exit codes: 0 all checks pass, 1 input or usage error, 2 cross-check
-mismatch or two exact routes that disagree (`InconsistencyError`).
+mismatch, a spectral radius outside its exact bounds, or two exact
+routes that disagree (`InconsistencyError`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from .errors import InconsistencyError, InputError, LiftConstructionError
-from .homology import IntMatrix, LefschetzTable, PowerSequences, abelianize
+from .homology import LefschetzTable, PowerSequences, abelianize
 from .periods import (
     FixCountTable,
     PeriodCertificate,
@@ -35,7 +36,7 @@ from .periods import (
     period_certificates,
 )
 from .pl_oracle import build_lift, oracle_counts
-from .spectral import eigenvalues, entropy_limit
+from .spectral import DOMINANCE_EPS, SpectrumReport, eigenvalues, entropy_limit
 from .words import BRANCH_FREE, MapAction, Word, orientation
 
 if TYPE_CHECKING:  # the entry points import argparse when they run
@@ -221,10 +222,10 @@ def _claim_value(
     return None
 
 
-def _digit_bound(mat: IntMatrix, iterates: int) -> float:
+def _digit_bound(col_sums: list[int], iterates: int) -> float:
     """An upper bound on the decimal digits of every integer a report
     prints or holds, when its record, census, Lefschetz table and oracle
-    reach iterate `iterates`.
+    reach iterate `iterates`; `col_sums` are the column sums of |M|.
 
     Let c be the largest column sum of |M|, the longest image word.  The
     column sums of |M^m| are at most c^m, so every trace, fix count,
@@ -234,12 +235,30 @@ def _digit_bound(mat: IntMatrix, iterates: int) -> float:
     A coefficient of the characteristic polynomial is at most
     binomial(n, i) rho^i <= (2c)^n, for the spectral radius rho <= c.
     """
-    n = len(mat)
-    c = max(sum(map(abs, col)) for col in zip(*mat))
+    n = len(col_sums)
+    c = max(col_sums)
     return 1 + max(
         iterates * math.log10(c) + math.log10(4 * n * iterates),
         n * math.log10(2 * c),
     )
+
+
+def _radius_failure(spectrum: SpectrumReport, col_sums: list[int]) -> str | None:
+    """Why the solver's spectrum cannot be right, or None.
+
+    M = +-|M|, so rho(M) = rho(|M|), which lies between the least and the
+    largest column sum of |M| (the Collatz-Wielandt bounds with x = 1, on
+    |M| transposed).  Every modulus is checked, since a nan sorts
+    anywhere.
+    """
+    lo, hi = min(col_sums), max(col_sums)
+    moduli = [abs(z) for z in spectrum.values]
+    if all(map(math.isfinite, moduli)) and (
+            lo - DOMINANCE_EPS <= max(moduli) <= hi + DOMINANCE_EPS):
+        return None
+    return (f"eigenvalue moduli must be finite, the largest in [{lo}, {hi}] "
+            "(the least and largest column sums of |M|); the solver gives "
+            f"spectral radius {_fmt_real(spectrum.spectral_radius)}")
 
 
 def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
@@ -269,8 +288,9 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         raise InputError(f"oracle depth must be >= 1, got {oracle_depth}")
     warnings: list[str] = []
     mat = abelianize(f)
+    col_sums = [sum(map(abs, col)) for col in zip(*mat)]
     iterates = max(horizon, options.entropy_horizon, oracle_depth)
-    digits = _digit_bound(mat, iterates)
+    digits = _digit_bound(col_sums, iterates)
     if digits > DIGIT_CAP:
         raise InputError(
             f"iterates up to {iterates} could need integers of "
@@ -384,6 +404,9 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         "claims": claims,
         "warnings": warnings,
     }
+    failure = _radius_failure(spectrum, col_sums)
+    if failure is not None:
+        report["spectrum"]["failure"] = failure
     return report
 
 
@@ -440,6 +463,8 @@ def _run_oracle(
 def report_has_failures(report: dict) -> bool:
     if any(not c["passed"] for c in report["lefschetz_fix_checks"]):
         return True
+    if "failure" in report["spectrum"]:
+        return True
     oracle = report["oracle"]
     return oracle.get("status") == "mismatch"
 
@@ -473,6 +498,8 @@ def render_text(report: dict) -> str:
     spec = report["spectrum"]
     mods = ", ".join(e["modulus"] for e in spec["eigenvalues"])
     lines.append(f"eigenvalue moduli: {mods}")
+    if "failure" in spec:
+        lines.append(f"FAILED spectrum: {spec['failure']}")
     ent = report["entropy"]
     lines.append(
         f"entropy: {ent['spectral']} (log2: {ent['spectral_log2']}); "

@@ -142,17 +142,6 @@ def recur(char: Sequence[int], head: Sequence[int], k: int) -> list[int]:
     return out
 
 
-def divisor_sums(values: Sequence[int]) -> list[int]:
-    """out[m-1] = sum of values[d-1] over the divisors d of m, for every m
-    up to len(values): each d is added into its multiples, O(H log H)."""
-    horizon = len(values)
-    out = [0] * horizon
-    for d, v in enumerate(values, start=1):
-        for multiple in range(d - 1, horizon, d):
-            out[multiple] += v
-    return out
-
-
 def invert_divisor_sums(sums: Sequence[int]) -> list[int]:
     """The sequence g with sums[m-1] = sum of g(d) over d | m: Moebius
     inversion by the subtraction sieve.  In ascending d, out[d-1] is

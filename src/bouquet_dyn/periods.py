@@ -15,16 +15,10 @@ from .homology import (
     HEAD_POWERS,
     IntMatrix,
     PowerSequences,
-    divisor_sums,
     invert_divisor_sums,
 )
-from .spectral import SpectrumReport, dominant_test, m0_bound
-from .words import (
-    Letter,
-    MapAction,
-    branch_period_under,
-    first_letter,
-)
+from .spectral import SpectrumReport, m0_bound
+from .words import MapAction, branch_period_under
 
 
 # ---------------------------------------------------------------------------
@@ -45,22 +39,22 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
 
     with e(a_j) = +1, e(a_j') = -1 and e = 0 for any other letter, and
     the first-letter term dropped when the image of a_j is one letter,
-    which is then both ends.  The end letters follow the orbits of a_j and
-    a_j' under the one-step letter map (`words.first_letter`), in one
-    forward pass; the image of a_j is one letter exactly when every letter
-    on its first-letter orbit so far has a one-letter image.  Letters are
-    signed codes here: a_j is j and a_j' is -j, and the one-step map is
-    one dict over the codes +-1..+-n, built from `first_letter` once per
-    call.
+    which is then both ends.  Allowed words never cancel, so the end
+    letters of every iterate image of a_j follow the orbits of a_j and
+    a_j' under the one-step first-letter map, in one forward pass: a_j
+    goes to the first letter of A_j, a_j' to the inverse of its last.  The
+    image of a_j is one letter exactly when every letter on its
+    first-letter orbit so far has a one-letter image.  Letters are signed
+    codes here, a_j is j and a_j' is -j, and the one-step map is one dict
+    over the codes +-1..+-n, read off the image words once per call.
     """
     gens = range(1, f.n + 1)
     step = {}
     short = {}
-    for j in gens:
-        for sign in (1, -1):
-            letter = first_letter(f, Letter(j, sign))
-            step[sign * j] = letter.sign * letter.index
-        short[j] = short[-j] = len(f.image(j)) == 1
+    for j, image in enumerate(f.images, start=1):
+        (first, first_sign), (last, last_sign) = image[0], image[-1]
+        step[j], step[-j] = first_sign * first, -last_sign * last
+        short[j] = short[-j] = len(image) == 1
     firsts = list(gens)
     lasts_inv = [-j for j in gens]
     singles = [True] * f.n
@@ -105,10 +99,9 @@ def per_census(fixes: tuple[int, ...]) -> FixCountTable:
     per(m) by Moebius inversion (`homology.invert_divisor_sums`) of the
     divisor identity fix(m) = sum over r|m of per(r).
 
-    A negative per count would mean the fixed-point formulas and the
-    inversion disagree, which cannot happen for valid input; it is raised
-    as an internal inconsistency naming the offending m, as is a broken
-    divisor identity, checked by one forward divisor-sum pass.
+    The inversion is exact, so the identity holds by construction.  A
+    negative per count means the fix counts cannot all be right, and is
+    raised as an internal inconsistency naming the offending m.
     """
     horizon = len(fixes)
     if horizon < 1:
@@ -119,9 +112,6 @@ def per_census(fixes: tuple[int, ...]) -> FixCountTable:
             raise InconsistencyError(
                 f"census produced negative period count {p} at m={m}"
             )
-    for m, (fix, total) in enumerate(zip(fixes, divisor_sums(pers)), start=1):
-        if fix != total:
-            raise InconsistencyError(f"census divisor identity broken at m={m}")
     return FixCountTable(horizon, fixes, tuple(pers))
 
 
@@ -349,10 +339,8 @@ def dominant_periods(
     The analytic threshold comes from the eigenvalue inequality behind
     m0_bound; the usually much smaller empirical threshold is the least m
     from which the fix-count comparison test fires at every iterate up to
-    the census horizon.
+    the census horizon.  None when `m0_bound` gives no threshold.
     """
-    if not dominant_test(spectrum):
-        return None
     m0 = m0_bound(spectrum, f.n)
     if m0 is None:
         return None

@@ -70,14 +70,6 @@ def build_lift(f: MapAction) -> PLLift:
     Every piece end maps to an integer or to 1/2, so the lift is
     continuous on the quotient, as `oracle_counts` requires.
     """
-    d11 = sum(l.sign for l in f.image(1) if l.index == 1)
-    visits_others = any(l.index != 1 for l in f.image(1))
-    if not visits_others and d11 == -1:
-        raise LiftConstructionError(
-            "circle 1 maps to itself with degree -1 and visits no other "
-            "circle; the construction would force slope-1 contact with "
-            "the diagonal"
-        )
     rotated = [_rotate_to_base(f.image(j)) for j in range(1, f.n + 1)]
     if len(rotated[0]) == 1:
         raise DegenerateMapError(

@@ -36,12 +36,12 @@ def _eval_poly(coeffs: list[float], z: complex) -> complex:
     return out
 
 
-def _durand_kerner(coeffs: list[float], iterations: int = 200) -> list[complex]:
+def _durand_kerner(coeffs: list[float]) -> list[complex]:
     """All roots of a monic polynomial [c_0, ..., c_d], c_d = 1.
 
     Deterministic start: points on a circle of radius 1 + max |c_i|,
     rotated off the real axis so real-coefficient symmetry cannot stall
-    the iteration.
+    the iteration.  At most 200 sweeps.
     """
     d = len(coeffs) - 1
     if d == 0:
@@ -50,7 +50,7 @@ def _durand_kerner(coeffs: list[float], iterations: int = 200) -> list[complex]:
     roots = [
         radius * cmath.exp(2j * math.pi * (i + 0.25) / d) for i in range(d)
     ]
-    for _ in range(iterations):
+    for _ in range(200):
         moved = 0.0
         new = list(roots)
         for i in range(d):
@@ -216,30 +216,18 @@ def eigenvalues(char: Sequence[int]) -> SpectrumReport:
     return SpectrumReport(tuple(char), tuple(roots), residual)
 
 
-#: below this an int converts to float without overflow; a module constant,
-#: since CPython does not fold a power this large into the code
-_FLOAT_SAFE = 10**300
-
-
-def _log_int(v: int) -> float:
-    """log of a positive integer without overflowing float conversion."""
-    if v < _FLOAT_SAFE:
-        return math.log(v)
-    bits = v.bit_length() - 60
-    return math.log(v >> bits) + bits * math.log(2)
-
-
 def entropy_limit(norms: Sequence[int]) -> list[float]:
     """The sequence s_m = log ||M^m|| / m for m = 1..len(norms), where
     norms[m-1] = ||M^m||_1 (`PowerSequences.norms`).
 
-    Norms are exact big integers; one float log per term.
+    Norms are exact big integers; one float log per term, which
+    `math.log` takes for an int of any size.
     """
     if not norms:
         raise InputError("entropy horizon must be >= 1, got 0")
     out = []
     for m, nrm in enumerate(norms, start=1):
-        out.append(_log_int(nrm) / m if nrm > 0 else 0.0)
+        out.append(math.log(nrm) / m if nrm > 0 else 0.0)
     return out
 
 
@@ -273,10 +261,11 @@ def m0_bound(s: SpectrumReport, dim: int) -> int | None:
     first m that passes is final, and every later m passes.  That first m
     is found by bisection over 1..M0_SCAN_CAP, in a few steps whatever
     the spectrum.  Computed in log space so huge powers never overflow.
-    Returns None when no m up to the cap passes.
+    Returns None when the spectrum is not dominant (`dominant_test`), or
+    when no m up to the cap passes.
     """
     if not dominant_test(s):
-        raise InputError("m0 bound needs a dominant leading eigenvalue")
+        return None
     s1 = s.spectral_radius
     s2 = s.second_modulus
     log_s1 = math.log(s1)

@@ -152,22 +152,6 @@ def branch_period_under(k: int | None, m: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# the induced endomorphism
-
-def first_letter(f: MapAction, l: Letter) -> Letter:
-    """First letter of the image of the one-letter word l.
-
-    Allowed words never cancel, so the first letter of f(w) is the first
-    letter of the image of w's first letter, and the last letter of f(w)
-    is the inverse of the first letter of f(w^-1).  The orbits of a_j and
-    a_j' under this map therefore give the first and last letters of
-    every iterate image of a_j.
-    """
-    img = f.image(l.index)
-    return img[0] if l.sign > 0 else img[-1].inverse()
-
-
-# ---------------------------------------------------------------------------
 # orientation
 
 def orientation(f: MapAction) -> str:

@@ -3,8 +3,8 @@ and the independent references that the library's one route per
 quantity is checked against (a ladder of matrix products and repeated
 squaring for the power sequences, Faddeev-LeVerrier for their
 characteristic polynomial, Euclid's algorithm in `Fraction`s for the
-squarefree parts of one, divisors and mu for the Moebius sieve, letter
-orbits for the fix counts' signed codes, iterate images expanded word by
+squarefree parts of one, divisors and mu for the Moebius sieve and its
+forward divisor sums, letter orbits for the fix counts' signed codes, iterate images expanded word by
 word for the per-iterate counts, a depth-first walk over every piece of
 the composed lifts for the oracle's count on the Markov partition)."""
 
@@ -12,7 +12,7 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 import pytest
@@ -27,7 +27,6 @@ from bouquet_dyn.words import (
     MapAction,
     Word,
     branch_period_under,
-    first_letter,
 )
 
 
@@ -285,6 +284,18 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
+def divisor_sums(values: Sequence[int]) -> list[int]:
+    """out[m-1] = sum of values[d-1] over the divisors d of m, for every m
+    up to len(values): each d is added into its multiples, O(H log H).
+    The forward pass that `homology.invert_divisor_sums` inverts."""
+    horizon = len(values)
+    out = [0] * horizon
+    for d, v in enumerate(values, start=1):
+        for multiple in range(d - 1, horizon, d):
+            out[multiple] += v
+    return out
+
+
 def mobius(m: int) -> int:
     """Moebius function: 1, 0 on square factors, else (-1)^(#prime factors)."""
     if m < 1:
@@ -307,6 +318,19 @@ def lefschetz_table(mat: IntMatrix, horizon: int) -> LefschetzTable:
     """L(f^m) and l(f^m) for m <= horizon, read off the traces of the
     reference ladder (so the entries of mat may have both signs)."""
     return LefschetzTable.of([trace(power) for power in powers(mat, horizon)])
+
+
+def first_letter(f: MapAction, l: Letter) -> Letter:
+    """First letter of the image of the one-letter word l.
+
+    Allowed words never cancel, so the first letter of f(w) is the first
+    letter of the image of w's first letter, and the last letter of f(w)
+    is the inverse of the first letter of f(w^-1).  The orbits of a_j and
+    a_j' under this map therefore give the first and last letters of
+    every iterate image of a_j.
+    """
+    img = f.image(l.index)
+    return img[0] if l.sign > 0 else img[-1].inverse()
 
 
 def letter_fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """DSL parsing, report generation, exit codes, fixture corpus."""
 
 import json
+import random
 import time
 import tracemalloc
 from importlib import resources
@@ -23,7 +24,6 @@ from bouquet_dyn.cli import (
     run_report,
 )
 from bouquet_dyn.errors import InconsistencyError, InputError
-from bouquet_dyn.homology import abelianize
 from bouquet_dyn.words import BRANCH_FREE
 
 from conftest import (
@@ -281,9 +281,8 @@ class TestDigitCap:
     def test_just_under_cap_reports(self):
         # a thousand letters reach the cap at a third of the horizon
         doc = parse_spec("n=1\nbranch: free\na1 -> " + "a1 " * 1000 + "\n")
-        mat = abelianize(doc.action)
         horizon = max(h for h in range(1200, 1400)
-                      if cli._digit_bound(mat, h) <= DIGIT_CAP)
+                      if cli._digit_bound([1000], h) <= DIGIT_CAP)
         options = ReportOptions(horizon=horizon, no_oracle=True)
         report = run_report(doc, options)
         digits = max(map(len, printed_integers(report)))
@@ -301,7 +300,8 @@ class TestDigitCap:
                 report = run_report(doc, options)
             except (InputError, InconsistencyError):
                 continue
-            bound = cli._digit_bound(abelianize(f), max(
+            # the column sums of |M| are the image word lengths
+            bound = cli._digit_bound([len(w) for w in f.images], max(
                 options.horizon, options.oracle_depth))
             assert max(map(len, printed_integers(report))) <= bound, f
 
@@ -377,6 +377,60 @@ class TestCircleCap:
             tracemalloc.stop()
         assert report["oracle"]["status"] == "ok"
         assert peak < 6_000_000, peak
+
+
+def twin32_spec() -> str:
+    """Two equal 32-generator blocks of 64-letter words: every column sum
+    of |M| is 64, so the Perron root is 64, and the float solver overflows
+    to nan on the squarefree part's 45-digit coefficients."""
+    r = random.Random(1)
+    words = [[r.randint(1, 32) for _ in range(64)] for _ in range(32)]
+    return "n=64\nbranch: free\n" + "".join(
+        f"a{b + j + 1} -> " + " ".join(f"a{b + x}" for x in words[j]) + "\n"
+        for b in (0, 32) for j in range(32))
+
+
+def probe64_spec(index: int) -> str:
+    """Map `index` of a seeded draw of n = 64 maps whose images are plain
+    words of 1-3 uniform letters."""
+    rng = random.Random(7)
+    for _ in range(index + 1):
+        images = [" ".join(f"a{rng.randint(1, 64)}"
+                           for _ in range(rng.randint(1, 3)))
+                  for _ in range(64)]
+    return "n=64\nbranch: free\n" + "".join(
+        f"a{j} -> {w}\n" for j, w in enumerate(images, start=1))
+
+
+class TestRadiusCheck:
+    """The spectral radius must lie between the least and the largest
+    column sum of |M|, and every modulus must be finite."""
+
+    def test_nan_spectrum_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "twin32.bqd"
+        p.write_text(twin32_spec())
+        assert main(["analyze", str(p), "--no-oracle", "--format", "json"]) == 2
+        spectrum = json.loads(capsys.readouterr().out)["spectrum"]
+        assert spectrum["spectral_radius"] == "nan"
+        assert "[64, 64]" in spectrum["failure"]
+
+    def test_radius_over_bound_exits_2(self, tmp_path, capsys):
+        # the solver prints 90.63 for this map, whose Perron root is 2.29;
+        # no word has more than 3 letters
+        p = tmp_path / "probe.bqd"
+        p.write_text(probe64_spec(6))
+        assert main(["analyze", str(p), "--no-oracle"]) == 2
+        out = capsys.readouterr().out
+        assert "FAILED spectrum:" in out
+        assert "spectral radius 90.6" in out
+
+    def test_cap_edge_and_fixtures_pass(self):
+        # the cap edge's radius is 64, every column sum of |M| is 64
+        docs = [parse_spec(cap_edge_spec())]
+        docs += [load_fixture(name)[0] for name in fixture_names()]
+        for doc in docs:
+            report = run_report(doc, ReportOptions(no_oracle=True))
+            assert "failure" not in report["spectrum"], doc.action
 
 
 class TestMain:

@@ -16,18 +16,14 @@ from bouquet_dyn import (
 from bouquet_dyn.errors import InputError
 from bouquet_dyn import homology
 from bouquet_dyn.cli import parse_spec
-from bouquet_dyn.homology import (
-    divisor_sums,
-    invert_divisor_sums,
-    mat_mul,
-    power_traces,
-)
+from bouquet_dyn.homology import invert_divisor_sums, mat_mul, power_traces
 from bouquet_dyn.words import Letter, MapAction, Word, branch_period_under
 
 from conftest import (
     cap_edge_spec,
     char_poly,
     chi,
+    divisor_sums,
     divisors,
     identity,
     iterate_action,

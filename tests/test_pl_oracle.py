@@ -154,6 +154,12 @@ class TestBuildLift:
         with pytest.raises(DegenerateMapError):
             build_lift(action("a1", "a1 a2"))
 
+    def test_reflected_circle_one_gets_single_letter_refusal(self):
+        # the image a1' is one letter, so circle 1 maps to itself with
+        # slope -1, and the single-letter refusal names that
+        with pytest.raises(DegenerateMapError, match="single letter"):
+            build_lift(action("a1'", "a1' a2' a2'"))
+
     def test_identity_rejected(self):
         with pytest.raises(DegenerateMapError):
             build_lift(action("a1"))

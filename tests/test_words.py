@@ -12,7 +12,6 @@ from bouquet_dyn.words import (
     MapAction,
     Word,
     branch_period_under,
-    first_letter,
     orientation,
 )
 
@@ -21,6 +20,7 @@ from conftest import (
     apply_endo,
     chi,
     concat,
+    first_letter,
     gamma,
     inverse,
     iterate_action,
