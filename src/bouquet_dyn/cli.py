@@ -201,10 +201,12 @@ def _branch_text(k: int | None) -> str:
 
 
 def _certificate_json(cert: PeriodCertificate) -> dict:
+    """Witness integers print as strings, a list of iterates as itself."""
     return {
         "rule": cert.rule,
         "conclusion": cert.conclusion.text(),
-        "witness": {k: str(v) for k, v in cert.witness.items()},
+        "witness": {k: v if type(v) is list else str(v)
+                    for k, v in cert.witness.items()},
     }
 
 
@@ -230,8 +232,9 @@ def _digit_bound(col_sums: list[int], iterates: int) -> float:
     Let c be the largest column sum of |M|, the longest image word.  The
     column sums of |M^m| are at most c^m, so every trace, fix count,
     norm and cover up to iterate K is at most 1 + n c^K + 2n <= 4 n c^K,
-    and every Moebius sum of them (l, per, the fmbig divisor sums) at
-    most K times that: fewer than K log10 c + log10(4 n K) + 1 digits.
+    and every Moebius sum of them (l, per, and the fmbig divisor sums,
+    which are held but no longer printed) at most K times that: fewer
+    than K log10 c + log10(4 n K) + 1 digits.
     A coefficient of the characteristic polynomial is at most
     binomial(n, i) rho^i <= (2c)^n, for the spectral radius rho <= c.
     """
@@ -309,21 +312,12 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     limit_seq = entropy_limit(seqs.norms[: options.entropy_horizon])
     h_spec = spectrum.entropy
 
-    # each integer is written in decimal once, however often it is printed
-    lef_text = list(map(str, table.lefschetz_numbers))
-    fix_text = list(map(str, census.fix_counts))
+    # a check row names its iterate; L(f^m) and fix(m) are printed once,
+    # in "lefschetz" and "census"
     checks = []
     for m in range(1, horizon + 1):
         c = lefschetz_fix_check(f, m, table.lefschetz_of(m), census.fix_of(m))
-        checks.append(
-            {
-                "m": m,
-                "mode": c.mode,
-                "passed": c.passed,
-                "L": lef_text[m - 1],
-                "fix": fix_text[m - 1],
-            }
-        )
+        checks.append({"m": m, "mode": c.mode, "passed": c.passed})
         if c.mode == "bound-abs":
             note = (
                 "branch-periodic bound checked with |L| (preserving iterate)"
@@ -358,7 +352,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         )
 
     report = {
-        "schema": 1,
+        "schema": 2,
         "input": {
             "n": f.n,
             "branch": _branch_text(f.branch_class),
@@ -370,11 +364,11 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         "lefschetz": {
             "horizon": horizon,
             "trace": list(map(str, table.traces)),
-            "L": lef_text,
+            "L": list(map(str, table.lefschetz_numbers)),
             "l": list(map(str, table.periodic_lefschetz_numbers)),
         },
         "census": {
-            "fix": fix_text,
+            "fix": list(map(str, census.fix_counts)),
             "per": list(map(str, census.per_counts)),
             "period_set": sorted(census.period_set()),
         },
@@ -509,7 +503,9 @@ def render_text(report: dict) -> str:
     if report["certificates"]:
         lines.append("certificates:")
         for c in report["certificates"]:
-            lines.append(f"  {c['rule']}: {c['conclusion']}")
+            listed = c["witness"].get("m")
+            lines.append(f"  {c['rule']}: {c['conclusion']}"
+                         + (f": {listed}" if type(listed) is list else ""))
     else:
         lines.append("certificates: none fired")
     oracle = report["oracle"]
@@ -538,8 +534,8 @@ _quote = json.encoder.encode_basestring_ascii
 def json_indent2(value, nl: str = "\n") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, for
     values built from dict, list, str, int, bool and None; `nl` is the
-    newline plus the enclosing indent.  A list of strings is joined in
-    one C-level pass, the bulk of a report."""
+    newline plus the enclosing indent.  A list of strings, the bulk of a
+    report, or of exact ints (no bools) is joined in one C-level pass."""
     t = type(value)
     if t is str:
         return _quote(value)
@@ -557,7 +553,10 @@ def json_indent2(value, nl: str = "\n") -> str:
         try:
             body = sep.join(map(_quote, value))
         except TypeError:
-            body = sep.join([json_indent2(v, inner) for v in value])
+            if set(map(type, value)) == {int}:
+                body = sep.join(map(int.__repr__, value))
+            else:
+                body = sep.join([json_indent2(v, inner) for v in value])
         return "[" + inner + body + nl + "]"
     if t is dict:
         if not value:

@@ -8,6 +8,7 @@ periodic Lefschetz number mixes two period counts.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .errors import InconsistencyError, InputError
@@ -161,7 +162,7 @@ class Conclusion(NamedTuple):
     kind is one of
       "multiples": every multiple of m is a period, except `excluded`;
       "tail":      every integer from m on is a period;
-      "single":    m is a period;
+      "listed":    every m in `listed` is a period;
       "pairwise":  of every two consecutive integers one is a period
                    (m and excluded unused).
     """
@@ -169,13 +170,14 @@ class Conclusion(NamedTuple):
     kind: str
     m: int = 1
     excluded: int | None = None
+    listed: tuple[int, ...] = ()
 
     def text(self) -> str:
         """The conclusion as printed in reports."""
         if self.kind == "pairwise":
             return "for every m, m or m+1 in Per"
-        if self.kind == "single":
-            return f"Per_{self.m} nonempty"
+        if self.kind == "listed":
+            return "Per_m nonempty at every listed m"
         if self.kind == "tail":
             return f"Per contains [{self.m}, inf)"
         if self.m == 1 and self.excluded is None:
@@ -190,8 +192,8 @@ class Conclusion(NamedTuple):
         pairwise conclusion promises no individual period."""
         if self.kind == "pairwise":
             return set()
-        if self.kind == "single":
-            return {self.m} if self.m <= horizon else set()
+        if self.kind == "listed":
+            return {m for m in self.listed if m <= horizon}
         step = 1 if self.kind == "tail" else self.m
         return set(range(self.m, horizon + 1, step)) - {self.excluded}
 
@@ -298,45 +300,29 @@ def _criteria_hits(f: MapAction, head: tuple[IntMatrix, ...]):
                 yield (m, family, *hit)
 
 
-def _primes_of(m: int) -> list[int]:
-    """The distinct primes dividing m >= 1, ascending, by trial division."""
-    primes = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    return primes
-
-
-def fmbig_test(table: FixCountTable, m: int) -> PeriodCertificate | None:
-    """Certify a period-m orbit when fix(m) beats the sum of the fix
-    counts at m/p over the primes p dividing m."""
-    if not 1 <= m <= table.horizon:
-        raise InputError(f"m={m} outside table horizon {table.horizon}")
-    bound = sum(table.fix_of(m // p) for p in _primes_of(m))
-    if table.fix_of(m) > bound:
-        return PeriodCertificate(
-            "fmbig",
-            Conclusion("single", m),
-            {"m": m, "fix_m": table.fix_of(m), "divisor_sum": bound},
-        )
-    return None
+def fmbig_periods(fixes: Sequence[int]) -> list[int]:
+    """Every m up to len(fixes) where fix(m) = fixes[m-1] beats the sum of
+    fix(m/p) over the primes p dividing m, each certifying a period-m
+    orbit.  One sieve adds fix(1..H/p) into the multiples of each prime
+    p, O(H log log H) additions."""
+    horizon = len(fixes)
+    fix = (0, *fixes)
+    bound = [0] * (horizon + 1)
+    sieved = bytearray(horizon + 1)
+    for p in range(2, horizon + 1):
+        if not sieved[p]:
+            sieved[p::p] = b"\x01" * (horizon // p)
+            bound[p::p] = map(add, bound[p::p], fix[1:horizon // p + 1])
+    return [m for m in range(1, horizon + 1) if fix[m] > bound[m]]
 
 
 def dominant_periods(
-    f: MapAction,
-    spectrum: SpectrumReport,
-    fmbig: list[PeriodCertificate | None],
+    f: MapAction, spectrum: SpectrumReport, fmbig: list[int], horizon: int
 ) -> PeriodCertificate | None:
     """All sufficiently large periods, under a dominant leading eigenvalue.
 
-    fmbig[m-1] is fmbig_test at m, for every m up to the census horizon.
-    The analytic threshold comes from the eigenvalue inequality behind
+    fmbig is `fmbig_periods` of the census up to the horizon.  The
+    analytic threshold comes from the eigenvalue inequality behind
     m0_bound; the usually much smaller empirical threshold is the least m
     from which the fix-count comparison test fires at every iterate up to
     the census horizon.  None when `m0_bound` gives no threshold.
@@ -344,15 +330,14 @@ def dominant_periods(
     m0 = m0_bound(spectrum, f.n)
     if m0 is None:
         return None
-    horizon = len(fmbig)
-    empirical = None
-    for start in range(horizon, 0, -1):
-        if fmbig[start - 1] is None:
-            break
-        empirical = start
     witness = {"m0_analytic": m0, "horizon": horizon}
-    if empirical is not None:
-        witness["m0_empirical"] = empirical
+    start = horizon + 1
+    for m in reversed(fmbig):
+        if m != start - 1:
+            break
+        start = m
+    if start <= horizon:
+        witness["m0_empirical"] = start
     return PeriodCertificate("dominant", Conclusion("tail", m0), witness)
 
 
@@ -368,8 +353,9 @@ def period_certificates(
     read off the record's head, H being the census horizon.  At m = 1 each
     family that fires gives its own certificate.  The first later hit
     whose conclusion promotes gives one delayed certificate over
-    multiples of m.  Then fmbig is tested once at each m up to H, and the
-    dominant-eigenvalue certificate reads those same results.
+    multiples of m.  Then one fmbig certificate lists every m up to H
+    that `fmbig_periods` certifies, and the dominant-eigenvalue
+    certificate reads that same list.
     """
     certs = []
     for m, family, case, conclusion, witness in _criteria_hits(
@@ -386,9 +372,12 @@ def period_certificates(
                 {"m": m, **witness},
             ))
             break
-    fmbig = [fmbig_test(census, m) for m in range(1, census.horizon + 1)]
-    certs += [c for c in fmbig if c is not None]
-    dominant = dominant_periods(f, spectrum, fmbig)
+    fmbig = fmbig_periods(census.fix_counts)
+    if fmbig:
+        certs.append(PeriodCertificate(
+            "fmbig", Conclusion("listed", listed=tuple(fmbig)), {"m": fmbig}
+        ))
+    dominant = dominant_periods(f, spectrum, fmbig, census.horizon)
     if dominant is not None:
         certs.append(dominant)
     return certs

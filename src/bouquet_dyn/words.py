@@ -40,9 +40,6 @@ class Letter(NamedTuple("Letter", [("index", int), ("sign", int)])):
             raise InputError(f"letter sign must be +1 or -1, got {sign}")
         return tuple.__new__(cls, (index, sign))
 
-    def inverse(self) -> Letter:
-        return Letter(self.index, -self.sign)
-
     def token(self) -> str:
         return f"a{self.index}" + ("'" if self.sign < 0 else "")
 

@@ -4,7 +4,8 @@ quantity is checked against (a ladder of matrix products and repeated
 squaring for the power sequences, Faddeev-LeVerrier for their
 characteristic polynomial, Euclid's algorithm in `Fraction`s for the
 squarefree parts of one, divisors and mu for the Moebius sieve and its
-forward divisor sums, letter orbits for the fix counts' signed codes, iterate images expanded word by
+forward divisor sums, trial division for the fmbig prime sieve, letter
+orbits for the fix counts' signed codes, iterate images expanded word by
 word for the per-iterate counts, a depth-first walk over every piece of
 the composed lifts for the oracle's count on the Markov partition)."""
 
@@ -50,7 +51,7 @@ def load_fixture(name: str) -> tuple[cli.MapSpecDocument, dict | None]:
 
 def inverse(w: Word) -> Word:
     """The reversed, sign-flipped word."""
-    return Word(l.inverse() for l in reversed(w))
+    return Word(Letter(index, -sign) for index, sign in reversed(w))
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -296,6 +297,31 @@ def divisor_sums(values: Sequence[int]) -> list[int]:
     return out
 
 
+def primes_of(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
+def fmbig_reference(fixes: Sequence[int]) -> list[int]:
+    """Every m <= len(fixes) with fix(m) > sum of fix(m/p) over the primes
+    p dividing m, fixes[m-1] = fix(m), each m tested on its own: a
+    reference for `periods.fmbig_periods`, which sieves."""
+    return [
+        m for m in range(1, len(fixes) + 1)
+        if fixes[m - 1] > sum(fixes[m // p - 1] for p in primes_of(m))
+    ]
+
+
 def mobius(m: int) -> int:
     """Moebius function: 1, 0 on square factors, else (-1)^(#prime factors)."""
     if m < 1:
@@ -330,7 +356,7 @@ def first_letter(f: MapAction, l: Letter) -> Letter:
     every iterate image of a_j.
     """
     img = f.image(l.index)
-    return img[0] if l.sign > 0 else img[-1].inverse()
+    return img[0] if l.sign > 0 else inverse(img)[0]
 
 
 def letter_fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:

@@ -19,13 +19,19 @@ from bouquet_dyn.periods import (
     ALL_PERIODS,
     PAIRWISE,
     Conclusion,
-    FixCountTable,
-    fmbig_test,
+    fmbig_periods,
     lefschetz_fix_check,
     period_certificates,
 )
+from bouquet_dyn.words import MapAction
 
-from conftest import divisors, lefschetz_table, load_fixture
+from conftest import (
+    divisors,
+    fmbig_reference,
+    lefschetz_table,
+    load_fixture,
+    random_action,
+)
 
 REFLECT = action("a1' a1'")
 LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
@@ -61,6 +67,21 @@ def certificate(f, rule, horizon=12, **witness):
         ):
             return cert
     return None
+
+
+def fmbig_listed(f, horizon):
+    """The iterates the one fmbig certificate lists, [] when none fires;
+    its conclusion promises exactly those periods."""
+    certs = [c for c in certificates(f, horizon) if c.rule == "fmbig"]
+    assert len(certs) <= 1
+    if not certs:
+        return []
+    cert, = certs
+    listed = cert.witness["m"]
+    assert type(listed) is list and listed == sorted(set(listed)), listed
+    assert cert.conclusion.text() == "Per_m nonempty at every listed m"
+    assert cert.conclusion.periods(horizon) == set(listed)
+    return listed
 
 
 def check(f, m):
@@ -265,42 +286,69 @@ class TestDelayedLowGrowth:
 class TestFmBig:
     def test_power_of_two(self):
         t = census(action("a1 a1"), 4)
-        cert = certificate(action("a1 a1"), "fmbig", horizon=4, m=4)
-        assert cert is not None
-        assert cert.conclusion.text() == "Per_4 nonempty"
+        assert 4 in fmbig_listed(action("a1 a1"), 4)
         assert t.per_of(4) == 12
 
     def test_prime_case(self):
-        assert certificate(REFLECT, "fmbig", horizon=3, m=3) is not None
+        assert 3 in fmbig_listed(REFLECT, 3)
 
     def test_base_case(self):
-        assert certificate(REFLECT, "fmbig", horizon=1, m=1) is not None
+        assert fmbig_listed(REFLECT, 1) == [1]
 
     def test_no_fire_when_flat(self):
         six = action("a1", "a1 a3", "a1 a4", "a1 a2")
-        assert certificate(six, "fmbig", horizon=6, m=6) is None
+        assert 6 not in fmbig_listed(six, 6)
 
     def test_prime_rule_matches_two_divisor_rule(self):
-        # the primes of m by trial division against the earlier rule,
-        # "the divisors of m with exactly two divisors": on counts that
-        # grow fast enough for the test to fire at every m the witness
-        # sums agree, and on small random counts so does whether it fires
+        # the primes of m by trial division (the reference) against the
+        # earlier rule, "the divisors of m with exactly two divisors", and
+        # the sieve against both: on counts that grow fast enough for the
+        # test to fire at every m, and on small random counts
         horizon = 1000
         rng = random.Random(11)
         growing = tuple(rng.randint(10**m, 2 * 10**m) for m in range(1, horizon + 1))
         flat = tuple(rng.randint(0, 50) for _ in range(horizon))
         for fixes in (growing, flat):
-            table = FixCountTable(horizon, fixes, (0,) * horizon)
-            for m in range(1, horizon + 1):
-                primes = [p for p in divisors(m) if len(divisors(p)) == 2]
-                bound = sum(table.fix_of(m // p) for p in primes)
-                cert = fmbig_test(table, m)
-                if fixes is growing:
-                    assert cert is not None, m
-                if cert is None:
-                    assert table.fix_of(m) <= bound, m
-                else:
-                    assert cert.witness["divisor_sum"] == bound, m
+            two_divisor = [
+                m for m in range(1, horizon + 1)
+                if fixes[m - 1] > sum(fixes[m // p - 1] for p in divisors(m)
+                                      if len(divisors(p)) == 2)
+            ]
+            assert fmbig_periods(fixes) == fmbig_reference(fixes) == two_divisor
+        assert fmbig_periods(growing) == list(range(1, horizon + 1))
+        assert 0 < len(fmbig_periods(flat)) < horizon
+
+    def test_sieve_matches_reference_on_random_censuses(self):
+        # every branch class and both orientations at H = 40, and through
+        # the certificate a report prints wherever the census exists (a
+        # branch class the map does not have can make it negative)
+        rng = random.Random(12)
+        horizon = 40
+        seen = set()
+        for _ in range(60):
+            base = random_action(rng, n_max=4, len_max=3)
+            for k in (None, 1, 2, 3, 4):
+                f = MapAction(base.n, base.images, k)
+                fixes = fix_counts(f, record(f, horizon).traces)
+                expected = fmbig_reference(fixes)
+                assert fmbig_periods(fixes) == expected, f
+                try:
+                    listed = fmbig_listed(f, horizon)
+                except InconsistencyError:
+                    continue
+                assert listed == expected, f
+                seen.add((f.global_sign, k, 0 < len(expected) < horizon))
+        for sign in (1, -1):
+            for k in (None, 1, 2, 3, 4):
+                assert {(sign, k, True), (sign, k, False)} <= seen, (sign, k)
+
+    def test_sieve_matches_reference_on_random_tables(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            horizon = rng.randint(0, 200)
+            top = rng.choice((3, 50, 10**6))
+            fixes = [rng.randint(0, top) for _ in range(horizon)]
+            assert fmbig_periods(fixes) == fmbig_reference(fixes), fixes
 
 
 class TestDominantPeriods:
@@ -330,7 +378,8 @@ class TestCertifiedPeriods:
             (Conclusion("multiples", 3), "Per contains 3N", {3, 6}),
             (Conclusion("multiples", 3, 3), "Per contains 3N \\ {3}", {6}),
             (Conclusion("tail", 5), "Per contains [5, inf)", {5, 6, 7, 8}),
-            (Conclusion("single", 4), "Per_4 nonempty", {4}),
+            (Conclusion("listed", listed=(2, 4, 9)),
+             "Per_m nonempty at every listed m", {2, 4}),
         ]
         for conclusion, text, expected in cases:
             assert conclusion.text() == text

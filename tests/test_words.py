@@ -48,8 +48,9 @@ class TestLetters:
             Letter.parse(bad)
 
     def test_inverse_involution(self):
-        l = Letter(2, -1)
-        assert l.inverse().inverse() == l
+        w = Word([Letter(2, -1)])
+        assert inverse(w) == Word([Letter(2, 1)])
+        assert inverse(inverse(w)) == w
 
 
 class TestWords:
@@ -254,7 +255,7 @@ class TestIterateCounts:
                     except BudgetError:
                         break
                     assert first == w[0]
-                    assert last_inv.inverse() == w[-1]
+                    assert inverse(Word([last_inv])) == w[-1:]
 
 
 class TestMapAction:
