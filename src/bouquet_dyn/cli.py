@@ -233,7 +233,7 @@ def _digit_bound(col_sums: list[int], iterates: int) -> float:
     column sums of |M^m| are at most c^m, so every trace, fix count,
     norm and cover up to iterate K is at most 1 + n c^K + 2n <= 4 n c^K,
     and every Moebius sum of them (l, per, and the fmbig divisor sums,
-    which are held but no longer printed) at most K times that: fewer
+    which are held but not printed) at most K times that: fewer
     than K log10 c + log10(4 n K) + 1 digits.
     A coefficient of the characteristic polynomial is at most
     binomial(n, i) rho^i <= (2c)^n, for the spectral radius rho <= c.
