@@ -201,12 +201,15 @@ def _branch_text(k: int | None) -> str:
 
 
 def _certificate_json(cert: PeriodCertificate) -> dict:
-    """Witness integers print as strings, a list of iterates as itself."""
+    """Witness integers print as strings; a listed conclusion's iterates
+    print as the witness `m`, a list of JSON integers."""
+    witness = {k: str(v) for k, v in cert.witness.items()}
+    if cert.conclusion.kind == "listed":
+        witness["m"] = list(cert.conclusion.listed)
     return {
         "rule": cert.rule,
         "conclusion": cert.conclusion.text(),
-        "witness": {k: v if type(v) is list else str(v)
-                    for k, v in cert.witness.items()},
+        "witness": witness,
     }
 
 
@@ -352,7 +355,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         )
 
     report = {
-        "schema": 2,
+        "schema": 3,
         "input": {
             "n": f.n,
             "branch": _branch_text(f.branch_class),
@@ -503,9 +506,9 @@ def render_text(report: dict) -> str:
     if report["certificates"]:
         lines.append("certificates:")
         for c in report["certificates"]:
-            listed = c["witness"].get("m")
             lines.append(f"  {c['rule']}: {c['conclusion']}"
-                         + (f": {listed}" if type(listed) is list else ""))
+                         + (f": {c['witness']['m']}" if c["rule"] == "fmbig"
+                            else ""))
     else:
         lines.append("certificates: none fired")
     oracle = report["oracle"]
@@ -534,8 +537,8 @@ _quote = json.encoder.encode_basestring_ascii
 def json_indent2(value, nl: str = "\n") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, for
     values built from dict, list, str, int, bool and None; `nl` is the
-    newline plus the enclosing indent.  A list of strings, the bulk of a
-    report, or of exact ints (no bools) is joined in one C-level pass."""
+    newline plus the enclosing indent.  A list of strings is joined in
+    one C-level pass, the bulk of a report."""
     t = type(value)
     if t is str:
         return _quote(value)
@@ -553,10 +556,7 @@ def json_indent2(value, nl: str = "\n") -> str:
         try:
             body = sep.join(map(_quote, value))
         except TypeError:
-            if set(map(type, value)) == {int}:
-                body = sep.join(map(int.__repr__, value))
-            else:
-                body = sep.join([json_indent2(v, inner) for v in value])
+            body = sep.join([json_indent2(v, inner) for v in value])
         return "[" + inner + body + nl + "]"
     if t is dict:
         if not value:

@@ -375,7 +375,7 @@ def period_certificates(
     fmbig = fmbig_periods(census.fix_counts)
     if fmbig:
         certs.append(PeriodCertificate(
-            "fmbig", Conclusion("listed", listed=tuple(fmbig)), {"m": fmbig}
+            "fmbig", Conclusion("listed", listed=tuple(fmbig)), {}
         ))
     dominant = dominant_periods(f, spectrum, fmbig, census.horizon)
     if dominant is not None:

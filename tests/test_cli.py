@@ -142,10 +142,19 @@ class TestParseSpec:
 
 
 class TestRunReport:
+    def test_iterate_integers_print_once(self):
+        doc = parse_spec("n=1\nbranch: free\na1 -> a1 a1\n")
+        report = run_report(doc, ReportOptions(horizon=12))
+        assert [set(c) for c in report["lefschetz_fix_checks"]] == [
+            {"m", "mode", "passed"}] * 12
+        assert [c for c in report["certificates"] if c["rule"] == "fmbig"] == [
+            {"rule": "fmbig", "conclusion": "Per_m nonempty at every listed m",
+             "witness": {"m": list(range(1, 13))}}]
+
     def test_reflect_doubling_report(self):
         doc = parse_spec("n=1\nbranch: free\na1 -> a1' a1'\n")
         report = run_report(doc, ReportOptions())
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["lefschetz"]["L"][0] == "3"
         assert report["lefschetz"]["l"][1] == "-6"
         assert report["census"]["per"][1] == "0"
@@ -446,7 +455,7 @@ class TestMain:
         p.write_text("n=1\nbranch: free\na1 -> a1' a1'\n")
         assert main(["analyze", str(p), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 2
+        assert report["schema"] == 3
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.bqd"
@@ -682,8 +691,7 @@ class TestJsonIndent2:
         [[1, [2, [3, False]]], [None]],
     ])
     def test_int_lists(self, value):
-        # the one-pass int join sees exact ints only: a bool prints as
-        # true or false, never as 1 or 0
+        # a bool prints as true or false, never as 1 or 0
         assert json_indent2(value) + "\n" == dumps(value)
 
     def test_int_lists_keep_bools(self):

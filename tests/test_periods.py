@@ -77,8 +77,8 @@ def fmbig_listed(f, horizon):
     if not certs:
         return []
     cert, = certs
-    listed = cert.witness["m"]
-    assert type(listed) is list and listed == sorted(set(listed)), listed
+    listed = list(cert.conclusion.listed)
+    assert listed == sorted(set(listed)), listed
     assert cert.conclusion.text() == "Per_m nonempty at every listed m"
     assert cert.conclusion.periods(horizon) == set(listed)
     return listed

@@ -23,8 +23,7 @@ RECORDS = [
     Word.parse("a1 a2 a1"),
     F,
     PowerSequences.of(abelianize(F), 8),
-    PeriodCertificate("fmbig", Conclusion("listed", listed=(1, 3, 4)),
-                      {"m": [1, 3, 4]}),
+    PeriodCertificate("fmbig", Conclusion("listed", listed=(1, 3, 4)), {}),
     ReportOptions(horizon=20, no_oracle=True),
 ]
 
