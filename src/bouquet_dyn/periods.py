@@ -19,7 +19,7 @@ from .homology import (
     invert_divisor_sums,
 )
 from .spectral import SpectrumReport, m0_bound
-from .words import MapAction, branch_period_under
+from .words import MapAction
 
 
 # ---------------------------------------------------------------------------
@@ -29,8 +29,10 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     """Number of fixed points of every iterate m = 1..len(traces),
     exactly, where traces[m-1] = tr M^m.
 
-    When the branching point is not fixed by f^m (`branch_period_under`
-    is not 1) the count is |1 - tr M^m|.  When it is, the branching point
+    Unless f fixes the branching point as a based vertex (branch class 1)
+    the count is |1 - tr M^m|, at every m: an iterate f^m that fixes a
+    branching point of least period k >= 2 fixes it, but not as a based
+    vertex, and the count is the same.  At class 1 the branching point
     contributes 1 and the interior crossings are counted by gamma: chi_j
     of the iterate image of a_j, the diagonal entry j of M^m, less its
     first and last letters when they are a_j or a_j'.  Summed over j that
@@ -49,6 +51,8 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     codes here, a_j is j and a_j' is -j, and the one-step map is one dict
     over the codes +-1..+-n, read off the image words once per call.
     """
+    if f.branch_class != 1:
+        return tuple(abs(1 - tr) for tr in traces)
     gens = range(1, f.n + 1)
     step = {}
     short = {}
@@ -60,13 +64,10 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     lasts_inv = [-j for j in gens]
     singles = [True] * f.n
     out = []
-    for m, tr in enumerate(traces, start=1):
+    for tr in traces:
         singles = [one and short[c] for one, c in zip(singles, firsts)]
         firsts = [step[c] for c in firsts]
         lasts_inv = [step[c] for c in lasts_inv]
-        if branch_period_under(f.branch_class, m) != 1:
-            out.append(abs(1 - tr))
-            continue
         ends = 0
         for j, first, last_inv, single in zip(gens, firsts, lasts_inv, singles):
             if not single:
@@ -132,18 +133,18 @@ def lefschetz_fix_check(
     """Check the sign-matched Lefschetz/fixed-point relation between
     lef = L(f^m) and fix = #Fix(f^m).
 
-    With a never-periodic (or not-yet-returned) branching point the
-    relation is an equality: L = -#Fix when the iterate preserves
-    orientation, L = +#Fix when it reverses.  When the branching point is
-    m-periodic only a two-sided bound holds: L <= #Fix <= 2n - 1 + L,
-    with L replaced by |L| for a preserving iterate (the equality case
-    fixes L <= 0 there, so the printed bound would be vacuous otherwise;
-    the chosen convention is recorded in the mode string).
+    Unless f fixes the branching point as a based vertex (branch class 1)
+    the relation is an equality: L = -#Fix when the iterate preserves
+    orientation, L = +#Fix when it reverses.  At class 1 only a two-sided
+    bound holds: L <= #Fix <= 2n - 1 + L, with L replaced by |L| for a
+    preserving iterate (the equality case fixes L <= 0 there, so the
+    printed bound would be vacuous otherwise; the chosen convention is
+    recorded in the mode string).
     """
     if m < 1:
         raise InputError(f"iterate must be >= 1, got {m}")
     preserving = f.global_sign > 0 or m % 2 == 0
-    if branch_period_under(f.branch_class, m) != 1:
+    if f.branch_class != 1:
         if preserving:
             return LefschetzFixCheck(lef == -fix, "equality-preserving")
         return LefschetzFixCheck(lef == fix, "equality-reversing")
@@ -227,8 +228,9 @@ class PeriodCertificate(NamedTuple):
 
 
 def _doubling_on(mat: IntMatrix, k: int | None) -> tuple[str, Conclusion, dict] | None:
-    """Entry-doubling cases on a chi-matrix whose branching point has
-    least period k; returns (case, conclusion, witness)."""
+    """Entry-doubling cases on the chi-matrix of an iterate of f, whose
+    branching point has least period k under f; returns (case,
+    conclusion, witness)."""
     n = len(mat)
     for j in range(2, n + 1):
         if abs(mat[j - 1][j - 1]) >= 2:
@@ -262,8 +264,9 @@ def _lowgrow_pair(mat: IntMatrix, lo: int) -> tuple[int, int] | None:
 
 
 def _lowgrow_on(mat: IntMatrix, k: int | None) -> tuple[str, Conclusion, dict] | None:
-    """Low-growth cases on a chi-matrix whose branching point has least
-    period k; returns (case, conclusion, witness)."""
+    """Low-growth cases on the chi-matrix of an iterate of f, whose
+    branching point has least period k under f; returns (case,
+    conclusion, witness)."""
     n = len(mat)
     if k is None:
         pair = _lowgrow_pair(mat, 2)
@@ -288,14 +291,13 @@ def _lowgrow_on(mat: IntMatrix, k: int | None) -> tuple[str, Conclusion, dict] |
 def _criteria_hits(f: MapAction, head: tuple[IntMatrix, ...]):
     """Yield (m, family, case, conclusion, witness) for each hypothesis
     family that fires on the chi-matrix head[m-1] = M^m of f^m, in order
-    of m, doubling before low growth.
-
-    The branching point's least period rescales to k / gcd(k, m).
+    of m, doubling before low growth.  Every tester reads the branch
+    class of f itself: only class 1 fixes the branching point as a based
+    vertex, under every iterate.
     """
     for m, mat in enumerate(head, start=1):
-        k_m = branch_period_under(f.branch_class, m)
         for family, tester in (("doubling", _doubling_on), ("lowgrow", _lowgrow_on)):
-            hit = tester(mat, k_m)
+            hit = tester(mat, f.branch_class)
             if hit is not None:
                 yield (m, family, *hit)
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateMapError, InputError, LiftConstructionError
 from .homology import char_from_traces, power_traces, recur
-from .words import MapAction, Word, branch_period_under
+from .words import MapAction, Word
 
 #: `oracle_counts` counts covers to this iterate, the last a report prints
 COVER_DEPTH = 8
@@ -118,8 +118,8 @@ class OracleCounts(NamedTuple):
     def fixed(self, m: int) -> int:
         """Fixed points of f^m on the circles: the crossings, plus 1 when
         f^m fixes the branching point, by the observed `branch_period`."""
-        branch_fixed = branch_period_under(self.branch_period, m) == 1
-        return self.crossings[m - 1] + int(branch_fixed)
+        k = self.branch_period
+        return self.crossings[m - 1] + int(k is not None and m % k == 0)
 
 
 def _ratio(x: int, scale: int) -> str:

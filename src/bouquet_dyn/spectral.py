@@ -24,10 +24,6 @@ DOMINANCE_EPS = 1e-8
 #: upper end of the range `m0_bound` bisects
 M0_SCAN_CAP = 10_000
 
-#: the prime of `squarefree_parts`' quick test; a polynomial whose gcd
-#: with its derivative is trivial modulo it is squarefree over Q
-SQUAREFREE_PRIME = 32_749
-
 
 def _eval_poly(coeffs: list[float], z: complex) -> complex:
     out = complex(0)
@@ -79,24 +75,6 @@ def _derivative(p: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _gcd_is_trivial_mod(a: Sequence[int], b: Sequence[int], p: int) -> bool:
-    """Whether gcd(a, b) is a constant modulo the prime p."""
-    a = _trim([c % p for c in a])
-    b = _trim([c % p for c in b])
-    while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        while len(a) > db:
-            q = a[-1] * inv % p
-            shift = len(a) - 1 - db
-            for i in range(db):
-                a[shift + i] = (a[shift + i] - q * b[i]) % p
-            a.pop()
-            _trim(a)
-        a, b = b, a
-    return len(a) == 1
-
-
 def _primitive(p: list[int]) -> list[int]:
     """p over the gcd of its coefficients, leading coefficient positive."""
     g = math.gcd(*p) if p[-1] > 0 else -math.gcd(*p)
@@ -140,13 +118,9 @@ def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     squarefree, pairwise coprime and nonconstant, and char = prod a_i^i.
 
     Integers only: every gcd is a primitive pseudo-remainder sequence and
-    every division is by a monic divisor.  A gcd of char and char' that
-    is trivial modulo `SQUAREFREE_PRIME` proves char squarefree, and
-    returns [(char, 1)] without the exact route.
+    every division is by a monic divisor.  A constant char has no part.
     """
     df = _derivative(char)
-    if _gcd_is_trivial_mod(char, df, SQUAREFREE_PRIME):
-        return [(tuple(char), 1)]
     g = _gcd(list(char), df)
     b, c = _div_monic(char, g), _div_monic(df, g)
     parts = []

@@ -10,7 +10,6 @@ models maps that are monotone on every petal.  Letters serialize as
 from __future__ import annotations
 
 import re
-from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
@@ -93,8 +92,8 @@ class MapAction(NamedTuple("MapAction", [
     as a whole).  ``branch_class`` is the least period k of the branching
     point, or ``BRANCH_FREE`` (None) if the branching point is never
     periodic; it is user metadata — the words alone cannot determine it.
-    Under f^m the period is ``branch_period_under(k, m)``, and the
-    branching point is fixed by f^m exactly when that is 1.
+    Only class 1 fixes the branching point as a based vertex, and only
+    class 1 switches the fixed-point count and its Lefschetz check.
     """
 
     __slots__ = ()
@@ -139,13 +138,6 @@ class MapAction(NamedTuple("MapAction", [
 def action(*texts: str, k: int | None = BRANCH_FREE) -> MapAction:
     """Shorthand: ``action("a1 a3", "a1", "a1 a3", k=1)``."""
     return MapAction.from_texts(texts, k)
-
-
-def branch_period_under(k: int | None, m: int) -> int | None:
-    """Least period of the branching point under f^m, given its least
-    period k under f (None: never periodic).  It is 1, so the branching
-    point is fixed by f^m, exactly when k divides m."""
-    return None if k is None else k // gcd(k, m)
 
 
 # ---------------------------------------------------------------------------

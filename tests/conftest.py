@@ -22,13 +22,7 @@ from bouquet_dyn import cli
 from bouquet_dyn.errors import InputError, LiftConstructionError
 from bouquet_dyn.homology import IntMatrix, LefschetzTable, mat_mul
 from bouquet_dyn.pl_oracle import PLLift, build_lift, lift_branch_period
-from bouquet_dyn.words import (
-    BRANCH_FREE,
-    Letter,
-    MapAction,
-    Word,
-    branch_period_under,
-)
+from bouquet_dyn.words import BRANCH_FREE, Letter, MapAction, Word
 
 
 class BudgetError(RuntimeError):
@@ -80,11 +74,23 @@ def apply_endo(f: MapAction, w: Word) -> Word:
     return Word(out)
 
 
+def branch_period_under(k: int | None, m: int) -> int | None:
+    """Least period of the branching point under f^m, given its least
+    period k under f (None: never periodic).  It is 1, so the branching
+    point is fixed by f^m, exactly when k divides m."""
+    return None if k is None else k // math.gcd(k, m)
+
+
 def iterate_action(f: MapAction, m: int, budget: int = 10**6) -> MapAction:
-    """The action of the m-th iterate, with image words fully expanded and
-    branch period `branch_period_under(k, m)`.  Raises BudgetError
-    (naming the smallest offending iterate) if the expanded words would
-    exceed `budget` letters in total."""
+    """The action of the m-th iterate, with image words fully expanded.
+
+    Its branch class is 1 when f's is: f, and so f^m, fixes the branching
+    point as a based vertex.  Otherwise it is the branching point's least
+    period under f^m, `branch_period_under(k, m)`, or free where that is
+    1: f^m then fixes the branching point, but not as a based vertex, and
+    only class 1 changes a count.  Raises BudgetError (naming the
+    smallest offending iterate) if the expanded words would exceed
+    `budget` letters in total."""
     assert m >= 1, m
     words = f.images
     for step in range(2, m + 1):
@@ -96,7 +102,10 @@ def iterate_action(f: MapAction, m: int, budget: int = 10**6) -> MapAction:
                 f"(budget {budget})",
                 smallest_m=step,
             )
-    return MapAction(f.n, words, branch_period_under(f.branch_class, m))
+    k_m = branch_period_under(f.branch_class, m)
+    if k_m == 1 and f.branch_class != 1:
+        k_m = BRANCH_FREE
+    return MapAction(f.n, words, k_m)
 
 
 def random_action(
@@ -109,6 +118,23 @@ def random_action(
     for _ in range(n):
         r = rng.randint(1, len_max)
         images.append(Word(tuple(Letter(rng.randint(1, n), s) for _ in range(r))))
+    return MapAction(n, tuple(images), BRANCH_FREE)
+
+
+def _random_anchored_action(
+    rng: random.Random, n_max: int, len_max: int, sign: int | None
+) -> MapAction:
+    """A free-declared action whose every image word visits circle 1 (so
+    the canonical lift can exist) and whose image of circle 1 has at
+    least two letters (so no circle maps to itself by an isometry)."""
+    n = rng.randint(1, n_max)
+    s = sign if sign is not None else rng.choice((1, -1))
+    images = []
+    for j in range(n):
+        r = rng.randint(2, len_max) if j == 0 else rng.randint(1, len_max)
+        idxs = [1] + [rng.randint(1, n) for _ in range(r - 1)]
+        rng.shuffle(idxs)
+        images.append(Word(tuple(Letter(i, s) for i in idxs)))
     return MapAction(n, tuple(images), BRANCH_FREE)
 
 
@@ -127,15 +153,7 @@ def random_expanding_action(
     to depth 13, matching the declared never-periodic branching point.
     """
     for _ in range(max_tries):
-        n = rng.randint(1, n_max)
-        s = sign if sign is not None else rng.choice((1, -1))
-        images = []
-        for j in range(n):
-            r = rng.randint(2, len_max) if j == 0 else rng.randint(1, len_max)
-            idxs = [1] + [rng.randint(1, n) for _ in range(r - 1)]
-            rng.shuffle(idxs)
-            images.append(Word(tuple(Letter(i, s) for i in idxs)))
-        f = MapAction(n, tuple(images), BRANCH_FREE)
+        f = _random_anchored_action(rng, n_max, len_max, sign)
         try:
             lift = build_lift(f)
         except LiftConstructionError:
@@ -144,6 +162,30 @@ def random_expanding_action(
             continue
         return f, lift
     raise AssertionError("could not generate a lift-viable action")
+
+
+def random_branch_periodic_action(
+    rng: random.Random,
+    n_max: int = 4,
+    len_max: int = 4,
+    watch: int = 13,
+) -> tuple[MapAction, PLLift]:
+    """A lift-viable action whose lift's branch orbit returns to an
+    integer within `watch` steps, declared with that period k.  The
+    canonical lift sends the branching point to the midpoint of circle 1,
+    so k >= 2."""
+    for _ in range(2000):
+        f = _random_anchored_action(rng, n_max, len_max, None)
+        try:
+            lift = build_lift(f)
+        except LiftConstructionError:
+            continue
+        k = lift_branch_period(lift, watch)
+        if k is None:
+            continue
+        assert k >= 2, (f, k)
+        return MapAction(f.n, f.images, k), lift
+    raise AssertionError("could not generate a branch-periodic action")
 
 
 def random_matrix(rng: random.Random, n: int, lo: int = -3, hi: int = 3):
@@ -360,19 +402,20 @@ def first_letter(f: MapAction, l: Letter) -> Letter:
 
 
 def letter_fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:
-    """fix(m) for m = 1..len(ladder), following the first letters of the
-    iterate images of a_j and a_j' as `Letter`s along `first_letter`: a
-    reference for `fix_counts`, which follows them as signed codes."""
+    """fix(m) for m = 1..len(ladder): |1 - tr M^m| unless the branch
+    class is 1, and at class 1 the based count, following the first
+    letters of the iterate images of a_j and a_j' as `Letter`s along
+    `first_letter`: a reference for `fix_counts`, which follows them as
+    signed codes."""
+    if f.branch_class != 1:
+        return tuple(abs(1 - trace(power)) for power in ladder)
     gens = range(1, f.n + 1)
     firsts = [Letter(j, 1) for j in gens]
     lasts_inv = [Letter(j, -1) for j in gens]
     out = []
-    for m, power in enumerate(ladder, start=1):
+    for power in ladder:
         firsts = [first_letter(f, l) for l in firsts]
         lasts_inv = [first_letter(f, l) for l in lasts_inv]
-        if branch_period_under(f.branch_class, m) != 1:
-            out.append(abs(1 - trace(power)))
-            continue
         total = 0
         for j, first, last_inv in zip(gens, firsts, lasts_inv):
             if sum(abs(row[j - 1]) for row in power) <= 1:

@@ -30,6 +30,7 @@ from conftest import (
     cap_edge_spec,
     load_fixture,
     random_action,
+    random_branch_periodic_action,
     random_expanding_action,
 )
 
@@ -212,7 +213,7 @@ class TestRunReport:
 
     @pytest.mark.parametrize("declared, says, skipped", [
         ("free", "free", []),
-        ("period 2", "2", [2, 4, 6]),
+        ("period 2", "2", []),
         ("period 4", None, []),
     ])
     def test_branch_orbit_mismatch(self, declared, says, skipped):
@@ -228,6 +229,30 @@ class TestRunReport:
                 if w.startswith("branch-orbit mismatch")] == expected
         assert [v["m"] for v in oracle["verdicts"]
                 if v["verdict"] == "skipped (branch-orbit mismatch)"] == skipped
+        if says is None:
+            assert oracle["status"] == "ok"
+            assert all(c["passed"] for c in report["lefschetz_fix_checks"])
+
+    def test_branch_periodic_maps_match_the_oracle(self):
+        # lift-viable maps whose lift's branch orbit returns, each declared
+        # with the period the report's oracle observes (it follows the
+        # orbit depth + 1 steps): at H = oracle depth = 30 every verdict
+        # matches and every check passes, at the iterates the period
+        # divides as elsewhere
+        depth = 30
+        options = ReportOptions(horizon=depth, oracle_depth=depth)
+        rng = random.Random(0xB4A)
+        periods = set()
+        for _ in range(150):
+            f, _ = random_branch_periodic_action(rng, watch=depth + 1)
+            periods.add(f.branch_class)
+            report = run_report(MapSpecDocument(f), options)
+            oracle = report["oracle"]
+            assert oracle["branch_period_observed"] == f.branch_class, f
+            assert [v["verdict"] for v in oracle["verdicts"]] == \
+                ["match"] * depth, f
+            assert not cli.report_has_failures(report), f
+        assert {2, 3, 4} <= periods, periods
 
     def test_json_round_trip(self):
         doc = parse_spec(LOW_GROWTH_TEXT)

@@ -111,10 +111,11 @@ class TestFixCount:
 
     def test_branch_formula_switch(self):
         f = action("a1 a1 a1", k=2)
-        # k does not divide odd m: ordinary crossing formula
+        # only class 1 switches to the based count: class 2 reads the
+        # crossing formula at odd m, and at m = 2 too, where f^2 fixes the
+        # branching point but not as a based vertex
         assert fix_count(f, 1) == abs(1 - 3)
-        # k divides m = 2: the branching point joins the count
-        assert fix_count(f, 2) == 1 + 7
+        assert fix_count(f, 2) == abs(1 - 9)
 
 
 class TestCensus:

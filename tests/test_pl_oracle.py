@@ -285,8 +285,6 @@ class TestCountFixed:
             for m in range(1, 9):
                 assert counts.fixed(m) == fixes[m - 1], (f, m)
 
-    @pytest.mark.xfail(strict=True, reason="branch-periodic fix(m) formula "
-                       "and lift disagree (known defect, see CHANGES.md)")
     def test_periodic_branch_matches_formula(self):
         f = action("a2 a1", "a4 a1", "a1", "a1", k=4)
         lift = build_lift(f)

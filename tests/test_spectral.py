@@ -155,9 +155,10 @@ class TestSquarefreeParts:
         assert squarefree_parts(char) == [((-2, 1), 64)]
 
     def test_squarefree_spectrum_is_the_solvers(self, rng):
-        # a squarefree polynomial is one part, and the solver runs on the
-        # whole of it
-        seen = 0
+        # a nonconstant squarefree polynomial is one part, and the solver
+        # runs on the whole of it; a constant one (a nilpotent matrix's,
+        # its zero roots stripped) has no part and no root
+        seen = constant = 0
         for _ in range(200):
             char = char_poly(random_matrix(rng, rng.randint(1, 6)))
             stripped, zeros = strip_zeros(char)
@@ -165,12 +166,16 @@ class TestSquarefreeParts:
             if poly_gcd(stripped, derivative) != [1]:
                 continue
             seen += 1
-            assert squarefree_parts(stripped) == [(tuple(stripped), 1)]
+            if stripped == [1]:
+                constant += 1
+                assert squarefree_parts(stripped) == []
+            else:
+                assert squarefree_parts(stripped) == [(tuple(stripped), 1)]
             roots = _durand_kerner([float(c) for c in stripped])
             roots += [complex(0)] * zeros
             roots.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
             assert eigenvalues(char).values == tuple(roots)
-        assert seen > 150
+        assert seen > 150 and constant > 0
 
     def test_repeated_roots_are_equal_values(self, rng):
         for _ in range(50):
