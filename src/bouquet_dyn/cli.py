@@ -18,10 +18,10 @@ routes that disagree (`InconsistencyError`).
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
+from _json import encode_basestring_ascii as _quote
 from collections.abc import Callable
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
@@ -317,16 +317,12 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
 
     # a check row names its iterate; L(f^m) and fix(m) are printed once,
     # in "lefschetz" and "census"
-    checks = []
-    for m in range(1, horizon + 1):
-        c = lefschetz_fix_check(f, m, table.lefschetz_of(m), census.fix_of(m))
-        checks.append({"m": m, "mode": c.mode, "passed": c.passed})
-        if c.mode == "bound-abs":
-            note = (
-                "branch-periodic bound checked with |L| (preserving iterate)"
-            )
-            if note not in warnings:
-                warnings.append(note)
+    checks = lefschetz_fix_check(f, table.lefschetz_numbers, census.fix_counts)
+    # f^2 preserves orientation, so a "bound-abs" row, if any, is one of
+    # the first two
+    if any(c["mode"] == "bound-abs" for c in checks[:2]):
+        warnings.append(
+            "branch-periodic bound checked with |L| (preserving iterate)")
 
     certificates = period_certificates(f, seqs, census, spectrum)
 
@@ -531,31 +527,66 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_quote = json.encoder.encode_basestring_ascii
+#: the C encoder of each scalar type, applied by `map` to a whole list
+_ENCODERS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _table(rows: list, inner: str) -> str | None:
+    """The body of a list of dicts that share one non-empty key set and
+    hold one scalar type per column, rendered through one %-template
+    whose keys are sorted once; None for any other list of dicts."""
+    # rows as long as the first that hold each of its keys hold no other
+    width = len(rows[0])
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    keys = sorted(rows[0])
+    columns = []
+    for key in keys:
+        try:
+            column = [row[key] for row in rows]
+        except KeyError:
+            return None
+        types = set(map(type, column))
+        encode = _ENCODERS.get(types.pop()) if len(types) == 1 else None
+        if encode is None:
+            return None
+        columns.append(map(encode, column))
+    cell = inner + "  "
+    template = ("{" + cell
+                + ("," + cell).join(_quote(k).replace("%", "%%") + ": %s"
+                                    for k in keys)
+                + inner + "}")
+    return ("," + inner).join(map(template.__mod__, zip(*columns)))
 
 
 def json_indent2(value, nl: str = "\n") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, for
     values built from dict, list, str, int, bool and None; `nl` is the
-    newline plus the enclosing indent.  A list of strings is joined in
-    one C-level pass, the bulk of a report."""
+    newline plus the enclosing indent.  A list of scalars of one type is
+    joined in one C-level pass, the bulk of a report, and a list of
+    same-keyed dicts of scalar columns (the check rows) through one row
+    template, each column encoded in one such pass."""
     t = type(value)
-    if t is str:
-        return _quote(value)
-    if t is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if t is bool:
-        return "true" if value else "false"
+    if t in _ENCODERS:
+        return _ENCODERS[t](value)
     inner = nl + "  "
     sep = "," + inner
     if t is list:
         if not value:
             return "[]"
-        try:
-            body = sep.join(map(_quote, value))
-        except TypeError:
+        types = set(map(type, value))
+        kind = types.pop() if len(types) == 1 else None
+        body = None
+        if kind in _ENCODERS:
+            body = sep.join(map(_ENCODERS[kind], value))
+        elif kind is dict:
+            body = _table(value, inner)
+        if body is None:
             body = sep.join([json_indent2(v, inner) for v in value])
         return "[" + inner + body + nl + "]"
     if t is dict:

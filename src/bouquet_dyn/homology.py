@@ -5,7 +5,10 @@ whose (i, j) entry is the signed occurrence count of generator i in the
 image of generator j.  A report builds one `PowerSequences` record of
 M^1..M^K and reads every per-iterate quantity from it: `power_traces`,
 the one routine that raises M to powers, gives the first n traces and
-entry sums, and past them they follow the characteristic recurrence.
+entry sums by baby and giant steps, and past them they follow the
+characteristic recurrence.  The record keeps only the baby steps as
+matrices; a reader of a later power (the certificate walk) multiplies
+it when it reaches it, through `PowerSequences.matrix_powers`.
 `LefschetzTable.of(traces)` is the one route to the Lefschetz numbers
 L(f^m) = 1 - tr M^m (a bouquet has homology in dimensions 0 and 1 only,
 and every iterate acts on dimension 0 as the identity) and to their
@@ -20,15 +23,16 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 from .words import MapAction
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
-#: the record holds M^1..M^min(K, HEAD_POWERS), or to M^isqrt(n) if more
-HEAD_POWERS = 6
+#: the record holds M^1..M^min(K, HEAD_POWERS), or to M^isqrt(n) if more:
+#: the certificate walk reads M^2 of nearly every map, and rarely more
+HEAD_POWERS = 2
 
 
 def abelianize(f: MapAction) -> IntMatrix:
@@ -56,7 +60,8 @@ class PowerSequences(NamedTuple):
     one sign s (every abelianized map's do: its image words share one).
 
     `head` holds M^1..M^h, h = max(isqrt(n), min(K, HEAD_POWERS)), the
-    baby steps of `power_traces`.  `char` is det(xI - M)
+    baby steps of `power_traces`; `matrix_powers` goes on from them.
+    `char` is det(xI - M)
     (`char_from_traces`).  For m = 1..K, `traces[m-1]` is tr M^m, and
     `norms[m-1]` is ||M^m||_1, the sum of |entries|: every entry of M^m
     has the sign s^m, so that is the modulus of the sum of its entries.
@@ -85,6 +90,15 @@ class PowerSequences(NamedTuple):
             tuple(recur(char, traces, k)),
             tuple(map(abs, recur(char, totals, k))),
         )
+
+    def matrix_powers(self, count: int) -> Iterator[IntMatrix]:
+        """M^1..M^count, lazily: the baby steps, then one product per
+        further power, made only when the consumer reaches it."""
+        yield from self.head[:count]
+        power, a = self.head[-1], self.head[0]
+        for _ in range(len(self.head), count):
+            power = mat_mul(power, a)
+            yield power
 
 
 def power_traces(a: IntMatrix, k: int,
@@ -129,16 +143,16 @@ def char_from_traces(traces: Sequence[int]) -> list[int]:
 def recur(char: Sequence[int], head: Sequence[int], k: int) -> list[int]:
     """The first k terms of the sequence that starts with `head` and then
     follows x_m = -(c_0 x_(m-n) + ... + c_(n-1) x_(m-1)), for `char` =
-    [c_0, ..., c_n] and len(head) >= n; zero coefficients are skipped.
+    [c_0, ..., c_n] and len(head) >= n.  Each term is one dot product of
+    the whole coefficient vector, zeros included, with the slice of the n
+    terms before it, so no list is built per term.
     By Cayley-Hamilton every entry of M^m, and so every trace and sum of
     entries, follows the recurrence of M's characteristic polynomial."""
     n = len(char) - 1
-    lags = [n - i for i in range(n) if char[i]]
-    coeffs = [-char[i] for i in range(n) if char[i]]
+    coeffs = [-c for c in char[:n]]
     out = list(head[:k])
     for m in range(len(out), k):
-        out.append(sum(map(operator.mul, coeffs,
-                           [out[m - lag] for lag in lags])))
+        out.append(sum(map(operator.mul, coeffs, out[m - n:m])))
     return out
 
 

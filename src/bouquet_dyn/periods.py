@@ -8,16 +8,12 @@ periodic Lefschetz number mixes two period counts.
 
 from __future__ import annotations
 
+from itertools import count
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InconsistencyError, InputError
-from .homology import (
-    HEAD_POWERS,
-    IntMatrix,
-    PowerSequences,
-    invert_divisor_sums,
-)
+from .homology import IntMatrix, PowerSequences, invert_divisor_sums
 from .spectral import SpectrumReport, m0_bound
 from .words import MapAction
 
@@ -120,18 +116,13 @@ def per_census(fixes: tuple[int, ...]) -> FixCountTable:
 # ---------------------------------------------------------------------------
 # Lefschetz cross-checks
 
-class LefschetzFixCheck(NamedTuple):
-    """Outcome of comparing L(f^m) against the exact fixed-point count."""
-
-    passed: bool
-    mode: str
-
-
 def lefschetz_fix_check(
-    f: MapAction, m: int, lef: int, fix: int
-) -> LefschetzFixCheck:
-    """Check the sign-matched Lefschetz/fixed-point relation between
-    lef = L(f^m) and fix = #Fix(f^m).
+    f: MapAction, lefs: Sequence[int], fixes: Sequence[int]
+) -> list[dict]:
+    """The report's check row {"m", "mode", "passed"} of every iterate
+    m = 1..len(lefs), comparing lefs[m-1] = L(f^m) with fixes[m-1] =
+    #Fix(f^m) by the sign-matched Lefschetz/fixed-point relation, in one
+    pass.
 
     Unless f fixes the branching point as a based vertex (branch class 1)
     the relation is an equality: L = -#Fix when the iterate preserves
@@ -139,19 +130,30 @@ def lefschetz_fix_check(
     bound holds: L <= #Fix <= 2n - 1 + L, with L replaced by |L| for a
     preserving iterate (the equality case fixes L <= 0 there, so the
     printed bound would be vacuous otherwise; the chosen convention is
-    recorded in the mode string).
+    recorded in the mode string).  An iterate reverses orientation when f
+    does and m is odd.
     """
-    if m < 1:
-        raise InputError(f"iterate must be >= 1, got {m}")
-    preserving = f.global_sign > 0 or m % 2 == 0
+    reversing = f.global_sign < 0
+    rows = []
     if f.branch_class != 1:
-        if preserving:
-            return LefschetzFixCheck(lef == -fix, "equality-preserving")
-        return LefschetzFixCheck(lef == fix, "equality-reversing")
-    bound_l = abs(lef) if preserving else lef
-    mode = "bound-abs" if preserving else "bound"
-    passed = bound_l <= fix <= 2 * f.n - 1 + bound_l
-    return LefschetzFixCheck(passed, mode)
+        for m, lef, fix in zip(count(1), lefs, fixes):
+            if reversing and m % 2:
+                rows.append({"m": m, "mode": "equality-reversing",
+                             "passed": lef == fix})
+            else:
+                rows.append({"m": m, "mode": "equality-preserving",
+                             "passed": lef == -fix})
+        return rows
+    top = 2 * f.n - 1
+    for m, lef, fix in zip(count(1), lefs, fixes):
+        if reversing and m % 2:
+            rows.append({"m": m, "mode": "bound",
+                         "passed": lef <= fix <= top + lef})
+        else:
+            lef = abs(lef)
+            rows.append({"m": m, "mode": "bound-abs",
+                         "passed": lef <= fix <= top + lef})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,9 @@ class Conclusion(NamedTuple):
         excluded = None if self.excluded is None else m * self.excluded
         return Conclusion("multiples", m * self.m, excluded)
 
+
+#: the doubling and low-growth families are tried on f^1..f^CRITERIA_POWERS
+CRITERIA_POWERS = 6
 
 ALL_PERIODS = Conclusion("multiples")
 ALL_BUT_1 = Conclusion("multiples", 1, 1)
@@ -288,14 +293,14 @@ def _lowgrow_on(mat: IntMatrix, k: int | None) -> tuple[str, Conclusion, dict] |
     return None
 
 
-def _criteria_hits(f: MapAction, head: tuple[IntMatrix, ...]):
+def _criteria_hits(f: MapAction, powers: Iterable[IntMatrix]):
     """Yield (m, family, case, conclusion, witness) for each hypothesis
-    family that fires on the chi-matrix head[m-1] = M^m of f^m, in order
-    of m, doubling before low growth.  Every tester reads the branch
-    class of f itself: only class 1 fixes the branching point as a based
-    vertex, under every iterate.
+    family that fires on the chi-matrix M^m of f^m, the m-th of `powers`,
+    in order of m, doubling before low growth.  Every tester reads the
+    branch class of f itself: only class 1 fixes the branching point as a
+    based vertex, under every iterate.
     """
-    for m, mat in enumerate(head, start=1):
+    for m, mat in enumerate(powers, start=1):
         for family, tester in (("doubling", _doubling_on), ("lowgrow", _lowgrow_on)):
             hit = tester(mat, f.branch_class)
             if hit is not None:
@@ -351,17 +356,20 @@ def period_certificates(
 ) -> list[PeriodCertificate]:
     """Every period certificate that fires for f, in report order.
 
-    The doubling and low-growth families are tried on M^1..M^min(H, 6),
-    read off the record's head, H being the census horizon.  At m = 1 each
-    family that fires gives its own certificate.  The first later hit
-    whose conclusion promotes gives one delayed certificate over
-    multiples of m.  Then one fmbig certificate lists every m up to H
-    that `fmbig_periods` certifies, and the dominant-eigenvalue
-    certificate reads that same list.
+    The doubling and low-growth families are tried on M^1..M^min(H,
+    CRITERIA_POWERS), H being the census horizon, walked lazily by
+    `PowerSequences.matrix_powers`: the record's baby steps first, and a
+    later power is multiplied only when the walk reaches it.  At m = 1
+    each family that fires gives its own certificate.  The first later
+    hit whose conclusion promotes gives one delayed certificate over
+    multiples of m and ends the walk, for most maps at m = 2, so past
+    the baby steps nothing is multiplied.  Then one fmbig certificate
+    lists every m up to H that `fmbig_periods` certifies, and the
+    dominant-eigenvalue certificate reads that same list.
     """
     certs = []
     for m, family, case, conclusion, witness in _criteria_hits(
-        f, seqs.head[: min(census.horizon, HEAD_POWERS)]
+        f, seqs.matrix_powers(min(census.horizon, CRITERIA_POWERS))
     ):
         if m == 1:
             certs.append(PeriodCertificate(f"{family}({case})", conclusion, witness))

@@ -705,6 +705,16 @@ class TestJsonIndent2:
         [None, True, False], {"none": None, "true": True, "false": False},
         [-1, 0, 2**64 + 1, -(2**70)], ["a", 1, "b", None], ["x", ["y", "z"]],
         "bare", 7, -7, None, True, False,
+        # tables: lists of same-keyed dicts, and the lists that are not
+        [{"100%": 1, 'say "x"': "%s", "%d": True},
+         {"100%": 2, 'say "x"': "%%", "%d": False}],
+        [{"a": 1, "b": 2}, {"a": 3}], [{"a": 1}, {"b": 1}],
+        [{"m": 1}, {"m": True}], [{"m": True}, {"m": 1}],
+        [{"x": None, "y": "s"}, {"x": None, "y": "t"}],
+        [{"a": None}, {"a": "x"}],
+        [{"a": [1, 2]}, {"a": [3]}], [{"a": {"b": 1}}, {"a": {"b": 2}}],
+        [{}, {}], [{"m": 1, "mode": "bound", "passed": False}],
+        [{"a": 1}, "b"],
     ])
     def test_hand_built_values(self, value):
         assert json_indent2(value) + "\n" == dumps(value)
@@ -725,6 +735,7 @@ class TestJsonIndent2:
 
     @pytest.mark.parametrize("value", [
         1.5, (1, 2), {1: "a"}, ["a", 1.5], {"a": [{"b": (1,)}]}, [1, 1.5],
+        [{"a": 1.5}, {"a": 2.5}],
     ])
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):

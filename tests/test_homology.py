@@ -11,12 +11,15 @@ from bouquet_dyn import (
     PowerSequences,
     abelianize,
     action,
+    eigenvalues,
     fix_counts,
+    per_census,
 )
 from bouquet_dyn.errors import InputError
 from bouquet_dyn import homology
 from bouquet_dyn.cli import parse_spec
 from bouquet_dyn.homology import invert_divisor_sums, mat_mul, power_traces
+from bouquet_dyn.periods import period_certificates
 from bouquet_dyn.words import Letter, MapAction, Word
 
 from conftest import (
@@ -73,11 +76,11 @@ class TestAbelianize:
 
 class TestMatrixOps:
     def test_low_growth_cube(self):
-        m3 = PowerSequences.of(abelianize(LOW_GROWTH), 3).head[2]
+        m3 = [*PowerSequences.of(abelianize(LOW_GROWTH), 3).matrix_powers(3)][2]
         assert m3 == ((4, 2, 4), (0, 0, 0), (4, 2, 4))
 
     def test_six_cycle_sixth_power(self):
-        m6 = PowerSequences.of(abelianize(SIX_CYCLE), 6).head[5]
+        m6 = [*PowerSequences.of(abelianize(SIX_CYCLE), 6).matrix_powers(6)][5]
         assert m6[0] == (1, 6, 6, 6)
         assert tuple(row[1:] for row in m6[1:]) == identity(3)
 
@@ -101,9 +104,9 @@ class TestMatrixOps:
         for _ in range(20):
             m = random_signed_matrix(rng, rng.randint(1, 8))
             seqs = PowerSequences.of(m, 9)
-            assert len(seqs.head) == max(math.isqrt(len(m)), 6)
-            for k in range(1, len(seqs.head) + 1):
-                assert seqs.head[k - 1] == mat_pow(m, k)
+            assert len(seqs.head) == max(math.isqrt(len(m)), 2)
+            for k, power in enumerate(seqs.matrix_powers(9), start=1):
+                assert power == mat_pow(m, k)
             for k in range(1, 10):
                 assert seqs.traces[k - 1] == trace(mat_pow(m, k))
 
@@ -113,6 +116,27 @@ class TestMatrixOps:
         assert seqs.head == (((2,),),) and seqs.char == (-2, 1)
         with pytest.raises(InputError):
             PowerSequences.of(((2,),), -1)
+
+
+def shift(n, sign=1):
+    """The nilpotent n-by-n shift, entries sign on the superdiagonal."""
+    return tuple(tuple(sign * (j == i + 1) for j in range(n)) for i in range(n))
+
+
+def cycle(n):
+    """The permutation matrix of an n-cycle: characteristic x^n - 1."""
+    return tuple(tuple(int(j == (i + 1) % n) for j in range(n))
+                 for i in range(n))
+
+
+#: matrices whose characteristic polynomials are mostly zeros: nilpotent
+#: (x^n), permutations (x^n - 1, (x^2 - 1)(x - 1)) and a zero block
+#: beside a golden-mean block (x^3 (x^2 - x - 1))
+SPARSE = (
+    shift(5), shift(7, -1), cycle(4), cycle(9),
+    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+    tuple(row + (0,) * 3 for row in ((1, 1), (1, 0))) + ((0,) * 5,) * 3,
+)
 
 
 def random_map(rng, n, sign, branch_class):
@@ -158,9 +182,10 @@ class TestPowerSequences:
                 f = random_map(rng, n, sign, branch)
                 mat = abelianize(f)
                 seqs = PowerSequences.of(mat, k)
-                h = max(math.isqrt(n), min(k, 6))
+                h = max(math.isqrt(n), min(k, 2))
                 ladder = powers(mat, max(h, k))
                 assert seqs.head == ladder[:h], (f, k)
+                assert tuple(seqs.matrix_powers(max(h, k))) == ladder, (f, k)
                 assert seqs.char == tuple(char_poly(mat)), f
                 ladder = ladder[:k]
                 assert seqs.traces == tuple(map(trace, ladder)), (f, k)
@@ -175,6 +200,17 @@ class TestPowerSequences:
                          ("n > 6", n > 6), ("reversing", sign < 0),
                          ("gamma route", gamma_route)}
         assert all((what, True) in seen for what, _ in seen), seen
+        # sparse characteristic polynomials, K below and above n: the
+        # recurrence dots its whole coefficient vector, zeros included
+        for mat in SPARSE:
+            n = len(mat)
+            for k in range(3 * n + 2):
+                seqs = PowerSequences.of(mat, k)
+                ladder = powers(mat, k)
+                assert seqs.char == tuple(char_poly(mat)), mat
+                assert seqs.traces == tuple(map(trace, ladder)), (mat, k)
+                assert seqs.norms == tuple(map(norm1, ladder)), (mat, k)
+                assert tuple(seqs.matrix_powers(k)) == ladder, (mat, k)
 
     def test_rejects_mixed_signs(self):
         with pytest.raises(InputError):
@@ -227,13 +263,30 @@ class TestPowerTraces:
         return calls
 
     def test_products_up_to_six_circles(self, monkeypatch, rng):
-        # the head M^1..M^6 alone: n <= 6 traces need no giant step
+        # baby steps M^1, M^2: one product, and n <= 4 traces need no
+        # more; n = 5, 6 take one giant step M^4
         calls = self.count_products(monkeypatch)
         for n in range(1, 7):
             for k in (6, 7, 40):
                 calls.clear()
                 PowerSequences.of(random_signed_matrix(rng, n), k)
-                assert len(calls) == 5, (n, k)
+                assert len(calls) == (1 if n <= 4 else 2), (n, k)
+
+    @pytest.mark.parametrize("images, products", [
+        # doubling at m = 1, then a promoted hit on M^2 ends the walk
+        (("a1 a1",), 0),
+        # no family fires on the identity, so the walk reaches M^6
+        (("a1", "a2"), 4),
+    ])
+    def test_certificate_walk(self, monkeypatch, images, products):
+        # the walk over M^1..M^6 multiplies a power past the record's
+        # baby steps M^1, M^2 only when it reaches it
+        f = action(*images)
+        seqs = PowerSequences.of(abelianize(f), 12)
+        census = per_census(fix_counts(f, seqs.traces))
+        calls = self.count_products(monkeypatch)
+        period_certificates(f, seqs, census, eigenvalues(seqs.char))
+        assert len(calls) == products
 
     def test_cap_edge(self, monkeypatch):
         # n = 64: 7 products for the baby steps M^1..M^8 and one for each

@@ -33,9 +33,10 @@ def test_standard_library_only():
 
 
 #: modules a report does not need, each costly to import: the entry
-#: points load `argparse` and `importlib.resources` themselves
+#: points load `argparse` and `importlib.resources` themselves, and the
+#: renderer takes its one encoder from the C module `_json`
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "argparse",
-         "importlib.resources"}
+         "importlib.resources", "json"}
 
 
 def test_import_loads_only_what_a_report_needs():

@@ -85,10 +85,14 @@ def fmbig_listed(f, horizon):
 
 
 def check(f, m):
-    """The check of f^m, with the L(f^m) and fix(f^m) it was given."""
+    """The check row of f^m, with the L(f^m) and fix(f^m) it was given;
+    the rows of f^1..f^m come from one call, one row per iterate."""
     seqs = record(f, m)
-    lef, fix = 1 - seqs.traces[-1], fix_counts(f, seqs.traces)[-1]
-    return lefschetz_fix_check(f, m, lef, fix), lef, fix
+    lefs = [1 - t for t in seqs.traces]
+    fixes = fix_counts(f, seqs.traces)
+    rows = lefschetz_fix_check(f, lefs, fixes)
+    assert [row["m"] for row in rows] == list(range(1, m + 1))
+    return rows[-1], lefs[-1], fixes[-1]
 
 
 class TestFixCount:
@@ -179,18 +183,29 @@ class TestLefschetzPerCount:
 class TestLefschetzFixCheck:
     def test_reversing_equality(self):
         c, lef, fix = check(REFLECT, 1)
-        assert c.passed and c.mode == "equality-reversing"
+        assert c["passed"] and c["mode"] == "equality-reversing"
         assert lef == 3 == fix
 
     def test_preserving_square(self):
         c, lef, fix = check(REFLECT, 2)
-        assert c.passed and c.mode == "equality-preserving"
+        assert c["passed"] and c["mode"] == "equality-preserving"
         assert lef == -3 and fix == 3
 
     def test_branch_periodic_bound(self):
         c, lef, fix = check(action("a1 a1 a1", k=1), 1)
-        assert c.passed and c.mode == "bound-abs"
+        assert c["passed"] and c["mode"] == "bound-abs"
         assert lef == -2 and fix == 2
+
+    def test_branch_periodic_reversing_bound(self):
+        # class 1, reversing: L itself bounds #Fix at odd m, |L| at even
+        # m, each row in the same pass; the odd rows fail the bound here,
+        # a fault of the class-1 counts on reversing iterates
+        f = action("a1' a1'", k=1)
+        for m, mode in ((1, "bound"), (2, "bound-abs"), (3, "bound")):
+            c, lef, fix = check(f, m)
+            bound = lef if mode == "bound" else abs(lef)
+            assert c["mode"] == mode
+            assert c["passed"] == (bound <= fix <= 1 + bound), m
 
 
 class TestDoubling:
