@@ -101,27 +101,30 @@ class PowerSequences(NamedTuple):
             yield power
 
 
-def power_traces(a: IntMatrix, k: int,
-                 h: int) -> tuple[list[IntMatrix], list[int], list[int]]:
+def power_traces(a: IntMatrix, k: int, h: int, sums: bool = True
+                 ) -> tuple[list[IntMatrix], list[int], list[int]]:
     """The baby steps M^1..M^h (h >= 1) and, for m = 1..k, tr M^m and the
-    sum of the entries of M^m, by baby and giant steps (Paterson and
-    Stockmeyer, SIAM J. Comput. 2, 1973).  Each giant step M^(hb) costs
-    one product and gives M^(hb+a) = M^a M^(hb), a = 1..h: its trace is
-    one dot product per row of M^a, its entry sum M^a's column sums
-    dotted with M^(hb)'s row sums, formed only when k > h."""
+    sum of the entries of M^m (none unless `sums`), by baby and giant
+    steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).  Each giant
+    step M^(hb) costs one product and gives M^(hb+a) = M^a M^(hb), a =
+    1..h: its trace is one dot product per row of M^a, its entry sum M^a's
+    column sums dotted with M^(hb)'s row sums, formed only when k > h."""
     baby = [a]
     while len(baby) < h:
         baby.append(mat_mul(baby[-1], a))
     traces = [sum(p[i][i] for i in range(len(p))) for p in baby[:k]]
-    totals = [sum(map(sum, p)) for p in baby[:k]]
-    col_sums = [tuple(map(sum, zip(*p))) for p in baby] if k > h else []
+    totals = [sum(map(sum, p)) for p in baby[:k]] if sums else []
+    col_sums = ([tuple(map(sum, zip(*p))) for p in baby]
+                if sums and k > h else [])
     giant = baby[-1]
     for hb in range(h, k, h):
-        cols, row_sums = tuple(zip(*giant)), tuple(map(sum, giant))
-        for p, c in zip(baby, col_sums[:k - hb]):
+        cols = tuple(zip(*giant))
+        for p in baby[:k - hb]:
             traces.append(sum(sum(map(operator.mul, row, col))
                               for row, col in zip(p, cols)))
-            totals.append(sum(map(operator.mul, c, row_sums)))
+        row_sums = tuple(map(sum, giant)) if sums else ()
+        totals += (sum(map(operator.mul, c, row_sums))
+                   for c in col_sums[:k - hb])
         if hb + h < k:
             giant = mat_mul(giant, baby[-1])
     return baby, traces, totals

@@ -14,14 +14,14 @@ counts every iterate f^1..f^depth on that one partition, composing none.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DegenerateMapError, InputError, LiftConstructionError
 from .homology import char_from_traces, power_traces, recur
-from .words import MapAction, Word
+from .words import Letter, MapAction, Word
 
 #: `oracle_counts` counts covers to this iterate, the last a report prints
 COVER_DEPTH = 8
@@ -42,7 +42,7 @@ class PLLift(NamedTuple):
     pieces: tuple[tuple[int, int, int, int], ...]
 
 
-def _rotate_to_base(w: Word) -> Word:
+def _rotate_to_base(w: Word) -> tuple[Letter, ...]:
     """Cyclic rotation bringing a generator-1 letter to the front.
 
     Rotation is a free homotopy of the underlying loop, so the realized
@@ -52,7 +52,7 @@ def _rotate_to_base(w: Word) -> Word:
     """
     for p, letter in enumerate(w):
         if letter.index == 1:
-            return Word(w[p:] + w[:p])
+            return w[p:] + w[:p]
     raise LiftConstructionError(
         f"image word '{w.text()}' never visits circle 1; the canonical "
         "lift construction cannot anchor it at the branch image"
@@ -145,9 +145,10 @@ def _cycles(step: Sequence[int]) -> Iterator[list[int]]:
             state[i] = 2
 
 
-def _points(lift: PLLift) -> dict[int, tuple[int, int]]:
+def _points(lift: PLLift) -> dict[int, tuple]:
     """O*, the integers, the piece ends and all their forward orbits, each
-    with the pieces to its left and right (-1 past 0 and n).
+    with the (value, slope) of the pieces to its left and right (None
+    past 0 and n).
 
     Refuses a lift that is not continuous on the quotient: its two
     one-sided values at a point off the integers must agree or both be
@@ -157,17 +158,20 @@ def _points(lift: PLLift) -> dict[int, tuple[int, int]]:
     top = lift.n * scale
     los = [lo for lo, _, _, _ in pieces]
     todo = [*range(0, top + 1, scale), *los]
-    sides: dict[int, tuple[int, int]] = {}
+    ends = {}
     at_integers = set()
     while todo:
         x = todo.pop()
-        if x in sides:
+        if x in ends:
             continue
-        left = bisect_left(los, x) - 1 if x else -1
-        right = bisect_right(los, x) - 1 if x < top else -1
-        sides[x] = left, right
-        values = {pieces[p][2] * x + pieces[p][3]
-                  for p in (left, right) if p >= 0}
+        p = bisect_right(los, x) - 1
+        _, _, s, b = pieces[p]
+        right = (s * x + b, s) if x < top else None
+        if x == los[p]:  # a piece end: the piece to its left is the one before
+            _, _, s, b = pieces[p - 1]
+        left = (s * x + b, s) if x else None
+        ends[x] = left, right
+        values = {end[0] for end in (left, right) if end}
         if x % scale == 0:
             at_integers |= values
         elif len(values) > 1 and any(v % scale for v in values):
@@ -178,7 +182,7 @@ def _points(lift: PLLift) -> dict[int, tuple[int, int]]:
         todo.extend(values)
     if len(at_integers) > 1 and any(v % scale for v in at_integers):
         raise InputError("the lift is not continuous at the branching point")
-    return sides
+    return ends
 
 
 def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
@@ -186,44 +190,47 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
     partition (Block, Guckenheimer, Misiurewicz and Young, LNM 819, 1980).
 
     O* (`_points`) is finite, and f maps each cell between neighbouring
-    points of O* linearly onto a run of cells.  A closed itinerary of m
-    cells has one fixed point of f^m in its closure: inside the cell, or
-    a point of O* whose germ (point, side) returns to itself after m
-    steps.  So the crossings are tr T^m, T the cells' transition matrix,
-    less the germs that return after m steps, plus the points of O* off
-    the integers that f^m fixes; both corrections are read off the
-    cycles of two finite maps.  tr T^m = tr S^m for the smaller S below,
-    by baby and giant steps (`power_traces`) up to dim S and its
-    characteristic recurrence past it.  A cycle of cells that slope +-1
-    maps onto each other makes an iterate the identity there; it is
-    refused when that iterate is at most `depth`.
+    points of O* linearly onto a run of cells; every map below is read
+    off the one walk of O* by index.  A closed itinerary of m cells has
+    one fixed point of f^m in its closure: inside the cell, or a point of
+    O* whose germ (point, side) returns to itself after m steps.  So the
+    crossings are tr T^m, T the cells' transition matrix, less the germs
+    that return after m steps, plus the points of O* off the integers
+    that f^m fixes; both corrections are read off the cycles of two
+    finite maps.  tr T^m = tr S^m for the smaller S below, by baby and
+    giant steps (`power_traces`) up to dim S and its characteristic
+    recurrence past it.  The branch period is read off the point map.  A
+    cycle of cells that slope +-1 maps onto each other makes an iterate
+    the identity there; it is refused when that iterate is at most
+    `depth`.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
-    scale, pieces = lift.scale, lift.pieces
-    sides = _points(lift)
-    pts = sorted(sides)
+    scale = lift.scale
+    ends = _points(lift)
+    pts = sorted(ends)
     index = {x: i for i, x in enumerate(pts)}
     cells = len(pts) - 1
-    # the point map, the germ map (germ 2i + 1 is right of point i, 2i
-    # left of it), and each cell's image (u, v): the cells u..v-1
+    # the point map (by the value from the right, from the left at n),
+    # the germ map (germ 2i + 1 is right of point i, 2i left of it), and
+    # each cell's image (u, v): the cells u..v-1, between its ends' images
     point = [0] * len(pts)
     germ = [-1] * (2 * len(pts))
     images = []
     for i, x in enumerate(pts):
-        left, right = sides[x]
-        for side, p in ((0, left), (1, right)):
-            if p >= 0:
-                _, _, s, b = pieces[p]
-                j = index[s * x + b]
-                germ[2 * i + side] = 2 * j + ((s > 0) == side)
-                point[i] = j
-        if i < cells:
-            _, _, s, b = pieces[right]
+        left, right = ends[x]
+        if left:
+            v, s = left
+            j = point[i] = index[v]
+            germ[2 * i] = 2 * j + (s < 0)
+            u = point[i - 1]
+            images.append((u, j, s) if s > 0 else (j, u, s))
+        if right:
+            v, s = right
             if s == 0:
                 raise InputError(f"the lift is constant at {_ratio(x, scale)}")
-            u, v = sorted((index[s * x + b], index[s * pts[i + 1] + b]))
-            images.append((u, v, s))
+            j = point[i] = index[v]
+            germ[2 * i + 1] = 2 * j + (s > 0)
     # cells that slope +-1 maps onto one cell: a cycle of them is the
     # identity at its length, or at twice it when it reverses
     unit = [u if abs(s) == 1 and v == u + 1 else -1 for u, v, s in images]
@@ -249,7 +256,7 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
             row[block[v]] -= 1
         mat.append(tuple(accumulate(row[:-1])))
     k = min(depth, len(mat))
-    _, traces, _ = power_traces(tuple(mat), k, math.isqrt(k))
+    _, traces, _ = power_traces(tuple(mat), k, math.isqrt(k), sums=False)
     if depth > len(mat):
         traces = recur(char_from_traces(traces), traces, depth)
     # f^m fixes the points of a cycle of length L, and returns its germs,
@@ -262,23 +269,31 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
         off = sum(pts[i] % scale != 0 for i in cycle)
         for m in range(len(cycle), depth + 1, len(cycle)):
             crossings[m - 1] += off
+    integer = [x % scale == 0 for x in pts]
+    # f^t(0) is point 0 moved t times by the point map, within the
+    # window; after len(pts) steps its orbit has cycled, so it stops there
+    i, branch_period = 0, None
+    for t in range(1, min(max(BRANCH_WATCH, depth + 1), len(pts)) + 1):
+        i = point[i]
+        if integer[i]:
+            branch_period = t
+            break
     # covers[m-1] = sum over cells of reach_m, the cell's points that f^m
     # sends to an integer, plus the points of O* below n that it does;
     # reach_m of a cell is reach_(m-1) over the cells in its image plus
     # the points of O* inside its image that f^(m-1) sends to an integer
-    integer = [x % scale == 0 for x in pts]
-    orbit = list(range(len(pts)))
+    hit = integer
+    points_sum = list(accumulate(hit, initial=0))
     reach = [0] * cells
     covers = []
     for _ in range(min(depth, COVER_DEPTH)):
         cells_sum = list(accumulate(reach, initial=0))
-        points_sum = list(accumulate((integer[j] for j in orbit), initial=0))
         reach = [cells_sum[v] - cells_sum[u] + points_sum[v] - points_sum[u + 1]
                  for u, v, _ in images]
-        orbit = [point[j] for j in orbit]
-        covers.append(sum(reach) + sum(integer[j] for j in orbit[:cells]))
-    return OracleCounts(tuple(crossings), tuple(covers), lift_branch_period(
-        lift, max(BRANCH_WATCH, depth + 1)))
+        hit = [hit[j] for j in point]
+        points_sum = list(accumulate(hit, initial=0))
+        covers.append(sum(reach) + points_sum[cells])
+    return OracleCounts(tuple(crossings), tuple(covers), branch_period)
 
 
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:

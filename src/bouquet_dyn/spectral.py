@@ -21,7 +21,7 @@ from .errors import InputError
 #: modulus gap below which two leading eigenvalues count as tied
 DOMINANCE_EPS = 1e-8
 
-#: upper end of the range `m0_bound` bisects
+#: the largest m that `m0_bound` tests
 M0_SCAN_CAP = 10_000
 
 
@@ -233,8 +233,9 @@ def m0_bound(s: SpectrumReport, dim: int) -> int | None:
     d s1^(-m/2) + (d + 1) s1^(-m) + d (s2/s1)^m, which strictly
     decreases in m once s1 > max(1, s2), as dominance guarantees; so the
     first m that passes is final, and every later m passes.  That first m
-    is found by bisection over 1..M0_SCAN_CAP, in a few steps whatever
-    the spectrum.  Computed in log space so huge powers never overflow.
+    is found by testing m = 1, 2, 4, .. up to M0_SCAN_CAP and bisecting
+    inside the last doubling, in about 2 log2 m0 steps.  Computed in log
+    space so huge powers never overflow.
     Returns None when the spectrum is not dominant (`dominant_test`), or
     when no m up to the cap passes.
     """
@@ -258,5 +259,9 @@ def m0_bound(s: SpectrumReport, dim: int) -> int | None:
         lhs = m * log_s1
         return lhs - rhs > 1e-12 * max(1.0, lhs)
 
-    m0 = bisect_left(range(1, M0_SCAN_CAP + 1), True, key=passes) + 1
-    return m0 if m0 <= M0_SCAN_CAP else None
+    lo, m = 0, 1
+    while not passes(m):
+        if m == M0_SCAN_CAP:
+            return None
+        lo, m = m, min(2 * m, M0_SCAN_CAP)
+    return lo + 1 + bisect_left(range(lo + 1, m), True, key=passes)

@@ -13,6 +13,7 @@ from bouquet_dyn import (
     action,
     build_lift,
     fix_counts,
+    homology,
     oracle_counts,
     per_census,
     pl_oracle,
@@ -22,7 +23,7 @@ from bouquet_dyn.errors import (
     InputError,
     LiftConstructionError,
 )
-from bouquet_dyn.homology import recur
+from bouquet_dyn.homology import mat_mul, power_traces, recur
 from bouquet_dyn.pl_oracle import (
     BRANCH_WATCH,
     COVER_DEPTH,
@@ -51,6 +52,9 @@ DOUBLE = action("a1 a1")
 LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
 # x -> 2 - x on [0, 2]
 FLIP = PLLift(2, 1, ((0, 1, -1, 2), (1, 2, -1, 2)))
+# x -> x + 1/20 on [0, 19/20), then down from 1 to 1/20: the orbit of 0
+# climbs by 1/20 a step and first meets an integer at step 20
+SLOW_RETURN = PLLift(1, 20, ((0, 19, 1, 1), (19, 20, -19, 381)))
 
 
 def formula_fixes(f, depth):
@@ -230,12 +234,15 @@ class TestBranchOrbit:
         assert lift_branch_period(lift, 6) is None
 
     def test_sweep_period_matches_lift_branch_period(self):
-        # the oracle follows the branch orbit in the lift's integers to
+        # the oracle follows the branch orbit through its point map to
         # max(BRANCH_WATCH, depth + 1) steps; on canonical lifts whose
-        # orbit may or may not return to an integer it gives the period
-        # of the public helper and of the pointwise orbit
+        # orbit may or may not return to an integer, at depths 1-7 and
+        # 13-40, and on their composed squares, it gives the period of
+        # the public helper and of the pointwise orbit
         rng = random.Random(12)
+        depths = random.Random(13)
         returns = []
+        deep_returns = set()
         while len(returns) < 150:
             f = random_action(rng, n_max=4, len_max=3)
             try:
@@ -252,7 +259,48 @@ class TestBranchOrbit:
                 assert lift_branch_period(lift, steps) == orbit_period(
                     lift, steps), (f, steps)
             returns.append(period is not None)
-        assert set(returns) == {True, False}
+            for case in (lift, iterate_lift(lift, 2)):
+                depth = depths.randint(13, 40)
+                try:
+                    counts = oracle_counts(case, depth)
+                except DegenerateMapError:
+                    continue
+                period = orbit_period(case, depth + 1)
+                assert counts.branch_period == period, (f, depth)
+                assert lift_branch_period(case, depth + 1) == period, f
+                deep_returns.add(period is not None)
+        assert set(returns) == deep_returns == {True, False}
+
+    def test_window_holds_a_late_return(self):
+        # the first return at step 20 > BRANCH_WATCH is seen exactly when
+        # the window max(BRANCH_WATCH, depth + 1) reaches it
+        assert orbit_period(SLOW_RETURN, 20) == 20
+        for depth, period in ((18, None), (19, 20), (30, 20)):
+            assert oracle_counts(SLOW_RETURN, depth).branch_period == period
+            assert lift_branch_period(SLOW_RETURN, depth + 1) == period
+
+    def test_no_second_orbit_walk(self, monkeypatch):
+        # the counts read the branch period off the point map: with the
+        # helper's own orbit walk refused they come out the same
+        rng = random.Random(14)
+        cases = [(SLOW_RETURN, 19), (FLIP, 1)]
+        while len(cases) < 80:
+            f = random_action(rng, n_max=4, len_max=3)
+            try:
+                lift = build_lift(f)
+                depth = rng.randint(1, 30)
+                oracle_counts(lift, depth)
+            except LiftConstructionError:
+                continue
+            cases.append((lift, depth))
+        expected = [oracle_counts(lift, depth) for lift, depth in cases]
+        assert {c.branch_period is None for c in expected} == {True, False}
+
+        def refused(*args):
+            raise AssertionError("a second walk of the branch orbit")
+
+        monkeypatch.setattr(pl_oracle, "lift_branch_period", refused)
+        assert [oracle_counts(lift, depth) for lift, depth in cases] == expected
 
 
 class TestCountFixed:
@@ -354,6 +402,44 @@ class TestTableMatchesWalk:
             recurred.append(False)
             assert oracle_counts(lift, depth) == walk_counts(lift, depth), f
         assert recurred.count(True) > 20 and recurred.count(False) > 20
+
+    def test_products_up_to_dim_eight(self, monkeypatch):
+        # tr S^1..S^k, k = min(depth, dim S), by baby steps S^1..S^isqrt(k)
+        # and one product per further giant step; k <= 2 takes none
+        products = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2, 7: 3, 8: 3}
+        calls, dims = [], []
+
+        def counted(a, b):
+            calls.append(1)
+            return mat_mul(a, b)
+
+        def spy(a, *args, **kwargs):
+            dims.append(len(a))
+            return power_traces(a, *args, **kwargs)
+
+        monkeypatch.setattr(homology, "mat_mul", counted)
+        monkeypatch.setattr(pl_oracle, "power_traces", spy)
+        rng = random.Random(24)
+        seen = set()
+        for _ in range(400):
+            f = random_action(rng, n_max=5, len_max=4)
+            try:
+                lift = build_lift(f)
+            except LiftConstructionError:
+                continue
+            for depth in (*range(1, 9), 40):
+                calls.clear()
+                dims.clear()
+                try:
+                    oracle_counts(lift, depth)
+                except DegenerateMapError:
+                    continue
+                (dim,) = dims
+                if dim <= 8:
+                    k = min(depth, dim)
+                    assert len(calls) == products[k], (f, depth, dim)
+                    seen.add(k)
+        assert seen == set(products)
 
     def test_composed_lifts(self):
         # f^2 and f^3, composed by the walk, are lifts whose piece ends

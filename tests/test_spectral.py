@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bouquet_dyn import PowerSequences, abelianize, action, eigenvalues
+from bouquet_dyn import PowerSequences, abelianize, action, eigenvalues, spectral
 from bouquet_dyn.errors import InputError
 from bouquet_dyn.spectral import (
     M0_SCAN_CAP,
@@ -306,6 +306,34 @@ class TestM0Bound:
             assert passes(s1, s2, n, m0)
             assert m0 == 1 or not passes(s1, s2, n, m0 - 1)
             assert all(passes(s1, s2, n, m) for m in range(m0, M0_SCAN_CAP + 1))
+        assert found == {True, False}
+
+    def test_doubling_search_steps(self, monkeypatch):
+        # m = 1, 2, 4, .. until one passes, then bisection inside the last
+        # doubling: each evaluation of the inequality is one log-sum-exp
+        calls = []
+        real = spectral._logsumexp
+
+        def counted(vals):
+            calls.append(1)
+            return real(vals)
+
+        monkeypatch.setattr(spectral, "_logsumexp", counted)
+        rng = random.Random(0x30B1)
+        cases = [(SpectrumReport((), values, 0.0), 1)
+                 for values in ((1 + 1e-6, 0.5), (1.001, 0.5), (10.0, 0.0))]
+        while len(cases) < 60:
+            n = rng.randint(1, 8)
+            s = eigenvalues(char_poly(random_matrix(rng, n, lo=-1, hi=2)))
+            if dominant_test(s):
+                cases.append((s, n))
+        found = set()
+        for s, n in cases:
+            calls.clear()
+            m0 = m0_bound(s, n)
+            top = M0_SCAN_CAP if m0 is None else m0
+            assert len(calls) <= 2 * math.ceil(math.log2(top)) + 2, (m0, calls)
+            found.add(m0 is None or m0 > 100)
         assert found == {True, False}
 
     def test_trace_growth_estimate(self):
