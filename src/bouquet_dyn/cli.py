@@ -22,13 +22,12 @@ import math
 import re
 import sys
 from _json import encode_basestring_ascii as _quote
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from .errors import InconsistencyError, InputError, LiftConstructionError
-from .homology import LefschetzTable, PowerSequences, abelianize
+from .homology import PowerSequences, abelianize, invert_divisor_sums
 from .periods import (
-    FixCountTable,
     PeriodCertificate,
     fix_counts,
     lefschetz_fix_check,
@@ -213,18 +212,12 @@ def _certificate_json(cert: PeriodCertificate) -> dict:
     }
 
 
-def _claim_value(
-    c: Claim, table: LefschetzTable, census: FixCountTable
-) -> int | None:
-    if c.quantity == "L" and c.m <= table.horizon:
-        return table.lefschetz_of(c.m)
-    if c.quantity == "l" and c.m <= table.horizon:
-        return table.periodic_lefschetz_of(c.m)
-    if c.quantity == "fix" and c.m <= census.horizon:
-        return census.fix_of(c.m)
-    if c.quantity == "per" and c.m <= census.horizon:
-        return census.per_of(c.m)
-    return None
+def _claim_value(c: Claim, values: dict[str, Sequence[int]]) -> int | None:
+    """The claimed quantity's value at c.m, read from `values`, which maps
+    "L", "l", "fix" and "per" to their sequences over m = 1..H; None past
+    H."""
+    seq = values[c.quantity]
+    return seq[c.m - 1] if c.m <= len(seq) else None
 
 
 def _digit_bound(col_sums: list[int], iterates: int) -> float:
@@ -309,28 +302,30 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         )
     seqs = PowerSequences.of(mat, iterates)
     fixes = fix_counts(f, seqs.traces[: max(horizon, oracle_depth)])
-    table = LefschetzTable.of(seqs.traces[:horizon])
-    census = per_census(fixes[:horizon])
+    lefs = [1 - t for t in seqs.traces[:horizon]]
+    values = {"L": lefs, "l": invert_divisor_sums(lefs),
+              "fix": fixes[:horizon], "per": per_census(fixes[:horizon])}
+    period_set = [m for m, p in enumerate(values["per"], start=1) if p > 0]
     spectrum = eigenvalues(seqs.char)
     limit_seq = entropy_limit(seqs.norms[: options.entropy_horizon])
     h_spec = spectrum.entropy
 
     # a check row names its iterate; L(f^m) and fix(m) are printed once,
     # in "lefschetz" and "census"
-    checks = lefschetz_fix_check(f, table.lefschetz_numbers, census.fix_counts)
+    checks = lefschetz_fix_check(f, lefs, values["fix"])
     # f^2 preserves orientation, so a "bound-abs" row, if any, is one of
     # the first two
     if any(c["mode"] == "bound-abs" for c in checks[:2]):
         warnings.append(
             "branch-periodic bound checked with |L| (preserving iterate)")
 
-    certificates = period_certificates(f, seqs, census, spectrum)
+    certificates = period_certificates(f, seqs, values["fix"], spectrum)
 
     oracle = _run_oracle(f, options, seqs.norms, fixes, warnings)
 
     claims = []
     for c in doc.claims:
-        computed = _claim_value(c, table, census)
+        computed = _claim_value(c, values)
         if computed is None:
             verdict = "out-of-range"
             warnings.append(f"claim beyond computed horizon: {c.text}")
@@ -362,18 +357,18 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         "abelianization": [list(map(str, row)) for row in mat],
         "lefschetz": {
             "horizon": horizon,
-            "trace": list(map(str, table.traces)),
-            "L": list(map(str, table.lefschetz_numbers)),
-            "l": list(map(str, table.periodic_lefschetz_numbers)),
+            "trace": list(map(str, seqs.traces[:horizon])),
+            "L": list(map(str, lefs)),
+            "l": list(map(str, values["l"])),
         },
         "census": {
-            "fix": list(map(str, census.fix_counts)),
-            "per": list(map(str, census.per_counts)),
-            "period_set": sorted(census.period_set()),
+            "fix": list(map(str, values["fix"])),
+            "per": list(map(str, values["per"])),
+            "period_set": period_set,
         },
         "lefschetz_fix_checks": checks,
         "spectrum": {
-            "char_poly": list(map(str, spectrum.char_coeffs)),
+            "char_poly": list(map(str, seqs.char)),
             "eigenvalues": [
                 {
                     "re": _fmt_real(z.real),

@@ -9,12 +9,11 @@ entry sums by baby and giant steps, and past them they follow the
 characteristic recurrence.  The record keeps only the baby steps as
 matrices; a reader of a later power (the certificate walk) multiplies
 it when it reaches it, through `PowerSequences.matrix_powers`.
-`LefschetzTable.of(traces)` is the one route to the Lefschetz numbers
-L(f^m) = 1 - tr M^m (a bouquet has homology in dimensions 0 and 1 only,
-and every iterate acts on dimension 0 as the identity) and to their
-Moebius inversions l(f^m).  `invert_divisor_sums` is the one Moebius
-inversion, read by l(f^m) here and by the census's per(m); it sieves
-instead of summing mu(r) over the divisors of each m.  All of it is
+The Lefschetz numbers are L(f^m) = 1 - tr M^m (a bouquet has homology
+in dimensions 0 and 1 only, and every iterate acts on dimension 0 as the
+identity).  `invert_divisor_sums` is the one Moebius inversion, read by
+the report's periodic Lefschetz numbers l(f^m) and by the census's
+per(m); it sieves instead of summing mu(r) over the divisors of each m.  All of it is
 exact integer arithmetic: no floating point appears anywhere in this
 module, since traces grow like the spectral radius to the m-th power.
 """
@@ -172,28 +171,3 @@ def invert_divisor_sums(sums: Sequence[int]) -> list[int]:
             out[multiple] -= g
     return out
 
-
-class LefschetzTable(NamedTuple):
-    """Traces, Lefschetz and periodic Lefschetz numbers up to a horizon."""
-
-    horizon: int
-    traces: tuple[int, ...]
-    lefschetz_numbers: tuple[int, ...]
-    periodic_lefschetz_numbers: tuple[int, ...]
-
-    @staticmethod
-    def of(traces: Sequence[int]) -> "LefschetzTable":
-        """The table up to horizon len(traces), traces[m-1] = tr M^m."""
-        horizon = len(traces)
-        if horizon < 1:
-            raise InputError(f"horizon must be >= 1, got {horizon}")
-        traces = tuple(traces)
-        lef = tuple(1 - t for t in traces)
-        per = tuple(invert_divisor_sums(lef))
-        return LefschetzTable(horizon, traces, lef, per)
-
-    def lefschetz_of(self, m: int) -> int:
-        return self.lefschetz_numbers[m - 1]
-
-    def periodic_lefschetz_of(self, m: int) -> int:
-        return self.periodic_lefschetz_numbers[m - 1]

@@ -74,43 +74,24 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class FixCountTable(NamedTuple):
-    """Fixed-point and least-period counts for every m up to a horizon."""
-
-    horizon: int
-    fix_counts: tuple[int, ...]
-    per_counts: tuple[int, ...]
-
-    def fix_of(self, m: int) -> int:
-        return self.fix_counts[m - 1]
-
-    def per_of(self, m: int) -> int:
-        return self.per_counts[m - 1]
-
-    def period_set(self) -> set[int]:
-        """All m up to the horizon with at least one period-m orbit."""
-        return {m for m in range(1, self.horizon + 1) if self.per_of(m) > 0}
-
-
-def per_census(fixes: tuple[int, ...]) -> FixCountTable:
-    """Full census up to horizon len(fixes), where fixes[m-1] = fix(m):
-    per(m) by Moebius inversion (`homology.invert_divisor_sums`) of the
-    divisor identity fix(m) = sum over r|m of per(r).
+def per_census(fixes: Sequence[int]) -> tuple[int, ...]:
+    """per(m) for m = 1..len(fixes), where fixes[m-1] = fix(m), by Moebius
+    inversion (`homology.invert_divisor_sums`) of the divisor identity
+    fix(m) = sum over r|m of per(r).
 
     The inversion is exact, so the identity holds by construction.  A
     negative per count means the fix counts cannot all be right, and is
     raised as an internal inconsistency naming the offending m.
     """
-    horizon = len(fixes)
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
-    pers = invert_divisor_sums(fixes)
+    if not fixes:
+        raise InputError("horizon must be >= 1, got 0")
+    pers = tuple(invert_divisor_sums(fixes))
     for m, p in enumerate(pers, start=1):
         if p < 0:
             raise InconsistencyError(
                 f"census produced negative period count {p} at m={m}"
             )
-    return FixCountTable(horizon, fixes, tuple(pers))
+    return pers
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +332,14 @@ def dominant_periods(
 def period_certificates(
     f: MapAction,
     seqs: PowerSequences,
-    census: FixCountTable,
+    fixes: Sequence[int],
     spectrum: SpectrumReport,
 ) -> list[PeriodCertificate]:
-    """Every period certificate that fires for f, in report order.
+    """Every period certificate that fires for f, in report order, from
+    the census's fix counts fixes[m-1] = fix(m), m = 1..H.
 
     The doubling and low-growth families are tried on M^1..M^min(H,
-    CRITERIA_POWERS), H being the census horizon, walked lazily by
+    CRITERIA_POWERS), walked lazily by
     `PowerSequences.matrix_powers`: the record's baby steps first, and a
     later power is multiplied only when the walk reaches it.  At m = 1
     each family that fires gives its own certificate.  The first later
@@ -367,9 +349,10 @@ def period_certificates(
     lists every m up to H that `fmbig_periods` certifies, and the
     dominant-eigenvalue certificate reads that same list.
     """
+    horizon = len(fixes)
     certs = []
     for m, family, case, conclusion, witness in _criteria_hits(
-        f, seqs.matrix_powers(min(census.horizon, CRITERIA_POWERS))
+        f, seqs.matrix_powers(min(horizon, CRITERIA_POWERS))
     ):
         if m == 1:
             certs.append(PeriodCertificate(f"{family}({case})", conclusion, witness))
@@ -382,12 +365,12 @@ def period_certificates(
                 {"m": m, **witness},
             ))
             break
-    fmbig = fmbig_periods(census.fix_counts)
+    fmbig = fmbig_periods(fixes)
     if fmbig:
         certs.append(PeriodCertificate(
             "fmbig", Conclusion("listed", listed=tuple(fmbig)), {}
         ))
-    dominant = dominant_periods(f, spectrum, fmbig, census.horizon)
+    dominant = dominant_periods(f, spectrum, fmbig, horizon)
     if dominant is not None:
         certs.append(dominant)
     return certs

@@ -139,7 +139,6 @@ def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
 class SpectrumReport(NamedTuple):
     """Eigenvalues sorted by nonincreasing modulus, with derived data."""
 
-    char_coeffs: tuple[int, ...]
     values: tuple[complex, ...]
     residual: float
 
@@ -187,7 +186,7 @@ def eigenvalues(char: Sequence[int]) -> SpectrumReport:
     )
     roots = found + [complex(0)] * zeros
     roots.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
-    return SpectrumReport(tuple(char), tuple(roots), residual)
+    return SpectrumReport(tuple(roots), residual)
 
 
 def entropy_limit(norms: Sequence[int]) -> list[float]:

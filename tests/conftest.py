@@ -20,7 +20,7 @@ import pytest
 
 from bouquet_dyn import cli
 from bouquet_dyn.errors import InputError, LiftConstructionError
-from bouquet_dyn.homology import IntMatrix, LefschetzTable, mat_mul
+from bouquet_dyn.homology import IntMatrix, invert_divisor_sums, mat_mul
 from bouquet_dyn.pl_oracle import PLLift, build_lift, lift_branch_period
 from bouquet_dyn.words import BRANCH_FREE, Letter, MapAction, Word
 
@@ -382,10 +382,18 @@ def mobius(m: int) -> int:
     return out
 
 
-def lefschetz_table(mat: IntMatrix, horizon: int) -> LefschetzTable:
-    """L(f^m) and l(f^m) for m <= horizon, read off the traces of the
-    reference ladder (so the entries of mat may have both signs)."""
-    return LefschetzTable.of([trace(power) for power in powers(mat, horizon)])
+def lefschetz_numbers(mat: IntMatrix, horizon: int
+                      ) -> tuple[list[int], list[int]]:
+    """L(f^m) and l(f^m) for m = 1..horizon, as two lists indexed by m - 1,
+    read off the traces of the reference ladder (so the entries of mat
+    may have both signs), the second by the report's Moebius sieve."""
+    lefs = [1 - trace(power) for power in powers(mat, horizon)]
+    return lefs, invert_divisor_sums(lefs)
+
+
+def period_set(pers: Sequence[int]) -> set[int]:
+    """Every m with a period-m orbit, for pers[m-1] = per(m)."""
+    return {m for m, p in enumerate(pers, start=1) if p > 0}
 
 
 def first_letter(f: MapAction, l: Letter) -> Letter:

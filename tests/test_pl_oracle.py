@@ -315,10 +315,10 @@ class TestCountFixed:
     def test_divisor_identity_against_census(self):
         f = action("a1 a2", "a1 a2")
         lift = build_lift(f)
-        census = per_census(formula_fixes(f, 6))
+        pers = per_census(formula_fixes(f, 6))
         counts = oracle_counts(lift, 6)
         for m in range(1, 7):
-            expected = sum(census.per_of(r) for r in divisors(m))
+            expected = sum(pers[r - 1] for r in divisors(m))
             assert counts.fixed(m) == expected
 
     def test_fixed_branch_counted(self):

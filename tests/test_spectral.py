@@ -289,7 +289,7 @@ class TestM0Bound:
                 cases.append((s, n))
         # a radius barely above 1 never passes; one near 1 passes late
         for values in ((1 + 1e-6, 0.5), (1.001, 0.5)):
-            cases.append((SpectrumReport((), values, 0.0), 1))
+            cases.append((SpectrumReport(values, 0.0), 1))
         # the double root -2 of this Jordan block comes out as two equal
         # values, so it is not dominant and has no m0
         jordan = eigenvalues(char_poly(((-2, -1), (0, -2))))
@@ -320,7 +320,7 @@ class TestM0Bound:
 
         monkeypatch.setattr(spectral, "_logsumexp", counted)
         rng = random.Random(0x30B1)
-        cases = [(SpectrumReport((), values, 0.0), 1)
+        cases = [(SpectrumReport(values, 0.0), 1)
                  for values in ((1 + 1e-6, 0.5), (1.001, 0.5), (10.0, 0.0))]
         while len(cases) < 60:
             n = rng.randint(1, 8)
