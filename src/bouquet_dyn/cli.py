@@ -12,8 +12,9 @@ The input format is line-based:
     claim: l(3) = 2         # optional; mismatches become warnings
 
 Exit codes: 0 all checks pass, 1 input or usage error, 2 cross-check
-mismatch, a spectral radius outside its exact bounds, or two exact
-routes that disagree (`InconsistencyError`).
+mismatch, a spectral radius outside its exact bounds, a certificate that
+promises a period the census does not have, or two exact routes that
+disagree (`InconsistencyError`).
 """
 
 from __future__ import annotations
@@ -199,17 +200,27 @@ def _branch_text(k: int | None) -> str:
     return "free" if k is None else str(k)
 
 
-def _certificate_json(cert: PeriodCertificate) -> dict:
+def _certificate_json(cert: PeriodCertificate, period_set: list[int],
+                      horizon: int) -> dict:
     """Witness integers print as strings; a listed conclusion's iterates
-    print as the witness `m`, a list of JSON integers."""
+    print as the witness `m`, a list of JSON integers.  A conclusion that
+    promises a period up to the horizon outside the census's period set
+    gets a `failure` naming each such period."""
     witness = {k: str(v) for k, v in cert.witness.items()}
     if cert.conclusion.kind == "listed":
         witness["m"] = list(cert.conclusion.listed)
-    return {
+    out = {
         "rule": cert.rule,
         "conclusion": cert.conclusion.text(),
         "witness": witness,
     }
+    missing = cert.conclusion.periods(horizon).difference(period_set)
+    if missing:
+        out["failure"] = (
+            f"the census up to horizon {horizon} has no period "
+            f"{', '.join(map(str, sorted(missing)))}, which the conclusion "
+            "promises")
+    return out
 
 
 def _claim_value(c: Claim, values: dict[str, Sequence[int]]) -> int | None:
@@ -387,7 +398,8 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
             "limit_sequence": [_fmt_real(s) for s in limit_seq],
             "gap_at_horizon": _fmt_real(abs(limit_seq[-1] - h_spec)),
         },
-        "certificates": [_certificate_json(c) for c in certificates],
+        "certificates": [_certificate_json(c, period_set, horizon)
+                         for c in certificates],
         "oracle": oracle,
         "claims": claims,
         "warnings": warnings,
@@ -453,6 +465,8 @@ def report_has_failures(report: dict) -> bool:
         return True
     if "failure" in report["spectrum"]:
         return True
+    if any("failure" in c for c in report["certificates"]):
+        return True
     oracle = report["oracle"]
     return oracle.get("status") == "mismatch"
 
@@ -500,6 +514,8 @@ def render_text(report: dict) -> str:
             lines.append(f"  {c['rule']}: {c['conclusion']}"
                          + (f": {c['witness']['m']}" if c["rule"] == "fmbig"
                             else ""))
+            if "failure" in c:
+                lines.append(f"FAILED certificate {c['rule']}: {c['failure']}")
     else:
         lines.append("certificates: none fired")
     oracle = report["oracle"]

@@ -8,6 +8,7 @@ periodic Lefschetz number mixes two period counts.
 
 from __future__ import annotations
 
+import math
 from itertools import count
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
@@ -182,18 +183,35 @@ class Conclusion(NamedTuple):
         return set(range(self.m, horizon + 1, step)) - {self.excluded}
 
     def promoted(self, m: int) -> Conclusion | None:
-        """The delayed rule: this conclusion about f^m, read as one about
-        f over multiples of m, the step and the excluded period scaled by
-        m.  Only "multiples" conclusions promote.
+        """The delayed rule: "Per(f^m) contains sN \\ {e}" read as
+        "Per(f) contains m lcm(s, rad(m)) N \\ {m e}", the exclusion kept
+        only when lcm(s, rad(m)) divides e.  Only "multiples" conclusions
+        promote.
 
-        Not sound as it stands: a point of period 1 under f^m may have a
-        period under f that properly divides m, so a promised multiple can
-        be missing from Per (tests/test_periods.py pins a case).
+        A point of period p under f has period q = p / g under f^m, g =
+        gcd(p, m).  With m = gh, g = gcd(qg, gh) = g gcd(q, h), so h is
+        coprime to q.  When rad(m) divides q, every prime of h divides q,
+        so h = 1 and p = mq: each promised period q of f^m that rad(m)
+        divides gives the period mq of f.
         """
         if self.kind != "multiples":
             return None
-        excluded = None if self.excluded is None else m * self.excluded
-        return Conclusion("multiples", m * self.m, excluded)
+        step = math.lcm(self.m, _radical(m))
+        kept = self.excluded is not None and self.excluded % step == 0
+        return Conclusion("multiples", m * step,
+                          m * self.excluded if kept else None)
+
+
+def _radical(m: int) -> int:
+    """The product of the distinct primes dividing m >= 1."""
+    out, p = 1, 2
+    while m > 1:
+        if m % p == 0:
+            out *= p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out
 
 
 #: the doubling and low-growth families are tried on f^1..f^CRITERIA_POWERS

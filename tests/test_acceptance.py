@@ -126,10 +126,10 @@ def test_criterion_4_delayed_growth():
         ok
         and cert is not None
         and cert.witness["m"] == 3
-        and cert.conclusion.text() == "Per contains 3N"
+        and cert.conclusion.text() == "Per contains 9N"
     )
     _verdict(4, "delayed-growth map: cube-root spectrum, certificate "
-                "over multiples of 3", ok)
+                "over multiples of 9", ok)
 
 
 def test_criterion_5_dominant_map():

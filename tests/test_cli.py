@@ -21,6 +21,7 @@ from bouquet_dyn.cli import (
     parse_spec,
     render_json,
     render_text,
+    report_has_failures,
     run_report,
 )
 from bouquet_dyn.errors import InconsistencyError, InputError
@@ -465,6 +466,37 @@ class TestRadiusCheck:
         for doc in docs:
             report = run_report(doc, ReportOptions(no_oracle=True))
             assert "failure" not in report["spectrum"], doc.action
+
+
+#: doubling(a) fires on d_22 = -2 and promises Per = N, but per(2) = 0
+SIGN_BLIND = "n=2\nbranch: free\na1 -> a2'\na2 -> a2' a2'\n"
+
+
+class TestCensusCheck:
+    """Every certificate's promised periods up to the horizon must lie in
+    the census's period set; one that does not is flagged and exits 2."""
+
+    def test_contradicted_certificate_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "map.bqd"
+        p.write_text(SIGN_BLIND)
+        assert main(["analyze", str(p), "--format", "json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert 2 not in report["census"]["period_set"]
+        flagged = {c["rule"]: c["failure"] for c in report["certificates"]
+                   if "failure" in c}
+        assert flagged == {"doubling(a)": "the census up to horizon 12 has "
+                           "no period 2, which the conclusion promises"}
+        assert main(["analyze", str(p)]) == 2
+        out = capsys.readouterr().out
+        assert ("FAILED certificate doubling(a): the census up to horizon "
+                "12 has no period 2") in out
+        assert out.count("FAILED") == 1
+
+    def test_fixtures_pass(self):
+        for name in fixture_names():
+            report = run_report(load_fixture(name)[0], ReportOptions())
+            assert not report_has_failures(report), name
+            assert all("failure" not in c for c in report["certificates"])
 
 
 class TestMain:

@@ -69,10 +69,7 @@ def referenced_names(tree):
 
 
 #: public methods no package code calls, each kept for a stated reason
-UNUSED_METHODS = {
-    # item 3's census check reads it
-    ("periods.py", "Conclusion.periods"),
-}
+UNUSED_METHODS: set[tuple[str, str]] = set()
 
 
 def test_public_definitions_are_used():

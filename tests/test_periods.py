@@ -12,6 +12,7 @@ from bouquet_dyn import (
     fix_counts,
     per_census,
 )
+from bouquet_dyn.cli import fixture_names
 from bouquet_dyn.errors import InconsistencyError, InputError
 from bouquet_dyn.periods import (
     ALL_BUT_1,
@@ -264,10 +265,11 @@ class TestLowGrowth:
 
 class TestDelayedLowGrowth:
     def test_delayed_fixture_fires_at_three(self):
+        # Per(f^3) = N gives 3q in Per(f) only where 3 divides q
         cert = certificate(DELAYED, "delaylowgrow(")
         assert cert is not None
         assert cert.witness["m"] == 3
-        assert cert.conclusion.text() == "Per contains 3N"
+        assert cert.conclusion.text() == "Per contains 9N"
 
     def test_identity_action_none(self):
         assert certificate(action("a1", "a2"), "delaylowgrow(") is None
@@ -279,23 +281,31 @@ class TestDelayedLowGrowth:
         assert certificate(LOW_GROWTH, "delaylowgrow(", horizon=1) is None
 
     def test_promotion_scales_step_and_exclusion(self):
-        assert ALL_PERIODS.promoted(3).text() == "Per contains 3N"
-        assert ALL_BUT_1.promoted(3).text() == "Per contains 3N \\ {3}"
-        assert ALL_BUT_2.promoted(3).text() == "Per contains 3N \\ {6}"
+        # sN \\ {e} about f^m promotes to m lcm(s, rad(m)) N, less m e
+        # only when lcm(s, rad(m)) divides e
+        assert ALL_PERIODS.promoted(3).text() == "Per contains 9N"
+        assert ALL_PERIODS.promoted(4).text() == "Per contains 8N"
+        assert ALL_PERIODS.promoted(6).text() == "Per contains 36N"
+        assert ALL_BUT_1.promoted(3).text() == "Per contains 9N"
+        assert ALL_BUT_2.promoted(3).text() == "Per contains 9N"
+        assert ALL_BUT_2.promoted(2).text() == "Per contains 4N \\ {4}"
+        assert ALL_BUT_2.promoted(4).text() == "Per contains 8N \\ {8}"
+        assert Conclusion("multiples", 2, 6).promoted(3).text() == \
+            "Per contains 18N \\ {18}"
+        assert Conclusion("multiples", 2, 4).promoted(3).text() == \
+            "Per contains 18N"
         assert PAIRWISE.promoted(3) is None
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="delaylowgrow promotes 'every period of f^2' to 'Per contains "
-        "2N', but a fixed point of f^2 may already be fixed by f: "
-        "reflect_double_g1 has per(2) = 0",
-    )
     def test_promotion_agrees_with_census(self):
-        doc, _ = load_fixture("reflect_double_g1")
-        f, horizon = doc.action, doc.horizon or 12
-        periods = period_set(census(f, horizon))
-        for cert in certificates(f, horizon):
-            assert cert.conclusion.periods(horizon) <= periods, cert
+        # reflect_double_g1 has per(2) = 0: its f^2 certificate promotes
+        # to 4N, not 2N
+        for name in fixture_names():
+            doc, _ = load_fixture(name)
+            f, horizon = doc.action, doc.horizon or 12
+            periods = period_set(census(f, horizon))
+            for cert in certificates(f, horizon):
+                assert cert.conclusion.periods(horizon) <= periods, (
+                    name, cert)
 
 
 class TestFmBig:

@@ -16,8 +16,14 @@ from bouquet_dyn import (
     fix_counts,
     per_census,
 )
+from bouquet_dyn.cli import (
+    MapSpecDocument,
+    ReportOptions,
+    run_report,
+)
 from bouquet_dyn.periods import period_certificates
 from bouquet_dyn.spectral import entropy_limit
+from bouquet_dyn.words import BRANCH_FREE, MapAction
 
 from conftest import (
     BudgetError,
@@ -29,6 +35,7 @@ from conftest import (
     mobius,
     period_set,
     random_action,
+    random_branch_periodic_action,
     random_expanding_action,
     random_matrix,
     trace,
@@ -143,9 +150,7 @@ def test_entropy_two_route_gap():
 
 
 def test_certificates_agree_with_census():
-    # every period a doubling, low-growth, fmbig or dominant certificate
-    # promises shows in the census; delaylowgrow is left out, its
-    # promotion is unsound (see test_periods.py)
+    # every period a certificate promises shows in the census
     rng = random.Random(108)
     for _ in range(CASES):
         f, _ = random_expanding_action(rng)
@@ -155,8 +160,6 @@ def test_certificates_agree_with_census():
         for cert in period_certificates(
             f, seqs, fixes, eigenvalues(seqs.char)
         ):
-            if cert.rule.startswith("delaylowgrow"):
-                continue
             assert cert.conclusion.periods(12) <= periods, (f, cert)
 
 
@@ -169,3 +172,24 @@ def test_spectral_radius_at_least_one():
         f = random_action(rng)
         char = PowerSequences.of(abelianize(f), 1).char
         assert eigenvalues(char).spectral_radius >= 1 - 1e-12, f
+
+
+def test_census_check_flags_no_lift_viable_map():
+    # the report's census check flags no certificate of a lift-viable
+    # map of either sign, declared free and declared with its lift's own
+    # branch class (the same, for a map whose branch orbit stays off the
+    # integers), at horizon 40
+    rng = random.Random(110)
+    options = ReportOptions(horizon=40, no_oracle=True)
+    seen = set()
+    for i in range(CASES):
+        if i % 2:
+            f, _ = random_branch_periodic_action(rng)
+        else:
+            f, _ = random_expanding_action(rng, sign=(1, -1)[i // 2 % 2])
+        for k in {BRANCH_FREE, f.branch_class}:
+            g = MapAction(f.n, f.images, k)
+            report = run_report(MapSpecDocument(g), options)
+            assert all("failure" not in c for c in report["certificates"]), g
+            seen.add((f.global_sign, k is BRANCH_FREE))
+    assert len(seen) == 4, seen
