@@ -13,9 +13,10 @@ The Lefschetz numbers are L(f^m) = 1 - tr M^m (a bouquet has homology
 in dimensions 0 and 1 only, and every iterate acts on dimension 0 as the
 identity).  `invert_divisor_sums` is the one Moebius inversion, read by
 the report's periodic Lefschetz numbers l(f^m) and by the census's
-per(m); it sieves instead of summing mu(r) over the divisors of each m.  All of it is
-exact integer arithmetic: no floating point appears anywhere in this
-module, since traces grow like the spectral radius to the m-th power.
+per(m); it sieves instead of summing mu(r) over the divisors of each m.
+All of it is exact integer arithmetic: no floating point appears
+anywhere in this module, since traces grow like the spectral radius to
+the m-th power.
 """
 
 from __future__ import annotations

@@ -16,11 +16,7 @@ from bouquet_dyn import (
     fix_counts,
     per_census,
 )
-from bouquet_dyn.cli import (
-    MapSpecDocument,
-    ReportOptions,
-    run_report,
-)
+from bouquet_dyn.cli import MapSpecDocument, ReportOptions, run_report
 from bouquet_dyn.periods import period_certificates
 from bouquet_dyn.spectral import entropy_limit
 from bouquet_dyn.words import BRANCH_FREE, MapAction
