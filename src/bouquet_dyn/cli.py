@@ -204,8 +204,8 @@ def _certificate_json(cert: PeriodCertificate, period_set: list[int],
                       horizon: int) -> dict:
     """Witness integers print as strings; a listed conclusion's iterates
     print as the witness `m`, a list of JSON integers.  A conclusion that
-    promises a period up to the horizon outside the census's period set
-    gets a `failure` naming each such period."""
+    the census's period set up to the horizon breaks
+    (`Conclusion.missing`) gets a `failure` naming where."""
     witness = {k: str(v) for k, v in cert.witness.items()}
     if cert.conclusion.kind == "listed":
         witness["m"] = list(cert.conclusion.listed)
@@ -214,12 +214,12 @@ def _certificate_json(cert: PeriodCertificate, period_set: list[int],
         "conclusion": cert.conclusion.text(),
         "witness": witness,
     }
-    missing = cert.conclusion.periods(horizon).difference(period_set)
+    missing = ", ".join(map(str, cert.conclusion.missing(period_set, horizon)))
     if missing:
-        out["failure"] = (
-            f"the census up to horizon {horizon} has no period "
-            f"{', '.join(map(str, sorted(missing)))}, which the conclusion "
-            "promises")
+        out["failure"] = f"the census up to horizon {horizon} has " + (
+            f"neither period m nor m+1 at m = {missing}, and the conclusion "
+            "promises one of them" if cert.conclusion.kind == "pairwise"
+            else f"no period {missing}, which the conclusion promises")
     return out
 
 
@@ -324,11 +324,6 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     # a check row names its iterate; L(f^m) and fix(m) are printed once,
     # in "lefschetz" and "census"
     checks = lefschetz_fix_check(f, lefs, values["fix"])
-    # f^2 preserves orientation, so a "bound-abs" row, if any, is one of
-    # the first two
-    if any(c["mode"] == "bound-abs" for c in checks[:2]):
-        warnings.append(
-            "branch-periodic bound checked with |L| (preserving iterate)")
 
     certificates = period_certificates(f, seqs, values["fix"], spectrum)
 

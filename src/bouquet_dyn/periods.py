@@ -26,14 +26,13 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     """Number of fixed points of every iterate m = 1..len(traces),
     exactly, where traces[m-1] = tr M^m.
 
-    Unless f fixes the branching point as a based vertex (branch class 1)
-    the count is |1 - tr M^m|, at every m: an iterate f^m that fixes a
-    branching point of least period k >= 2 fixes it, but not as a based
-    vertex, and the count is the same.  At class 1 the branching point
-    contributes 1 and the interior crossings are counted by gamma: chi_j
-    of the iterate image of a_j, the diagonal entry j of M^m, less its
-    first and last letters when they are a_j or a_j'.  Summed over j that
-    is the trace less the end letters:
+    The count is |1 - tr M^m| unless f^m preserves orientation (f does,
+    or m is even) and f fixes the branching point as a based vertex
+    (branch class 1).  There the branching point contributes 1 and the
+    interior crossings are counted by gamma: chi_j of the iterate image
+    of a_j, the diagonal entry j of M^m, less its first and last letters
+    when they are a_j or a_j'.  Summed over j that is the trace less the
+    end letters:
 
         1 + |tr M^m - sum_j e(first_j) - sum_j e(last_j)|,
 
@@ -50,6 +49,7 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     """
     if f.branch_class != 1:
         return tuple(abs(1 - tr) for tr in traces)
+    reversing = f.global_sign < 0
     gens = range(1, f.n + 1)
     step = {}
     short = {}
@@ -61,10 +61,13 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     lasts_inv = [-j for j in gens]
     singles = [True] * f.n
     out = []
-    for tr in traces:
+    for m, tr in enumerate(traces, start=1):
         singles = [one and short[c] for one, c in zip(singles, firsts)]
         firsts = [step[c] for c in firsts]
         lasts_inv = [step[c] for c in lasts_inv]
+        if reversing and m % 2:
+            out.append(abs(1 - tr))
+            continue
         ends = 0
         for j, first, last_inv, single in zip(gens, firsts, lasts_inv, singles):
             if not single:
@@ -103,38 +106,25 @@ def lefschetz_fix_check(
 ) -> list[dict]:
     """The report's check row {"m", "mode", "passed"} of every iterate
     m = 1..len(lefs), comparing lefs[m-1] = L(f^m) with fixes[m-1] =
-    #Fix(f^m) by the sign-matched Lefschetz/fixed-point relation, in one
-    pass.
+    #Fix(f^m) by the Lefschetz/fixed-point relation, in one pass.
 
-    Unless f fixes the branching point as a based vertex (branch class 1)
-    the relation is an equality: L = -#Fix when the iterate preserves
-    orientation, L = +#Fix when it reverses.  At class 1 only a two-sided
-    bound holds: L <= #Fix <= 2n - 1 + L, with L replaced by |L| for a
-    preserving iterate (the equality case fixes L <= 0 there, so the
-    printed bound would be vacuous otherwise; the chosen convention is
-    recorded in the mode string).  An iterate reverses orientation when f
-    does and m is odd.
+    A fixed point has index +1 on a reversing iterate (f reverses, m
+    odd) and -1 on a preserving one, except a based fixed vertex (class
+    1), whose index lies in [1 - 2n, 1] (B. Jiang, Lectures on Nielsen
+    Fixed Point Theory, 1983).  So a reversing iterate has L = #Fix
+    whatever the class, a preserving one at class 1 has 2 - 2n - L <=
+    #Fix <= 2 - L, and every other iterate has L = -#Fix.
     """
-    reversing = f.global_sign < 0
+    reversing, based = f.global_sign < 0, f.branch_class == 1
     rows = []
-    if f.branch_class != 1:
-        for m, lef, fix in zip(count(1), lefs, fixes):
-            if reversing and m % 2:
-                rows.append({"m": m, "mode": "equality-reversing",
-                             "passed": lef == fix})
-            else:
-                rows.append({"m": m, "mode": "equality-preserving",
-                             "passed": lef == -fix})
-        return rows
-    top = 2 * f.n - 1
     for m, lef, fix in zip(count(1), lefs, fixes):
         if reversing and m % 2:
-            rows.append({"m": m, "mode": "bound",
-                         "passed": lef <= fix <= top + lef})
+            mode, passed = "equality-reversing", lef == fix
+        elif based:
+            mode, passed = "bound", 2 - 2 * f.n - lef <= fix <= 2 - lef
         else:
-            lef = abs(lef)
-            rows.append({"m": m, "mode": "bound-abs",
-                         "passed": lef <= fix <= top + lef})
+            mode, passed = "equality-preserving", lef == -fix
+        rows.append({"m": m, "mode": mode, "passed": passed})
     return rows
 
 
@@ -181,6 +171,15 @@ class Conclusion(NamedTuple):
             return {m for m in self.listed if m <= horizon}
         step = 1 if self.kind == "tail" else self.m
         return set(range(self.m, horizon + 1, step)) - {self.excluded}
+
+    def missing(self, period_set: Iterable[int], horizon: int) -> list[int]:
+        """Each promised period up to the horizon outside the period set,
+        or for "pairwise" each m < horizon with neither m nor m + 1 in it."""
+        present = set(period_set)
+        if self.kind == "pairwise":
+            return [m for m in range(1, horizon)
+                    if m not in present and m + 1 not in present]
+        return sorted(self.periods(horizon) - present)
 
     def promoted(self, m: int) -> Conclusion | None:
         """The delayed rule: "Per(f^m) contains sN \\ {e}" read as
@@ -231,24 +230,25 @@ class PeriodCertificate(NamedTuple):
     witness: dict
 
 
-def _doubling_on(mat: IntMatrix, k: int | None) -> tuple[str, Conclusion, dict] | None:
-    """Entry-doubling cases on the chi-matrix of an iterate of f, whose
-    branching point has least period k under f; returns (case,
-    conclusion, witness)."""
-    n = len(mat)
-    for j in range(2, n + 1):
-        if abs(mat[j - 1][j - 1]) >= 2:
-            return ("a", ALL_PERIODS, {"j": j, "d_jj": mat[j - 1][j - 1]})
-    d11 = mat[0][0]
-    if d11 >= 2:
-        return ("b", ALL_PERIODS, {"d_11": d11})
-    if d11 < -2:
-        return ("c", ALL_PERIODS, {"d_11": d11})
-    if d11 == -2 and k == 1:
-        return ("d", ALL_PERIODS, {"d_11": d11, "branch_class": 1})
-    if d11 == -2:
-        return ("e", ALL_BUT_2, {"d_11": d11})
-    return None
+def _doubling_on(mat: IntMatrix) -> tuple[str, Conclusion, dict] | None:
+    """The degree rule on every petal j of the chi-matrix of an iterate
+    of f, d = d_jj: Per = N when d >= 2 or d < -2, and Per containing
+    N \\ {2} when d = -2 (Alseda, Llibre and Misiurewicz, Combinatorial
+    Dynamics and Entropy in Dimension One, ch. 4), read only when no
+    petal gives Per = N.  Returns (case, conclusion, witness): case a
+    for j >= 2, tried first, and b, c, e for d >= 2, < -2, = -2 on j = 1.
+    """
+    hit = None
+    for j in (*range(2, len(mat) + 1), 1):
+        d = mat[j - 1][j - 1]
+        if -1 <= d <= 1 or (d == -2 and hit is not None):
+            continue
+        case = "a" if j > 1 else "b" if d > 0 else "c" if d < -2 else "e"
+        witness = {"j": j, "d_jj": d} if j > 1 else {"d_11": d}
+        hit = (case, ALL_BUT_2 if d == -2 else ALL_PERIODS, witness)
+        if d != -2:
+            return hit
+    return hit
 
 
 def _lowgrow_pair(mat: IntMatrix, lo: int) -> tuple[int, int] | None:
@@ -278,7 +278,7 @@ def _lowgrow_on(mat: IntMatrix, k: int | None) -> tuple[str, Conclusion, dict] |
             i, j = pair
             return ("a", ALL_PERIODS, {"i": i, "j": j})
         for i in range(2, n + 1):
-            if mat[i - 1][0] not in (0, -1):
+            if mat[i - 1][0] >= 1:
                 return ("b", ALL_BUT_1, {"i": i, "d_i1": mat[i - 1][0]})
         for i in range(2, n + 1):
             if mat[i - 1][0] == -1:
@@ -295,13 +295,14 @@ def _lowgrow_on(mat: IntMatrix, k: int | None) -> tuple[str, Conclusion, dict] |
 def _criteria_hits(f: MapAction, powers: Iterable[IntMatrix]):
     """Yield (m, family, case, conclusion, witness) for each hypothesis
     family that fires on the chi-matrix M^m of f^m, the m-th of `powers`,
-    in order of m, doubling before low growth.  Every tester reads the
-    branch class of f itself: only class 1 fixes the branching point as a
-    based vertex, under every iterate.
+    in order of m, doubling before low growth.  The degree rule reads the
+    matrix alone; the low-growth cases also read the branch class of f
+    itself: only class 1 fixes the branching point as a based vertex,
+    under every iterate.
     """
     for m, mat in enumerate(powers, start=1):
-        for family, tester in (("doubling", _doubling_on), ("lowgrow", _lowgrow_on)):
-            hit = tester(mat, f.branch_class)
+        for family, hit in (("doubling", _doubling_on(mat)),
+                            ("lowgrow", _lowgrow_on(mat, f.branch_class))):
             if hit is not None:
                 yield (m, family, *hit)
 

@@ -93,7 +93,8 @@ class MapAction(NamedTuple("MapAction", [
     point, or ``BRANCH_FREE`` (None) if the branching point is never
     periodic; it is user metadata — the words alone cannot determine it.
     Only class 1 fixes the branching point as a based vertex, and only
-    class 1 switches the fixed-point count and its Lefschetz check.
+    there do the preserving iterates take the based fixed-point count and
+    the index bound for the Lefschetz check.
     """
 
     __slots__ = ()

@@ -411,19 +411,22 @@ def first_letter(f: MapAction, l: Letter) -> Letter:
 
 def letter_fix_counts(f: MapAction, ladder: Ladder) -> tuple[int, ...]:
     """fix(m) for m = 1..len(ladder): |1 - tr M^m| unless the branch
-    class is 1, and at class 1 the based count, following the first
-    letters of the iterate images of a_j and a_j' as `Letter`s along
-    `first_letter`: a reference for `fix_counts`, which follows them as
-    signed codes."""
+    class is 1 and f^m preserves orientation, and there the based count,
+    following the first letters of the iterate images of a_j and a_j' as
+    `Letter`s along `first_letter`: a reference for `fix_counts`, which
+    follows them as signed codes."""
     if f.branch_class != 1:
         return tuple(abs(1 - trace(power)) for power in ladder)
     gens = range(1, f.n + 1)
     firsts = [Letter(j, 1) for j in gens]
     lasts_inv = [Letter(j, -1) for j in gens]
     out = []
-    for power in ladder:
+    for m, power in enumerate(ladder, start=1):
         firsts = [first_letter(f, l) for l in firsts]
         lasts_inv = [first_letter(f, l) for l in lasts_inv]
+        if f.global_sign ** m < 0:
+            out.append(abs(1 - trace(power)))
+            continue
         total = 0
         for j, first, last_inv in zip(gens, firsts, lasts_inv):
             if sum(abs(row[j - 1]) for row in power) <= 1:

@@ -467,29 +467,60 @@ class TestRadiusCheck:
             assert "failure" not in report["spectrum"], doc.action
 
 
-#: doubling(a) fires on d_22 = -2 and promises Per = N, but per(2) = 0
+#: d_22 = -2, and the census has no period 2
 SIGN_BLIND = "n=2\nbranch: free\na1 -> a2'\na2 -> a2' a2'\n"
 
 
 class TestCensusCheck:
-    """Every certificate's promised periods up to the horizon must lie in
-    the census's period set; one that does not is flagged and exits 2."""
+    """Every certificate's promise up to the horizon must hold in the
+    census's period set; one that does not is flagged and exits 2."""
+
+    def analyze(self, tmp_path, capsys, spec, code):
+        """The JSON report and the text rendering of `spec`, each run
+        asserted to exit with `code`."""
+        p = tmp_path / "map.bqd"
+        p.write_text(spec)
+        assert main(["analyze", str(p), "--format", "json"]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert main(["analyze", str(p)]) == code
+        return report, capsys.readouterr().out
+
+    def test_minus_two_petal_holds(self, tmp_path, capsys):
+        # the degree rule reads d_22 = -2 as Per containing N \ {2}
+        report, out = self.analyze(tmp_path, capsys, SIGN_BLIND, 0)
+        assert 2 not in report["census"]["period_set"]
+        first = report["certificates"][0]
+        assert first["rule"] == "doubling(a)"
+        assert first["conclusion"] == "Per contains N \\ {2}"
+        assert first["witness"] == {"j": "2", "d_jj": "-2"}
+        assert not any("failure" in c for c in report["certificates"])
+        assert "FAILED" not in out
 
     def test_contradicted_certificate_exits_2(self, tmp_path, capsys):
-        p = tmp_path / "map.bqd"
-        p.write_text(SIGN_BLIND)
-        assert main(["analyze", str(p), "--format", "json"]) == 2
-        report = json.loads(capsys.readouterr().out)
+        # lowgrow(d) promises Per = N at class 1, but per(2) = 0
+        spec = "n=2\nbranch: period 1\na1 -> a2\na2 -> a1 a2\n"
+        report, out = self.analyze(tmp_path, capsys, spec, 2)
         assert 2 not in report["census"]["period_set"]
         flagged = {c["rule"]: c["failure"] for c in report["certificates"]
                    if "failure" in c}
-        assert flagged == {"doubling(a)": "the census up to horizon 12 has "
+        assert flagged == {"lowgrow(d)": "the census up to horizon 12 has "
                            "no period 2, which the conclusion promises"}
-        assert main(["analyze", str(p)]) == 2
-        out = capsys.readouterr().out
-        assert ("FAILED certificate doubling(a): the census up to horizon "
+        assert ("FAILED certificate lowgrow(d): the census up to horizon "
                 "12 has no period 2") in out
         assert out.count("FAILED") == 1
+
+    def test_contradicted_pair_exits_2(self, tmp_path, capsys):
+        # lowgrow(c) promises m or m+1 for every m; the period set is {1}
+        spec = "n=2\nbranch: free\na1 -> a2'\na2 -> a1'\n"
+        report, out = self.analyze(tmp_path, capsys, spec, 2)
+        assert report["census"]["period_set"] == [1]
+        flagged = {c["rule"]: c["failure"] for c in report["certificates"]
+                   if "failure" in c}
+        assert flagged == {"lowgrow(c)": (
+            "the census up to horizon 12 has neither period m nor m+1 at "
+            "m = 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, and the conclusion "
+            "promises one of them")}
+        assert out.count("FAILED certificate lowgrow(c): ") == 1
 
 
 class TestMain:

@@ -190,13 +190,17 @@ class TestPowerSequences:
                 assert seqs.norms == tuple(map(norm1, ladder)), (f, k)
                 assert fix_counts(f, seqs.traces) == \
                     letter_fix_counts(f, ladder)
+                # class 1 takes the gamma route on preserving iterates
+                # only, and reads chi on the reversing ones
                 gamma_route = branch == 1 and any(
-                    any(abs(sum(col)) > 1 for col in zip(*power))
-                    for power in ladder
+                    sign ** m > 0 and any(abs(sum(col)) > 1
+                                          for col in zip(*power))
+                    for m, power in enumerate(ladder, start=1)
                 )
                 seen |= {("K < n", k < n), ("K <= 6", k <= 6),
                          ("n > 6", n > 6), ("reversing", sign < 0),
-                         ("gamma route", gamma_route)}
+                         ("gamma route", gamma_route),
+                         ("class 1 reversing", branch == 1 and sign < 0)}
         assert all((what, True) in seen for what, _ in seen), seen
         # sparse characteristic polynomials, K below and above n: the
         # recurrence dots its whole coefficient vector, zeros included

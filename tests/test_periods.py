@@ -125,6 +125,17 @@ class TestFixCount:
         assert fix_count(f, 2) == abs(1 - 9)
 
 
+    def test_reflect_doubling_fixed_branch(self):
+        # z -> z^-2 with v fixed: a reversing iterate counts |1 - tr M^m|,
+        # a preserving one the based count; z^-2 = z, z^4 = z, z^-8 = z,
+        # z^16 = z have 3, 3, 9 and 15 solutions
+        f = action("a1' a1'", k=1)
+        assert fix_counts(f, record(f, 4).traces) == (3, 3, 9, 15)
+        assert all(row["passed"] for row in lefschetz_fix_check(
+            f, [1 - t for t in record(f, 12).traces],
+            fix_counts(f, record(f, 12).traces)))
+
+
 class TestCensus:
     def test_reflect_census(self):
         assert census(REFLECT, 2) == (3, 0)
@@ -192,20 +203,33 @@ class TestLefschetzFixCheck:
         assert lef == -3 and fix == 3
 
     def test_branch_periodic_bound(self):
-        c, lef, fix = check(action("a1 a1 a1", k=1), 1)
-        assert c["passed"] and c["mode"] == "bound-abs"
+        # a preserving iterate at class 1: the based vertex has index in
+        # [1 - 2n, 1] and every other fixed point -1, so
+        # 2 - 2n - L <= #Fix <= 2 - L
+        f = action("a1 a1 a1", k=1)
+        c, lef, fix = check(f, 1)
+        assert c["passed"] and c["mode"] == "bound"
         assert lef == -2 and fix == 2
+        outcomes = [row["passed"] for row in
+                    lefschetz_fix_check(f, [lef] * 6, range(6))]
+        assert outcomes == [False, False, True, True, True, False]
 
     def test_branch_periodic_reversing_bound(self):
-        # class 1, reversing: L itself bounds #Fix at odd m, |L| at even
-        # m, each row in the same pass; the odd rows fail the bound here,
-        # a fault of the class-1 counts on reversing iterates
+        # class 1, reversing: an odd iterate reverses, and every fixed
+        # point, the based vertex too, has index +1, so L = #Fix whatever
+        # the class; an even iterate preserves and takes the bound
         f = action("a1' a1'", k=1)
-        for m, mode in ((1, "bound"), (2, "bound-abs"), (3, "bound")):
+        for m, mode in ((1, "equality-reversing"), (2, "bound"),
+                        (3, "equality-reversing"), (4, "bound")):
             c, lef, fix = check(f, m)
-            bound = lef if mode == "bound" else abs(lef)
-            assert c["mode"] == mode
-            assert c["passed"] == (bound <= fix <= 1 + bound), m
+            assert c["mode"] == mode and c["passed"], m
+            if mode == "bound":
+                assert 2 - 2 * f.n - lef <= fix <= 2 - lef, m
+            else:
+                assert lef == fix, m
+        reversing = lefschetz_fix_check(f, [3], [4])[0]
+        assert reversing["mode"] == "equality-reversing"
+        assert not reversing["passed"]
 
 
 class TestDoubling:
@@ -228,11 +252,25 @@ class TestDoubling:
         cert = certificate(action("a1' a1' a1'"), "doubling(")
         assert cert.rule == "doubling(c)"
 
-    def test_case_d_needs_fixed_branch(self):
-        free = action("a1' a1'")
-        fixed = action("a1' a1'", k=1)
-        assert certificate(free, "doubling(").rule == "doubling(e)"
-        assert certificate(fixed, "doubling(").rule == "doubling(d)"
+    def test_minus_two_reads_no_class(self):
+        # z -> z^-2 gives Per containing N \ {2}, with its branching
+        # point free or fixed: the degree rule reads no branch class
+        for k in (None, 1):
+            cert = certificate(action("a1' a1'", k=k), "doubling(")
+            assert cert.rule == "doubling(e)" and cert.conclusion == ALL_BUT_2
+
+    def test_every_petal(self):
+        # d = -2 on petal 2 gives N \ {2} as case a, not Per = N
+        cert = certificate(action("a2'", "a2' a2'"), "doubling(")
+        assert cert.rule == "doubling(a)" and cert.conclusion == ALL_BUT_2
+        assert cert.witness == {"j": 2, "d_jj": -2}
+        assert 2 not in period_set(census(action("a2'", "a2' a2'"), 12))
+        # a d = -2 petal is read only when no petal gives Per = N
+        cert = certificate(action("a1' a1' a1'", "a2' a2'"), "doubling(")
+        assert cert.rule == "doubling(c)" and cert.conclusion == ALL_PERIODS
+        cert = certificate(action("a1' a1'", "a2' a2' a2'"), "doubling(")
+        assert cert.rule == "doubling(a)" and cert.conclusion == ALL_PERIODS
+        assert cert.witness == {"j": 2, "d_jj": -3}
 
     def test_low_growth_none(self):
         assert certificate(action("a1 a3", "a1", "a1 a3"), "doubling(") is None
@@ -247,6 +285,9 @@ class TestLowGrowth:
         cert = certificate(action("a1 a2", "a1"), "lowgrow(")
         assert cert.rule == "lowgrow(b)" and cert.conclusion == ALL_BUT_1
         assert cert.conclusion.text() == "Per contains N \\ {1}"
+        # d_i1 >= 1 is the preserving case; on a reversing map d_i1 <= -2
+        # gives no lowgrow(b)
+        assert certificate(action("a2' a2'", "a1' a1' a2'"), "lowgrow(b)") is None
 
     def test_case_c(self):
         cert = certificate(action("a1' a2'", "a1'"), "lowgrow(")

@@ -191,7 +191,7 @@ def _with_branch(f: MapAction, k) -> MapAction:
 def _expanded_fix(f: MapAction, m: int) -> int:
     """fix(m) counted on the expanded words of the m-th iterate."""
     g = iterate_action(f, m, budget=20000)
-    if f.branch_class != 1:
+    if f.branch_class != 1 or g.global_sign < 0:
         return abs(1 - sum(chi(g.image(j), j) for j in range(1, f.n + 1)))
     return 1 + abs(sum(gamma(g.image(j), j) for j in range(1, f.n + 1)))
 
@@ -218,8 +218,9 @@ class TestIterateCounts:
         assert fix_counts(f, PowerSequences.of(abelianize(f), 1).traces) == (1 + 1,)
 
     def test_counts_match_expansion(self, rng):
-        # class 1 reads gamma at every iterate; free and class 2 read chi
-        # off the record's traces at every iterate, even ones included
+        # class 1 reads gamma at every preserving iterate; its reversing
+        # iterates, and free and class 2 at every iterate, even ones
+        # included, read chi off the record's traces
         for _ in range(40):
             base = random_action(rng)
             for k in (BRANCH_FREE, 1, 2):
