@@ -20,11 +20,10 @@ disagree (`InconsistencyError`).
 from __future__ import annotations
 
 import math
-import re
 import sys
 from _json import encode_basestring_ascii as _quote
+from collections import namedtuple
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from .errors import InconsistencyError, InputError, LiftConstructionError
 from .homology import PowerSequences, abelianize, invert_divisor_sums
@@ -37,10 +36,8 @@ from .periods import (
 )
 from .pl_oracle import build_lift, oracle_counts
 from .spectral import DOMINANCE_EPS, SpectrumReport, eigenvalues, entropy_limit
-from .words import BRANCH_FREE, MapAction, Word, orientation
-
-if TYPE_CHECKING:  # the entry points import argparse when they run
-    import argparse
+from .words import (BRANCH_FREE, CIRCLE_CAP, MapAction, Word, generator_index,
+                    orientation)
 
 DEFAULT_HORIZON = 12
 DEFAULT_ORACLE_DEPTH = 6
@@ -51,46 +48,37 @@ DEFAULT_ENTROPY_HORIZON = 30
 #: a string; the cap sits below that, and is the same on every version.
 DIGIT_CAP = 4000
 
-#: the most circles a map may have, checked at its n= line, before any
-#: image line is read
-CIRCLE_CAP = 64
-
 #: the most iterates a report may reach: a map of single-letter images
 #: grows no digits, so DIGIT_CAP alone does not bound its record
 ITERATE_CAP = 10_000
 
-_CLAIM_RE = re.compile(
-    r"^claim:\s*(L|l|fix|per)\s*\(\s*(\d+)\s*\)\s*=\s*(-?\d+)\s*$",
-    re.ASCII,
-)
-_IMAGE_RE = re.compile(r"^a([1-9][0-9]*)\s*->\s*(.+)$")
-#: the index of each letter-like token of an image word
-_INDEX_RE = re.compile(r"a([0-9]+)")
+#: a claim line, matched only on a line that starts with "claim:": `re` is
+#: loaded there, so importing this module does not load it
+_CLAIM_PATTERN = r"^claim:\s*(L|l|fix|per)\s*\(\s*(\d+)\s*\)\s*=\s*(-?\d+)\s*$"
 
 
-class Claim(NamedTuple):
-    quantity: str
-    m: int
-    value: int
-    text: str
+class Claim(namedtuple("Claim", "quantity m value text")):
+    """One claim line: the str `quantity` ("L", "l", "fix" or "per"), the
+    int iterate `m`, the int `value` and the line's `text`."""
+
+    __slots__ = ()
 
 
-class MapSpecDocument(NamedTuple):
-    """A parsed map description plus optional horizon and claims."""
+class MapSpecDocument(namedtuple("MapSpecDocument", "action horizon claims",
+                                 defaults=(None, ()))):
+    """A parsed map description, its `MapAction`, plus an optional int
+    `horizon` and a tuple of `Claim`s."""
 
-    action: MapAction
-    horizon: int | None = None
-    claims: tuple[Claim, ...] = ()
+    __slots__ = ()
 
 
-def _integer(value: str, what: str, err: Callable[[str], Exception],
-             cap: int = DIGIT_CAP) -> int:
+def _integer(value: str, what: str, err: Callable[[str], Exception]) -> int:
     """The integer that `value`, an optional minus sign and ASCII digits,
-    spells; past `cap` digits `err` builds the error to raise before
+    spells; past DIGIT_CAP digits `err` builds the error to raise before
     int() sees them (Python 3.11+ refuses over 4 300 digits)."""
     digits = len(value.lstrip("-"))
-    if digits > cap:
-        raise err(f"{what} has {digits} digits, over the cap of {cap} digits")
+    if digits > DIGIT_CAP:
+        raise err(f"{what} has {digits} digits, over the cap of {DIGIT_CAP} digits")
     return int(value)
 
 
@@ -102,6 +90,16 @@ def _positive(value: str, what: str, err: Callable[[str], InputError]) -> int:
     if number < 1:
         raise err(f"bad {what} {value!r}")
     return number
+
+
+def _image_line(line: str) -> tuple[int, str] | None:
+    """(j, word) of an image line, `a<j>`, optional whitespace, "->" and a
+    nonempty word, or None; `generator_index` reads j."""
+    head, _, body = line.partition("->")
+    if not (head.startswith("a") and body):
+        return None
+    j = generator_index(head[1:].rstrip())
+    return None if j is None else (j, body.lstrip())
 
 
 def parse_spec(text: str) -> MapSpecDocument:
@@ -144,8 +142,10 @@ def parse_spec(text: str) -> MapSpecDocument:
                 raise err("duplicate horizon declaration")
             horizon = _positive(line[len("horizon:"):].strip(), "horizon", err)
             continue
-        claim_match = _CLAIM_RE.match(line)
         if line.startswith("claim:"):
+            import re
+
+            claim_match = re.match(_CLAIM_PATTERN, line, re.ASCII)
             if claim_match is None:
                 raise err(f"bad claim syntax {line!r}")
             claims.append(
@@ -157,19 +157,15 @@ def parse_spec(text: str) -> MapSpecDocument:
                 )
             )
             continue
-        image_match = _IMAGE_RE.match(line)
-        if image_match is not None:
-            cap = len(str(CIRCLE_CAP))  # the digits of the largest index
-            j = _integer(image_match.group(1), "generator index", err, cap)
-            if j in images:
-                raise err(f"duplicate image line for a{j}")
-            for index in _INDEX_RE.findall(image_match.group(2)):
-                _integer(index, "generator index", err, cap)
-            try:
-                images[j] = Word.parse(image_match.group(2))
-            except InputError as e:
-                raise err(str(e)) from None
-            continue
+        try:
+            j, body = _image_line(line) or (None, "")
+            if j is not None and j not in images:
+                images[j] = Word.parse(body)
+                continue
+        except InputError as e:
+            raise err(str(e)) from None
+        if j is not None:
+            raise err(f"duplicate image line for a{j}")
         raise err(f"unrecognized line {line!r}")
     if n is None:
         raise InputError("missing n= declaration")
@@ -185,11 +181,13 @@ def parse_spec(text: str) -> MapSpecDocument:
     return MapSpecDocument(action, horizon, tuple(claims))
 
 
-class ReportOptions(NamedTuple):
-    horizon: int | None = None
-    oracle_depth: int = DEFAULT_ORACLE_DEPTH
-    no_oracle: bool = False
-    entropy_horizon: int = DEFAULT_ENTROPY_HORIZON
+class ReportOptions(namedtuple(
+        "ReportOptions", "horizon oracle_depth no_oracle entropy_horizon",
+        defaults=(None, DEFAULT_ORACLE_DEPTH, False, DEFAULT_ENTROPY_HORIZON))):
+    """The flags of one report: the int or None `horizon`, the int
+    `oracle_depth`, the bool `no_oracle` and the int `entropy_horizon`."""
+
+    __slots__ = ()
 
 
 def _fmt_real(x: float) -> str:
@@ -637,20 +635,13 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
                    help="terms of the norm-growth entropy sequence")
 
 
-def _options_from(args: argparse.Namespace) -> ReportOptions:
-    return ReportOptions(
-        horizon=args.horizon,
-        oracle_depth=args.oracle_depth,
-        no_oracle=args.no_oracle,
-        entropy_horizon=args.entropy_horizon,
-    )
-
-
 def _analyze(args: argparse.Namespace) -> int:
     try:
         with open(args.spec_file, encoding="utf-8") as fh:
             doc = parse_spec(fh.read())
-        report = run_report(doc, _options_from(args))
+        report = run_report(doc, ReportOptions(
+            args.horizon, args.oracle_depth, args.no_oracle,
+            args.entropy_horizon))
     except (InputError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

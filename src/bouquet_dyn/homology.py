@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from .errors import InputError
 from .words import MapAction
@@ -55,24 +56,21 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-class PowerSequences(NamedTuple):
+class PowerSequences(namedtuple("PowerSequences", "head char traces norms")):
     """Per-iterate data of M^1..M^K, for a matrix M whose entries share
-    one sign s (every abelianized map's do: its image words share one).
+    one sign s (every abelianized map's do: its image words share one);
+    each field is a tuple.
 
-    `head` holds M^1..M^h, h = max(isqrt(n), min(K, HEAD_POWERS)), the
-    baby steps of `power_traces`; `matrix_powers` goes on from them.
-    `char` is det(xI - M)
-    (`char_from_traces`).  For m = 1..K, `traces[m-1]` is tr M^m, and
+    `head` holds the matrices M^1..M^h, h = max(isqrt(n), min(K,
+    HEAD_POWERS)), the baby steps of `power_traces`; `matrix_powers` goes
+    on from them.  `char` is det(xI - M) (`char_from_traces`).  For m = 1..K, `traces[m-1]` is tr M^m, and
     `norms[m-1]` is ||M^m||_1, the sum of |entries|: every entry of M^m
     has the sign s^m, so that is the modulus of the sum of its entries.
     Up to m = n both come from `power_traces`, past it from the
     characteristic recurrence (`recur`), whatever n is.
     """
 
-    head: tuple[IntMatrix, ...]
-    char: tuple[int, ...]
-    traces: tuple[int, ...]
-    norms: tuple[int, ...]
+    __slots__ = ()
 
     @staticmethod
     def of(a: IntMatrix, k: int) -> "PowerSequences":

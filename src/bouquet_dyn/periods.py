@@ -9,9 +9,10 @@ periodic Lefschetz number mixes two period counts.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import count
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InconsistencyError, InputError
 from .homology import IntMatrix, PowerSequences, invert_divisor_sums
@@ -131,8 +132,10 @@ def lefschetz_fix_check(
 # ---------------------------------------------------------------------------
 # certificates
 
-class Conclusion(NamedTuple):
-    """What a certificate promises about the period set Per, as data.
+class Conclusion(namedtuple("Conclusion", "kind m excluded listed",
+                            defaults=(1, None, ()))):
+    """What a certificate promises about the period set Per, as data: the
+    str `kind`, int `m`, int or None `excluded` and tuple of ints `listed`.
 
     kind is one of
       "multiples": every multiple of m is a period, except `excluded`;
@@ -142,10 +145,7 @@ class Conclusion(NamedTuple):
                    (m and excluded unused).
     """
 
-    kind: str
-    m: int = 1
-    excluded: int | None = None
-    listed: tuple[int, ...] = ()
+    __slots__ = ()
 
     def text(self) -> str:
         """The conclusion as printed in reports."""
@@ -222,12 +222,11 @@ ALL_BUT_2 = Conclusion("multiples", 1, 2)
 PAIRWISE = Conclusion("pairwise")
 
 
-class PeriodCertificate(NamedTuple):
-    """One applied period criterion with its re-checkable witness data."""
+class PeriodCertificate(namedtuple("PeriodCertificate", "rule conclusion witness")):
+    """One applied period criterion, its str `rule` and its `Conclusion`,
+    with its re-checkable witness data, the dict `witness`."""
 
-    rule: str
-    conclusion: Conclusion
-    witness: dict
+    __slots__ = ()
 
 
 def _doubling_on(mat: IntMatrix) -> tuple[str, Conclusion, dict] | None:

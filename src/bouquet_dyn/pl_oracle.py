@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
-from typing import NamedTuple
 
 from .errors import DegenerateMapError, InputError, LiftConstructionError
 from .homology import char_from_traces, power_traces, recur
@@ -30,16 +30,15 @@ COVER_DEPTH = 8
 BRANCH_WATCH = 13
 
 
-class PLLift(NamedTuple):
-    """A piecewise-linear self-map of [0, n] in units of 1/scale.
+class PLLift(namedtuple("PLLift", "n scale pieces")):
+    """A piecewise-linear self-map of [0, n] in units of 1/scale (ints).
 
-    Each piece (lo, hi, slope, intercept) is x -> slope*x + intercept on
-    [lo, hi), x and the intercept in those units; the pieces tile
-    [0, n*scale] in order, the final piece closed at its right end."""
+    Each piece (lo, hi, slope, intercept) of the tuple `pieces`, four
+    ints, is x -> slope*x + intercept on [lo, hi), x and the intercept in
+    those units; the pieces tile [0, n*scale] in order, the final piece
+    closed at its right end."""
 
-    n: int
-    scale: int
-    pieces: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ()
 
 
 def _rotate_to_base(w: Word) -> tuple[Letter, ...]:
@@ -99,21 +98,20 @@ def build_lift(f: MapAction) -> PLLift:
     return PLLift(f.n, scale, tuple(pieces))
 
 
-class OracleCounts(NamedTuple):
+class OracleCounts(namedtuple("OracleCounts", "crossings covers branch_period")):
     """The lift's counts for each iterate m = 1..depth of one call.
 
-    `crossings[m-1]` counts the fixed points of f^m off the integers,
-    `covers[m-1]` the preimages of the branching point under f^m (the
-    refined cover size) for m <= min(depth, COVER_DEPTH).  At a point
-    where f^m jumps (between two integers) both count by its value from
-    the right.  `branch_period` is the least t <= max(BRANCH_WATCH,
-    depth + 1) with f^t(0) at an integer, or None: the lift's branch
-    period, as `lift_branch_period` gives it.
+    `crossings` and `covers` are tuples of ints: `crossings[m-1]` counts
+    the fixed points of f^m off the integers, `covers[m-1]` the
+    preimages of the branching point under f^m (the refined cover size)
+    for m <= min(depth, COVER_DEPTH).  At a point where f^m jumps
+    (between two integers) both count by its value from the right.
+    `branch_period` is the least t <= max(BRANCH_WATCH, depth + 1) with
+    f^t(0) at an integer, or None: the lift's branch period, as
+    `lift_branch_period` gives it.
     """
 
-    crossings: tuple[int, ...]
-    covers: tuple[int, ...]
-    branch_period: int | None
+    __slots__ = ()
 
     def fixed(self, m: int) -> int:
         """Fixed points of f^m on the circles: the crossings, plus 1 when

@@ -10,11 +10,11 @@ of the spectral radius, clamped at zero for degenerate inputs.
 
 from __future__ import annotations
 
-import cmath
 import math
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import zip_longest
-from typing import NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -43,9 +43,8 @@ def _durand_kerner(coeffs: list[float]) -> list[complex]:
     if d == 0:
         return []
     radius = 1.0 + max(abs(c) for c in coeffs[:-1])
-    roots = [
-        radius * cmath.exp(2j * math.pi * (i + 0.25) / d) for i in range(d)
-    ]
+    turns = [2 * math.pi * (i + 0.25) / d for i in range(d)]
+    roots = [radius * complex(math.cos(t), math.sin(t)) for t in turns]
     for _ in range(200):
         moved = 0.0
         new = list(roots)
@@ -136,11 +135,11 @@ def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     return parts
 
 
-class SpectrumReport(NamedTuple):
-    """Eigenvalues sorted by nonincreasing modulus, with derived data."""
+class SpectrumReport(namedtuple("SpectrumReport", "values residual")):
+    """Eigenvalues sorted by nonincreasing modulus, a tuple of complex
+    `values`, with the float `residual` and derived data."""
 
-    values: tuple[complex, ...]
-    residual: float
+    __slots__ = ()
 
     @property
     def spectral_radius(self) -> float:

@@ -9,15 +9,17 @@ models maps that are monotone on every petal.  Letters serialize as
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import InputError
 
 #: branch class of a map whose branching point is never periodic
 BRANCH_FREE = None
 
-_LETTER_RE = re.compile(r"^a([1-9][0-9]*)('?)$")
+#: the most circles a map may have, checked at a spec's n= line; a parsed
+#: generator index is held to its digits before int() reads it
+CIRCLE_CAP = 64
 
 
 def _make_checked(cls, values):
@@ -26,8 +28,20 @@ def _make_checked(cls, values):
     return cls(*values)
 
 
-class Letter(NamedTuple("Letter", [("index", int), ("sign", int)])):
-    """One generator symbol: ``a<index>`` or its inverse ``a<index>'``."""
+def generator_index(digits: str) -> int | None:
+    """The index that `digits`, ASCII digits with no leading zero, spell,
+    else None; past the digits of CIRCLE_CAP, refused by their count."""
+    if not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
+        return None
+    if len(digits) > len(str(CIRCLE_CAP)):
+        raise InputError(f"generator index has {len(digits)} digits, over "
+                         f"the cap of {len(str(CIRCLE_CAP))} digits")
+    return int(digits)
+
+
+class Letter(namedtuple("Letter", "index sign")):
+    """One generator symbol: ``a<index>`` or its inverse ``a<index>'``;
+    `index` is an int >= 1 and `sign` is +1 or -1."""
 
     __slots__ = ()
     _make = classmethod(_make_checked)
@@ -44,10 +58,12 @@ class Letter(NamedTuple("Letter", [("index", int), ("sign", int)])):
 
     @staticmethod
     def parse(tok: str) -> Letter:
-        m = _LETTER_RE.match(tok)
-        if not m:
+        sign = -1 if tok.endswith("'") else 1
+        body = tok[:-1] if sign < 0 else tok
+        index = generator_index(body[1:]) if body.startswith("a") else None
+        if index is None:
             raise InputError(f"bad letter token {tok!r} (expected e.g. a2 or a2')")
-        return Letter(int(m.group(1)), -1 if m.group(2) else 1)
+        return Letter(index, sign)
 
 
 class Word(tuple):
@@ -76,18 +92,14 @@ class Word(tuple):
 
     @staticmethod
     def parse(text: str) -> Word:
-        toks = text.split()
-        if not toks:
-            raise InputError("empty word")
-        return Word(Letter.parse(t) for t in toks)
+        return Word(Letter.parse(t) for t in text.split())
 
 
-class MapAction(NamedTuple("MapAction", [
-    ("n", int), ("images", "tuple[Word, ...]"), ("branch_class", "int | None"),
-])):
+class MapAction(namedtuple("MapAction", "n images branch_class")):
     """A bouquet self-map given by its petal images and branch-orbit class.
 
-    ``images[j-1]`` is the image word of generator j.  All image words must
+    ``n`` is the number of circles, an int >= 1, and ``images[j-1]``, a
+    `Word`, is the image word of generator j.  All image words must
     share one global sign (the map is orientation preserving or reversing
     as a whole).  ``branch_class`` is the least period k of the branching
     point, or ``BRANCH_FREE`` (None) if the branching point is never

@@ -34,19 +34,22 @@ def test_standard_library_only():
 
 #: modules a report does not need, each costly to import: the entry
 #: points load `argparse` and `importlib.resources` themselves, and the
-#: renderer takes its one encoder from the C module `_json`
+#: renderer takes its one encoder from the C module `_json`; the records
+#: are `collections.namedtuple`s, the root solver's start points come from
+#: `math`, and `re` is loaded only to read a claim line
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "argparse",
-         "importlib.resources", "json"}
+         "importlib.resources", "json", "typing", "cmath", "re"}
 
 
 def test_import_loads_only_what_a_report_needs():
     # the modules that importing the CLI module adds to a fresh isolated
-    # interpreter's start-up set; nothing is timed
+    # interpreter's start-up set; nothing is timed.  -S skips `site`, whose
+    # .pth files may preload a module (such as typing or re) and hide it
     code = ("import sys; before = set(sys.modules); "
             "sys.path.insert(0, sys.argv[1]); import bouquet_dyn.cli; "
             "print(*sorted(set(sys.modules) - before))")
     added = subprocess.run(
-        [sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+        [sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)],
         capture_output=True, text=True, timeout=60, check=True,
     ).stdout.split()
     assert "bouquet_dyn.cli" in added

@@ -1,5 +1,6 @@
 """Characteristic polynomial, eigenvalues, entropy, growth thresholds."""
 
+import cmath
 import math
 import random
 
@@ -190,6 +191,64 @@ class TestSquarefreeParts:
         s = eigenvalues(char_poly(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
         assert s.values == (1, 1, 1)
         assert s.residual == 0.0
+
+
+def bits(values):
+    """The exact bits of each complex value, signed zeros and nan too."""
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def durand_kerner_cmath(coeffs):
+    """`_durand_kerner` as written with `cmath`: the start points are
+    radius * exp(2 pi i (i + 1/4) / d)."""
+    d = len(coeffs) - 1
+    if d == 0:
+        return []
+    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
+    roots = [radius * cmath.exp(2j * math.pi * (i + 0.25) / d)
+             for i in range(d)]
+    for _ in range(200):
+        moved = 0.0
+        new = list(roots)
+        for i in range(d):
+            denom = complex(1)
+            for j in range(d):
+                if j != i:
+                    denom *= roots[i] - roots[j]
+            if denom == 0:
+                continue
+            step = spectral._eval_poly(coeffs, roots[i]) / denom
+            new[i] = roots[i] - step
+            moved = max(moved, abs(step))
+        roots = new
+        if moved < 1e-14:
+            break
+    return roots
+
+
+class TestStartPoints:
+    def test_math_start_is_cmath_start(self):
+        # exp(it) of a pure-imaginary argument is exp(0.0) cos t, exp(0.0)
+        # sin t, so cos and sin of the same float t give the same bits
+        for d in range(1, 65):
+            for radius in (1.0, 2.5, 1e300):
+                got = [radius * complex(math.cos(t), math.sin(t))
+                       for t in (2 * math.pi * (i + 0.25) / d for i in range(d))]
+                want = [radius * cmath.exp(2j * math.pi * (i + 0.25) / d)
+                        for i in range(d)]
+                assert bits(got) == bits(want), d
+
+    def test_solver_matches_cmath_start(self, rng):
+        # the same start points give the same sweeps, so the same roots
+        seen = 0
+        for _ in range(80):
+            char = char_poly(random_matrix(rng, rng.randint(1, 7)))
+            for part, _ in squarefree_parts(strip_zeros(char)[0]):
+                coeffs = [float(c) for c in part]
+                assert bits(_durand_kerner(coeffs)) == bits(
+                    durand_kerner_cmath(coeffs))
+                seen += 1
+        assert seen > 60
 
 
 class TestEntropy:
