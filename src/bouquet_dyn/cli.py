@@ -22,10 +22,9 @@ from __future__ import annotations
 import math
 import sys
 from _json import encode_basestring_ascii as _quote
-from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .errors import InconsistencyError, InputError, LiftConstructionError
+from .errors import InconsistencyError, InputError, LiftConstructionError, Record
 from .homology import PowerSequences, abelianize, invert_divisor_sums
 from .periods import (
     PeriodCertificate,
@@ -57,15 +56,15 @@ ITERATE_CAP = 10_000
 _CLAIM_PATTERN = r"^claim:\s*(L|l|fix|per)\s*\(\s*(\d+)\s*\)\s*=\s*(-?\d+)\s*$"
 
 
-class Claim(namedtuple("Claim", "quantity m value text")):
+class Claim(Record, fields="quantity m value text"):
     """One claim line: the str `quantity` ("L", "l", "fix" or "per"), the
     int iterate `m`, the int `value` and the line's `text`."""
 
     __slots__ = ()
 
 
-class MapSpecDocument(namedtuple("MapSpecDocument", "action horizon claims",
-                                 defaults=(None, ()))):
+class MapSpecDocument(Record, fields="action horizon claims",
+                      defaults=(None, ())):
     """A parsed map description, its `MapAction`, plus an optional int
     `horizon` and a tuple of `Claim`s."""
 
@@ -181,9 +180,9 @@ def parse_spec(text: str) -> MapSpecDocument:
     return MapSpecDocument(action, horizon, tuple(claims))
 
 
-class ReportOptions(namedtuple(
-        "ReportOptions", "horizon oracle_depth no_oracle entropy_horizon",
-        defaults=(None, DEFAULT_ORACLE_DEPTH, False, DEFAULT_ENTROPY_HORIZON))):
+class ReportOptions(
+        Record, fields="horizon oracle_depth no_oracle entropy_horizon",
+        defaults=(None, DEFAULT_ORACLE_DEPTH, False, DEFAULT_ENTROPY_HORIZON)):
     """The flags of one report: the int or None `horizon`, the int
     `oracle_depth`, the bool `no_oracle` and the int `entropy_horizon`."""
 

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, Record
 from .words import MapAction
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -56,7 +55,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-class PowerSequences(namedtuple("PowerSequences", "head char traces norms")):
+class PowerSequences(Record, fields="head char traces norms"):
     """Per-iterate data of M^1..M^K, for a matrix M whose entries share
     one sign s (every abelianized map's do: its image words share one);
     each field is a tuple.

@@ -9,12 +9,11 @@ periodic Lefschetz number mixes two period counts.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import count
 from operator import add
 
-from .errors import InconsistencyError, InputError
+from .errors import InconsistencyError, InputError, Record
 from .homology import IntMatrix, PowerSequences, invert_divisor_sums
 from .spectral import SpectrumReport, m0_bound
 from .words import MapAction
@@ -132,8 +131,8 @@ def lefschetz_fix_check(
 # ---------------------------------------------------------------------------
 # certificates
 
-class Conclusion(namedtuple("Conclusion", "kind m excluded listed",
-                            defaults=(1, None, ()))):
+class Conclusion(Record, fields="kind m excluded listed",
+                 defaults=(1, None, ())):
     """What a certificate promises about the period set Per, as data: the
     str `kind`, int `m`, int or None `excluded` and tuple of ints `listed`.
 
@@ -222,7 +221,7 @@ ALL_BUT_2 = Conclusion("multiples", 1, 2)
 PAIRWISE = Conclusion("pairwise")
 
 
-class PeriodCertificate(namedtuple("PeriodCertificate", "rule conclusion witness")):
+class PeriodCertificate(Record, fields="rule conclusion witness"):
     """One applied period criterion, its str `rule` and its `Conclusion`,
     with its re-checkable witness data, the dict `witness`."""
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
 
-from .errors import DegenerateMapError, InputError, LiftConstructionError
+from .errors import DegenerateMapError, InputError, LiftConstructionError, Record
 from .homology import char_from_traces, power_traces, recur
 from .words import Letter, MapAction, Word
 
@@ -30,7 +29,7 @@ COVER_DEPTH = 8
 BRANCH_WATCH = 13
 
 
-class PLLift(namedtuple("PLLift", "n scale pieces")):
+class PLLift(Record, fields="n scale pieces"):
     """A piecewise-linear self-map of [0, n] in units of 1/scale (ints).
 
     Each piece (lo, hi, slope, intercept) of the tuple `pieces`, four
@@ -98,7 +97,7 @@ def build_lift(f: MapAction) -> PLLift:
     return PLLift(f.n, scale, tuple(pieces))
 
 
-class OracleCounts(namedtuple("OracleCounts", "crossings covers branch_period")):
+class OracleCounts(Record, fields="crossings covers branch_period"):
     """The lift's counts for each iterate m = 1..depth of one call.
 
     `crossings` and `covers` are tuples of ints: `crossings[m-1]` counts

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import namedtuple
 from collections.abc import Sequence
 from itertools import zip_longest
 
-from .errors import InputError
+from .errors import InputError, Record
 
 #: modulus gap below which two leading eigenvalues count as tied
 DOMINANCE_EPS = 1e-8
@@ -135,7 +134,7 @@ def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     return parts
 
 
-class SpectrumReport(namedtuple("SpectrumReport", "values residual")):
+class SpectrumReport(Record, fields="values residual"):
     """Eigenvalues sorted by nonincreasing modulus, a tuple of complex
     `values`, with the float `residual` and derived data."""
 

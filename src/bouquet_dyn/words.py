@@ -9,10 +9,9 @@ models maps that are monotone on every petal.  Letters serialize as
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, Record
 
 #: branch class of a map whose branching point is never periodic
 BRANCH_FREE = None
@@ -20,12 +19,6 @@ BRANCH_FREE = None
 #: the most circles a map may have, checked at a spec's n= line; a parsed
 #: generator index is held to its digits before int() reads it
 CIRCLE_CAP = 64
-
-
-def _make_checked(cls, values):
-    """A named tuple's `_make`, and so its `_replace`, through the
-    validating constructor of the subclass."""
-    return cls(*values)
 
 
 def generator_index(digits: str) -> int | None:
@@ -39,12 +32,11 @@ def generator_index(digits: str) -> int | None:
     return int(digits)
 
 
-class Letter(namedtuple("Letter", "index sign")):
+class Letter(Record, fields="index sign"):
     """One generator symbol: ``a<index>`` or its inverse ``a<index>'``;
     `index` is an int >= 1 and `sign` is +1 or -1."""
 
     __slots__ = ()
-    _make = classmethod(_make_checked)
 
     def __new__(cls, index: int, sign: int) -> Letter:
         if index < 1:
@@ -95,7 +87,7 @@ class Word(tuple):
         return Word(Letter.parse(t) for t in text.split())
 
 
-class MapAction(namedtuple("MapAction", "n images branch_class")):
+class MapAction(Record, fields="n images branch_class"):
     """A bouquet self-map given by its petal images and branch-orbit class.
 
     ``n`` is the number of circles, an int >= 1, and ``images[j-1]``, a
@@ -110,7 +102,6 @@ class MapAction(namedtuple("MapAction", "n images branch_class")):
     """
 
     __slots__ = ()
-    _make = classmethod(_make_checked)
 
     def __new__(cls, n: int, images: tuple[Word, ...],
                 branch_class: int | None = BRANCH_FREE) -> MapAction:

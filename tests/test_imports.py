@@ -35,7 +35,7 @@ def test_standard_library_only():
 #: modules a report does not need, each costly to import: the entry
 #: points load `argparse` and `importlib.resources` themselves, and the
 #: renderer takes its one encoder from the C module `_json`; the records
-#: are `collections.namedtuple`s, the root solver's start points come from
+#: are `errors.Record`s, the root solver's start points come from
 #: `math`, and `re` is loaded only to read a claim line
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "argparse",
          "importlib.resources", "json", "typing", "cmath", "re"}
@@ -54,6 +54,24 @@ def test_import_loads_only_what_a_report_needs():
     ).stdout.split()
     assert "bouquet_dyn.cli" in added
     assert sorted(HEAVY.intersection(added)) == []
+
+
+def test_no_record_compiles_code():
+    # `collections.namedtuple` compiles each record's `__new__` at import,
+    # and `typing.NamedTuple` adds a class creation on top: the records
+    # derive from `errors.Record`, which compiles nothing
+    def named(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    found = {
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and named(node.func) == "namedtuple"
+        or isinstance(node, ast.ClassDef)
+        and any(named(base) == "NamedTuple" for base in node.bases)
+    }
+    assert sorted(found) == []
 
 
 ROOT = PACKAGE.parents[1]

@@ -1,31 +1,60 @@
-"""The records are immutable named tuples (and `Word` the tuple of its
-letters): they copy and pickle to equal values of the same type, the
-validating constructors refuse bad input, and the PL oracle's error texts
-print ratios as `Fraction` would."""
+"""The records are immutable tuples with named fields (and `Word` the
+tuple of its letters): they copy and pickle to equal values of the same
+type, print and compare as named tuples do, the validating constructors
+refuse bad input, and the PL oracle's error texts print ratios as
+`Fraction` would."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 
-from bouquet_dyn import PowerSequences, abelianize, action
-from bouquet_dyn.cli import ReportOptions
-from bouquet_dyn.errors import InputError
+import bouquet_dyn
+from bouquet_dyn import (PowerSequences, abelianize, build_lift, eigenvalues,
+                         oracle_counts)
+from bouquet_dyn.cli import (DEFAULT_ENTROPY_HORIZON, DEFAULT_ORACLE_DEPTH,
+                             Claim, ReportOptions, parse_spec)
+from bouquet_dyn.errors import InputError, Record
 from bouquet_dyn.periods import Conclusion, PeriodCertificate
 from bouquet_dyn.pl_oracle import _ratio
-from bouquet_dyn.words import Letter, MapAction, Word
+from bouquet_dyn.words import Letter, MapAction, Word, action
 
 F = action("a1 a2 a1", "a1", k=2)
+SEQS = PowerSequences.of(abelianize(F), 8)
+LIFT = build_lift(F)
 
 RECORDS = [
     Letter(3, -1),
     Word.parse("a1 a2 a1"),
     F,
-    PowerSequences.of(abelianize(F), 8),
+    SEQS,
     PeriodCertificate("fmbig", Conclusion("listed", listed=(1, 3, 4)), {}),
     ReportOptions(horizon=20, no_oracle=True),
+    Conclusion("tail", 5),
+    Claim("fix", 2, 3, "claim: fix(2) = 3"),
+    parse_spec("n=2\nbranch: period 2\na1 -> a1 a2 a1\na2 -> a1\n"
+               "claim: fix(2) = 3\n"),
+    eigenvalues(SEQS.char),
+    LIFT,
+    oracle_counts(LIFT, 4),
 ]
+
+
+def test_every_record_is_covered():
+    for info in pkgutil.iter_modules(bouquet_dyn.__path__):
+        importlib.import_module(f"bouquet_dyn.{info.name}")
+    pending, found = [Record], set()
+    while pending:
+        subclasses = pending.pop().__subclasses__()
+        found.update(subclasses)
+        pending += subclasses
+    assert len(found) == 11, sorted(c.__name__ for c in found)
+    covered = {type(r) for r in RECORDS}
+    assert sorted(c.__name__ for c in found - covered) == []
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -52,6 +81,58 @@ def test_records_are_immutable():
         options.horizon = 5
     with pytest.raises(AttributeError):
         F.branch_class = 1
+    for record in RECORDS:
+        for name in getattr(record, "_fields", ()) + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+
+@pytest.mark.parametrize("record", [r for r in RECORDS if isinstance(r, Record)],
+                         ids=lambda r: type(r).__name__)
+def test_prints_and_compares_as_a_named_tuple(record):
+    twin = namedtuple(type(record).__name__, record._fields)(*record)
+    assert repr(record) == repr(twin)
+    assert record == twin == tuple(record)
+    assert [getattr(record, name) for name in record._fields] == list(record)
+    assert type(record)._make(record) == record
+    assert record._replace() == record
+
+
+def test_keywords_and_defaults():
+    assert ReportOptions() == ReportOptions(
+        None, DEFAULT_ORACLE_DEPTH, False, DEFAULT_ENTROPY_HORIZON)
+    assert ReportOptions(no_oracle=True, horizon=3) == ReportOptions(
+        3, DEFAULT_ORACLE_DEPTH, True, DEFAULT_ENTROPY_HORIZON)
+    assert Conclusion("tail", 5) == Conclusion(m=5, kind="tail") == (
+        "tail", 5, None, ())
+    assert repr(Conclusion("tail", 5)) == (
+        "Conclusion(kind='tail', m=5, excluded=None, listed=())")
+    assert Letter(sign=-1, index=3) == Letter(3, -1)
+    assert MapAction(1, (Word.parse("a1 a1"),)).branch_class is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Claim("fix", 2, 3),
+    lambda: Claim("fix", 2, 3, "text", "extra"),
+    lambda: ReportOptions(None, 8, False, 8, 1),
+    lambda: ReportOptions(depth=3),
+    lambda: Conclusion("tail", kind="tail"),
+    lambda: Conclusion(),
+    lambda: Letter(1),
+    lambda: Letter(1, 1, index=1),
+    lambda: Conclusion("tail", 5)._replace(step=2),
+])
+def test_wrong_fields_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_replace_without_validation():
+    tail = Conclusion("tail", 5)
+    moved = tail._replace(m=7)
+    assert type(moved) is Conclusion and moved == ("tail", 7, None, ())
+    assert tail == ("tail", 5, None, ())
+    assert ReportOptions()._replace(no_oracle=True).no_oracle is True
 
 
 @pytest.mark.parametrize("build", [
