@@ -52,7 +52,7 @@ def test_every_record_is_covered():
         subclasses = pending.pop().__subclasses__()
         found.update(subclasses)
         pending += subclasses
-    assert len(found) == 11, sorted(c.__name__ for c in found)
+    assert len(found) >= 11, sorted(c.__name__ for c in found)
     covered = {type(r) for r in RECORDS}
     assert sorted(c.__name__ for c in found - covered) == []
 
