@@ -459,8 +459,7 @@ def report_has_failures(report: dict) -> bool:
         return True
     if any("failure" in c for c in report["certificates"]):
         return True
-    oracle = report["oracle"]
-    return oracle.get("status") == "mismatch"
+    return report["oracle"]["status"] == "mismatch"
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +510,11 @@ def render_text(report: dict) -> str:
     else:
         lines.append("certificates: none fired")
     oracle = report["oracle"]
-    lines.append(f"oracle: {oracle.get('status')}"
+    lines.append(f"oracle: {oracle['status']}"
                  + (f" ({oracle['reason']})" if "reason" in oracle else ""))
     for v in oracle.get("verdicts", []):
-        detail = ""
-        if "lift_count" in v:
-            detail = f" lift={v['lift_count']} formula={v['formula_count']}"
-        lines.append(f"  m={v['m']}: {v['verdict']}{detail}")
+        lines.append(f"  m={v['m']}: {v['verdict']} lift={v['lift_count']} "
+                     f"formula={v['formula_count']}")
     failed = [c for c in report["lefschetz_fix_checks"] if not c["passed"]]
     if failed:
         lines.append("FAILED Lefschetz/fixed-point checks: "
@@ -539,70 +536,50 @@ _ENCODERS = {
 }
 
 
-def _table(rows: list, inner: str) -> str | None:
-    """The body of a list of dicts that share one non-empty key set and
-    hold one scalar type per column, rendered through one %-template
-    whose keys are sorted once; None for any other list of dicts."""
-    # rows as long as the first that hold each of its keys hold no other
-    width = len(rows[0])
-    if not width or set(map(len, rows)) != {width}:
-        return None
-    keys = sorted(rows[0])
-    columns = []
-    for key in keys:
-        try:
-            column = [row[key] for row in rows]
-        except KeyError:
-            return None
-        types = set(map(type, column))
-        encode = _ENCODERS.get(types.pop()) if len(types) == 1 else None
-        if encode is None:
-            return None
-        columns.append(map(encode, column))
-    cell = inner + "  "
-    template = ("{" + cell
-                + ("," + cell).join(_quote(k).replace("%", "%%") + ": %s"
-                                    for k in keys)
-                + inner + "}")
-    return ("," + inner).join(map(template.__mod__, zip(*columns)))
-
-
-def json_indent2(value, nl: str = "\n") -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, for
-    values built from dict, list, str, int, bool and None; `nl` is the
-    newline plus the enclosing indent.  A list of scalars of one type is
-    joined in one C-level pass, the bulk of a report, and a list of
-    same-keyed dicts of scalar columns (the check rows) through one row
-    template, each column encoded in one such pass."""
+def json_pieces(value, out: list, nl: str = "\n") -> list:
+    """Append to `out` the pieces of `json.dumps(value, indent=2,
+    sort_keys=True)`, byte for byte, for values built from dict, list,
+    str, int, bool and None, and return `out`; `nl` is the newline plus
+    the enclosing indent.  No piece is copied into an enclosing string,
+    and a list of scalars of one type, the bulk of a report, is one piece
+    joined in one C-level pass."""
     t = type(value)
     if t in _ENCODERS:
-        return _ENCODERS[t](value)
+        out.append(_ENCODERS[t](value))
+        return out
+    if t is not list and t is not dict:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if not value:
+        out.append("[]" if t is list else "{}")
+        return out
     inner = nl + "  "
     sep = "," + inner
-    if t is list:
-        if not value:
-            return "[]"
-        types = set(map(type, value))
-        kind = types.pop() if len(types) == 1 else None
-        body = None
-        if kind in _ENCODERS:
-            body = sep.join(map(_ENCODERS[kind], value))
-        elif kind is dict:
-            body = _table(value, inner)
-        if body is None:
-            body = sep.join([json_indent2(v, inner) for v in value])
-        return "[" + inner + body + nl + "]"
     if t is dict:
-        if not value:
-            return "{}"
-        body = sep.join([_quote(k) + ": " + json_indent2(value[k], inner)
-                         for k in sorted(value)])
-        return "{" + inner + body + nl + "}"
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        out.append("{" + inner)
+        for k in sorted(value):
+            out.append(_quote(k) + ": ")
+            json_pieces(value[k], out, inner)
+            out.append(sep)
+        # the separator after the last item becomes the closing brace
+        out[-1] = nl + "}"
+        return out
+    types = set(map(type, value))
+    kind = types.pop() if len(types) == 1 else None
+    if kind in _ENCODERS:
+        out += ("[" + inner, sep.join(map(_ENCODERS[kind], value)), nl + "]")
+        return out
+    out.append("[" + inner)
+    for v in value:
+        json_pieces(v, out, inner)
+        out.append(sep)
+    out[-1] = nl + "]"
+    return out
 
 
 def render_json(report: dict) -> str:
-    return json_indent2(report) + "\n"
+    pieces = json_pieces(report, [])
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +624,12 @@ def _analyze(args: argparse.Namespace) -> int:
     except InconsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    out = render_json(report) if args.format == "json" else render_text(report)
-    sys.stdout.write(out)
+    if args.format == "json":
+        # piece by piece: the report's text is never held whole
+        sys.stdout.writelines(json_pieces(report, []))
+        sys.stdout.write("\n")
+    else:
+        sys.stdout.write(render_text(report))
     return 2 if report_has_failures(report) else 0
 
 

@@ -1,9 +1,11 @@
 """DSL parsing, report generation, exit codes, fixture corpus."""
 
 import json
+import os
 import random
 import time
 import tracemalloc
+from contextlib import redirect_stdout
 from importlib import resources
 
 import pytest
@@ -16,11 +18,11 @@ from bouquet_dyn.cli import (
     MapSpecDocument,
     ReportOptions,
     fixture_names,
-    json_indent2,
     main,
     parse_spec,
     render_json,
     render_text,
+    report_has_failures,
     run_report,
 )
 from bouquet_dyn.errors import InconsistencyError, InputError
@@ -669,6 +671,14 @@ class TestFixtureCorpus:
             frozen = (root / f"{name}.json").read_text(encoding="utf-8")
             assert render_json(run_report(doc, ReportOptions())) == frozen, name
 
+    def test_cli_prints_frozen_bytes(self, capsysbinary):
+        root = resources.files("bouquet_dyn") / "fixtures"
+        for name in fixture_names():
+            code = main(["analyze", str(root / f"{name}.bqd"), "--format", "json"])
+            frozen = (root / f"{name}.json").read_bytes()
+            assert capsysbinary.readouterr().out == frozen, name
+            assert code == (2 if report_has_failures(json.loads(frozen)) else 0)
+
     def test_corpus_contents(self):
         names = fixture_names()
         assert len(names) == 8
@@ -724,8 +734,8 @@ def dumps(value) -> str:
 
 
 class TestJsonIndent2:
-    """`render_json` writes through `json_indent2` on every Python; its
-    bytes must equal `json.dumps(indent=2, sort_keys=True)`."""
+    """`render_json` joins the pieces of `json_pieces` on every Python;
+    its bytes must equal `json.dumps(indent=2, sort_keys=True)`."""
 
     def test_fixture_reports(self):
         variants = [
@@ -738,7 +748,7 @@ class TestJsonIndent2:
         for doc in docs:
             for options in variants:
                 report = run_report(doc, options)
-                assert json_indent2(report) + "\n" == dumps(report)
+                assert render_json(report) == dumps(report)
 
     def test_random_reports(self, rng):
         maps = [random_expanding_action(rng)[0] for _ in range(300)]
@@ -750,7 +760,7 @@ class TestJsonIndent2:
             except InconsistencyError:
                 continue
             statuses.add(report["oracle"]["status"])
-            assert json_indent2(report) + "\n" == dumps(report), f
+            assert render_json(report) == dumps(report), f
         assert {"ok", "unavailable"} <= statuses
 
     @pytest.mark.parametrize("value", [
@@ -761,7 +771,7 @@ class TestJsonIndent2:
         [None, True, False], {"none": None, "true": True, "false": False},
         [-1, 0, 2**64 + 1, -(2**70)], ["a", 1, "b", None], ["x", ["y", "z"]],
         "bare", 7, -7, None, True, False,
-        # tables: lists of same-keyed dicts, and the lists that are not
+        # lists of dicts, same-keyed like the check rows or not
         [{"100%": 1, 'say "x"': "%s", "%d": True},
          {"100%": 2, 'say "x"': "%%", "%d": False}],
         [{"a": 1, "b": 2}, {"a": 3}], [{"a": 1}, {"b": 1}],
@@ -773,7 +783,7 @@ class TestJsonIndent2:
         [{"a": 1}, "b"],
     ])
     def test_hand_built_values(self, value):
-        assert json_indent2(value) + "\n" == dumps(value)
+        assert render_json(value) == dumps(value)
 
     @pytest.mark.parametrize("value", [
         [0, 1, -1, 2**64 + 1, -(10**4000)], [True, False, True], [1, True],
@@ -783,10 +793,10 @@ class TestJsonIndent2:
     ])
     def test_int_lists(self, value):
         # a bool prints as true or false, never as 1 or 0
-        assert json_indent2(value) + "\n" == dumps(value)
+        assert render_json(value) == dumps(value)
 
     def test_int_lists_keep_bools(self):
-        assert json_indent2([1, True, 0, False]).split() == [
+        assert render_json([1, True, 0, False]).split() == [
             "[", "1,", "true,", "0,", "false", "]"]
 
     @pytest.mark.parametrize("value", [
@@ -795,4 +805,25 @@ class TestJsonIndent2:
     ])
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
-            json_indent2(value)
+            render_json(value)
+
+    def test_cli_holds_the_text_once(self, tmp_path, monkeypatch):
+        # `analyze --format json` writes the pieces as they are: rendering
+        # adds them, about the text's length, and no joined copy of the text
+        spec = tmp_path / "doubling.bqd"
+        spec.write_text("n=1\nbranch: free\na1 -> a1 a1\n", encoding="utf-8")
+        argv = ["analyze", str(spec), "--horizon", "3000", "--no-oracle",
+                "--format", "json"]
+        report = run_report(parse_spec(spec.read_text(encoding="utf-8")),
+                            ReportOptions(horizon=3000, no_oracle=True))
+        size = len(render_json(report))
+        monkeypatch.setattr(cli, "run_report", lambda doc, options: report)
+        with open(os.devnull, "w", encoding="utf-8") as sink, \
+                redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.5 * size, peak / size

@@ -142,8 +142,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", required=True, help="suffix of BENCH_<pr>.json")
     ap.add_argument("--parent", required=True, help="git revision to compare with")
-    ap.add_argument("--claim", required=True,
-                    help="WORKLOAD.METRIC the change claims to improve")
+    ap.add_argument("--claim", default=None,
+                    help="WORKLOAD.METRIC the change claims to improve; "
+                    "omitted, the record's claim is null")
     ap.add_argument("--pairs", action="append", required=True,
                     help="WORKLOAD=COUNT, repeatable")
     ap.add_argument("--first-seed", type=int, default=41)
@@ -152,9 +153,15 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     pairs = parse_pairs(args.pairs)
-    claim_workload, _, claim_metric = args.claim.partition(".")
-    if claim_workload not in pairs or claim_metric not in better:
-        raise SystemExit(f"--claim {args.claim!r} names no measured workload metric")
+    claim = None
+    # the metric printed as the runs go
+    shown = "report_p50_ms"
+    if args.claim is not None:
+        claim_workload, _, shown = args.claim.partition(".")
+        if claim_workload not in pairs or shown not in better:
+            raise SystemExit(f"--claim {args.claim!r} names no measured workload metric")
+        claim = {"workload": claim_workload, "metric": shown,
+                 "better": better[shown]}
 
     record = {
         "pr": args.pr,
@@ -163,8 +170,7 @@ def main(argv=None) -> int:
         "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "command": bench["command"],
         "seconds": bench["run_seconds"],
-        "claim": {"workload": claim_workload, "metric": claim_metric,
-                  "better": better[claim_metric]},
+        "claim": claim,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -181,8 +187,8 @@ def main(argv=None) -> int:
                     run = run_once(trees[side], workload, seed,
                                    bench["run_seconds"])
                     runs[side].append(run)
-                    print(f"{workload} seed {seed} {side}: {claim_metric} "
-                          f"{run['metrics'][claim_metric]:.6g}", flush=True)
+                    print(f"{workload} seed {seed} {side}: {shown} "
+                          f"{run['metrics'][shown]:.6g}", flush=True)
             equal = [same_output(p, c) for p, c in zip(runs["parent"], runs["change"])]
             record["workloads"][workload] = {
                 "seeds": seeds,
@@ -192,12 +198,13 @@ def main(argv=None) -> int:
             }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    w = record["workloads"][claim_workload]
-    print(f"wrote {path.name}: {args.claim} median "
-          f"{w['median']['parent'][claim_metric]:.6g} -> "
-          f"{w['median']['change'][claim_metric]:.6g}, "
-          f"{w['wins'][claim_metric]} of {len(w['seeds'])} pairs won, "
-          f"outputs equal: {w['outputs_equal']}")
+    print(f"wrote {path.name}")
+    for workload, w in record["workloads"].items():
+        print(f"{workload}.{shown} median "
+              f"{w['median']['parent'][shown]:.6g} -> "
+              f"{w['median']['change'][shown]:.6g}, "
+              f"{w['wins'][shown]} of {len(w['seeds'])} pairs won, "
+              f"outputs equal: {w['outputs_equal']}")
     return 0
 
 
