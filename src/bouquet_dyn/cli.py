@@ -199,17 +199,13 @@ def _branch_text(k: int | None) -> str:
 
 def _certificate_json(cert: PeriodCertificate, period_set: list[int],
                       horizon: int) -> dict:
-    """Witness integers print as strings; a listed conclusion's iterates
-    print as the witness `m`, a list of JSON integers.  A conclusion that
-    the census's period set up to the horizon breaks
-    (`Conclusion.missing`) gets a `failure` naming where."""
-    witness = {k: str(v) for k, v in cert.witness.items()}
-    if cert.conclusion.kind == "listed":
-        witness["m"] = list(cert.conclusion.listed)
+    """Witness integers print as strings.  A conclusion that the census's
+    period set up to the horizon breaks (`Conclusion.missing`) gets a
+    `failure` naming where."""
     out = {
         "rule": cert.rule,
         "conclusion": cert.conclusion.text(),
-        "witness": witness,
+        "witness": {k: str(v) for k, v in cert.witness.items()},
     }
     missing = ", ".join(map(str, cert.conclusion.missing(period_set, horizon)))
     if missing:
@@ -236,8 +232,7 @@ def _digit_bound(col_sums: list[int], iterates: int) -> float:
     Let c be the largest column sum of |M|, the longest image word.  The
     column sums of |M^m| are at most c^m, so every trace, fix count,
     norm and cover up to iterate K is at most 1 + n c^K + 2n <= 4 n c^K,
-    and every Moebius sum of them (l, per, and the fmbig divisor sums,
-    which are held but not printed) at most K times that: fewer
+    and every Moebius sum of them (l and per) at most K times that: fewer
     than K log10 c + log10(4 n K) + 1 digits.
     A coefficient of the characteristic polynomial is at most
     binomial(n, i) rho^i <= (2c)^n, for the spectral radius rho <= c.
@@ -322,7 +317,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     # in "lefschetz" and "census"
     checks = lefschetz_fix_check(f, lefs, values["fix"])
 
-    certificates = period_certificates(f, seqs, values["fix"], spectrum)
+    certificates = period_certificates(f, seqs, horizon, spectrum)
 
     oracle = _run_oracle(f, options, seqs.norms, fixes, warnings)
 
@@ -349,7 +344,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         )
 
     report = {
-        "schema": 3,
+        "schema": 4,
         "input": {
             "n": f.n,
             "branch": _branch_text(f.branch_class),
@@ -360,7 +355,6 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         "abelianization": [list(map(str, row)) for row in mat],
         "lefschetz": {
             "horizon": horizon,
-            "trace": list(map(str, seqs.traces[:horizon])),
             "L": list(map(str, lefs)),
             "l": list(map(str, values["l"])),
         },
@@ -480,12 +474,10 @@ def render_text(report: dict) -> str:
     horizon = inp["horizon"]
     lef = report["lefschetz"]
     cen = report["census"]
-    lines.append(f"{'m':>3} {'Tr':>8} {'L':>8} {'l':>8} {'fix':>8} {'per':>8}")
+    lines.append(f"{'m':>3} {'L':>8} {'l':>8} {'fix':>8} {'per':>8}")
     for i in range(horizon):
-        lines.append(
-            f"{i + 1:>3} {lef['trace'][i]:>8} {lef['L'][i]:>8} "
-            f"{lef['l'][i]:>8} {cen['fix'][i]:>8} {cen['per'][i]:>8}"
-        )
+        lines.append(f"{i + 1:>3} {lef['L'][i]:>8} {lef['l'][i]:>8} "
+                     f"{cen['fix'][i]:>8} {cen['per'][i]:>8}")
     lines.append("")
     lines.append(f"period set up to {horizon}: {cen['period_set']}")
     spec = report["spectrum"]
@@ -502,9 +494,7 @@ def render_text(report: dict) -> str:
     if report["certificates"]:
         lines.append("certificates:")
         for c in report["certificates"]:
-            lines.append(f"  {c['rule']}: {c['conclusion']}"
-                         + (f": {c['witness']['m']}" if c["rule"] == "fmbig"
-                            else ""))
+            lines.append(f"  {c['rule']}: {c['conclusion']}")
             if "failure" in c:
                 lines.append(f"FAILED certificate {c['rule']}: {c['failure']}")
     else:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from itertools import count
-from operator import add
 
 from .errors import InconsistencyError, InputError, Record
 from .homology import IntMatrix, PowerSequences, invert_divisor_sums
@@ -131,15 +130,13 @@ def lefschetz_fix_check(
 # ---------------------------------------------------------------------------
 # certificates
 
-class Conclusion(Record, fields="kind m excluded listed",
-                 defaults=(1, None, ())):
+class Conclusion(Record, fields="kind m excluded", defaults=(1, None)):
     """What a certificate promises about the period set Per, as data: the
-    str `kind`, int `m`, int or None `excluded` and tuple of ints `listed`.
+    str `kind`, int `m` and int or None `excluded`.
 
     kind is one of
       "multiples": every multiple of m is a period, except `excluded`;
       "tail":      every integer from m on is a period;
-      "listed":    every m in `listed` is a period;
       "pairwise":  of every two consecutive integers one is a period
                    (m and excluded unused).
     """
@@ -150,8 +147,6 @@ class Conclusion(Record, fields="kind m excluded listed",
         """The conclusion as printed in reports."""
         if self.kind == "pairwise":
             return "for every m, m or m+1 in Per"
-        if self.kind == "listed":
-            return "Per_m nonempty at every listed m"
         if self.kind == "tail":
             return f"Per contains [{self.m}, inf)"
         if self.m == 1 and self.excluded is None:
@@ -166,8 +161,6 @@ class Conclusion(Record, fields="kind m excluded listed",
         pairwise conclusion promises no individual period."""
         if self.kind == "pairwise":
             return set()
-        if self.kind == "listed":
-            return {m for m in self.listed if m <= horizon}
         step = 1 if self.kind == "tail" else self.m
         return set(range(self.m, horizon + 1, step)) - {self.excluded}
 
@@ -305,55 +298,29 @@ def _criteria_hits(f: MapAction, powers: Iterable[IntMatrix]):
                 yield (m, family, *hit)
 
 
-def fmbig_periods(fixes: Sequence[int]) -> list[int]:
-    """Every m up to len(fixes) where fix(m) = fixes[m-1] beats the sum of
-    fix(m/p) over the primes p dividing m, each certifying a period-m
-    orbit.  One sieve adds fix(1..H/p) into the multiples of each prime
-    p, O(H log log H) additions."""
-    horizon = len(fixes)
-    fix = (0, *fixes)
-    bound = [0] * (horizon + 1)
-    sieved = bytearray(horizon + 1)
-    for p in range(2, horizon + 1):
-        if not sieved[p]:
-            sieved[p::p] = b"\x01" * (horizon // p)
-            bound[p::p] = map(add, bound[p::p], fix[1:horizon // p + 1])
-    return [m for m in range(1, horizon + 1) if fix[m] > bound[m]]
-
-
-def dominant_periods(
-    f: MapAction, spectrum: SpectrumReport, fmbig: list[int], horizon: int
-) -> PeriodCertificate | None:
-    """All sufficiently large periods, under a dominant leading eigenvalue.
-
-    fmbig is `fmbig_periods` of the census up to the horizon.  The
-    analytic threshold comes from the eigenvalue inequality behind
-    m0_bound; the usually much smaller empirical threshold is the least m
-    from which the fix-count comparison test fires at every iterate up to
-    the census horizon.  None when `m0_bound` gives no threshold.
+def dominant_periods(f: MapAction,
+                     spectrum: SpectrumReport) -> PeriodCertificate | None:
+    """All sufficiently large periods, under a dominant leading eigenvalue:
+    every m from the analytic threshold m0 on, which the eigenvalue
+    inequality behind `m0_bound` gives.  None when `m0_bound` gives no
+    threshold.  The census's period set shows which periods below m0 the
+    map has up to the horizon.
     """
     m0 = m0_bound(spectrum, f.n)
     if m0 is None:
         return None
-    witness = {"m0_analytic": m0, "horizon": horizon}
-    start = horizon + 1
-    for m in reversed(fmbig):
-        if m != start - 1:
-            break
-        start = m
-    if start <= horizon:
-        witness["m0_empirical"] = start
-    return PeriodCertificate("dominant", Conclusion("tail", m0), witness)
+    return PeriodCertificate("dominant", Conclusion("tail", m0, None),
+                             {"m0_analytic": m0})
 
 
 def period_certificates(
     f: MapAction,
     seqs: PowerSequences,
-    fixes: Sequence[int],
+    horizon: int,
     spectrum: SpectrumReport,
 ) -> list[PeriodCertificate]:
-    """Every period certificate that fires for f, in report order, from
-    the census's fix counts fixes[m-1] = fix(m), m = 1..H.
+    """Every period certificate that fires for f, in report order, for a
+    census up to the horizon H.
 
     The doubling and low-growth families are tried on M^1..M^min(H,
     CRITERIA_POWERS), walked lazily by
@@ -362,11 +329,9 @@ def period_certificates(
     each family that fires gives its own certificate.  The first later
     hit whose conclusion promotes gives one delayed certificate over
     multiples of m and ends the walk, for most maps at m = 2, so past
-    the baby steps nothing is multiplied.  Then one fmbig certificate
-    lists every m up to H that `fmbig_periods` certifies, and the
-    dominant-eigenvalue certificate reads that same list.
+    the baby steps nothing is multiplied.  The dominant-eigenvalue
+    certificate comes last.
     """
-    horizon = len(fixes)
     certs = []
     for m, family, case, conclusion, witness in _criteria_hits(
         f, seqs.matrix_powers(min(horizon, CRITERIA_POWERS))
@@ -382,12 +347,7 @@ def period_certificates(
                 {"m": m, **witness},
             ))
             break
-    fmbig = fmbig_periods(fixes)
-    if fmbig:
-        certs.append(PeriodCertificate(
-            "fmbig", Conclusion("listed", listed=tuple(fmbig)), {}
-        ))
-    dominant = dominant_periods(f, spectrum, fmbig, horizon)
+    dominant = dominant_periods(f, spectrum)
     if dominant is not None:
         certs.append(dominant)
     return certs

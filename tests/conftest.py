@@ -4,10 +4,11 @@ quantity is checked against (a ladder of matrix products and repeated
 squaring for the power sequences, Faddeev-LeVerrier for their
 characteristic polynomial, Euclid's algorithm in `Fraction`s for the
 squarefree parts of one, divisors and mu for the Moebius sieve and its
-forward divisor sums, trial division for the fmbig prime sieve, letter
-orbits for the fix counts' signed codes, iterate images expanded word by
-word for the per-iterate counts, a depth-first walk over every piece of
-the composed lifts for the oracle's count on the Markov partition)."""
+forward divisor sums, the fix-count comparison test for the census's
+period set, letter orbits for the fix counts' signed codes, iterate
+images expanded word by word for the per-iterate counts, a depth-first
+walk over every piece of the composed lifts for the oracle's count on
+the Markov partition)."""
 
 import json
 import math
@@ -356,8 +357,9 @@ def primes_of(m: int) -> list[int]:
 
 def fmbig_reference(fixes: Sequence[int]) -> list[int]:
     """Every m <= len(fixes) with fix(m) > sum of fix(m/p) over the primes
-    p dividing m, fixes[m-1] = fix(m), each m tested on its own: a
-    reference for `periods.fmbig_periods`, which sieves."""
+    p dividing m, fixes[m-1] = fix(m), each m tested on its own.  A point
+    of least period below m lies in some Fix(f^(m/p)), so each such m has
+    per(m) > 0: the list lies in the census's period set."""
     return [
         m for m in range(1, len(fixes) + 1)
         if fixes[m - 1] > sum(fixes[m // p - 1] for p in primes_of(m))

@@ -62,9 +62,7 @@ def spectrum(mat):
 def certificate(f, rule, horizon=12):
     """The first certificate of f whose rule starts with `rule`, or None."""
     seqs = PowerSequences.of(abelianize(f), horizon)
-    certs = period_certificates(
-        f, seqs, fix_counts(f, seqs.traces), eigenvalues(seqs.char)
-    )
+    certs = period_certificates(f, seqs, horizon, eigenvalues(seqs.char))
     return next((c for c in certs if c.rule.startswith(rule)), None)
 
 
@@ -146,8 +144,11 @@ def test_criterion_5_dominant_map():
     ok = ok and abs(s.spectral_radius - 1.47) <= 0.01
     ok = ok and m0_bound(s, 4) == 10
     cert = certificate(DOMINANT, "dominant")
-    ok = ok and cert is not None and cert.witness["m0_empirical"] == 3
-    ok = ok and period_set(census(DOMINANT, 12)) == set(range(1, 13)) - {2}
+    ok = ok and cert is not None and cert.witness == {"m0_analytic": 10}
+    periods = period_set(census(DOMINANT, 12))
+    ok = ok and periods == set(range(1, 13)) - {2}
+    # the least m from which every iterate up to the horizon is a period
+    ok = ok and min(m for m in range(1, 14) if set(range(m, 13)) <= periods) == 3
     _verdict(5, "dominant-eigenvalue map: printed powers, thresholds "
                 "10 and 3, census", ok)
 

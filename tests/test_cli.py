@@ -150,14 +150,16 @@ class TestRunReport:
         report = run_report(doc, ReportOptions(horizon=12))
         assert [set(c) for c in report["lefschetz_fix_checks"]] == [
             {"m", "mode", "passed"}] * 12
-        assert [c for c in report["certificates"] if c["rule"] == "fmbig"] == [
-            {"rule": "fmbig", "conclusion": "Per_m nonempty at every listed m",
-             "witness": {"m": list(range(1, 13))}}]
+        assert set(report["lefschetz"]) == {"horizon", "L", "l"}
+        assert report["census"]["period_set"] == list(range(1, 13))
+        assert [c["rule"] for c in report["certificates"]] == [
+            "doubling(b)", "delaylowgrow(m=2; doubling(b))", "dominant"]
+        assert report["certificates"][-1]["witness"] == {"m0_analytic": "3"}
 
     def test_reflect_doubling_report(self):
         doc = parse_spec("n=1\nbranch: free\na1 -> a1' a1'\n")
         report = run_report(doc, ReportOptions())
-        assert report["schema"] == 3
+        assert report["schema"] == 4
         assert report["lefschetz"]["L"][0] == "3"
         assert report["lefschetz"]["l"][1] == "-6"
         assert report["census"]["per"][1] == "0"
@@ -538,7 +540,7 @@ class TestMain:
         p.write_text("n=1\nbranch: free\na1 -> a1' a1'\n")
         assert main(["analyze", str(p), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 3
+        assert report["schema"] == 4
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.bqd"
@@ -702,22 +704,19 @@ class TestRenderText:
             lines = render_text(report).splitlines()
             horizon = report["input"]["horizon"]
             lef, cen = report["lefschetz"], report["census"]
-            header = lines.index(f"{'m':>3} {'Tr':>8} {'L':>8} {'l':>8} "
-                                 f"{'fix':>8} {'per':>8}")
+            header = lines.index(f"{'m':>3} {'L':>8} {'l':>8} {'fix':>8} "
+                                 f"{'per':>8}")
             rows = [line.split() for line in lines[header + 1:header + 2 + horizon]]
             assert rows[-1] == [], name
             assert rows[:-1] == [
-                [str(m), lef["trace"][m - 1], lef["L"][m - 1], lef["l"][m - 1],
-                 cen["fix"][m - 1], cen["per"][m - 1]]
+                [str(m), lef["L"][m - 1], lef["l"][m - 1], cen["fix"][m - 1],
+                 cen["per"][m - 1]]
                 for m in range(1, horizon + 1)
             ], name
             assert (f"period set up to {horizon}: {cen['period_set']}"
                     in lines), name
             for cert in report["certificates"]:
-                line = f"  {cert['rule']}: {cert['conclusion']}"
-                if cert["rule"] == "fmbig":
-                    line += f": {cert['witness']['m']}"
-                assert line in lines, name
+                assert f"  {cert['rule']}: {cert['conclusion']}" in lines, name
             oracle = [line for line in lines if line.startswith("oracle: ")]
             assert len(oracle) == 1, name
             assert oracle[0].split()[1] == report["oracle"]["status"], name

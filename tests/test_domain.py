@@ -13,7 +13,10 @@ one certificate for the reason given.  The list may only get shorter.
 
 from itertools import product
 
-from bouquet_dyn.cli import ReportOptions, parse_spec, report_has_failures, run_report
+from bouquet_dyn.cli import (ReportOptions, fixture_names, parse_spec,
+                             report_has_failures, run_report)
+
+from conftest import fmbig_reference, load_fixture
 
 HORIZON = 40
 
@@ -57,6 +60,14 @@ def _admitted(combo, k) -> bool:
     return k == 1 or bool(set.intersection(*map(set, combo)))
 
 
+def _report(k, texts) -> dict:
+    """The horizon-40 report of one map of the domain."""
+    branch = "free" if k is None else f"period {k}"
+    spec = f"n={len(texts)}\nbranch: {branch}\n" + "".join(
+        f"a{j} -> {w}\n" for j, w in enumerate(texts, start=1))
+    return run_report(parse_spec(spec), ReportOptions(horizon=HORIZON))
+
+
 def test_admitted_maps_report_no_failure():
     total = admitted = 0
     flagged = {}
@@ -65,21 +76,34 @@ def test_admitted_maps_report_no_failure():
         if not ok:
             continue
         admitted += 1
-        branch = "free" if k is None else f"period {k}"
-        spec = f"n={len(texts)}\nbranch: {branch}\n" + "".join(
-            f"a{j} -> {w}\n" for j, w in enumerate(texts, start=1))
-        report = run_report(parse_spec(spec), ReportOptions(horizon=HORIZON))
-        assert all(c["passed"] for c in report["lefschetz_fix_checks"]), spec
-        assert "failure" not in report["spectrum"], spec
-        assert report["oracle"]["status"] != "mismatch", spec
+        report = _report(k, texts)
+        assert all(c["passed"] for c in report["lefschetz_fix_checks"]), (k, texts)
+        assert "failure" not in report["spectrum"], (k, texts)
+        assert report["oracle"]["status"] != "mismatch", (k, texts)
         failures = [(c["rule"], c["failure"]) for c in report["certificates"]
                     if "failure" in c]
-        assert report_has_failures(report) == bool(failures), spec
+        assert report_has_failures(report) == bool(failures), (k, texts)
         if failures:
-            assert len(failures) == 1, (spec, failures)
+            assert len(failures) == 1, (k, texts, failures)
             flagged[k, texts] = failures[0]
     assert (total, admitted) == (1592, 1288)
     assert flagged.keys() == EXPECTED.keys()
     for key, (rule, text) in flagged.items():
         want_rule, want_text = EXPECTED[key]
         assert rule == want_rule and f"has {want_text}," in text, (key, text)
+
+
+def test_each_fact_printed_once():
+    # the report prints L, not 1 - L as a trace, and the period set, not
+    # the fix-count comparison test's iterates, which it contains; the
+    # dominant threshold is the analytic one alone
+    reports = [load_fixture(name)[1] for name in fixture_names()]
+    reports += [_report(k, texts) for k, texts, ok in _domain() if ok]
+    assert len(reports) == 8 + 1288
+    for report in reports:
+        assert set(report["lefschetz"]) == {"horizon", "L", "l"}
+        for cert in report["certificates"]:
+            assert cert["rule"] != "fmbig"
+            assert "m0_empirical" not in cert["witness"]
+        fixes = list(map(int, report["census"]["fix"]))
+        assert set(fmbig_reference(fixes)) <= set(report["census"]["period_set"])

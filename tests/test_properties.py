@@ -153,9 +153,7 @@ def test_certificates_agree_with_census():
         seqs = PowerSequences.of(abelianize(f), 12)
         fixes = fix_counts(f, seqs.traces)
         periods = period_set(per_census(fixes))
-        for cert in period_certificates(
-            f, seqs, fixes, eigenvalues(seqs.char)
-        ):
+        for cert in period_certificates(f, seqs, 12, eigenvalues(seqs.char)):
             assert cert.conclusion.periods(12) <= periods, (f, cert)
 
 

@@ -32,7 +32,8 @@ RECORDS = [
     Word.parse("a1 a2 a1"),
     F,
     SEQS,
-    PeriodCertificate("fmbig", Conclusion("listed", listed=(1, 3, 4)), {}),
+    PeriodCertificate("dominant", Conclusion("tail", 3, None),
+                      {"m0_analytic": 3}),
     ReportOptions(horizon=20, no_oracle=True),
     Conclusion("tail", 5),
     Claim("fix", 2, 3, "claim: fix(2) = 3"),
@@ -104,9 +105,9 @@ def test_keywords_and_defaults():
     assert ReportOptions(no_oracle=True, horizon=3) == ReportOptions(
         3, DEFAULT_ORACLE_DEPTH, True, DEFAULT_ENTROPY_HORIZON)
     assert Conclusion("tail", 5) == Conclusion(m=5, kind="tail") == (
-        "tail", 5, None, ())
+        "tail", 5, None)
     assert repr(Conclusion("tail", 5)) == (
-        "Conclusion(kind='tail', m=5, excluded=None, listed=())")
+        "Conclusion(kind='tail', m=5, excluded=None)")
     assert Letter(sign=-1, index=3) == Letter(3, -1)
     assert MapAction(1, (Word.parse("a1 a1"),)).branch_class is None
 
@@ -130,8 +131,8 @@ def test_wrong_fields_refused(build):
 def test_replace_without_validation():
     tail = Conclusion("tail", 5)
     moved = tail._replace(m=7)
-    assert type(moved) is Conclusion and moved == ("tail", 7, None, ())
-    assert tail == ("tail", 5, None, ())
+    assert type(moved) is Conclusion and moved == ("tail", 7, None)
+    assert tail == ("tail", 5, None)
     assert ReportOptions()._replace(no_oracle=True).no_oracle is True
 
 
