@@ -344,7 +344,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         )
 
     report = {
-        "schema": 4,
+        "schema": 5,
         "input": {
             "n": f.n,
             "branch": _branch_text(f.branch_class),
@@ -354,7 +354,6 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         "orientation": orientation(f),
         "abelianization": [list(map(str, row)) for row in mat],
         "lefschetz": {
-            "horizon": horizon,
             "L": list(map(str, lefs)),
             "l": list(map(str, values["l"])),
         },
@@ -379,8 +378,6 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         },
         "entropy": {
             "spectral": _fmt_real(h_spec),
-            "spectral_log2": _fmt_real(h_spec / math.log(2)),
-            "limit_horizon": options.entropy_horizon,
             "limit_sequence": [_fmt_real(s) for s in limit_seq],
             "gap_at_horizon": _fmt_real(abs(limit_seq[-1] - h_spec)),
         },
@@ -487,8 +484,8 @@ def render_text(report: dict) -> str:
         lines.append(f"FAILED spectrum: {spec['failure']}")
     ent = report["entropy"]
     lines.append(
-        f"entropy: {ent['spectral']} (log2: {ent['spectral_log2']}); "
-        f"limit-route gap at m={ent['limit_horizon']}: {ent['gap_at_horizon']}"
+        f"entropy: {ent['spectral']}; limit-route gap at "
+        f"m={len(ent['limit_sequence'])}: {ent['gap_at_horizon']}"
     )
     lines.append("")
     if report["certificates"]:

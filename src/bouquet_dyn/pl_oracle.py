@@ -25,9 +25,6 @@ from .words import Letter, MapAction, Word
 #: `oracle_counts` counts covers to this iterate, the last a report prints
 COVER_DEPTH = 8
 
-#: `oracle_counts` follows the branch orbit at least this many steps
-BRANCH_WATCH = 13
-
 
 class PLLift(Record, fields="n scale pieces"):
     """A piecewise-linear self-map of [0, n] in units of 1/scale (ints).
@@ -105,9 +102,9 @@ class OracleCounts(Record, fields="crossings covers branch_period"):
     preimages of the branching point under f^m (the refined cover size)
     for m <= min(depth, COVER_DEPTH).  At a point where f^m jumps
     (between two integers) both count by its value from the right.
-    `branch_period` is the least t <= max(BRANCH_WATCH, depth + 1) with
-    f^t(0) at an integer, or None: the lift's branch period, as
-    `lift_branch_period` gives it.
+    `branch_period` is the least t >= 1 with f^t(0) at an integer, or
+    None if there is none: the lift's branch period, exact, as
+    `lift_branch_period` gives it with a depth of at least |O*|.
     """
 
     __slots__ = ()
@@ -267,10 +264,10 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
         for m in range(len(cycle), depth + 1, len(cycle)):
             crossings[m - 1] += off
     integer = [x % scale == 0 for x in pts]
-    # f^t(0) is point 0 moved t times by the point map, within the
-    # window; after len(pts) steps its orbit has cycled, so it stops there
+    # f^t(0) is point 0 moved t times by the point map; O* is finite and
+    # forward-invariant, so after len(pts) steps the orbit has cycled
     i, branch_period = 0, None
-    for t in range(1, min(max(BRANCH_WATCH, depth + 1), len(pts)) + 1):
+    for t in range(1, len(pts) + 1):
         i = point[i]
         if integer[i]:
             branch_period = t

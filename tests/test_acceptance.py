@@ -1,6 +1,8 @@
-"""Acceptance suite: the eight headline checks, one pass/fail line each.
+"""Acceptance suite: the headline checks, one pass/fail line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the verdict lines.
+Criterion 7, the randomized property suites, is
+`tests/test_properties.py`, whose suites run on their own.
 """
 
 import math
@@ -170,26 +172,6 @@ def test_criterion_6_oracle_equivalence():
                 ok = False
     _verdict(6, "lift oracle: crossing counts and cover growth match "
                 "the word formulas exactly", ok)
-
-
-def test_criterion_7_property_suites():
-    import test_properties as props
-
-    ok = True
-    for check in (
-        props.test_mif_round_trip,
-        props.test_abelianization_functoriality,
-        props.test_trace_bridge,
-        props.test_census_nonnegative,
-        props.test_periodic_lefschetz_counts_orbits,
-        props.test_even_iterate_identity,
-        props.test_entropy_two_route_gap,
-    ):
-        try:
-            check()
-        except AssertionError:
-            ok = False
-    _verdict(7, "seven randomized property suites, 100 cases each", ok)
 
 
 def test_criterion_8_trace_growth():

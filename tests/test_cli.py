@@ -150,7 +150,9 @@ class TestRunReport:
         report = run_report(doc, ReportOptions(horizon=12))
         assert [set(c) for c in report["lefschetz_fix_checks"]] == [
             {"m", "mode", "passed"}] * 12
-        assert set(report["lefschetz"]) == {"horizon", "L", "l"}
+        assert set(report["lefschetz"]) == {"L", "l"}
+        assert set(report["entropy"]) == {
+            "spectral", "limit_sequence", "gap_at_horizon"}
         assert report["census"]["period_set"] == list(range(1, 13))
         assert [c["rule"] for c in report["certificates"]] == [
             "doubling(b)", "delaylowgrow(m=2; doubling(b))", "dominant"]
@@ -159,7 +161,7 @@ class TestRunReport:
     def test_reflect_doubling_report(self):
         doc = parse_spec("n=1\nbranch: free\na1 -> a1' a1'\n")
         report = run_report(doc, ReportOptions())
-        assert report["schema"] == 4
+        assert report["schema"] == 5
         assert report["lefschetz"]["L"][0] == "3"
         assert report["lefschetz"]["l"][1] == "-6"
         assert report["census"]["per"][1] == "0"
@@ -540,7 +542,7 @@ class TestMain:
         p.write_text("n=1\nbranch: free\na1 -> a1' a1'\n")
         assert main(["analyze", str(p), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 4
+        assert report["schema"] == 5
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.bqd"
@@ -714,6 +716,10 @@ class TestRenderText:
                 for m in range(1, horizon + 1)
             ], name
             assert (f"period set up to {horizon}: {cen['period_set']}"
+                    in lines), name
+            ent = report["entropy"]
+            assert (f"entropy: {ent['spectral']}; limit-route gap at "
+                    f"m={len(ent['limit_sequence'])}: {ent['gap_at_horizon']}"
                     in lines), name
             for cert in report["certificates"]:
                 assert f"  {cert['rule']}: {cert['conclusion']}" in lines, name

@@ -9,12 +9,22 @@ admitted map must then report with no failure at all (every Lefschetz
 check passes, the oracle does not mismatch, and every certificate holds
 in the census), except the maps in `EXPECTED`, each flagged on exactly
 one certificate for the reason given.  The list may only get shorter.
+
+Run as a script, the module checks the larger n = 3 domain the same way
+(image words of 1-2 letters, 13 824 reports, about 9 s) against its
+tally, `N3_TALLY`:
+
+    PYTHONPATH=src python tests/test_domain.py
 """
 
+from collections import Counter
 from itertools import product
+
+import pytest
 
 from bouquet_dyn.cli import (ReportOptions, fixture_names, parse_spec,
                              report_has_failures, run_report)
+from bouquet_dyn.errors import InconsistencyError
 
 from conftest import fmbig_reference, load_fixture
 
@@ -36,10 +46,21 @@ EXPECTED = {
 }
 
 
-def _domain():
-    """(class, image texts, admitted) for every map of the domain."""
-    for n, mark in product((1, 2), ("", "'")):
-        words = [idxs for length in (1, 2, 3)
+#: the n = 3 domain: its reports, the maps the two rules admit, the
+#: `InconsistencyError`s (each on a refused map), and per rule the
+#: admitted maps flagged on that one certificate, each a pair case that
+#: misses period 1 or 2 (or 4, delayed); every count but the first two
+#: may only shrink
+N3_TALLY = {"reports": 13824, "admitted": 5688, "inconsistent": 1359,
+            "lowgrow(a)": 160, "lowgrow(d)": 546,
+            "delaylowgrow(m=2; lowgrow(d))": 24}
+
+
+def _domain(sizes=(1, 2), lengths=(1, 2, 3)):
+    """(class, image texts, admitted) for every map of the domain with n
+    in `sizes` and image words of `lengths` letters."""
+    for n, mark in product(sizes, ("", "'")):
+        words = [idxs for length in lengths
                  for idxs in product(range(1, n + 1), repeat=length)]
         for combo in product(words, repeat=n):
             texts = tuple(" ".join(f"a{i}{mark}" for i in w) for w in combo)
@@ -68,42 +89,79 @@ def _report(k, texts) -> dict:
     return run_report(parse_spec(spec), ReportOptions(horizon=HORIZON))
 
 
-def test_admitted_maps_report_no_failure():
-    total = admitted = 0
+@pytest.fixture(scope="module")
+def admitted():
+    """{(class, image texts): report} for every admitted map, built once
+    for the module's tests."""
+    return {(k, texts): _report(k, texts) for k, texts, ok in _domain() if ok}
+
+
+def _failure(key, report):
+    """The (rule, failure) of the one certificate an admitted map's
+    report flags, or None; every other part of the report must pass."""
+    assert all(c["passed"] for c in report["lefschetz_fix_checks"]), key
+    assert "failure" not in report["spectrum"], key
+    assert report["oracle"]["status"] != "mismatch", key
+    failures = [(c["rule"], c["failure"]) for c in report["certificates"]
+                if "failure" in c]
+    assert report_has_failures(report) == bool(failures), key
+    assert len(failures) <= 1, (key, failures)
+    return failures[0] if failures else None
+
+
+def test_admitted_maps_report_no_failure(admitted):
+    assert (sum(1 for _ in _domain()), len(admitted)) == (1592, 1288)
     flagged = {}
-    for k, texts, ok in _domain():
-        total += 1
-        if not ok:
-            continue
-        admitted += 1
-        report = _report(k, texts)
-        assert all(c["passed"] for c in report["lefschetz_fix_checks"]), (k, texts)
-        assert "failure" not in report["spectrum"], (k, texts)
-        assert report["oracle"]["status"] != "mismatch", (k, texts)
-        failures = [(c["rule"], c["failure"]) for c in report["certificates"]
-                    if "failure" in c]
-        assert report_has_failures(report) == bool(failures), (k, texts)
-        if failures:
-            assert len(failures) == 1, (k, texts, failures)
-            flagged[k, texts] = failures[0]
-    assert (total, admitted) == (1592, 1288)
+    for key, report in admitted.items():
+        failure = _failure(key, report)
+        if failure:
+            flagged[key] = failure
     assert flagged.keys() == EXPECTED.keys()
     for key, (rule, text) in flagged.items():
         want_rule, want_text = EXPECTED[key]
         assert rule == want_rule and f"has {want_text}," in text, (key, text)
 
 
-def test_each_fact_printed_once():
+def test_each_fact_printed_once(admitted):
     # the report prints L, not 1 - L as a trace, and the period set, not
     # the fix-count comparison test's iterates, which it contains; the
-    # dominant threshold is the analytic one alone
+    # dominant threshold is the analytic one alone; neither block repeats
+    # a horizon, and the entropy has no base-2 copy
     reports = [load_fixture(name)[1] for name in fixture_names()]
-    reports += [_report(k, texts) for k, texts, ok in _domain() if ok]
+    reports += admitted.values()
     assert len(reports) == 8 + 1288
     for report in reports:
-        assert set(report["lefschetz"]) == {"horizon", "L", "l"}
+        assert set(report["lefschetz"]) == {"L", "l"}
+        assert set(report["entropy"]) == {
+            "spectral", "limit_sequence", "gap_at_horizon"}
         for cert in report["certificates"]:
             assert cert["rule"] != "fmbig"
             assert "m0_empirical" not in cert["witness"]
         fixes = list(map(int, report["census"]["fix"]))
         assert set(fmbig_reference(fixes)) <= set(report["census"]["period_set"])
+
+
+def n3_tally() -> dict:
+    """The tally of the n = 3 domain, in `N3_TALLY`'s keys, with every
+    map run: only refused maps may raise `InconsistencyError`, and every
+    admitted map must pass as in `test_admitted_maps_report_no_failure`."""
+    tally = Counter()
+    for k, texts, ok in _domain((3,), (1, 2)):
+        tally["reports"] += 1
+        tally["admitted"] += ok
+        try:
+            report = _report(k, texts)
+        except InconsistencyError:
+            assert not ok, (k, texts)
+            tally["inconsistent"] += 1
+            continue
+        failure = _failure((k, texts), report) if ok else None
+        if failure:
+            tally[failure[0]] += 1
+    return dict(tally)
+
+
+if __name__ == "__main__":
+    tally = n3_tally()
+    print(tally)
+    assert tally == N3_TALLY, tally

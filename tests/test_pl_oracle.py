@@ -25,7 +25,6 @@ from bouquet_dyn.errors import (
 )
 from bouquet_dyn.homology import mat_mul, power_traces, recur
 from bouquet_dyn.pl_oracle import (
-    BRANCH_WATCH,
     COVER_DEPTH,
     OracleCounts,
     PLLift,
@@ -75,11 +74,20 @@ def orbit(lift, x, steps):
     return out
 
 
-def orbit_period(lift, depth):
-    """Least t <= depth with f^t(0) an integer, or None, on the pointwise
-    `Fraction` orbit: a reference for the oracle's integer walk."""
-    return next((t for t, x in enumerate(orbit(lift, Fraction(0), depth), 1)
-                 if x.denominator == 1), None)
+def orbit_period(lift, depth=None):
+    """Least t <= depth (any t, when depth is None) with f^t(0) an
+    integer, or None, on the pointwise `Fraction` orbit: a reference for
+    the oracle's integer walk.  A point seen twice off the integers means
+    the orbit has cycled without meeting one."""
+    x, seen, t = Fraction(0), set(), 0
+    while depth is None or t < depth:
+        x, t = lift_value(lift, x), t + 1
+        if x.denominator == 1:
+            return t
+        if x in seen:
+            return None
+        seen.add(x)
+    return None
 
 
 def walk_counts(lift, depth):
@@ -114,7 +122,7 @@ def walk_counts(lift, depth):
     assert walk.over_budget() is None, "reference walk over its budget"
     return OracleCounts(tuple(crossings[1:]),
                         tuple(covers[1 : min(depth, COVER_DEPTH) + 1]),
-                        orbit_period(lift, max(BRANCH_WATCH, depth + 1)))
+                        orbit_period(lift))
 
 
 def counts_or_degenerate(count, lift, depth):
@@ -234,11 +242,11 @@ class TestBranchOrbit:
         assert lift_branch_period(lift, 6) is None
 
     def test_sweep_period_matches_lift_branch_period(self):
-        # the oracle follows the branch orbit through its point map to
-        # max(BRANCH_WATCH, depth + 1) steps; on canonical lifts whose
-        # orbit may or may not return to an integer, at depths 1-7 and
-        # 13-40, and on their composed squares, it gives the period of
-        # the public helper and of the pointwise orbit
+        # the oracle follows the branch orbit through its point map until
+        # it cycles; on canonical lifts whose orbit may or may not return
+        # to an integer, at depths 1-7 and 13-40, and on their composed
+        # squares, it gives the exact period of the pointwise orbit, which
+        # the public helper finds within that many steps
         rng = random.Random(12)
         depths = random.Random(13)
         returns = []
@@ -251,10 +259,10 @@ class TestBranchOrbit:
                 counts = oracle_counts(lift, depth)
             except LiftConstructionError:
                 continue
-            watch = max(BRANCH_WATCH, depth + 1)
-            period = lift_branch_period(lift, watch)
+            period = orbit_period(lift)
             assert counts.branch_period == period, (f, depth)
-            assert period == orbit_period(lift, watch), f
+            if period is not None:
+                assert lift_branch_period(lift, period) == period, f
             for steps in (1, 2, 5):
                 assert lift_branch_period(lift, steps) == orbit_period(
                     lift, steps), (f, steps)
@@ -265,19 +273,21 @@ class TestBranchOrbit:
                     counts = oracle_counts(case, depth)
                 except DegenerateMapError:
                     continue
-                period = orbit_period(case, depth + 1)
+                period = orbit_period(case)
                 assert counts.branch_period == period, (f, depth)
-                assert lift_branch_period(case, depth + 1) == period, f
+                assert lift_branch_period(case, depth + 1) == orbit_period(
+                    case, depth + 1), f
                 deep_returns.add(period is not None)
         assert set(returns) == deep_returns == {True, False}
 
-    def test_window_holds_a_late_return(self):
-        # the first return at step 20 > BRANCH_WATCH is seen exactly when
-        # the window max(BRANCH_WATCH, depth + 1) reaches it
-        assert orbit_period(SLOW_RETURN, 20) == 20
-        for depth, period in ((18, None), (19, 20), (30, 20)):
-            assert oracle_counts(SLOW_RETURN, depth).branch_period == period
-            assert lift_branch_period(SLOW_RETURN, depth + 1) == period
+    def test_late_return_is_exact(self):
+        # the first return at step 20 is seen at every depth, however far
+        # below 20; the public helper sees it only within its depth
+        assert orbit_period(SLOW_RETURN) == 20
+        for depth in range(1, 31):
+            assert oracle_counts(SLOW_RETURN, depth).branch_period == 20
+        assert lift_branch_period(SLOW_RETURN, 19) is None
+        assert lift_branch_period(SLOW_RETURN, 20) == 20
 
     def test_no_second_orbit_walk(self, monkeypatch):
         # the counts read the branch period off the point map: with the

@@ -41,6 +41,17 @@ class TestLetters:
         with pytest.raises(InputError):
             Letter.parse(bad)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_index_refused(self, value):
+        # True == 1, so only its type tells it from a1
+        with pytest.raises(InputError, match="generator index"):
+            Letter(value, 1)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_sign_refused(self, value):
+        with pytest.raises(InputError, match="letter sign"):
+            Letter(1, value)
+
     def test_inverse_involution(self):
         w = Word([Letter(2, -1)])
         assert inverse(w) == Word([Letter(2, 1)])
@@ -275,6 +286,16 @@ class TestMapAction:
             action("a1 a1", k=0)
         with pytest.raises(InputError):
             action("a1 a1", k=2.5)
+
+    def test_bool_circle_count_refused(self):
+        with pytest.raises(InputError, match="n=True"):
+            MapAction(True, (Word.parse("a1 a1"),))
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_branch_class_refused(self, value):
+        # k=True would otherwise report as "period True" on the based route
+        with pytest.raises(InputError, match="branch class"):
+            action("a1 a1", "a1 a2", k=value)
 
     def test_orientation(self):
         assert orientation(action("a1 a1")) == "preserving"
