@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from _json import encode_basestring_ascii as _quote
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from .errors import InconsistencyError, InputError, LiftConstructionError, Record
 from .homology import PowerSequences, abelianize, invert_divisor_sums
@@ -63,12 +63,24 @@ class Claim(Record, fields="quantity m value text"):
     __slots__ = ()
 
 
+def _check_count(value, what: str) -> None:
+    """Refuse `value`, naming `what`, unless it is None or an int >= 1."""
+    if value is not None and (type(value) is not int or value < 1):
+        raise InputError(f"{what} must be " + (
+            ">= 1" if type(value) is int else "an int") + f", got {value!r}")
+
+
 class MapSpecDocument(Record, fields="action horizon claims",
                       defaults=(None, ())):
     """A parsed map description, its `MapAction`, plus an optional int
-    `horizon` and a tuple of `Claim`s."""
+    `horizon` >= 1 and a tuple of `Claim`s."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> MapSpecDocument:
+        doc = super().__new__(cls, *args, **kwargs)
+        _check_count(doc.horizon, "horizon")
+        return doc
 
 
 def _integer(value: str, what: str, err: Callable[[str], Exception]) -> int:
@@ -184,9 +196,18 @@ class ReportOptions(
         Record, fields="horizon oracle_depth no_oracle entropy_horizon",
         defaults=(None, DEFAULT_ORACLE_DEPTH, False, DEFAULT_ENTROPY_HORIZON)):
     """The flags of one report: the int or None `horizon`, the int
-    `oracle_depth`, the bool `no_oracle` and the int `entropy_horizon`."""
+    `oracle_depth`, the bool `no_oracle` and the int `entropy_horizon`.
+    Each int is >= 1, the depth only when the oracle runs."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ReportOptions:
+        options = super().__new__(cls, *args, **kwargs)
+        _check_count(options.horizon, "horizon")
+        _check_count(options.entropy_horizon, "entropy horizon")
+        if not options.no_oracle:
+            _check_count(options.oracle_depth, "oracle depth")
+        return options
 
 
 def _fmt_real(x: float) -> str:
@@ -214,14 +235,6 @@ def _certificate_json(cert: PeriodCertificate, period_set: list[int],
             "promises one of them" if cert.conclusion.kind == "pairwise"
             else f"no period {missing}, which the conclusion promises")
     return out
-
-
-def _claim_value(c: Claim, values: dict[str, Sequence[int]]) -> int | None:
-    """The claimed quantity's value at c.m, read from `values`, which maps
-    "L", "l", "fix" and "per" to their sequences over m = 1..H; None past
-    H."""
-    seq = values[c.quantity]
-    return seq[c.m - 1] if c.m <= len(seq) else None
 
 
 def _digit_bound(col_sums: list[int], iterates: int) -> float:
@@ -276,18 +289,8 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     is built.
     """
     f = doc.action
-    horizon = options.horizon
-    if horizon is None:
-        horizon = DEFAULT_HORIZON if doc.horizon is None else doc.horizon
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
-    if options.entropy_horizon < 1:
-        raise InputError(
-            f"entropy horizon must be >= 1, got {options.entropy_horizon}"
-        )
+    horizon = options.horizon or doc.horizon or DEFAULT_HORIZON
     oracle_depth = 0 if options.no_oracle else options.oracle_depth
-    if not options.no_oracle and oracle_depth < 1:
-        raise InputError(f"oracle depth must be >= 1, got {oracle_depth}")
     warnings: list[str] = []
     mat = abelianize(f)
     col_sums = [sum(map(abs, col)) for col in zip(*mat)]
@@ -313,17 +316,15 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     limit_seq = entropy_limit(seqs.norms[: options.entropy_horizon])
     h_spec = spectrum.entropy
 
-    # a check row names its iterate; L(f^m) and fix(m) are printed once,
-    # in "lefschetz" and "census"
-    checks = lefschetz_fix_check(f, lefs, values["fix"])
-
     certificates = period_certificates(f, seqs, horizon, spectrum)
 
     oracle = _run_oracle(f, options, seqs.norms, fixes, warnings)
 
     claims = []
     for c in doc.claims:
-        computed = _claim_value(c, values)
+        # the claimed quantity at c.m, None past the horizon
+        seq = values[c.quantity]
+        computed = seq[c.m - 1] if c.m <= len(seq) else None
         if computed is None:
             verdict = "out-of-range"
             warnings.append(f"claim beyond computed horizon: {c.text}")
@@ -344,7 +345,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         )
 
     report = {
-        "schema": 5,
+        "schema": 6,
         "input": {
             "n": f.n,
             "branch": _branch_text(f.branch_class),
@@ -362,7 +363,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
             "per": list(map(str, values["per"])),
             "period_set": period_set,
         },
-        "lefschetz_fix_checks": checks,
+        "lefschetz_fix_checks": lefschetz_fix_check(f, lefs, values["fix"]),
         "spectrum": {
             "char_poly": list(map(str, seqs.char)),
             "eigenvalues": [
@@ -444,13 +445,13 @@ def _run_oracle(
 
 
 def report_has_failures(report: dict) -> bool:
-    if any(not c["passed"] for c in report["lefschetz_fix_checks"]):
-        return True
-    if "failure" in report["spectrum"]:
-        return True
-    if any("failure" in c for c in report["certificates"]):
-        return True
-    return report["oracle"]["status"] == "mismatch"
+    """Whether a check row failed (a class-1 bound, or the preserving
+    equality on some m <= H), the spectrum or a certificate carries a
+    `failure`, or the oracle mismatched: the cases that exit 2."""
+    return (any(not c["passed"] for c in report["lefschetz_fix_checks"])
+            or "failure" in report["spectrum"]
+            or any("failure" in c for c in report["certificates"])
+            or report["oracle"]["status"] == "mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +606,9 @@ def _analyze(args: argparse.Namespace) -> int:
         report = run_report(doc, ReportOptions(
             args.horizon, args.oracle_depth, args.no_oracle,
             args.entropy_horizon))
-    except (InputError, OSError, UnicodeDecodeError) as e:
+    except (InputError, OSError, UnicodeDecodeError, InconsistencyError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except InconsistencyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(e, InconsistencyError) else 1
     if args.format == "json":
         # piece by piece: the report's text is never held whole
         sys.stdout.writelines(json_pieces(report, []))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from itertools import count
 
 from .errors import InconsistencyError, InputError, Record
 from .homology import IntMatrix, PowerSequences, invert_divisor_sums
@@ -103,28 +102,30 @@ def per_census(fixes: Sequence[int]) -> tuple[int, ...]:
 def lefschetz_fix_check(
     f: MapAction, lefs: Sequence[int], fixes: Sequence[int]
 ) -> list[dict]:
-    """The report's check row {"m", "mode", "passed"} of every iterate
-    m = 1..len(lefs), comparing lefs[m-1] = L(f^m) with fixes[m-1] =
-    #Fix(f^m) by the Lefschetz/fixed-point relation, in one pass.
+    """The report's check rows {"m", "mode", "passed"}: lefs[m-1] =
+    L(f^m) against fixes[m-1] = #Fix(f^m), m = 1..H = len(lefs), on the
+    preserving iterates (every m, or the even m when f reverses).
 
-    A fixed point has index +1 on a reversing iterate (f reverses, m
-    odd) and -1 on a preserving one, except a based fixed vertex (class
-    1), whose index lies in [1 - 2n, 1] (B. Jiang, Lectures on Nielsen
-    Fixed Point Theory, 1983).  So a reversing iterate has L = #Fix
-    whatever the class, a preserving one at class 1 has 2 - 2n - L <=
-    #Fix <= 2 - L, and every other iterate has L = -#Fix.
+    A fixed point has index +1 on a reversing iterate and -1 on a
+    preserving one, except a based fixed vertex (class 1), whose index
+    lies in [1 - 2n, 1] (B. Jiang, Lectures on Nielsen Fixed Point
+    Theory, 1983).  A reversing iterate gets no row: M's entries share
+    the sign -1 (`PowerSequences.of` enforces one sign), so on odd m,
+    tr M^m <= 0 and fix = |L| = L.  At class 1 each preserving m gets a
+    "bound" row, 2 - 2n - L <= #Fix <= 2 - L.  Otherwise L = -#Fix on
+    every preserving m <= H is one "equality-preserving" row, its m the
+    least failing iterate, else None; no row when no m <= H preserves.
     """
-    reversing, based = f.global_sign < 0, f.branch_class == 1
-    rows = []
-    for m, lef, fix in zip(count(1), lefs, fixes):
-        if reversing and m % 2:
-            mode, passed = "equality-reversing", lef == fix
-        elif based:
-            mode, passed = "bound", 2 - 2 * f.n - lef <= fix <= 2 - lef
-        else:
-            mode, passed = "equality-preserving", lef == -fix
-        rows.append({"m": m, "mode": mode, "passed": passed})
-    return rows
+    step = 2 if f.global_sign < 0 else 1
+    iterates = range(step, len(lefs) + 1, step)
+    rows = zip(iterates, lefs[step - 1::step], fixes[step - 1::step])
+    if f.branch_class == 1:
+        return [{"m": m, "mode": "bound",
+                 "passed": 2 - 2 * f.n - lef <= fix <= 2 - lef}
+                for m, lef, fix in rows]
+    failing = next((m for m, lef, fix in rows if lef != -fix), None)
+    return [{"m": failing, "mode": "equality-preserving",
+             "passed": failing is None}] if iterates else []
 
 
 # ---------------------------------------------------------------------------

@@ -34,15 +34,15 @@ def generator_index(digits: str) -> int | None:
 
 class Letter(Record, fields="index sign"):
     """One generator symbol: ``a<index>`` or its inverse ``a<index>'``;
-    `index` is an int >= 1 and `sign` is +1 or -1, neither a bool."""
+    `index` is an int >= 1 and `sign` is the int +1 or -1, neither a bool."""
 
     __slots__ = ()
 
     def __new__(cls, index: int, sign: int) -> Letter:
-        if isinstance(index, bool) or index < 1:
-            raise InputError(f"generator index must be >= 1, got {index!r}")
-        if isinstance(sign, bool) or sign not in (1, -1):
-            raise InputError(f"letter sign must be +1 or -1, got {sign!r}")
+        if type(index) is not int or index < 1:
+            raise InputError(f"generator index must be an int >= 1, got {index!r}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise InputError(f"letter sign must be the int +1 or -1, got {sign!r}")
         return tuple.__new__(cls, (index, sign))
 
     def token(self) -> str:
@@ -96,7 +96,7 @@ class MapAction(Record, fields="n images branch_class"):
     as a whole).  ``branch_class`` is the least period k of the branching
     point, or ``BRANCH_FREE`` (None) if the branching point is never
     periodic; it is user metadata — the words alone cannot determine it.
-    Neither n nor the class may be a bool.
+    n and the class are ints, never a bool or a float.
     Only class 1 fixes the branching point as a based vertex, and only
     there do the preserving iterates take the based fixed-point count and
     the index bound for the Lefschetz check.
@@ -106,8 +106,8 @@ class MapAction(Record, fields="n images branch_class"):
 
     def __new__(cls, n: int, images: tuple[Word, ...],
                 branch_class: int | None = BRANCH_FREE) -> MapAction:
-        if isinstance(n, bool) or n < 1:
-            raise InputError(f"need at least one circle, got n={n!r}")
+        if type(n) is not int or n < 1:
+            raise InputError(f"circle count must be an int >= 1, got n={n!r}")
         if len(images) != n:
             raise InputError(f"expected {n} image words, got {len(images)}")
         for j, w in enumerate(images, start=1):
@@ -121,8 +121,7 @@ class MapAction(Record, fields="n images branch_class"):
                 "plain or all inverse"
             )
         k = branch_class
-        if k is not None and (not isinstance(k, int) or isinstance(k, bool)
-                              or k < 1):
+        if k is not None and (type(k) is not int or k < 1):
             raise InputError(f"branch class must be a positive integer or free, got {k!r}")
         return tuple.__new__(cls, (n, images, k))
 

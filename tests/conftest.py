@@ -5,7 +5,8 @@ squaring for the power sequences, Faddeev-LeVerrier for their
 characteristic polynomial, Euclid's algorithm in `Fraction`s for the
 squarefree parts of one, divisors and mu for the Moebius sieve and its
 forward divisor sums, the fix-count comparison test for the census's
-period set, letter orbits for the fix counts' signed codes, iterate
+period set, the per-iterate Lefschetz check rows for their one-row
+statement, letter orbits for the fix counts' signed codes, iterate
 images expanded word by word for the per-iterate counts, a depth-first
 walk over every piece of the composed lifts for the oracle's count on
 the Markov partition)."""
@@ -391,6 +392,32 @@ def lefschetz_numbers(mat: IntMatrix, horizon: int
     may have both signs), the second by the report's Moebius sieve."""
     lefs = [1 - trace(power) for power in powers(mat, horizon)]
     return lefs, invert_divisor_sums(lefs)
+
+
+def check_rows_reference(f: MapAction, lefs: Sequence[int],
+                         fixes: Sequence[int]) -> list[dict]:
+    """The check rows of schema 6, built from schema 5's per-iterate rule:
+    one row per iterate m, "equality-reversing" (L = fix) when f^m
+    reverses, "bound" when it preserves at class 1, "equality-preserving"
+    (L = -fix) otherwise; then the reversing rows dropped, the bound rows
+    kept and the preserving rows folded into one, whose m is the first
+    that fails, else None."""
+    rows = []
+    for m, (lef, fix) in enumerate(zip(lefs, fixes), start=1):
+        if f.global_sign < 0 and m % 2:
+            mode, passed = "equality-reversing", lef == fix
+        elif f.branch_class == 1:
+            mode, passed = "bound", 2 - 2 * f.n - lef <= fix <= 2 - lef
+        else:
+            mode, passed = "equality-preserving", lef == -fix
+        rows.append({"m": m, "mode": mode, "passed": passed})
+    folded = [row for row in rows if row["mode"] == "bound"]
+    equalities = [row for row in rows if row["mode"] == "equality-preserving"]
+    failing = [row["m"] for row in equalities if not row["passed"]]
+    if equalities:
+        folded.append({"m": failing[0] if failing else None,
+                       "mode": "equality-preserving", "passed": not failing})
+    return folded
 
 
 def period_set(pers: Sequence[int]) -> set[int]:

@@ -148,8 +148,9 @@ class TestRunReport:
     def test_iterate_integers_print_once(self):
         doc = parse_spec("n=1\nbranch: free\na1 -> a1 a1\n")
         report = run_report(doc, ReportOptions(horizon=12))
-        assert [set(c) for c in report["lefschetz_fix_checks"]] == [
-            {"m", "mode", "passed"}] * 12
+        # one statement for every m <= 12, where schema 5 had 12 rows
+        assert report["lefschetz_fix_checks"] == [
+            {"m": None, "mode": "equality-preserving", "passed": True}]
         assert set(report["lefschetz"]) == {"L", "l"}
         assert set(report["entropy"]) == {
             "spectral", "limit_sequence", "gap_at_horizon"}
@@ -161,7 +162,7 @@ class TestRunReport:
     def test_reflect_doubling_report(self):
         doc = parse_spec("n=1\nbranch: free\na1 -> a1' a1'\n")
         report = run_report(doc, ReportOptions())
-        assert report["schema"] == 5
+        assert report["schema"] == 6
         assert report["lefschetz"]["L"][0] == "3"
         assert report["lefschetz"]["l"][1] == "-6"
         assert report["census"]["per"][1] == "0"
@@ -264,6 +265,43 @@ class TestRunReport:
         doc = parse_spec(LOW_GROWTH_TEXT)
         report = run_report(doc, ReportOptions())
         assert json.loads(render_json(report)) == report
+
+
+class TestOptionTypes:
+    """Every count of a report's options is an int >= 1, not a bool or a
+    float, checked when the record is built."""
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_horizon(self, value):
+        with pytest.raises(InputError, match="^horizon must be an int, got"):
+            ReportOptions(horizon=value)
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_oracle_depth(self, value):
+        with pytest.raises(InputError, match="^oracle depth must be an int"):
+            ReportOptions(oracle_depth=value)
+        assert ReportOptions(oracle_depth=value, no_oracle=True)
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_entropy_horizon(self, value):
+        with pytest.raises(InputError, match="^entropy horizon must be an"):
+            ReportOptions(entropy_horizon=value)
+
+    @pytest.mark.parametrize("value", [True, 2.5, 0])
+    def test_document_horizon(self, value):
+        doc = parse_spec("n=1\nbranch: free\na1 -> a1 a1\n")
+        with pytest.raises(InputError, match="^horizon must be "):
+            doc._replace(horizon=value)
+
+    def test_ints_and_messages_kept(self):
+        assert ReportOptions(3, 2, False, 4) == (3, 2, False, 4)
+        for options, text in (
+                (dict(horizon=0), "horizon must be >= 1, got 0"),
+                (dict(entropy_horizon=-1), "entropy horizon must be >= 1, got -1"),
+                (dict(oracle_depth=0), "oracle depth must be >= 1, got 0")):
+            with pytest.raises(InputError) as raised:
+                ReportOptions(**options)
+            assert str(raised.value) == text
 
 
 class TestDigitCap:
@@ -542,7 +580,7 @@ class TestMain:
         p.write_text("n=1\nbranch: free\na1 -> a1' a1'\n")
         assert main(["analyze", str(p), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 5
+        assert report["schema"] == 6
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.bqd"
@@ -565,6 +603,19 @@ class TestMain:
         assert "oracle depth must be >= 1" in capsys.readouterr().err
         flags = ["--oracle-depth", depth, "--no-oracle"]
         assert main(["analyze", str(p), *flags]) == 0
+
+    def test_failing_statement_exits_2(self, tmp_path, capsys):
+        # a1 <-> a2: L(f^m) = 1 against one fixed point on every odd m;
+        # the statement names the least, where schema 5 listed 1, 3, 5
+        p = tmp_path / "swap.bqd"
+        p.write_text("n=2\nbranch: free\na1 -> a2\na2 -> a1\n")
+        flags = ["--horizon", "6", "--format"]
+        assert main(["analyze", str(p), *flags, "json"]) == 2
+        assert json.loads(capsys.readouterr().out)["lefschetz_fix_checks"] == [
+            {"m": 1, "mode": "equality-preserving", "passed": False}]
+        assert main(["analyze", str(p), *flags, "text"]) == 2
+        assert "\nFAILED Lefschetz/fixed-point checks: 1\n" in (
+            capsys.readouterr().out)
 
     def test_inconsistency_exit_code(self, tmp_path, capsys):
         # a reflection of one circle: the census's per(2) comes out -2

@@ -126,12 +126,17 @@ def test_each_fact_printed_once(admitted):
     # the report prints L, not 1 - L as a trace, and the period set, not
     # the fix-count comparison test's iterates, which it contains; the
     # dominant threshold is the analytic one alone; neither block repeats
-    # a horizon, and the entropy has no base-2 copy
+    # a horizon, and the entropy has no base-2 copy; no check row is
+    # printed for a reversing iterate, and the preserving equality is
+    # one row
     reports = [load_fixture(name)[1] for name in fixture_names()]
     reports += admitted.values()
     assert len(reports) == 8 + 1288
     for report in reports:
         assert set(report["lefschetz"]) == {"L", "l"}
+        modes = [c["mode"] for c in report["lefschetz_fix_checks"]]
+        assert "equality-reversing" not in modes
+        assert modes.count("equality-preserving") <= 1
         assert set(report["entropy"]) == {
             "spectral", "limit_sequence", "gap_at_horizon"}
         for cert in report["certificates"]:

@@ -81,14 +81,18 @@ def fmbig_within_census(f, horizon):
 
 
 def check(f, m):
-    """The check row of f^m, with the L(f^m) and fix(f^m) it was given;
-    the rows of f^1..f^m come from one call, one row per iterate."""
+    """The check rows of f^1..f^m, from one call, with the L(f^m) and
+    fix(f^m) it was given."""
     seqs = record(f, m)
     lefs = [1 - t for t in seqs.traces]
     fixes = fix_counts(f, seqs.traces)
-    rows = lefschetz_fix_check(f, lefs, fixes)
-    assert [row["m"] for row in rows] == list(range(1, m + 1))
-    return rows[-1], lefs[-1], fixes[-1]
+    return lefschetz_fix_check(f, lefs, fixes), lefs[-1], fixes[-1]
+
+
+def statement(m=None):
+    """The one row that states L = -fix on every preserving iterate; m is
+    the least that fails it."""
+    return [{"m": m, "mode": "equality-preserving", "passed": m is None}]
 
 
 class TestFixCount:
@@ -186,23 +190,39 @@ class TestLefschetzPerCount:
 
 class TestLefschetzFixCheck:
     def test_reversing_equality(self):
-        c, lef, fix = check(REFLECT, 1)
-        assert c["passed"] and c["mode"] == "equality-reversing"
+        # L = fix on a reversing iterate by the sign of M alone, so f^1
+        # of a reversing map gets no row
+        rows, lef, fix = check(REFLECT, 1)
+        assert rows == []
         assert lef == 3 == fix
 
     def test_preserving_square(self):
-        c, lef, fix = check(REFLECT, 2)
-        assert c["passed"] and c["mode"] == "equality-preserving"
+        rows, lef, fix = check(REFLECT, 2)
+        assert rows == statement()
         assert lef == -3 and fix == 3
+        assert check(REFLECT, 40)[0] == statement()
+
+    def test_statement_names_least_failing_iterate(self):
+        # one row for every preserving m <= H: on a reversing map the
+        # odd m are not read, whatever their counts
+        f = action("a1 a1")
+        assert lefschetz_fix_check(f, [-1, -1, 5, 2], [1, 1, 4, 2]) == (
+            statement(3))
+        assert lefschetz_fix_check(f, [0, -1], [0, 1]) == statement()
+        g = action("a1' a1'")
+        assert lefschetz_fix_check(g, [9, -1, 9, -3], [1, 1, 1, 2]) == (
+            statement(4))
+        assert lefschetz_fix_check(g, [9, -1, 9], [1, 1, 1]) == statement()
 
     def test_branch_periodic_bound(self):
         # a preserving iterate at class 1: the based vertex has index in
         # [1 - 2n, 1] and every other fixed point -1, so
         # 2 - 2n - L <= #Fix <= 2 - L
         f = action("a1 a1 a1", k=1)
-        c, lef, fix = check(f, 1)
-        assert c["passed"] and c["mode"] == "bound"
+        rows, lef, fix = check(f, 1)
+        assert rows == [{"m": 1, "mode": "bound", "passed": True}]
         assert lef == -2 and fix == 2
+        assert [row["m"] for row in check(f, 6)[0]] == list(range(1, 7))
         outcomes = [row["passed"] for row in
                     lefschetz_fix_check(f, [lef] * 6, range(6))]
         assert outcomes == [False, False, True, True, True, False]
@@ -210,19 +230,18 @@ class TestLefschetzFixCheck:
     def test_branch_periodic_reversing_bound(self):
         # class 1, reversing: an odd iterate reverses, and every fixed
         # point, the based vertex too, has index +1, so L = #Fix whatever
-        # the class; an even iterate preserves and takes the bound
+        # the class, and it gets no row; an even iterate preserves and
+        # takes the bound
         f = action("a1' a1'", k=1)
-        for m, mode in ((1, "equality-reversing"), (2, "bound"),
-                        (3, "equality-reversing"), (4, "bound")):
-            c, lef, fix = check(f, m)
-            assert c["mode"] == mode and c["passed"], m
-            if mode == "bound":
-                assert 2 - 2 * f.n - lef <= fix <= 2 - lef, m
-            else:
+        for m in (1, 2, 3, 4):
+            rows, lef, fix = check(f, m)
+            assert rows == [{"m": e, "mode": "bound", "passed": True}
+                            for e in range(2, m + 1, 2)], m
+            if m % 2:
                 assert lef == fix, m
-        reversing = lefschetz_fix_check(f, [3], [4])[0]
-        assert reversing["mode"] == "equality-reversing"
-        assert not reversing["passed"]
+            else:
+                assert 2 - 2 * f.n - lef <= fix <= 2 - lef, m
+        assert lefschetz_fix_check(f, [3], [4]) == []
 
 
 class TestDoubling:

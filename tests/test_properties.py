@@ -17,12 +17,13 @@ from bouquet_dyn import (
     per_census,
 )
 from bouquet_dyn.cli import MapSpecDocument, ReportOptions, run_report
-from bouquet_dyn.periods import period_certificates
+from bouquet_dyn.periods import lefschetz_fix_check, period_certificates
 from bouquet_dyn.spectral import entropy_limit
 from bouquet_dyn.words import BRANCH_FREE, MapAction
 
 from conftest import (
     BudgetError,
+    check_rows_reference,
     chi,
     divisors,
     iterate_action,
@@ -132,6 +133,32 @@ def test_even_iterate_identity():
         for p in (3, 5):
             lval = lvals[2 * p - 1]
             assert lval == -pers[2 * p - 1] - 2 * pers[p - 1], (f, p)
+
+
+def test_check_rows_fold_the_per_iterate_rule():
+    # the dropped "equality-reversing" row could not fail: on an odd
+    # iterate of a reversing map M^m = -|M|^m, so tr M^m <= 0 and
+    # fix = |1 - tr M^m| = L; the rows printed are the per-iterate rule,
+    # folded, at every horizon, the one-iterate one included
+    rng = random.Random(33)
+    horizon = 40
+    failing = 0
+    for i in range(CASES):
+        base = random_action(rng, n_max=8, len_max=3, sign=(1, -1)[i % 2])
+        traces = PowerSequences.of(abelianize(base), horizon).traces
+        lefs = [1 - t for t in traces]
+        for k in (BRANCH_FREE, 1, 2, 3):
+            f = MapAction(base.n, base.images, k)
+            fixes = fix_counts(f, traces)
+            if f.global_sign < 0:
+                for m in range(1, horizon + 1, 2):
+                    assert traces[m - 1] <= 0, (f, m)
+                    assert fixes[m - 1] == lefs[m - 1], (f, m)
+            for h in (1, 2, 3, horizon):
+                rows = lefschetz_fix_check(f, lefs[:h], fixes[:h])
+                assert rows == check_rows_reference(f, lefs[:h], fixes[:h]), (f, h)
+                failing += not all(row["passed"] for row in rows)
+    assert failing  # some statements fail, so both outcomes are compared
 
 
 def test_entropy_two_route_gap():

@@ -52,6 +52,16 @@ class TestLetters:
         with pytest.raises(InputError, match="letter sign"):
             Letter(1, value)
 
+    def test_float_index_refused(self):
+        # it printed as a1.5
+        with pytest.raises(InputError, match="generator index"):
+            Letter(1.5, 1)
+
+    def test_float_sign_refused(self):
+        # 1.0 == 1, so only its type tells it from a plain letter
+        with pytest.raises(InputError, match="letter sign"):
+            Letter(1, 1.0)
+
     def test_inverse_involution(self):
         w = Word([Letter(2, -1)])
         assert inverse(w) == Word([Letter(2, 1)])
@@ -290,6 +300,11 @@ class TestMapAction:
     def test_bool_circle_count_refused(self):
         with pytest.raises(InputError, match="n=True"):
             MapAction(True, (Word.parse("a1 a1"),))
+
+    def test_float_circle_count_refused(self):
+        # run_report raised TypeError on it, past the constructor
+        with pytest.raises(InputError, match="n=1.0"):
+            MapAction(1.0, (Word.parse("a1 a1"),))
 
     @pytest.mark.parametrize("value", [True, False])
     def test_bool_branch_class_refused(self, value):
