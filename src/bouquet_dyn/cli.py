@@ -58,14 +58,21 @@ _CLAIM_PATTERN = r"^claim:\s*(L|l|fix|per)\s*\(\s*(\d+)\s*\)\s*=\s*(-?\d+)\s*$"
 
 class Claim(Record, fields="quantity m value text"):
     """One claim line: the str `quantity` ("L", "l", "fix" or "per"), the
-    int iterate `m`, the int `value` and the line's `text`."""
+    int iterate `m` >= 1, the int `value` and the line's `text`."""
 
     __slots__ = ()
 
+    def __new__(cls, *args, **kwargs) -> Claim:
+        claim = super().__new__(cls, *args, **kwargs)
+        _check_count(claim.m, "claim iterate")
+        if claim.quantity not in ("L", "l", "fix", "per"):
+            raise InputError(f"claim quantity {claim.quantity!r} is not L, l, fix or per")
+        return claim
+
 
 def _check_count(value, what: str) -> None:
-    """Refuse `value`, naming `what`, unless it is None or an int >= 1."""
-    if value is not None and (type(value) is not int or value < 1):
+    """Refuse `value`, naming `what`, unless it is an int >= 1."""
+    if type(value) is not int or value < 1:
         raise InputError(f"{what} must be " + (
             ">= 1" if type(value) is int else "an int") + f", got {value!r}")
 
@@ -79,7 +86,8 @@ class MapSpecDocument(Record, fields="action horizon claims",
 
     def __new__(cls, *args, **kwargs) -> MapSpecDocument:
         doc = super().__new__(cls, *args, **kwargs)
-        _check_count(doc.horizon, "horizon")
+        if doc.horizon is not None:
+            _check_count(doc.horizon, "horizon")
         return doc
 
 
@@ -203,7 +211,8 @@ class ReportOptions(
 
     def __new__(cls, *args, **kwargs) -> ReportOptions:
         options = super().__new__(cls, *args, **kwargs)
-        _check_count(options.horizon, "horizon")
+        if options.horizon is not None:
+            _check_count(options.horizon, "horizon")
         _check_count(options.entropy_horizon, "entropy horizon")
         if not options.no_oracle:
             _check_count(options.oracle_depth, "oracle depth")
@@ -220,21 +229,15 @@ def _branch_text(k: int | None) -> str:
 
 def _certificate_json(cert: PeriodCertificate, period_set: list[int],
                       horizon: int) -> dict:
-    """Witness integers print as strings.  A conclusion that the census's
-    period set up to the horizon breaks (`Conclusion.missing`) gets a
-    `failure` naming where."""
+    """Witness integers print as strings, and a conclusion that the
+    census breaks gets the `failure` text of `Conclusion.failure`."""
     out = {
         "rule": cert.rule,
         "conclusion": cert.conclusion.text(),
         "witness": {k: str(v) for k, v in cert.witness.items()},
     }
-    missing = ", ".join(map(str, cert.conclusion.missing(period_set, horizon)))
-    if missing:
-        out["failure"] = f"the census up to horizon {horizon} has " + (
-            f"neither period m nor m+1 at m = {missing}, and the conclusion "
-            "promises one of them" if cert.conclusion.kind == "pairwise"
-            else f"no period {missing}, which the conclusion promises")
-    return out
+    failure = cert.conclusion.failure(period_set, horizon)
+    return out if failure is None else {**out, "failure": failure}
 
 
 def _digit_bound(col_sums: list[int], iterates: int) -> float:

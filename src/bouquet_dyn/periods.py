@@ -165,14 +165,22 @@ class Conclusion(Record, fields="kind m excluded", defaults=(1, None)):
         step = 1 if self.kind == "tail" else self.m
         return set(range(self.m, horizon + 1, step)) - {self.excluded}
 
-    def missing(self, period_set: Iterable[int], horizon: int) -> list[int]:
-        """Each promised period up to the horizon outside the period set,
-        or for "pairwise" each m < horizon with neither m nor m + 1 in it."""
+    def failure(self, period_set: Iterable[int], horizon: int) -> str | None:
+        """Where the census's period set up to the horizon breaks the
+        conclusion, as the report's `failure` text, or None when it holds:
+        each promised period outside the set, or for "pairwise" each m <
+        horizon with neither m nor m + 1 in it."""
         present = set(period_set)
-        if self.kind == "pairwise":
-            return [m for m in range(1, horizon)
-                    if m not in present and m + 1 not in present]
-        return sorted(self.periods(horizon) - present)
+        pairwise = self.kind == "pairwise"
+        gaps = ([m for m in range(1, horizon) if present.isdisjoint((m, m + 1))]
+                if pairwise else sorted(self.periods(horizon) - present))
+        if not gaps:
+            return None
+        at = ", ".join(map(str, gaps))
+        return f"the census up to horizon {horizon} has " + (
+            f"neither period m nor m+1 at m = {at}, and the conclusion "
+            "promises one of them" if pairwise
+            else f"no period {at}, which the conclusion promises")
 
     def promoted(self, m: int) -> Conclusion | None:
         """The delayed rule: "Per(f^m) contains sN \\ {e}" read as
@@ -222,13 +230,13 @@ class PeriodCertificate(Record, fields="rule conclusion witness"):
     __slots__ = ()
 
 
-def _doubling_on(mat: IntMatrix) -> tuple[str, Conclusion, dict] | None:
+def _doubling_on(mat: IntMatrix) -> PeriodCertificate | None:
     """The degree rule on every petal j of the chi-matrix of an iterate
     of f, d = d_jj: Per = N when d >= 2 or d < -2, and Per containing
     N \\ {2} when d = -2 (Alseda, Llibre and Misiurewicz, Combinatorial
     Dynamics and Entropy in Dimension One, ch. 4), read only when no
-    petal gives Per = N.  Returns (case, conclusion, witness): case a
-    for j >= 2, tried first, and b, c, e for d >= 2, < -2, = -2 on j = 1.
+    petal gives Per = N.  The rule is doubling(a) for j >= 2, tried
+    first, and doubling(b), (c), (e) for d >= 2, < -2, = -2 on j = 1.
     """
     hit = None
     for j in (*range(2, len(mat) + 1), 1):
@@ -237,66 +245,50 @@ def _doubling_on(mat: IntMatrix) -> tuple[str, Conclusion, dict] | None:
             continue
         case = "a" if j > 1 else "b" if d > 0 else "c" if d < -2 else "e"
         witness = {"j": j, "d_jj": d} if j > 1 else {"d_11": d}
-        hit = (case, ALL_BUT_2 if d == -2 else ALL_PERIODS, witness)
+        hit = PeriodCertificate(f"doubling({case})",
+                                ALL_BUT_2 if d == -2 else ALL_PERIODS, witness)
         if d != -2:
             return hit
     return hit
 
 
 def _lowgrow_pair(mat: IntMatrix, lo: int) -> tuple[int, int] | None:
-    """A pair i != j, both >= lo, with |d_ij|,|d_ji| >= 1 and |d_ii|+|d_jj| >= 1."""
-    n = len(mat)
-    for i in range(lo, n + 1):
-        for j in range(lo, n + 1):
-            if i == j:
-                continue
-            if (
-                abs(mat[i - 1][j - 1]) >= 1
-                and abs(mat[j - 1][i - 1]) >= 1
-                and abs(mat[i - 1][i - 1]) + abs(mat[j - 1][j - 1]) >= 1
-            ):
+    """The first pair i != j, both >= lo, with d_ij, d_ji nonzero and d_ii
+    or d_jj nonzero."""
+    ids = range(lo, len(mat) + 1)
+    for i in ids:
+        for j in ids:
+            if (i != j and mat[i - 1][j - 1] and mat[j - 1][i - 1]
+                    and (mat[i - 1][i - 1] or mat[j - 1][j - 1])):
                 return (i, j)
     return None
 
 
-def _lowgrow_on(mat: IntMatrix, k: int | None) -> tuple[str, Conclusion, dict] | None:
-    """Low-growth cases on the chi-matrix of an iterate of f, whose
-    branching point has least period k under f; returns (case,
-    conclusion, witness)."""
-    n = len(mat)
-    if k is None:
-        pair = _lowgrow_pair(mat, 2)
-        if pair is not None:
-            i, j = pair
-            return ("a", ALL_PERIODS, {"i": i, "j": j})
-        for i in range(2, n + 1):
-            if mat[i - 1][0] >= 1:
-                return ("b", ALL_BUT_1, {"i": i, "d_i1": mat[i - 1][0]})
-        for i in range(2, n + 1):
-            if mat[i - 1][0] == -1:
-                return ("c", PAIRWISE, {"i": i, "d_i1": -1})
+def _lowgrow_on(mat: IntMatrix, k: int | None) -> PeriodCertificate | None:
+    """The low-growth rule on the chi-matrix of an iterate of f, whose
+    branching point has least period k under f.  Free (k None):
+    lowgrow(a) from a pair i, j >= 2, else lowgrow(b) from some d_i1 >= 1,
+    else lowgrow(c) from some d_i1 = -1, i >= 2.  Class 1, the only class
+    that fixes the branching point as a based vertex under every iterate:
+    lowgrow(d) from a pair i, j >= 1.  No rule reads another class."""
+    if k not in (None, 1):
         return None
+    pair = _lowgrow_pair(mat, 1 if k == 1 else 2)
+    if pair is not None:
+        i, j = pair
+        return PeriodCertificate("lowgrow(d)" if k == 1 else "lowgrow(a)",
+                                 ALL_PERIODS, {"i": i, "j": j})
     if k == 1:
-        pair = _lowgrow_pair(mat, 1)
-        if pair is not None:
-            i, j = pair
-            return ("d", ALL_PERIODS, {"i": i, "j": j})
+        return None
+    for i in range(2, len(mat) + 1):
+        if mat[i - 1][0] >= 1:
+            return PeriodCertificate("lowgrow(b)", ALL_BUT_1,
+                                     {"i": i, "d_i1": mat[i - 1][0]})
+    for i in range(2, len(mat) + 1):
+        if mat[i - 1][0] == -1:
+            return PeriodCertificate("lowgrow(c)", PAIRWISE,
+                                     {"i": i, "d_i1": -1})
     return None
-
-
-def _criteria_hits(f: MapAction, powers: Iterable[IntMatrix]):
-    """Yield (m, family, case, conclusion, witness) for each hypothesis
-    family that fires on the chi-matrix M^m of f^m, the m-th of `powers`,
-    in order of m, doubling before low growth.  The degree rule reads the
-    matrix alone; the low-growth cases also read the branch class of f
-    itself: only class 1 fixes the branching point as a based vertex,
-    under every iterate.
-    """
-    for m, mat in enumerate(powers, start=1):
-        for family, hit in (("doubling", _doubling_on(mat)),
-                            ("lowgrow", _lowgrow_on(mat, f.branch_class))):
-            if hit is not None:
-                yield (m, family, *hit)
 
 
 def dominant_periods(f: MapAction,
@@ -323,30 +315,31 @@ def period_certificates(
     """Every period certificate that fires for f, in report order, for a
     census up to the horizon H.
 
-    The doubling and low-growth families are tried on M^1..M^min(H,
-    CRITERIA_POWERS), walked lazily by
-    `PowerSequences.matrix_powers`: the record's baby steps first, and a
-    later power is multiplied only when the walk reaches it.  At m = 1
-    each family that fires gives its own certificate.  The first later
+    The degree and low-growth rules are tried on M^1..M^min(H,
+    CRITERIA_POWERS), walked lazily by `PowerSequences.matrix_powers`:
+    the record's baby steps first, and a later power is multiplied only
+    when the walk reaches it.  At m = 1 each rule that fires gives its
+    own certificate, the degree rule first.  On M^m, m > 1, the first
     hit whose conclusion promotes gives one delayed certificate over
     multiples of m and ends the walk, for most maps at m = 2, so past
     the baby steps nothing is multiplied.  The dominant-eigenvalue
     certificate comes last.
     """
     certs = []
-    for m, family, case, conclusion, witness in _criteria_hits(
-        f, seqs.matrix_powers(min(horizon, CRITERIA_POWERS))
-    ):
+    powers = seqs.matrix_powers(min(horizon, CRITERIA_POWERS))
+    for m, mat in enumerate(powers, start=1):
+        hits = [cert for cert in (_doubling_on(mat),
+                                  _lowgrow_on(mat, f.branch_class))
+                if cert is not None]
         if m == 1:
-            certs.append(PeriodCertificate(f"{family}({case})", conclusion, witness))
+            certs += hits
             continue
-        promoted = conclusion.promoted(m)
-        if promoted is not None:
-            certs.append(PeriodCertificate(
-                f"delaylowgrow(m={m}; {family}({case}))",
-                promoted,
-                {"m": m, **witness},
-            ))
+        delayed = [PeriodCertificate(f"delaylowgrow(m={m}; {cert.rule})",
+                                     promoted, {"m": m, **cert.witness})
+                   for cert in hits
+                   if (promoted := cert.conclusion.promoted(m)) is not None]
+        if delayed:
+            certs.append(delayed[0])
             break
     dominant = dominant_periods(f, spectrum)
     if dominant is not None:

@@ -110,8 +110,10 @@ class OracleCounts(Record, fields="crossings covers branch_period"):
     __slots__ = ()
 
     def fixed(self, m: int) -> int:
-        """Fixed points of f^m on the circles: the crossings, plus 1 when
-        f^m fixes the branching point, by the observed `branch_period`."""
+        """Fixed points of f^m on the circles, m = 1..depth: the crossings,
+        plus 1 when f^m fixes the branching point, by `branch_period`."""
+        if not 1 <= m <= len(self.crossings):
+            raise InputError(f"iterate must be in 1..{len(self.crossings)}, got {m!r}")
         k = self.branch_period
         return self.crossings[m - 1] + int(k is not None and m % k == 0)
 

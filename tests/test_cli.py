@@ -15,6 +15,7 @@ from bouquet_dyn.cli import (
     CIRCLE_CAP,
     DIGIT_CAP,
     ITERATE_CAP,
+    Claim,
     MapSpecDocument,
     ReportOptions,
     fixture_names,
@@ -276,13 +277,13 @@ class TestOptionTypes:
         with pytest.raises(InputError, match="^horizon must be an int, got"):
             ReportOptions(horizon=value)
 
-    @pytest.mark.parametrize("value", [True, 2.5])
+    @pytest.mark.parametrize("value", [True, 2.5, None])
     def test_oracle_depth(self, value):
         with pytest.raises(InputError, match="^oracle depth must be an int"):
             ReportOptions(oracle_depth=value)
         assert ReportOptions(oracle_depth=value, no_oracle=True)
 
-    @pytest.mark.parametrize("value", [True, 2.5])
+    @pytest.mark.parametrize("value", [True, 2.5, None])
     def test_entropy_horizon(self, value):
         with pytest.raises(InputError, match="^entropy horizon must be an"):
             ReportOptions(entropy_horizon=value)
@@ -302,6 +303,25 @@ class TestOptionTypes:
             with pytest.raises(InputError) as raised:
                 ReportOptions(**options)
             assert str(raised.value) == text
+
+
+class TestClaimFields:
+    """A claim checks its quantity and iterate when it is built, so one
+    built outside `parse_spec` cannot read a count through a negative
+    index."""
+
+    @pytest.mark.parametrize("fields, message", [
+        (("fix", 0, 31), "claim iterate must be >= 1, got 0"),
+        (("fix", -1, 15), "claim iterate must be >= 1, got -1"),
+        (("fix", 1.5, 1), "claim iterate must be an int, got 1.5"),
+        (("fix", True, 1), "claim iterate must be an int, got True"),
+        (("fix", None, 1), "claim iterate must be an int, got None"),
+        (("foo", 1, 1), "claim quantity 'foo' is not L, l, fix or per"),
+    ])
+    def test_bad_fields_refused(self, fields, message):
+        with pytest.raises(InputError) as raised:
+            Claim(*fields, "claim: made by hand")
+        assert str(raised.value) == message
 
 
 class TestDigitCap:

@@ -449,6 +449,27 @@ class TestCertifiedPeriods:
             assert conclusion.text() == text
             assert conclusion.periods(8) == expected
 
+    @pytest.mark.parametrize("conclusion, period_set, horizon, gaps", [
+        (Conclusion("multiples", 3), {1, 3}, 8,
+         "no period 6, which the conclusion promises"),
+        (Conclusion("multiples", 3), {3, 6, 7}, 8, None),
+        (Conclusion("multiples", 4, 4), {4, 8}, 12,
+         "no period 12, which the conclusion promises"),
+        (Conclusion("multiples", 4, 4), {8, 12}, 12, None),
+        (Conclusion("tail", 5), {1, 5, 8}, 8,
+         "no period 6, 7, which the conclusion promises"),
+        (Conclusion("tail", 5), {5, 6, 7, 8}, 8, None),
+        (PAIRWISE, {1}, 5, "neither period m nor m+1 at m = 2, 3, 4, and "
+         "the conclusion promises one of them"),
+        (PAIRWISE, {1, 3, 5}, 5, None),
+    ])
+    def test_census_failure(self, conclusion, period_set, horizon, gaps):
+        failure = conclusion.failure(period_set, horizon)
+        if gaps is None:
+            assert failure is None
+        else:
+            assert failure == f"the census up to horizon {horizon} has {gaps}"
+
     def test_certificates_agree_with_census(self):
         for f in (REFLECT, LOW_GROWTH, action("a1 a1"), DOMINANT):
             pers = census(f, 10)

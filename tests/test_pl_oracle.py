@@ -518,6 +518,14 @@ class TestOracleArguments:
         with pytest.raises(InputError):
             oracle_counts(lift, 0)
 
+    @pytest.mark.parametrize("m", [0, -1, 6])
+    def test_iterate_outside_depth_rejected(self, m):
+        # m = 0 read the f^5 count through index -1
+        counts = oracle_counts(build_lift(DOUBLE), 5)
+        assert [counts.fixed(k) for k in range(1, 6)] == [1, 3, 7, 15, 31]
+        with pytest.raises(InputError, match=f"^iterate must be in 1..5, got {m}$"):
+            counts.fixed(m)
+
 
 class TestOracleMemory:
     def test_walk_memory_is_bounded(self):
