@@ -65,6 +65,8 @@ class Claim(Record, fields="quantity m value text"):
     def __new__(cls, *args, **kwargs) -> Claim:
         claim = super().__new__(cls, *args, **kwargs)
         _check_count(claim.m, "claim iterate")
+        if type(claim.value) is not int:
+            raise InputError(f"claim value must be an int, got {claim.value!r}")
         if claim.quantity not in ("L", "l", "fix", "per"):
             raise InputError(f"claim quantity {claim.quantity!r} is not L, l, fix or per")
         return claim
@@ -348,7 +350,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         )
 
     report = {
-        "schema": 6,
+        "schema": 7,
         "input": {
             "n": f.n,
             "branch": _branch_text(f.branch_class),
@@ -419,31 +421,21 @@ def _run_oracle(
             f"has period {observed if observed else 'none observed'} but "
             f"the declaration says {_branch_text(f.branch_class)}"
         )
-    verdicts = []
-    for m in range(1, options.oracle_depth + 1):
-        formula, lifted = fixes[m - 1], counts.fixed(m)
-        same = lifted == formula
-        lift_text = str(lifted)
-        verdicts.append({
-            "m": m,
-            "lift_count": lift_text,
-            "formula_count": lift_text if same else str(formula),
-            "verdict": "match" if same
-            else "skipped (branch-orbit mismatch)" if branch_mismatch
-            else "mismatch",
-        })
-    cover_checks = [
-        {"m": m, "cover": str(cov), "norm": str(norms[m - 1]),
-         "verdict": "match" if cov == norms[m - 1] else "mismatch"}
-        for m, cov in enumerate(counts.covers, start=1)
-    ]
-    rows = verdicts + cover_checks
-    mismatch = any(row["verdict"] == "mismatch" for row in rows)
+    lift_fix = [counts.fixed(m) for m in range(1, options.oracle_depth + 1)]
+    # the least m at which the lift's count differs from the formula's
+    fix_m, cover_m = (
+        next((m for m, (a, b) in enumerate(zip(got, want), start=1) if a != b), None)
+        for got, want in ((lift_fix, fixes), (counts.covers, norms)))
+    # a lift whose branch orbit is not the declared one counts another
+    # map: its first difference is named, but not judged
+    fix_passed = fix_m is None or (None if branch_mismatch else False)
     return {
-        "status": "mismatch" if mismatch else "ok",
+        "status": "mismatch" if fix_passed is False or cover_m else "ok",
         "branch_period_observed": observed,
-        "verdicts": verdicts,
-        "cover_checks": cover_checks,
+        "lift_fix": list(map(str, lift_fix)),
+        "lift_cover": list(map(str, counts.covers)),
+        "checks": [{"m": fix_m, "mode": "fix", "passed": fix_passed},
+                   {"m": cover_m, "mode": "cover", "passed": cover_m is None}],
     }
 
 
@@ -503,9 +495,15 @@ def render_text(report: dict) -> str:
     oracle = report["oracle"]
     lines.append(f"oracle: {oracle['status']}"
                  + (f" ({oracle['reason']})" if "reason" in oracle else ""))
-    for v in oracle.get("verdicts", []):
-        lines.append(f"  m={v['m']}: {v['verdict']} lift={v['lift_count']} "
-                     f"formula={v['formula_count']}")
+    for c in oracle.get("checks", []):
+        verdict = {True: "match", False: "mismatch",
+                   None: "skipped (branch-orbit mismatch)"}[c["passed"]]
+        if c["m"]:
+            verdict += f", first difference at m={c['m']}"
+        depth = len(oracle["lift_" + c["mode"]])
+        lines.append(f"  {c['mode']} counts to m={depth}: {verdict}")
+        if c["passed"] is False:
+            lines.append(f"FAILED oracle {c['mode']} check: {c['m']}")
     failed = [c for c in report["lefschetz_fix_checks"] if not c["passed"]]
     if failed:
         lines.append("FAILED Lefschetz/fixed-point checks: "

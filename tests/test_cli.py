@@ -27,7 +27,10 @@ from bouquet_dyn.cli import (
     run_report,
 )
 from bouquet_dyn.errors import InconsistencyError, InputError
-from bouquet_dyn.words import BRANCH_FREE
+from bouquet_dyn.homology import PowerSequences, abelianize
+from bouquet_dyn.periods import fix_counts
+from bouquet_dyn.pl_oracle import oracle_counts
+from bouquet_dyn.words import BRANCH_FREE, MapAction
 
 from conftest import (
     cap_edge_spec,
@@ -47,6 +50,11 @@ a3 -> a1 a3
 
 # the canonical lift's branching point returns to an integer at step 4
 BRANCH_PERIOD_4 = "a1 -> a2 a1\na2 -> a4 a1\na3 -> a1\na4 -> a1\n"
+
+#: the oracle's two statements when the lift's fix and cover counts equal
+#: the formula's fix counts and the norms at every m it reaches
+PASSED = [{"m": None, "mode": "fix", "passed": True},
+          {"m": None, "mode": "cover", "passed": True}]
 
 # fix(m) = 10^m - 1: at horizon 4 400 its digits pass CPython's default
 # int-to-str limit of 4 300
@@ -163,7 +171,7 @@ class TestRunReport:
     def test_reflect_doubling_report(self):
         doc = parse_spec("n=1\nbranch: free\na1 -> a1' a1'\n")
         report = run_report(doc, ReportOptions())
-        assert report["schema"] == 6
+        assert report["schema"] == 7
         assert report["lefschetz"]["L"][0] == "3"
         assert report["lefschetz"]["l"][1] == "-6"
         assert report["census"]["per"][1] == "0"
@@ -171,9 +179,8 @@ class TestRunReport:
             c["rule"] == "doubling(e)" for c in report["certificates"]
         )
         assert report["oracle"]["status"] == "ok"
-        assert all(
-            v["verdict"] == "match" for v in report["oracle"]["verdicts"]
-        )
+        assert report["oracle"]["lift_fix"] == report["census"]["fix"][:6]
+        assert report["oracle"]["checks"] == PASSED
 
     def test_claim_mismatch_warns_but_passes(self):
         doc = parse_spec(
@@ -235,8 +242,10 @@ class TestRunReport:
         ]
         assert [w for w in report["warnings"]
                 if w.startswith("branch-orbit mismatch")] == expected
-        assert [v["m"] for v in oracle["verdicts"]
-                if v["verdict"] == "skipped (branch-orbit mismatch)"] == skipped
+        assert [c["m"] for c in oracle["checks"]
+                if c["passed"] is None] == skipped
+        assert oracle["checks"] == PASSED
+        assert oracle["lift_fix"] == report["census"]["fix"][:6]
         if says is None:
             assert oracle["status"] == "ok"
             assert all(c["passed"] for c in report["lefschetz_fix_checks"])
@@ -257,10 +266,95 @@ class TestRunReport:
             report = run_report(MapSpecDocument(f), options)
             oracle = report["oracle"]
             assert oracle["branch_period_observed"] == f.branch_class, f
-            assert [v["verdict"] for v in oracle["verdicts"]] == \
-                ["match"] * depth, f
+            assert oracle["lift_fix"] == report["census"]["fix"], f
+            assert oracle["checks"][0] == PASSED[0], f
             assert not cli.report_has_failures(report), f
         assert {2, 3, 4} <= periods, periods
+
+    def test_oracle_statements_fold_the_per_m_comparison(self):
+        # seeded maps of both signs, each declared free and of class 1-3:
+        # the per-m comparison of the lift's counts with fix(m) and
+        # ||M^m||_1, as schema 6 printed it row by row, folds to the two
+        # statements, and a branch orbit that differs from the declared
+        # one leaves every differing fix row unjudged
+        depth = 30
+        options = ReportOptions(horizon=depth, oracle_depth=depth)
+        rng = random.Random(0x0AC1E)
+        outcomes = set()
+        for i in range(40):
+            f, lift = (random_expanding_action(rng) if i % 2
+                       else random_branch_periodic_action(rng))
+            counts = oracle_counts(lift, depth)
+            seqs = PowerSequences.of(abelianize(f), depth)
+            for k in (BRANCH_FREE, 1, 2, 3):
+                g = MapAction(f.n, f.images, k)
+                try:
+                    oracle = run_report(MapSpecDocument(g), options)["oracle"]
+                except InconsistencyError:
+                    continue
+                fixes = fix_counts(g, seqs.traces)
+                rows = ["match" if counts.fixed(m) == fixes[m - 1]
+                        else "mismatch" if counts.branch_period == k
+                        else "skipped" for m in range(1, depth + 1)]
+                covers = ["match" if c == seqs.norms[m - 1] else "mismatch"
+                          for m, c in enumerate(counts.covers, start=1)]
+                expected = []
+                for mode, verdicts in (("fix", rows), ("cover", covers)):
+                    first = next((m for m, v in enumerate(verdicts, start=1)
+                                  if v != "match"), None)
+                    expected.append({"m": first, "mode": mode, "passed": (
+                        None if "skipped" in verdicts else first is None)})
+                assert oracle["checks"] == expected, g
+                assert oracle["lift_fix"] == [
+                    str(counts.fixed(m)) for m in range(1, depth + 1)], g
+                assert oracle["lift_cover"] == list(map(str, counts.covers)), g
+                assert oracle["status"] == (
+                    "mismatch" if "mismatch" in rows + covers else "ok"), g
+                outcomes |= {(c["mode"], c["passed"]) for c in expected}
+                outcomes.add(g.global_sign)
+        assert {("fix", True), ("fix", None), ("cover", True), 1, -1} <= outcomes
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_unjudged_fix_statement_exits_0(self, tmp_path, capsys, fmt):
+        # the lift's branching point is never periodic, so the declared
+        # class 1 counts one more fixed point at every m than the lift
+        p = tmp_path / "based.bqd"
+        p.write_text("n=2\nbranch: period 1\na1 -> a1 a1\na2 -> a1 a2\n")
+        assert main(["analyze", str(p), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "text":
+            assert ("\n  fix counts to m=6: skipped (branch-orbit mismatch), "
+                    "first difference at m=1\n") in out
+            assert "FAILED" not in out
+            return
+        oracle = json.loads(out)["oracle"]
+        assert oracle["status"] == "ok"
+        assert oracle["checks"] == [
+            {"m": 1, "mode": "fix", "passed": None}, PASSED[1]]
+        assert oracle["lift_fix"] == [str(2**m) for m in range(1, 7)]
+
+    @pytest.mark.parametrize("index, mode", [(0, "fix"), (1, "cover")])
+    def test_wrong_formula_is_named(self, index, mode):
+        # fix(4), or ||M^4||_1, off by one: the statement names m = 4
+        f = parse_spec("n=1\nbranch: free\na1 -> a1 a1\n").action
+        seqs = PowerSequences.of(abelianize(f), 6)
+        formulas = [list(fix_counts(f, seqs.traces)), list(seqs.norms)]
+        formulas[index][3] += 1
+        warnings = []
+        oracle = cli._run_oracle(f, ReportOptions(), formulas[1],
+                                 formulas[0], warnings)
+        assert oracle["status"] == "mismatch"
+        expected = list(PASSED)
+        expected[index] = {"m": 4, "mode": mode, "passed": False}
+        assert oracle["checks"] == expected
+        assert warnings == []
+        report = run_report(MapSpecDocument(f), ReportOptions())
+        report["oracle"] = oracle
+        assert report_has_failures(report)
+        text = render_text(report)
+        assert f"\n  {mode} counts to m=6: mismatch, first difference at m=4\n" in text
+        assert text.count("FAILED") == 1
+        assert f"\nFAILED oracle {mode} check: 4\n" in text
 
     def test_json_round_trip(self):
         doc = parse_spec(LOW_GROWTH_TEXT)
@@ -317,6 +411,9 @@ class TestClaimFields:
         (("fix", True, 1), "claim iterate must be an int, got True"),
         (("fix", None, 1), "claim iterate must be an int, got None"),
         (("foo", 1, 1), "claim quantity 'foo' is not L, l, fix or per"),
+        (("fix", 1, True), "claim value must be an int, got True"),
+        (("fix", 1, "1"), "claim value must be an int, got '1'"),
+        (("fix", 1, 1.0), "claim value must be an int, got 1.0"),
     ])
     def test_bad_fields_refused(self, fields, message):
         with pytest.raises(InputError) as raised:
@@ -600,7 +697,7 @@ class TestMain:
         p.write_text("n=1\nbranch: free\na1 -> a1' a1'\n")
         assert main(["analyze", str(p), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 6
+        assert report["schema"] == 7
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.bqd"
@@ -653,9 +750,9 @@ class TestMain:
         path = root / "expand_double_g1.bqd"
         flags = ["--oracle-depth", "20", "--format", "json"]
         assert main(["analyze", str(path), *flags]) == 0
-        verdicts = json.loads(capsys.readouterr().out)["oracle"]["verdicts"]
-        assert [v["m"] for v in verdicts] == list(range(1, 21))
-        assert all(v["verdict"] == "match" for v in verdicts)
+        oracle = json.loads(capsys.readouterr().out)["oracle"]
+        assert oracle["lift_fix"] == [str(2**m - 1) for m in range(1, 21)]
+        assert oracle["checks"] == PASSED
 
     def test_non_ascii_digit_exit_code(self, tmp_path, capsys):
         p = tmp_path / "map.bqd"

@@ -1,6 +1,6 @@
 """The exhaustive domain as a correctness gate: every map of one or two
 circles whose image words have 1-3 letters, of either sign, declared
-free or of branch class 1, 2 or 3, at horizon 40.
+free or of branch class 1, 2 or 3, at horizon and oracle depth 40.
 
 The admissibility gate does not exist yet, so its two rules are a
 filter here: refuse a cycle of single-letter images, and refuse a branch
@@ -9,9 +9,11 @@ admitted map must then report with no failure at all (every Lefschetz
 check passes, the oracle does not mismatch, and every certificate holds
 in the census), except the maps in `EXPECTED`, each flagged on exactly
 one certificate for the reason given.  The list may only get shorter.
+Wherever the lift's branch orbit is the declared one, the oracle's fix
+statement must pass: the lift's count equals fix(m) for every m <= 40.
 
 Run as a script, the module checks the larger n = 3 domain the same way
-(image words of 1-2 letters, 13 824 reports, about 9 s) against its
+(image words of 1-2 letters, 13 824 reports, about 11 s) against its
 tally, `N3_TALLY`:
 
     PYTHONPATH=src python tests/test_domain.py
@@ -86,7 +88,8 @@ def _report(k, texts) -> dict:
     branch = "free" if k is None else f"period {k}"
     spec = f"n={len(texts)}\nbranch: {branch}\n" + "".join(
         f"a{j} -> {w}\n" for j, w in enumerate(texts, start=1))
-    return run_report(parse_spec(spec), ReportOptions(horizon=HORIZON))
+    return run_report(parse_spec(spec),
+                      ReportOptions(horizon=HORIZON, oracle_depth=HORIZON))
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +123,20 @@ def test_admitted_maps_report_no_failure(admitted):
     for key, (rule, text) in flagged.items():
         want_rule, want_text = EXPECTED[key]
         assert rule == want_rule and f"has {want_text}," in text, (key, text)
+
+
+def test_oracle_judges_every_observed_class(admitted):
+    # the 224 admitted maps whose lift has the declared branch period
+    # (free included) are the ones the oracle judges; on all of them the
+    # lift's fix counts equal the census's to depth 40
+    judged = {key: report["oracle"] for key, report in admitted.items()
+              if "checks" in report["oracle"]
+              and report["oracle"]["branch_period_observed"] == key[0]}
+    assert len(judged) == 224
+    for key, oracle in judged.items():
+        assert len(oracle["lift_fix"]) == HORIZON, key
+        assert oracle["checks"][0] == {
+            "m": None, "mode": "fix", "passed": True}, key
 
 
 def test_each_fact_printed_once(admitted):
