@@ -427,8 +427,9 @@ def _run_oracle(
         next((m for m, (a, b) in enumerate(zip(got, want), start=1) if a != b), None)
         for got, want in ((lift_fix, fixes), (counts.covers, norms)))
     # a lift whose branch orbit is not the declared one counts another
-    # map: its first difference is named, but not judged
-    fix_passed = fix_m is None or (None if branch_mismatch else False)
+    # map: its first difference is named, but neither it nor an agreement
+    # is judged
+    fix_passed = None if branch_mismatch else fix_m is None
     return {
         "status": "mismatch" if fix_passed is False or cover_m else "ok",
         "branch_period_observed": observed,

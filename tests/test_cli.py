@@ -181,6 +181,10 @@ class TestRunReport:
         assert report["oracle"]["status"] == "ok"
         assert report["oracle"]["lift_fix"] == report["census"]["fix"][:6]
         assert report["oracle"]["checks"] == PASSED
+        # the bundled copy's delayed certificate holds to horizon 40
+        doc = load_fixture("reflect_double_g1")[0]
+        wide = run_report(doc, ReportOptions(horizon=40))
+        assert wide["certificates"] and not report_has_failures(wide)
 
     def test_claim_mismatch_warns_but_passes(self):
         doc = parse_spec(
@@ -191,13 +195,17 @@ class TestRunReport:
         assert any("l(2) = 5" in w for w in report["warnings"])
 
     def test_eightfold_root_exact(self):
-        # M = 2I: the root 2 of multiplicity 8 is exact, and not dominant
-        images = "".join(f"a{j} -> a{j} a{j}\n" for j in range(1, 9))
-        report = run_report(parse_spec("n=8\nbranch: free\n" + images),
-                            ReportOptions())
-        assert report["spectrum"]["spectral_radius"] == "2"
-        assert report["entropy"]["spectral"] == "0.693147180559945"
-        assert not any(c["rule"] == "dominant" for c in report["certificates"])
+        # M = 2I: the root 2 of multiplicity n is exact, and not dominant
+        for n in (8, 64):
+            images = "".join(f"a{j} -> a{j} a{j}\n" for j in range(1, n + 1))
+            report = run_report(parse_spec(f"n={n}\nbranch: free\n" + images),
+                                ReportOptions())
+            spectrum = report["spectrum"]
+            assert spectrum["spectral_radius"] == "2"
+            assert [z["modulus"] for z in spectrum["eigenvalues"]] == ["2"] * n
+            assert report["entropy"]["spectral"] == "0.693147180559945"
+            assert not any(
+                c["rule"] == "dominant" for c in report["certificates"])
 
     def test_determinism(self):
         doc = parse_spec(LOW_GROWTH_TEXT)
@@ -227,8 +235,8 @@ class TestRunReport:
         )
 
     @pytest.mark.parametrize("declared, says, skipped", [
-        ("free", "free", []),
-        ("period 2", "2", []),
+        ("free", "free", [None]),
+        ("period 2", "2", [None]),
         ("period 4", None, []),
     ])
     def test_branch_orbit_mismatch(self, declared, says, skipped):
@@ -242,9 +250,11 @@ class TestRunReport:
         ]
         assert [w for w in report["warnings"]
                 if w.startswith("branch-orbit mismatch")] == expected
+        # the counts agree, but a lift of another branch class judges none
         assert [c["m"] for c in oracle["checks"]
                 if c["passed"] is None] == skipped
-        assert oracle["checks"] == PASSED
+        fix = {"m": None, "mode": "fix", "passed": None if skipped else True}
+        assert oracle["checks"] == [fix, PASSED[1]]
         assert oracle["lift_fix"] == report["census"]["fix"][:6]
         if says is None:
             assert oracle["status"] == "ok"
@@ -276,7 +286,7 @@ class TestRunReport:
         # the per-m comparison of the lift's counts with fix(m) and
         # ||M^m||_1, as schema 6 printed it row by row, folds to the two
         # statements, and a branch orbit that differs from the declared
-        # one leaves every differing fix row unjudged
+        # one leaves the fix statement unjudged, its rows agreeing or not
         depth = 30
         options = ReportOptions(horizon=depth, oracle_depth=depth)
         rng = random.Random(0x0AC1E)
@@ -293,23 +303,24 @@ class TestRunReport:
                 except InconsistencyError:
                     continue
                 fixes = fix_counts(g, seqs.traces)
-                rows = ["match" if counts.fixed(m) == fixes[m - 1]
-                        else "mismatch" if counts.branch_period == k
-                        else "skipped" for m in range(1, depth + 1)]
-                covers = ["match" if c == seqs.norms[m - 1] else "mismatch"
+                rows = [counts.fixed(m) == fixes[m - 1]
+                        for m in range(1, depth + 1)]
+                covers = [c == seqs.norms[m - 1]
                           for m, c in enumerate(counts.covers, start=1)]
                 expected = []
-                for mode, verdicts in (("fix", rows), ("cover", covers)):
-                    first = next((m for m, v in enumerate(verdicts, start=1)
-                                  if v != "match"), None)
+                for mode, agree, judged in (
+                        ("fix", rows, counts.branch_period == k),
+                        ("cover", covers, True)):
+                    first = next((m for m, a in enumerate(agree, start=1)
+                                  if not a), None)
                     expected.append({"m": first, "mode": mode, "passed": (
-                        None if "skipped" in verdicts else first is None)})
+                        first is None if judged else None)})
                 assert oracle["checks"] == expected, g
                 assert oracle["lift_fix"] == [
                     str(counts.fixed(m)) for m in range(1, depth + 1)], g
                 assert oracle["lift_cover"] == list(map(str, counts.covers)), g
-                assert oracle["status"] == (
-                    "mismatch" if "mismatch" in rows + covers else "ok"), g
+                assert oracle["status"] == ("mismatch" if any(
+                    c["passed"] is False for c in expected) else "ok"), g
                 outcomes |= {(c["mode"], c["passed"]) for c in expected}
                 outcomes.add(g.global_sign)
         assert {("fix", True), ("fix", None), ("cover", True), 1, -1} <= outcomes
@@ -425,12 +436,15 @@ class TestDigitCap:
     def test_over_cap_exits_fast(self, tmp_path, capsys):
         p = tmp_path / "ten.bqd"
         p.write_text(TEN_LETTERS)
-        start = time.perf_counter()
-        flags = ["--horizon", "4400", "--no-oracle"]
-        assert main(["analyze", str(p), *flags]) == 1
-        assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
-        assert f"over the cap of {DIGIT_CAP} digits" in err, err
+        root = resources.files("bouquet_dyn") / "fixtures"
+        for path, horizon in ((p, "4400"),
+                              (root / "expand_double_g1.bqd", "100000")):
+            start = time.perf_counter()
+            flags = ["--horizon", horizon, "--no-oracle"]
+            assert main(["analyze", str(path), *flags]) == 1
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert f"over the cap of {DIGIT_CAP} digits" in err, err
 
     BIG = "9" * 5000
     #: a generator index within DIGIT_CAP
@@ -542,13 +556,14 @@ class TestCircleCap:
     def test_over_cap_exits_fast(self, tmp_path, capsys):
         # checked at the n= line, before the missing image lines are sought
         p = tmp_path / "wide.bqd"
-        p.write_text("n=10000000\nbranch: free\na1 -> a1 a1\n")
-        start = time.perf_counter()
-        assert main(["analyze", str(p)]) == 1
-        assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
-        assert f"line 1: circle count 10000000 over the cap of {CIRCLE_CAP} " \
-            "circles" in err, err
+        for n in (10**7, 10**9):
+            p.write_text(f"n={n}\nbranch: free\na1 -> a1 a1\n")
+            start = time.perf_counter()
+            assert main(["analyze", str(p)]) == 1
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert (f"line 1: circle count {n} over the cap of {CIRCLE_CAP} "
+                    "circles") in err, err
 
     def test_cap_is_inclusive(self):
         n = CIRCLE_CAP
@@ -606,6 +621,7 @@ class TestRadiusCheck:
         p.write_text(twin32_spec())
         assert main(["analyze", str(p), "--no-oracle", "--format", "json"]) == 2
         spectrum = json.loads(capsys.readouterr().out)["spectrum"]
+        assert len(spectrum["eigenvalues"]) == 64
         assert spectrum["spectral_radius"] == "nan"
         assert "[64, 64]" in spectrum["failure"]
 
@@ -799,7 +815,6 @@ class TestMain:
         assert main(["fixtures"]) == 0
         out = capsys.readouterr().out
         assert out.count(": ok") == len(fixture_names())
-
 
     def test_fixtures_takes_no_flags(self):
         with pytest.raises(SystemExit):
