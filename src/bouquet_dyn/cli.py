@@ -328,8 +328,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     claims = []
     for c in doc.claims:
         # the claimed quantity at c.m, None past the horizon
-        seq = values[c.quantity]
-        computed = seq[c.m - 1] if c.m <= len(seq) else None
+        computed = values[c.quantity][c.m - 1] if c.m <= horizon else None
         if computed is None:
             verdict = "out-of-range"
             warnings.append(f"claim beyond computed horizon: {c.text}")
@@ -341,16 +340,11 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
                 f"stated {c.quantity}({c.m}) = {c.value} but the "
                 f"definition gives {computed}"
             )
-        claims.append(
-            {
-                "text": c.text,
-                "computed": None if computed is None else str(computed),
-                "verdict": verdict,
-            }
-        )
+        claims.append({"text": c.text, "verdict": verdict,
+                       "computed": None if computed is None else str(computed)})
 
     report = {
-        "schema": 7,
+        "schema": 8,
         "input": {
             "n": f.n,
             "branch": _branch_text(f.branch_class),
@@ -441,9 +435,10 @@ def _run_oracle(
 
 
 def report_has_failures(report: dict) -> bool:
-    """Whether a check row failed (a class-1 bound, or the preserving
-    equality on some m <= H), the spectrum or a certificate carries a
-    `failure`, or the oracle mismatched: the cases that exit 2."""
+    """Whether the Lefschetz statement failed (the preserving equality
+    on some m <= H; class 1 has no statement), the spectrum or a
+    certificate carries a `failure`, or the oracle mismatched: the cases
+    that exit 2."""
     return (any(not c["passed"] for c in report["lefschetz_fix_checks"])
             or "failure" in report["spectrum"]
             or any("failure" in c for c in report["certificates"])

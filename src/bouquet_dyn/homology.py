@@ -74,8 +74,8 @@ class PowerSequences(Record, fields="head char traces norms"):
     @staticmethod
     def of(a: IntMatrix, k: int) -> "PowerSequences":
         """The record of M^1..M^k for M = a."""
-        if k < 0:
-            raise InputError(f"power count must be >= 0, got {k}")
+        if type(k) is not int or k < 0:
+            raise InputError(f"power count must be an int >= 0, got {k!r}")
         if {x > 0 for row in a for x in row if x} == {True, False}:
             raise InputError("matrix entries must share one sign")
         n = len(a)

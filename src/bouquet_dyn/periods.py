@@ -28,22 +28,23 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     or m is even) and f fixes the branching point as a based vertex
     (branch class 1).  There the branching point contributes 1 and the
     interior crossings are counted by gamma: chi_j of the iterate image
-    of a_j, the diagonal entry j of M^m, less its first and last letters
-    when they are a_j or a_j'.  Summed over j that is the trace less the
-    end letters:
+    of a_j, the diagonal entry j of M^m, less its last letter and, when
+    the image has two letters or more, its first, each if it is a_j:
 
-        1 + |tr M^m - sum_j e(first_j) - sum_j e(last_j)|,
+        fix = 1 + tr M^m - ends,   0 <= ends <= min(2n, tr M^m).
 
-    with e(a_j) = +1, e(a_j') = -1 and e = 0 for any other letter, and
-    the first-letter term dropped when the image of a_j is one letter,
-    which is then both ends.  Allowed words never cancel, so the end
-    letters of every iterate image of a_j follow the orbits of a_j and
-    a_j' under the one-step first-letter map, in one forward pass: a_j
-    goes to the first letter of A_j, a_j' to the inverse of its last.  The
-    image of a_j is one letter exactly when every letter on its
-    first-letter orbit so far has a one-letter image.  Letters are signed
-    codes here, a_j is j and a_j' is -j, and the one-step map is one dict
-    over the codes +-1..+-n, read off the image words once per call.
+    The image words of a preserving iterate are plain, so (M^m)_jj counts
+    the occurrences of a_j in the image of a_j, and each of the at most
+    two end letters counted for j is a distinct one of them: fix is the
+    based vertex plus the interior occurrences.  Allowed words never
+    cancel, so the end letters of every iterate image of a_j follow the
+    orbits of a_j and a_j' under the one-step first-letter map, in one
+    forward pass: a_j goes to the first letter of A_j, a_j' to the inverse
+    of its last.  The image of a_j is one letter exactly when every letter
+    on its first-letter orbit so far has a one-letter image.  Letters are
+    signed codes here, a_j is j and a_j' is -j, and the one-step map is
+    one dict over the codes +-1..+-n, read off the image words once per
+    call.
     """
     if f.branch_class != 1:
         return tuple(abs(1 - tr) for tr in traces)
@@ -66,13 +67,11 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
         if reversing and m % 2:
             out.append(abs(1 - tr))
             continue
-        ends = 0
-        for j, first, last_inv, single in zip(gens, firsts, lasts_inv, singles):
-            if not single:
-                ends += (first == j) - (first == -j)
-            # the last letter is the inverse of last_inv
-            ends += (last_inv == -j) - (last_inv == j)
-        out.append(1 + abs(tr - ends))
+        # the last letter is the inverse of last_inv
+        ends = sum((first == j and not single) + (last_inv == -j)
+                   for j, first, last_inv, single
+                   in zip(gens, firsts, lasts_inv, singles))
+        out.append(1 + tr - ends)
     return tuple(out)
 
 
@@ -111,21 +110,20 @@ def lefschetz_fix_check(
     lies in [1 - 2n, 1] (B. Jiang, Lectures on Nielsen Fixed Point
     Theory, 1983).  A reversing iterate gets no row: M's entries share
     the sign -1 (`PowerSequences.of` enforces one sign), so on odd m,
-    tr M^m <= 0 and fix = |L| = L.  At class 1 each preserving m gets a
-    "bound" row, 2 - 2n - L <= #Fix <= 2 - L.  Otherwise L = -#Fix on
-    every preserving m <= H is one "equality-preserving" row, its m the
-    least failing iterate, else None; no row when no m <= H preserves.
+    tr M^m <= 0 and fix = |L| = L.  Class 1 gets no row: its bound
+    2 - 2n - L <= #Fix <= 2 - L reads 0 <= ends <= 2n, which
+    `fix_counts` proves.  Otherwise L = -#Fix on every preserving m <= H
+    is one "equality-preserving" row, its m the least failing iterate,
+    else None; no row when no m <= H preserves.
     """
     step = 2 if f.global_sign < 0 else 1
     iterates = range(step, len(lefs) + 1, step)
+    if f.branch_class == 1 or not iterates:
+        return []
     rows = zip(iterates, lefs[step - 1::step], fixes[step - 1::step])
-    if f.branch_class == 1:
-        return [{"m": m, "mode": "bound",
-                 "passed": 2 - 2 * f.n - lef <= fix <= 2 - lef}
-                for m, lef, fix in rows]
     failing = next((m for m, lef, fix in rows if lef != -fix), None)
     return [{"m": failing, "mode": "equality-preserving",
-             "passed": failing is None}] if iterates else []
+             "passed": failing is None}]
 
 
 # ---------------------------------------------------------------------------

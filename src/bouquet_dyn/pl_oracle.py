@@ -112,7 +112,7 @@ class OracleCounts(Record, fields="crossings covers branch_period"):
     def fixed(self, m: int) -> int:
         """Fixed points of f^m on the circles, m = 1..depth: the crossings,
         plus 1 when f^m fixes the branching point, by `branch_period`."""
-        if not 1 <= m <= len(self.crossings):
+        if type(m) is not int or not 1 <= m <= len(self.crossings):
             raise InputError(f"iterate must be in 1..{len(self.crossings)}, got {m!r}")
         k = self.branch_period
         return self.crossings[m - 1] + int(k is not None and m % k == 0)
@@ -200,8 +200,8 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
     the identity there; it is refused when that iterate is at most
     `depth`.
     """
-    if depth < 1:
-        raise InputError(f"depth must be >= 1, got {depth}")
+    if type(depth) is not int or depth < 1:
+        raise InputError(f"depth must be an int >= 1, got {depth!r}")
     scale = lift.scale
     ends = _points(lift)
     pts = sorted(ends)

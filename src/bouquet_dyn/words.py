@@ -68,6 +68,8 @@ class Word(tuple):
         w = tuple.__new__(cls, letters)
         if not w:
             raise InputError("empty words are not allowed")
+        if not all(isinstance(letter, Letter) for letter in w):
+            raise InputError(f"word letters must be Letters, got {w!r}")
         if len({sign for _, sign in w}) > 1:
             raise InputError("word mixes plain and inverse letters: " + w.text())
         return w
@@ -91,26 +93,29 @@ class MapAction(Record, fields="n images branch_class"):
     """A bouquet self-map given by its petal images and branch-orbit class.
 
     ``n`` is the number of circles, an int >= 1, and ``images[j-1]``, a
-    `Word`, is the image word of generator j.  All image words must
-    share one global sign (the map is orientation preserving or reversing
-    as a whole).  ``branch_class`` is the least period k of the branching
-    point, or ``BRANCH_FREE`` (None) if the branching point is never
-    periodic; it is user metadata — the words alone cannot determine it.
-    n and the class are ints, never a bool or a float.
-    Only class 1 fixes the branching point as a based vertex, and only
-    there do the preserving iterates take the based fixed-point count and
-    the index bound for the Lefschetz check.
+    `Word`, is the image word of generator j; the images are stored as a
+    tuple.  All image words must share one global sign (the map is
+    orientation preserving or reversing as a whole).  ``branch_class`` is
+    the least period k of the branching point, or ``BRANCH_FREE`` (None)
+    if the branching point is never periodic; it is user metadata — the
+    words alone cannot determine it.  n and the class are ints, never a
+    bool or a float.  Only class 1 fixes the branching point as a based
+    vertex, and only there do the preserving iterates take the based
+    fixed-point count, which no Lefschetz row restates.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n: int, images: tuple[Word, ...],
+    def __new__(cls, n: int, images: Sequence[Word],
                 branch_class: int | None = BRANCH_FREE) -> MapAction:
         if type(n) is not int or n < 1:
             raise InputError(f"circle count must be an int >= 1, got n={n!r}")
+        images = tuple(images)
         if len(images) != n:
             raise InputError(f"expected {n} image words, got {len(images)}")
         for j, w in enumerate(images, start=1):
+            if not isinstance(w, Word):
+                raise InputError(f"image of a{j} must be a Word, got {w!r}")
             if w.max_index() > n:
                 raise InputError(
                     f"image of a{j} uses generator a{w.max_index()} but n={n}"
@@ -130,8 +135,8 @@ class MapAction(Record, fields="n images branch_class"):
         return self.images[0].sign
 
     def image(self, j: int) -> Word:
-        if not 1 <= j <= self.n:
-            raise InputError(f"generator index {j} out of range 1..{self.n}")
+        if type(j) is not int or not 1 <= j <= self.n:
+            raise InputError(f"generator index {j!r} out of range 1..{self.n}")
         return self.images[j - 1]
 
     @staticmethod

@@ -396,28 +396,27 @@ def lefschetz_numbers(mat: IntMatrix, horizon: int
 
 def check_rows_reference(f: MapAction, lefs: Sequence[int],
                          fixes: Sequence[int]) -> list[dict]:
-    """The check rows of schema 6, built from schema 5's per-iterate rule:
+    """The check rows of schema 8, built from schema 5's per-iterate rule:
     one row per iterate m, "equality-reversing" (L = fix) when f^m
-    reverses, "bound" when it preserves at class 1, "equality-preserving"
-    (L = -fix) otherwise; then the reversing rows dropped, the bound rows
-    kept and the preserving rows folded into one, whose m is the first
-    that fails, else None."""
+    reverses, none when it preserves at class 1 (where `fix_counts` makes
+    the index bound an identity), "equality-preserving" (L = -fix)
+    otherwise; then the reversing rows dropped and the preserving rows
+    folded into one, whose m is the first that fails, else None."""
     rows = []
     for m, (lef, fix) in enumerate(zip(lefs, fixes), start=1):
         if f.global_sign < 0 and m % 2:
             mode, passed = "equality-reversing", lef == fix
         elif f.branch_class == 1:
-            mode, passed = "bound", 2 - 2 * f.n - lef <= fix <= 2 - lef
+            continue
         else:
             mode, passed = "equality-preserving", lef == -fix
         rows.append({"m": m, "mode": mode, "passed": passed})
-    folded = [row for row in rows if row["mode"] == "bound"]
     equalities = [row for row in rows if row["mode"] == "equality-preserving"]
     failing = [row["m"] for row in equalities if not row["passed"]]
-    if equalities:
-        folded.append({"m": failing[0] if failing else None,
-                       "mode": "equality-preserving", "passed": not failing})
-    return folded
+    if not equalities:
+        return []
+    return [{"m": failing[0] if failing else None,
+             "mode": "equality-preserving", "passed": not failing}]
 
 
 def period_set(pers: Sequence[int]) -> set[int]:

@@ -171,7 +171,7 @@ class TestRunReport:
     def test_reflect_doubling_report(self):
         doc = parse_spec("n=1\nbranch: free\na1 -> a1' a1'\n")
         report = run_report(doc, ReportOptions())
-        assert report["schema"] == 7
+        assert report["schema"] == 8
         assert report["lefschetz"]["L"][0] == "3"
         assert report["lefschetz"]["l"][1] == "-6"
         assert report["census"]["per"][1] == "0"
@@ -219,12 +219,14 @@ class TestRunReport:
         assert report["oracle"]["status"] == "skipped"
 
     def test_horizon_one(self):
-        # low growth fires the delayed criterion at m = 2, beyond horizon 1
+        # low growth fires the delayed criterion at m = 2, beyond horizon 1;
+        # class 1 prints no check row, since `fix_counts` makes its index
+        # bound an identity
         doc = parse_spec(LOW_GROWTH_TEXT + "horizon: 1\n")
         report = run_report(doc, ReportOptions())
         assert report["census"]["fix"] == ["1"]
         assert report["census"]["per"] == ["1"]
-        assert len(report["lefschetz_fix_checks"]) == 1
+        assert report["lefschetz_fix_checks"] == []
         assert not any(
             c["rule"].startswith("delaylowgrow")
             for c in report["certificates"]
@@ -713,7 +715,7 @@ class TestMain:
         p.write_text("n=1\nbranch: free\na1 -> a1' a1'\n")
         assert main(["analyze", str(p), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 7
+        assert report["schema"] == 8
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.bqd"

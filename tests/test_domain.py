@@ -146,16 +146,19 @@ def test_each_fact_printed_once(admitted):
     # the fix-count comparison test's iterates, which it contains; the
     # dominant threshold is the analytic one alone; neither block repeats
     # a horizon, and the entropy has no base-2 copy; no check row is
-    # printed for a reversing iterate, and the preserving equality is
-    # one row
+    # printed for a reversing iterate, the preserving equality is one
+    # row, and class 1, whose index bound `fix_counts` makes an identity,
+    # has none
     reports = [load_fixture(name)[1] for name in fixture_names()]
     reports += admitted.values()
     assert len(reports) == 8 + 1288
     for report in reports:
         assert set(report["lefschetz"]) == {"L", "l"}
         modes = [c["mode"] for c in report["lefschetz_fix_checks"]]
-        assert "equality-reversing" not in modes
+        assert "equality-reversing" not in modes and "bound" not in modes
         assert modes.count("equality-preserving") <= 1
+        if report["input"]["branch"] == "1":
+            assert modes == []
         assert set(report["entropy"]) == {
             "spectral", "limit_sequence", "gap_at_horizon"}
         for cert in report["certificates"]:

@@ -23,14 +23,17 @@ from bouquet_dyn.periods import (
     lefschetz_fix_check,
     period_certificates,
 )
-from bouquet_dyn.words import MapAction
+from bouquet_dyn.words import Letter, MapAction
 
 from conftest import (
     divisors,
+    first_letter,
     fmbig_reference,
     lefschetz_numbers,
+    letter_fix_counts,
     load_fixture,
     period_set,
+    powers,
     random_action,
 )
 
@@ -128,9 +131,41 @@ class TestFixCount:
         # z^16 = z have 3, 3, 9 and 15 solutions
         f = action("a1' a1'", k=1)
         assert fix_counts(f, record(f, 4).traces) == (3, 3, 9, 15)
-        assert all(row["passed"] for row in lefschetz_fix_check(
-            f, [1 - t for t in record(f, 12).traces],
-            fix_counts(f, record(f, 12).traces)))
+
+    def test_class_one_identity(self):
+        # a preserving class-1 iterate counts fix = 1 + tr M^m - ends, the
+        # ends being last letters a_j of the images of a_j, and first
+        # letters a_j of those with two letters or more: each a distinct
+        # occurrence of a_j, so 0 <= ends <= min(2n, tr M^m); no end letter
+        # is an inverse, so the reference's a_j' terms and its absolute
+        # value never act.  This identity is the index bound
+        # 2 - 2n - L <= fix <= 2 - L, which no report row restates.
+        rng = random.Random(37)
+        horizon, rows = 40, 0
+        for i in range(2000):
+            base = random_action(rng, n_max=6, len_max=4, sign=(1, -1)[i % 2])
+            f = MapAction(base.n, base.images, 1)
+            traces = record(f, horizon).traces
+            fixes = fix_counts(f, traces)
+            ladder = powers(abelianize(f), 12)
+            assert fixes[:12] == letter_fix_counts(f, ladder), f
+            gens = range(1, f.n + 1)
+            step = {l: first_letter(f, l)
+                    for j in gens for l in (Letter(j, 1), Letter(j, -1))}
+            firsts = [Letter(j, 1) for j in gens]
+            lasts_inv = [Letter(j, -1) for j in gens]
+            for m, (tr, fix) in enumerate(zip(traces, fixes), start=1):
+                firsts = [step[l] for l in firsts]
+                lasts_inv = [step[l] for l in lasts_inv]
+                if f.global_sign ** m < 0:
+                    continue
+                assert {l.sign for l in firsts} == {1}, (f, m)
+                assert {l.sign for l in lasts_inv} == {-1}, (f, m)
+                assert 0 <= 1 + tr - fix <= min(2 * f.n, tr), (f, m)
+                rows += 1
+            assert lefschetz_fix_check(
+                f, [1 - t for t in traces], fixes) == [], f
+        assert rows == 60000
 
 
 class TestCensus:
@@ -213,35 +248,6 @@ class TestLefschetzFixCheck:
         assert lefschetz_fix_check(g, [9, -1, 9, -3], [1, 1, 1, 2]) == (
             statement(4))
         assert lefschetz_fix_check(g, [9, -1, 9], [1, 1, 1]) == statement()
-
-    def test_branch_periodic_bound(self):
-        # a preserving iterate at class 1: the based vertex has index in
-        # [1 - 2n, 1] and every other fixed point -1, so
-        # 2 - 2n - L <= #Fix <= 2 - L
-        f = action("a1 a1 a1", k=1)
-        rows, lef, fix = check(f, 1)
-        assert rows == [{"m": 1, "mode": "bound", "passed": True}]
-        assert lef == -2 and fix == 2
-        assert [row["m"] for row in check(f, 6)[0]] == list(range(1, 7))
-        outcomes = [row["passed"] for row in
-                    lefschetz_fix_check(f, [lef] * 6, range(6))]
-        assert outcomes == [False, False, True, True, True, False]
-
-    def test_branch_periodic_reversing_bound(self):
-        # class 1, reversing: an odd iterate reverses, and every fixed
-        # point, the based vertex too, has index +1, so L = #Fix whatever
-        # the class, and it gets no row; an even iterate preserves and
-        # takes the bound
-        f = action("a1' a1'", k=1)
-        for m in (1, 2, 3, 4):
-            rows, lef, fix = check(f, m)
-            assert rows == [{"m": e, "mode": "bound", "passed": True}
-                            for e in range(2, m + 1, 2)], m
-            if m % 2:
-                assert lef == fix, m
-            else:
-                assert 2 - 2 * f.n - lef <= fix <= 2 - lef, m
-        assert lefschetz_fix_check(f, [3], [4]) == []
 
 
 class TestDoubling:

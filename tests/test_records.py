@@ -8,6 +8,7 @@ import copy
 import importlib
 import pickle
 import pkgutil
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -152,6 +153,28 @@ def test_constructors_refuse(build):
     # indices past n, mixed orientations and bad branch classes
     with pytest.raises(InputError):
         build()
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: MapAction(1, ("a1 a1",)), "got 'a1 a1'"),
+    (lambda: MapAction(1, ((Letter(1, 1),),)), "got (Letter(index=1, sign=1),)"),
+    (lambda: Word([(1, 1), (1, 1)]), "got ((1, 1), (1, 1))"),
+    (lambda: oracle_counts(LIFT, True), "got True"),
+    (lambda: oracle_counts(LIFT, 4).fixed(True), "got True"),
+    (lambda: PowerSequences.of(abelianize(F), True), "got True"),
+    (lambda: F.image(True), "index True"),
+], ids=["str-image", "letter-tuple-image", "tuple-letters", "bool-depth",
+        "bool-iterate", "bool-power-count", "bool-generator"])
+def test_library_inputs_refused(build, value):
+    # each raised AttributeError, or took the value and failed later, or
+    # read a bool as 1; the error names the value
+    with pytest.raises(InputError, match=re.escape(value)):
+        build()
+
+
+def test_images_stored_as_a_tuple():
+    f = MapAction(1, [Word.parse("a1 a1")])
+    assert type(f.images) is tuple and hash(f) == hash(action("a1 a1"))
 
 
 def test_ratio_prints_as_fraction():
