@@ -249,6 +249,38 @@ class TestLefschetzFixCheck:
             statement(4))
         assert lefschetz_fix_check(g, [9, -1, 9], [1, 1, 1]) == statement()
 
+    def test_branch_periodic_bound(self):
+        # a preserving iterate at class 1: the based vertex has index in
+        # [1 - 2n, 1] and every other fixed point -1, so
+        # 2 - 2n - L <= #Fix <= 2 - L; fix_counts makes it an identity,
+        # so the check prints no row, whatever pairs it is given
+        f = action("a1 a1 a1", k=1)
+        rows, lef, fix = check(f, 1)
+        assert rows == []
+        assert lef == -2 and fix == 2
+        rows, _, _ = check(f, 6)
+        assert rows == []
+        seqs = record(f, 6)
+        lefs = [1 - t for t in seqs.traces]
+        for m, (l, x) in enumerate(zip(lefs, fix_counts(f, seqs.traces)), 1):
+            assert 2 - 2 * f.n - l <= x <= 2 - l, m
+        assert lefschetz_fix_check(f, [lef] * 6, range(6)) == []
+
+    def test_branch_periodic_reversing_bound(self):
+        # class 1, reversing: an odd iterate reverses, and every fixed
+        # point, the based vertex too, has index +1, so L = #Fix whatever
+        # the class; an even iterate preserves and meets the bound.
+        # Neither gets a row
+        f = action("a1' a1'", k=1)
+        for m in (1, 2, 3, 4):
+            rows, lef, fix = check(f, m)
+            assert rows == [], m
+            if m % 2:
+                assert lef == fix, m
+            else:
+                assert 2 - 2 * f.n - lef <= fix <= 2 - lef, m
+        assert lefschetz_fix_check(f, [3], [4]) == []
+
 
 class TestDoubling:
     def test_case_b(self):
