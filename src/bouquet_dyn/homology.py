@@ -14,6 +14,8 @@ in dimensions 0 and 1 only, and every iterate acts on dimension 0 as the
 identity).  `invert_divisor_sums` is the one Moebius inversion, read by
 the report's periodic Lefschetz numbers l(f^m) and by the census's
 per(m); it sieves instead of summing mu(r) over the divisors of each m.
+`cycles` is the one cycle finder of a self-map of range(k), read by the
+PL oracle's counts and by the class-1 fix count.
 All of it is exact integer arithmetic: no floating point appears
 anywhere in this module, since traces grow like the spectral radius to
 the m-th power.
@@ -25,7 +27,7 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 
-from .errors import InputError, Record
+from .errors import InconsistencyError, InputError, Record
 from .words import MapAction
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -76,9 +78,13 @@ class PowerSequences(Record, fields="head char traces norms"):
         """The record of M^1..M^k for M = a."""
         if type(k) is not int or k < 0:
             raise InputError(f"power count must be an int >= 0, got {k!r}")
+        n = len(a)
+        for row in a:  # a row of the wrong length is named whole
+            for x in row if len(row) == n else [row]:
+                if type(x) is not int:
+                    raise InputError(f"matrix must be n rows of n ints, got {x!r}")
         if {x > 0 for row in a for x in row if x} == {True, False}:
             raise InputError("matrix entries must share one sign")
-        n = len(a)
         h = max(math.isqrt(n), min(k, HEAD_POWERS))
         head, traces, totals = power_traces(a, n, h)
         char = char_from_traces(traces)
@@ -130,12 +136,13 @@ def power_traces(a: IntMatrix, k: int, h: int, sums: bool = True
 def char_from_traces(traces: Sequence[int]) -> list[int]:
     """det(xI - M) as [c_0, ..., c_n], c_n = 1, for an n-by-n matrix M
     with tr M^m = traces[m-1], m = 1..n, by Newton's identities; every
-    division is exact, which is asserted."""
+    division is exact, and an inexact one is an inconsistency."""
     n = len(traces)
     char = [0] * n + [1]
     for i in range(1, n + 1):
         t = sum(map(operator.mul, char[n - i + 1:], traces))
-        assert t % i == 0, "inexact division in characteristic polynomial"
+        if t % i:
+            raise InconsistencyError("inexact division in characteristic polynomial")
         char[n - i] = -t // i
     return char
 
@@ -169,3 +176,19 @@ def invert_divisor_sums(sums: Sequence[int]) -> list[int]:
             out[multiple] -= g
     return out
 
+
+def cycles(step: Sequence[int]) -> Iterator[list[int]]:
+    """Each cycle of the map i -> step[i] on range(len(step)) once, as
+    the list of its points in orbit order; step[i] < 0 ends a path."""
+    state = [0] * len(step)  # 0 unseen, 1 on the current path, 2 done
+    for start in range(len(step)):
+        path = []
+        i = start
+        while i >= 0 and not state[i]:
+            state[i] = 1
+            path.append(i)
+            i = step[i]
+        if i >= 0 and state[i] == 1:
+            yield path[path.index(i):]
+        for i in path:
+            state[i] = 2

@@ -12,7 +12,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from .errors import InconsistencyError, InputError, Record
-from .homology import IntMatrix, PowerSequences, invert_divisor_sums
+from .homology import IntMatrix, PowerSequences, cycles, invert_divisor_sums
 from .spectral import SpectrumReport, m0_bound
 from .words import MapAction
 
@@ -24,54 +24,44 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     """Number of fixed points of every iterate m = 1..len(traces),
     exactly, where traces[m-1] = tr M^m.
 
-    The count is |1 - tr M^m| unless f^m preserves orientation (f does,
-    or m is even) and f fixes the branching point as a based vertex
-    (branch class 1).  There the branching point contributes 1 and the
-    interior crossings are counted by gamma: chi_j of the iterate image
-    of a_j, the diagonal entry j of M^m, less its last letter and, when
-    the image has two letters or more, its first, each if it is a_j:
+    The count is |1 - tr M^m| unless f fixes the branching point as a
+    based vertex (branch class 1).  There it is, in closed form,
 
-        fix = 1 + tr M^m - ends,   0 <= ends <= min(2n, tr M^m).
+        fix(m) = 1 + |tr M^m| - sum of w(C) over the cycles C of phi
+                 whose length divides m,
 
-    The image words of a preserving iterate are plain, so (M^m)_jj counts
-    the occurrences of a_j in the image of a_j, and each of the at most
-    two end letters counted for j is a distinct one of them: fix is the
-    based vertex plus the interior occurrences.  Allowed words never
-    cancel, so the end letters of every iterate image of a_j follow the
-    orbits of a_j and a_j' under the one-step first-letter map, in one
-    forward pass: a_j goes to the first letter of A_j, a_j' to the inverse
-    of its last.  The image of a_j is one letter exactly when every letter
-    on its first-letter orbit so far has a one-letter image.  Letters are
-    signed codes here, a_j is j and a_j' is -j, and the one-step map is
-    one dict over the codes +-1..+-n, read off the image words once per
-    call.
+    phi the one-step first-letter map on the 2n letters (a_j goes to the
+    first letter of A_j, a_j' to the inverse of its last) and w(C) the
+    number of a_j' on C, plus its a_j unless every letter on C has a
+    one-letter image.
+
+    Why: on a preserving iterate the image words are plain, so tr M^m
+    counts each a_j in the image of a_j; with the based vertex these are
+    the fixed points, less the last letter and, in an image of two
+    letters or more, the first, each if it is a_j.  Allowed words never
+    cancel, so f^m(a_j) starts with a_j exactly when phi^m fixes a_j,
+    that is when a_j lies on a cycle whose length divides m, and ends
+    with a_j when phi^m fixes a_j'.  The first m letters of the orbit of
+    a_j then cover its cycle, so the image is one letter exactly when
+    every letter on the cycle has a one-letter image: the correction has
+    no preperiod, and its period is the lcm of the cycle lengths.  On a
+    reversing f, phi flips every sign, so every cycle has even length:
+    at odd m none counts, and tr M^m <= 0 gives |1 - tr M^m|.  For
+    `cycles`, a_j is the code 2j - 2 and a_j' the code 2j - 1.
     """
     if f.branch_class != 1:
         return tuple(abs(1 - tr) for tr in traces)
-    reversing = f.global_sign < 0
-    gens = range(1, f.n + 1)
-    step = {}
-    short = {}
-    for j, image in enumerate(f.images, start=1):
+    step = []
+    for image in f.images:
         (first, first_sign), (last, last_sign) = image[0], image[-1]
-        step[j], step[-j] = first_sign * first, -last_sign * last
-        short[j] = short[-j] = len(image) == 1
-    firsts = list(gens)
-    lasts_inv = [-j for j in gens]
-    singles = [True] * f.n
-    out = []
-    for m, tr in enumerate(traces, start=1):
-        singles = [one and short[c] for one, c in zip(singles, firsts)]
-        firsts = [step[c] for c in firsts]
-        lasts_inv = [step[c] for c in lasts_inv]
-        if reversing and m % 2:
-            out.append(abs(1 - tr))
-            continue
-        # the last letter is the inverse of last_inv
-        ends = sum((first == j and not single) + (last_inv == -j)
-                   for j, first, last_inv, single
-                   in zip(gens, firsts, lasts_inv, singles))
-        out.append(1 + tr - ends)
+        step += [2 * first - 1 - (first_sign > 0),
+                 2 * last - 1 - (last_sign < 0)]
+    out = [1 + abs(tr) for tr in traces]
+    for cycle in cycles(step):
+        short = all(len(f.images[c // 2]) == 1 for c in cycle)
+        weight = sum(c % 2 for c in cycle) if short else len(cycle)
+        for m in range(len(cycle), len(out) + 1, len(cycle)):
+            out[m - 1] -= weight
     return tuple(out)
 
 
@@ -111,10 +101,10 @@ def lefschetz_fix_check(
     Theory, 1983).  A reversing iterate gets no row: M's entries share
     the sign -1 (`PowerSequences.of` enforces one sign), so on odd m,
     tr M^m <= 0 and fix = |L| = L.  Class 1 gets no row: its bound
-    2 - 2n - L <= #Fix <= 2 - L reads 0 <= ends <= 2n, which
-    `fix_counts` proves.  Otherwise L = -#Fix on every preserving m <= H
-    is one "equality-preserving" row, its m the least failing iterate,
-    else None; no row when no m <= H preserves.
+    2 - 2n - L <= #Fix <= 2 - L reads 0 <= sum w(C) <= 2n, which
+    `fix_counts`'s disjoint cycles give.  Otherwise L = -#Fix on every
+    preserving m <= H is one "equality-preserving" row, its m the least
+    failing iterate, else None; no row when no m <= H preserves.
     """
     step = 2 if f.global_sign < 0 else 1
     iterates = range(step, len(lefs) + 1, step)

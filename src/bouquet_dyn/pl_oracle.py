@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
 from itertools import accumulate
 
-from .errors import DegenerateMapError, InputError, LiftConstructionError, Record
-from .homology import char_from_traces, power_traces, recur
+from .errors import (DegenerateMapError, InconsistencyError, InputError,
+                     LiftConstructionError, Record)
+from .homology import char_from_traces, cycles, power_traces, recur
 from .words import Letter, MapAction, Word
 
 #: `oracle_counts` counts covers to this iterate, the last a report prints
@@ -89,8 +89,8 @@ def build_lift(f: MapAction) -> PLLift:
         for width, start_value in stops:
             pieces.append((x, x + width, slope, start_value - slope * x))
             x += width
-        assert x == (j + 1) * scale, (
-            "circle traversal does not tile the interval")
+        if x != (j + 1) * scale:
+            raise InconsistencyError("circle traversal does not tile the interval")
     return PLLift(f.n, scale, tuple(pieces))
 
 
@@ -122,23 +122,6 @@ def _ratio(x: int, scale: int) -> str:
     """x / scale in lowest terms, printed as `str(Fraction(x, scale))`."""
     g = math.gcd(x, scale)
     return str(x // g) if g == scale else f"{x // g}/{scale // g}"
-
-
-def _cycles(step: Sequence[int]) -> Iterator[list[int]]:
-    """Each cycle of the map i -> step[i] on range(len(step)) once, as
-    the list of its points in orbit order; step[i] < 0 ends a path."""
-    state = [0] * len(step)  # 0 unseen, 1 on the current path, 2 done
-    for start in range(len(step)):
-        path = []
-        i = start
-        while i >= 0 and not state[i]:
-            state[i] = 1
-            path.append(i)
-            i = step[i]
-        if i >= 0 and state[i] == 1:
-            yield path[path.index(i):]
-        for i in path:
-            state[i] = 2
 
 
 def _points(lift: PLLift) -> dict[int, tuple]:
@@ -230,7 +213,7 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
     # cells that slope +-1 maps onto one cell: a cycle of them is the
     # identity at its length, or at twice it when it reverses
     unit = [u if abs(s) == 1 and v == u + 1 else -1 for u, v, s in images]
-    for cycle in _cycles(unit):
+    for cycle in cycles(unit):
         turns = sum(images[c][2] < 0 for c in cycle) % 2
         k = len(cycle) << turns
         if k <= depth:
@@ -258,10 +241,10 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
     # f^m fixes the points of a cycle of length L, and returns its germs,
     # exactly when L divides m
     crossings = traces
-    for cycle in _cycles(germ):
+    for cycle in cycles(germ):
         for m in range(len(cycle), depth + 1, len(cycle)):
             crossings[m - 1] -= len(cycle)
-    for cycle in _cycles(point):
+    for cycle in cycles(point):
         off = sum(pts[i] % scale != 0 for i in cycle)
         for m in range(len(cycle), depth + 1, len(cycle)):
             crossings[m - 1] += off

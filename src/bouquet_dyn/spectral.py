@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import zip_longest
 
-from .errors import InputError, Record
+from .errors import InconsistencyError, InputError, Record
 
 #: modulus gap below which two leading eigenvalues count as tied
 DOMINANCE_EPS = 1e-8
@@ -106,7 +106,8 @@ def _div_monic(p: Sequence[int], q: list[int]) -> list[int]:
         c = out[k] = p[k + dq]
         for i in range(dq):
             p[k + i] -= c * q[i]
-    assert not any(p[:dq]), "inexact division by a squarefree part"
+    if any(p[:dq]):
+        raise InconsistencyError("inexact division by a squarefree part")
     return out
 
 
@@ -118,6 +119,9 @@ def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     Integers only: every gcd is a primitive pseudo-remainder sequence and
     every division is by a monic divisor.  A constant char has no part.
     """
+    if not char or char[-1] != 1 or any(type(c) is not int for c in char):
+        raise InputError("polynomial must be monic with int coefficients, "
+                         f"got {tuple(char)!r}")
     df = _derivative(char)
     g = _gcd(list(char), df)
     b, c = _div_monic(char, g), _div_monic(df, g)

@@ -74,6 +74,31 @@ def test_no_record_compiles_code():
     assert sorted(found) == []
 
 
+def test_no_check_is_an_assert():
+    # `python -O` strips assert statements, so a check written as one
+    # would let a wrong value through: every check raises an error instead
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_input_refused_under_optimization():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from bouquet_dyn import PowerSequences; "
+            "from bouquet_dyn.errors import InputError\n"
+            "try: PowerSequences.of(((1.5,),), 3)\n"
+            "except InputError as e: print(e)")
+    out = subprocess.run(
+        [sys.executable, "-O", "-I", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert out == "matrix must be n rows of n ints, got 1.5\n"
+
+
 ROOT = PACKAGE.parents[1]
 
 

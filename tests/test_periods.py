@@ -140,18 +140,35 @@ class TestFixCount:
         # is an inverse, so the reference's a_j' terms and its absolute
         # value never act.  This identity is the index bound
         # 2 - 2n - L <= fix <= 2 - L, which no report row restates.
+        # fix_counts reads the ends off the cycles of the first-letter map
+        # in closed form; on every 15th map the reference, which walks
+        # the letters, checks it to H = 200, on a sample that meets a
+        # reversing map and a cycle whose letters all have one-letter
+        # images (where only the a_j' on it count)
         rng = random.Random(37)
-        horizon, rows = 40, 0
+        horizon, long_horizon, rows = 40, 200, 0
+        reversing = one_letter_cycle = False
         for i in range(2000):
             base = random_action(rng, n_max=6, len_max=4, sign=(1, -1)[i % 2])
             f = MapAction(base.n, base.images, 1)
+            gens = range(1, f.n + 1)
+            step = {l: first_letter(f, l)
+                    for j in gens for l in (Letter(j, 1), Letter(j, -1))}
+            if i % 15 == 0:
+                long = fix_counts(f, record(f, long_horizon).traces)
+                ladder = powers(abelianize(f), long_horizon)
+                assert long == letter_fix_counts(f, ladder), f
+                reversing |= f.global_sign < 0
+                for l in step:
+                    orbit = [l]
+                    while len(orbit) <= 2 * f.n:
+                        orbit.append(step[orbit[-1]])
+                    one_letter_cycle |= l in orbit[1:] and all(
+                        len(f.image(c.index)) == 1 for c in orbit)
             traces = record(f, horizon).traces
             fixes = fix_counts(f, traces)
             ladder = powers(abelianize(f), 12)
             assert fixes[:12] == letter_fix_counts(f, ladder), f
-            gens = range(1, f.n + 1)
-            step = {l: first_letter(f, l)
-                    for j in gens for l in (Letter(j, 1), Letter(j, -1))}
             firsts = [Letter(j, 1) for j in gens]
             lasts_inv = [Letter(j, -1) for j in gens]
             for m, (tr, fix) in enumerate(zip(traces, fixes), start=1):
@@ -166,6 +183,7 @@ class TestFixCount:
             assert lefschetz_fix_check(
                 f, [1 - t for t in traces], fixes) == [], f
         assert rows == 60000
+        assert reversing and one_letter_cycle
 
 
 class TestCensus:

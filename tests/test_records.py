@@ -22,6 +22,7 @@ from bouquet_dyn.cli import (DEFAULT_ENTROPY_HORIZON, DEFAULT_ORACLE_DEPTH,
 from bouquet_dyn.errors import InputError, Record
 from bouquet_dyn.periods import Conclusion, PeriodCertificate
 from bouquet_dyn.pl_oracle import _ratio
+from bouquet_dyn.spectral import squarefree_parts
 from bouquet_dyn.words import Letter, MapAction, Word, action
 
 F = action("a1 a2 a1", "a1", k=2)
@@ -163,11 +164,22 @@ def test_constructors_refuse(build):
     (lambda: oracle_counts(LIFT, 4).fixed(True), "got True"),
     (lambda: PowerSequences.of(abelianize(F), True), "got True"),
     (lambda: F.image(True), "index True"),
+    (lambda: PowerSequences.of(((1.5,),), 3), "got 1.5"),
+    (lambda: PowerSequences.of(((True, False), (False, True)), 3), "got True"),
+    (lambda: PowerSequences.of((("1",),), 3), "got '1'"),
+    (lambda: PowerSequences.of(((1, 2), (3,)), 3), "got (3,)"),
+    (lambda: eigenvalues((2, 0, 4)), "got (2, 0, 4)"),
+    (lambda: eigenvalues((0.5, 1.0)), "got (0.5, 1.0)"),
+    (lambda: squarefree_parts([1, True]), "got (1, True)"),
 ], ids=["str-image", "letter-tuple-image", "tuple-letters", "bool-depth",
-        "bool-iterate", "bool-power-count", "bool-generator"])
+        "bool-iterate", "bool-power-count", "bool-generator", "float-entry",
+        "bool-entries", "str-entry", "ragged-matrix", "non-monic-poly",
+        "float-poly", "bool-poly"])
 def test_library_inputs_refused(build, value):
     # each raised AttributeError, or took the value and failed later, or
-    # read a bool as 1; the error names the value
+    # read a bool as 1, or failed an assert (and under -O returned a wrong
+    # record: a float entry's traces, a non-monic polynomial's roots); the
+    # error names the value
     with pytest.raises(InputError, match=re.escape(value)):
         build()
 
