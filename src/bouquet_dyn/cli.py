@@ -415,11 +415,10 @@ def _run_oracle(
             f"has period {observed if observed else 'none observed'} but "
             f"the declaration says {_branch_text(f.branch_class)}"
         )
-    lift_fix = [counts.fixed(m) for m in range(1, options.oracle_depth + 1)]
     # the least m at which the lift's count differs from the formula's
     fix_m, cover_m = (
         next((m for m, (a, b) in enumerate(zip(got, want), start=1) if a != b), None)
-        for got, want in ((lift_fix, fixes), (counts.covers, norms)))
+        for got, want in ((counts.lift_fix, fixes), (counts.covers, norms)))
     # a lift whose branch orbit is not the declared one counts another
     # map: its first difference is named, but neither it nor an agreement
     # is judged
@@ -427,7 +426,7 @@ def _run_oracle(
     return {
         "status": "mismatch" if fix_passed is False or cover_m else "ok",
         "branch_period_observed": observed,
-        "lift_fix": list(map(str, lift_fix)),
+        "lift_fix": list(map(str, counts.lift_fix)),
         "lift_cover": list(map(str, counts.covers)),
         "checks": [{"m": fix_m, "mode": "fix", "passed": fix_passed},
                    {"m": cover_m, "mode": "cover", "passed": cover_m is None}],

@@ -49,6 +49,9 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     at odd m none counts, and tr M^m <= 0 gives |1 - tr M^m|.  For
     `cycles`, a_j is the code 2j - 2 and a_j' the code 2j - 1.
     """
+    for tr in traces:
+        if type(tr) is not int:
+            raise InputError(f"traces must be ints, got {tr!r}")
     if f.branch_class != 1:
         return tuple(abs(1 - tr) for tr in traces)
     step = []
@@ -76,6 +79,9 @@ def per_census(fixes: Sequence[int]) -> tuple[int, ...]:
     """
     if not fixes:
         raise InputError("horizon must be >= 1, got 0")
+    for fix in fixes:
+        if type(fix) is not int:
+            raise InputError(f"fix counts must be ints, got {fix!r}")
     pers = tuple(invert_divisor_sums(fixes))
     for m, p in enumerate(pers, start=1):
         if p < 0:

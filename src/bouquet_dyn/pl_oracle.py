@@ -5,7 +5,7 @@ point.  Each circle [j-1, j] starts and ends at height 1/2, covers the
 second half of circle 1, then one full circle per remaining letter of the
 image word, then the first half of circle 1 (mirrored when orientation
 reverses).  It is written in exact integers, in units of 1/scale, scale
-= 2 lcm(len(A_j)); crossing counts must be exact, so no floating point
+= 2 lcm(len(A_j)); the counts must be exact, so no floating point
 appears anywhere in this module.  The lift maps (1/scale)Z into itself,
 so it is a Markov map on a finite invariant set, and `oracle_counts`
 counts every iterate f^1..f^depth on that one partition, composing none.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import (DegenerateMapError, InconsistencyError, InputError,
                      LiftConstructionError, Record)
@@ -32,9 +32,25 @@ class PLLift(Record, fields="n scale pieces"):
     Each piece (lo, hi, slope, intercept) of the tuple `pieces`, four
     ints, is x -> slope*x + intercept on [lo, hi), x and the intercept in
     those units; the pieces tile [0, n*scale] in order, the final piece
-    closed at its right end."""
+    closed at its right end.  Anything else is refused with an
+    `InputError`, so no float reaches the counts."""
 
     __slots__ = ()
+
+    def __new__(cls, n: int, scale: int, pieces) -> PLLift:
+        pieces = tuple(map(tuple, pieces))
+        flat = [n, scale, *chain.from_iterable(pieces)]
+        if {*map(type, flat)} != {int}:
+            bad = next(v for v in flat if type(v) is not int)
+            raise InputError(f"a lift holds ints only, got {bad!r}")
+        if n < 1 or scale < 1:
+            raise InputError(f"lift n and scale must be >= 1, got {n}, {scale}")
+        # 0 = lo_1 < hi_1 = lo_2 < .. < hi_k = n * scale
+        cuts = [0, *flat[3::4]]
+        if ({*map(len, pieces)} != {4} or flat[2::4] != cuts[:-1]
+                or cuts[-1] != n * scale or cuts != sorted({*cuts})):
+            raise InputError(f"lift pieces must be four ints each and tile [0, {n}]")
+        return tuple.__new__(cls, (n, scale, pieces))
 
 
 def _rotate_to_base(w: Word) -> tuple[Letter, ...]:
@@ -91,31 +107,31 @@ def build_lift(f: MapAction) -> PLLift:
             x += width
         if x != (j + 1) * scale:
             raise InconsistencyError("circle traversal does not tile the interval")
-    return PLLift(f.n, scale, tuple(pieces))
+    return PLLift(f.n, scale, pieces)
 
 
-class OracleCounts(Record, fields="crossings covers branch_period"):
-    """The lift's counts for each iterate m = 1..depth of one call.
+class OracleCounts(Record, fields="lift_fix covers branch_period"):
+    """The lift's counts on the bouquet for each iterate m = 1..depth of
+    one call.
 
-    `crossings` and `covers` are tuples of ints: `crossings[m-1]` counts
-    the fixed points of f^m off the integers, `covers[m-1]` the
-    preimages of the branching point under f^m (the refined cover size)
-    for m <= min(depth, COVER_DEPTH).  At a point where f^m jumps
-    (between two integers) both count by its value from the right.
-    `branch_period` is the least t >= 1 with f^t(0) at an integer, or
-    None if there is none: the lift's branch period, exact, as
+    `lift_fix` and `covers` are tuples of ints: `lift_fix[m-1]` counts
+    the fixed points of f^m on the circles, the branching point (every
+    integer) one point among them, and `covers[m-1]` the preimages of
+    the branching point under f^m in [0, n) (the refined cover size) for
+    m <= min(depth, COVER_DEPTH).  At a point where f^m jumps (between
+    two integers) the cover counts by its value from the right.
+    `branch_period` is the least t >= 1 with f^t fixing the branching
+    point, or None if there is none: the lift's branch period, exact, as
     `lift_branch_period` gives it with a depth of at least |O*|.
     """
 
     __slots__ = ()
 
     def fixed(self, m: int) -> int:
-        """Fixed points of f^m on the circles, m = 1..depth: the crossings,
-        plus 1 when f^m fixes the branching point, by `branch_period`."""
-        if type(m) is not int or not 1 <= m <= len(self.crossings):
-            raise InputError(f"iterate must be in 1..{len(self.crossings)}, got {m!r}")
-        k = self.branch_period
-        return self.crossings[m - 1] + int(k is not None and m % k == 0)
+        """`lift_fix[m-1]`, the fixed points of f^m, m = 1..depth."""
+        if type(m) is not int or not 1 <= m <= len(self.lift_fix):
+            raise InputError(f"iterate must be in 1..{len(self.lift_fix)}, got {m!r}")
+        return self.lift_fix[m - 1]
 
 
 def _ratio(x: int, scale: int) -> str:
@@ -165,23 +181,26 @@ def _points(lift: PLLift) -> dict[int, tuple]:
 
 
 def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
-    """Crossing and cover counts of f^1..f^depth on the lift's Markov
-    partition (Block, Guckenheimer, Misiurewicz and Young, LNM 819, 1980).
+    """Fixed-point and cover counts of f^1..f^depth on the bouquet, read
+    off the lift's Markov partition (Block, Guckenheimer, Misiurewicz
+    and Young, LNM 819, 1980).
 
     O* (`_points`) is finite, and f maps each cell between neighbouring
     points of O* linearly onto a run of cells; every map below is read
-    off the one walk of O* by index.  A closed itinerary of m cells has
-    one fixed point of f^m in its closure: inside the cell, or a point of
-    O* whose germ (point, side) returns to itself after m steps.  So the
-    crossings are tr T^m, T the cells' transition matrix, less the germs
-    that return after m steps, plus the points of O* off the integers
-    that f^m fixes; both corrections are read off the cycles of two
-    finite maps.  tr T^m = tr S^m for the smaller S below, by baby and
-    giant steps (`power_traces`) up to dim S and its characteristic
-    recurrence past it.  The branch period is read off the point map.  A
-    cycle of cells that slope +-1 maps onto each other makes an iterate
-    the identity there; it is refused when that iterate is at most
-    `depth`.
+    off the one walk of O* by index.  On the bouquet every integer is
+    one point, the branching point, so the point map sends each point of
+    O* whose value is an integer to point 0.  A closed itinerary of m
+    cells has one fixed point of f^m in its closure: inside the cell, or
+    a point of O* whose germ (point, side) returns to itself after m
+    steps.  So the fixed points are tr T^m, T the cells' transition
+    matrix, less the germs that return after m steps, plus the points of
+    O* that f^m fixes; both corrections are read off the cycles of two
+    finite maps, and the cycle through point 0, if any, is the branch
+    period.  tr T^m = tr S^m for the smaller S below, by baby and giant
+    steps (`power_traces`) up to dim S and its characteristic recurrence
+    past it.  A cycle of cells that slope +-1 maps onto each other makes
+    an iterate the identity there; it is refused when that iterate is at
+    most `depth`.
     """
     if type(depth) is not int or depth < 1:
         raise InputError(f"depth must be an int >= 1, got {depth!r}")
@@ -190,9 +209,10 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
     pts = sorted(ends)
     index = {x: i for i, x in enumerate(pts)}
     cells = len(pts) - 1
-    # the point map (by the value from the right, from the left at n),
-    # the germ map (germ 2i + 1 is right of point i, 2i left of it), and
-    # each cell's image (u, v): the cells u..v-1, between its ends' images
+    # the point map on the interval (by the value from the right, from
+    # the left at n), the germ map (germ 2i + 1 is right of point i, 2i
+    # left of it), and each cell's image (u, v): the cells u..v-1,
+    # between its ends' images
     point = [0] * len(pts)
     germ = [-1] * (2 * len(pts))
     images = []
@@ -235,49 +255,40 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
             row[block[v]] -= 1
         mat.append(tuple(accumulate(row[:-1])))
     k = min(depth, len(mat))
-    _, traces, _ = power_traces(tuple(mat), k, math.isqrt(k), sums=False)
+    _, lift_fix, _ = power_traces(tuple(mat), k, math.isqrt(k), sums=False)
     if depth > len(mat):
-        traces = recur(char_from_traces(traces), traces, depth)
-    # f^m fixes the points of a cycle of length L, and returns its germs,
-    # exactly when L divides m
-    crossings = traces
-    for cycle in cycles(germ):
-        for m in range(len(cycle), depth + 1, len(cycle)):
-            crossings[m - 1] -= len(cycle)
-    for cycle in cycles(point):
-        off = sum(pts[i] % scale != 0 for i in cycle)
-        for m in range(len(cycle), depth + 1, len(cycle)):
-            crossings[m - 1] += off
-    integer = [x % scale == 0 for x in pts]
-    # f^t(0) is point 0 moved t times by the point map; O* is finite and
-    # forward-invariant, so after len(pts) steps the orbit has cycled
-    i, branch_period = 0, None
-    for t in range(1, len(pts) + 1):
-        i = point[i]
-        if integer[i]:
-            branch_period = t
-            break
-    # covers[m-1] = sum over cells of reach_m, the cell's points that f^m
-    # sends to an integer, plus the points of O* below n that it does;
-    # reach_m of a cell is reach_(m-1) over the cells in its image plus
-    # the points of O* inside its image that f^(m-1) sends to an integer
-    hit = integer
-    points_sum = list(accumulate(hit, initial=0))
-    reach = [0] * cells
+        lift_fix = recur(char_from_traces(lift_fix), lift_fix, depth)
+    # the bouquet point map; f^m fixes the points of a cycle of length L,
+    # and returns its germs, exactly when L divides m; the cycle through
+    # point 0, found first, is the branch period
+    point = [j if pts[j] % scale else 0 for j in point]
+    branch_period = None
+    for sign, step in ((-1, germ), (1, point)):
+        for cycle in cycles(step):
+            if step is point and cycle[0] == 0:
+                branch_period = len(cycle)
+            for m in range(len(cycle), depth + 1, len(cycle)):
+                lift_fix[m - 1] += sign * len(cycle)
+    # one row over point 0, cell 0, point 1, .., point C: a point's entry
+    # is 1 when f^m sends it to an integer, a cell's counts the points
+    # inside it that f^m does, the entries strictly inside the cell's
+    # image one iterate earlier; covers[m-1] sums the row on [0, n)
+    entries = [0] * (2 * cells + 1)
+    entries[::2] = [x % scale == 0 for x in pts]
     covers = []
     for _ in range(min(depth, COVER_DEPTH)):
-        cells_sum = list(accumulate(reach, initial=0))
-        reach = [cells_sum[v] - cells_sum[u] + points_sum[v] - points_sum[u + 1]
-                 for u, v, _ in images]
-        hit = [hit[j] for j in point]
-        points_sum = list(accumulate(hit, initial=0))
-        covers.append(sum(reach) + points_sum[cells])
-    return OracleCounts(tuple(crossings), tuple(covers), branch_period)
+        before = list(accumulate(entries, initial=0))
+        entries[1::2] = [before[2 * v] - before[2 * u + 1] for u, v, _ in images]
+        entries[::2] = [entries[2 * j] for j in point]
+        covers.append(sum(entries) - entries[-1])
+    return OracleCounts(tuple(lift_fix), tuple(covers), branch_period)
 
 
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:
     """Least t <= depth with f^t(0), the branch orbit, at an integer, or
     None."""
+    if type(depth) is not int or depth < 1:
+        raise InputError(f"depth must be an int >= 1, got {depth!r}")
     los = [lo for lo, _, _, _ in lift.pieces]
     x = 0
     for t in range(1, depth + 1):

@@ -111,6 +111,13 @@ def _div_monic(p: Sequence[int], q: list[int]) -> list[int]:
     return out
 
 
+def _check_monic(char: Sequence[int]) -> None:
+    """Refuse char unless it is monic with int coefficients, as given."""
+    if not char or char[-1] != 1 or any(type(c) is not int for c in char):
+        raise InputError("polynomial must be monic with int coefficients, "
+                         f"got {tuple(char)!r}")
+
+
 def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     """Yun's squarefree decomposition of a monic integer polynomial
     char = [c_0, ..., c_d]: the pairs (a_i, i) with the a_i monic,
@@ -119,9 +126,7 @@ def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     Integers only: every gcd is a primitive pseudo-remainder sequence and
     every division is by a monic divisor.  A constant char has no part.
     """
-    if not char or char[-1] != 1 or any(type(c) is not int for c in char):
-        raise InputError("polynomial must be monic with int coefficients, "
-                         f"got {tuple(char)!r}")
+    _check_monic(char)
     df = _derivative(char)
     g = _gcd(list(char), df)
     b, c = _div_monic(char, g), _div_monic(df, g)
@@ -171,11 +176,9 @@ def eigenvalues(char: Sequence[int]) -> SpectrumReport:
     part, both descending.  The residual is the largest |p(lambda)| over
     the scaled characteristic polynomial with its zero roots stripped.
     """
-    coeffs = list(char)
-    zeros = 0
-    while coeffs[0] == 0 and len(coeffs) > 1:
-        zeros += 1
-        coeffs = coeffs[1:]
+    _check_monic(char)
+    zeros = next(i for i, c in enumerate(char) if c)
+    coeffs = list(char[zeros:])
     monic = [float(c) for c in coeffs]
     found = [
         z

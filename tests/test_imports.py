@@ -86,6 +86,27 @@ def test_no_check_is_an_assert():
     assert found == []
 
 
+#: modules whose every number is an exact int
+INTEGER_ONLY = ("homology.py", "pl_oracle.py")
+
+
+def test_integer_modules_make_no_float():
+    # no true division, no float or complex literal, and no float() or
+    # complex() call: a float there would round an exact count
+    found = [
+        (name, node.lineno)
+        for name in INTEGER_ONLY
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(), name))
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.Div)
+        or isinstance(node, ast.Constant)
+        and type(node.value) in (float, complex)
+        or isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("float", "complex")
+    ]
+    assert found == []
+
+
 def test_input_refused_under_optimization():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from bouquet_dyn import PowerSequences; "

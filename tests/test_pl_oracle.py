@@ -92,7 +92,9 @@ def orbit_period(lift, depth=None):
 
 def walk_counts(lift, depth):
     """Reference for `oracle_counts`: count every piece of the depth-first
-    walk over the composed lifts f^1..f^depth, one at a time."""
+    walk over the composed lifts f^1..f^depth, one at a time, for the
+    fixed points off the integers, and add the branching point where the
+    pointwise `orbit_period` divides m."""
     walk = Walk(lift, depth, PIECE_BUDGET)
     scale = walk.scale
     top = lift.n * scale
@@ -120,9 +122,12 @@ def walk_counts(lift, depth):
         if in_piece and b % (scale * d) != 0:
             crossings[k] += 1
     assert walk.over_budget() is None, "reference walk over its budget"
-    return OracleCounts(tuple(crossings[1:]),
+    period = orbit_period(lift)
+    lift_fix = tuple(c + (period is not None and m % period == 0)
+                     for m, c in enumerate(crossings[1:], start=1))
+    return OracleCounts(lift_fix,
                         tuple(covers[1 : min(depth, COVER_DEPTH) + 1]),
-                        orbit_period(lift))
+                        period)
 
 
 def counts_or_degenerate(count, lift, depth):
@@ -388,7 +393,25 @@ class TestTableMatchesWalk:
         # f itself is no identity: its one fixed point, 1, is an integer
         counts = oracle_counts(FLIP, 1)
         assert counts == walk_counts(FLIP, 1)
-        assert counts.crossings == (0,) and counts.covers == (2,)
+        assert counts.lift_fix == (1,) and counts.covers == (2,)
+
+    def test_integers_mapping_to_other_integers(self):
+        # expanding lifts that jump at an integer, so integers map to
+        # other integers: x -> 2x, 2x - 2 on [0, 2] (1 goes to 2 and 0,
+        # 2 to itself), x -> 3x - 3(j - 1) on each circle of [0, 3],
+        # x -> 2 - 2x, 4 - 2x (0 and 2 swap) and x -> 2x, 4 - 2x (1 goes
+        # to 2, 2 to 0); on the bouquet every integer is the branching
+        # point, which f fixes
+        lifts = [PLLift(2, 1, ((0, 1, 2, 0), (1, 2, 2, -2))),
+                 PLLift(3, 1, ((0, 1, 3, 0), (1, 2, 3, -3), (2, 3, 3, -6))),
+                 PLLift(2, 1, ((0, 1, -2, 2), (1, 2, -2, 4))),
+                 PLLift(2, 1, ((0, 1, 2, 0), (1, 2, -2, 4)))]
+        for lift in lifts:
+            counts = oracle_counts(lift, 8)
+            assert counts == walk_counts(lift, 8), lift
+            assert counts.branch_period == 1, lift
+        assert (oracle_counts(lifts[0], 8).lift_fix
+                == tuple(2**m - 1 for m in range(1, 9)))
 
     def test_both_trace_routes(self, monkeypatch):
         # tr S^m comes from matrix products for m <= dim S and from the
@@ -463,7 +486,7 @@ class TestTableMatchesWalk:
                 composed = iterate_lift(lift, m)
                 walked = walk_counts(composed, depth)
                 assert oracle_counts(composed, depth) == walked
-                assert walked.crossings == counts.crossings[m - 1::m]
+                assert walked.lift_fix == counts.lift_fix[m - 1::m]
                 assert walked.covers == counts.covers[m - 1::m]
 
     def test_lifts_breaking_the_contract_refused(self):
@@ -475,7 +498,7 @@ class TestTableMatchesWalk:
         for lift in (thirds, uncut):
             with pytest.raises(DegenerateMapError, match="iterate 2 "):
                 oracle_counts(lift, 3)
-            assert oracle_counts(lift, 1).crossings == (0,)
+            assert oracle_counts(lift, 1).lift_fix == (1,)
         # one-sided values 1 and 3/4 at the piece end 1/4
         torn = PLLift(1, 4, ((0, 1, 2, 2), (1, 3, -1, 4), (3, 4, 1, -2)))
         with pytest.raises(InputError, match="not continuous at 1/4"):
@@ -553,7 +576,7 @@ class TestOracleMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert counts.crossings == tuple(2**m - 1 for m in range(1, 201))
+        assert counts.lift_fix == tuple(2**m - 1 for m in range(1, 201))
         assert counts.covers == tuple(2**m for m in range(1, 9))
         assert peak < 256 * 1024
         assert not any(

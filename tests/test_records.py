@@ -16,12 +16,12 @@ import pytest
 
 import bouquet_dyn
 from bouquet_dyn import (PowerSequences, abelianize, build_lift, eigenvalues,
-                         oracle_counts)
+                         fix_counts, oracle_counts, per_census)
 from bouquet_dyn.cli import (DEFAULT_ENTROPY_HORIZON, DEFAULT_ORACLE_DEPTH,
                              Claim, ReportOptions, parse_spec)
 from bouquet_dyn.errors import InputError, Record
 from bouquet_dyn.periods import Conclusion, PeriodCertificate
-from bouquet_dyn.pl_oracle import _ratio
+from bouquet_dyn.pl_oracle import PLLift, _ratio, lift_branch_period
 from bouquet_dyn.spectral import squarefree_parts
 from bouquet_dyn.words import Letter, MapAction, Word, action
 
@@ -171,10 +171,25 @@ def test_constructors_refuse(build):
     (lambda: eigenvalues((2, 0, 4)), "got (2, 0, 4)"),
     (lambda: eigenvalues((0.5, 1.0)), "got (0.5, 1.0)"),
     (lambda: squarefree_parts([1, True]), "got (1, True)"),
+    (lambda: eigenvalues(()), "got ()"),
+    (lambda: eigenvalues((0, 2)), "got (0, 2)"),
+    (lambda: per_census((1.5,)), "got 1.5"),
+    (lambda: per_census((1, True)), "got True"),
+    (lambda: fix_counts(action("a1 a1"), [2.5]), "got 2.5"),
+    (lambda: fix_counts(action("a1 a1", k=1), [True]), "got True"),
+    (lambda: PLLift(1, 2, ((0, 1, 2.0, 0), (1, 2, -2, 4))), "got 2.0"),
+    (lambda: PLLift(1, 0, ()), "got 1, 0"),
+    (lambda: PLLift(1, 2, ((0, 1, 2, 0),)), "tile [0, 1]"),
+    (lambda: lift_branch_period(LIFT, -1), "got -1"),
+    (lambda: lift_branch_period(LIFT, 2.5), "got 2.5"),
+    (lambda: lift_branch_period(LIFT, True), "got True"),
 ], ids=["str-image", "letter-tuple-image", "tuple-letters", "bool-depth",
         "bool-iterate", "bool-power-count", "bool-generator", "float-entry",
         "bool-entries", "str-entry", "ragged-matrix", "non-monic-poly",
-        "float-poly", "bool-poly"])
+        "float-poly", "bool-poly", "empty-poly", "zero-root-poly",
+        "float-fix", "bool-fix", "float-trace", "bool-trace-class-one",
+        "float-lift-piece", "zero-lift-scale", "untiled-lift",
+        "negative-branch-depth", "float-branch-depth", "bool-branch-depth"])
 def test_library_inputs_refused(build, value):
     # each raised AttributeError, or took the value and failed later, or
     # read a bool as 1, or failed an assert (and under -O returned a wrong
