@@ -11,10 +11,13 @@ The input format is line-based:
     a3 -> a1 a3
     claim: l(3) = 2         # optional; mismatches become warnings
 
-Exit codes: 0 all checks pass, 1 input or usage error, 2 cross-check
-mismatch, a spectral radius outside its exact bounds, a certificate that
-promises a period the census does not have, or two exact routes that
-disagree (`InconsistencyError`).
+Exit codes: 0 all checks pass, 1 input or usage error (a declared branch
+period k with per(k) < k included: the branching point's orbit alone has
+k points of least period k), 2 cross-check mismatch, a spectral radius
+outside its exact bounds, a certificate that promises a period the
+census does not have, or two exact routes that disagree
+(`InconsistencyError`; a census count per(m) that is negative or that m
+does not divide among them).
 """
 
 from __future__ import annotations
@@ -288,10 +291,13 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     with 15 significant digits, so the output round-trips losslessly.
     Every per-iterate quantity is computed once, in one
     `PowerSequences` record of M^1..M^K, K the largest of the horizon,
-    the entropy horizon and the oracle depth, and read by each consumer.
-    An input whose record could hold integers of more than DIGIT_CAP
-    digits, or whose K is over ITERATE_CAP, is refused before the record
-    is built.
+    the entropy horizon, the oracle depth and the declared class k, and
+    read by each consumer.  An input whose record could hold integers of
+    more than DIGIT_CAP digits, or whose K is over ITERATE_CAP, is
+    refused before the record is built.  The census runs to max(H, k),
+    since the branching point's orbit needs per(k) >= k, a check made
+    past H too; a map whose census breaks it is refused, and only the
+    first H entries print.
     """
     f = doc.action
     horizon = options.horizon or doc.horizon or DEFAULT_HORIZON
@@ -299,7 +305,9 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     warnings: list[str] = []
     mat = abelianize(f)
     col_sums = [sum(map(abs, col)) for col in zip(*mat)]
-    iterates = max(horizon, options.entropy_horizon, oracle_depth)
+    k = f.branch_class or 0
+    census = max(horizon, k)
+    iterates = max(census, options.entropy_horizon, oracle_depth)
     digits = _digit_bound(col_sums, iterates)
     if digits > DIGIT_CAP:
         raise InputError(
@@ -312,10 +320,15 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
             f"{ITERATE_CAP} iterates"
         )
     seqs = PowerSequences.of(mat, iterates)
-    fixes = fix_counts(f, seqs.traces[: max(horizon, oracle_depth)])
+    fixes = fix_counts(f, seqs.traces[: max(census, oracle_depth)])
+    pers = per_census(fixes[:census])
+    if k and pers[k - 1] < k:
+        raise InputError(
+            f"branch period {k} is declared, but per({k}) = {pers[k - 1]} < "
+            f"{k}, too few points for the branching point's orbit")
     lefs = [1 - t for t in seqs.traces[:horizon]]
     values = {"L": lefs, "l": invert_divisor_sums(lefs),
-              "fix": fixes[:horizon], "per": per_census(fixes[:horizon])}
+              "fix": fixes[:horizon], "per": pers[:horizon]}
     period_set = [m for m, p in enumerate(values["per"], start=1) if p > 0]
     spectrum = eigenvalues(seqs.char)
     limit_seq = entropy_limit(seqs.norms[: options.entropy_horizon])
@@ -597,7 +610,7 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
 
 def _analyze(args: argparse.Namespace) -> int:
     try:
-        with open(args.spec_file, encoding="utf-8") as fh:
+        with open(args.spec_file, encoding="utf-8-sig") as fh:
             doc = parse_spec(fh.read())
         report = run_report(doc, ReportOptions(
             args.horizon, args.oracle_depth, args.no_oracle,

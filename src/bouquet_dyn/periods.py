@@ -73,9 +73,11 @@ def per_census(fixes: Sequence[int]) -> tuple[int, ...]:
     inversion (`homology.invert_divisor_sums`) of the divisor identity
     fix(m) = sum over r|m of per(r).
 
-    The inversion is exact, so the identity holds by construction.  A
-    negative per count means the fix counts cannot all be right, and is
-    raised as an internal inconsistency naming the offending m.
+    The inversion is exact, so the identity holds by construction.
+    per(m) counts the points of the orbits of least period m, so a per
+    count that is negative, or else one that m does not divide (A. Dold,
+    Invent. Math. 74, 1983), means the fix counts cannot all be right,
+    and is raised as an internal inconsistency naming the offending m.
     """
     if not fixes:
         raise InputError("horizon must be >= 1, got 0")
@@ -88,6 +90,10 @@ def per_census(fixes: Sequence[int]) -> tuple[int, ...]:
             raise InconsistencyError(
                 f"census produced negative period count {p} at m={m}"
             )
+    for m, p in enumerate(pers, start=1):
+        if p % m:
+            raise InconsistencyError(f"census produced period count {p} "
+                                     f"at m={m}, not a multiple of {m}")
     return pers
 
 

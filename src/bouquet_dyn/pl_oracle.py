@@ -121,8 +121,8 @@ class OracleCounts(Record, fields="lift_fix covers branch_period"):
     m <= min(depth, COVER_DEPTH).  At a point where f^m jumps (between
     two integers) the cover counts by its value from the right.
     `branch_period` is the least t >= 1 with f^t fixing the branching
-    point, or None if there is none: the lift's branch period, exact, as
-    `lift_branch_period` gives it with a depth of at least |O*|.
+    point, or None if there is none: the lift's branch period, exact at
+    every depth (the cycle through point 0 of `oracle_counts`' point map).
     """
 
     __slots__ = ()
@@ -285,15 +285,9 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
 
 
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:
-    """Least t <= depth with f^t(0), the branch orbit, at an integer, or
-    None."""
+    """The lift's branch period, `oracle_counts`' exact one, when it is
+    at most `depth`, else None; a lift that it refuses is refused."""
     if type(depth) is not int or depth < 1:
         raise InputError(f"depth must be an int >= 1, got {depth!r}")
-    los = [lo for lo, _, _, _ in lift.pieces]
-    x = 0
-    for t in range(1, depth + 1):
-        _, _, s, b = lift.pieces[bisect_right(los, x) - 1]
-        x = s * x + b
-        if x % lift.scale == 0:
-            return t
-    return None
+    period = oracle_counts(lift, 1).branch_period
+    return period if period is not None and period <= depth else None

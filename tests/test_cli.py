@@ -304,6 +304,9 @@ class TestRunReport:
                     oracle = run_report(MapSpecDocument(g), options)["oracle"]
                 except InconsistencyError:
                     continue
+                except InputError as e:  # a class the census has no room for
+                    assert "the branching point's orbit" in str(e), g
+                    continue
                 fixes = fix_counts(g, seqs.traces)
                 rows = [counts.fixed(m) == fixes[m - 1]
                         for m in range(1, depth + 1)]
@@ -761,6 +764,59 @@ class TestMain:
         assert captured.err == ("error: census produced negative period "
                                 "count -2 at m=2\n")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("spec, code, message", [
+        # x -> -2x has per = 3, 0, 6, ..: no 2-cycle holds the branch point
+        ("n=1\nbranch: period 2\na1 -> a1' a1'\n", 1,
+         "branch period 2 is declared, but per(2) = 0 < 2, too few points "
+         "for the branching point's orbit"),
+        # past the horizon of 12: the census runs on to the declared 13
+        ("n=1\nbranch: period 13\na1 -> a1\n", 1,
+         "branch period 13 is declared, but per(13) = 0 < 13, too few "
+         "points for the branching point's orbit"),
+        # the 2-cycle of single-letter images a1 <-> a1' is one point
+        ("n=2\nbranch: period 1\na1 -> a1'\na2 -> a1' a2' a2'\n", 2,
+         "census produced period count 1 at m=2, not a multiple of 2"),
+        ("n=1\nbranch: period 999999999999\na1 -> a1\n", 1,
+         "iterates up to 999999999999 requested, over the cap of 10000 "
+         "iterates"),
+        ("n=1\nbranch: period 999999999999\na1 -> a1' a1'\n", 1,
+         "iterates up to 999999999999 could need integers of 301029995678 "
+         "digits, over the cap of 4000 digits"),
+    ], ids=["no-2-cycle", "past-horizon", "dold", "iterate-cap", "digit-cap"])
+    def test_census_refuses_impossible_counts(self, tmp_path, capsys, spec,
+                                              code, message):
+        # each exited 0 before the census checked the declared orbit and
+        # Dold's congruence, and reached only the horizon
+        p = tmp_path / "map.bqd"
+        p.write_text(spec)
+        for fmt in ("json", "text"):
+            assert main(["analyze", str(p), "--format", fmt]) == code
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_census_past_horizon_prints_to_horizon(self):
+        # a declared class past H is checked, and only H entries print
+        doc = parse_spec("n=1\nbranch: period 40\na1 -> a1 a1\n")
+        report = run_report(doc, ReportOptions(horizon=12))
+        assert len(report["census"]["per"]) == 12
+        assert report["census"]["per"] == run_report(
+            doc._replace(action=doc.action._replace(branch_class=None)),
+            ReportOptions(horizon=12))["census"]["per"]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("spec", [
+        "n=1\nbranch: free\na1 -> a1 a1\n", "n=1\nbranch: period 2\n"
+        "a1 -> a1' a1'\n", "n=1\nbranch: free\na1 -> a1 a1\nn=2\n"],
+        ids=["exit-0", "orbit-refused", "duplicate-n"])
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys, spec, fmt):
+        # a UTF-8 byte-order mark was line 1's first character
+        outcomes = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            p = tmp_path / "map.bqd"
+            p.write_bytes(bom + spec.encode())
+            outcomes.append((main(["analyze", str(p), "--format", fmt]),
+                             capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
 
     def test_deep_oracle_depth(self, capsys):
         # 2^21 - 1 pieces at depth 20: counted one by one they take seconds

@@ -4,7 +4,10 @@ free or of branch class 1, 2 or 3, at horizon and oracle depth 40.
 
 The admissibility gate does not exist yet, so its two rules are a
 filter here: refuse a cycle of single-letter images, and refuse a branch
-class other than 1 when no circle is common to every image word.  Every
+class other than 1 when no circle is common to every image word.  A
+third rule, the declared orbit, reads the census, so the report makes
+it: an admitted map declared of class k whose census has per(k) < k
+must exit 1 naming it (`ORBIT_REFUSED` of them).  Every other
 admitted map must then report with no failure at all (every Lefschetz
 check passes, the oracle does not mismatch, and every certificate holds
 in the census), except the maps in `EXPECTED`, each flagged on exactly
@@ -15,16 +18,21 @@ elsewhere the lift counts another map, and the statement reads null.
 
 `test_n3_tally` checks the larger n = 3 domain the same way (image words
 of 1-2 letters, 13 824 reports, about 11 s) against its tally, `N3_TALLY`.
+`test_exit_0_reports_have_possible_census` samples the whole n <= 2
+domain, refused maps included: every report that exits 0 has a census
+that a map can have.
 """
 
+import json
+import random
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from bouquet_dyn.cli import (ReportOptions, fixture_names, parse_spec,
+from bouquet_dyn.cli import (ReportOptions, fixture_names, main, parse_spec,
                              report_has_failures, run_report)
-from bouquet_dyn.errors import InconsistencyError
+from bouquet_dyn.errors import InconsistencyError, InputError
 
 from conftest import fmbig_reference, load_fixture
 
@@ -46,12 +54,22 @@ EXPECTED = {
 }
 
 
-#: the n = 3 domain: its reports, the maps the two rules admit, the
+#: the error text of the orbit rule: a declared class k needs per(k) >= k
+ORBIT = "too few points for the branching point's orbit"
+
+#: the admitted maps of the n <= 2 domain that the orbit rule refuses,
+#: each reversing and declared class 2 with per(2) < 2 (x -> -2x, for
+#: one, has no 2-cycle)
+ORBIT_REFUSED = 25
+
+#: the n = 3 domain: its reports, the maps the two rules admit, the orbit
+#: rule's refusals (of all maps, and of admitted ones), the
 #: `InconsistencyError`s (each on a refused map), and per rule the
 #: admitted maps flagged on that one certificate, each a pair case that
 #: misses period 1 or 2 (or 4, delayed); every count but the first two
 #: may only shrink
-N3_TALLY = {"reports": 13824, "admitted": 5688, "inconsistent": 1359,
+N3_TALLY = {"reports": 13824, "admitted": 5688, "orbit": 1704,
+            "orbit admitted": 384, "inconsistent": 1812,
             "lowgrow(a)": 160, "lowgrow(d)": 546,
             "delaylowgrow(m=2; lowgrow(d))": 24}
 
@@ -81,20 +99,41 @@ def _admitted(combo, k) -> bool:
     return k == 1 or bool(set.intersection(*map(set, combo)))
 
 
+def _spec(k, texts) -> str:
+    """The spec text of one map of the domain."""
+    branch = "free" if k is None else f"period {k}"
+    return f"n={len(texts)}\nbranch: {branch}\n" + "".join(
+        f"a{j} -> {w}\n" for j, w in enumerate(texts, start=1))
+
+
 def _report(k, texts) -> dict:
     """The horizon-40 report of one map of the domain."""
-    branch = "free" if k is None else f"period {k}"
-    spec = f"n={len(texts)}\nbranch: {branch}\n" + "".join(
-        f"a{j} -> {w}\n" for j, w in enumerate(texts, start=1))
-    return run_report(parse_spec(spec),
+    return run_report(parse_spec(_spec(k, texts)),
                       ReportOptions(horizon=HORIZON, oracle_depth=HORIZON))
 
 
 @pytest.fixture(scope="module")
-def admitted():
-    """{(class, image texts): report} for every admitted map, built once
-    for the module's tests."""
-    return {(k, texts): _report(k, texts) for k, texts, ok in _domain() if ok}
+def domain():
+    """({(class, image texts): report} for every admitted map that
+    reports, [the admitted (class, image texts) the orbit rule refuses]),
+    built once for the module's tests."""
+    reports, refused = {}, []
+    for k, texts, ok in _domain():
+        if not ok:
+            continue
+        try:
+            reports[(k, texts)] = _report(k, texts)
+        except InputError as e:
+            assert ORBIT in str(e), (k, texts)
+            refused.append((k, texts))
+    return reports, refused
+
+
+@pytest.fixture(scope="module")
+def admitted(domain):
+    """{(class, image texts): report} for every admitted map that
+    reports."""
+    return domain[0]
 
 
 def _failure(key, report):
@@ -111,7 +150,7 @@ def _failure(key, report):
 
 
 def test_admitted_maps_report_no_failure(admitted):
-    assert (sum(1 for _ in _domain()), len(admitted)) == (1592, 1288)
+    assert (sum(1 for _ in _domain()), len(admitted)) == (1592, 1263)
     flagged = {}
     for key, report in admitted.items():
         failure = _failure(key, report)
@@ -123,17 +162,54 @@ def test_admitted_maps_report_no_failure(admitted):
         assert rule == want_rule and f"has {want_text}," in text, (key, text)
 
 
+def test_orbit_refusals_exit_1(domain, tmp_path, capsys):
+    # the admitted maps whose declared class the census has no room for
+    # exited 0 before the orbit rule; each is reversing, declared class 2
+    _, refused = domain
+    assert len(refused) == ORBIT_REFUSED
+    path = tmp_path / "map.bqd"
+    for k, texts in refused:
+        assert k == 2 and all("'" in w for w in texts), texts
+        path.write_text(_spec(k, texts))
+        assert main(["analyze", str(path), "--horizon", str(HORIZON)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "error: branch period 2 is declared, but per(2) = ") and (
+            err.endswith(f"{ORBIT}\n")), (texts, err)
+
+
+def test_exit_0_reports_have_possible_census(tmp_path, capsys):
+    # a seeded sample of the whole domain, refused maps included: a
+    # report that exits 0 has m | per(m) for every m <= 40 (Dold), and
+    # per(k) >= k for its declared class k, the branching point's orbit
+    specs = random.Random(26).sample(list(_domain()), 400)
+    path = tmp_path / "map.bqd"
+    codes = Counter()
+    for k, texts, _ in specs:
+        path.write_text(_spec(k, texts))
+        code = main(["analyze", str(path), "--horizon", str(HORIZON),
+                     "--oracle-depth", str(HORIZON), "--format", "json"])
+        codes[code] += 1
+        out = capsys.readouterr().out
+        if code:
+            continue
+        per = list(map(int, json.loads(out)["census"]["per"]))
+        assert all(p % m == 0 for m, p in enumerate(per, start=1)), texts
+        assert k is None or per[k - 1] >= k, (k, texts)
+    assert codes.keys() == {0, 1, 2}, codes
+
+
 def test_oracle_judges_every_observed_class(admitted):
-    # the oracle runs on 896 admitted maps and judges the 224 whose lift
-    # has the declared branch period (free included): on all of them the
-    # lift's fix counts equal the census's to depth 40; a lift of another
-    # class counts another map, so its statement reads null on the other
-    # 672, whether its counts agree or not
+    # the oracle runs on 881 admitted maps that report, and judges the 224
+    # whose lift has the declared branch period (free included): on all
+    # of them the lift's fix counts equal the census's to depth 40; a lift
+    # of another class counts another map, so its statement reads null on
+    # the other 657, whether its counts agree or not
     ran = {key: report["oracle"] for key, report in admitted.items()
            if "checks" in report["oracle"]}
     judged = {key for key, oracle in ran.items()
               if oracle["branch_period_observed"] == key[0]}
-    assert (len(ran), len(judged)) == (896, 224)
+    assert (len(ran), len(judged)) == (881, 224)
     for key, oracle in ran.items():
         assert len(oracle["lift_fix"]) == HORIZON, key
         m, mode, passed = oracle["checks"][0].values()
@@ -151,7 +227,7 @@ def test_each_fact_printed_once(admitted):
     # has none
     reports = [load_fixture(name)[1] for name in fixture_names()]
     reports += admitted.values()
-    assert len(reports) == 8 + 1288
+    assert len(reports) == 8 + 1263
     for report in reports:
         assert set(report["lefschetz"]) == {"L", "l"}
         modes = [c["mode"] for c in report["lefschetz_fix_checks"]]
@@ -169,8 +245,9 @@ def test_each_fact_printed_once(admitted):
 
 
 def test_n3_tally():
-    # only refused maps may raise `InconsistencyError`, and every admitted
-    # map must pass as in `test_admitted_maps_report_no_failure`
+    # only refused maps may raise `InconsistencyError`, an admitted map
+    # may be refused by the orbit rule, and every other admitted map must
+    # pass as in `test_admitted_maps_report_no_failure`
     tally = Counter()
     for k, texts, ok in _domain((3,), (1, 2)):
         tally["reports"] += 1
@@ -180,6 +257,11 @@ def test_n3_tally():
         except InconsistencyError:
             assert not ok, (k, texts)
             tally["inconsistent"] += 1
+            continue
+        except InputError as e:
+            assert ORBIT in str(e), (k, texts)
+            tally["orbit"] += 1
+            tally["orbit admitted"] += ok
             continue
         failure = _failure((k, texts), report) if ok else None
         if failure:

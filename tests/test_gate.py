@@ -1,5 +1,6 @@
 """Checks that need a process of their own: the command-line module under
 a timeout, one report's peak RSS and the benchmark harness's scripts,
+and the wall time of the branch period's read at a depth no walk ends,
 each run as a subprocess of this interpreter from the repository root.
 CI runs this suite and the installed package, and nothing else."""
 
@@ -25,6 +26,15 @@ FIXTURES = ROOT / "src" / "bouquet_dyn" / "fixtures"
 PEAK_RSS = ("import resource, subprocess, sys; subprocess.run(sys.argv[2:], "
             "stdout=open(sys.argv[1], 'wb'), check=True); print(resource."
             "getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)")
+
+#: prints lift_branch_period at depth 10**12 on x -> -2x, and the seconds
+#: that one call took
+READ_AT_DEPTH = ("import time; from bouquet_dyn.pl_oracle import build_lift, "
+                 "lift_branch_period; from bouquet_dyn.words import action; "
+                 "lift = build_lift(action(\"a1' a1'\")); "
+                 "t = time.perf_counter(); "
+                 "print(lift_branch_period(lift, 10**12), "
+                 "time.perf_counter() - t)")
 
 
 def run(*args, timeout, code=0) -> str:
@@ -71,6 +81,13 @@ def test_deep_oracle_depth_stays_fast(tmp_path, spec, observed):
                                 {"m": None, "mode": "cover", "passed": True}]
     assert oracle["status"] == "ok"
     assert oracle["branch_period_observed"] == observed
+
+
+def test_branch_period_read_at_any_depth():
+    # the period is read off the oracle's point map, not walked step by
+    # step: at depth 10**7 the walk of x -> -2x took 3.6 s
+    period, seconds = run("-c", READ_AT_DEPTH, timeout=30).split()
+    assert period == "None" and float(seconds) < 1
 
 
 def test_block62_exits_2(tmp_path):

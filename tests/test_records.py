@@ -183,18 +183,25 @@ def test_constructors_refuse(build):
     (lambda: lift_branch_period(LIFT, -1), "got -1"),
     (lambda: lift_branch_period(LIFT, 2.5), "got 2.5"),
     (lambda: lift_branch_period(LIFT, True), "got True"),
+    (lambda: lift_branch_period(
+        PLLift(2, 1, ((0, 1, 2, 0), (1, 2, 2, -1))), 5), "leaves [0, 2]"),
+    (lambda: lift_branch_period(
+        PLLift(1, 4, ((0, 2, 2, 0), (2, 4, 2, -3))), 5),
+     "not continuous at 1/2"),
 ], ids=["str-image", "letter-tuple-image", "tuple-letters", "bool-depth",
         "bool-iterate", "bool-power-count", "bool-generator", "float-entry",
         "bool-entries", "str-entry", "ragged-matrix", "non-monic-poly",
         "float-poly", "bool-poly", "empty-poly", "zero-root-poly",
         "float-fix", "bool-fix", "float-trace", "bool-trace-class-one",
         "float-lift-piece", "zero-lift-scale", "untiled-lift",
-        "negative-branch-depth", "float-branch-depth", "bool-branch-depth"])
+        "negative-branch-depth", "float-branch-depth", "bool-branch-depth",
+        "escaping-lift-branch", "discontinuous-lift-branch"])
 def test_library_inputs_refused(build, value):
     # each raised AttributeError, or took the value and failed later, or
     # read a bool as 1, or failed an assert (and under -O returned a wrong
-    # record: a float entry's traces, a non-monic polynomial's roots); the
-    # error names the value
+    # record: a float entry's traces, a non-monic polynomial's roots), or
+    # gave a branch period of 1 to a lift the oracle refuses; the error
+    # names the value
     with pytest.raises(InputError, match=re.escape(value)):
         build()
 
