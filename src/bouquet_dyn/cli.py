@@ -13,8 +13,9 @@ The input format is line-based:
 
 Exit codes: 0 all checks pass, 1 input or usage error (a declared branch
 period k with per(k) < k included: the branching point's orbit alone has
-k points of least period k), 2 cross-check mismatch, a spectral radius
-outside its exact bounds, a certificate that promises a period the
+k points of least period k), 2 cross-check mismatch, a printed spectral
+radius that an exact test puts more than a relative 1e-9 from the Perron
+root of |M|, a certificate that promises a period the
 census does not have, or two exact routes that disagree
 (`InconsistencyError`; a census count per(m) that is negative or that m
 does not divide among them).
@@ -28,7 +29,8 @@ from _json import encode_basestring_ascii as _quote
 from collections.abc import Callable
 
 from .errors import InconsistencyError, InputError, LiftConstructionError, Record
-from .homology import PowerSequences, abelianize, invert_divisor_sums
+from .homology import (IntMatrix, PowerSequences, abelianize,
+                       exceeds_perron_root, invert_divisor_sums)
 from .periods import (
     PeriodCertificate,
     fix_counts,
@@ -72,6 +74,8 @@ class Claim(Record, fields="quantity m value text"):
             raise InputError(f"claim value must be an int, got {claim.value!r}")
         if claim.quantity not in ("L", "l", "fix", "per"):
             raise InputError(f"claim quantity {claim.quantity!r} is not L, l, fix or per")
+        if not isinstance(claim.text, str):
+            raise InputError(f"claim text must be a str, got {claim.text!r}")
         return claim
 
 
@@ -85,15 +89,21 @@ def _check_count(value, what: str) -> None:
 class MapSpecDocument(Record, fields="action horizon claims",
                       defaults=(None, ())):
     """A parsed map description, its `MapAction`, plus an optional int
-    `horizon` >= 1 and a tuple of `Claim`s."""
+    `horizon` >= 1 and the `Claim`s, stored as a tuple."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> MapSpecDocument:
-        doc = super().__new__(cls, *args, **kwargs)
-        if doc.horizon is not None:
-            _check_count(doc.horizon, "horizon")
-        return doc
+        action, horizon, claims = super().__new__(cls, *args, **kwargs)
+        if not isinstance(action, MapAction):
+            raise InputError(f"document action must be a MapAction, got {action!r}")
+        if horizon is not None:
+            _check_count(horizon, "horizon")
+        claims = tuple(claims)
+        for claim in claims:
+            if not isinstance(claim, Claim):
+                raise InputError(f"document claims must be Claims, got {claim!r}")
+        return tuple.__new__(cls, (action, horizon, claims))
 
 
 def _integer(value: str, what: str, err: Callable[[str], Exception]) -> int:
@@ -210,12 +220,15 @@ class ReportOptions(
         defaults=(None, DEFAULT_ORACLE_DEPTH, False, DEFAULT_ENTROPY_HORIZON)):
     """The flags of one report: the int or None `horizon`, the int
     `oracle_depth`, the bool `no_oracle` and the int `entropy_horizon`.
-    Each int is >= 1, the depth only when the oracle runs."""
+    Each int is >= 1, the depth only when the oracle runs; `no_oracle`
+    is True or False, never another value read for its truth."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> ReportOptions:
         options = super().__new__(cls, *args, **kwargs)
+        if type(options.no_oracle) is not bool:
+            raise InputError(f"no_oracle must be a bool, got {options.no_oracle!r}")
         if options.horizon is not None:
             _check_count(options.horizon, "horizon")
         _check_count(options.entropy_horizon, "entropy horizon")
@@ -266,22 +279,33 @@ def _digit_bound(col_sums: list[int], iterates: int) -> float:
     )
 
 
-def _radius_failure(spectrum: SpectrumReport, col_sums: list[int]) -> str | None:
+def _radius_failure(spectrum: SpectrumReport, mat: IntMatrix,
+                    col_sums: list[int]) -> str | None:
     """Why the solver's spectrum cannot be right, or None.
 
-    M = +-|M|, so rho(M) = rho(|M|), which lies between the least and the
-    largest column sum of |M| (the Collatz-Wielandt bounds with x = 1, on
-    |M| transposed).  Every modulus is checked, since a nan sorts
-    anywhere.
+    M = +-|M|, so its spectral radius is lambda, the Perron root of |M|.
+    The solver's radius r passes when lambda lies in [r - w, r + w), w =
+    min(1e-9 r, DOMINANCE_EPS), each end rounded outward to a multiple of
+    2^-40: `exceeds_perron_root` decides both sides exactly.  Every
+    modulus must be finite, since a nan sorts anywhere; one that is not
+    fails untested.  lambda lies between the least and the largest column
+    sum of |M| (the Collatz-Wielandt bounds with x = 1, on |M|
+    transposed), which the failure names.
     """
-    lo, hi = min(col_sums), max(col_sums)
-    moduli = [abs(z) for z in spectrum.values]
-    if all(map(math.isfinite, moduli)) and (
-            lo - DOMINANCE_EPS <= max(moduli) <= hi + DOMINANCE_EPS):
-        return None
-    return (f"eigenvalue moduli must be finite, the largest in [{lo}, {hi}] "
-            "(the least and largest column sums of |M|); the solver gives "
-            f"spectral radius {_fmt_real(spectrum.spectral_radius)}")
+    r = spectrum.spectral_radius
+    if all(math.isfinite(abs(z)) for z in spectrum.values):
+        w = min(1e-9 * r, DOMINANCE_EPS)
+        scale = 1 << 40
+        hi_num, hi_den = (r + w).as_integer_ratio()
+        lo_num, lo_den = (r - w).as_integer_ratio()
+        if (exceeds_perron_root(mat, -(-hi_num * scale // hi_den), scale)
+                and not exceeds_perron_root(mat, lo_num * scale // lo_den, scale)):
+            return None
+    return (f"eigenvalue moduli must be finite, the largest within a relative "
+            f"1e-9 (at most {DOMINANCE_EPS}) of the Perron root of |M|, in "
+            f"[{min(col_sums)}, {max(col_sums)}] (the least and largest "
+            f"column sums of |M|); the solver gives spectral radius "
+            f"{_fmt_real(r)}")
 
 
 def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
@@ -400,7 +424,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         "claims": claims,
         "warnings": warnings,
     }
-    failure = _radius_failure(spectrum, col_sums)
+    failure = _radius_failure(spectrum, mat, col_sums)
     if failure is not None:
         report["spectrum"]["failure"] = failure
     return report

@@ -15,7 +15,9 @@ identity).  `invert_divisor_sums` is the one Moebius inversion, read by
 the report's periodic Lefschetz numbers l(f^m) and by the census's
 per(m); it sieves instead of summing mu(r) over the divisors of each m.
 `cycles` is the one cycle finder of a self-map of range(k), read by the
-PL oracle's counts and by the class-1 fix count.
+PL oracle's counts and by the class-1 fix count.  `exceeds_perron_root`
+decides exactly whether a rational bounds |M|'s spectral radius, which
+certifies the report's printed radius.
 All of it is exact integer arithmetic: no floating point appears
 anywhere in this module, since traces grow like the spectral radius to
 the m-th power.
@@ -78,11 +80,7 @@ class PowerSequences(Record, fields="head char traces norms"):
         """The record of M^1..M^k for M = a."""
         if type(k) is not int or k < 0:
             raise InputError(f"power count must be an int >= 0, got {k!r}")
-        n = len(a)
-        for row in a:  # a row of the wrong length is named whole
-            for x in row if len(row) == n else [row]:
-                if type(x) is not int:
-                    raise InputError(f"matrix must be n rows of n ints, got {x!r}")
+        n = _check_matrix(a)
         if {x > 0 for row in a for x in row if x} == {True, False}:
             raise InputError("matrix entries must share one sign")
         h = max(math.isqrt(n), min(k, HEAD_POWERS))
@@ -102,6 +100,17 @@ class PowerSequences(Record, fields="head char traces norms"):
         for _ in range(len(self.head), count):
             power = mat_mul(power, a)
             yield power
+
+
+def _check_matrix(a: IntMatrix) -> int:
+    """n, after refusing `a` unless it is n rows of n ints; a row of the
+    wrong length is named whole."""
+    n = len(a)
+    for row in a:
+        for x in row if len(row) == n else [row]:
+            if type(x) is not int:
+                raise InputError(f"matrix must be n rows of n ints, got {x!r}")
+    return n
 
 
 def power_traces(a: IntMatrix, k: int, h: int, sums: bool = True
@@ -192,3 +201,35 @@ def cycles(step: Sequence[int]) -> Iterator[list[int]]:
             yield path[path.index(i):]
         for i in path:
             state[i] = 2
+
+
+def exceeds_perron_root(a: IntMatrix, p: int, q: int) -> bool:
+    """Whether p/q > lambda, the Perron root (the spectral radius) of the
+    entrywise |a|, for an int p and an int q >= 1.
+
+    That holds exactly when every leading principal minor of B = pI -
+    q|a| is positive, B then being a nonsingular M-matrix, whether |a| is
+    irreducible or not (Berman and Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, ch. 6; Fiedler and Ptak, Czech. Math. J. 12,
+    1962).  One fraction-free (Bareiss) elimination of B decides it: each
+    step's pivot is the next leading minor, every division is exact, and
+    it stops at the first pivot <= 0.
+    """
+    if type(p) is not int or type(q) is not int or q < 1:
+        raise InputError(f"need an int p and an int q >= 1, got {p!r}, {q!r}")
+    n = _check_matrix(a)
+    b = [[-q * abs(x) for x in row] for row in a]
+    for i, row in enumerate(b):
+        row[i] += p
+    prev = 1
+    for k in range(n):
+        top = b[k]
+        pivot = top[k]
+        if pivot <= 0:
+            return False
+        for row in b[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return True

@@ -9,7 +9,8 @@ period set, the per-iterate Lefschetz check rows for their one-row
 statement, letter orbits for the fix counts' signed codes, iterate
 images expanded word by word for the per-iterate counts, a depth-first
 walk over every piece of the composed lifts for the oracle's count on
-the Markov partition)."""
+the Markov partition), and the one `record`, `census`, `certificates`
+and `certificate` the suite reads a map's census and certificates with."""
 
 import json
 import math
@@ -22,8 +23,11 @@ import pytest
 
 from bouquet_dyn import cli
 from bouquet_dyn.errors import InputError, LiftConstructionError
-from bouquet_dyn.homology import IntMatrix, invert_divisor_sums, mat_mul
+from bouquet_dyn.homology import (IntMatrix, PowerSequences, abelianize,
+                                  invert_divisor_sums, mat_mul)
+from bouquet_dyn.periods import fix_counts, per_census, period_certificates
 from bouquet_dyn.pl_oracle import PLLift, build_lift, lift_branch_period
+from bouquet_dyn.spectral import eigenvalues
 from bouquet_dyn.words import BRANCH_FREE, Letter, MapAction, Word
 
 
@@ -40,6 +44,35 @@ def load_fixture(name: str) -> tuple[cli.MapSpecDocument, dict | None]:
     """A bundled fixture's parsed map and its frozen report, if any."""
     text, expected = cli._fixture_texts(name)
     return cli.parse_spec(text), None if expected is None else json.loads(expected)
+
+
+# ---------------------------------------------------------------------------
+# the census and the certificates, read as a report reads them
+
+def record(f: MapAction, k: int) -> PowerSequences:
+    return PowerSequences.of(abelianize(f), k)
+
+
+def census(f: MapAction, horizon: int) -> tuple[int, ...]:
+    """per(m) for m = 1..horizon."""
+    return per_census(fix_counts(f, record(f, horizon).traces))
+
+
+def certificates(f: MapAction, horizon: int = 12):
+    seqs = record(f, horizon)
+    per_census(fix_counts(f, seqs.traces))  # a report raises here first
+    return period_certificates(f, seqs, horizon, eigenvalues(seqs.char))
+
+
+def certificate(f: MapAction, rule: str, horizon: int = 12, **witness):
+    """The first certificate whose rule starts with `rule` and whose
+    witness holds the given entries, or None."""
+    for cert in certificates(f, horizon):
+        if cert.rule.startswith(rule) and all(
+            cert.witness.get(k) == v for k, v in witness.items()
+        ):
+            return cert
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,19 @@ from bouquet_dyn import (
     eigenvalues,
     fix_counts,
     oracle_counts,
-    per_census,
 )
 from bouquet_dyn.cli import ReportOptions, run_report
 from bouquet_dyn.homology import invert_divisor_sums
-from bouquet_dyn.periods import ALL_PERIODS, period_certificates
+from bouquet_dyn.periods import ALL_PERIODS
 from bouquet_dyn.spectral import dominant_test, m0_bound
 
-from conftest import load_fixture, period_set, random_expanding_action
+from conftest import (
+    census,
+    certificate,
+    load_fixture,
+    period_set,
+    random_expanding_action,
+)
 
 REFLECT = action("a1' a1'")
 LOW_GROWTH = action("a1 a3", "a1", "a1 a3", k=1)
@@ -44,12 +49,6 @@ ORACLE_FIXTURES = [
 ]
 
 
-def census(f, horizon):
-    """per(m) for m = 1..horizon."""
-    seqs = PowerSequences.of(abelianize(f), horizon)
-    return per_census(fix_counts(f, seqs.traces))
-
-
 def lefschetz(f, horizon):
     """L(f^m) and l(f^m) for m = 1..horizon, as the report prints them."""
     traces = PowerSequences.of(abelianize(f), horizon).traces
@@ -59,13 +58,6 @@ def lefschetz(f, horizon):
 
 def spectrum(mat):
     return eigenvalues(PowerSequences.of(mat, 1).char)
-
-
-def certificate(f, rule, horizon=12):
-    """The first certificate of f whose rule starts with `rule`, or None."""
-    seqs = PowerSequences.of(abelianize(f), horizon)
-    certs = period_certificates(f, seqs, horizon, eigenvalues(seqs.char))
-    return next((c for c in certs if c.rule.startswith(rule)), None)
 
 
 def _verdict(number: int, label: str, ok: bool) -> None:

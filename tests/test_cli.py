@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 from contextlib import redirect_stdout
+from functools import partial
 from importlib import resources
 
 import pytest
@@ -62,6 +63,19 @@ TEN_LETTERS = "n=1\nbranch: free\na1 -> " + " ".join(["a1"] * 10) + "\n"
 
 #: report keys that hold floats, not integers
 FLOAT_KEYS = {"eigenvalues", "spectral_radius", "residual", "entropy"}
+
+
+@pytest.fixture
+def analyze(tmp_path, capsys):
+    """Run `analyze` on a spec: write it to a file under `tmp_path`, run
+    `main(["analyze", path, *flags])` and return the exit code, stdout
+    and stderr."""
+    def run(spec: str, *flags: str) -> tuple[int, str, str]:
+        path = tmp_path / "map.bqd"
+        path.write_text(spec, encoding="utf-8")
+        code = main(["analyze", str(path), *flags])
+        return code, *capsys.readouterr()
+    return run
 
 
 def printed_integers(value):
@@ -331,13 +345,12 @@ class TestRunReport:
         assert {("fix", True), ("fix", None), ("cover", True), 1, -1} <= outcomes
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_unjudged_fix_statement_exits_0(self, tmp_path, capsys, fmt):
+    def test_unjudged_fix_statement_exits_0(self, analyze, fmt):
         # the lift's branching point is never periodic, so the declared
         # class 1 counts one more fixed point at every m than the lift
-        p = tmp_path / "based.bqd"
-        p.write_text("n=2\nbranch: period 1\na1 -> a1 a1\na2 -> a1 a2\n")
-        assert main(["analyze", str(p), "--format", fmt]) == 0
-        out = capsys.readouterr().out
+        code, out, _ = analyze(
+            "n=2\nbranch: period 1\na1 -> a1 a1\na2 -> a1 a2\n", "--format", fmt)
+        assert code == 0
         if fmt == "text":
             assert ("\n  fix counts to m=6: skipped (branch-orbit mismatch), "
                     "first difference at m=1\n") in out
@@ -438,17 +451,18 @@ class TestClaimFields:
 
 
 class TestDigitCap:
-    def test_over_cap_exits_fast(self, tmp_path, capsys):
-        p = tmp_path / "ten.bqd"
-        p.write_text(TEN_LETTERS)
-        root = resources.files("bouquet_dyn") / "fixtures"
-        for path, horizon in ((p, "4400"),
-                              (root / "expand_double_g1.bqd", "100000")):
+    def test_over_cap_exits_fast(self, analyze, capsys):
+        fixture = resources.files("bouquet_dyn") / "fixtures" / "expand_double_g1.bqd"
+
+        def run_fixture(*flags):
+            return main(["analyze", str(fixture), *flags]), *capsys.readouterr()
+
+        for run, horizon in ((partial(analyze, TEN_LETTERS), "4400"),
+                             (run_fixture, "100000")):
             start = time.perf_counter()
-            flags = ["--horizon", horizon, "--no-oracle"]
-            assert main(["analyze", str(path), *flags]) == 1
+            code, _, err = run("--horizon", horizon, "--no-oracle")
+            assert code == 1
             assert time.perf_counter() - start < 1.0
-            err = capsys.readouterr().err
             assert f"over the cap of {DIGIT_CAP} digits" in err, err
 
     BIG = "9" * 5000
@@ -468,19 +482,16 @@ class TestDigitCap:
         (3, "generator index", f"n=1\nbranch: free\na1 -> a1 a{LONG}\n"),
         (4, "generator index", f"n=1\nbranch: free\na1 -> a1\na{LONG} -> a1\n"),
     ])
-    def test_long_spec_number_exits_fast(self, tmp_path, capsys, lineno,
-                                         what, text):
+    def test_long_spec_number_exits_fast(self, analyze, lineno, what, text):
         # int() itself refuses more than 4 300 digits on Python >= 3.11; a
         # generator index is held to the digits of CIRCLE_CAP, whatever
         # its length
-        p = tmp_path / "long.bqd"
-        p.write_text(text)
         start = time.perf_counter()
-        assert main(["analyze", str(p)]) == 1
+        code, _, err = analyze(text)
+        assert code == 1
         assert time.perf_counter() - start < 1.0
         digits = 5000 if self.BIG in text else DIGIT_CAP
         cap = len(str(CIRCLE_CAP)) if what == "generator index" else DIGIT_CAP
-        err = capsys.readouterr().err
         assert err == (
             f"error: line {lineno}: {what} has {digits} digits, over the cap "
             f"of {cap} digits\n")
@@ -526,25 +537,21 @@ class TestIterateCap:
 
     @pytest.mark.parametrize("flag", [
         "--horizon", "--entropy-horizon", "--oracle-depth"])
-    def test_over_cap_exits_fast(self, tmp_path, capsys, flag):
-        p = tmp_path / "one.bqd"
-        p.write_text(self.ONE_LETTER)
+    def test_over_cap_exits_fast(self, analyze, flag):
         start = time.perf_counter()
-        assert main(["analyze", str(p), flag, str(10**8)]) == 1
+        code, _, err = analyze(self.ONE_LETTER, flag, str(10**8))
+        assert code == 1
         assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
         assert f"over the cap of {ITERATE_CAP} iterates" in err, err
 
     @pytest.mark.parametrize("value", [20_000, 10**8])
-    def test_entropy_horizon_counts_in_digits(self, tmp_path, capsys, value):
+    def test_entropy_horizon_counts_in_digits(self, analyze, value):
         # the record holds the norms to the entropy horizon, 2^E here
-        p = tmp_path / "double.bqd"
-        p.write_text("n=1\nbranch: free\na1 -> a1 a1\n")
         start = time.perf_counter()
-        flags = ["--entropy-horizon", str(value), "--no-oracle"]
-        assert main(["analyze", str(p), *flags]) == 1
+        code, _, err = analyze("n=1\nbranch: free\na1 -> a1 a1\n",
+                               "--entropy-horizon", str(value), "--no-oracle")
+        assert code == 1
         assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
         assert f"over the cap of {DIGIT_CAP} digits" in err, err
 
     def test_cap_is_inclusive(self):
@@ -558,15 +565,13 @@ class TestIterateCap:
 
 
 class TestCircleCap:
-    def test_over_cap_exits_fast(self, tmp_path, capsys):
+    def test_over_cap_exits_fast(self, analyze):
         # checked at the n= line, before the missing image lines are sought
-        p = tmp_path / "wide.bqd"
         for n in (10**7, 10**9):
-            p.write_text(f"n={n}\nbranch: free\na1 -> a1 a1\n")
             start = time.perf_counter()
-            assert main(["analyze", str(p)]) == 1
+            code, _, err = analyze(f"n={n}\nbranch: free\na1 -> a1 a1\n")
+            assert code == 1
             assert time.perf_counter() - start < 1.0
-            err = capsys.readouterr().err
             assert (f"line 1: circle count {n} over the cap of {CIRCLE_CAP} "
                     "circles") in err, err
 
@@ -618,27 +623,34 @@ def probe64_spec(index: int) -> str:
 
 
 class TestRadiusCheck:
-    """The spectral radius must lie between the least and the largest
-    column sum of |M|, and every modulus must be finite."""
+    """Every modulus must be finite, and the printed spectral radius
+    within a relative 1e-9 of the Perron root of |M|, by an exact test."""
 
-    def test_nan_spectrum_exits_2(self, tmp_path, capsys):
-        p = tmp_path / "twin32.bqd"
-        p.write_text(twin32_spec())
-        assert main(["analyze", str(p), "--no-oracle", "--format", "json"]) == 2
-        spectrum = json.loads(capsys.readouterr().out)["spectrum"]
+    def test_nan_spectrum_exits_2(self, analyze):
+        code, out, _ = analyze(twin32_spec(), "--no-oracle", "--format", "json")
+        assert code == 2
+        spectrum = json.loads(out)["spectrum"]
         assert len(spectrum["eigenvalues"]) == 64
         assert spectrum["spectral_radius"] == "nan"
         assert "[64, 64]" in spectrum["failure"]
 
-    def test_radius_over_bound_exits_2(self, tmp_path, capsys):
+    def test_radius_over_bound_exits_2(self, analyze):
         # the solver prints 90.63 for this map, whose Perron root is 2.29;
         # no word has more than 3 letters
-        p = tmp_path / "probe.bqd"
-        p.write_text(probe64_spec(6))
-        assert main(["analyze", str(p), "--no-oracle"]) == 2
-        out = capsys.readouterr().out
+        code, out, _ = analyze(probe64_spec(6), "--no-oracle")
+        assert code == 2
         assert "FAILED spectrum:" in out
         assert "spectral radius 90.6" in out
+
+    def test_radius_off_in_the_fifth_digit_exits_2(self, analyze):
+        # the solver prints 2.06358375691233 for this map, whose Perron
+        # root is 2.0635587049358.. (numpy; bisection by the exact test
+        # puts it in (2.063558704935, 2.063558704936]), well inside the
+        # column-sum range [1, 3] that the check read before
+        code, out, _ = analyze(probe64_spec(9), "--no-oracle")
+        assert code == 2
+        assert "FAILED spectrum:" in out
+        assert "spectral radius 2.06358375691233" in out
 
     def test_cap_edge_and_fixtures_pass(self):
         # the cap edge's radius is 64, every column sum of |M| is 64
@@ -657,19 +669,17 @@ class TestCensusCheck:
     """Every certificate's promise up to the horizon must hold in the
     census's period set; one that does not is flagged and exits 2."""
 
-    def analyze(self, tmp_path, capsys, spec, code):
+    @staticmethod
+    def json_and_text(analyze, spec, code):
         """The JSON report and the text rendering of `spec`, each run
         asserted to exit with `code`."""
-        p = tmp_path / "map.bqd"
-        p.write_text(spec)
-        assert main(["analyze", str(p), "--format", "json"]) == code
-        report = json.loads(capsys.readouterr().out)
-        assert main(["analyze", str(p)]) == code
-        return report, capsys.readouterr().out
+        runs = [analyze(spec, "--format", fmt) for fmt in ("json", "text")]
+        assert [c for c, _, _ in runs] == [code, code]
+        return json.loads(runs[0][1]), runs[1][1]
 
-    def test_minus_two_petal_holds(self, tmp_path, capsys):
+    def test_minus_two_petal_holds(self, analyze):
         # the degree rule reads d_22 = -2 as Per containing N \ {2}
-        report, out = self.analyze(tmp_path, capsys, SIGN_BLIND, 0)
+        report, out = self.json_and_text(analyze, SIGN_BLIND, 0)
         assert 2 not in report["census"]["period_set"]
         first = report["certificates"][0]
         assert first["rule"] == "doubling(a)"
@@ -678,10 +688,10 @@ class TestCensusCheck:
         assert not any("failure" in c for c in report["certificates"])
         assert "FAILED" not in out
 
-    def test_contradicted_certificate_exits_2(self, tmp_path, capsys):
+    def test_contradicted_certificate_exits_2(self, analyze):
         # lowgrow(d) promises Per = N at class 1, but per(2) = 0
         spec = "n=2\nbranch: period 1\na1 -> a2\na2 -> a1 a2\n"
-        report, out = self.analyze(tmp_path, capsys, spec, 2)
+        report, out = self.json_and_text(analyze, spec, 2)
         assert 2 not in report["census"]["period_set"]
         flagged = {c["rule"]: c["failure"] for c in report["certificates"]
                    if "failure" in c}
@@ -691,10 +701,10 @@ class TestCensusCheck:
                 "12 has no period 2") in out
         assert out.count("FAILED") == 1
 
-    def test_contradicted_pair_exits_2(self, tmp_path, capsys):
+    def test_contradicted_pair_exits_2(self, analyze):
         # lowgrow(c) promises m or m+1 for every m; the period set is {1}
         spec = "n=2\nbranch: free\na1 -> a2'\na2 -> a1'\n"
-        report, out = self.analyze(tmp_path, capsys, spec, 2)
+        report, out = self.json_and_text(analyze, spec, 2)
         assert report["census"]["period_set"] == [1]
         flagged = {c["rule"]: c["failure"] for c in report["certificates"]
                    if "failure" in c}
@@ -706,64 +716,54 @@ class TestCensusCheck:
 
 
 class TestMain:
-    def test_analyze_ok(self, tmp_path, capsys):
-        p = tmp_path / "map.bqd"
-        p.write_text("n=1\nbranch: free\na1 -> a1 a1\n")
-        assert main(["analyze", str(p)]) == 0
-        out = capsys.readouterr().out
+    def test_analyze_ok(self, analyze):
+        code, out, _ = analyze("n=1\nbranch: free\na1 -> a1 a1\n")
+        assert code == 0
         assert "entropy" in out
 
-    def test_analyze_json(self, tmp_path, capsys):
-        p = tmp_path / "map.bqd"
-        p.write_text("n=1\nbranch: free\na1 -> a1' a1'\n")
-        assert main(["analyze", str(p), "--format", "json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 8
+    def test_analyze_json(self, analyze):
+        code, out, _ = analyze("n=1\nbranch: free\na1 -> a1' a1'\n",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["schema"] == 8
 
-    def test_input_error_exit_code(self, tmp_path, capsys):
-        p = tmp_path / "bad.bqd"
-        p.write_text("n=1\nbranch: free\na1 -> a1 a1'\n")
-        assert main(["analyze", str(p)]) == 1
-        assert "error" in capsys.readouterr().err
+    def test_input_error_exit_code(self, analyze):
+        code, _, err = analyze("n=1\nbranch: free\na1 -> a1 a1'\n")
+        assert code == 1
+        assert "error" in err
 
     @pytest.mark.parametrize("flag", ["--horizon", "--entropy-horizon"])
-    def test_nonpositive_horizon_exit_code(self, tmp_path, capsys, flag):
-        p = tmp_path / "map.bqd"
-        p.write_text("n=1\nbranch: free\na1 -> a1 a1\n")
-        assert main(["analyze", str(p), flag, "0"]) == 1
-        assert "horizon must be >= 1" in capsys.readouterr().err
+    def test_nonpositive_horizon_exit_code(self, analyze, flag):
+        code, _, err = analyze("n=1\nbranch: free\na1 -> a1 a1\n", flag, "0")
+        assert code == 1
+        assert "horizon must be >= 1" in err
 
     @pytest.mark.parametrize("depth", ["0", "-3"])
-    def test_nonpositive_oracle_depth_exit_code(self, tmp_path, capsys, depth):
-        p = tmp_path / "map.bqd"
-        p.write_text("n=1\nbranch: free\na1 -> a1 a1\n")
-        assert main(["analyze", str(p), "--oracle-depth", depth]) == 1
-        assert "oracle depth must be >= 1" in capsys.readouterr().err
-        flags = ["--oracle-depth", depth, "--no-oracle"]
-        assert main(["analyze", str(p), *flags]) == 0
+    def test_nonpositive_oracle_depth_exit_code(self, analyze, depth):
+        spec = "n=1\nbranch: free\na1 -> a1 a1\n"
+        code, _, err = analyze(spec, "--oracle-depth", depth)
+        assert code == 1
+        assert "oracle depth must be >= 1" in err
+        assert analyze(spec, "--oracle-depth", depth, "--no-oracle")[0] == 0
 
-    def test_failing_statement_exits_2(self, tmp_path, capsys):
+    def test_failing_statement_exits_2(self, analyze):
         # a1 <-> a2: L(f^m) = 1 against one fixed point on every odd m;
         # the statement names the least, where schema 5 listed 1, 3, 5
-        p = tmp_path / "swap.bqd"
-        p.write_text("n=2\nbranch: free\na1 -> a2\na2 -> a1\n")
-        flags = ["--horizon", "6", "--format"]
-        assert main(["analyze", str(p), *flags, "json"]) == 2
-        assert json.loads(capsys.readouterr().out)["lefschetz_fix_checks"] == [
+        spec = "n=2\nbranch: free\na1 -> a2\na2 -> a1\n"
+        code, out, _ = analyze(spec, "--horizon", "6", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["lefschetz_fix_checks"] == [
             {"m": 1, "mode": "equality-preserving", "passed": False}]
-        assert main(["analyze", str(p), *flags, "text"]) == 2
-        assert "\nFAILED Lefschetz/fixed-point checks: 1\n" in (
-            capsys.readouterr().out)
+        code, out, _ = analyze(spec, "--horizon", "6", "--format", "text")
+        assert code == 2
+        assert "\nFAILED Lefschetz/fixed-point checks: 1\n" in out
 
-    def test_inconsistency_exit_code(self, tmp_path, capsys):
+    def test_inconsistency_exit_code(self, analyze):
         # a reflection of one circle: the census's per(2) comes out -2
-        p = tmp_path / "map.bqd"
-        p.write_text("n=1\nbranch: free\na1 -> a1'\n")
-        assert main(["analyze", str(p)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == ("error: census produced negative period "
-                                "count -2 at m=2\n")
-        assert captured.out == ""
+        code, out, err = analyze("n=1\nbranch: free\na1 -> a1'\n")
+        assert code == 2
+        assert err == "error: census produced negative period count -2 at m=2\n"
+        assert out == ""
 
     @pytest.mark.parametrize("spec, code, message", [
         # x -> -2x has per = 3, 0, 6, ..: no 2-cycle holds the branch point
@@ -784,15 +784,13 @@ class TestMain:
          "iterates up to 999999999999 could need integers of 301029995678 "
          "digits, over the cap of 4000 digits"),
     ], ids=["no-2-cycle", "past-horizon", "dold", "iterate-cap", "digit-cap"])
-    def test_census_refuses_impossible_counts(self, tmp_path, capsys, spec,
-                                              code, message):
+    def test_census_refuses_impossible_counts(self, analyze, spec, code,
+                                              message):
         # each exited 0 before the census checked the declared orbit and
         # Dold's congruence, and reached only the horizon
-        p = tmp_path / "map.bqd"
-        p.write_text(spec)
         for fmt in ("json", "text"):
-            assert main(["analyze", str(p), "--format", fmt]) == code
-            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert analyze(spec, "--format", fmt) == (
+                code, "", f"error: {message}\n")
 
     def test_census_past_horizon_prints_to_horizon(self):
         # a declared class past H is checked, and only H entries print
@@ -828,13 +826,10 @@ class TestMain:
         assert oracle["lift_fix"] == [str(2**m - 1) for m in range(1, 21)]
         assert oracle["checks"] == PASSED
 
-    def test_non_ascii_digit_exit_code(self, tmp_path, capsys):
-        p = tmp_path / "map.bqd"
-        p.write_text("n=\u00b2\nbranch: free\na1 -> a1 a1\n", encoding="utf-8")
-        assert main(["analyze", str(p)]) == 1
-        assert capsys.readouterr().err == (
-            "error: line 1: bad circle count '\u00b2'\n"
-        )
+    def test_non_ascii_digit_exit_code(self, analyze):
+        code, _, err = analyze("n=\u00b2\nbranch: free\na1 -> a1 a1\n")
+        assert code == 1
+        assert err == "error: line 1: bad circle count '\u00b2'\n"
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["analyze", "/nonexistent.bqd"]) == 1
@@ -848,20 +843,17 @@ class TestMain:
             "invalid continuation byte\n"
         )
 
-    def test_claim_iterate_zero_exit_code(self, tmp_path, capsys):
-        p = tmp_path / "map.bqd"
-        p.write_text("n=1\nbranch: free\na1 -> a1 a1\nclaim: fix(0) = 1\n")
-        assert main(["analyze", str(p)]) == 1
-        assert capsys.readouterr().err == (
-            "error: line 4: bad claim iterate '0'\n"
-        )
+    def test_claim_iterate_zero_exit_code(self, analyze):
+        code, _, err = analyze(
+            "n=1\nbranch: free\na1 -> a1 a1\nclaim: fix(0) = 1\n")
+        assert code == 1
+        assert err == "error: line 4: bad claim iterate '0'\n"
 
-    def test_claim_beyond_horizon_exit_code(self, tmp_path, capsys):
-        p = tmp_path / "map.bqd"
-        p.write_text("n=1\nbranch: free\nhorizon: 12\na1 -> a1 a1\n"
-                     "claim: fix(13) = 1\n")
-        assert main(["analyze", str(p), "--format", "json"]) == 0
-        report = json.loads(capsys.readouterr().out)
+    def test_claim_beyond_horizon_exit_code(self, analyze):
+        code, out, _ = analyze("n=1\nbranch: free\nhorizon: 12\na1 -> a1 a1\n"
+                               "claim: fix(13) = 1\n", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
         assert report["claims"] == [{"text": "claim: fix(13) = 1",
                                      "computed": None,
                                      "verdict": "out-of-range"}]

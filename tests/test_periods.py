@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from bouquet_dyn import (
-    PowerSequences,
-    abelianize,
-    action,
-    eigenvalues,
-    fix_counts,
-    per_census,
-)
+from bouquet_dyn import abelianize, action, fix_counts, per_census
 from bouquet_dyn.cli import fixture_names
 from bouquet_dyn.errors import InconsistencyError, InputError
 from bouquet_dyn.periods import (
@@ -21,11 +14,13 @@ from bouquet_dyn.periods import (
     PAIRWISE,
     Conclusion,
     lefschetz_fix_check,
-    period_certificates,
 )
 from bouquet_dyn.words import Letter, MapAction
 
 from conftest import (
+    census,
+    certificate,
+    certificates,
     divisors,
     first_letter,
     fmbig_reference,
@@ -35,6 +30,7 @@ from conftest import (
     period_set,
     powers,
     random_action,
+    record,
 )
 
 REFLECT = action("a1' a1'")
@@ -43,35 +39,8 @@ DELAYED = action("a1", "a1 a3", "a1 a4 a4", "a1 a2")
 DOMINANT = action("a1", "a1 a3", "a1 a4", "a1 a2 a4")
 
 
-def record(f, k):
-    return PowerSequences.of(abelianize(f), k)
-
-
 def fix_count(f, m):
     return fix_counts(f, record(f, m).traces)[m - 1]
-
-
-def census(f, horizon):
-    """per(m) for m = 1..horizon."""
-    return per_census(fix_counts(f, record(f, horizon).traces))
-
-
-def certificates(f, horizon=12):
-    seqs = record(f, horizon)
-    fixes = fix_counts(f, seqs.traces)
-    per_census(fixes)  # a report raises here, before any certificate
-    return period_certificates(f, seqs, horizon, eigenvalues(seqs.char))
-
-
-def certificate(f, rule, horizon=12, **witness):
-    """The first certificate whose rule starts with `rule` and whose
-    witness holds the given entries, or None."""
-    for cert in certificates(f, horizon):
-        if cert.rule.startswith(rule) and all(
-            cert.witness.get(k) == v for k, v in witness.items()
-        ):
-            return cert
-    return None
 
 
 def fmbig_within_census(f, horizon):

@@ -15,7 +15,6 @@ from bouquet_dyn import (
     fix_counts,
     homology,
     oracle_counts,
-    per_census,
     pl_oracle,
 )
 from bouquet_dyn.errors import (
@@ -35,6 +34,7 @@ from conftest import (
     PIECE_BUDGET,
     BudgetError,
     Walk,
+    census,
     divisors,
     fraction_pieces,
     iterate_action,
@@ -330,7 +330,7 @@ class TestCountFixed:
     def test_divisor_identity_against_census(self):
         f = action("a1 a2", "a1 a2")
         lift = build_lift(f)
-        pers = per_census(formula_fixes(f, 6))
+        pers = census(f, 6)
         counts = oracle_counts(lift, 6)
         for m in range(1, 7):
             expected = sum(pers[r - 1] for r in divisors(m))

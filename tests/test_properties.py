@@ -6,7 +6,6 @@ visits circle 1 and the canonical lift's branch orbit stays off the
 integers), which models the maps the counting formulas are stated for.
 """
 
-import math
 import random
 
 from bouquet_dyn import (
@@ -14,15 +13,16 @@ from bouquet_dyn import (
     abelianize,
     eigenvalues,
     fix_counts,
-    per_census,
 )
 from bouquet_dyn.cli import MapSpecDocument, ReportOptions, run_report
-from bouquet_dyn.periods import lefschetz_fix_check, period_certificates
+from bouquet_dyn.periods import lefschetz_fix_check
 from bouquet_dyn.spectral import entropy_limit
 from bouquet_dyn.words import BRANCH_FREE, MapAction
 
 from conftest import (
     BudgetError,
+    census,
+    certificates,
     check_rows_reference,
     chi,
     divisors,
@@ -39,12 +39,6 @@ from conftest import (
 )
 
 CASES = 100
-
-
-def census(f, horizon):
-    """per(m) for m = 1..horizon."""
-    seqs = PowerSequences.of(abelianize(f), horizon)
-    return per_census(fix_counts(f, seqs.traces))
 
 
 def test_mif_round_trip():
@@ -177,10 +171,8 @@ def test_certificates_agree_with_census():
     rng = random.Random(108)
     for _ in range(CASES):
         f, _ = random_expanding_action(rng)
-        seqs = PowerSequences.of(abelianize(f), 12)
-        fixes = fix_counts(f, seqs.traces)
-        periods = period_set(per_census(fixes))
-        for cert in period_certificates(f, seqs, 12, eigenvalues(seqs.char)):
+        periods = period_set(census(f, 12))
+        for cert in certificates(f, 12):
             assert cert.conclusion.periods(12) <= periods, (f, cert)
 
 

@@ -18,8 +18,9 @@ import bouquet_dyn
 from bouquet_dyn import (PowerSequences, abelianize, build_lift, eigenvalues,
                          fix_counts, oracle_counts, per_census)
 from bouquet_dyn.cli import (DEFAULT_ENTROPY_HORIZON, DEFAULT_ORACLE_DEPTH,
-                             Claim, ReportOptions, parse_spec)
+                             Claim, MapSpecDocument, ReportOptions, parse_spec)
 from bouquet_dyn.errors import InputError, Record
+from bouquet_dyn.homology import exceeds_perron_root
 from bouquet_dyn.periods import Conclusion, PeriodCertificate
 from bouquet_dyn.pl_oracle import PLLift, _ratio, lift_branch_period
 from bouquet_dyn.spectral import squarefree_parts
@@ -188,6 +189,12 @@ def test_constructors_refuse(build):
     (lambda: lift_branch_period(
         PLLift(1, 4, ((0, 2, 2, 0), (2, 4, 2, -3))), 5),
      "not continuous at 1/2"),
+    (lambda: MapSpecDocument("x"), "got 'x'"),
+    (lambda: MapSpecDocument(F, None, ("claim",)), "got 'claim'"),
+    (lambda: ReportOptions(no_oracle="yes"), "got 'yes'"),
+    (lambda: Claim("fix", 1, 1, 5), "got 5"),
+    (lambda: exceeds_perron_root(((1.5,),), 2, 1), "got 1.5"),
+    (lambda: exceeds_perron_root(((1,),), 2, 0), "got 2, 0"),
 ], ids=["str-image", "letter-tuple-image", "tuple-letters", "bool-depth",
         "bool-iterate", "bool-power-count", "bool-generator", "float-entry",
         "bool-entries", "str-entry", "ragged-matrix", "non-monic-poly",
@@ -195,13 +202,15 @@ def test_constructors_refuse(build):
         "float-fix", "bool-fix", "float-trace", "bool-trace-class-one",
         "float-lift-piece", "zero-lift-scale", "untiled-lift",
         "negative-branch-depth", "float-branch-depth", "bool-branch-depth",
-        "escaping-lift-branch", "discontinuous-lift-branch"])
+        "escaping-lift-branch", "discontinuous-lift-branch", "str-action",
+        "str-claim", "str-no-oracle", "int-claim-text", "float-perron-entry",
+        "zero-perron-denominator"])
 def test_library_inputs_refused(build, value):
     # each raised AttributeError, or took the value and failed later, or
     # read a bool as 1, or failed an assert (and under -O returned a wrong
     # record: a float entry's traces, a non-monic polynomial's roots), or
-    # gave a branch period of 1 to a lift the oracle refuses; the error
-    # names the value
+    # gave a branch period of 1 to a lift the oracle refuses, or printed
+    # a claim text as a JSON number; the error names the value
     with pytest.raises(InputError, match=re.escape(value)):
         build()
 
