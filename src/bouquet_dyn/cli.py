@@ -19,6 +19,9 @@ root of |M|, a certificate that promises a period the
 census does not have, or two exact routes that disagree
 (`InconsistencyError`; a census count per(m) that is negative or that m
 does not divide among them).
+
+Entropy prints as h = log of the spectral radius, and of the norm-growth
+limit route only the gap |log ||M^E|| / E - h| at E = 30.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .periods import (
     period_certificates,
 )
 from .pl_oracle import build_lift, oracle_counts
-from .spectral import DOMINANCE_EPS, SpectrumReport, eigenvalues, entropy_limit
+from .spectral import DOMINANCE_EPS, SpectrumReport, eigenvalues
 from .words import (BRANCH_FREE, CIRCLE_CAP, MapAction, Word, generator_index,
                     orientation)
 
@@ -218,10 +221,13 @@ def parse_spec(text: str) -> MapSpecDocument:
 class ReportOptions(
         Record, fields="horizon oracle_depth no_oracle entropy_horizon",
         defaults=(None, DEFAULT_ORACLE_DEPTH, False, DEFAULT_ENTROPY_HORIZON)):
-    """The flags of one report: the int or None `horizon`, the int
-    `oracle_depth`, the bool `no_oracle` and the int `entropy_horizon`.
-    Each int is >= 1, the depth only when the oracle runs; `no_oracle`
-    is True or False, never another value read for its truth."""
+    """The options of one report: the int or None `horizon`, the int
+    `oracle_depth`, the bool `no_oracle` and the int `entropy_horizon`
+    E.  E only places the limit-route gap |log ||M^E|| / E - h|; no
+    flag sets it, and the field stays because the frozen benchmark
+    passes it.  Each int is >= 1, the depth only when the oracle runs;
+    `no_oracle` is True or False, never another value read for its
+    truth."""
 
     __slots__ = ()
 
@@ -355,8 +361,11 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
               "fix": fixes[:horizon], "per": pers[:horizon]}
     period_set = [m for m, p in enumerate(values["per"], start=1) if p > 0]
     spectrum = eigenvalues(seqs.char)
-    limit_seq = entropy_limit(seqs.norms[: options.entropy_horizon])
     h_spec = spectrum.entropy
+    # the limit route's term log ||M^E|| / E; every column of |M| sums
+    # to 1 or more, so the norm is positive
+    e = options.entropy_horizon
+    h_limit = math.log(seqs.norms[e - 1]) / e
 
     certificates = period_certificates(f, seqs, horizon, spectrum)
 
@@ -381,7 +390,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
                        "computed": None if computed is None else str(computed)})
 
     report = {
-        "schema": 8,
+        "schema": 9,
         "input": {
             "n": f.n,
             "branch": _branch_text(f.branch_class),
@@ -415,8 +424,8 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         },
         "entropy": {
             "spectral": _fmt_real(h_spec),
-            "limit_sequence": [_fmt_real(s) for s in limit_seq],
-            "gap_at_horizon": _fmt_real(abs(limit_seq[-1] - h_spec)),
+            "gap_at_horizon": _fmt_real(abs(h_limit - h_spec)),
+            "horizon": e,
         },
         "certificates": [_certificate_json(c, period_set, horizon)
                          for c in certificates],
@@ -513,7 +522,7 @@ def render_text(report: dict) -> str:
     ent = report["entropy"]
     lines.append(
         f"entropy: {ent['spectral']}; limit-route gap at "
-        f"m={len(ent['limit_sequence'])}: {ent['gap_at_horizon']}"
+        f"m={ent['horizon']}: {ent['gap_at_horizon']}"
     )
     lines.append("")
     if report["certificates"]:
@@ -627,9 +636,6 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-oracle", action="store_true",
                    help="skip the piecewise-linear lift cross-validation")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--entropy-horizon", type=_flag_integer,
-                   default=DEFAULT_ENTROPY_HORIZON,
-                   help="terms of the norm-growth entropy sequence")
 
 
 def _analyze(args: argparse.Namespace) -> int:
@@ -637,8 +643,7 @@ def _analyze(args: argparse.Namespace) -> int:
         with open(args.spec_file, encoding="utf-8-sig") as fh:
             doc = parse_spec(fh.read())
         report = run_report(doc, ReportOptions(
-            args.horizon, args.oracle_depth, args.no_oracle,
-            args.entropy_horizon))
+            args.horizon, args.oracle_depth, args.no_oracle))
     except (InputError, OSError, UnicodeDecodeError, InconsistencyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e, InconsistencyError) else 1

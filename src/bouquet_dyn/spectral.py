@@ -5,7 +5,9 @@ The exact integer characteristic polynomial comes from the report's
 rest is split exactly into its squarefree parts (Yun, 1976), so every
 multiplicity is exact, and the roots of each part come from a
 deterministic simultaneous-iteration solver.  Entropy is the natural log
-of the spectral radius, clamped at zero for degenerate inputs.
+of the spectral radius, clamped at zero for degenerate inputs; the
+report compares it with one term of the norm-growth limit, read off the
+record's norms (`cli.run_report`).
 """
 
 from __future__ import annotations
@@ -192,21 +194,6 @@ def eigenvalues(char: Sequence[int]) -> SpectrumReport:
     roots = found + [complex(0)] * zeros
     roots.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
     return SpectrumReport(tuple(roots), residual)
-
-
-def entropy_limit(norms: Sequence[int]) -> list[float]:
-    """The sequence s_m = log ||M^m|| / m for m = 1..len(norms), where
-    norms[m-1] = ||M^m||_1 (`PowerSequences.norms`).
-
-    Norms are exact big integers; one float log per term, which
-    `math.log` takes for an int of any size.
-    """
-    if not norms:
-        raise InputError("entropy horizon must be >= 1, got 0")
-    out = []
-    for m, nrm in enumerate(norms, start=1):
-        out.append(math.log(nrm) / m if nrm > 0 else 0.0)
-    return out
 
 
 def dominant_test(s: SpectrumReport) -> bool:

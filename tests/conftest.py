@@ -9,8 +9,9 @@ period set, the per-iterate Lefschetz check rows for their one-row
 statement, letter orbits for the fix counts' signed codes, iterate
 images expanded word by word for the per-iterate counts, a depth-first
 walk over every piece of the composed lifts for the oracle's count on
-the Markov partition), and the one `record`, `census`, `certificates`
-and `certificate` the suite reads a map's census and certificates with."""
+the Markov partition), the one `record`, `census`, `certificates`
+and `certificate` the suite reads a map's census and certificates with,
+and the one set of a report's entropy keys."""
 
 import json
 import math
@@ -38,6 +39,10 @@ class BudgetError(RuntimeError):
     def __init__(self, message, smallest_m=None):
         super().__init__(message)
         self.smallest_m = smallest_m
+
+
+#: the keys of a report's `entropy` block (schema 9)
+ENTROPY_KEYS = {"spectral", "gap_at_horizon", "horizon"}
 
 
 def load_fixture(name: str) -> tuple[cli.MapSpecDocument, dict | None]:

@@ -4,8 +4,9 @@ claims, or none, holds every metric's median on both sides, and records
 that the parent and the change gave the same reports on every pair of
 runs.  It also names the committed change it measured, apart from its
 parent, and was timed at the run length `BENCHMARK.json` sets.  The gate
-logic of `tools/bench_pair.py` (wins, quartiles, `--pairs`, same output)
-is checked on hand-built runs."""
+logic of `tools/bench_pair.py` (wins, quartiles, `--pairs`, same output,
+and its refusal to write a record whose outputs differ) is checked on
+hand-built runs."""
 
 import importlib.util
 import json
@@ -69,9 +70,9 @@ def load_bench_pair():
 bench_pair = load_bench_pair()
 
 
-def run(rate, p50, digest="a" * 64):
-    return {"report_sha256": digest, "attempted": 40, "failed": 3,
-            "metrics": {"maps_per_s": rate, "report_p50_ms": p50}}
+def run(rate, p50, digest="a" * 64, seed=41):
+    return {"seed": seed, "report_sha256": digest, "attempted": 40,
+            "failed": 3, "metrics": {"maps_per_s": rate, "report_p50_ms": p50}}
 
 
 def test_summarize_counts_wins_by_direction():
@@ -107,3 +108,49 @@ def test_same_output():
     changed = run(1.0, 1.0)
     changed["failed"] = 4
     assert not bench_pair.same_output(run(1.0, 1.0), changed)
+
+
+def test_first_difference_names_workload_and_seed():
+    def pairs(*changes):
+        parent = [run(1.0, 1.0, seed=s) for s in (41, 42)]
+        return {"seeds": [41, 42], "runs": {"parent": parent,
+                                           "change": list(changes)}}
+    same = pairs(run(2.0, 2.0, seed=41), run(2.0, 2.0, seed=42))
+    assert bench_pair.first_difference({"census_deep": same}) is None
+    counted = run(1.0, 1.0, "b" * 64, seed=42)
+    counted["failed"] = 4
+    differs = {"census_deep": same,
+               "oracle_deep": pairs(run(1.0, 1.0, seed=41), counted)}
+    assert bench_pair.first_difference(differs) == (
+        "oracle_deep seed 42: report_sha256, failed differ")
+    blank = pairs(run(1.0, 1.0, None, seed=41), run(1.0, 1.0, seed=42))
+    blank["runs"]["parent"][0]["report_sha256"] = None
+    assert bench_pair.first_difference({"corpus_default": blank}) == (
+        "corpus_default seed 41: no report_sha256")
+
+
+@pytest.mark.parametrize("digest, code", [("a" * 64, 0), ("b" * 64, 1)])
+def test_main_writes_only_equal_outputs(tmp_path, monkeypatch, capsys,
+                                        digest, code):
+    # hand-built runs in place of perfbench: the change's report digest
+    # is the parent's or not
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCH))
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pair, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pair, "extract", lambda rev, dest: "c" * 40)
+    monkeypatch.setattr(bench_pair, "src_digest", lambda tree: str(tree))
+    metrics = {m["name"]: 1.0 for m in BENCH["end_to_end"]}
+
+    def run_once(tree, workload, seed, seconds):
+        side_digest = digest if tree == tmp_path else "a" * 64
+        return {"seed": seed, "report_sha256": side_digest, "correct": True,
+                "attempted": 40, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    argv = ["--pr", "0", "--parent", "HEAD", "--pairs", "census_deep=2"]
+    assert bench_pair.main(argv) == code
+    written = tmp_path / "BENCH_0.json"
+    assert written.exists() is (code == 0)
+    if code:
+        assert ("not writing BENCH_0.json: the outputs of census_deep seed "
+                "41: report_sha256 differ") in capsys.readouterr().err

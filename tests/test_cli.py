@@ -34,6 +34,7 @@ from bouquet_dyn.pl_oracle import oracle_counts
 from bouquet_dyn.words import BRANCH_FREE, MapAction
 
 from conftest import (
+    ENTROPY_KEYS,
     cap_edge_spec,
     load_fixture,
     random_action,
@@ -175,8 +176,7 @@ class TestRunReport:
         assert report["lefschetz_fix_checks"] == [
             {"m": None, "mode": "equality-preserving", "passed": True}]
         assert set(report["lefschetz"]) == {"L", "l"}
-        assert set(report["entropy"]) == {
-            "spectral", "limit_sequence", "gap_at_horizon"}
+        assert set(report["entropy"]) == ENTROPY_KEYS
         assert report["census"]["period_set"] == list(range(1, 13))
         assert [c["rule"] for c in report["certificates"]] == [
             "doubling(b)", "delaylowgrow(m=2; doubling(b))", "dominant"]
@@ -185,7 +185,7 @@ class TestRunReport:
     def test_reflect_doubling_report(self):
         doc = parse_spec("n=1\nbranch: free\na1 -> a1' a1'\n")
         report = run_report(doc, ReportOptions())
-        assert report["schema"] == 8
+        assert report["schema"] == 9
         assert report["lefschetz"]["L"][0] == "3"
         assert report["lefschetz"]["l"][1] == "-6"
         assert report["census"]["per"][1] == "0"
@@ -422,6 +422,7 @@ class TestOptionTypes:
         for options, text in (
                 (dict(horizon=0), "horizon must be >= 1, got 0"),
                 (dict(entropy_horizon=-1), "entropy horizon must be >= 1, got -1"),
+                (dict(entropy_horizon=0), "entropy horizon must be >= 1, got 0"),
                 (dict(oracle_depth=0), "oracle depth must be >= 1, got 0")):
             with pytest.raises(InputError) as raised:
                 ReportOptions(**options)
@@ -535,8 +536,7 @@ class TestIterateCap:
     # one-letter images grow no digits, so only the iterate cap holds them
     ONE_LETTER = "n=1\nbranch: free\na1 -> a1\n"
 
-    @pytest.mark.parametrize("flag", [
-        "--horizon", "--entropy-horizon", "--oracle-depth"])
+    @pytest.mark.parametrize("flag", ["--horizon", "--oracle-depth"])
     def test_over_cap_exits_fast(self, analyze, flag):
         start = time.perf_counter()
         code, _, err = analyze(self.ONE_LETTER, flag, str(10**8))
@@ -544,21 +544,30 @@ class TestIterateCap:
         assert time.perf_counter() - start < 1.0
         assert f"over the cap of {ITERATE_CAP} iterates" in err, err
 
+    def test_entropy_horizon_over_cap_refused_fast(self):
+        # no flag sets the entropy horizon; the record's K still counts it
+        start = time.perf_counter()
+        with pytest.raises(InputError) as raised:
+            run_report(parse_spec(self.ONE_LETTER), ReportOptions(
+                entropy_horizon=10**8, no_oracle=True))
+        assert time.perf_counter() - start < 1.0
+        assert f"over the cap of {ITERATE_CAP} iterates" in str(raised.value)
+
     @pytest.mark.parametrize("value", [20_000, 10**8])
-    def test_entropy_horizon_counts_in_digits(self, analyze, value):
+    def test_entropy_horizon_counts_in_digits(self, value):
         # the record holds the norms to the entropy horizon, 2^E here
         start = time.perf_counter()
-        code, _, err = analyze("n=1\nbranch: free\na1 -> a1 a1\n",
-                               "--entropy-horizon", str(value), "--no-oracle")
-        assert code == 1
+        with pytest.raises(InputError) as raised:
+            run_report(parse_spec("n=1\nbranch: free\na1 -> a1 a1\n"),
+                       ReportOptions(entropy_horizon=value, no_oracle=True))
         assert time.perf_counter() - start < 1.0
-        assert f"over the cap of {DIGIT_CAP} digits" in err, err
+        assert f"over the cap of {DIGIT_CAP} digits" in str(raised.value)
 
     def test_cap_is_inclusive(self):
         doc = parse_spec(self.ONE_LETTER)
         report = run_report(doc, ReportOptions(
             entropy_horizon=ITERATE_CAP, no_oracle=True))
-        assert len(report["entropy"]["limit_sequence"]) == ITERATE_CAP
+        assert report["entropy"]["horizon"] == ITERATE_CAP
         with pytest.raises(InputError, match="over the cap of"):
             run_report(doc, ReportOptions(
                 entropy_horizon=ITERATE_CAP + 1, no_oracle=True))
@@ -725,18 +734,27 @@ class TestMain:
         code, out, _ = analyze("n=1\nbranch: free\na1 -> a1' a1'\n",
                                "--format", "json")
         assert code == 0
-        assert json.loads(out)["schema"] == 8
+        assert json.loads(out)["schema"] == 9
 
     def test_input_error_exit_code(self, analyze):
         code, _, err = analyze("n=1\nbranch: free\na1 -> a1 a1'\n")
         assert code == 1
         assert "error" in err
 
-    @pytest.mark.parametrize("flag", ["--horizon", "--entropy-horizon"])
+    @pytest.mark.parametrize("flag", ["--horizon"])
     def test_nonpositive_horizon_exit_code(self, analyze, flag):
         code, _, err = analyze("n=1\nbranch: free\na1 -> a1 a1\n", flag, "0")
         assert code == 1
         assert "horizon must be >= 1" in err
+
+    def test_entropy_horizon_flag_refused(self, capsys):
+        # schema 9 prints one limit-route term, at E = 30; no flag moves it
+        with pytest.raises(SystemExit) as e:
+            main(["analyze", "rotor_g4.bqd", "--entropy-horizon", "5"])
+        assert e.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: unrecognized arguments: --entropy-horizon 5" in err, err
 
     @pytest.mark.parametrize("depth", ["0", "-3"])
     def test_nonpositive_oracle_depth_exit_code(self, analyze, depth):
@@ -875,7 +893,7 @@ class TestMain:
         ["analyze", "rotor_g4.bqd", "--horizon", "9" * 5000],
         [],
         ["analyze", "rotor_g4.bqd", "--oracle-depth", "9" * 5000],
-        ["analyze", "rotor_g4.bqd", "--entropy-horizon", "-" + "9" * 5000],
+        ["analyze", "rotor_g4.bqd", "--horizon", "-" + "9" * 5000],
     ])
     def test_usage_error_exit_code(self, capsys, argv):
         # exit 2 is kept for failed cross-checks
@@ -952,7 +970,7 @@ class TestRenderText:
                     in lines), name
             ent = report["entropy"]
             assert (f"entropy: {ent['spectral']}; limit-route gap at "
-                    f"m={len(ent['limit_sequence'])}: {ent['gap_at_horizon']}"
+                    f"m={ent['horizon']}: {ent['gap_at_horizon']}"
                     in lines), name
             for cert in report["certificates"]:
                 assert f"  {cert['rule']}: {cert['conclusion']}" in lines, name

@@ -34,7 +34,7 @@ from bouquet_dyn.cli import (ReportOptions, fixture_names, main, parse_spec,
                              report_has_failures, run_report)
 from bouquet_dyn.errors import InconsistencyError, InputError
 
-from conftest import fmbig_reference, load_fixture
+from conftest import ENTROPY_KEYS, fmbig_reference, load_fixture
 
 HORIZON = 40
 
@@ -235,8 +235,7 @@ def test_each_fact_printed_once(admitted):
         assert modes.count("equality-preserving") <= 1
         if report["input"]["branch"] == "1":
             assert modes == []
-        assert set(report["entropy"]) == {
-            "spectral", "limit_sequence", "gap_at_horizon"}
+        assert set(report["entropy"]) == ENTROPY_KEYS
         for cert in report["certificates"]:
             assert cert["rule"] != "fmbig"
             assert "m0_empirical" not in cert["witness"]

@@ -16,7 +16,7 @@ import pytest
 
 from bouquet_dyn.cli import fixture_names
 
-from conftest import cap_edge_spec
+from conftest import ENTROPY_KEYS, cap_edge_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "src" / "bouquet_dyn" / "fixtures"
@@ -119,8 +119,7 @@ def test_doubling_report_at_horizon_10000(tmp_path):
     assert report["lefschetz_fix_checks"] == [
         {"m": None, "mode": "equality-preserving", "passed": True}]
     assert set(report["lefschetz"]) == {"L", "l"}
-    assert set(report["entropy"]) == {
-        "spectral", "limit_sequence", "gap_at_horizon"}
+    assert set(report["entropy"]) == ENTROPY_KEYS
     assert report["census"]["period_set"] == list(range(1, 10001))
     assert all(c["rule"] != "fmbig" for c in report["certificates"])
 

@@ -6,6 +6,7 @@ visits circle 1 and the canonical lift's branch orbit stays off the
 integers), which models the maps the counting formulas are stated for.
 """
 
+import math
 import random
 
 from bouquet_dyn import (
@@ -14,9 +15,8 @@ from bouquet_dyn import (
     eigenvalues,
     fix_counts,
 )
-from bouquet_dyn.cli import MapSpecDocument, ReportOptions, run_report
+from bouquet_dyn.cli import MapSpecDocument, ReportOptions, _fmt_real, run_report
 from bouquet_dyn.periods import lefschetz_fix_check
-from bouquet_dyn.spectral import entropy_limit
 from bouquet_dyn.words import BRANCH_FREE, MapAction
 
 from conftest import (
@@ -156,14 +156,32 @@ def test_check_rows_fold_the_per_iterate_rule():
 
 
 def test_entropy_two_route_gap():
+    # the report's limit-route gap at the default E = 30
     rng = random.Random(107)
     for _ in range(CASES):
         f, _ = random_expanding_action(rng)
-        seqs = PowerSequences.of(abelianize(f), 30)
-        spectrum = eigenvalues(seqs.char)
-        sigma = spectrum.spectral_radius
-        s30 = entropy_limit(seqs.norms)[-1]
-        assert abs(s30 - spectrum.entropy) <= 0.1 * (1 + sigma), f
+        report = run_report(MapSpecDocument(f), ReportOptions(no_oracle=True))
+        assert report["entropy"]["horizon"] == 30
+        sigma = float(report["spectrum"]["spectral_radius"])
+        gap = float(report["entropy"]["gap_at_horizon"])
+        assert gap <= 0.1 * (1 + sigma), f
+
+
+def test_gap_at_horizon_reads_the_norm():
+    # the printed gap is |log ||M^E|| / E - h| at every E, read off the
+    # record's norms
+    rng = random.Random(111)
+    for _ in range(CASES):
+        f, _ = random_expanding_action(rng)
+        seqs = PowerSequences.of(abelianize(f), 40)
+        h = eigenvalues(seqs.char).entropy
+        doc = MapSpecDocument(f)
+        for e in range(1, 41):
+            entropy = run_report(doc, ReportOptions(
+                no_oracle=True, entropy_horizon=e))["entropy"]
+            assert entropy["horizon"] == e
+            assert entropy["gap_at_horizon"] == _fmt_real(
+                abs(math.log(seqs.norms[e - 1]) / e - h)), (f, e)
 
 
 def test_certificates_agree_with_census():

@@ -7,13 +7,12 @@ import random
 import pytest
 
 from bouquet_dyn import PowerSequences, abelianize, action, eigenvalues, spectral
-from bouquet_dyn.errors import InputError
+from bouquet_dyn.cli import MapSpecDocument, ReportOptions, run_report
 from bouquet_dyn.spectral import (
     M0_SCAN_CAP,
     SpectrumReport,
     _durand_kerner,
     dominant_test,
-    entropy_limit,
     m0_bound,
     squarefree_parts,
 )
@@ -270,35 +269,15 @@ class TestEntropy:
         assert s.spectral_radius < 1
         assert s.entropy == 0.0
 
-    def test_limit_sequence_low_growth(self):
-        seq = entropy_limit(PowerSequences.of(LOW_GROWTH, 30).norms)
-        # closed form from the printed powers: ||M^m|| = 10 * 2^(m-2), m >= 2
-        for m in range(2, 31):
-            assert abs(seq[m - 1] - (math.log(2) + math.log(10 / 4) / m)) < 1e-12
-        assert abs(seq[29] - math.log(2)) < 0.08
-
-    def test_limit_sequence_identity(self):
-        seq = entropy_limit(PowerSequences.of(((1, 0), (0, 1)), 10).norms)
-        for m in range(1, 11):
-            assert abs(seq[m - 1] - math.log(2) / m) < 1e-12
-
-    def test_limit_matches_exact_norms(self, rng):
-        m = random_matrix(rng, 3, lo=0, hi=2)
-        seq = entropy_limit(PowerSequences.of(m, 8).norms)
-        for k in range(1, 9):
-            nrm = norm1(mat_pow(m, k))
-            if nrm > 0:
-                assert abs(seq[k - 1] - math.log(nrm) / k) < 1e-12
-
     def test_huge_norms(self):
-        # math.log takes an int past the float range whole
-        expected = 400 * math.log(10)
-        for got in entropy_limit([10**400, 10**800]):
-            assert math.isclose(got, expected, rel_tol=1e-15)
-
-    def test_empty_ladder_rejected(self):
-        with pytest.raises(InputError):
-            entropy_limit(())
+        # ||M^400|| = 10^400 is past the float range; math.log takes the
+        # int whole, so the report's gap at E = 400 is a rounding error
+        f = action(" ".join(["a1"] * 10))
+        assert PowerSequences.of(abelianize(f), 400).norms[-1] == 10**400
+        entropy = run_report(MapSpecDocument(f), ReportOptions(
+            no_oracle=True, entropy_horizon=400))["entropy"]
+        assert entropy["horizon"] == 400
+        assert float(entropy["gap_at_horizon"]) <= 1e-15
 
     def test_gelfand_agreement(self):
         for mat in (LOW_GROWTH, SIX_CYCLE, DELAYED, DOMINANT):

@@ -9,7 +9,11 @@ with, per workload: the seeds, each run's end-to-end metrics, report
 digest, `attempted` and `failed`, the medians and quartiles of every
 metric on each side, the number of pairs each metric won (better on the
 change, by the direction `BENCHMARK.json` gives it), and whether the two
-sides gave the same digest, `attempted` and `failed` in every pair.
+sides gave the same digest, `attempted` and `failed` in every pair.  A
+record must show that they did: when a pair differs, the tool prints
+the medians, names the first workload and seed that differ, writes
+nothing and exits 1, so a declared change of the report commits no
+record.
 
     python3 tools/bench_pair.py --pr 8 --parent 4cea4e5 \\
         --claim census_deep.maps_per_s \\
@@ -121,11 +125,26 @@ def summarize(runs: dict, better: dict) -> dict:
     return out
 
 
+OUTPUT_KEYS = ("report_sha256", "attempted", "failed")
+
+
 def same_output(parent: dict, change: dict) -> bool:
-    keys = ("report_sha256", "attempted", "failed")
     return parent["report_sha256"] is not None and all(
-        parent[k] == change[k] for k in keys
+        parent[k] == change[k] for k in OUTPUT_KEYS
     )
+
+
+def first_difference(workloads: dict) -> str | None:
+    """The first workload and seed whose pair of runs gave different
+    output, and how, or None when every pair agrees."""
+    for name, w in workloads.items():
+        for p, c in zip(w["runs"]["parent"], w["runs"]["change"]):
+            if not same_output(p, c):
+                keys = [k for k in OUTPUT_KEYS if p[k] != c[k]]
+                return (f"{name} seed {p['seed']}: "
+                        + (f"{', '.join(keys)} differ" if keys
+                           else "no report_sha256"))
+    return None
 
 
 def parse_pairs(items: list[str]) -> dict[str, int]:
@@ -188,7 +207,9 @@ def main(argv=None) -> int:
                                    bench["run_seconds"])
                     runs[side].append(run)
                     print(f"{workload} seed {seed} {side}: {shown} "
-                          f"{run['metrics'][shown]:.6g}", flush=True)
+                          f"{run['metrics'][shown]:.6g}, attempted "
+                          f"{run['attempted']}, failed {run['failed']}",
+                          flush=True)
             equal = [same_output(p, c) for p, c in zip(runs["parent"], runs["change"])]
             record["workloads"][workload] = {
                 "seeds": seeds,
@@ -196,15 +217,20 @@ def main(argv=None) -> int:
                 **summarize(runs, better),
                 "outputs_equal": all(equal),
             }
+    for workload, w in record["workloads"].items():
+        for metric in better:
+            print(f"{workload}.{metric} median "
+                  f"{w['median']['parent'][metric]:.6g} -> "
+                  f"{w['median']['change'][metric]:.6g}, "
+                  f"{w['wins'][metric]} of {len(w['seeds'])} pairs won")
     path = ROOT / f"BENCH_{args.pr}.json"
+    difference = first_difference(record["workloads"])
+    if difference is not None:
+        print(f"not writing {path.name}: the outputs of {difference}",
+              file=sys.stderr)
+        return 1
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
-    for workload, w in record["workloads"].items():
-        print(f"{workload}.{shown} median "
-              f"{w['median']['parent'][shown]:.6g} -> "
-              f"{w['median']['change'][shown]:.6g}, "
-              f"{w['wins'][shown]} of {len(w['seeds'])} pairs won, "
-              f"outputs equal: {w['outputs_equal']}")
     return 0
 
 
