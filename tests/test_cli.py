@@ -74,7 +74,10 @@ def analyze(tmp_path, capsys):
     def run(spec: str, *flags: str) -> tuple[int, str, str]:
         path = tmp_path / "map.bqd"
         path.write_text(spec, encoding="utf-8")
-        code = main(["analyze", str(path), *flags])
+        try:
+            code = main(["analyze", str(path), *flags])
+        except SystemExit as e:  # a usage error, as from the shell
+            code = e.code
         return code, *capsys.readouterr()
     return run
 
@@ -422,7 +425,6 @@ class TestOptionTypes:
         for options, text in (
                 (dict(horizon=0), "horizon must be >= 1, got 0"),
                 (dict(entropy_horizon=-1), "entropy horizon must be >= 1, got -1"),
-                (dict(entropy_horizon=0), "entropy horizon must be >= 1, got 0"),
                 (dict(oracle_depth=0), "oracle depth must be >= 1, got 0")):
             with pytest.raises(InputError) as raised:
                 ReportOptions(**options)
@@ -741,11 +743,15 @@ class TestMain:
         assert code == 1
         assert "error" in err
 
-    @pytest.mark.parametrize("flag", ["--horizon"])
-    def test_nonpositive_horizon_exit_code(self, analyze, flag):
+    @pytest.mark.parametrize("flag, message", [
+        ("--horizon", "error: horizon must be >= 1"),
+        # the flag is gone, so no entropy horizon reaches the report
+        ("--entropy-horizon", "error: unrecognized arguments: --entropy-horizon 0"),
+    ], ids=["--horizon", "--entropy-horizon"])
+    def test_nonpositive_horizon_exit_code(self, analyze, flag, message):
         code, _, err = analyze("n=1\nbranch: free\na1 -> a1 a1\n", flag, "0")
         assert code == 1
-        assert "horizon must be >= 1" in err
+        assert message in err, err
 
     def test_entropy_horizon_flag_refused(self, capsys):
         # schema 9 prints one limit-route term, at E = 30; no flag moves it

@@ -8,6 +8,7 @@ import pytest
 
 from bouquet_dyn import PowerSequences, abelianize, action, eigenvalues, spectral
 from bouquet_dyn.cli import MapSpecDocument, ReportOptions, run_report
+from bouquet_dyn.errors import InputError
 from bouquet_dyn.spectral import (
     M0_SCAN_CAP,
     SpectrumReport,
@@ -278,6 +279,12 @@ class TestEntropy:
             no_oracle=True, entropy_horizon=400))["entropy"]
         assert entropy["horizon"] == 400
         assert float(entropy["gap_at_horizon"]) <= 1e-15
+
+    def test_empty_ladder_rejected(self):
+        # E = 0 would read the gap off an empty ladder of norms
+        with pytest.raises(InputError) as raised:
+            ReportOptions(no_oracle=True, entropy_horizon=0)
+        assert str(raised.value) == "entropy horizon must be >= 1, got 0"
 
     def test_gelfand_agreement(self):
         for mat in (LOW_GROWTH, SIX_CYCLE, DELAYED, DOMINANT):
