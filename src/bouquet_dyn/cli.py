@@ -31,7 +31,9 @@ import sys
 from _json import encode_basestring_ascii as _quote
 from collections.abc import Callable
 
-from .errors import InconsistencyError, InputError, LiftConstructionError, Record
+from .errors import (DIGIT_CAP, InconsistencyError, InputError,
+                     LiftConstructionError, Record, check_int, digit_count,
+                     shown)
 from .homology import (IntMatrix, PowerSequences, abelianize,
                        exceeds_perron_root, invert_divisor_sums)
 from .periods import (
@@ -50,11 +52,6 @@ DEFAULT_HORIZON = 12
 DEFAULT_ORACLE_DEPTH = 6
 DEFAULT_ENTROPY_HORIZON = 30
 
-#: the most decimal digits any integer in a report may need.  CPython
-#: 3.11+ refuses by default to convert an int of more than 4 300 digits to
-#: a string; the cap sits below that, and is the same on every version.
-DIGIT_CAP = 4000
-
 #: the most iterates a report may reach: a map of single-letter images
 #: grows no digits, so DIGIT_CAP alone does not bound its record
 ITERATE_CAP = 10_000
@@ -66,27 +63,23 @@ _CLAIM_PATTERN = r"^claim:\s*(L|l|fix|per)\s*\(\s*(\d+)\s*\)\s*=\s*(-?\d+)\s*$"
 
 class Claim(Record, fields="quantity m value text"):
     """One claim line: the str `quantity` ("L", "l", "fix" or "per"), the
-    int iterate `m` >= 1, the int `value` and the line's `text`."""
+    int iterate `m` >= 1, the int `value`, of at most DIGIT_CAP digits as
+    a report's integers are, and the line's `text`."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> Claim:
         claim = super().__new__(cls, *args, **kwargs)
-        _check_count(claim.m, "claim iterate")
-        if type(claim.value) is not int:
-            raise InputError(f"claim value must be an int, got {claim.value!r}")
+        check_int(claim.m, "claim iterate", 1)
+        if digit_count(check_int(claim.value, "claim value")) > DIGIT_CAP:
+            raise InputError(f"claim value has {digit_count(claim.value)} "
+                             f"digits, over the cap of {DIGIT_CAP} digits")
         if claim.quantity not in ("L", "l", "fix", "per"):
-            raise InputError(f"claim quantity {claim.quantity!r} is not L, l, fix or per")
+            raise InputError(f"claim quantity {shown(claim.quantity)} is not "
+                             "L, l, fix or per")
         if not isinstance(claim.text, str):
-            raise InputError(f"claim text must be a str, got {claim.text!r}")
+            raise InputError(f"claim text must be a str, got {shown(claim.text)}")
         return claim
-
-
-def _check_count(value, what: str) -> None:
-    """Refuse `value`, naming `what`, unless it is an int >= 1."""
-    if type(value) is not int or value < 1:
-        raise InputError(f"{what} must be " + (
-            ">= 1" if type(value) is int else "an int") + f", got {value!r}")
 
 
 class MapSpecDocument(Record, fields="action horizon claims",
@@ -99,13 +92,13 @@ class MapSpecDocument(Record, fields="action horizon claims",
     def __new__(cls, *args, **kwargs) -> MapSpecDocument:
         action, horizon, claims = super().__new__(cls, *args, **kwargs)
         if not isinstance(action, MapAction):
-            raise InputError(f"document action must be a MapAction, got {action!r}")
+            raise InputError(f"document action must be a MapAction, got {shown(action)}")
         if horizon is not None:
-            _check_count(horizon, "horizon")
+            check_int(horizon, "horizon", 1)
         claims = tuple(claims)
         for claim in claims:
             if not isinstance(claim, Claim):
-                raise InputError(f"document claims must be Claims, got {claim!r}")
+                raise InputError(f"document claims must be Claims, got {shown(claim)}")
         return tuple.__new__(cls, (action, horizon, claims))
 
 
@@ -125,7 +118,7 @@ def _positive(value: str, what: str, err: Callable[[str], InputError]) -> int:
     ascii_digits = value.isascii() and value.isdigit()
     number = _integer(value, what, err) if ascii_digits else 0
     if number < 1:
-        raise err(f"bad {what} {value!r}")
+        raise err(f"bad {what} {shown(value)}")
     return number
 
 
@@ -168,11 +161,10 @@ def parse_spec(text: str) -> MapSpecDocument:
             branch_seen = True
             rest = line[len("branch:"):].strip()
             if rest.startswith("period"):
-                branch = _positive(
-                    rest[len("period"):].strip(), "branch period", err
-                )
+                branch = _positive(rest[len("period"):].strip(),
+                                   "branch period", err)
             elif rest != "free":
-                raise err(f"bad branch declaration {rest!r}")
+                raise err(f"bad branch declaration {shown(rest)}")
             continue
         if line.startswith("horizon:"):
             if horizon is not None:
@@ -184,15 +176,10 @@ def parse_spec(text: str) -> MapSpecDocument:
 
             claim_match = re.match(_CLAIM_PATTERN, line, re.ASCII)
             if claim_match is None:
-                raise err(f"bad claim syntax {line!r}")
-            claims.append(
-                Claim(
-                    claim_match.group(1),
-                    _positive(claim_match.group(2), "claim iterate", err),
-                    _integer(claim_match.group(3), "claim value", err),
-                    line,
-                )
-            )
+                raise err(f"bad claim syntax {shown(line)}")
+            quantity, m, value = claim_match.groups()
+            claims.append(Claim(quantity, _positive(m, "claim iterate", err),
+                                _integer(value, "claim value", err), line))
             continue
         try:
             j, body = _image_line(line) or (None, "")
@@ -203,7 +190,7 @@ def parse_spec(text: str) -> MapSpecDocument:
             raise err(str(e)) from None
         if j is not None:
             raise err(f"duplicate image line for a{j}")
-        raise err(f"unrecognized line {line!r}")
+        raise err(f"unrecognized line {shown(line)}")
     if n is None:
         raise InputError("missing n= declaration")
     if not branch_seen:
@@ -234,12 +221,12 @@ class ReportOptions(
     def __new__(cls, *args, **kwargs) -> ReportOptions:
         options = super().__new__(cls, *args, **kwargs)
         if type(options.no_oracle) is not bool:
-            raise InputError(f"no_oracle must be a bool, got {options.no_oracle!r}")
+            raise InputError(f"no_oracle must be a bool, got {shown(options.no_oracle)}")
         if options.horizon is not None:
-            _check_count(options.horizon, "horizon")
-        _check_count(options.entropy_horizon, "entropy horizon")
+            check_int(options.horizon, "horizon", 1)
+        check_int(options.entropy_horizon, "entropy horizon", 1)
         if not options.no_oracle:
-            _check_count(options.oracle_depth, "oracle depth")
+            check_int(options.oracle_depth, "oracle depth", 1)
         return options
 
 
@@ -338,17 +325,15 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     k = f.branch_class or 0
     census = max(horizon, k)
     iterates = max(census, options.entropy_horizon, oracle_depth)
+    # the iterate cap first: past it, `_digit_bound` may overflow a float
+    if iterates > ITERATE_CAP:
+        raise InputError(f"iterates up to {shown(iterates)} requested, over "
+                         f"the cap of {ITERATE_CAP} iterates")
     digits = _digit_bound(col_sums, iterates)
     if digits > DIGIT_CAP:
-        raise InputError(
-            f"iterates up to {iterates} could need integers of "
-            f"{math.ceil(digits)} digits, over the cap of {DIGIT_CAP} digits"
-        )
-    if iterates > ITERATE_CAP:
-        raise InputError(
-            f"iterates up to {iterates} requested, over the cap of "
-            f"{ITERATE_CAP} iterates"
-        )
+        raise InputError(f"iterates up to {iterates} could need integers of "
+                         f"{math.ceil(digits)} digits, over the cap of "
+                         f"{DIGIT_CAP} digits")
     seqs = PowerSequences.of(mat, iterates)
     fixes = fix_counts(f, seqs.traces[: max(census, oracle_depth)])
     pers = per_census(fixes[:census])
@@ -623,19 +608,7 @@ def _flag_integer(value: str) -> int:
     try:
         return _integer(value, "value", argparse.ArgumentTypeError)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {value!r}") from None
-
-
-def _add_report_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--horizon", type=_flag_integer, default=None,
-                   help="census/Lefschetz horizon (default: spec file or 12)")
-    p.add_argument("--oracle-depth", type=_flag_integer,
-                   default=DEFAULT_ORACLE_DEPTH,
-                   help="validate lift fixed-point counts up to this iterate")
-    p.add_argument("--no-oracle", action="store_true",
-                   help="skip the piecewise-linear lift cross-validation")
-    p.add_argument("--format", choices=("json", "text"), default="text")
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(value)}") from None
 
 
 def _analyze(args: argparse.Namespace) -> int:
@@ -711,19 +684,22 @@ def main(argv: list[str] | None = None) -> int:
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
 
-    parser = _Parser(
-        prog="bouquet-dyn",
-        description="Fixed points, periods and entropy for monotone "
-        "self-maps of a bouquet of circles.",
-    )
+    parser = _Parser(prog="bouquet-dyn", description="Fixed points, periods "
+                     "and entropy for monotone self-maps of a bouquet of circles.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_analyze = sub.add_parser("analyze", help="analyze one map description")
-    p_analyze.add_argument("spec_file")
-    _add_report_flags(p_analyze)
-    p_analyze.set_defaults(func=_analyze)
-    sub.add_parser(
-        "fixtures", help="run the bundled corpus against expected reports"
-    ).set_defaults(func=_fixtures)
+    p = sub.add_parser("analyze", help="analyze one map description")
+    p.add_argument("spec_file")
+    p.add_argument("--horizon", type=_flag_integer, default=None,
+                   help="census/Lefschetz horizon (default: spec file or 12)")
+    p.add_argument("--oracle-depth", type=_flag_integer,
+                   default=DEFAULT_ORACLE_DEPTH,
+                   help="validate lift fixed-point counts up to this iterate")
+    p.add_argument("--no-oracle", action="store_true",
+                   help="skip the piecewise-linear lift cross-validation")
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.set_defaults(func=_analyze)
+    sub.add_parser("fixtures", help="run the bundled corpus against expected "
+                   "reports").set_defaults(func=_fixtures)
     args = parser.parse_args(argv)
     return args.func(args)
 

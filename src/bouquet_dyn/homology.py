@@ -29,7 +29,8 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 
-from .errors import InconsistencyError, InputError, Record
+from .errors import (InconsistencyError, InputError, Record, check_int,
+                     check_ints, shown)
 from .words import MapAction
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -78,8 +79,7 @@ class PowerSequences(Record, fields="head char traces norms"):
     @staticmethod
     def of(a: IntMatrix, k: int) -> "PowerSequences":
         """The record of M^1..M^k for M = a."""
-        if type(k) is not int or k < 0:
-            raise InputError(f"power count must be an int >= 0, got {k!r}")
+        check_int(k, "power count", 0)
         n = _check_matrix(a)
         if {x > 0 for row in a for x in row if x} == {True, False}:
             raise InputError("matrix entries must share one sign")
@@ -107,9 +107,9 @@ def _check_matrix(a: IntMatrix) -> int:
     wrong length is named whole."""
     n = len(a)
     for row in a:
-        for x in row if len(row) == n else [row]:
-            if type(x) is not int:
-                raise InputError(f"matrix must be n rows of n ints, got {x!r}")
+        if len(row) != n:
+            raise InputError(f"matrix must be n rows of n ints, got {shown(row)}")
+        check_ints(row, "matrix entry")
     return n
 
 
@@ -215,8 +215,8 @@ def exceeds_perron_root(a: IntMatrix, p: int, q: int) -> bool:
     step's pivot is the next leading minor, every division is exact, and
     it stops at the first pivot <= 0.
     """
-    if type(p) is not int or type(q) is not int or q < 1:
-        raise InputError(f"need an int p and an int q >= 1, got {p!r}, {q!r}")
+    check_int(p, "p")
+    check_int(q, "q", 1)
     n = _check_matrix(a)
     b = [[-q * abs(x) for x in row] for row in a]
     for i, row in enumerate(b):

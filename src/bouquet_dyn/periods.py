@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from .errors import InconsistencyError, InputError, Record
+from .errors import InconsistencyError, Record, check_int, check_ints, shown
 from .homology import IntMatrix, PowerSequences, cycles, invert_divisor_sums
 from .spectral import SpectrumReport, m0_bound
 from .words import MapAction
@@ -49,9 +49,7 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     at odd m none counts, and tr M^m <= 0 gives |1 - tr M^m|.  For
     `cycles`, a_j is the code 2j - 2 and a_j' the code 2j - 1.
     """
-    for tr in traces:
-        if type(tr) is not int:
-            raise InputError(f"traces must be ints, got {tr!r}")
+    check_ints(traces, "trace")
     if f.branch_class != 1:
         return tuple(abs(1 - tr) for tr in traces)
     step = []
@@ -79,20 +77,16 @@ def per_census(fixes: Sequence[int]) -> tuple[int, ...]:
     Invent. Math. 74, 1983), means the fix counts cannot all be right,
     and is raised as an internal inconsistency naming the offending m.
     """
-    if not fixes:
-        raise InputError("horizon must be >= 1, got 0")
-    for fix in fixes:
-        if type(fix) is not int:
-            raise InputError(f"fix counts must be ints, got {fix!r}")
+    check_int(len(fixes), "horizon", 1)
+    check_ints(fixes, "fix count")
     pers = tuple(invert_divisor_sums(fixes))
     for m, p in enumerate(pers, start=1):
         if p < 0:
             raise InconsistencyError(
-                f"census produced negative period count {p} at m={m}"
-            )
+                f"census produced negative period count {shown(p)} at m={m}")
     for m, p in enumerate(pers, start=1):
         if p % m:
-            raise InconsistencyError(f"census produced period count {p} "
+            raise InconsistencyError(f"census produced period count {shown(p)} "
                                      f"at m={m}, not a multiple of {m}")
     return pers
 

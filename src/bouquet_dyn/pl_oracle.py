@@ -18,7 +18,8 @@ from bisect import bisect_right
 from itertools import accumulate, chain
 
 from .errors import (DegenerateMapError, InconsistencyError, InputError,
-                     LiftConstructionError, Record)
+                     LiftConstructionError, Record, check_int, check_ints,
+                     shown)
 from .homology import char_from_traces, cycles, power_traces, recur
 from .words import Letter, MapAction, Word
 
@@ -38,18 +39,16 @@ class PLLift(Record, fields="n scale pieces"):
     __slots__ = ()
 
     def __new__(cls, n: int, scale: int, pieces) -> PLLift:
+        check_int(n, "lift n", 1)
+        check_int(scale, "lift scale", 1)
         pieces = tuple(map(tuple, pieces))
-        flat = [n, scale, *chain.from_iterable(pieces)]
-        if {*map(type, flat)} != {int}:
-            bad = next(v for v in flat if type(v) is not int)
-            raise InputError(f"a lift holds ints only, got {bad!r}")
-        if n < 1 or scale < 1:
-            raise InputError(f"lift n and scale must be >= 1, got {n}, {scale}")
+        flat = [*chain.from_iterable(pieces)]
+        check_ints(flat, "lift piece value")
         # 0 = lo_1 < hi_1 = lo_2 < .. < hi_k = n * scale
-        cuts = [0, *flat[3::4]]
-        if ({*map(len, pieces)} != {4} or flat[2::4] != cuts[:-1]
+        cuts = [0, *flat[1::4]]
+        if ({*map(len, pieces)} != {4} or flat[::4] != cuts[:-1]
                 or cuts[-1] != n * scale or cuts != sorted({*cuts})):
-            raise InputError(f"lift pieces must be four ints each and tile [0, {n}]")
+            raise InputError(f"lift pieces must be four ints each and tile [0, {shown(n)}]")
         return tuple.__new__(cls, (n, scale, pieces))
 
 
@@ -129,9 +128,7 @@ class OracleCounts(Record, fields="lift_fix covers branch_period"):
 
     def fixed(self, m: int) -> int:
         """`lift_fix[m-1]`, the fixed points of f^m, m = 1..depth."""
-        if type(m) is not int or not 1 <= m <= len(self.lift_fix):
-            raise InputError(f"iterate must be in 1..{len(self.lift_fix)}, got {m!r}")
-        return self.lift_fix[m - 1]
+        return self.lift_fix[check_int(m, "iterate", 1, len(self.lift_fix)) - 1]
 
 
 def _ratio(x: int, scale: int) -> str:
@@ -202,8 +199,7 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
     an iterate the identity there; it is refused when that iterate is at
     most `depth`.
     """
-    if type(depth) is not int or depth < 1:
-        raise InputError(f"depth must be an int >= 1, got {depth!r}")
+    check_int(depth, "depth", 1)
     scale = lift.scale
     ends = _points(lift)
     pts = sorted(ends)
@@ -287,7 +283,6 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:
     """The lift's branch period, `oracle_counts`' exact one, when it is
     at most `depth`, else None; a lift that it refuses is refused."""
-    if type(depth) is not int or depth < 1:
-        raise InputError(f"depth must be an int >= 1, got {depth!r}")
+    check_int(depth, "depth", 1)
     period = oracle_counts(lift, 1).branch_period
     return period if period is not None and period <= depth else None

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import zip_longest
 
-from .errors import InconsistencyError, InputError, Record
+from .errors import InconsistencyError, InputError, Record, check_ints, shown
 
 #: modulus gap below which two leading eigenvalues count as tied
 DOMINANCE_EPS = 1e-8
@@ -115,9 +115,9 @@ def _div_monic(p: Sequence[int], q: list[int]) -> list[int]:
 
 def _check_monic(char: Sequence[int]) -> None:
     """Refuse char unless it is monic with int coefficients, as given."""
-    if not char or char[-1] != 1 or any(type(c) is not int for c in char):
-        raise InputError("polynomial must be monic with int coefficients, "
-                         f"got {tuple(char)!r}")
+    check_ints(char, "polynomial coefficient")
+    if not char or char[-1] != 1:
+        raise InputError(f"polynomial must be monic, got {shown(tuple(char))}")
 
 
 def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -177,22 +177,23 @@ def eigenvalues(char: Sequence[int]) -> SpectrumReport:
     Sorted by modulus descending, ties broken by real part then imaginary
     part, both descending.  The residual is the largest |p(lambda)| over
     the scaled characteristic polynomial with its zero roots stripped.
+    A polynomial whose coefficients or roots overflow a float is refused.
     """
     _check_monic(char)
     zeros = next(i for i, c in enumerate(char) if c)
     coeffs = list(char[zeros:])
-    monic = [float(c) for c in coeffs]
-    found = [
-        z
-        for part, i in squarefree_parts(coeffs)
-        for z in _durand_kerner([float(c) for c in part]) * i
-    ]
-    scale = 1.0 + max(abs(c) for c in monic)
-    residual = max(
-        (abs(_eval_poly(monic, z)) / scale for z in found), default=0.0
-    )
-    roots = found + [complex(0)] * zeros
-    roots.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
+    try:
+        monic = [float(c) for c in coeffs]
+        found = [z for part, i in squarefree_parts(coeffs)
+                 for z in _durand_kerner([float(c) for c in part]) * i]
+        scale = 1.0 + max(abs(c) for c in monic)
+        residual = max((abs(_eval_poly(monic, z)) / scale for z in found),
+                       default=0.0)
+        roots = found + [complex(0)] * zeros
+        roots.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
+    except OverflowError:
+        raise InputError("polynomial overflows a float, got "
+                         + shown(tuple(char))) from None
     return SpectrumReport(tuple(roots), residual)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import InputError, Record
+from .errors import InputError, Record, check_int, shown
 
 #: branch class of a map whose branching point is never periodic
 BRANCH_FREE = None
@@ -39,10 +39,9 @@ class Letter(Record, fields="index sign"):
     __slots__ = ()
 
     def __new__(cls, index: int, sign: int) -> Letter:
-        if type(index) is not int or index < 1:
-            raise InputError(f"generator index must be an int >= 1, got {index!r}")
-        if type(sign) is not int or sign not in (1, -1):
-            raise InputError(f"letter sign must be the int +1 or -1, got {sign!r}")
+        check_int(index, "generator index", 1)
+        if not check_int(sign, "letter sign", -1, 1):
+            raise InputError("letter sign must be -1 or 1, got 0")
         return tuple.__new__(cls, (index, sign))
 
     def token(self) -> str:
@@ -54,7 +53,7 @@ class Letter(Record, fields="index sign"):
         body = tok[:-1] if sign < 0 else tok
         index = generator_index(body[1:]) if body.startswith("a") else None
         if index is None:
-            raise InputError(f"bad letter token {tok!r} (expected e.g. a2 or a2')")
+            raise InputError(f"bad letter token {shown(tok)} (expected e.g. a2 or a2')")
         return Letter(index, sign)
 
 
@@ -69,7 +68,7 @@ class Word(tuple):
         if not w:
             raise InputError("empty words are not allowed")
         if not all(isinstance(letter, Letter) for letter in w):
-            raise InputError(f"word letters must be Letters, got {w!r}")
+            raise InputError(f"word letters must be Letters, got {shown(tuple(w))}")
         if len({sign for _, sign in w}) > 1:
             raise InputError("word mixes plain and inverse letters: " + w.text())
         return w
@@ -108,36 +107,29 @@ class MapAction(Record, fields="n images branch_class"):
 
     def __new__(cls, n: int, images: Sequence[Word],
                 branch_class: int | None = BRANCH_FREE) -> MapAction:
-        if type(n) is not int or n < 1:
-            raise InputError(f"circle count must be an int >= 1, got n={n!r}")
+        check_int(n, "circle count", 1)
         images = tuple(images)
         if len(images) != n:
-            raise InputError(f"expected {n} image words, got {len(images)}")
+            raise InputError(f"expected {shown(n)} image words, got {len(images)}")
         for j, w in enumerate(images, start=1):
             if not isinstance(w, Word):
-                raise InputError(f"image of a{j} must be a Word, got {w!r}")
+                raise InputError(f"image of a{j} must be a Word, got {shown(w)}")
             if w.max_index() > n:
-                raise InputError(
-                    f"image of a{j} uses generator a{w.max_index()} but n={n}"
-                )
+                raise InputError(f"image of a{j} uses generator "
+                                 f"a{shown(w.max_index())} but n={n}")
         if len({w.sign for w in images}) > 1:
-            raise InputError(
-                "image words disagree on orientation: all words must be "
-                "plain or all inverse"
-            )
-        k = branch_class
-        if k is not None and (type(k) is not int or k < 1):
-            raise InputError(f"branch class must be a positive integer or free, got {k!r}")
-        return tuple.__new__(cls, (n, images, k))
+            raise InputError("image words disagree on orientation: all words "
+                             "must be plain or all inverse")
+        if branch_class is not None:
+            check_int(branch_class, "branch class", 1)
+        return tuple.__new__(cls, (n, images, branch_class))
 
     @property
     def global_sign(self) -> int:
         return self.images[0].sign
 
     def image(self, j: int) -> Word:
-        if type(j) is not int or not 1 <= j <= self.n:
-            raise InputError(f"generator index {j!r} out of range 1..{self.n}")
-        return self.images[j - 1]
+        return self.images[check_int(j, "generator index", 1, self.n) - 1]
 
     @staticmethod
     def from_texts(texts: Sequence[str], branch_class: int | None = BRANCH_FREE) -> MapAction:

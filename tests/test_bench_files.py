@@ -2,11 +2,12 @@
 root, written by `tools/bench_pair.py`) names the metric and workload it
 claims, or none, holds every metric's median on both sides, and records
 that the parent and the change gave the same reports on every pair of
-runs.  It also names the committed change it measured, apart from its
-parent, and was timed at the run length `BENCHMARK.json` sets.  The gate
-logic of `tools/bench_pair.py` (wins, quartiles, `--pairs`, same output,
-and its refusal to write a record whose outputs differ) is checked on
-hand-built runs."""
+runs; a claim's verdict, where a record holds one, follows from its runs.
+It also names the committed change it measured, apart from its parent,
+and was timed at the run length `BENCHMARK.json` sets.  The gate logic
+of `tools/bench_pair.py` (wins, quartiles, `--pairs`, same output, the
+claim rule's verdict, and its refusal to write a record whose outputs
+differ) is checked on hand-built runs."""
 
 import importlib.util
 import json
@@ -43,6 +44,11 @@ def test_records_are_complete():
             assert claim["workload"] in rec["workloads"], path.name
             assert claim["metric"] in rec["workloads"][claim["workload"]][
                 "median"]["parent"], path.name
+            # records older than the verdict have none
+            if "verdict" in claim:
+                assert claim["verdict"] == bench_pair.claim_verdict(
+                    rec["workloads"][claim["workload"]], claim["metric"],
+                    claim["better"]), path.name
         for name, w in rec["workloads"].items():
             where = f"{path.name} {name}"
             assert w["seeds"], where
@@ -129,24 +135,66 @@ def test_first_difference_names_workload_and_seed():
         "corpus_default seed 41: no report_sha256")
 
 
-@pytest.mark.parametrize("digest, code", [("a" * 64, 0), ("b" * 64, 1)])
-def test_main_writes_only_equal_outputs(tmp_path, monkeypatch, capsys,
-                                        digest, code):
-    # hand-built runs in place of perfbench: the change's report digest
-    # is the parent's or not
+def summary(parent_p50, change_p50):
+    """The summary of pairs of runs whose report_p50_ms values are given
+    per side, with the seeds 41, 42, .."""
+    seeds = list(range(41, 41 + len(parent_p50)))
+    runs = {side: [run(1.0, p50, seed=s) for s, p50 in zip(seeds, values)]
+            for side, values in (("parent", parent_p50), ("change", change_p50))}
+    better = {"maps_per_s": "higher", "report_p50_ms": "lower"}
+    return {"seeds": seeds, **bench_pair.summarize(runs, better)}
+
+
+@pytest.mark.parametrize("offsets, wins, resolved", [
+    # nine wins in ten, the median 0.5 ms better than the parent's, whose
+    # quartiles are 0.15 ms apart
+    ([-0.5] * 9 + [0.5], 9, True),
+    # eight wins in ten
+    ([-0.5] * 8 + [0.5] * 2, 8, False),
+    # ten wins, but the median only 0.05 ms better
+    ([-0.05] * 10, 10, False),
+])
+def test_claim_verdict(offsets, wins, resolved):
+    parent = [0.9, 1.0, 1.1] * 3 + [1.0]
+    w = summary(parent, [p + d for p, d in zip(parent, offsets)])
+    verdict = bench_pair.claim_verdict(w, "report_p50_ms", "lower")
+    assert verdict["wins"] == wins and verdict["pairs"] == 10
+    assert verdict["parent_spread"] == pytest.approx(0.15)
+    assert verdict["resolved"] is resolved
+    # read as a metric where higher is better, the median gain turns
+    flipped = bench_pair.claim_verdict(w, "report_p50_ms", "higher")
+    assert flipped["median_gain"] == -verdict["median_gain"]
+    assert flipped["resolved"] is False
+
+
+@pytest.fixture
+def fake_runs(tmp_path, monkeypatch):
+    """Point `tools/bench_pair.py` at tmp_path and give it hand-built runs
+    in place of perfbench: each run returns `fake_runs(tree, seed)`, which
+    a test sets, for the parent (tree != tmp_path) and the change."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCH))
     monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pair, "git", lambda *args: "")
     monkeypatch.setattr(bench_pair, "extract", lambda rev, dest: "c" * 40)
     monkeypatch.setattr(bench_pair, "src_digest", lambda tree: str(tree))
-    metrics = {m["name"]: 1.0 for m in BENCH["end_to_end"]}
+    made = {}
 
     def run_once(tree, workload, seed, seconds):
-        side_digest = digest if tree == tmp_path else "a" * 64
-        return {"seed": seed, "report_sha256": side_digest, "correct": True,
+        digest, metrics = made["run"](tree == tmp_path, seed)
+        return {"seed": seed, "report_sha256": digest, "correct": True,
                 "attempted": 40, "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(bench_pair, "run_once", run_once)
+    return made
+
+
+@pytest.mark.parametrize("digest, code", [("a" * 64, 0), ("b" * 64, 1)])
+def test_main_writes_only_equal_outputs(tmp_path, fake_runs, capsys,
+                                        digest, code):
+    # the change's report digest is the parent's or not
+    metrics = {m["name"]: 1.0 for m in BENCH["end_to_end"]}
+    fake_runs["run"] = lambda change, seed: (
+        digest if change else "a" * 64, metrics)
     argv = ["--pr", "0", "--parent", "HEAD", "--pairs", "census_deep=2"]
     assert bench_pair.main(argv) == code
     written = tmp_path / "BENCH_0.json"
@@ -154,3 +202,23 @@ def test_main_writes_only_equal_outputs(tmp_path, monkeypatch, capsys,
     if code:
         assert ("not writing BENCH_0.json: the outputs of census_deep seed "
                 "41: report_sha256 differ") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate, resolved", [(1.5, True), (1.0, False)])
+def test_main_records_claim_verdict(tmp_path, fake_runs, capsys, rate,
+                                    resolved):
+    # the parent's rate is 1.0 or 1.2 by seed, the change's a flat `rate`
+    fake_runs["run"] = lambda change, seed: ("a" * 64, {
+        m["name"]: rate if change else 1.0 + 0.2 * (seed % 2)
+        for m in BENCH["end_to_end"]})
+    argv = ["--pr", "0", "--parent", "HEAD", "--pairs", "census_deep=4",
+            "--claim", "census_deep.maps_per_s"]
+    assert bench_pair.main(argv) == 0
+    claim = json.loads((tmp_path / "BENCH_0.json").read_text())["claim"]
+    assert claim["verdict"]["resolved"] is resolved
+    assert claim["verdict"]["pairs"] == 4
+    out = capsys.readouterr().out
+    assert (f"claim census_deep.maps_per_s: {claim['verdict']['wins']} of 4 "
+            "pairs won") in out
+    assert out.rstrip().splitlines()[-2].endswith(
+        "resolved" if resolved else "not resolved")

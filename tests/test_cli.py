@@ -455,13 +455,14 @@ class TestClaimFields:
 
 class TestDigitCap:
     def test_over_cap_exits_fast(self, analyze, capsys):
-        fixture = resources.files("bouquet_dyn") / "fixtures" / "expand_double_g1.bqd"
+        # a three-letter image passes the digit cap within the iterate cap
+        fixture = resources.files("bouquet_dyn") / "fixtures" / "rotor_boost_g4.bqd"
 
         def run_fixture(*flags):
             return main(["analyze", str(fixture), *flags]), *capsys.readouterr()
 
         for run, horizon in ((partial(analyze, TEN_LETTERS), "4400"),
-                             (run_fixture, "100000")):
+                             (run_fixture, "9000")):
             start = time.perf_counter()
             code, _, err = run("--horizon", horizon, "--no-oracle")
             assert code == 1
@@ -555,12 +556,13 @@ class TestIterateCap:
         assert time.perf_counter() - start < 1.0
         assert f"over the cap of {ITERATE_CAP} iterates" in str(raised.value)
 
-    @pytest.mark.parametrize("value", [20_000, 10**8])
+    @pytest.mark.parametrize("value", [4_400, ITERATE_CAP])
     def test_entropy_horizon_counts_in_digits(self, value):
-        # the record holds the norms to the entropy horizon, 2^E here
+        # the record holds the norms to the entropy horizon, 10^E here;
+        # past the iterate cap, that cap refuses E first
         start = time.perf_counter()
         with pytest.raises(InputError) as raised:
-            run_report(parse_spec("n=1\nbranch: free\na1 -> a1 a1\n"),
+            run_report(parse_spec(TEN_LETTERS),
                        ReportOptions(entropy_horizon=value, no_oracle=True))
         assert time.perf_counter() - start < 1.0
         assert f"over the cap of {DIGIT_CAP} digits" in str(raised.value)
@@ -804,9 +806,10 @@ class TestMain:
         ("n=1\nbranch: period 999999999999\na1 -> a1\n", 1,
          "iterates up to 999999999999 requested, over the cap of 10000 "
          "iterates"),
-        ("n=1\nbranch: period 999999999999\na1 -> a1' a1'\n", 1,
-         "iterates up to 999999999999 could need integers of 301029995678 "
-         "digits, over the cap of 4000 digits"),
+        # the iterate cap is checked first, so this class is within it
+        ("n=1\nbranch: period 9999\na1 -> " + "a1' " * 10 + "\n", 1,
+         "iterates up to 9999 could need integers of 10005 digits, over the "
+         "cap of 4000 digits"),
     ], ids=["no-2-cycle", "past-horizon", "dold", "iterate-cap", "digit-cap"])
     def test_census_refuses_impossible_counts(self, analyze, spec, code,
                                               message):

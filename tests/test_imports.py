@@ -117,7 +117,7 @@ def test_input_refused_under_optimization():
         [sys.executable, "-O", "-I", "-c", code, str(PACKAGE.parent)],
         capture_output=True, text=True, timeout=60, check=True,
     ).stdout
-    assert out == "matrix must be n rows of n ints, got 1.5\n"
+    assert out == "matrix entry must be an int, got 1.5\n"
 
 
 ROOT = PACKAGE.parents[1]

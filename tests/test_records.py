@@ -1,8 +1,8 @@
 """The records are immutable tuples with named fields (and `Word` the
 tuple of its letters): they copy and pickle to equal values of the same
 type, print and compare as named tuples do, the validating constructors
-refuse bad input, and the PL oracle's error texts print ratios as
-`Fraction` would."""
+refuse bad input, naming an int of any size, and the PL oracle's error
+texts print ratios as `Fraction` would."""
 
 import copy
 import importlib
@@ -18,8 +18,10 @@ import bouquet_dyn
 from bouquet_dyn import (PowerSequences, abelianize, build_lift, eigenvalues,
                          fix_counts, oracle_counts, per_census)
 from bouquet_dyn.cli import (DEFAULT_ENTROPY_HORIZON, DEFAULT_ORACLE_DEPTH,
-                             Claim, MapSpecDocument, ReportOptions, parse_spec)
-from bouquet_dyn.errors import InputError, Record
+                             Claim, MapSpecDocument, ReportOptions, parse_spec,
+                             run_report)
+from bouquet_dyn.errors import (DIGIT_CAP, InconsistencyError, InputError,
+                                Record, shown)
 from bouquet_dyn.homology import exceeds_perron_root
 from bouquet_dyn.periods import Conclusion, PeriodCertificate
 from bouquet_dyn.pl_oracle import PLLift, _ratio, lift_branch_period
@@ -164,14 +166,14 @@ def test_constructors_refuse(build):
     (lambda: oracle_counts(LIFT, True), "got True"),
     (lambda: oracle_counts(LIFT, 4).fixed(True), "got True"),
     (lambda: PowerSequences.of(abelianize(F), True), "got True"),
-    (lambda: F.image(True), "index True"),
+    (lambda: F.image(True), "generator index must be an int, got True"),
     (lambda: PowerSequences.of(((1.5,),), 3), "got 1.5"),
     (lambda: PowerSequences.of(((True, False), (False, True)), 3), "got True"),
     (lambda: PowerSequences.of((("1",),), 3), "got '1'"),
     (lambda: PowerSequences.of(((1, 2), (3,)), 3), "got (3,)"),
     (lambda: eigenvalues((2, 0, 4)), "got (2, 0, 4)"),
-    (lambda: eigenvalues((0.5, 1.0)), "got (0.5, 1.0)"),
-    (lambda: squarefree_parts([1, True]), "got (1, True)"),
+    (lambda: eigenvalues((0.5, 1.0)), "coefficient must be an int, got 0.5"),
+    (lambda: squarefree_parts([1, True]), "coefficient must be an int, got True"),
     (lambda: eigenvalues(()), "got ()"),
     (lambda: eigenvalues((0, 2)), "got (0, 2)"),
     (lambda: per_census((1.5,)), "got 1.5"),
@@ -179,7 +181,7 @@ def test_constructors_refuse(build):
     (lambda: fix_counts(action("a1 a1"), [2.5]), "got 2.5"),
     (lambda: fix_counts(action("a1 a1", k=1), [True]), "got True"),
     (lambda: PLLift(1, 2, ((0, 1, 2.0, 0), (1, 2, -2, 4))), "got 2.0"),
-    (lambda: PLLift(1, 0, ()), "got 1, 0"),
+    (lambda: PLLift(1, 0, ()), "lift scale must be >= 1, got 0"),
     (lambda: PLLift(1, 2, ((0, 1, 2, 0),)), "tile [0, 1]"),
     (lambda: lift_branch_period(LIFT, -1), "got -1"),
     (lambda: lift_branch_period(LIFT, 2.5), "got 2.5"),
@@ -194,7 +196,7 @@ def test_constructors_refuse(build):
     (lambda: ReportOptions(no_oracle="yes"), "got 'yes'"),
     (lambda: Claim("fix", 1, 1, 5), "got 5"),
     (lambda: exceeds_perron_root(((1.5,),), 2, 1), "got 1.5"),
-    (lambda: exceeds_perron_root(((1,),), 2, 0), "got 2, 0"),
+    (lambda: exceeds_perron_root(((1,),), 2, 0), "q must be >= 1, got 0"),
 ], ids=["str-image", "letter-tuple-image", "tuple-letters", "bool-depth",
         "bool-iterate", "bool-power-count", "bool-generator", "float-entry",
         "bool-entries", "str-entry", "ragged-matrix", "non-monic-poly",
@@ -213,6 +215,74 @@ def test_library_inputs_refused(build, value):
     # a claim text as a JSON number; the error names the value
     with pytest.raises(InputError, match=re.escape(value)):
         build()
+
+
+#: an int of 5 001 digits, past what CPython 3.11+ prints by default
+HUGE = 10**5000
+DOC = parse_spec("n=1\nbranch: free\na1 -> a1 a1\n")
+
+
+@pytest.mark.parametrize("build, digits", [
+    (lambda: Letter(-HUGE, 1), "-<int of 5001 digits>"),
+    (lambda: Letter(1, HUGE), "<int of 5001 digits>"),
+    (lambda: Letter(1, -HUGE), "-<int of 5001 digits>"),
+    (lambda: MapAction(-HUGE, ()), "-<int of 5001 digits>"),
+    (lambda: MapAction(1, (Word.parse("a1 a1"),), -HUGE), "-<int of 5001 digits>"),
+    (lambda: F.image(HUGE), "<int of 5001 digits>"),
+    (lambda: F.image(-HUGE), "-<int of 5001 digits>"),
+    (lambda: PowerSequences.of(abelianize(F), -HUGE), "-<int of 5001 digits>"),
+    (lambda: exceeds_perron_root(abelianize(F), 1, -HUGE), "-<int of 5001 digits>"),
+    (lambda: oracle_counts(LIFT, -HUGE), "-<int of 5001 digits>"),
+    (lambda: lift_branch_period(LIFT, -HUGE), "-<int of 5001 digits>"),
+    (lambda: oracle_counts(LIFT, 4).fixed(HUGE), "<int of 5001 digits>"),
+    (lambda: PLLift(1, -HUGE, ()), "-<int of 5001 digits>"),
+    (lambda: per_census((1, HUGE)), "<int of 5000 digits>"),
+    (lambda: per_census((1, -HUGE)), "-<int of 5001 digits>"),
+    (lambda: eigenvalues((HUGE, 1)), "(<int of 5001 digits>, 1)"),
+    (lambda: MapSpecDocument(F, -HUGE), "-<int of 5001 digits>"),
+    (lambda: ReportOptions(horizon=-HUGE), "-<int of 5001 digits>"),
+    (lambda: ReportOptions(oracle_depth=-HUGE), "-<int of 5001 digits>"),
+    (lambda: ReportOptions(entropy_horizon=-HUGE), "-<int of 5001 digits>"),
+    (lambda: Claim("fix", -HUGE, 1, "claim"), "-<int of 5001 digits>"),
+    (lambda: run_report(DOC, ReportOptions(horizon=HUGE, no_oracle=True)),
+     "<int of 5001 digits>"),
+    (lambda: run_report(DOC, ReportOptions(entropy_horizon=HUGE,
+                                           no_oracle=True)),
+     "<int of 5001 digits>"),
+    (lambda: run_report(DOC, ReportOptions(oracle_depth=HUGE)),
+     "<int of 5001 digits>"),
+    (lambda: run_report(DOC._replace(claims=(Claim("L", 1, HUGE, "claim"),)),
+                        ReportOptions()), "claim value has 5001 digits"),
+], ids=["letter-index", "letter-sign", "negative-letter-sign", "circle-count",
+        "branch-class", "generator", "negative-generator", "power-count",
+        "perron-denominator", "oracle-depth", "branch-depth", "iterate",
+        "lift-scale", "census-count", "negative-census-count",
+        "poly-coefficient", "document-horizon", "option-horizon",
+        "option-oracle-depth", "option-entropy-horizon", "claim-iterate",
+        "report-horizon", "report-entropy-horizon", "report-oracle-depth",
+        "claim-value"])
+def test_huge_ints_named_by_digit_count(build, digits):
+    # each raised ValueError (CPython 3.11+ prints no int of over 4 300
+    # digits) or OverflowError (int to float); a census count of the given
+    # fix counts is computed, so it is an inconsistency, not an input
+    with pytest.raises((InputError, InconsistencyError)) as raised:
+        build()
+    assert digits in str(raised.value)
+    assert len(str(raised.value)) < 200
+    assert raised.type is InputError or "census" in str(raised.value)
+
+
+def test_shown_counts_digits_exactly():
+    assert shown(10**DIGIT_CAP - 1) == "9" * DIGIT_CAP
+    for k in (DIGIT_CAP, 4300, 4301, 10_007, 30_103):
+        for value in (10**k, 10**(k + 1) - 1, -(10**k)):
+            sign = "-" if value < 0 else ""
+            assert shown(value) == f"{sign}<int of {k + 1} digits>"
+    assert shown((HUGE,)) == "(<int of 5001 digits>,)"
+    assert shown(((1, "a"), True, None, 2.5)) == repr(((1, "a"), True, None, 2.5))
+    assert repr(Letter(HUGE, -1)) == "Letter(index=<int of 5001 digits>, sign=-1)"
+    with pytest.raises(TypeError, match=re.escape("left over: (<int of 5001")):
+        ReportOptions(None, 8, False, 8, HUGE)
 
 
 def test_images_stored_as_a_tuple():

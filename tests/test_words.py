@@ -298,12 +298,12 @@ class TestMapAction:
             action("a1 a1", k=2.5)
 
     def test_bool_circle_count_refused(self):
-        with pytest.raises(InputError, match="n=True"):
+        with pytest.raises(InputError, match="circle count must be an int, got True"):
             MapAction(True, (Word.parse("a1 a1"),))
 
     def test_float_circle_count_refused(self):
         # run_report raised TypeError on it, past the constructor
-        with pytest.raises(InputError, match="n=1.0"):
+        with pytest.raises(InputError, match="circle count must be an int, got 1.0"):
             MapAction(1.0, (Word.parse("a1 a1"),))
 
     @pytest.mark.parametrize("value", [True, False])

@@ -10,6 +10,9 @@ digest, `attempted` and `failed`, the medians and quartiles of every
 metric on each side, the number of pairs each metric won (better on the
 change, by the direction `BENCHMARK.json` gives it), and whether the two
 sides gave the same digest, `attempted` and `failed` in every pair.  A
+claimed metric gets the claim rule's verdict, printed and recorded: the
+change must win at least 9 in 10 pairs, and its median must be better
+than the parent's by more than the parent's quartile spread.  A
 record must show that they did: when a pair differs, the tool prints
 the medians, names the first workload and seed that differ, writes
 nothing and exits 1, so a declared change of the report commits no
@@ -125,6 +128,19 @@ def summarize(runs: dict, better: dict) -> dict:
     return out
 
 
+def claim_verdict(w: dict, metric: str, better: str) -> dict:
+    """The claim rule on one workload's summary: whether the change won
+    at least 9 in 10 pairs on `metric`, and its median beats the
+    parent's by more than the parent's quartile spread."""
+    pairs, wins = len(w["seeds"]), w["wins"][metric]
+    parent, change = (w["median"][side][metric] for side in ("parent", "change"))
+    q1, q3 = w["quartiles"]["parent"][metric]
+    gain = change - parent if better == "higher" else parent - change
+    return {"wins": wins, "pairs": pairs, "median_gain": gain,
+            "parent_spread": q3 - q1,
+            "resolved": 10 * wins >= 9 * pairs and gain > q3 - q1}
+
+
 OUTPUT_KEYS = ("report_sha256", "attempted", "failed")
 
 
@@ -223,6 +239,15 @@ def main(argv=None) -> int:
                   f"{w['median']['parent'][metric]:.6g} -> "
                   f"{w['median']['change'][metric]:.6g}, "
                   f"{w['wins'][metric]} of {len(w['seeds'])} pairs won")
+    if claim is not None:
+        verdict = claim["verdict"] = claim_verdict(
+            record["workloads"][claim["workload"]], claim["metric"],
+            claim["better"])
+        print(f"claim {args.claim}: {verdict['wins']} of {verdict['pairs']} "
+              f"pairs won, median better by {verdict['median_gain']:.6g} "
+              f"against the parent's quartile spread "
+              f"{verdict['parent_spread']:.6g}: "
+              + ("resolved" if verdict["resolved"] else "not resolved"))
     path = ROOT / f"BENCH_{args.pr}.json"
     difference = first_difference(record["workloads"])
     if difference is not None:
