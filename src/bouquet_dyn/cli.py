@@ -31,11 +31,10 @@ import sys
 from _json import encode_basestring_ascii as _quote
 from collections.abc import Callable
 
-from .errors import (DIGIT_CAP, InconsistencyError, InputError,
+from .errors import (DIGIT_CAP, ITERATE_CAP, InconsistencyError, InputError,
                      LiftConstructionError, Record, check_int, digit_count,
                      shown)
-from .homology import (IntMatrix, PowerSequences, abelianize,
-                       exceeds_perron_root, invert_divisor_sums)
+from .homology import PowerSequences, abelianize, invert_divisor_sums
 from .periods import (
     PeriodCertificate,
     fix_counts,
@@ -44,17 +43,14 @@ from .periods import (
     period_certificates,
 )
 from .pl_oracle import build_lift, oracle_counts
-from .spectral import DOMINANCE_EPS, SpectrumReport, eigenvalues
+from .spectral import (DOMINANCE_EPS, SpectrumReport, eigenvalues,
+                       exceeds_perron_root)
 from .words import (BRANCH_FREE, CIRCLE_CAP, MapAction, Word, generator_index,
                     orientation)
 
 DEFAULT_HORIZON = 12
 DEFAULT_ORACLE_DEPTH = 6
 DEFAULT_ENTROPY_HORIZON = 30
-
-#: the most iterates a report may reach: a map of single-letter images
-#: grows no digits, so DIGIT_CAP alone does not bound its record
-ITERATE_CAP = 10_000
 
 #: a claim line, matched only on a line that starts with "claim:": `re` is
 #: loaded there, so importing this module does not load it
@@ -272,27 +268,29 @@ def _digit_bound(col_sums: list[int], iterates: int) -> float:
     )
 
 
-def _radius_failure(spectrum: SpectrumReport, mat: IntMatrix,
-                    col_sums: list[int]) -> str | None:
+def _radius_failure(spectrum: SpectrumReport, char: tuple[int, ...],
+                    sign: int, col_sums: list[int]) -> str | None:
     """Why the solver's spectrum cannot be right, or None.
 
-    M = +-|M|, so its spectral radius is lambda, the Perron root of |M|.
-    The solver's radius r passes when lambda lies in [r - w, r + w), w =
-    min(1e-9 r, DOMINANCE_EPS), each end rounded outward to a multiple of
-    2^-40: `exceeds_perron_root` decides both sides exactly.  Every
-    modulus must be finite, since a nan sorts anywhere; one that is not
-    fails untested.  lambda lies between the least and the largest column
-    sum of |M| (the Collatz-Wielandt bounds with x = 1, on |M|
-    transposed), which the failure names.
+    M = s|M| for the `sign` s, so its spectral radius is lambda, the
+    Perron root of |M|, whose det(xI - |M|) is `char` = det(xI - M) with
+    c_i times s^(n-i).  The solver's radius r passes when lambda lies in
+    [r - w, r + w), w = min(1e-9 r, DOMINANCE_EPS), each end rounded
+    outward to a multiple of 2^-40: `exceeds_perron_root` decides both
+    sides exactly.  Every modulus must be finite, since a nan sorts
+    anywhere; one that is not fails untested.  lambda lies between the
+    least and the largest column sum of |M| (the Collatz-Wielandt bounds
+    with x = 1, on |M| transposed), which the failure names.
     """
     r = spectrum.spectral_radius
     if all(math.isfinite(abs(z)) for z in spectrum.values):
+        perron = [c * sign ** (len(char) - 1 - i) for i, c in enumerate(char)]
         w = min(1e-9 * r, DOMINANCE_EPS)
         scale = 1 << 40
         hi_num, hi_den = (r + w).as_integer_ratio()
         lo_num, lo_den = (r - w).as_integer_ratio()
-        if (exceeds_perron_root(mat, -(-hi_num * scale // hi_den), scale)
-                and not exceeds_perron_root(mat, lo_num * scale // lo_den, scale)):
+        if (exceeds_perron_root(perron, -(-hi_num * scale // hi_den), scale)
+                and not exceeds_perron_root(perron, lo_num * scale // lo_den, scale)):
             return None
     return (f"eigenvalue moduli must be finite, the largest within a relative "
             f"1e-9 (at most {DOMINANCE_EPS}) of the Perron root of |M|, in "
@@ -418,7 +416,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         "claims": claims,
         "warnings": warnings,
     }
-    failure = _radius_failure(spectrum, mat, col_sums)
+    failure = _radius_failure(spectrum, seqs.char, f.global_sign, col_sums)
     if failure is not None:
         report["spectrum"]["failure"] = failure
     return report

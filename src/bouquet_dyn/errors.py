@@ -1,5 +1,6 @@
-"""Exception types, the record base, and the one int check, `check_int`,
-whose refusal names the value by `shown`, as every refusal does."""
+"""Exception types, the record base, the caps on digits and iterates,
+and the one int check, `check_int`, whose refusal names the value by
+`shown`, as every refusal does."""
 
 import math
 from operator import itemgetter
@@ -8,6 +9,10 @@ from operator import itemgetter
 #: so in a report.  CPython 3.11+ refuses by default to print an int of
 #: more than 4 300 digits; the cap sits below that, the same everywhere.
 DIGIT_CAP = 4000
+
+#: the most iterates a report or a library count may reach; DIGIT_CAP
+#: alone does not bound a map whose single-letter images grow no digits
+ITERATE_CAP = 10_000
 
 
 class InputError(ValueError):

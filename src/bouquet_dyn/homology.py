@@ -15,9 +15,7 @@ identity).  `invert_divisor_sums` is the one Moebius inversion, read by
 the report's periodic Lefschetz numbers l(f^m) and by the census's
 per(m); it sieves instead of summing mu(r) over the divisors of each m.
 `cycles` is the one cycle finder of a self-map of range(k), read by the
-PL oracle's counts and by the class-1 fix count.  `exceeds_perron_root`
-decides exactly whether a rational bounds |M|'s spectral radius, which
-certifies the report's printed radius.
+PL oracle's counts and by the class-1 fix count.
 All of it is exact integer arithmetic: no floating point appears
 anywhere in this module, since traces grow like the spectral radius to
 the m-th power.
@@ -29,8 +27,8 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 
-from .errors import (InconsistencyError, InputError, Record, check_int,
-                     check_ints, shown)
+from .errors import (ITERATE_CAP, InconsistencyError, InputError, Record,
+                     check_int, check_ints, shown)
 from .words import MapAction
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -78,9 +76,14 @@ class PowerSequences(Record, fields="head char traces norms"):
 
     @staticmethod
     def of(a: IntMatrix, k: int) -> "PowerSequences":
-        """The record of M^1..M^k for M = a."""
-        check_int(k, "power count", 0)
-        n = _check_matrix(a)
+        """The record of M^1..M^k for M = a, k at most ITERATE_CAP; a
+        row of the wrong length is named whole."""
+        check_int(k, "power count", 0, ITERATE_CAP)
+        n = len(a)
+        for row in a:
+            if len(row) != n:
+                raise InputError(f"matrix must be n rows of n ints, got {shown(row)}")
+            check_ints(row, "matrix entry")
         if {x > 0 for row in a for x in row if x} == {True, False}:
             raise InputError("matrix entries must share one sign")
         h = max(math.isqrt(n), min(k, HEAD_POWERS))
@@ -100,17 +103,6 @@ class PowerSequences(Record, fields="head char traces norms"):
         for _ in range(len(self.head), count):
             power = mat_mul(power, a)
             yield power
-
-
-def _check_matrix(a: IntMatrix) -> int:
-    """n, after refusing `a` unless it is n rows of n ints; a row of the
-    wrong length is named whole."""
-    n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise InputError(f"matrix must be n rows of n ints, got {shown(row)}")
-        check_ints(row, "matrix entry")
-    return n
 
 
 def power_traces(a: IntMatrix, k: int, h: int, sums: bool = True
@@ -201,35 +193,3 @@ def cycles(step: Sequence[int]) -> Iterator[list[int]]:
             yield path[path.index(i):]
         for i in path:
             state[i] = 2
-
-
-def exceeds_perron_root(a: IntMatrix, p: int, q: int) -> bool:
-    """Whether p/q > lambda, the Perron root (the spectral radius) of the
-    entrywise |a|, for an int p and an int q >= 1.
-
-    That holds exactly when every leading principal minor of B = pI -
-    q|a| is positive, B then being a nonsingular M-matrix, whether |a| is
-    irreducible or not (Berman and Plemmons, Nonnegative Matrices in the
-    Mathematical Sciences, ch. 6; Fiedler and Ptak, Czech. Math. J. 12,
-    1962).  One fraction-free (Bareiss) elimination of B decides it: each
-    step's pivot is the next leading minor, every division is exact, and
-    it stops at the first pivot <= 0.
-    """
-    check_int(p, "p")
-    check_int(q, "q", 1)
-    n = _check_matrix(a)
-    b = [[-q * abs(x) for x in row] for row in a]
-    for i, row in enumerate(b):
-        row[i] += p
-    prev = 1
-    for k in range(n):
-        top = b[k]
-        pivot = top[k]
-        if pivot <= 0:
-            return False
-        for row in b[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-        prev = pivot
-    return True

@@ -17,9 +17,9 @@ import math
 from bisect import bisect_right
 from itertools import accumulate, chain
 
-from .errors import (DegenerateMapError, InconsistencyError, InputError,
-                     LiftConstructionError, Record, check_int, check_ints,
-                     shown)
+from .errors import (ITERATE_CAP, DegenerateMapError, InconsistencyError,
+                     InputError, LiftConstructionError, Record, check_int,
+                     check_ints, shown)
 from .homology import char_from_traces, cycles, power_traces, recur
 from .words import Letter, MapAction, Word
 
@@ -197,9 +197,9 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
     steps (`power_traces`) up to dim S and its characteristic recurrence
     past it.  A cycle of cells that slope +-1 maps onto each other makes
     an iterate the identity there; it is refused when that iterate is at
-    most `depth`.
+    most `depth`.  A depth past ITERATE_CAP is refused before any work.
     """
-    check_int(depth, "depth", 1)
+    check_int(depth, "depth", 1, ITERATE_CAP)
     scale = lift.scale
     ends = _points(lift)
     pts = sorted(ends)
@@ -282,7 +282,8 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
 
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:
     """The lift's branch period, `oracle_counts`' exact one, when it is
-    at most `depth`, else None; a lift that it refuses is refused."""
-    check_int(depth, "depth", 1)
+    at most `depth`, else None; a lift or a depth that it refuses is
+    refused."""
+    check_int(depth, "depth", 1, ITERATE_CAP)
     period = oracle_counts(lift, 1).branch_period
     return period if period is not None and period <= depth else None

@@ -8,6 +8,8 @@ deterministic simultaneous-iteration solver.  Entropy is the natural log
 of the spectral radius, clamped at zero for degenerate inputs; the
 report compares it with one term of the norm-growth limit, read off the
 record's norms (`cli.run_report`).
+`exceeds_perron_root` certifies the solver's radius on the same exact
+polynomial, by one integer Taylor shift (its docstring gives the proof).
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import zip_longest
 
-from .errors import InconsistencyError, InputError, Record, check_ints, shown
+from .errors import (InconsistencyError, InputError, Record, check_int,
+                     check_ints, shown)
 
 #: modulus gap below which two leading eigenvalues count as tied
 DOMINANCE_EPS = 1e-8
@@ -143,6 +146,37 @@ def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
             parts.append((tuple(a), i))
         i += 1
     return parts
+
+
+def exceeds_perron_root(char: Sequence[int], p: int, q: int) -> bool:
+    """Whether p/q > lambda, for an int p, an int q >= 1 and the
+    characteristic polynomial char = c = [c_0, ..., c_d] of a nonnegative
+    matrix, lambda its Perron root (its spectral radius).
+
+    That holds exactly when every coefficient of q^d c((y + p)/q) is
+    positive: one integer Taylor shift by p of the c_i q^(d-i), O(d^2)
+    steps, stopped at the first coefficient <= 0.  By Perron-Frobenius,
+    lambda is a root of c and no root has a larger modulus (Seneta,
+    Non-negative Matrices and Markov Chains, ch. 1).  If t = p/q >
+    lambda, every root of c(x + t) has a negative real part, so c(x + t)
+    is a product of factors x + a and x^2 + 2bx + b^2 + e^2 with a, b >
+    0, and all its coefficients are positive.  If t <= lambda, c(x + t)
+    has the root lambda - t >= 0, and a polynomial whose coefficients are
+    all positive has no root in [0, oo).  Zero roots of c need no special
+    case.
+    """
+    check_int(p, "p")
+    check_int(q, "q", 1)
+    _check_monic(char)
+    d = len(char) - 1
+    shifted = [c * q ** (d - i) for i, c in enumerate(char)]
+    # after pass i, coefficient i is final: no later pass reaches it
+    for i in range(d):
+        for j in reversed(range(i, d)):
+            shifted[j] += p * shifted[j + 1]
+        if shifted[i] <= 0:
+            return False
+    return True
 
 
 class SpectrumReport(Record, fields="values residual"):

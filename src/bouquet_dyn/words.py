@@ -16,8 +16,9 @@ from .errors import InputError, Record, check_int, shown
 #: branch class of a map whose branching point is never periodic
 BRANCH_FREE = None
 
-#: the most circles a map may have, checked at a spec's n= line; a parsed
-#: generator index is held to its digits before int() reads it
+#: the most circles a map may have, checked at a spec's n= line and by
+#: every `Letter`; a parsed generator index is held to its digits before
+#: int() reads it
 CIRCLE_CAP = 64
 
 
@@ -34,12 +35,13 @@ def generator_index(digits: str) -> int | None:
 
 class Letter(Record, fields="index sign"):
     """One generator symbol: ``a<index>`` or its inverse ``a<index>'``;
-    `index` is an int >= 1 and `sign` is the int +1 or -1, neither a bool."""
+    `index` is an int in 1..CIRCLE_CAP and `sign` is the int +1 or -1,
+    neither a bool."""
 
     __slots__ = ()
 
     def __new__(cls, index: int, sign: int) -> Letter:
-        check_int(index, "generator index", 1)
+        check_int(index, "generator index", 1, CIRCLE_CAP)
         if not check_int(sign, "letter sign", -1, 1):
             raise InputError("letter sign must be -1 or 1, got 0")
         return tuple.__new__(cls, (index, sign))

@@ -2,7 +2,8 @@
 and the independent references that the library's one route per
 quantity is checked against (a ladder of matrix products and repeated
 squaring for the power sequences, Faddeev-LeVerrier for their
-characteristic polynomial, Euclid's algorithm in `Fraction`s for the
+characteristic polynomial, a Bareiss elimination of pI - q|M| for the
+shift test of the Perron root, Euclid's algorithm in `Fraction`s for the
 squarefree parts of one, divisors and mu for the Moebius sieve and its
 forward divisor sums, the fix-count comparison test for the census's
 period set, the per-iterate Lefschetz check rows for their one-row
@@ -286,6 +287,29 @@ def cap_edge_spec() -> str:
         for j in range(1, 65))
 
 
+def twin32_spec() -> str:
+    """Two equal 32-generator blocks of 64-letter words: every column sum
+    of |M| is 64, so the Perron root is 64, and the float solver overflows
+    to nan on the squarefree part's 45-digit coefficients."""
+    r = random.Random(1)
+    words = [[r.randint(1, 32) for _ in range(64)] for _ in range(32)]
+    return "n=64\nbranch: free\n" + "".join(
+        f"a{b + j + 1} -> " + " ".join(f"a{b + x}" for x in words[j]) + "\n"
+        for b in (0, 32) for j in range(32))
+
+
+def probe64_spec(index: int) -> str:
+    """Map `index` of a seeded draw of n = 64 maps whose images are plain
+    words of 1-3 uniform letters."""
+    rng = random.Random(7)
+    for _ in range(index + 1):
+        images = [" ".join(f"a{rng.randint(1, 64)}"
+                           for _ in range(rng.randint(1, 3)))
+                  for _ in range(64)]
+    return "n=64\nbranch: free\n" + "".join(
+        f"a{j} -> {w}\n" for j, w in enumerate(images, start=1))
+
+
 def char_poly(a: IntMatrix) -> list[int]:
     """Coefficients [c_0, ..., c_n] of det(xI - A), c_n = 1, by the
     Faddeev-LeVerrier recursion (n matrix products, every division exact):
@@ -306,6 +330,38 @@ def char_poly(a: IntMatrix) -> list[int]:
             for r in range(n)
         )
     return coeffs
+
+
+def bareiss_exceeds_perron_root(a: IntMatrix, p: int, q: int) -> bool:
+    """Whether p/q > lambda, the Perron root of the entrywise |a|, for q
+    >= 1, by a matrix test: a reference for
+    `spectral.exceeds_perron_root`, which reads the characteristic
+    polynomial instead.
+
+    That holds exactly when every leading principal minor of B = pI -
+    q|a| is positive, B then being a nonsingular M-matrix, whether |a| is
+    irreducible or not (Berman and Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, ch. 6; Fiedler and Ptak, Czech. Math. J. 12,
+    1962).  One fraction-free (Bareiss) elimination of B decides it: each
+    step's pivot is the next leading minor, every division is exact, and
+    it stops at the first pivot <= 0.
+    """
+    n = len(a)
+    b = [[-q * abs(x) for x in row] for row in a]
+    for i, row in enumerate(b):
+        row[i] += p
+    prev = 1
+    for k in range(n):
+        top = b[k]
+        pivot = top[k]
+        if pivot <= 0:
+            return False
+        for row in b[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return True
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:

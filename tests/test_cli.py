@@ -30,16 +30,18 @@ from bouquet_dyn.cli import (
 from bouquet_dyn.errors import InconsistencyError, InputError
 from bouquet_dyn.homology import PowerSequences, abelianize
 from bouquet_dyn.periods import fix_counts
-from bouquet_dyn.pl_oracle import oracle_counts
-from bouquet_dyn.words import BRANCH_FREE, MapAction
+from bouquet_dyn.pl_oracle import build_lift, lift_branch_period, oracle_counts
+from bouquet_dyn.words import BRANCH_FREE, Letter, MapAction
 
 from conftest import (
     ENTROPY_KEYS,
     cap_edge_spec,
     load_fixture,
+    probe64_spec,
     random_action,
     random_branch_periodic_action,
     random_expanding_action,
+    twin32_spec,
 )
 
 LOW_GROWTH_TEXT = """\
@@ -61,6 +63,7 @@ PASSED = [{"m": None, "mode": "fix", "passed": True},
 # fix(m) = 10^m - 1: at horizon 4 400 its digits pass CPython's default
 # int-to-str limit of 4 300
 TEN_LETTERS = "n=1\nbranch: free\na1 -> " + " ".join(["a1"] * 10) + "\n"
+TEN_LETTER_LIFT = build_lift(parse_spec(TEN_LETTERS).action)
 
 #: report keys that hold floats, not integers
 FLOAT_KEYS = {"eigenvalues", "spectral_radius", "residual", "entropy"}
@@ -567,6 +570,21 @@ class TestIterateCap:
         assert time.perf_counter() - start < 1.0
         assert f"over the cap of {DIGIT_CAP} digits" in str(raised.value)
 
+    @pytest.mark.parametrize("depth", [ITERATE_CAP + 1, 10**6])
+    @pytest.mark.parametrize("call", [
+        partial(PowerSequences.of, ((1,),)),
+        partial(oracle_counts, TEN_LETTER_LIFT),
+        partial(lift_branch_period, TEN_LETTER_LIFT),
+    ], ids=["power-sequences", "oracle-counts", "lift-branch-period"])
+    def test_library_call_over_cap_refused_fast(self, call, depth):
+        # uncapped, PowerSequences.of(((1,),), 10**6) ran 0.8 s, and
+        # oracle_counts at depth 10**5 took 7.1 s at a 640 MB peak
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=(
+                f"must be in [01]..{ITERATE_CAP}, got {depth}$")):
+            call(depth)
+        assert time.perf_counter() - start < 0.1
+
     def test_cap_is_inclusive(self):
         doc = parse_spec(self.ONE_LETTER)
         report = run_report(doc, ReportOptions(
@@ -598,6 +616,16 @@ class TestCircleCap:
         with pytest.raises(InputError, match=f"cap of {CIRCLE_CAP} circles"):
             parse_spec(f"n={n + 1}\n" + images)
 
+    @pytest.mark.parametrize("index", [CIRCLE_CAP + 1, 10**5000],
+                             ids=["cap-plus-one", "5001-digits"])
+    def test_letter_over_cap_refused_fast(self, index):
+        # Letter(10**5000, 1).token() raised a bare ValueError
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=(
+                f"^generator index must be in 1..{CIRCLE_CAP}, got ")):
+            Letter(index, 1).token()
+        assert time.perf_counter() - start < 0.1
+
     def test_cap_edge_memory(self):
         # every image has 64 letters; the record holds isqrt(64) = 8
         # powers of M as matrices, not all 64 of them
@@ -610,29 +638,6 @@ class TestCircleCap:
             tracemalloc.stop()
         assert report["oracle"]["status"] == "ok"
         assert peak < 6_000_000, peak
-
-
-def twin32_spec() -> str:
-    """Two equal 32-generator blocks of 64-letter words: every column sum
-    of |M| is 64, so the Perron root is 64, and the float solver overflows
-    to nan on the squarefree part's 45-digit coefficients."""
-    r = random.Random(1)
-    words = [[r.randint(1, 32) for _ in range(64)] for _ in range(32)]
-    return "n=64\nbranch: free\n" + "".join(
-        f"a{b + j + 1} -> " + " ".join(f"a{b + x}" for x in words[j]) + "\n"
-        for b in (0, 32) for j in range(32))
-
-
-def probe64_spec(index: int) -> str:
-    """Map `index` of a seeded draw of n = 64 maps whose images are plain
-    words of 1-3 uniform letters."""
-    rng = random.Random(7)
-    for _ in range(index + 1):
-        images = [" ".join(f"a{rng.randint(1, 64)}"
-                           for _ in range(rng.randint(1, 3)))
-                  for _ in range(64)]
-    return "n=64\nbranch: free\n" + "".join(
-        f"a{j} -> {w}\n" for j, w in enumerate(images, start=1))
 
 
 class TestRadiusCheck:

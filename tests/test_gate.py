@@ -1,7 +1,7 @@
 """Checks that need a process of their own: the command-line module under
 a timeout, one report's peak RSS and the benchmark harness's scripts,
-and the wall time of the branch period's read at a depth no walk ends,
-each run as a subprocess of this interpreter from the repository root.
+and the wall time of the branch period's read at the iterate cap, each
+run as a subprocess of this interpreter from the repository root.
 CI runs this suite and the installed package, and nothing else."""
 
 import json
@@ -27,13 +27,14 @@ PEAK_RSS = ("import resource, subprocess, sys; subprocess.run(sys.argv[2:], "
             "stdout=open(sys.argv[1], 'wb'), check=True); print(resource."
             "getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)")
 
-#: prints lift_branch_period at depth 10**12 on x -> -2x, and the seconds
-#: that one call took
-READ_AT_DEPTH = ("import time; from bouquet_dyn.pl_oracle import build_lift, "
+#: prints lift_branch_period at depth ITERATE_CAP on x -> -2x, and the
+#: seconds that one call took
+READ_AT_DEPTH = ("import time; from bouquet_dyn.errors import ITERATE_CAP; "
+                 "from bouquet_dyn.pl_oracle import build_lift, "
                  "lift_branch_period; from bouquet_dyn.words import action; "
                  "lift = build_lift(action(\"a1' a1'\")); "
                  "t = time.perf_counter(); "
-                 "print(lift_branch_period(lift, 10**12), "
+                 "print(lift_branch_period(lift, ITERATE_CAP), "
                  "time.perf_counter() - t)")
 
 
@@ -85,7 +86,8 @@ def test_deep_oracle_depth_stays_fast(tmp_path, spec, observed):
 
 def test_branch_period_read_at_any_depth():
     # the period is read off the oracle's point map, not walked step by
-    # step: at depth 10**7 the walk of x -> -2x took 3.6 s
+    # step (at depth 10**7 the walk of x -> -2x took 3.6 s), at every
+    # depth up to the cap; a depth past it is refused before any work
     period, seconds = run("-c", READ_AT_DEPTH, timeout=30).split()
     assert period == "None" and float(seconds) < 1
 

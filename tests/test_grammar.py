@@ -1,7 +1,8 @@
 """The letter and image-line parsers, written with `str` methods, accept
 exactly the grammar of the regular expressions they replaced, and read
 the same values from it; an index past the digits of CIRCLE_CAP is
-refused by its digit count."""
+refused by its digit count, and a letter's index past CIRCLE_CAP by its
+value."""
 
 import random
 import re
@@ -68,6 +69,12 @@ def test_letter_grammar():
                     f"^generator index has {len(m.group(1))} digits, over the "
                     f"cap of {INDEX_DIGITS} digits$")):
                 Letter.parse(tok)
+        elif int(m.group(1)) > CIRCLE_CAP:
+            capped += 1
+            with pytest.raises(InputError, match=(
+                    f"^generator index must be in 1..{CIRCLE_CAP}, got "
+                    f"{int(m.group(1))}$")):
+                Letter.parse(tok)
         else:
             accepted += 1
             letter = Letter.parse(tok)
@@ -121,6 +128,8 @@ def test_long_index_through_the_library(build):
 
 
 def test_index_cap_edge():
-    assert Letter.parse("a" + "9" * INDEX_DIGITS).index == int("9" * INDEX_DIGITS)
+    assert Letter.parse(f"a{CIRCLE_CAP}").index == CIRCLE_CAP
+    with pytest.raises(InputError, match=f"in 1..{CIRCLE_CAP}, got 99$"):
+        Letter.parse("a" + "9" * INDEX_DIGITS)
     with pytest.raises(InputError, match="over the cap"):
         Letter.parse("a1" + "0" * INDEX_DIGITS)

@@ -16,9 +16,9 @@ from bouquet_dyn import (
 from bouquet_dyn.errors import InputError
 from bouquet_dyn import homology
 from bouquet_dyn.cli import parse_spec
-from bouquet_dyn.homology import (exceeds_perron_root, invert_divisor_sums,
-                                  mat_mul, power_traces)
+from bouquet_dyn.homology import invert_divisor_sums, mat_mul, power_traces
 from bouquet_dyn.periods import period_certificates
+from bouquet_dyn.spectral import exceeds_perron_root
 from bouquet_dyn.words import Letter, MapAction, Word
 
 from conftest import (
@@ -38,6 +38,7 @@ from conftest import (
     random_action,
     random_matrix,
     random_signed_matrix,
+    record,
     trace,
 )
 
@@ -431,19 +432,23 @@ class TestLefschetzTable:
 
 
 class TestPerronRootBound:
-    """`exceeds_perron_root(a, p, q)` decides p/q > lambda(|a|) exactly:
-    at t = lambda it is false, and one step of 2^-40 above it true."""
+    """`exceeds_perron_root(c, p, q)` decides p/q > lambda exactly for c =
+    det(xI - |a|) and lambda the Perron root of |a|: at t = lambda it is
+    false, and one step of 2^-40 above it true."""
 
-    @pytest.mark.parametrize("a, lam", [
-        (abelianize(action(*(f"a{j} a{j}" for j in range(1, 65)))), 2),
-        # only the last leading minor of I - |M|, det(I - |M|) = 0, fails
-        (abelianize(action(*(f"a{j % 5 + 1}'" for j in range(1, 6)))), 1),
+    @pytest.mark.parametrize("char, lam", [
+        # (x - 2)^64
+        (record(action(*(f"a{j} a{j}" for j in range(1, 65))), 1).char, 2),
+        # |M| is a 5-cycle, c(x) = x^5 - 1; only the constant term of
+        # c(x + 1) is 0
+        (record(action(*(f"a{j % 5 + 1}" for j in range(1, 6))), 1).char, 1),
         # no map's |M| is nilpotent: its every column sums to at least 1
-        (((0, 3, -1, 0), (0, 0, -2, 5), (0, 0, 0, 1), (0, 0, 0, 0)), 0),
+        (char_poly(((0, 3, 1, 0), (0, 0, 2, 5), (0, 0, 0, 1), (0, 0, 0, 0))),
+         0),
     ], ids=["64-fold-root", "cyclic-permutation", "nilpotent"])
-    def test_both_sides_at_exact_root(self, a, lam):
+    def test_both_sides_at_exact_root(self, char, lam):
         q = 1 << 40
-        assert exceeds_perron_root(a, lam * q + 1, q)
-        assert not exceeds_perron_root(a, lam * q, q)
-        assert not exceeds_perron_root(a, lam, 1)
-        assert not exceeds_perron_root(a, lam * q - 1, q)
+        assert exceeds_perron_root(char, lam * q + 1, q)
+        assert not exceeds_perron_root(char, lam * q, q)
+        assert not exceeds_perron_root(char, lam, 1)
+        assert not exceeds_perron_root(char, lam * q - 1, q)

@@ -22,10 +22,9 @@ from bouquet_dyn.cli import (DEFAULT_ENTROPY_HORIZON, DEFAULT_ORACLE_DEPTH,
                              run_report)
 from bouquet_dyn.errors import (DIGIT_CAP, InconsistencyError, InputError,
                                 Record, shown)
-from bouquet_dyn.homology import exceeds_perron_root
 from bouquet_dyn.periods import Conclusion, PeriodCertificate
 from bouquet_dyn.pl_oracle import PLLift, _ratio, lift_branch_period
-from bouquet_dyn.spectral import squarefree_parts
+from bouquet_dyn.spectral import exceeds_perron_root, squarefree_parts
 from bouquet_dyn.words import Letter, MapAction, Word, action
 
 F = action("a1 a2 a1", "a1", k=2)
@@ -195,8 +194,8 @@ def test_constructors_refuse(build):
     (lambda: MapSpecDocument(F, None, ("claim",)), "got 'claim'"),
     (lambda: ReportOptions(no_oracle="yes"), "got 'yes'"),
     (lambda: Claim("fix", 1, 1, 5), "got 5"),
-    (lambda: exceeds_perron_root(((1.5,),), 2, 1), "got 1.5"),
-    (lambda: exceeds_perron_root(((1,),), 2, 0), "q must be >= 1, got 0"),
+    (lambda: exceeds_perron_root((1.5, 1), 2, 1), "got 1.5"),
+    (lambda: exceeds_perron_root((-1, 1), 2, 0), "q must be >= 1, got 0"),
 ], ids=["str-image", "letter-tuple-image", "tuple-letters", "bool-depth",
         "bool-iterate", "bool-power-count", "bool-generator", "float-entry",
         "bool-entries", "str-entry", "ragged-matrix", "non-monic-poly",
@@ -231,7 +230,7 @@ DOC = parse_spec("n=1\nbranch: free\na1 -> a1 a1\n")
     (lambda: F.image(HUGE), "<int of 5001 digits>"),
     (lambda: F.image(-HUGE), "-<int of 5001 digits>"),
     (lambda: PowerSequences.of(abelianize(F), -HUGE), "-<int of 5001 digits>"),
-    (lambda: exceeds_perron_root(abelianize(F), 1, -HUGE), "-<int of 5001 digits>"),
+    (lambda: exceeds_perron_root(SEQS.char, 1, -HUGE), "-<int of 5001 digits>"),
     (lambda: oracle_counts(LIFT, -HUGE), "-<int of 5001 digits>"),
     (lambda: lift_branch_period(LIFT, -HUGE), "-<int of 5001 digits>"),
     (lambda: oracle_counts(LIFT, 4).fixed(HUGE), "<int of 5001 digits>"),
@@ -280,7 +279,8 @@ def test_shown_counts_digits_exactly():
             assert shown(value) == f"{sign}<int of {k + 1} digits>"
     assert shown((HUGE,)) == "(<int of 5001 digits>,)"
     assert shown(((1, "a"), True, None, 2.5)) == repr(((1, "a"), True, None, 2.5))
-    assert repr(Letter(HUGE, -1)) == "Letter(index=<int of 5001 digits>, sign=-1)"
+    assert repr(Conclusion("tail", -HUGE)) == (
+        "Conclusion(kind='tail', m=-<int of 5001 digits>, excluded=None)")
     with pytest.raises(TypeError, match=re.escape("left over: (<int of 5001")):
         ReportOptions(None, 8, False, 8, HUGE)
 

@@ -6,27 +6,39 @@ import random
 
 import pytest
 
-from bouquet_dyn import PowerSequences, abelianize, action, eigenvalues, spectral
-from bouquet_dyn.cli import MapSpecDocument, ReportOptions, run_report
+from bouquet_dyn import PowerSequences, abelianize, action, cli, eigenvalues, spectral
+from bouquet_dyn.cli import (MapSpecDocument, ReportOptions, fixture_names,
+                             parse_spec, run_report)
 from bouquet_dyn.errors import InputError
 from bouquet_dyn.spectral import (
+    DOMINANCE_EPS,
     M0_SCAN_CAP,
     SpectrumReport,
     _durand_kerner,
     dominant_test,
+    exceeds_perron_root,
     m0_bound,
     squarefree_parts,
 )
+from bouquet_dyn.words import Letter, MapAction, Word
 
 from conftest import (
+    bareiss_exceeds_perron_root,
+    cap_edge_spec,
     char_poly,
+    load_fixture,
     mat_pow,
     norm1,
     poly_gcd,
     poly_mul,
+    probe64_spec,
+    random_branch_periodic_action,
+    random_expanding_action,
     random_matrix,
     random_signed_matrix,
+    record,
     trace,
+    twin32_spec,
 )
 
 
@@ -386,3 +398,86 @@ class TestM0Bound:
         s = eigenvalues(char_poly(DOMINANT))
         t = abs(trace(mat_pow(DOMINANT, 40)))
         assert abs(t ** (1 / 40) - s.spectral_radius) <= 0.05
+
+
+#: the report tests the solver's radius on multiples of 2^-40
+GRID = 1 << 40
+
+
+def drawn_map(rng: random.Random, n: int, sign: int, len_max: int) -> MapAction:
+    """A map on n circles of the given sign, each image 1..len_max
+    uniform letters."""
+    return MapAction(n, tuple(
+        Word(Letter(rng.randint(1, n), sign)
+             for _ in range(rng.randint(1, len_max)))
+        for _ in range(n)))
+
+
+class TestPerronRootCrossCheck:
+    """The shift test on the report's polynomial gives the verdict of
+    the Bareiss M-matrix test of pI - q|M| (`conftest`'s reference) at
+    each point a report tests, and the report's radius check passes
+    exactly when the reference brackets lambda there.  The points are
+    the solver's r + w and r - w, on the report's grid, and lambda q - 1,
+    lambda q and lambda q + 1 where lambda is a known integer."""
+
+    @staticmethod
+    def assert_same_verdicts(f: MapAction, lam: int | None = None) -> None:
+        a = abelianize(f)
+        seqs = record(f, 1)
+        n = f.n
+        # M = s|M|, so det(xI - |M|) takes c_i times s^(n-i)
+        char = [c * f.global_sign ** (n - i) for i, c in enumerate(seqs.char)]
+        if n <= 8:
+            assert char == char_poly(tuple(tuple(map(abs, row)) for row in a))
+        spectrum = eigenvalues(seqs.char)
+        r = spectrum.spectral_radius
+        finite = all(math.isfinite(abs(z)) for z in spectrum.values)
+        points = []
+        if finite:
+            w = min(1e-9 * r, DOMINANCE_EPS)
+            hi_num, hi_den = (r + w).as_integer_ratio()
+            lo_num, lo_den = (r - w).as_integer_ratio()
+            points += [(-(-hi_num * GRID // hi_den), GRID),
+                       (lo_num * GRID // lo_den, GRID)]
+        if lam is not None:
+            points += [(lam * GRID + d, GRID) for d in (-1, 0, 1)]
+        verdicts = [bareiss_exceeds_perron_root(a, p, q) for p, q in points]
+        for (p, q), verdict in zip(points, verdicts):
+            assert exceeds_perron_root(char, p, q) == verdict, (f, p, q)
+        col_sums = [sum(map(abs, col)) for col in zip(*a)]
+        passed = finite and verdicts[0] and not verdicts[1]
+        failure = cli._radius_failure(spectrum, seqs.char, f.global_sign,
+                                      col_sums)
+        assert (failure is None) == passed, (f, failure)
+
+    def test_seeded_maps(self):
+        # every n from 1 to 16 and three larger, both signs; the radius
+        # check fails on some of them
+        rng = random.Random(46)
+        for n in [*range(1, 17), 24, 32, 48]:
+            for sign in (1, -1):
+                for _ in range(3 if n <= 16 else 1):
+                    self.assert_same_verdicts(
+                        drawn_map(rng, n, sign, 4 if n <= 16 else 3))
+
+    def test_maps_of_every_branch_class(self):
+        # the census reads the class, |M| does not: the lift-viable draws
+        # that each class's generator makes, and the fixtures
+        rng = random.Random(46)
+        for _ in range(8):
+            self.assert_same_verdicts(random_expanding_action(rng, 4)[0])
+            self.assert_same_verdicts(random_branch_periodic_action(rng)[0])
+        for name in fixture_names():
+            self.assert_same_verdicts(load_fixture(name)[0].action)
+
+    @pytest.mark.parametrize("f, lam", [
+        (parse_spec(twin32_spec()).action, 64),
+        (parse_spec(cap_edge_spec()).action, 64),
+        # M = -2I, a 64-fold root of |M|
+        (action(*(f"a{j}' a{j}'" for j in range(1, 65))), 2),
+        # the solver is off in the fifth digit here
+        (parse_spec(probe64_spec(9)).action, None),
+    ], ids=["twin32", "cap-edge", "64-fold-root", "probe64-9"])
+    def test_sixty_four_circles(self, f, lam):
+        self.assert_same_verdicts(f, lam)
