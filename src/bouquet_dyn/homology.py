@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator, Sequence
+from itertools import chain
 
 from .errors import (ITERATE_CAP, InconsistencyError, InputError, Record,
                      check_int, check_ints, shown)
@@ -122,10 +123,10 @@ def power_traces(a: IntMatrix, k: int, h: int, sums: bool = True
                 if sums and k > h else [])
     giant = baby[-1]
     for hb in range(h, k, h):
-        cols = tuple(zip(*giant))
+        # tr(P G) is P's entries dotted with those of G transposed
+        cols = (*chain.from_iterable(zip(*giant)),)
         for p in baby[:k - hb]:
-            traces.append(sum(sum(map(operator.mul, row, col))
-                              for row, col in zip(p, cols)))
+            traces.append(sum(map(operator.mul, chain.from_iterable(p), cols)))
         row_sums = tuple(map(sum, giant)) if sums else ()
         totals += (sum(map(operator.mul, c, row_sums))
                    for c in col_sums[:k - hb])
@@ -181,15 +182,14 @@ def invert_divisor_sums(sums: Sequence[int]) -> list[int]:
 def cycles(step: Sequence[int]) -> Iterator[list[int]]:
     """Each cycle of the map i -> step[i] on range(len(step)) once, as
     the list of its points in orbit order; step[i] < 0 ends a path."""
-    state = [0] * len(step)  # 0 unseen, 1 on the current path, 2 done
+    mark = [-1] * len(step)  # the start whose path first met each point
     for start in range(len(step)):
-        path = []
         i = start
-        while i >= 0 and not state[i]:
-            state[i] = 1
-            path.append(i)
+        while i >= 0 and mark[i] < 0:
+            mark[i] = start
             i = step[i]
-        if i >= 0 and state[i] == 1:
-            yield path[path.index(i):]
-        for i in path:
-            state[i] = 2
+        if i >= 0 and mark[i] == start:  # the path closed a new cycle at i
+            cycle = [i]
+            while step[cycle[-1]] != i:
+                cycle.append(step[cycle[-1]])
+            yield cycle

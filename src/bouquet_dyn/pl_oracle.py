@@ -8,7 +8,9 @@ reverses).  It is written in exact integers, in units of 1/scale, scale
 = 2 lcm(len(A_j)); the counts must be exact, so no floating point
 appears anywhere in this module.  The lift maps (1/scale)Z into itself,
 so it is a Markov map on a finite invariant set, and `oracle_counts`
-counts every iterate f^1..f^depth on that one partition, composing none.
+counts the fixed points of every iterate f^1..f^depth on that one
+partition, composing none.  It counts no covers: on its lifts they are
+||M^m||_1, as `oracle_counts` proves.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from .errors import (ITERATE_CAP, DegenerateMapError, InconsistencyError,
                      check_ints, shown)
 from .homology import char_from_traces, cycles, power_traces, recur
 from .words import Letter, MapAction, Word
-
-#: `oracle_counts` counts covers to this iterate, the last a report prints
-COVER_DEPTH = 8
 
 
 class PLLift(Record, fields="n scale pieces"):
@@ -106,22 +105,20 @@ def build_lift(f: MapAction) -> PLLift:
             x += width
         if x != (j + 1) * scale:
             raise InconsistencyError("circle traversal does not tile the interval")
-    return PLLift(f.n, scale, pieces)
+    # built to `PLLift`'s contract, so not checked against it again
+    return tuple.__new__(PLLift, (f.n, scale, tuple(pieces)))
 
 
-class OracleCounts(Record, fields="lift_fix covers branch_period"):
+class OracleCounts(Record, fields="lift_fix branch_period"):
     """The lift's counts on the bouquet for each iterate m = 1..depth of
     one call.
 
-    `lift_fix` and `covers` are tuples of ints: `lift_fix[m-1]` counts
-    the fixed points of f^m on the circles, the branching point (every
-    integer) one point among them, and `covers[m-1]` the preimages of
-    the branching point under f^m in [0, n) (the refined cover size) for
-    m <= min(depth, COVER_DEPTH).  At a point where f^m jumps (between
-    two integers) the cover counts by its value from the right.
-    `branch_period` is the least t >= 1 with f^t fixing the branching
-    point, or None if there is none: the lift's branch period, exact at
-    every depth (the cycle through point 0 of `oracle_counts`' point map).
+    `lift_fix` is a tuple of ints: `lift_fix[m-1]` counts the fixed
+    points of f^m on the circles, the branching point (every integer)
+    one point among them.  `branch_period` is the least t >= 1 with f^t
+    fixing the branching point, or None if there is none: the lift's
+    branch period, exact at every depth (the cycle through point 0 of
+    `oracle_counts`' point map).
     """
 
     __slots__ = ()
@@ -137,20 +134,28 @@ def _ratio(x: int, scale: int) -> str:
     return str(x // g) if g == scale else f"{x // g}/{scale // g}"
 
 
-def _points(lift: PLLift) -> dict[int, tuple]:
-    """O*, the integers, the piece ends and all their forward orbits, each
-    with the (value, slope) of the pieces to its left and right (None
-    past 0 and n).
+def _walk(lift: PLLift, depth: int) -> tuple[list, list, list, list]:
+    """O*, the integers, the piece ends and all their forward orbits, in
+    order, and the maps read off it in one pass that gives each point its
+    index: the point map on the interval (by the value from the right,
+    from the left at n), the germ map (germ 2i + 1 is right of point i,
+    2i left of it, -1 past 0 and n) and each cell's image (u, v, slope),
+    the cells u..v-1 between the images of its ends.
 
-    Refuses a lift that is not continuous on the quotient: its two
-    one-sided values at a point off the integers must agree or both be
-    integers, and its values at the integers must all agree or all be
-    integers; every value must lie in [0, n]."""
+    Refuses a lift that is not continuous on the quotient: its one-sided
+    values at a point off the integers must agree or both be integers,
+    and its values at the integers must all agree or all be integers;
+    every value must lie in [0, n], and no piece may be constant.  A
+    cycle of cells that slope +-1 maps onto each other is the identity
+    at its length, or at twice it when it reverses: it is refused when
+    that iterate is at most `depth`."""
     scale, pieces = lift.scale, lift.pieces
     top = lift.n * scale
     los = [lo for lo, _, _, _ in pieces]
-    todo = [*range(0, top + 1, scale), *los]
+    # each point's (value, slope) from the left, then from the right, the
+    # one side doubled at 0 and n
     ends = {}
+    todo = [*range(0, top + 1, scale), *los]
     at_integers = set()
     while todo:
         x = todo.pop()
@@ -158,31 +163,61 @@ def _points(lift: PLLift) -> dict[int, tuple]:
             continue
         p = bisect_right(los, x) - 1
         _, _, s, b = pieces[p]
-        right = (s * x + b, s) if x < top else None
-        if x == los[p]:  # a piece end: the piece to its left is the one before
-            _, _, s, b = pieces[p - 1]
-        left = (s * x + b, s) if x else None
-        ends[x] = left, right
-        values = {end[0] for end in (left, right) if end}
+        v = s * x + b
+        if x == los[p] and x:  # a piece end: the piece to its left is the one before
+            _, _, t, c = pieces[p - 1]
+            u = t * x + c
+        else:
+            t, u = s, v
+        values = (u, v) if 0 < x < top else (u,) if x else (v,)
         if x % scale == 0:
-            at_integers |= values
-        elif len(values) > 1 and any(v % scale for v in values):
-            raise InputError(f"the lift is not continuous at "
-                             f"{_ratio(x, scale)}")
-        if not all(0 <= v <= top for v in values):
+            at_integers.update(values)
+        elif u != v and (u % scale or v % scale):
+            raise InputError(f"the lift is not continuous at {_ratio(x, scale)}")
+        if min(values) < 0 or max(values) > top:
             raise InputError(f"the lift leaves [0, {lift.n}]")
-        todo.extend(values)
+        ends[x] = u, t, v, s
+        todo += values
     if len(at_integers) > 1 and any(v % scale for v in at_integers):
         raise InputError("the lift is not continuous at the branching point")
-    return ends
+    walked = sorted(ends.items())
+    pts = [x for x, _ in walked]
+    index = {x: i for i, x in enumerate(pts)}
+    point, germ, images = [], [], []
+    for x, (u, t, v, s) in walked:
+        if x:
+            j = index[u]
+            germ.append(2 * j + (t < 0))
+            images.append((point[-1], j, t) if t > 0 else (j, point[-1], t))
+        else:
+            germ.append(-1)
+        if x == top:
+            germ.append(-1)
+        elif s:
+            j = index[v]
+            germ.append(2 * j + (s > 0))
+        else:
+            raise InputError(f"the lift is constant at {_ratio(x, scale)}")
+        point.append(j)
+    unit = [u if abs(s) == 1 and v == u + 1 else -1 for u, v, s in images]
+    for cycle in cycles(unit):
+        turns = sum(images[c][2] < 0 for c in cycle) % 2
+        k = len(cycle) << turns
+        if k <= depth:
+            c = min(cycle)
+            raise DegenerateMapError(
+                f"iterate {k} of the lift is the identity on "
+                f"[{_ratio(pts[c], scale)}, {_ratio(pts[c + 1], scale)}); "
+                "the map is not expanding")
+    return pts, point, germ, images
 
 
 def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
-    """Fixed-point and cover counts of f^1..f^depth on the bouquet, read
-    off the lift's Markov partition (Block, Guckenheimer, Misiurewicz
-    and Young, LNM 819, 1980).
+    """Fixed-point counts of f^1..f^depth on the bouquet, and the branch
+    period, read off the lift's Markov partition (Block, Guckenheimer,
+    Misiurewicz and Young, LNM 819, 1980).
 
-    O* (`_points`) is finite, and f maps each cell between neighbouring
+    O* (`_walk`) is finite, and f maps each cell between neighbouring
     points of O* linearly onto a run of cells; every map below is read
     off the one walk of O* by index.  On the bouquet every integer is
     one point, the branching point, so the point map sends each point of
@@ -195,53 +230,26 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
     finite maps, and the cycle through point 0, if any, is the branch
     period.  tr T^m = tr S^m for the smaller S below, by baby and giant
     steps (`power_traces`) up to dim S and its characteristic recurrence
-    past it.  A cycle of cells that slope +-1 maps onto each other makes
-    an iterate the identity there; it is refused when that iterate is at
-    most `depth`.  A depth past ITERATE_CAP is refused before any work.
+    past it.  A depth past ITERATE_CAP is refused before any work, and a
+    lift or a depth that `_walk` refuses after it.
+
+    The covers, the preimages of the branching point under f^m, are not
+    counted: on every lift that `build_lift` makes, covers[m-1] = sum over
+    j of |f^m(a_j)| = ||M^m||_1, which the report already holds.  The lift
+    runs [j-1, j] through the letters of A_j in order, and each letter's
+    arc (circle 1's in two halves, at the ends) meets the integers once,
+    counted by the value from the right.  The words of a monotone map
+    share one sign and never cancel, so f^m runs [j-1, j] through the
+    letters of f^m(a_j) in the same way, |f^m(a_j)| of them: the column
+    sums of |M^m|.
     """
     check_int(depth, "depth", 1, ITERATE_CAP)
     scale = lift.scale
-    ends = _points(lift)
-    pts = sorted(ends)
-    index = {x: i for i, x in enumerate(pts)}
-    cells = len(pts) - 1
-    # the point map on the interval (by the value from the right, from
-    # the left at n), the germ map (germ 2i + 1 is right of point i, 2i
-    # left of it), and each cell's image (u, v): the cells u..v-1,
-    # between its ends' images
-    point = [0] * len(pts)
-    germ = [-1] * (2 * len(pts))
-    images = []
-    for i, x in enumerate(pts):
-        left, right = ends[x]
-        if left:
-            v, s = left
-            j = point[i] = index[v]
-            germ[2 * i] = 2 * j + (s < 0)
-            u = point[i - 1]
-            images.append((u, j, s) if s > 0 else (j, u, s))
-        if right:
-            v, s = right
-            if s == 0:
-                raise InputError(f"the lift is constant at {_ratio(x, scale)}")
-            j = point[i] = index[v]
-            germ[2 * i + 1] = 2 * j + (s > 0)
-    # cells that slope +-1 maps onto one cell: a cycle of them is the
-    # identity at its length, or at twice it when it reverses
-    unit = [u if abs(s) == 1 and v == u + 1 else -1 for u, v, s in images]
-    for cycle in cycles(unit):
-        turns = sum(images[c][2] < 0 for c in cycle) % 2
-        k = len(cycle) << turns
-        if k <= depth:
-            c = min(cycle)
-            raise DegenerateMapError(
-                f"iterate {k} of the lift is the identity on "
-                f"[{_ratio(pts[c], scale)}, {_ratio(pts[c + 1], scale)}); "
-                "the map is not expanding")
+    pts, point, germ, images = _walk(lift, depth)
     # cut at every end of an image, the cells fall into blocks and each
     # image is a run of blocks; S[a][b] counts the cells in block a whose
     # image holds block b
-    edges = sorted({0, cells, *(e for u, v, _ in images for e in (u, v))})
+    edges = sorted({0, len(images), *(e for u, v, _ in images for e in (u, v))})
     block = {e: a for a, e in enumerate(edges)}
     mat = []
     for lo, hi in zip(edges, edges[1:]):
@@ -265,25 +273,20 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
                 branch_period = len(cycle)
             for m in range(len(cycle), depth + 1, len(cycle)):
                 lift_fix[m - 1] += sign * len(cycle)
-    # one row over point 0, cell 0, point 1, .., point C: a point's entry
-    # is 1 when f^m sends it to an integer, a cell's counts the points
-    # inside it that f^m does, the entries strictly inside the cell's
-    # image one iterate earlier; covers[m-1] sums the row on [0, n)
-    entries = [0] * (2 * cells + 1)
-    entries[::2] = [x % scale == 0 for x in pts]
-    covers = []
-    for _ in range(min(depth, COVER_DEPTH)):
-        before = list(accumulate(entries, initial=0))
-        entries[1::2] = [before[2 * v] - before[2 * u + 1] for u, v, _ in images]
-        entries[::2] = [entries[2 * j] for j in point]
-        covers.append(sum(entries) - entries[-1])
-    return OracleCounts(tuple(lift_fix), tuple(covers), branch_period)
+    return OracleCounts(tuple(lift_fix), branch_period)
 
 
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:
     """The lift's branch period, `oracle_counts`' exact one, when it is
-    at most `depth`, else None; a lift or a depth that it refuses is
-    refused."""
+    at most `depth`, else None; a lift that `oracle_counts` refuses at
+    depth 1, or a depth past ITERATE_CAP, is refused.  It follows point 0
+    through the point map alone: off the integers its orbit meets each
+    point of O* at most once before it cycles."""
     check_int(depth, "depth", 1, ITERATE_CAP)
-    period = oracle_counts(lift, 1).branch_period
-    return period if period is not None and period <= depth else None
+    pts, point, _, _ = _walk(lift, 1)
+    i = point[0]
+    for t in range(1, min(depth, len(pts)) + 1):
+        if pts[i] % lift.scale == 0:
+            return t
+        i = point[i]
+    return None

@@ -10,7 +10,8 @@ period set, the per-iterate Lefschetz check rows for their one-row
 statement, letter orbits for the fix counts' signed codes, iterate
 images expanded word by word for the per-iterate counts, a depth-first
 walk over every piece of the composed lifts for the oracle's count on
-the Markov partition), the one `record`, `census`, `certificates`
+the Markov partition, and the same walk's cover counts for the norms
+||M^m||_1), the one `record`, `census`, `certificates`
 and `certificate` the suite reads a map's census and certificates with,
 and the one set of a report's entropy keys."""
 
@@ -42,7 +43,7 @@ class BudgetError(RuntimeError):
         self.smallest_m = smallest_m
 
 
-#: the keys of a report's `entropy` block (schema 9)
+#: the keys of a report's `entropy` block (schema 9 and on)
 ENTROPY_KEYS = {"spectral", "gap_at_horizon", "horizon"}
 
 
@@ -641,6 +642,33 @@ class Walk:
     def over_budget(self) -> int | None:
         return next((k for k in range(2, self.depth + 1)
                      if self.pieces[k] > self.budget), None)
+
+
+def walk_covers(lift: PLLift, depth: int) -> tuple[int, ...]:
+    """covers[m-1], m = 1..depth: the integers in the images of the
+    pieces of f^m, each counted at its piece's start ([v_lo, v_hi) when
+    ascending, (v_hi, v_lo] when descending), over the walk's pieces of
+    f^1..f^depth.  The pieces below a piece of f^k are f's pieces over
+    its image, composed, so the walk counts the subtree below each
+    (k, image) once, the image ordered by the piece's orientation."""
+    scale, base = _scaled(lift, depth)
+    los = [lo for lo, _, _, _ in base]
+    memo: dict[tuple[int, int, int], list[int]] = {}
+
+    def tally(k: int, lo: int, hi: int, s: int, b: int) -> list[int]:
+        v_lo, v_hi = s * lo + b, s * hi + b
+        key = (k, v_lo, v_hi)
+        if key not in memo:
+            row = [0] * (depth + 1)
+            row[k] = (-(-v_hi // scale) - -(-v_lo // scale) if s > 0
+                      else v_lo // scale - v_hi // scale)
+            for child in _children(base, los, lo, hi, s, b) if k < depth else ():
+                row = [a + c for a, c in zip(row, tally(k + 1, *child))]
+            memo[key] = row
+        return memo[key]
+
+    rows = [tally(1, *piece) for piece in base]
+    return tuple(map(sum, zip(*rows)))[1:]
 
 
 def iterate_lift(lift: PLLift, m: int, budget: int = PIECE_BUDGET) -> PLLift:

@@ -2,17 +2,21 @@
 root, written by `tools/bench_pair.py`) names the metric and workload it
 claims, or none, holds every metric's median on both sides, and records
 that the parent and the change gave the same reports on every pair of
-runs; a claim's verdict, where a record holds one, follows from its runs.
+runs, or the same `attempted` and `failed` where it declares a change of
+the report; a claim's verdict, where a record holds one, follows from its
+runs, and so do its interleaved ratios' median and quartiles.
 It also names the committed change it measured, apart from its parent,
 and was timed at the run length `BENCHMARK.json` sets.  The gate logic
 of `tools/bench_pair.py` (wins, quartiles, `--pairs`, same output, the
-claim rule's verdict, and its refusal to write a record whose outputs
-differ) is checked on hand-built runs."""
+claim rule's verdict, its refusal to write a record whose outputs differ
+unless declared) is checked on hand-built runs, and its interleaved mode
+by an A/A run against HEAD in a clone under tmp_path."""
 
 import importlib.util
 import json
 import re
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,6 +53,16 @@ def test_records_are_complete():
                 assert claim["verdict"] == bench_pair.claim_verdict(
                     rec["workloads"][claim["workload"]], claim["metric"],
                     claim["better"]), path.name
+            if "interleaved" in rec:
+                q3 = rec["interleaved"][claim["workload"]]["quartiles"][1]
+                assert claim["interleaved_resolved"] is (q3 < 1), path.name
+        for name, w in rec.get("interleaved", {}).items():
+            where = f"{path.name} {name}"
+            assert len(w["ratios"]) == w["passes"] >= 1, where
+            assert w["median"] == statistics.median(w["ratios"]), where
+            assert w["quartiles"] == bench_pair.quartiles(w["ratios"]), where
+        # records older than the declaration have none
+        declared = rec.get("declared_change")
         for name, w in rec["workloads"].items():
             where = f"{path.name} {name}"
             assert w["seeds"], where
@@ -58,11 +72,14 @@ def test_records_are_complete():
                 for metric, median in w["median"][side].items():
                     values = [r["metrics"][metric] for r in runs]
                     assert median == statistics.median(values), (where, metric)
+            digests = []
             for p, c in zip(w["runs"]["parent"], w["runs"]["change"]):
                 assert re.fullmatch(r"[0-9a-f]{64}", p["report_sha256"]), where
-                for key in ("report_sha256", "attempted", "failed"):
+                for key in ("attempted", "failed"):
                     assert p[key] == c[key], (where, p["seed"], key)
-            assert w["outputs_equal"] is True, where
+                digests.append(p["report_sha256"] == c["report_sha256"])
+            assert w["outputs_equal"] is all(digests), where
+            assert declared or all(digests), where
 
 
 def load_bench_pair():
@@ -180,9 +197,11 @@ def fake_runs(tmp_path, monkeypatch):
     made = {}
 
     def run_once(tree, workload, seed, seconds):
-        digest, metrics = made["run"](tree == tmp_path, seed)
+        # a test's runs may give a failed count too, 0 if not
+        digest, metrics, *failed = made["run"](tree == tmp_path, seed)
         return {"seed": seed, "report_sha256": digest, "correct": True,
-                "attempted": 40, "failed": 0, "metrics": metrics}
+                "attempted": 40, "failed": failed[0] if failed else 0,
+                "metrics": metrics}
 
     monkeypatch.setattr(bench_pair, "run_once", run_once)
     return made
@@ -222,3 +241,46 @@ def test_main_records_claim_verdict(tmp_path, fake_runs, capsys, rate,
             "pairs won") in out
     assert out.rstrip().splitlines()[-2].endswith(
         "resolved" if resolved else "not resolved")
+
+
+@pytest.mark.parametrize("digest, failed, code", [
+    ("b" * 64, 0, 0), ("a" * 64, 1, 1), ("b" * 64, 1, 1)])
+def test_main_writes_declared_changes(tmp_path, fake_runs, capsys, digest,
+                                      failed, code):
+    # a declared change may move the report digest, never the counts
+    metrics = {m["name"]: 1.0 for m in BENCH["end_to_end"]}
+    fake_runs["run"] = lambda change, seed: (
+        (digest, metrics, failed) if change else ("a" * 64, metrics, 0))
+    argv = ["--pr", "0", "--parent", "HEAD", "--pairs", "census_deep=2",
+            "--declared-change", "schema 10"]
+    assert bench_pair.main(argv) == code
+    written = tmp_path / "BENCH_0.json"
+    assert written.exists() is (code == 0)
+    if code:
+        assert ("not writing BENCH_0.json: the outputs of census_deep seed "
+                "41: failed differ") in capsys.readouterr().err
+        return
+    rec = json.loads(written.read_text())
+    assert rec["declared_change"] == "schema 10"
+    assert rec["workloads"]["census_deep"]["outputs_equal"] is False
+
+
+def test_interleaved_a_a_smoke(tmp_path, monkeypatch):
+    # HEAD against itself in a clone under tmp_path: one pass of three
+    # maps per workload, with no process pair; nothing is written into
+    # the checkout
+    clone = tmp_path / "clone"
+    subprocess.run(["git", "clone", "-q", "--shared", str(ROOT), str(clone)],
+                   check=True, capture_output=True)
+    monkeypatch.setattr(bench_pair, "ROOT", clone)
+    monkeypatch.setattr(bench_pair, "INTERLEAVED_MAPS", 3)
+    before = sorted(ROOT.glob("BENCH_*.json"))
+    assert bench_pair.main(["--pr", "0", "--parent", "HEAD",
+                            "--interleaved", "1"]) == 0
+    assert sorted(ROOT.glob("BENCH_*.json")) == before
+    rec = json.loads((clone / "BENCH_0.json").read_text())
+    assert rec["parent"] == rec["change"] and rec["workloads"] == {}
+    assert set(rec["interleaved"]) == {w["name"] for w in BENCH["workloads"]}
+    for w in rec["interleaved"].values():
+        assert w["maps"] == 3 and w["passes"] == 1
+        assert w["differing_maps"] == 0 and w["ratios"][0] > 0

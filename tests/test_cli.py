@@ -55,10 +55,13 @@ a3 -> a1 a3
 # the canonical lift's branching point returns to an integer at step 4
 BRANCH_PERIOD_4 = "a1 -> a2 a1\na2 -> a4 a1\na3 -> a1\na4 -> a1\n"
 
-#: the oracle's two statements when the lift's fix and cover counts equal
-#: the formula's fix counts and the norms at every m it reaches
-PASSED = [{"m": None, "mode": "fix", "passed": True},
-          {"m": None, "mode": "cover", "passed": True}]
+#: the oracle's one statement when the lift's fix counts equal the
+#: formula's at every m it reaches
+PASSED = [{"m": None, "mode": "fix", "passed": True}]
+
+#: the oracle block's keys when the oracle runs; schema 9 also printed
+#: `lift_cover`
+ORACLE_KEYS = {"status", "branch_period_observed", "lift_fix", "checks"}
 
 # fix(m) = 10^m - 1: at horizon 4 400 its digits pass CPython's default
 # int-to-str limit of 4 300
@@ -191,7 +194,7 @@ class TestRunReport:
     def test_reflect_doubling_report(self):
         doc = parse_spec("n=1\nbranch: free\na1 -> a1' a1'\n")
         report = run_report(doc, ReportOptions())
-        assert report["schema"] == 9
+        assert report["schema"] == 10
         assert report["lefschetz"]["L"][0] == "3"
         assert report["lefschetz"]["l"][1] == "-6"
         assert report["census"]["per"][1] == "0"
@@ -276,7 +279,7 @@ class TestRunReport:
         assert [c["m"] for c in oracle["checks"]
                 if c["passed"] is None] == skipped
         fix = {"m": None, "mode": "fix", "passed": None if skipped else True}
-        assert oracle["checks"] == [fix, PASSED[1]]
+        assert oracle["checks"] == [fix]
         assert oracle["lift_fix"] == report["census"]["fix"][:6]
         if says is None:
             assert oracle["status"] == "ok"
@@ -299,16 +302,17 @@ class TestRunReport:
             oracle = report["oracle"]
             assert oracle["branch_period_observed"] == f.branch_class, f
             assert oracle["lift_fix"] == report["census"]["fix"], f
-            assert oracle["checks"][0] == PASSED[0], f
+            assert oracle["checks"] == PASSED, f
             assert not cli.report_has_failures(report), f
         assert {2, 3, 4} <= periods, periods
 
     def test_oracle_statements_fold_the_per_m_comparison(self):
         # seeded maps of both signs, each declared free and of class 1-3:
-        # the per-m comparison of the lift's counts with fix(m) and
-        # ||M^m||_1, as schema 6 printed it row by row, folds to the two
-        # statements, and a branch orbit that differs from the declared
-        # one leaves the fix statement unjudged, its rows agreeing or not
+        # the per-m comparison of the lift's counts with fix(m), as
+        # schema 6 printed it row by row, folds to the one statement, and
+        # a branch orbit that differs from the declared one leaves it
+        # unjudged, its rows agreeing or not; no cover is printed, since
+        # the lift's covers are ||M^m||_1 (`TestCover` in the oracle tests)
         depth = 30
         options = ReportOptions(horizon=depth, oracle_depth=depth)
         rng = random.Random(0x0AC1E)
@@ -330,25 +334,20 @@ class TestRunReport:
                 fixes = fix_counts(g, seqs.traces)
                 rows = [counts.fixed(m) == fixes[m - 1]
                         for m in range(1, depth + 1)]
-                covers = [c == seqs.norms[m - 1]
-                          for m, c in enumerate(counts.covers, start=1)]
-                expected = []
-                for mode, agree, judged in (
-                        ("fix", rows, counts.branch_period == k),
-                        ("cover", covers, True)):
-                    first = next((m for m, a in enumerate(agree, start=1)
-                                  if not a), None)
-                    expected.append({"m": first, "mode": mode, "passed": (
-                        first is None if judged else None)})
+                first = next((m for m, a in enumerate(rows, start=1)
+                              if not a), None)
+                judged = counts.branch_period == k
+                expected = [{"m": first, "mode": "fix", "passed": (
+                    first is None if judged else None)}]
+                assert set(oracle) == ORACLE_KEYS, g
                 assert oracle["checks"] == expected, g
                 assert oracle["lift_fix"] == [
                     str(counts.fixed(m)) for m in range(1, depth + 1)], g
-                assert oracle["lift_cover"] == list(map(str, counts.covers)), g
                 assert oracle["status"] == ("mismatch" if any(
                     c["passed"] is False for c in expected) else "ok"), g
                 outcomes |= {(c["mode"], c["passed"]) for c in expected}
                 outcomes.add(g.global_sign)
-        assert {("fix", True), ("fix", None), ("cover", True), 1, -1} <= outcomes
+        assert {("fix", True), ("fix", None), 1, -1} <= outcomes
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_unjudged_fix_statement_exits_0(self, analyze, fmt):
@@ -365,31 +364,27 @@ class TestRunReport:
         oracle = json.loads(out)["oracle"]
         assert oracle["status"] == "ok"
         assert oracle["checks"] == [
-            {"m": 1, "mode": "fix", "passed": None}, PASSED[1]]
+            {"m": 1, "mode": "fix", "passed": None}]
         assert oracle["lift_fix"] == [str(2**m) for m in range(1, 7)]
 
-    @pytest.mark.parametrize("index, mode", [(0, "fix"), (1, "cover")])
-    def test_wrong_formula_is_named(self, index, mode):
-        # fix(4), or ||M^4||_1, off by one: the statement names m = 4
+    def test_wrong_formula_is_named(self):
+        # fix(4) off by one: the statement names m = 4
         f = parse_spec("n=1\nbranch: free\na1 -> a1 a1\n").action
         seqs = PowerSequences.of(abelianize(f), 6)
-        formulas = [list(fix_counts(f, seqs.traces)), list(seqs.norms)]
-        formulas[index][3] += 1
+        fixes = list(fix_counts(f, seqs.traces))
+        fixes[3] += 1
         warnings = []
-        oracle = cli._run_oracle(f, ReportOptions(), formulas[1],
-                                 formulas[0], warnings)
+        oracle = cli._run_oracle(f, ReportOptions(), fixes, warnings)
         assert oracle["status"] == "mismatch"
-        expected = list(PASSED)
-        expected[index] = {"m": 4, "mode": mode, "passed": False}
-        assert oracle["checks"] == expected
+        assert oracle["checks"] == [{"m": 4, "mode": "fix", "passed": False}]
         assert warnings == []
         report = run_report(MapSpecDocument(f), ReportOptions())
         report["oracle"] = oracle
         assert report_has_failures(report)
         text = render_text(report)
-        assert f"\n  {mode} counts to m=6: mismatch, first difference at m=4\n" in text
+        assert "\n  fix counts to m=6: mismatch, first difference at m=4\n" in text
         assert text.count("FAILED") == 1
-        assert f"\nFAILED oracle {mode} check: 4\n" in text
+        assert "\nFAILED oracle fix check: 4\n" in text
 
     def test_json_round_trip(self):
         doc = parse_spec(LOW_GROWTH_TEXT)
@@ -743,7 +738,7 @@ class TestMain:
         code, out, _ = analyze("n=1\nbranch: free\na1 -> a1' a1'\n",
                                "--format", "json")
         assert code == 0
-        assert json.loads(out)["schema"] == 9
+        assert json.loads(out)["schema"] == 10
 
     def test_input_error_exit_code(self, analyze):
         code, _, err = analyze("n=1\nbranch: free\na1 -> a1 a1'\n")

@@ -1,5 +1,7 @@
-"""Piecewise-linear lift: construction, composition, crossing counts."""
+"""Piecewise-linear lift: construction, composition, crossing counts,
+and the cover identity that lets the oracle count no covers."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -23,12 +25,7 @@ from bouquet_dyn.errors import (
     LiftConstructionError,
 )
 from bouquet_dyn.homology import mat_mul, power_traces, recur
-from bouquet_dyn.pl_oracle import (
-    COVER_DEPTH,
-    OracleCounts,
-    PLLift,
-    lift_branch_period,
-)
+from bouquet_dyn.pl_oracle import OracleCounts, PLLift, lift_branch_period
 
 from conftest import (
     PIECE_BUDGET,
@@ -43,7 +40,9 @@ from conftest import (
     mat_pow,
     norm1,
     random_action,
+    random_branch_periodic_action,
     random_expanding_action,
+    walk_covers,
 )
 
 REFLECT = action("a1' a1'")
@@ -99,16 +98,7 @@ def walk_counts(lift, depth):
     scale = walk.scale
     top = lift.n * scale
     crossings = [0] * (depth + 1)
-    covers = [0] * (depth + 1)
     for k, lo, hi, s, b in walk:
-        # integers in the half-open image: [v_lo, v_hi) when ascending,
-        # (v_hi, v_lo] when descending
-        v_lo = s * lo + b
-        v_hi = s * hi + b
-        if s > 0:
-            covers[k] += -(-v_hi // scale) - -(-v_lo // scale)
-        else:
-            covers[k] += v_lo // scale - v_hi // scale
         if s == 1:
             if b == 0:
                 raise DegenerateMapError(f"iterate {k} is the identity")
@@ -125,9 +115,7 @@ def walk_counts(lift, depth):
     period = orbit_period(lift)
     lift_fix = tuple(c + (period is not None and m % period == 0)
                      for m, c in enumerate(crossings[1:], start=1))
-    return OracleCounts(lift_fix,
-                        tuple(covers[1 : min(depth, COVER_DEPTH) + 1]),
-                        period)
+    return OracleCounts(lift_fix, period)
 
 
 def counts_or_degenerate(count, lift, depth):
@@ -294,6 +282,28 @@ class TestBranchOrbit:
         assert lift_branch_period(SLOW_RETURN, 19) is None
         assert lift_branch_period(SLOW_RETURN, 20) == 20
 
+    def test_helper_reads_the_counts_period(self):
+        # the helper follows the point map alone, and gives the period
+        # that the counts read off their cycles, capped at its depth, on
+        # seeded lifts of both signs, branch orbits periodic or not
+        rng = random.Random(41)
+        cases = [SLOW_RETURN, FLIP]
+        for sign in (1, -1):
+            cases += [random_expanding_action(rng, sign=sign)[1]
+                      for _ in range(30)]
+        cases += [random_branch_periodic_action(rng)[1] for _ in range(60)]
+        periods = set()
+        for lift in cases:
+            for depth in (1, 2, 3, 5, 8, 13, 21, 30):
+                try:
+                    period = oracle_counts(lift, depth).branch_period
+                except DegenerateMapError:
+                    continue
+                capped = period if period is not None and period <= depth else None
+                assert lift_branch_period(lift, depth) == capped, (lift, depth)
+                periods.add(capped)
+        assert {None, 1, 2, 3, 20} <= periods, periods
+
     def test_no_second_orbit_walk(self, monkeypatch):
         # the counts read the branch period off the point map: with the
         # helper's own orbit walk refused they come out the same
@@ -393,7 +403,7 @@ class TestTableMatchesWalk:
         # f itself is no identity: its one fixed point, 1, is an integer
         counts = oracle_counts(FLIP, 1)
         assert counts == walk_counts(FLIP, 1)
-        assert counts.lift_fix == (1,) and counts.covers == (2,)
+        assert counts.lift_fix == (1,) and walk_covers(FLIP, 1) == (2,)
 
     def test_integers_mapping_to_other_integers(self):
         # expanding lifts that jump at an integer, so integers map to
@@ -482,12 +492,13 @@ class TestTableMatchesWalk:
         for _ in range(40):
             _, lift = random_expanding_action(rng, len_max=3)
             counts = oracle_counts(lift, 6)
+            covers = walk_covers(lift, 6)
             for m, depth in ((2, 3), (3, 2)):
                 composed = iterate_lift(lift, m)
                 walked = walk_counts(composed, depth)
                 assert oracle_counts(composed, depth) == walked
                 assert walked.lift_fix == counts.lift_fix[m - 1::m]
-                assert walked.covers == counts.covers[m - 1::m]
+                assert walk_covers(composed, depth) == covers[m - 1::m]
 
     def test_lifts_breaking_the_contract_refused(self):
         # `FLIP`'s map x -> 2 - x, cut so that a piece end (5/3) maps to
@@ -499,40 +510,96 @@ class TestTableMatchesWalk:
             with pytest.raises(DegenerateMapError, match="iterate 2 "):
                 oracle_counts(lift, 3)
             assert oracle_counts(lift, 1).lift_fix == (1,)
+
+    @pytest.mark.parametrize("lift, message", [
         # one-sided values 1 and 3/4 at the piece end 1/4
-        torn = PLLift(1, 4, ((0, 1, 2, 2), (1, 3, -1, 4), (3, 4, 1, -2)))
-        with pytest.raises(InputError, match="not continuous at 1/4"):
-            oracle_counts(torn, 1)
+        (PLLift(1, 4, ((0, 1, 2, 2), (1, 3, -1, 4), (3, 4, 1, -2))),
+         "the lift is not continuous at 1/4"),
+        # 0 goes to 1/2 and 1 to 0: two values at the branching point
+        (PLLift(1, 2, ((0, 1, 1, 1), (1, 2, -2, 4))),
+         "the lift is not continuous at the branching point"),
+        # x -> 2x - 1 on [1, 2] sends 2 to 3
+        (PLLift(2, 1, ((0, 1, 2, 0), (1, 2, 2, -1))), "the lift leaves [0, 2]"),
+        # 1 on [1/2, 1]
+        (PLLift(1, 2, ((0, 1, 2, 0), (1, 2, 0, 2))),
+         "the lift is constant at 1/2"),
+        # x -> x on [0, 1/2), then 1 - x: the identity from iterate 1
+        (PLLift(1, 2, ((0, 1, 1, 0), (1, 2, -1, 2))),
+         "iterate 1 of the lift is the identity on [0, 1/2); the map is "
+         "not expanding"),
+    ], ids=["torn", "branching-point", "leaves", "constant", "identity"])
+    def test_each_refusal_names_its_reason(self, lift, message):
+        # the counts and the branch period refuse a lift with one text
+        for call in (oracle_counts, lift_branch_period):
+            with pytest.raises(InputError) as e:
+                call(lift, 1)
+            assert str(e.value) == message
+
+
+def lift_viable_domain():
+    """(action, lift) for every map of the exhaustive domain (n <= 2,
+    image words of 1-3 letters, either sign) that has a canonical lift."""
+    for n, mark in itertools.product((1, 2), ("", "'")):
+        words = [" ".join(f"a{i}{mark}" for i in letters)
+                 for size in (1, 2, 3)
+                 for letters in itertools.product(range(1, n + 1), repeat=size)]
+        for images in itertools.product(words, repeat=n):
+            f = action(*images)
+            try:
+                yield f, build_lift(f)
+            except LiftConstructionError:
+                continue
 
 
 class TestCover:
+    """The identity that lets the oracle count no covers: on every lift
+    that `build_lift` makes, the walk's covers of f^m are ||M^m||_1, the
+    report's `PowerSequences.norms` (see `oracle_counts`)."""
+
     def test_low_growth_cover(self):
         lift = build_lift(LOW_GROWTH)
-        cover = oracle_counts(lift, 1).covers[0]
+        cover = walk_covers(lift, 1)[0]
         assert cover == 5 == norm1(abelianize(LOW_GROWTH))
 
     def test_two_circle_permutation_style(self):
         f = action("a1 a2", "a1")
-        assert oracle_counts(build_lift(f), 1).covers == (3,)
+        assert walk_covers(build_lift(f), 1) == (3,)
 
     def test_low_growth_cube(self):
         lift = build_lift(LOW_GROWTH)
-        assert oracle_counts(lift, 3).covers[2] == 20
+        assert walk_covers(lift, 3)[2] == 20
 
     def test_growth_matches_norms(self, rng):
         for _ in range(5):
             f, lift = random_expanding_action(rng)
             mat = abelianize(f)
-            covers = oracle_counts(lift, 8).covers
+            covers = walk_covers(lift, 8)
             for m in range(1, 9):
                 assert covers[m - 1] == norm1(mat_pow(mat, m))
 
     def test_entropy_sequence_agreement(self):
         lift = build_lift(LOW_GROWTH)
         mat = abelianize(LOW_GROWTH)
-        covers = oracle_counts(lift, 7).covers
+        covers = walk_covers(lift, 7)
         for m in range(1, 8):
             assert covers[m - 1] == norm1(mat_pow(mat, m))
+
+    def test_covers_are_the_norms(self):
+        # every lift-viable map of the domain to depth 10, and seeded maps
+        # of both signs, branch orbits periodic or not, to depth 12, past
+        # the 8 iterates that reports printed covers for until schema 10
+        cases = [(f, lift, 10) for f, lift in lift_viable_domain()]
+        assert len(cases) == 224
+        rng = random.Random(29)
+        for sign in (1, -1):
+            for _ in range(15):
+                cases.append((*random_expanding_action(rng, sign=sign), 12))
+                f, lift = random_branch_periodic_action(rng)
+                cases.append((f, lift, 12))
+        assert {f.global_sign for f, _, _ in cases} == {1, -1}
+        for f, lift, depth in cases:
+            norms = PowerSequences.of(abelianize(f), depth).norms
+            assert walk_covers(lift, depth) == norms, f
 
 
 class TestOracleArguments:
@@ -555,17 +622,18 @@ class TestOracleMemory:
         # the heaviest lift of acceptance criterion 6: covers 12 ... 12288
         # to depth 6; a materialized f^6 alone took about 7 MB
         rng = random.Random(0xACCE55)
-        _, lift = max(
+        f, lift = max(
             (random_expanding_action(rng) for _ in range(20)),
             key=lambda case: norm1(abelianize(case[0])),
         )
+        assert PowerSequences.of(abelianize(f), 6).norms == (
+            12, 48, 192, 768, 3072, 12288)
         tracemalloc.start()
         try:
-            counts = oracle_counts(lift, 6)
+            oracle_counts(lift, 6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert counts.covers == (12, 48, 192, 768, 3072, 12288)
         assert peak < 256 * 1024
         # a1 -> a1 a1 to depth 200: 2^200 pieces of f^200, counted on
         # the lift's cells and read off the recurrence past dim S
@@ -577,7 +645,6 @@ class TestOracleMemory:
         finally:
             tracemalloc.stop()
         assert counts.lift_fix == tuple(2**m - 1 for m in range(1, 201))
-        assert counts.covers == tuple(2**m for m in range(1, 9))
         assert peak < 256 * 1024
         assert not any(
             callable(getattr(v, "cache_clear", None))

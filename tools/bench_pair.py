@@ -15,11 +15,29 @@ change must win at least 9 in 10 pairs, and its median must be better
 than the parent's by more than the parent's quartile spread.  A
 record must show that they did: when a pair differs, the tool prints
 the medians, names the first workload and seed that differ, writes
-nothing and exits 1, so a declared change of the report commits no
-record.
+nothing and exits 1.  `--declared-change TEXT` records a change of the
+report that is meant: the record holds the text, and a pair whose
+report digests differ is written with `outputs_equal` false; a pair
+whose `attempted` or `failed` differ is refused all the same.
+
+`--interleaved PASSES` adds an in-process A/B, whose spread is far
+smaller than that of process runs.  It imports the parent's
+`src/bouquet_dyn` under the name `bench_parent` and the checkout's under
+`bench_change` (their imports are relative, so each loads under any
+name), takes the first `INTERLEAVED_MAPS` maps of each workload at the
+first seed from the checkout's `perfbench/workloads.py`, which it reads
+and does not change, and analyzes each map on both sides as
+`perfbench/run.py` does (parse, report, render), alternating which side
+goes first from map to map and from pass to pass.  Each pass gives one
+ratio per workload, the change's total time over the parent's; the
+record holds every ratio, their median and quartiles, and how many
+maps' reports differ.  The rule: a claim resolves in the interleaved
+record when the whole interquartile range of its workload's ratios lies
+past 1 in the claimed direction, below 1 for a faster change; the
+record's claim holds that verdict beside the paired one.
 
     python3 tools/bench_pair.py --pr 8 --parent 4cea4e5 \\
-        --claim census_deep.maps_per_s \\
+        --claim census_deep.maps_per_s --interleaved 11 \\
         --pairs census_deep=10 --pairs corpus_default=2 --pairs oracle_deep=2
 
 Each run lasts the `run_seconds` that `BENCHMARK.json` sets.  Standard
@@ -33,7 +51,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import io
+import itertools
 import json
 import re
 import statistics
@@ -41,10 +62,14 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST_RE = re.compile(r"^report_sha256 of all \d+: ([0-9a-f]{64})$", re.M)
+#: maps per workload in each pass of the interleaved A/B
+INTERLEAVED_MAPS = 200
 
 
 def git(*args: str) -> str:
@@ -144,23 +169,80 @@ def claim_verdict(w: dict, metric: str, better: str) -> dict:
 OUTPUT_KEYS = ("report_sha256", "attempted", "failed")
 
 
-def same_output(parent: dict, change: dict) -> bool:
+def same_output(parent: dict, change: dict, keys=OUTPUT_KEYS) -> bool:
     return parent["report_sha256"] is not None and all(
-        parent[k] == change[k] for k in OUTPUT_KEYS
+        parent[k] == change[k] for k in keys
     )
 
 
-def first_difference(workloads: dict) -> str | None:
-    """The first workload and seed whose pair of runs gave different
-    output, and how, or None when every pair agrees."""
+def first_difference(workloads: dict, keys=OUTPUT_KEYS) -> str | None:
+    """The first workload and seed whose pair of runs differ on `keys`,
+    and how, or None when every pair agrees."""
     for name, w in workloads.items():
         for p, c in zip(w["runs"]["parent"], w["runs"]["change"]):
-            if not same_output(p, c):
-                keys = [k for k in OUTPUT_KEYS if p[k] != c[k]]
+            if not same_output(p, c, keys):
+                differ = [k for k in keys if p[k] != c[k]]
                 return (f"{name} seed {p['seed']}: "
-                        + (f"{', '.join(keys)} differ" if keys
+                        + (f"{', '.join(differ)} differ" if differ
                            else "no report_sha256"))
     return None
+
+
+def load_cli(name: str, package: Path):
+    """The `cli` module of the package directory `package`, imported
+    under the name `name`."""
+    for key in [k for k in sys.modules if k.split(".")[0] == name]:
+        del sys.modules[key]
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def workload_maps(seed: int) -> dict:
+    """(workload, its first INTERLEAVED_MAPS map texts at `seed`) per
+    workload of the checkout's `perfbench/workloads.py`, executed from
+    its source so that no file under `perfbench/` is written."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    path = ROOT / "perfbench" / "workloads.py"
+    sys.modules["bench_workloads"] = module = types.ModuleType("bench_workloads")
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return {name: (wl, list(itertools.islice(
+                module.generate_maps(wl, seed), INTERLEAVED_MAPS)))
+            for name, wl in module.WORKLOADS.items()}
+
+
+def interleave(clis: dict, wl, texts: list[str], passes: int) -> dict:
+    """Each pass's ratio of the change's total time to the parent's over
+    `texts`, each map analyzed by both sides of `clis` as perfbench does,
+    the side that goes first alternating by map and by pass; their median
+    and quartiles, and the maps whose reports differ."""
+    options = {side: cli.ReportOptions(wl.horizon, wl.oracle_depth,
+                                       wl.no_oracle, wl.entropy_horizon)
+               for side, cli in clis.items()}
+    ratios, outputs = [], {side: [] for side in clis}
+    for p in range(passes):
+        total = dict.fromkeys(clis, 0.0)
+        for i, text in enumerate(texts):
+            order = ("parent", "change") if (i + p) % 2 == 0 else ("change", "parent")
+            for side in order:
+                cli = clis[side]
+                t = time.perf_counter()
+                try:
+                    out = cli.render_json(cli.run_report(
+                        cli.parse_spec(text), options[side]))
+                except Exception as e:  # a failed report, as perfbench counts it
+                    out = f"raised {type(e).__name__}: {e}"
+                total[side] += time.perf_counter() - t
+                if not p:
+                    outputs[side].append(out)
+        ratios.append(total["change"] / total["parent"])
+    return {"maps": len(texts), "passes": passes, "ratios": ratios,
+            "median": statistics.median(ratios),
+            "quartiles": quartiles(ratios),
+            "differing_maps": sum(a != b for a, b in zip(*outputs.values()))}
 
 
 def parse_pairs(items: list[str]) -> dict[str, int]:
@@ -180,10 +262,18 @@ def main(argv=None) -> int:
     ap.add_argument("--claim", default=None,
                     help="WORKLOAD.METRIC the change claims to improve; "
                     "omitted, the record's claim is null")
-    ap.add_argument("--pairs", action="append", required=True,
-                    help="WORKLOAD=COUNT, repeatable")
+    ap.add_argument("--pairs", action="append", default=[],
+                    help="WORKLOAD=COUNT, repeatable; needed without "
+                    "--interleaved")
     ap.add_argument("--first-seed", type=int, default=41)
+    ap.add_argument("--declared-change", default=None, metavar="TEXT",
+                    help="the report change the record declares: pairs "
+                    "whose report digests differ are written, not refused")
+    ap.add_argument("--interleaved", type=int, default=0, metavar="PASSES",
+                    help="passes of the in-process A/B over every workload")
     args = ap.parse_args(argv)
+    if not args.pairs and not args.interleaved:
+        raise SystemExit("give --pairs, --interleaved or both")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -206,6 +296,7 @@ def main(argv=None) -> int:
         "command": bench["command"],
         "seconds": bench["run_seconds"],
         "claim": claim,
+        "declared_change": args.declared_change,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -233,6 +324,12 @@ def main(argv=None) -> int:
                 **summarize(runs, better),
                 "outputs_equal": all(equal),
             }
+        if args.interleaved:
+            clis = {side: load_cli(f"bench_{side}", t / "src" / "bouquet_dyn")
+                    for side, t in trees.items()}
+            record["interleaved"] = {
+                name: interleave(clis, wl, texts, args.interleaved)
+                for name, (wl, texts) in workload_maps(args.first_seed).items()}
     for workload, w in record["workloads"].items():
         for metric in better:
             print(f"{workload}.{metric} median "
@@ -248,8 +345,20 @@ def main(argv=None) -> int:
               f"against the parent's quartile spread "
               f"{verdict['parent_spread']:.6g}: "
               + ("resolved" if verdict["resolved"] else "not resolved"))
+    for workload, w in record.get("interleaved", {}).items():
+        print(f"{workload} interleaved: change/parent time median "
+              f"{w['median']:.4f}, quartiles {w['quartiles'][0]:.4f}-"
+              f"{w['quartiles'][1]:.4f} over {w['passes']} passes of "
+              f"{w['maps']} maps, {w['differing_maps']} reports differ")
+    if claim is not None and "interleaved" in record:
+        # the change's time ratio, below 1 over the whole IQR
+        q3 = record["interleaved"][claim["workload"]]["quartiles"][1]
+        claim["interleaved_resolved"] = q3 < 1
+        print(f"claim {args.claim}, interleaved: "
+              + ("resolved" if q3 < 1 else "not resolved"))
     path = ROOT / f"BENCH_{args.pr}.json"
-    difference = first_difference(record["workloads"])
+    keys = OUTPUT_KEYS[1:] if args.declared_change else OUTPUT_KEYS
+    difference = first_difference(record["workloads"], keys)
     if difference is not None:
         print(f"not writing {path.name}: the outputs of {difference}",
               file=sys.stderr)
