@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import importlib.util
 import io
 import itertools
