@@ -278,11 +278,12 @@ def _radius_failure(spectrum: SpectrumReport, char: tuple[int, ...],
     Perron root of |M|, whose det(xI - |M|) is `char` = det(xI - M) with
     c_i times s^(n-i).  The solver's radius r passes when lambda lies in
     [r - w, r + w), w = min(1e-9 r, DOMINANCE_EPS), each end rounded
-    outward to a multiple of 2^-40: `exceeds_perron_root` decides both
-    sides exactly.  Every modulus must be finite, since a nan sorts
-    anywhere; one that is not fails untested.  lambda lies between the
-    least and the largest column sum of |M| (the Collatz-Wielandt bounds
-    with x = 1, on |M| transposed), which the failure names.
+    outward to a multiple of 2^-40: one `exceeds_perron_root` call
+    decides both sides exactly.  Every modulus must be finite, since a
+    nan sorts anywhere; one that is not fails untested.  lambda lies
+    between the least and the largest column sum of |M| (the
+    Collatz-Wielandt bounds with x = 1, on |M| transposed), which the
+    failure names.
     """
     r = spectrum.spectral_radius
     if all(math.isfinite(abs(z)) for z in spectrum.values):
@@ -291,8 +292,10 @@ def _radius_failure(spectrum: SpectrumReport, char: tuple[int, ...],
         scale = 1 << 40
         hi_num, hi_den = (r + w).as_integer_ratio()
         lo_num, lo_den = (r - w).as_integer_ratio()
-        if (exceeds_perron_root(perron, -(-hi_num * scale // hi_den), scale)
-                and not exceeds_perron_root(perron, lo_num * scale // lo_den, scale)):
+        above, below = exceeds_perron_root(
+            perron, (-(-hi_num * scale // hi_den), lo_num * scale // lo_den),
+            scale)
+        if above and not below:
             return None
     return (f"eigenvalue moduli must be finite, the largest within a relative "
             f"1e-9 (at most {DOMINANCE_EPS}) of the Perron root of |M|, in "

@@ -4,12 +4,16 @@ The exact integer characteristic polynomial comes from the report's
 `homology.PowerSequences` record.  Zero roots are stripped exactly, the
 rest is split exactly into its squarefree parts (Yun, 1976), so every
 multiplicity is exact, and the roots of each part come from a
-deterministic simultaneous-iteration solver.  Entropy is the natural log
-of the spectral radius, clamped at zero for degenerate inputs; the
-report compares it with one term of the norm-growth limit, read off the
-record's norms (`cli.run_report`).
-`exceeds_perron_root` certifies the solver's radius on the same exact
-polynomial, by one integer Taylor shift (its docstring gives the proof).
+deterministic simultaneous-iteration solver.  A polynomial prime to its
+derivative is its own only part, found by the first gcd alone; the
+solver then runs on the one float copy of it that the residual reads,
+and the residual is read in the same pass over the roots, once per
+distinct root.  Entropy is the natural log of the spectral radius,
+clamped at zero for degenerate inputs; the report compares it with one
+term of the norm-growth limit, read off the record's norms
+(`cli.run_report`).  `exceeds_perron_root` certifies the solver's radius
+on the same exact polynomial, one integer Taylor shift per bound on one
+scaled copy of it (its docstring gives the proof).
 """
 
 from __future__ import annotations
@@ -29,19 +33,13 @@ DOMINANCE_EPS = 1e-8
 M0_SCAN_CAP = 10_000
 
 
-def _eval_poly(coeffs: list[float], z: complex) -> complex:
-    out = complex(0)
-    for c in reversed(coeffs):
-        out = out * z + c
-    return out
-
-
 def _durand_kerner(coeffs: list[float]) -> list[complex]:
     """All roots of a monic polynomial [c_0, ..., c_d], c_d = 1.
 
     Deterministic start: points on a circle of radius 1 + max |c_i|,
     rotated off the real axis so real-coefficient symmetry cannot stall
-    the iteration.  At most 200 sweeps.
+    the iteration.  At most 200 sweeps, each evaluating the polynomial at
+    a root by Horner's rule from c_d down, starting from 0j.
     """
     d = len(coeffs) - 1
     if d == 0:
@@ -49,19 +47,25 @@ def _durand_kerner(coeffs: list[float]) -> list[complex]:
     radius = 1.0 + max(abs(c) for c in coeffs[:-1])
     turns = [2 * math.pi * (i + 0.25) / d for i in range(d)]
     roots = [radius * complex(math.cos(t), math.sin(t)) for t in turns]
+    downward = coeffs[::-1]
     for _ in range(200):
         moved = 0.0
         new = list(roots)
-        for i in range(d):
-            denom = complex(1)
-            for j in range(d):
+        for i, z in enumerate(roots):
+            denom = 1 + 0j
+            for j, other in enumerate(roots):
                 if j != i:
-                    denom *= roots[i] - roots[j]
+                    denom *= z - other
             if denom == 0:
                 continue
-            step = _eval_poly(coeffs, roots[i]) / denom
-            new[i] = roots[i] - step
-            moved = max(moved, abs(step))
+            value = 0j
+            for c in downward:
+                value = value * z + c
+            step = value / denom
+            new[i] = z - step
+            size = abs(step)
+            if size > moved:  # max(moved, size): a nan size leaves moved
+                moved = size
         roots = new
         if moved < 1e-14:
             break
@@ -129,11 +133,15 @@ def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     squarefree, pairwise coprime and nonconstant, and char = prod a_i^i.
 
     Integers only: every gcd is a primitive pseudo-remainder sequence and
-    every division is by a monic divisor.  A constant char has no part.
+    every division is by a monic divisor.  A constant char has no part,
+    and a char prime to its derivative is its own only part, read off the
+    first gcd without the second pass.
     """
     _check_monic(char)
     df = _derivative(char)
     g = _gcd(list(char), df)
+    if g == [1]:
+        return [(tuple(char), 1)] if df else []
     b, c = _div_monic(char, g), _div_monic(df, g)
     parts = []
     i = 1
@@ -148,35 +156,41 @@ def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     return parts
 
 
-def exceeds_perron_root(char: Sequence[int], p: int, q: int) -> bool:
-    """Whether p/q > lambda, for an int p, an int q >= 1 and the
-    characteristic polynomial char = c = [c_0, ..., c_d] of a nonnegative
-    matrix, lambda its Perron root (its spectral radius).
+def exceeds_perron_root(char: Sequence[int], ps: Sequence[int],
+                        q: int) -> list[bool]:
+    """Whether p/q > lambda, for each int p of `ps`, an int q >= 1 and
+    the characteristic polynomial char = c = [c_0, ..., c_d] of a
+    nonnegative matrix, lambda its Perron root (its spectral radius).
 
     That holds exactly when every coefficient of q^d c((y + p)/q) is
-    positive: one integer Taylor shift by p of the c_i q^(d-i), O(d^2)
-    steps, stopped at the first coefficient <= 0.  By Perron-Frobenius,
-    lambda is a root of c and no root has a larger modulus (Seneta,
-    Non-negative Matrices and Markov Chains, ch. 1).  If t = p/q >
-    lambda, every root of c(x + t) has a negative real part, so c(x + t)
-    is a product of factors x + a and x^2 + 2bx + b^2 + e^2 with a, b >
-    0, and all its coefficients are positive.  If t <= lambda, c(x + t)
-    has the root lambda - t >= 0, and a polynomial whose coefficients are
-    all positive has no root in [0, oo).  Zero roots of c need no special
-    case.
+    positive: one integer Taylor shift by p of the c_i q^(d-i), scaled
+    once for every p, O(d^2) steps, stopped at the first coefficient <=
+    0.  By Perron-Frobenius, lambda is a root of c and no root has a
+    larger modulus (Seneta, Non-negative Matrices and Markov Chains,
+    ch. 1).  If t = p/q > lambda, every root of c(x + t) has a negative
+    real part, so c(x + t) is a product of factors x + a and x^2 + 2bx +
+    b^2 + e^2 with a, b > 0, and all its coefficients are positive.  If
+    t <= lambda, c(x + t) has the root lambda - t >= 0, and a polynomial
+    whose coefficients are all positive has no root in [0, oo).  Zero
+    roots of c need no special case.
     """
-    check_int(p, "p")
+    check_ints(ps, "p")
     check_int(q, "q", 1)
     _check_monic(char)
     d = len(char) - 1
-    shifted = [c * q ** (d - i) for i, c in enumerate(char)]
-    # after pass i, coefficient i is final: no later pass reaches it
-    for i in range(d):
-        for j in reversed(range(i, d)):
-            shifted[j] += p * shifted[j + 1]
-        if shifted[i] <= 0:
-            return False
-    return True
+    scaled = [c * q ** (d - i) for i, c in enumerate(char)]
+
+    def shifted_positive(p: int) -> bool:
+        shifted = list(scaled)
+        # after pass i, coefficient i is final: no later pass reaches it
+        for i in range(d):
+            for j in reversed(range(i, d)):
+                shifted[j] += p * shifted[j + 1]
+            if shifted[i] <= 0:
+                return False
+        return True
+
+    return [shifted_positive(p) for p in ps]
 
 
 class SpectrumReport(Record, fields="values residual"):
@@ -209,26 +223,42 @@ def eigenvalues(char: Sequence[int]) -> SpectrumReport:
     as equal values.
 
     Sorted by modulus descending, ties broken by real part then imaginary
-    part, both descending.  The residual is the largest |p(lambda)| over
-    the scaled characteristic polynomial with its zero roots stripped.
-    A polynomial whose coefficients or roots overflow a float is refused.
+    part, both descending.  The residual is |p(z)| / (1 + max |c_i|),
+    largest over the roots z, for p = [c_0, ..., c_d] the polynomial with
+    its zero roots stripped, evaluated in floats by Horner's rule: it
+    grows with the size of the coefficients, and is no bound on any
+    root's error.  It is read once per distinct root, starting from the
+    first root's value as `max` does, so a first value of nan stays.
+    A coefficient too large for a float is refused, and so is a root
+    whose modulus overflows one; a root the solver leaves nan or
+    infinite is returned as it is, and the report's radius check fails
+    it (`cli._radius_failure`, exit 2).
     """
     _check_monic(char)
     zeros = next(i for i, c in enumerate(char) if c)
     coeffs = list(char[zeros:])
     try:
         monic = [float(c) for c in coeffs]
-        found = [z for part, i in squarefree_parts(coeffs)
-                 for z in _durand_kerner([float(c) for c in part]) * i]
-        scale = 1.0 + max(abs(c) for c in monic)
-        residual = max((abs(_eval_poly(monic, z)) / scale for z in found),
-                       default=0.0)
+        downward, scale = monic[::-1], 1.0 + max(map(abs, monic))
+        found, residual = [], None
+        for part, i in squarefree_parts(coeffs):
+            # the whole polynomial is its own only part: one float copy
+            part_roots = _durand_kerner(monic if len(part) == len(monic)
+                                        else [float(c) for c in part])
+            for z in part_roots:
+                value = 0j
+                for c in downward:
+                    value = value * z + c
+                size = abs(value) / scale
+                if residual is None or size > residual:
+                    residual = size
+            found += part_roots * i
         roots = found + [complex(0)] * zeros
         roots.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
     except OverflowError:
         raise InputError("polynomial overflows a float, got "
                          + shown(tuple(char))) from None
-    return SpectrumReport(tuple(roots), residual)
+    return SpectrumReport(tuple(roots), 0.0 if residual is None else residual)
 
 
 def dominant_test(s: SpectrumReport) -> bool:
@@ -240,14 +270,6 @@ def dominant_test(s: SpectrumReport) -> bool:
         s.spectral_radius > 1.0 + DOMINANCE_EPS
         and s.spectral_radius > s.second_modulus + DOMINANCE_EPS
     )
-
-
-def _logsumexp(vals: list[float]) -> float:
-    top = max(vals)
-    if top == -math.inf:
-        return top
-    # fsum is correctly rounded, so the sum is the same on every Python
-    return top + math.log(math.fsum(math.exp(v - top) for v in vals))
 
 
 def m0_bound(s: SpectrumReport, dim: int) -> int | None:
@@ -273,13 +295,16 @@ def m0_bound(s: SpectrumReport, dim: int) -> int | None:
     log_s2 = math.log(s2) if s2 > 0 else -math.inf
     log_d = math.log(dim)
 
+    exp = math.exp
+
     def passes(m: int) -> bool:
-        rhs = _logsumexp([
-            log_d + (m / 2) * log_s1,
-            log_d,
-            log_d + m * log_s2,
-            0.0,
-        ])
+        # log(d s1^(m/2) + d + d s2^m + 1) as a log-sum-exp, whose top
+        # is >= 0; fsum is correctly rounded, so it sums alike on every
+        # Python
+        half, tail = log_d + (m / 2) * log_s1, log_d + m * log_s2
+        top = max(half, log_d, tail, 0.0)
+        rhs = top + math.log(math.fsum((exp(half - top), exp(log_d - top),
+                                        exp(tail - top), exp(-top))))
         # a margin makes an exact tie fail on every interpreter; it can
         # only move m0 up, which keeps the bound sound
         lhs = m * log_s1

@@ -4,7 +4,8 @@ quantity is checked against (a ladder of matrix products and repeated
 squaring for the power sequences, Faddeev-LeVerrier for their
 characteristic polynomial, a Bareiss elimination of pI - q|M| for the
 shift test of the Perron root, Euclid's algorithm in `Fraction`s for the
-squarefree parts of one, divisors and mu for the Moebius sieve and its
+squarefree parts of one, the spectrum block one call per step for the
+bits of `spectral`'s roots, residual, m0 bound and radius check, divisors and mu for the Moebius sieve and its
 forward divisor sums, the fix-count comparison test for the census's
 period set, the per-iterate Lefschetz check rows for their one-row
 statement, letter orbits for the fix counts' signed codes, iterate
@@ -21,11 +22,13 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
-from bouquet_dyn import cli
-from bouquet_dyn.errors import InputError, LiftConstructionError
+from bouquet_dyn import cli, spectral
+from bouquet_dyn.errors import (InputError, LiftConstructionError, check_int,
+                                shown)
 from bouquet_dyn.homology import (IntMatrix, PowerSequences, abelianize,
                                   invert_divisor_sums, mat_mul)
 from bouquet_dyn.periods import fix_counts, per_census, period_certificates
@@ -393,6 +396,163 @@ def poly_gcd(a: list[int], b: list[int]) -> list[Fraction]:
             trim(a)
         a, b = b, a
     return [c / a[-1] for c in a]
+
+
+# ---------------------------------------------------------------------------
+# the spectrum block one call per step: the references that `spectral`
+# and `cli._radius_failure` must match bit for bit
+
+def horner(coeffs: list[float], z: complex) -> complex:
+    """The polynomial [c_0, ..., c_d] at z by Horner's rule, from 0j."""
+    out = complex(0)
+    for c in reversed(coeffs):
+        out = out * z + c
+    return out
+
+
+def durand_kerner_stepwise(coeffs: list[float]) -> list[complex]:
+    """`spectral._durand_kerner` with a `horner` call per root per sweep."""
+    d = len(coeffs) - 1
+    if d == 0:
+        return []
+    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
+    turns = [2 * math.pi * (i + 0.25) / d for i in range(d)]
+    roots = [radius * complex(math.cos(t), math.sin(t)) for t in turns]
+    for _ in range(200):
+        moved = 0.0
+        new = list(roots)
+        for i in range(d):
+            denom = complex(1)
+            for j in range(d):
+                if j != i:
+                    denom *= roots[i] - roots[j]
+            if denom == 0:
+                continue
+            step = horner(coeffs, roots[i]) / denom
+            new[i] = roots[i] - step
+            moved = max(moved, abs(step))
+        roots = new
+        if moved < 1e-14:
+            break
+    return roots
+
+
+def yun_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """`spectral.squarefree_parts` with Yun's second pass run on every
+    polynomial, a squarefree one too."""
+    spectral._check_monic(char)
+    df = spectral._derivative(char)
+    g = spectral._gcd(list(char), df)
+    b, c = spectral._div_monic(char, g), spectral._div_monic(df, g)
+    parts = []
+    i = 1
+    while len(b) > 1:
+        d = spectral._trim([x - y for x, y in
+                            zip_longest(c, spectral._derivative(b),
+                                        fillvalue=0)])
+        a = spectral._gcd(b, d)
+        b, c = spectral._div_monic(b, a), spectral._div_monic(d, a)
+        if len(a) > 1:
+            parts.append((tuple(a), i))
+        i += 1
+    return parts
+
+
+def eigenvalues_stepwise(char: Sequence[int]) -> spectral.SpectrumReport:
+    """`spectral.eigenvalues` from `yun_parts`, a fresh float copy of each
+    part, `durand_kerner_stepwise`, and the residual as `max` over every
+    root, repeated ones too."""
+    spectral._check_monic(char)
+    zeros = next(i for i, c in enumerate(char) if c)
+    coeffs = list(char[zeros:])
+    try:
+        monic = [float(c) for c in coeffs]
+        found = [z for part, i in yun_parts(coeffs)
+                 for z in durand_kerner_stepwise([float(c) for c in part]) * i]
+        scale = 1.0 + max(abs(c) for c in monic)
+        residual = max((abs(horner(monic, z)) / scale for z in found),
+                       default=0.0)
+        roots = found + [complex(0)] * zeros
+        roots.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
+    except OverflowError:
+        raise InputError("polynomial overflows a float, got "
+                         + shown(tuple(char))) from None
+    return spectral.SpectrumReport(tuple(roots), residual)
+
+
+def logsumexp(vals: list[float]) -> float:
+    top = max(vals)
+    if top == -math.inf:
+        return top
+    return top + math.log(math.fsum(math.exp(v - top) for v in vals))
+
+
+def m0_bound_stepwise(s: spectral.SpectrumReport, dim: int) -> int | None:
+    """`spectral.m0_bound` with a `logsumexp` call over a list per step."""
+    if not spectral.dominant_test(s):
+        return None
+    s1 = s.spectral_radius
+    s2 = s.second_modulus
+    log_s1 = math.log(s1)
+    log_s2 = math.log(s2) if s2 > 0 else -math.inf
+    log_d = math.log(dim)
+
+    def passes(m: int) -> bool:
+        rhs = logsumexp([
+            log_d + (m / 2) * log_s1,
+            log_d,
+            log_d + m * log_s2,
+            0.0,
+        ])
+        lhs = m * log_s1
+        return lhs - rhs > 1e-12 * max(1.0, lhs)
+
+    lo, m = 0, 1
+    while not passes(m):
+        if m == spectral.M0_SCAN_CAP:
+            return None
+        lo, m = m, min(2 * m, spectral.M0_SCAN_CAP)
+    return lo + 1 + bisect_left(range(lo + 1, m), True, key=passes)
+
+
+def shift_exceeds_perron_root(char: Sequence[int], p: int, q: int) -> bool:
+    """`spectral.exceeds_perron_root` for one p, validated and scaled
+    on its own."""
+    check_int(p, "p")
+    check_int(q, "q", 1)
+    spectral._check_monic(char)
+    d = len(char) - 1
+    shifted = [c * q ** (d - i) for i, c in enumerate(char)]
+    for i in range(d):
+        for j in reversed(range(i, d)):
+            shifted[j] += p * shifted[j + 1]
+        if shifted[i] <= 0:
+            return False
+    return True
+
+
+def radius_failure_stepwise(spectrum: spectral.SpectrumReport,
+                            char: tuple[int, ...], sign: int,
+                            col_sums: list[int]) -> str | None:
+    """`cli._radius_failure` with one `shift_exceeds_perron_root` call
+    per side, the lower one only when the upper one holds."""
+    r = spectrum.spectral_radius
+    if all(math.isfinite(abs(z)) for z in spectrum.values):
+        perron = [c * sign ** (len(char) - 1 - i) for i, c in enumerate(char)]
+        w = min(1e-9 * r, spectral.DOMINANCE_EPS)
+        scale = 1 << 40
+        hi_num, hi_den = (r + w).as_integer_ratio()
+        lo_num, lo_den = (r - w).as_integer_ratio()
+        if (shift_exceeds_perron_root(perron, -(-hi_num * scale // hi_den),
+                                      scale)
+                and not shift_exceeds_perron_root(
+                    perron, lo_num * scale // lo_den, scale)):
+            return None
+    return (f"eigenvalue moduli must be finite, the largest within a relative "
+            f"1e-9 (at most {spectral.DOMINANCE_EPS}) of the Perron root of "
+            f"|M|, in [{min(col_sums)}, {max(col_sums)}] (the least and "
+            f"largest column sums of |M|); the solver gives spectral radius "
+            f"{cli._fmt_real(r)}")
 
 
 def mat_pow(a: IntMatrix, m: int) -> IntMatrix:

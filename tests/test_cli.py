@@ -645,6 +645,7 @@ class TestRadiusCheck:
         spectrum = json.loads(out)["spectrum"]
         assert len(spectrum["eigenvalues"]) == 64
         assert spectrum["spectral_radius"] == "nan"
+        assert spectrum["residual"] == "nan"
         assert "[64, 64]" in spectrum["failure"]
 
     def test_radius_over_bound_exits_2(self, analyze):

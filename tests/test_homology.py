@@ -432,9 +432,9 @@ class TestLefschetzTable:
 
 
 class TestPerronRootBound:
-    """`exceeds_perron_root(c, p, q)` decides p/q > lambda exactly for c =
-    det(xI - |a|) and lambda the Perron root of |a|: at t = lambda it is
-    false, and one step of 2^-40 above it true."""
+    """`exceeds_perron_root(c, ps, q)` decides p/q > lambda exactly for
+    each p of ps, c = det(xI - |a|) and lambda the Perron root of |a|: at
+    t = lambda it is false, and one step of 2^-40 above it true."""
 
     @pytest.mark.parametrize("char, lam", [
         # (x - 2)^64
@@ -448,7 +448,6 @@ class TestPerronRootBound:
     ], ids=["64-fold-root", "cyclic-permutation", "nilpotent"])
     def test_both_sides_at_exact_root(self, char, lam):
         q = 1 << 40
-        assert exceeds_perron_root(char, lam * q + 1, q)
-        assert not exceeds_perron_root(char, lam * q, q)
-        assert not exceeds_perron_root(char, lam, 1)
-        assert not exceeds_perron_root(char, lam * q - 1, q)
+        assert exceeds_perron_root(char, [lam * q + 1, lam * q, lam * q - 1],
+                                   q) == [True, False, False]
+        assert exceeds_perron_root(char, [lam], 1) == [False]

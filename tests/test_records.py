@@ -194,8 +194,9 @@ def test_constructors_refuse(build):
     (lambda: MapSpecDocument(F, None, ("claim",)), "got 'claim'"),
     (lambda: ReportOptions(no_oracle="yes"), "got 'yes'"),
     (lambda: Claim("fix", 1, 1, 5), "got 5"),
-    (lambda: exceeds_perron_root((1.5, 1), 2, 1), "got 1.5"),
-    (lambda: exceeds_perron_root((-1, 1), 2, 0), "q must be >= 1, got 0"),
+    (lambda: exceeds_perron_root((1.5, 1), [2], 1), "got 1.5"),
+    (lambda: exceeds_perron_root((-1, 1), [2], 0), "q must be >= 1, got 0"),
+    (lambda: exceeds_perron_root((-1, 1), [2, 1.5], 1), "p must be an int, got 1.5"),
 ], ids=["str-image", "letter-tuple-image", "tuple-letters", "bool-depth",
         "bool-iterate", "bool-power-count", "bool-generator", "float-entry",
         "bool-entries", "str-entry", "ragged-matrix", "non-monic-poly",
@@ -205,7 +206,7 @@ def test_constructors_refuse(build):
         "negative-branch-depth", "float-branch-depth", "bool-branch-depth",
         "escaping-lift-branch", "discontinuous-lift-branch", "str-action",
         "str-claim", "str-no-oracle", "int-claim-text", "float-perron-entry",
-        "zero-perron-denominator"])
+        "zero-perron-denominator", "float-perron-numerator"])
 def test_library_inputs_refused(build, value):
     # each raised AttributeError, or took the value and failed later, or
     # read a bool as 1, or failed an assert (and under -O returned a wrong
@@ -230,7 +231,7 @@ DOC = parse_spec("n=1\nbranch: free\na1 -> a1 a1\n")
     (lambda: F.image(HUGE), "<int of 5001 digits>"),
     (lambda: F.image(-HUGE), "-<int of 5001 digits>"),
     (lambda: PowerSequences.of(abelianize(F), -HUGE), "-<int of 5001 digits>"),
-    (lambda: exceeds_perron_root(SEQS.char, 1, -HUGE), "-<int of 5001 digits>"),
+    (lambda: exceeds_perron_root(SEQS.char, [1], -HUGE), "-<int of 5001 digits>"),
     (lambda: oracle_counts(LIFT, -HUGE), "-<int of 5001 digits>"),
     (lambda: lift_branch_period(LIFT, -HUGE), "-<int of 5001 digits>"),
     (lambda: oracle_counts(LIFT, 4).fixed(HUGE), "<int of 5001 digits>"),

@@ -1,6 +1,7 @@
 """Characteristic polynomial, eigenvalues, entropy, growth thresholds."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -26,7 +27,10 @@ from conftest import (
     bareiss_exceeds_perron_root,
     cap_edge_spec,
     char_poly,
+    eigenvalues_stepwise,
+    horner,
     load_fixture,
+    m0_bound_stepwise,
     mat_pow,
     norm1,
     poly_gcd,
@@ -35,10 +39,12 @@ from conftest import (
     random_branch_periodic_action,
     random_expanding_action,
     random_matrix,
+    radius_failure_stepwise,
     random_signed_matrix,
     record,
     trace,
     twin32_spec,
+    yun_parts,
 )
 
 
@@ -229,7 +235,7 @@ def durand_kerner_cmath(coeffs):
                     denom *= roots[i] - roots[j]
             if denom == 0:
                 continue
-            step = spectral._eval_poly(coeffs, roots[i]) / denom
+            step = horner(coeffs, roots[i]) / denom
             new[i] = roots[i] - step
             moved = max(moved, abs(step))
         roots = new
@@ -367,15 +373,16 @@ class TestM0Bound:
 
     def test_doubling_search_steps(self, monkeypatch):
         # m = 1, 2, 4, .. until one passes, then bisection inside the last
-        # doubling: each evaluation of the inequality is one log-sum-exp
+        # doubling: each evaluation of the inequality is one log-sum-exp,
+        # and so one fsum
         calls = []
-        real = spectral._logsumexp
+        real = math.fsum
 
         def counted(vals):
             calls.append(1)
             return real(vals)
 
-        monkeypatch.setattr(spectral, "_logsumexp", counted)
+        monkeypatch.setattr(math, "fsum", counted)
         rng = random.Random(0x30B1)
         cases = [(SpectrumReport(values, 0.0), 1)
                  for values in ((1 + 1e-6, 0.5), (1.001, 0.5), (10.0, 0.0))]
@@ -389,7 +396,8 @@ class TestM0Bound:
             calls.clear()
             m0 = m0_bound(s, n)
             top = M0_SCAN_CAP if m0 is None else m0
-            assert len(calls) <= 2 * math.ceil(math.log2(top)) + 2, (m0, calls)
+            bound = 2 * math.ceil(math.log2(top)) + 2
+            assert 0 < len(calls) <= bound, (m0, calls)
             found.add(m0 is None or m0 > 100)
         assert found == {True, False}
 
@@ -444,7 +452,7 @@ class TestPerronRootCrossCheck:
             points += [(lam * GRID + d, GRID) for d in (-1, 0, 1)]
         verdicts = [bareiss_exceeds_perron_root(a, p, q) for p, q in points]
         for (p, q), verdict in zip(points, verdicts):
-            assert exceeds_perron_root(char, p, q) == verdict, (f, p, q)
+            assert exceeds_perron_root(char, [p], q) == [verdict], (f, p, q)
         col_sums = [sum(map(abs, col)) for col in zip(*a)]
         passed = finite and verdicts[0] and not verdicts[1]
         failure = cli._radius_failure(spectrum, seqs.char, f.global_sign,
@@ -481,3 +489,75 @@ class TestPerronRootCrossCheck:
     ], ids=["twin32", "cap-edge", "64-fold-root", "probe64-9"])
     def test_sixty_four_circles(self, f, lam):
         self.assert_same_verdicts(f, lam)
+
+
+def seeded_polynomials(rng: random.Random, count: int):
+    """`count` monic integer polynomials of degree 1-16, low degrees the
+    likelier, with coefficients of either sign in -4..4; about three in
+    ten of degree >= 2 carry a factor (x - r)^2."""
+    for _ in range(count):
+        degree = 1 + int(16 * rng.random() ** 4)
+        char = [1]
+        if degree >= 2 and rng.random() < 0.3:
+            r = rng.randint(-3, 3)
+            char = poly_mul([-r, 1], [-r, 1])
+        while len(char) <= degree:
+            k = min(rng.randint(1, 3), degree + 1 - len(char))
+            char = poly_mul(char, [rng.randint(-4, 4) for _ in range(k)] + [1])
+        yield char
+
+
+def domain_polynomials():
+    """The characteristic polynomials of the n <= 2 domain's matrices:
+    each column of |M| sums to an image word's length, 1-3."""
+    columns = {1: [(1,), (2,), (3,)],
+               2: [(a, s - a) for s in (1, 2, 3) for a in range(s + 1)]}
+    return {tuple(record_char(tuple(zip(*(
+                [sign * x for x in col] for col in cols)))))
+            for n, cols_n in columns.items()
+            for cols in itertools.product(cols_n, repeat=n)
+            for sign in (1, -1)}
+
+
+class TestStepwiseReference:
+    """The spectrum block gives, bit for bit, what the references in
+    `conftest` that make one call per step give: every root, the residual
+    (nan included), the squarefree parts, the m0 bound and the radius
+    check's verdict, on each sign of the polynomial."""
+
+    @staticmethod
+    def assert_same_block(char, dim):
+        char = tuple(char)
+        for poly in (char, strip_zeros(char)[0]):
+            assert squarefree_parts(poly) == yun_parts(poly), poly
+        got, want = eigenvalues(char), eigenvalues_stepwise(char)
+        assert bits(got.values) == bits(want.values), char
+        assert got.residual.hex() == want.residual.hex(), char
+        assert m0_bound(got, dim) == m0_bound_stepwise(got, dim), char
+        for sign in (1, -1):
+            assert (cli._radius_failure(got, char, sign, [1, dim])
+                    == radius_failure_stepwise(got, char, sign, [1, dim])), char
+        return got
+
+    def test_seeded_polynomials(self):
+        degrees, repeated, zeros = set(), 0, 0
+        for char in seeded_polynomials(random.Random(48), 5000):
+            self.assert_same_block(char, len(char) - 1)
+            degrees.add(len(char) - 1)
+            repeated += any(i > 1 for _, i in squarefree_parts(char))
+            zeros += char[0] == 0
+        assert degrees == set(range(1, 17))
+        assert repeated > 1000 and zeros > 300
+
+    def test_report_polynomials(self):
+        # the fixtures', the n <= 2 domain's, and the n = 64 maps whose
+        # solver fails: twin32's roots and residual are nan
+        chars = {(tuple(record(f, 1).char), f.n) for f in (
+            [load_fixture(name)[0].action for name in fixture_names()]
+            + [parse_spec(twin32_spec()).action]
+            + [parse_spec(probe64_spec(i)).action for i in range(20)])}
+        chars |= {(char, len(char) - 1) for char in domain_polynomials()}
+        assert len(chars) > 70
+        nan = [char for char, dim in chars
+               if math.isnan(self.assert_same_block(char, dim).residual)]
+        assert len(nan) == 1
