@@ -509,21 +509,24 @@ def seeded_polynomials(rng: random.Random, count: int):
 
 def domain_polynomials():
     """The characteristic polynomials of the n <= 2 domain's matrices:
-    each column of |M| sums to an image word's length, 1-3."""
+    M = s|M| for a sign s, and each column of |M| sums to an image word's
+    length, 1-3."""
     columns = {1: [(1,), (2,), (3,)],
                2: [(a, s - a) for s in (1, 2, 3) for a in range(s + 1)]}
-    return {tuple(record_char(tuple(zip(*(
-                [sign * x for x in col] for col in cols)))))
-            for n, cols_n in columns.items()
-            for cols in itertools.product(cols_n, repeat=n)
-            for sign in (1, -1)}
+    chars = set()
+    for n, choices in columns.items():
+        for cols in itertools.product(choices, repeat=n):
+            for sign in (1, -1):
+                rows = tuple(tuple(sign * x for x in row) for row in zip(*cols))
+                chars.add(tuple(record_char(rows)))
+    return chars
 
 
 class TestStepwiseReference:
     """The spectrum block gives, bit for bit, what the references in
     `conftest` that make one call per step give: every root, the residual
-    (nan included), the squarefree parts, the m0 bound and the radius
-    check's verdict, on each sign of the polynomial."""
+    (nan included), the squarefree parts, the m0 bound, and the radius
+    check's verdict for M = |M| and for M = -|M|."""
 
     @staticmethod
     def assert_same_block(char, dim):
@@ -558,6 +561,7 @@ class TestStepwiseReference:
             + [parse_spec(probe64_spec(i)).action for i in range(20)])}
         chars |= {(char, len(char) - 1) for char in domain_polynomials()}
         assert len(chars) > 70
-        nan = [char for char, dim in chars
-               if math.isnan(self.assert_same_block(char, dim).residual)]
-        assert len(nan) == 1
+        nans = 0
+        for char, dim in chars:
+            nans += math.isnan(self.assert_same_block(char, dim).residual)
+        assert nans == 1
