@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import sys
-from _json import encode_basestring_ascii as _quote
 from collections.abc import Callable
 
 from .errors import (DIGIT_CAP, ITERATE_CAP, InconsistencyError, InputError,
@@ -310,11 +309,12 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     Big integers serialize as decimal strings, rationals as p/q, reals
     with 15 significant digits, so the output round-trips losslessly.
     Every per-iterate quantity is computed once, in one
-    `PowerSequences` record of M^1..M^K, K the largest of the horizon,
-    the entropy horizon, the oracle depth and the declared class k, and
-    read by each consumer.  An input whose record could hold integers of
-    more than DIGIT_CAP digits, or whose K is over ITERATE_CAP, is
-    refused before the record is built.  The census runs to max(H, k),
+    `PowerSequences` record, and read by each consumer: its traces run to
+    the largest of the horizon, the oracle depth and the declared class
+    k, and its norms to the entropy horizon E, the one norm read.  An
+    input whose K, the largest of all four, is over ITERATE_CAP, or whose
+    integers up to M^K could have more than DIGIT_CAP digits, is refused
+    before the record is built.  The census runs to max(H, k),
     since the branching point's orbit needs per(k) >= k, a check made
     past H too; a map whose census breaks it is refused, and only the
     first H entries print.
@@ -327,7 +327,9 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     col_sums = [sum(map(abs, col)) for col in zip(*mat)]
     k = f.branch_class or 0
     census = max(horizon, k)
-    iterates = max(census, options.entropy_horizon, oracle_depth)
+    counted = max(census, oracle_depth)
+    e = options.entropy_horizon
+    iterates = max(counted, e)
     # the iterate cap first: past it, `_digit_bound` may overflow a float
     if iterates > ITERATE_CAP:
         raise InputError(f"iterates up to {shown(iterates)} requested, over "
@@ -337,8 +339,8 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
         raise InputError(f"iterates up to {iterates} could need integers of "
                          f"{math.ceil(digits)} digits, over the cap of "
                          f"{DIGIT_CAP} digits")
-    seqs = PowerSequences.of(mat, iterates)
-    fixes = fix_counts(f, seqs.traces[: max(census, oracle_depth)])
+    seqs = PowerSequences.of(mat, counted, e)
+    fixes = fix_counts(f, seqs.traces)
     pers = per_census(fixes[:census])
     if k and pers[k - 1] < k:
         raise InputError(
@@ -352,7 +354,6 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
     h_spec = spectrum.entropy
     # the limit route's term log ||M^E|| / E; every column of |M| sums
     # to 1 or more, so the norm is positive
-    e = options.entropy_horizon
     h_limit = math.log(seqs.norms[e - 1]) / e
 
     certificates = period_certificates(f, seqs, horizon, spectrum)
@@ -536,7 +537,20 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: the C encoder of each scalar type, applied by `map` to a whole list
+def _quote(s: str) -> str:
+    """The JSON string literal of `s`, in ASCII with `\\u` escapes.  Its
+    first call loads the C encoder from `_json` (the `json` package
+    itself is not needed) and rebinds `_quote` and `_ENCODERS[str]` to
+    it, so a text report never loads `_json` and every later string
+    goes straight to C."""
+    global _quote
+    from _json import encode_basestring_ascii as _quote
+    _ENCODERS[str] = _quote
+    return _quote(s)
+
+
+#: the C encoder of each scalar type, applied by `map` to a whole list;
+#: str's is `_quote`'s loader until the first string is written
 _ENCODERS = {
     str: _quote,
     int: int.__repr__,

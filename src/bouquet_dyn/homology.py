@@ -3,7 +3,8 @@
 Abelianizing the induced endomorphism gives an n-by-n integer matrix M
 whose (i, j) entry is the signed occurrence count of generator i in the
 image of generator j.  A report builds one `PowerSequences` record of
-M^1..M^K and reads every per-iterate quantity from it: `power_traces`,
+M^1..M^K, with the norms to M^E, and reads every per-iterate quantity
+from it: `power_traces`,
 the one routine that raises M to powers, gives the first n traces and
 entry sums by baby and giant steps, and past them they follow the
 characteristic recurrence.  The record keeps only the baby steps as
@@ -66,7 +67,8 @@ class PowerSequences(Record, fields="head char traces norms"):
 
     `head` holds the matrices M^1..M^h, h = max(isqrt(n), min(K,
     HEAD_POWERS)), the baby steps of `power_traces`; `matrix_powers` goes
-    on from them.  `char` is det(xI - M) (`char_from_traces`).  For m = 1..K, `traces[m-1]` is tr M^m, and
+    on from them.  `char` is det(xI - M) (`char_from_traces`).  For m =
+    1..K, `traces[m-1]` is tr M^m, and for m = 1..E, E = K unless given,
     `norms[m-1]` is ||M^m||_1, the sum of |entries|: every entry of M^m
     has the sign s^m, so that is the modulus of the sum of its entries.
     Up to m = n both come from `power_traces`, past it from the
@@ -76,10 +78,14 @@ class PowerSequences(Record, fields="head char traces norms"):
     __slots__ = ()
 
     @staticmethod
-    def of(a: IntMatrix, k: int) -> "PowerSequences":
-        """The record of M^1..M^k for M = a, k at most ITERATE_CAP; a
+    def of(a: IntMatrix, k: int, norms: int | None = None
+           ) -> "PowerSequences":
+        """The record of M^1..M^k for M = a, with the norms of
+        M^1..M^norms (k unless given), each count at most ITERATE_CAP; a
         row of the wrong length is named whole."""
         check_int(k, "power count", 0, ITERATE_CAP)
+        norms = k if norms is None else check_int(norms, "norm count", 0,
+                                                  ITERATE_CAP)
         n = len(a)
         for row in a:
             if len(row) != n:
@@ -93,7 +99,7 @@ class PowerSequences(Record, fields="head char traces norms"):
         return PowerSequences(
             tuple(head), tuple(char),
             tuple(recur(char, traces, k)),
-            tuple(map(abs, recur(char, totals, k))),
+            tuple(map(abs, recur(char, totals, norms))),
         )
 
     def matrix_powers(self, count: int) -> Iterator[IntMatrix]:

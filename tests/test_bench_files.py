@@ -4,9 +4,11 @@ claims, or none, holds every metric's median on both sides, and records
 that the parent and the change gave the same reports on every pair of
 runs, or the same `attempted` and `failed` where it declares a change of
 the report; a claim's verdict, where a record holds one, follows from its
-runs, and so do its interleaved ratios' median and quartiles.
-It also names the committed change it measured, apart from its parent,
-and was timed at the run length `BENCHMARK.json` sets.  The gate logic
+runs, and so do its interleaved ratios' median and quartiles.  The
+interleaved verdict is null for a claim on a metric the in-process pass
+does not time.  A record also names the committed change it measured,
+apart from its parent, and was timed at the run length `BENCHMARK.json`
+sets; from record 49 on, it names the Python version that ran it.  The gate logic
 of `tools/bench_pair.py` (wins, quartiles, `--pairs`, same output, the
 claim rule's verdict, its refusal to write a record whose outputs differ
 unless declared) is checked on hand-built runs, and its interleaved mode
@@ -14,6 +16,7 @@ by an A/A run against HEAD in a clone under tmp_path."""
 
 import importlib.util
 import json
+import platform
 import re
 import statistics
 import subprocess
@@ -24,6 +27,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+#: the metrics whose claims the interleaved pass, which times reports,
+#: can resolve
+TIMED = ("maps_per_s", "report_p50_ms", "report_tail_ms")
 
 
 def records():
@@ -42,6 +48,8 @@ def test_records_are_complete():
         assert rec["change_dirty"] is False, path.name
         assert rec["src_sha256"]["change"] != rec["src_sha256"]["parent"], path.name
         assert rec["seconds"] == BENCH["run_seconds"], path.name
+        if int(rec["pr"]) >= 49:
+            assert re.fullmatch(r"3\.\d+\.\d+\S*", rec["python"]), path.name
         claim = rec["claim"]
         if claim is not None:
             assert claim["better"] in ("higher", "lower"), path.name
@@ -55,7 +63,9 @@ def test_records_are_complete():
                     claim["better"]), path.name
             if "interleaved" in rec:
                 q3 = rec["interleaved"][claim["workload"]]["quartiles"][1]
-                assert claim["interleaved_resolved"] is (q3 < 1), path.name
+                timed = claim["metric"] in TIMED
+                assert claim["interleaved_resolved"] is (
+                    q3 < 1 if timed else None), path.name
         for name, w in rec.get("interleaved", {}).items():
             where = f"{path.name} {name}"
             assert len(w["ratios"]) == w["passes"] >= 1, where
@@ -241,6 +251,34 @@ def test_main_records_claim_verdict(tmp_path, fake_runs, capsys, rate,
             "pairs won") in out
     assert out.rstrip().splitlines()[-2].endswith(
         "resolved" if resolved else "not resolved")
+
+
+@pytest.mark.parametrize("metric, resolved", [
+    ("maps_per_s", True), ("report_tail_ms", True), ("setup_s", None)])
+def test_main_gives_interleaved_verdicts_to_timed_metrics_only(
+        tmp_path, fake_runs, monkeypatch, capsys, metric, resolved):
+    # the in-process pass times reports, whose ratios, all below 1 here,
+    # say nothing of the fresh interpreter's import that setup_s times
+    fake_runs["run"] = lambda change, seed: ("a" * 64, {
+        m["name"]: 1.0 for m in BENCH["end_to_end"]})
+    ratios = [0.90, 0.91, 0.92]
+    monkeypatch.setattr(bench_pair, "load_cli", lambda name, package: None)
+    monkeypatch.setattr(bench_pair, "workload_maps",
+                        lambda seed: {"census_deep": (None, [])})
+    monkeypatch.setattr(
+        bench_pair, "interleave", lambda clis, wl, texts, passes: {
+            "maps": 0, "passes": passes, "ratios": ratios,
+            "median": statistics.median(ratios),
+            "quartiles": bench_pair.quartiles(ratios), "differing_maps": 0})
+    argv = ["--pr", "0", "--parent", "HEAD", "--pairs", "census_deep=2",
+            "--claim", f"census_deep.{metric}", "--interleaved", "3"]
+    assert bench_pair.main(argv) == 0
+    rec = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert rec["claim"]["interleaved_resolved"] is resolved
+    assert rec["python"] == platform.python_version()
+    said = "resolved" if resolved else f"the pass does not measure {metric}"
+    assert (f"claim census_deep.{metric}, interleaved: {said}\n"
+            in capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("digest, failed, code", [

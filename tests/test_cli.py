@@ -580,6 +580,22 @@ class TestIterateCap:
             call(depth)
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("spec, options, counts", [
+        ("free", ReportOptions(), (12, 30)),
+        ("free", ReportOptions(horizon=3, oracle_depth=8), (8, 30)),
+        ("period 5", ReportOptions(horizon=2, no_oracle=True,
+                                   entropy_horizon=3), (5, 3)),
+    ])
+    def test_record_holds_only_what_the_report_reads(self, monkeypatch,
+                                                     spec, options, counts):
+        # traces to max(H, k, D) and norms to E, though K = max(H, k, D,
+        # E) sets the caps: no term is computed to be dropped
+        made, of = [], PowerSequences.of
+        monkeypatch.setattr(PowerSequences, "of", lambda mat, k, norms: (
+            made.append((k, norms)) or of(mat, k, norms)))
+        run_report(parse_spec(f"n=1\nbranch: {spec}\na1 -> a1 a1\n"), options)
+        assert made == [counts]
+
     def test_cap_is_inclusive(self):
         doc = parse_spec(self.ONE_LETTER)
         report = run_report(doc, ReportOptions(

@@ -117,6 +117,20 @@ class TestMatrixOps:
         with pytest.raises(InputError):
             PowerSequences.of(((2,),), -1)
 
+    def test_norm_count_apart_from_power_count(self, rng):
+        # a report reads traces to max(H, k, D) and the one norm at E
+        for _ in range(30):
+            m = random_signed_matrix(rng, rng.randint(1, 8))
+            k, e = rng.randint(0, 12), rng.randint(0, 40)
+            full = PowerSequences.of(m, max(k, e))
+            seqs = PowerSequences.of(m, k, e)
+            assert seqs.traces == full.traces[:k]
+            assert seqs.norms == full.norms[:e]
+            assert seqs.char == full.char
+        for bad in (-1, homology.ITERATE_CAP + 1, 2.0, True):
+            with pytest.raises(InputError, match="norm count"):
+                PowerSequences.of(((2,),), 3, bad)
+
 
 def shift(n, sign=1):
     """The nilpotent n-by-n shift, entries sign on the superdiagonal."""

@@ -33,12 +33,13 @@ def test_standard_library_only():
 
 
 #: modules a report does not need, each costly to import: the entry
-#: points load `argparse` and `importlib.resources` themselves, and the
-#: renderer takes its one encoder from the C module `_json`; the records
-#: are `errors.Record`s, the root solver's start points come from
-#: `math`, and `re` is loaded only to read a claim line
+#: points load `argparse` and `importlib.resources` themselves, the JSON
+#: writer loads its one encoder from the C module `_json` with its first
+#: string, and `json` never; the records are `errors.Record`s, the root
+#: solver's start points come from `math`, and `re` is loaded only to
+#: read a claim line
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "argparse",
-         "importlib.resources", "json", "typing", "cmath", "re"}
+         "importlib.resources", "json", "_json", "typing", "cmath", "re"}
 
 
 def test_import_loads_only_what_a_report_needs():
@@ -54,6 +55,29 @@ def test_import_loads_only_what_a_report_needs():
     ).stdout.split()
     assert "bouquet_dyn.cli" in added
     assert sorted(HEAVY.intersection(added)) == []
+
+
+def test_first_json_write_loads_the_encoder():
+    # a text report leaves `_json` unloaded; the first JSON write loads
+    # it, writes `json.dumps`'s bytes, and leaves the C encoder in place
+    # of the loader, so no later string goes through an import
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from bouquet_dyn import cli; "
+        "doc = cli.parse_spec(open(sys.argv[2], encoding='utf-8').read()); "
+        "report = cli.run_report(doc, cli.ReportOptions()); "
+        "cli.render_text(report); print('_json' in sys.modules); "
+        "text = cli.render_json(report); import _json, json; "
+        "quote = _json.encode_basestring_ascii; "
+        "print(cli._quote is quote, cli._ENCODERS[str] is quote, "
+        "text == json.dumps(report, indent=2, sort_keys=True) + '\\n')")
+    fixture = PACKAGE / "fixtures" / "rotor_g4.bqd"
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent),
+         str(fixture)],
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert out == "False\nTrue True True\n"
 
 
 def test_no_record_compiles_code():

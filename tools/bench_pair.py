@@ -34,7 +34,9 @@ record holds every ratio, their median and quartiles, and how many
 maps' reports differ.  The rule: a claim resolves in the interleaved
 record when the whole interquartile range of its workload's ratios lies
 past 1 in the claimed direction, below 1 for a faster change; the
-record's claim holds that verdict beside the paired one.
+record's claim holds that verdict beside the paired one.  The pass times
+reports only, so a claim on any other metric (`setup_s`, say) gets no
+interleaved verdict: it records null.
 
     python3 tools/bench_pair.py --pr 8 --parent 4cea4e5 \\
         --claim census_deep.maps_per_s --interleaved 11 \\
@@ -42,9 +44,9 @@ record's claim holds that verdict beside the paired one.
 
 Each run lasts the `run_seconds` that `BENCHMARK.json` sets.  Standard
 library only.  The checkout's working tree is measured as it stands;
-the record names its HEAD, whether the tree was dirty, and a digest of
-the source files each side ran, so commit the change before recording
-it.
+the record names its HEAD, whether the tree was dirty, a digest of the
+source files each side ran and the version of the Python that ran them,
+so commit the change before recording it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ import importlib.util
 import io
 import itertools
 import json
+import platform
 import re
 import statistics
 import subprocess
@@ -69,6 +72,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGEST_RE = re.compile(r"^report_sha256 of all \d+: ([0-9a-f]{64})$", re.M)
 #: maps per workload in each pass of the interleaved A/B
 INTERLEAVED_MAPS = 200
+#: the metrics that the interleaved A/B's report times stand for
+INTERLEAVED_METRICS = ("maps_per_s", "report_p50_ms", "report_tail_ms")
 
 
 def git(*args: str) -> str:
@@ -292,6 +297,7 @@ def main(argv=None) -> int:
         "parent": None,
         "change": git("rev-parse", "HEAD"),
         "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "python": platform.python_version(),
         "command": bench["command"],
         "seconds": bench["run_seconds"],
         "claim": claim,
@@ -350,11 +356,15 @@ def main(argv=None) -> int:
               f"{w['quartiles'][1]:.4f} over {w['passes']} passes of "
               f"{w['maps']} maps, {w['differing_maps']} reports differ")
     if claim is not None and "interleaved" in record:
-        # the change's time ratio, below 1 over the whole IQR
-        q3 = record["interleaved"][claim["workload"]]["quartiles"][1]
-        claim["interleaved_resolved"] = q3 < 1
-        print(f"claim {args.claim}, interleaved: "
-              + ("resolved" if q3 < 1 else "not resolved"))
+        if claim["metric"] in INTERLEAVED_METRICS:
+            # the change's time ratio, below 1 over the whole IQR
+            q3 = record["interleaved"][claim["workload"]]["quartiles"][1]
+            claim["interleaved_resolved"] = q3 < 1
+            outcome = "resolved" if q3 < 1 else "not resolved"
+        else:
+            claim["interleaved_resolved"] = None
+            outcome = f"the pass does not measure {claim['metric']}"
+        print(f"claim {args.claim}, interleaved: {outcome}")
     path = ROOT / f"BENCH_{args.pr}.json"
     keys = OUTPUT_KEYS[1:] if args.declared_change else OUTPUT_KEYS
     difference = first_difference(record["workloads"], keys)
