@@ -22,8 +22,9 @@ does not divide among them).
 
 Entropy prints as h = log of the spectral radius, and of the norm-growth
 limit route only the gap |log ||M^E|| / E - h| at E = 30.  The oracle
-states one check, the lift's fix counts against the formula's; its
-covers are ||M^m||_1 on every lift it builds, so none print (schema 10).
+prints one verdict to its depth D, the least m at which the lift's fix
+counts differ from the formula's, or null; neither those counts, which
+repeat the census, nor its covers, ||M^m||_1, print (schema 11).
 """
 
 from __future__ import annotations
@@ -379,7 +380,7 @@ def run_report(doc: MapSpecDocument, options: ReportOptions) -> dict:
                        "computed": None if computed is None else str(computed)})
 
     report = {
-        "schema": 10,
+        "schema": 11,
         "input": {
             "n": f.n,
             "branch": _branch_text(f.branch_class),
@@ -445,19 +446,16 @@ def _run_oracle(f: MapAction, options: ReportOptions, fixes: tuple[int, ...],
             f"has period {observed if observed else 'none observed'} but "
             f"the declaration says {_branch_text(f.branch_class)}"
         )
-    # the least m at which the lift's count differs from the formula's
-    fix_m = next((m for m, (a, b) in enumerate(zip(counts.lift_fix, fixes), start=1)
+    # the least m <= D at which the lift's count differs from the formula's
+    first = next((m for m, (a, b) in enumerate(zip(counts.lift_fix, fixes), start=1)
                   if a != b), None)
     # a lift whose branch orbit is not the declared one counts another
     # map: its first difference is named, but neither it nor an agreement
     # is judged
-    fix_passed = None if branch_mismatch else fix_m is None
-    return {
-        "status": "mismatch" if fix_passed is False else "ok",
-        "branch_period_observed": observed,
-        "lift_fix": list(map(str, counts.lift_fix)),
-        "checks": [{"m": fix_m, "mode": "fix", "passed": fix_passed}],
-    }
+    passed = None if branch_mismatch else first is None
+    return {"status": "mismatch" if passed is False else "ok",
+            "branch_period_observed": observed, "depth": options.oracle_depth,
+            "first_difference": first, "passed": passed}
 
 
 def report_has_failures(report: dict) -> bool:
@@ -517,14 +515,14 @@ def render_text(report: dict) -> str:
     oracle = report["oracle"]
     lines.append(f"oracle: {oracle['status']}"
                  + (f" ({oracle['reason']})" if "reason" in oracle else ""))
-    for c in oracle.get("checks", []):
+    if "depth" in oracle:
+        m = oracle["first_difference"]
         verdict = {True: "match", False: "mismatch",
-                   None: "skipped (branch-orbit mismatch)"}[c["passed"]]
-        if c["m"]:
-            verdict += f", first difference at m={c['m']}"
-        lines.append(f"  {c['mode']} counts to m={len(oracle['lift_fix'])}: {verdict}")
-        if c["passed"] is False:
-            lines.append(f"FAILED oracle {c['mode']} check: {c['m']}")
+                   None: "skipped (branch-orbit mismatch)"}[oracle["passed"]]
+        lines.append(f"  fix counts to m={oracle['depth']}: {verdict}"
+                     + (f", first difference at m={m}" if m else ""))
+        if oracle["passed"] is False:
+            lines.append(f"FAILED oracle fix check: {m}")
     failed = [c for c in report["lefschetz_fix_checks"] if not c["passed"]]
     if failed:
         lines.append("FAILED Lefschetz/fixed-point checks: "

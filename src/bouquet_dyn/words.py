@@ -17,9 +17,10 @@ from .errors import InputError, Record, check_int, shown
 BRANCH_FREE = None
 
 #: the most circles a map may have, checked at a spec's n= line and by
-#: every `Letter`; a parsed generator index is held to its digits before
-#: int() reads it
+#: every `Letter`; a parsed generator index is held to CIRCLE_DIGITS,
+#: its digits, before int() reads it
 CIRCLE_CAP = 64
+CIRCLE_DIGITS = len(str(CIRCLE_CAP))
 
 
 def generator_index(digits: str) -> int | None:
@@ -27,9 +28,9 @@ def generator_index(digits: str) -> int | None:
     else None; past the digits of CIRCLE_CAP, refused by their count."""
     if not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
         return None
-    if len(digits) > len(str(CIRCLE_CAP)):
+    if len(digits) > CIRCLE_DIGITS:
         raise InputError(f"generator index has {len(digits)} digits, over "
-                         f"the cap of {len(str(CIRCLE_CAP))} digits")
+                         f"the cap of {CIRCLE_DIGITS} digits")
     return int(digits)
 
 

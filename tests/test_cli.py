@@ -55,13 +55,15 @@ a3 -> a1 a3
 # the canonical lift's branching point returns to an integer at step 4
 BRANCH_PERIOD_4 = "a1 -> a2 a1\na2 -> a4 a1\na3 -> a1\na4 -> a1\n"
 
-#: the oracle's one statement when the lift's fix counts equal the
-#: formula's at every m it reaches
-PASSED = [{"m": None, "mode": "fix", "passed": True}]
+#: the oracle's (first_difference, passed) when the lift's fix counts
+#: equal the formula's at every m it reaches
+PASSED = (None, True)
 
-#: the oracle block's keys when the oracle runs; schema 9 also printed
-#: `lift_cover`
-ORACLE_KEYS = {"status", "branch_period_observed", "lift_fix", "checks"}
+#: the oracle block's keys when the oracle runs; schema 10 also printed
+#: the lift's counts, `lift_fix`, and the verdict as a one-row `checks`
+#: list, and schema 9 `lift_cover`
+ORACLE_KEYS = {"status", "branch_period_observed", "depth",
+               "first_difference", "passed"}
 
 # fix(m) = 10^m - 1: at horizon 4 400 its digits pass CPython's default
 # int-to-str limit of 4 300
@@ -70,6 +72,11 @@ TEN_LETTER_LIFT = build_lift(parse_spec(TEN_LETTERS).action)
 
 #: report keys that hold floats, not integers
 FLOAT_KEYS = {"eigenvalues", "spectral_radius", "residual", "entropy"}
+
+
+def verdict(oracle: dict) -> tuple:
+    """The oracle block's (first_difference, passed)."""
+    return oracle["first_difference"], oracle["passed"]
 
 
 @pytest.fixture
@@ -194,7 +201,7 @@ class TestRunReport:
     def test_reflect_doubling_report(self):
         doc = parse_spec("n=1\nbranch: free\na1 -> a1' a1'\n")
         report = run_report(doc, ReportOptions())
-        assert report["schema"] == 10
+        assert report["schema"] == 11
         assert report["lefschetz"]["L"][0] == "3"
         assert report["lefschetz"]["l"][1] == "-6"
         assert report["census"]["per"][1] == "0"
@@ -202,8 +209,8 @@ class TestRunReport:
             c["rule"] == "doubling(e)" for c in report["certificates"]
         )
         assert report["oracle"]["status"] == "ok"
-        assert report["oracle"]["lift_fix"] == report["census"]["fix"][:6]
-        assert report["oracle"]["checks"] == PASSED
+        assert report["oracle"]["depth"] == 6
+        assert verdict(report["oracle"]) == PASSED
         # the bundled copy's delayed certificate holds to horizon 40
         doc = load_fixture("reflect_double_g1")[0]
         wide = run_report(doc, ReportOptions(horizon=40))
@@ -276,11 +283,7 @@ class TestRunReport:
         assert [w for w in report["warnings"]
                 if w.startswith("branch-orbit mismatch")] == expected
         # the counts agree, but a lift of another branch class judges none
-        assert [c["m"] for c in oracle["checks"]
-                if c["passed"] is None] == skipped
-        fix = {"m": None, "mode": "fix", "passed": None if skipped else True}
-        assert oracle["checks"] == [fix]
-        assert oracle["lift_fix"] == report["census"]["fix"][:6]
+        assert verdict(oracle) == (None, None if skipped else True)
         if says is None:
             assert oracle["status"] == "ok"
             assert all(c["passed"] for c in report["lefschetz_fix_checks"])
@@ -301,53 +304,53 @@ class TestRunReport:
             report = run_report(MapSpecDocument(f), options)
             oracle = report["oracle"]
             assert oracle["branch_period_observed"] == f.branch_class, f
-            assert oracle["lift_fix"] == report["census"]["fix"], f
-            assert oracle["checks"] == PASSED, f
+            assert verdict(oracle) == PASSED, f
             assert not cli.report_has_failures(report), f
         assert {2, 3, 4} <= periods, periods
 
     def test_oracle_statements_fold_the_per_m_comparison(self):
-        # seeded maps of both signs, each declared free and of class 1-3:
-        # the per-m comparison of the lift's counts with fix(m), as
-        # schema 6 printed it row by row, folds to the one statement, and
-        # a branch orbit that differs from the declared one leaves it
-        # unjudged, its rows agreeing or not; no cover is printed, since
-        # the lift's covers are ||M^m||_1 (`TestCover` in the oracle tests)
-        depth = 30
-        options = ReportOptions(horizon=depth, oracle_depth=depth)
+        # seeded maps of both signs, free and branch-periodic, each
+        # declared free and of class 1-3, at oracle depth D below, at and
+        # above the horizon H: the per-m comparison of the lift's counts
+        # with fix(m), as schema 6 printed it row by row, folds to the
+        # one verdict, and a branch orbit that differs from the declared
+        # one leaves it unjudged, its rows agreeing or not; neither the
+        # counts (schema 10's `lift_fix`) nor the covers, ||M^m||_1
+        # (`TestCover` in the oracle tests), are printed
         rng = random.Random(0x0AC1E)
+        maps = [random_expanding_action(rng) if i % 2
+                else random_branch_periodic_action(rng) for i in range(40)]
         outcomes = set()
-        for i in range(40):
-            f, lift = (random_expanding_action(rng) if i % 2
-                       else random_branch_periodic_action(rng))
-            counts = oracle_counts(lift, depth)
-            seqs = PowerSequences.of(abelianize(f), depth)
-            for k in (BRANCH_FREE, 1, 2, 3):
-                g = MapAction(f.n, f.images, k)
-                try:
-                    oracle = run_report(MapSpecDocument(g), options)["oracle"]
-                except InconsistencyError:
-                    continue
-                except InputError as e:  # a class the census has no room for
-                    assert "the branching point's orbit" in str(e), g
-                    continue
-                fixes = fix_counts(g, seqs.traces)
-                rows = [counts.fixed(m) == fixes[m - 1]
-                        for m in range(1, depth + 1)]
-                first = next((m for m, a in enumerate(rows, start=1)
-                              if not a), None)
-                judged = counts.branch_period == k
-                expected = [{"m": first, "mode": "fix", "passed": (
-                    first is None if judged else None)}]
-                assert set(oracle) == ORACLE_KEYS, g
-                assert oracle["checks"] == expected, g
-                assert oracle["lift_fix"] == [
-                    str(counts.fixed(m)) for m in range(1, depth + 1)], g
-                assert oracle["status"] == ("mismatch" if any(
-                    c["passed"] is False for c in expected) else "ok"), g
-                outcomes |= {(c["mode"], c["passed"]) for c in expected}
-                outcomes.add(g.global_sign)
-        assert {("fix", True), ("fix", None), 1, -1} <= outcomes
+        for horizon, depth in ((30, 12), (30, 30), (12, 30)):
+            options = ReportOptions(horizon=horizon, oracle_depth=depth)
+            for f, lift in maps:
+                counts = oracle_counts(lift, depth)
+                seqs = PowerSequences.of(abelianize(f), depth)
+                for k in (BRANCH_FREE, 1, 2, 3):
+                    g = MapAction(f.n, f.images, k)
+                    try:
+                        oracle = run_report(MapSpecDocument(g),
+                                            options)["oracle"]
+                    except InconsistencyError:
+                        continue
+                    except InputError as e:  # a class with no room in the census
+                        assert "the branching point's orbit" in str(e), g
+                        continue
+                    fixes = fix_counts(g, seqs.traces)
+                    first = next((m for m, (a, b) in enumerate(
+                        zip(counts.lift_fix, fixes, strict=True), start=1)
+                        if a != b), None)
+                    judged = counts.branch_period == k
+                    passed = first is None if judged else None
+                    assert set(oracle) == ORACLE_KEYS, g
+                    assert oracle["depth"] == depth, g
+                    assert verdict(oracle) == (first, passed), g
+                    assert oracle["status"] == (
+                        "mismatch" if passed is False else "ok"), g
+                    outcomes |= {("passed", passed), ("sign", g.global_sign),
+                                 ("named", first is not None)}
+        assert {("passed", True), ("passed", None), ("sign", 1), ("sign", -1),
+                ("named", True), ("named", False)} <= outcomes
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_unjudged_fix_statement_exits_0(self, analyze, fmt):
@@ -363,9 +366,8 @@ class TestRunReport:
             return
         oracle = json.loads(out)["oracle"]
         assert oracle["status"] == "ok"
-        assert oracle["checks"] == [
-            {"m": 1, "mode": "fix", "passed": None}]
-        assert oracle["lift_fix"] == [str(2**m) for m in range(1, 7)]
+        assert oracle["depth"] == 6
+        assert verdict(oracle) == (1, None)
 
     def test_wrong_formula_is_named(self):
         # fix(4) off by one: the statement names m = 4
@@ -376,7 +378,8 @@ class TestRunReport:
         warnings = []
         oracle = cli._run_oracle(f, ReportOptions(), fixes, warnings)
         assert oracle["status"] == "mismatch"
-        assert oracle["checks"] == [{"m": 4, "mode": "fix", "passed": False}]
+        assert oracle["first_difference"] == 4
+        assert oracle["passed"] is False
         assert warnings == []
         report = run_report(MapSpecDocument(f), ReportOptions())
         report["oracle"] = oracle
@@ -755,7 +758,7 @@ class TestMain:
         code, out, _ = analyze("n=1\nbranch: free\na1 -> a1' a1'\n",
                                "--format", "json")
         assert code == 0
-        assert json.loads(out)["schema"] == 10
+        assert json.loads(out)["schema"] == 11
 
     def test_input_error_exit_code(self, analyze):
         code, _, err = analyze("n=1\nbranch: free\na1 -> a1 a1'\n")
@@ -867,8 +870,8 @@ class TestMain:
         flags = ["--oracle-depth", "20", "--format", "json"]
         assert main(["analyze", str(path), *flags]) == 0
         oracle = json.loads(capsys.readouterr().out)["oracle"]
-        assert oracle["lift_fix"] == [str(2**m - 1) for m in range(1, 21)]
-        assert oracle["checks"] == PASSED
+        assert oracle["depth"] == 20
+        assert verdict(oracle) == PASSED
 
     def test_non_ascii_digit_exit_code(self, analyze):
         code, _, err = analyze("n=\u00b2\nbranch: free\na1 -> a1 a1\n")

@@ -206,15 +206,14 @@ def test_oracle_judges_every_observed_class(admitted):
     # of another class counts another map, so its statement reads null on
     # the other 657, whether its counts agree or not
     ran = {key: report["oracle"] for key, report in admitted.items()
-           if "checks" in report["oracle"]}
+           if "depth" in report["oracle"]}
     judged = {key for key, oracle in ran.items()
               if oracle["branch_period_observed"] == key[0]}
     assert (len(ran), len(judged)) == (881, 224)
     for key, oracle in ran.items():
-        assert len(oracle["lift_fix"]) == HORIZON, key
-        m, mode, passed = oracle["checks"][0].values()
-        assert mode == "fix" and passed is (key in judged or None), key
-        assert m is None or key not in judged, key
+        assert oracle["depth"] == HORIZON, key
+        assert oracle["passed"] is (key in judged or None), key
+        assert oracle["first_difference"] is None or key not in judged, key
 
 
 def test_each_fact_printed_once(admitted):
