@@ -388,6 +388,11 @@ class TestRunReport:
         assert "\n  fix counts to m=6: mismatch, first difference at m=4\n" in text
         assert text.count("FAILED") == 1
         assert "\nFAILED oracle fix check: 4\n" in text
+        # the last iterate compared, m = D = 6, is judged as well
+        fixes[3] -= 1
+        fixes[5] += 1
+        assert verdict(cli._run_oracle(f, ReportOptions(), fixes, [])) == (
+            6, False)
 
     def test_json_round_trip(self):
         doc = parse_spec(LOW_GROWTH_TEXT)
