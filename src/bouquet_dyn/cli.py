@@ -27,11 +27,8 @@ counts differ from the formula's, or null; neither those counts, which
 repeat the census, nor its covers, ||M^m||_1, print (schema 11).
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from collections.abc import Callable
 
 from .errors import (DIGIT_CAP, ITERATE_CAP, InconsistencyError, InputError,
                      LiftConstructionError, Record, check_int, digit_count,
@@ -66,7 +63,7 @@ class Claim(Record, fields="quantity m value text"):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> Claim:
+    def __new__(cls, *args, **kwargs) -> "Claim":
         claim = super().__new__(cls, *args, **kwargs)
         check_int(claim.m, "claim iterate", 1)
         if digit_count(check_int(claim.value, "claim value")) > DIGIT_CAP:
@@ -87,7 +84,7 @@ class MapSpecDocument(Record, fields="action horizon claims",
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> MapSpecDocument:
+    def __new__(cls, *args, **kwargs) -> "MapSpecDocument":
         action, horizon, claims = super().__new__(cls, *args, **kwargs)
         if not isinstance(action, MapAction):
             raise InputError(f"document action must be a MapAction, got {shown(action)}")
@@ -100,7 +97,7 @@ class MapSpecDocument(Record, fields="action horizon claims",
         return tuple.__new__(cls, (action, horizon, claims))
 
 
-def _integer(value: str, what: str, err: Callable[[str], Exception]) -> int:
+def _integer(value: str, what: str, err: "Callable[[str], Exception]") -> int:
     """The integer that `value`, an optional minus sign and ASCII digits,
     spells; past DIGIT_CAP digits `err` builds the error to raise before
     int() sees them (Python 3.11+ refuses over 4 300 digits)."""
@@ -110,7 +107,7 @@ def _integer(value: str, what: str, err: Callable[[str], Exception]) -> int:
     return int(value)
 
 
-def _positive(value: str, what: str, err: Callable[[str], InputError]) -> int:
+def _positive(value: str, what: str, err: "Callable[[str], InputError]") -> int:
     """A positive integer written in ASCII decimal digits; `err` builds
     the line's InputError otherwise."""
     ascii_digits = value.isascii() and value.isdigit()
@@ -216,7 +213,7 @@ class ReportOptions(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> ReportOptions:
+    def __new__(cls, *args, **kwargs) -> "ReportOptions":
         options = super().__new__(cls, *args, **kwargs)
         if type(options.no_oracle) is not bool:
             raise InputError(f"no_oracle must be a bool, got {shown(options.no_oracle)}")
@@ -617,7 +614,7 @@ def _flag_integer(value: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {shown(value)}") from None
 
 
-def _analyze(args: argparse.Namespace) -> int:
+def _analyze(args: "argparse.Namespace") -> int:
     try:
         with open(args.spec_file, encoding="utf-8-sig") as fh:
             doc = parse_spec(fh.read())
@@ -658,7 +655,7 @@ def _fixture_texts(name: str) -> tuple[str, str | None]:
     )
 
 
-def _fixtures(args: argparse.Namespace) -> int:
+def _fixtures(args: "argparse.Namespace") -> int:
     """Each fixture's default-options JSON report against its frozen
     text, byte for byte."""
     failures = 0
@@ -686,7 +683,7 @@ def main(argv: list[str] | None = None) -> int:
         """An argument parser whose usage errors exit 1, the input-error
         code; its subcommand parsers are of the same class."""
 
-        def error(self, message: str) -> NoReturn:
+        def error(self, message: str) -> "NoReturn":
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
 

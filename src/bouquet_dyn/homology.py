@@ -22,11 +22,8 @@ anywhere in this module, since traces grow like the spectral radius to
 the m-th power.
 """
 
-from __future__ import annotations
-
 import math
 import operator
-from collections.abc import Iterator, Sequence
 from itertools import chain
 
 from .errors import (ITERATE_CAP, InconsistencyError, InputError, Record,
@@ -102,7 +99,7 @@ class PowerSequences(Record, fields="head char traces norms"):
             tuple(map(abs, recur(char, totals, norms))),
         )
 
-    def matrix_powers(self, count: int) -> Iterator[IntMatrix]:
+    def matrix_powers(self, count: int) -> "Iterator[IntMatrix]":
         """M^1..M^count, lazily: the baby steps, then one product per
         further power, made only when the consumer reaches it."""
         yield from self.head[:count]
@@ -141,7 +138,7 @@ def power_traces(a: IntMatrix, k: int, h: int, sums: bool = True
     return baby, traces, totals
 
 
-def char_from_traces(traces: Sequence[int]) -> list[int]:
+def char_from_traces(traces: "Sequence[int]") -> list[int]:
     """det(xI - M) as [c_0, ..., c_n], c_n = 1, for an n-by-n matrix M
     with tr M^m = traces[m-1], m = 1..n, by Newton's identities; every
     division is exact, and an inexact one is an inconsistency."""
@@ -155,7 +152,7 @@ def char_from_traces(traces: Sequence[int]) -> list[int]:
     return char
 
 
-def recur(char: Sequence[int], head: Sequence[int], k: int) -> list[int]:
+def recur(char: "Sequence[int]", head: "Sequence[int]", k: int) -> list[int]:
     """The first k terms of the sequence that starts with `head` and then
     follows x_m = -(c_0 x_(m-n) + ... + c_(n-1) x_(m-1)), for `char` =
     [c_0, ..., c_n] and len(head) >= n.  Each term is one dot product of
@@ -171,7 +168,7 @@ def recur(char: Sequence[int], head: Sequence[int], k: int) -> list[int]:
     return out
 
 
-def invert_divisor_sums(sums: Sequence[int]) -> list[int]:
+def invert_divisor_sums(sums: "Sequence[int]") -> list[int]:
     """The sequence g with sums[m-1] = sum of g(d) over d | m: Moebius
     inversion by the subtraction sieve.  In ascending d, out[d-1] is
     final once every proper divisor of d is taken out, and is then taken
@@ -185,7 +182,7 @@ def invert_divisor_sums(sums: Sequence[int]) -> list[int]:
     return out
 
 
-def cycles(step: Sequence[int]) -> Iterator[list[int]]:
+def cycles(step: "Sequence[int]") -> "Iterator[list[int]]":
     """Each cycle of the map i -> step[i] on range(len(step)) once, as
     the list of its points in orbit order; step[i] < 0 ends a path."""
     mark = [-1] * len(step)  # the start whose path first met each point

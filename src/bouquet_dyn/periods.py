@@ -6,10 +6,7 @@ census also covers the orientation-reversing m = 2 (mod 4) case where the
 periodic Lefschetz number mixes two period counts.
 """
 
-from __future__ import annotations
-
 import math
-from collections.abc import Iterable, Sequence
 
 from .errors import InconsistencyError, Record, check_int, check_ints, shown
 from .homology import IntMatrix, PowerSequences, cycles, invert_divisor_sums
@@ -20,7 +17,7 @@ from .words import MapAction
 # ---------------------------------------------------------------------------
 # exact counts
 
-def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
+def fix_counts(f: MapAction, traces: "Sequence[int]") -> tuple[int, ...]:
     """Number of fixed points of every iterate m = 1..len(traces),
     exactly, where traces[m-1] = tr M^m.
 
@@ -66,7 +63,7 @@ def fix_counts(f: MapAction, traces: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def per_census(fixes: Sequence[int]) -> tuple[int, ...]:
+def per_census(fixes: "Sequence[int]") -> tuple[int, ...]:
     """per(m) for m = 1..len(fixes), where fixes[m-1] = fix(m), by Moebius
     inversion (`homology.invert_divisor_sums`) of the divisor identity
     fix(m) = sum over r|m of per(r).
@@ -95,7 +92,7 @@ def per_census(fixes: Sequence[int]) -> tuple[int, ...]:
 # Lefschetz cross-checks
 
 def lefschetz_fix_check(
-    f: MapAction, lefs: Sequence[int], fixes: Sequence[int]
+    f: MapAction, lefs: "Sequence[int]", fixes: "Sequence[int]"
 ) -> list[dict]:
     """The report's check rows {"m", "mode", "passed"}: lefs[m-1] =
     L(f^m) against fixes[m-1] = #Fix(f^m), m = 1..H = len(lefs), on the
@@ -159,7 +156,7 @@ class Conclusion(Record, fields="kind m excluded", defaults=(1, None)):
         step = 1 if self.kind == "tail" else self.m
         return set(range(self.m, horizon + 1, step)) - {self.excluded}
 
-    def failure(self, period_set: Iterable[int], horizon: int) -> str | None:
+    def failure(self, period_set: "Iterable[int]", horizon: int) -> str | None:
         """Where the census's period set up to the horizon breaks the
         conclusion, as the report's `failure` text, or None when it holds:
         each promised period outside the set, or for "pairwise" each m <
@@ -176,7 +173,7 @@ class Conclusion(Record, fields="kind m excluded", defaults=(1, None)):
             "promises one of them" if pairwise
             else f"no period {at}, which the conclusion promises")
 
-    def promoted(self, m: int) -> Conclusion | None:
+    def promoted(self, m: int) -> "Conclusion | None":
         """The delayed rule: "Per(f^m) contains sN \\ {e}" read as
         "Per(f) contains m lcm(s, rad(m)) N \\ {m e}", the exclusion kept
         only when lcm(s, rad(m)) divides e.  Only "multiples" conclusions

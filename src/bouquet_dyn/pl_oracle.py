@@ -13,8 +13,6 @@ partition, composing none.  It counts no covers: on its lifts they are
 ||M^m||_1, as `oracle_counts` proves.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from itertools import accumulate, chain
@@ -37,7 +35,7 @@ class PLLift(Record, fields="n scale pieces"):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, scale: int, pieces) -> PLLift:
+    def __new__(cls, n: int, scale: int, pieces) -> "PLLift":
         check_int(n, "lift n", 1)
         check_int(scale, "lift scale", 1)
         pieces = tuple(map(tuple, pieces))

@@ -16,11 +16,8 @@ on the same exact polynomial, one integer Taylor shift per bound on one
 scaled copy of it (its docstring gives the proof).
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
 from itertools import zip_longest
 
 from .errors import (InconsistencyError, InputError, Record, check_int,
@@ -78,7 +75,7 @@ def _trim(p: list[int]) -> list[int]:
     return p
 
 
-def _derivative(p: Sequence[int]) -> list[int]:
+def _derivative(p: "Sequence[int]") -> list[int]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
@@ -107,7 +104,7 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _div_monic(p: Sequence[int], q: list[int]) -> list[int]:
+def _div_monic(p: "Sequence[int]", q: list[int]) -> list[int]:
     """p / q for a monic q that divides p."""
     p, dq = list(p), len(q) - 1
     out = [0] * max(len(p) - dq, 0)
@@ -120,14 +117,14 @@ def _div_monic(p: Sequence[int], q: list[int]) -> list[int]:
     return out
 
 
-def _check_monic(char: Sequence[int]) -> None:
+def _check_monic(char: "Sequence[int]") -> None:
     """Refuse char unless it is monic with int coefficients, as given."""
     check_ints(char, "polynomial coefficient")
     if not char or char[-1] != 1:
         raise InputError(f"polynomial must be monic, got {shown(tuple(char))}")
 
 
-def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+def squarefree_parts(char: "Sequence[int]") -> list[tuple[tuple[int, ...], int]]:
     """Yun's squarefree decomposition of a monic integer polynomial
     char = [c_0, ..., c_d]: the pairs (a_i, i) with the a_i monic,
     squarefree, pairwise coprime and nonconstant, and char = prod a_i^i.
@@ -156,7 +153,7 @@ def squarefree_parts(char: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     return parts
 
 
-def exceeds_perron_root(char: Sequence[int], ps: Sequence[int],
+def exceeds_perron_root(char: "Sequence[int]", ps: "Sequence[int]",
                         q: int) -> list[bool]:
     """Whether p/q > lambda, for each int p of `ps`, an int q >= 1 and
     the characteristic polynomial char = c = [c_0, ..., c_d] of a
@@ -215,7 +212,7 @@ class SpectrumReport(Record, fields="values residual"):
         return math.log(s) if s > 1.0 + 1e-12 else 0.0
 
 
-def eigenvalues(char: Sequence[int]) -> SpectrumReport:
+def eigenvalues(char: "Sequence[int]") -> SpectrumReport:
     """All roots, with multiplicity, of the characteristic polynomial
     char = [c_0, ..., c_n], c_n = 1 (`PowerSequences.char`).  Zero roots
     are split off exactly; the solver runs on each squarefree part of the

@@ -7,10 +7,6 @@ models maps that are monotone on every petal.  Letters serialize as
 ``a3`` and ``a3'`` (apostrophe marks the inverse).
 """
 
-from __future__ import annotations
-
-from collections.abc import Iterable, Sequence
-
 from .errors import InputError, Record, check_int, shown
 
 #: branch class of a map whose branching point is never periodic
@@ -41,7 +37,7 @@ class Letter(Record, fields="index sign"):
 
     __slots__ = ()
 
-    def __new__(cls, index: int, sign: int) -> Letter:
+    def __new__(cls, index: int, sign: int) -> "Letter":
         check_int(index, "generator index", 1, CIRCLE_CAP)
         if not check_int(sign, "letter sign", -1, 1):
             raise InputError("letter sign must be -1 or 1, got 0")
@@ -51,7 +47,7 @@ class Letter(Record, fields="index sign"):
         return f"a{self.index}" + ("'" if self.sign < 0 else "")
 
     @staticmethod
-    def parse(tok: str) -> Letter:
+    def parse(tok: str) -> "Letter":
         sign = -1 if tok.endswith("'") else 1
         body = tok[:-1] if sign < 0 else tok
         index = generator_index(body[1:]) if body.startswith("a") else None
@@ -66,7 +62,7 @@ class Word(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, letters: Iterable[Letter]) -> Word:
+    def __new__(cls, letters: "Iterable[Letter]") -> "Word":
         w = tuple.__new__(cls, letters)
         if not w:
             raise InputError("empty words are not allowed")
@@ -87,7 +83,7 @@ class Word(tuple):
         return " ".join(l.token() for l in self)
 
     @staticmethod
-    def parse(text: str) -> Word:
+    def parse(text: str) -> "Word":
         return Word(Letter.parse(t) for t in text.split())
 
 
@@ -108,8 +104,8 @@ class MapAction(Record, fields="n images branch_class"):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, images: Sequence[Word],
-                branch_class: int | None = BRANCH_FREE) -> MapAction:
+    def __new__(cls, n: int, images: "Sequence[Word]",
+                branch_class: int | None = BRANCH_FREE) -> "MapAction":
         check_int(n, "circle count", 1)
         images = tuple(images)
         if len(images) != n:
@@ -135,7 +131,7 @@ class MapAction(Record, fields="n images branch_class"):
         return self.images[check_int(j, "generator index", 1, self.n) - 1]
 
     @staticmethod
-    def from_texts(texts: Sequence[str], branch_class: int | None = BRANCH_FREE) -> MapAction:
+    def from_texts(texts: "Sequence[str]", branch_class: int | None = BRANCH_FREE) -> "MapAction":
         ws = tuple(Word.parse(t) for t in texts)
         return MapAction(len(ws), ws, branch_class)
 

@@ -1,10 +1,15 @@
 """The package imports nothing outside the standard library, loads only
 what a report needs, and defines nothing public that only tests use."""
 
+import argparse
 import ast
+import collections.abc
+import importlib
 import re
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bouquet_dyn"
@@ -37,9 +42,12 @@ def test_standard_library_only():
 #: writer loads its one encoder from the C module `_json` with its first
 #: string, and `json` never; the records are `errors.Record`s, the root
 #: solver's start points come from `math`, and `re` is loaded only to
-#: read a claim line
+#: read a claim line; no module has `from __future__ import annotations`,
+#: and an annotation that names a `collections.abc` class is a string,
+#: so neither `__future__` nor `collections` is imported for annotations
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "argparse",
-         "importlib.resources", "json", "_json", "typing", "cmath", "re"}
+         "importlib.resources", "json", "_json", "typing", "cmath", "re",
+         "__future__", "collections"}
 
 
 def test_import_loads_only_what_a_report_needs():
@@ -55,6 +63,37 @@ def test_import_loads_only_what_a_report_needs():
     ).stdout.split()
     assert "bouquet_dyn.cli" in added
     assert sorted(HEAVY.intersection(added)) == []
+
+
+def package_functions():
+    """Each module-level function and each method of a module-level class
+    that the package defines, with the module it is defined in."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"bouquet_dyn.{path.stem}")
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).values() if isinstance(value, type) else [value]
+            for member in members:
+                function = getattr(member, "__func__", member)
+                if isinstance(function, types.FunctionType):
+                    yield module, function
+
+
+def test_quoted_annotations_name_something():
+    # annotations are evaluated when each `def` runs, so one that needs an
+    # import or a name bound later is a string, which nothing evaluates:
+    # here each is, against the module's names, the `collections.abc`
+    # classes, `argparse` and `NoReturn`, so a misspelt one fails
+    extra = {**vars(collections.abc), "argparse": argparse,
+             "NoReturn": typing.NoReturn}
+    checked = quoted = 0
+    for module, function in package_functions():
+        typing.get_type_hints(function, globalns={**extra, **vars(module)})
+        checked += 1
+        quoted += any(isinstance(a, str)
+                      for a in function.__annotations__.values())
+    assert checked > 80 and quoted > 25, (checked, quoted)
 
 
 def test_first_json_write_loads_the_encoder():
