@@ -68,7 +68,7 @@ def test_import_loads_only_what_a_report_needs():
 def package_functions():
     """Each module-level function and each method of a module-level class
     that the package defines, with the module it is defined in."""
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
         module = importlib.import_module(f"bouquet_dyn.{path.stem}")
         for value in vars(module).values():
             if getattr(value, "__module__", None) != module.__name__:
@@ -81,10 +81,10 @@ def package_functions():
 
 
 def test_quoted_annotations_name_something():
-    # annotations are evaluated when each `def` runs, so one that needs an
-    # import or a name bound later is a string, which nothing evaluates:
-    # here each is, against the module's names, the `collections.abc`
-    # classes, `argparse` and `NoReturn`, so a misspelt one fails
+    # an annotation that needs an import or a name bound later is a
+    # string, which no `def` evaluates: here each is, against the module's
+    # names, the `collections.abc` classes, `argparse` and `NoReturn`, so
+    # a misspelt one fails
     extra = {**vars(collections.abc), "argparse": argparse,
              "NoReturn": typing.NoReturn}
     checked = quoted = 0
