@@ -1,12 +1,13 @@
 """Fixed points, periods and entropy for monotone self-maps of a bouquet
 of circles, driven by the induced action on the fundamental group.
 
-The top level holds what the README example uses; everything else is
-imported from its submodule."""
+The top level holds the census, homology and spectrum names that the
+README example uses; everything else, the piecewise-linear oracle's
+`build_lift` and `oracle_counts` included, is imported from its
+submodule, so importing the package does not load the oracle."""
 
 from .homology import PowerSequences, abelianize
 from .periods import fix_counts, per_census
-from .pl_oracle import build_lift, oracle_counts
 from .spectral import eigenvalues
 from .words import action
 

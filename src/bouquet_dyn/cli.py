@@ -41,7 +41,6 @@ from .periods import (
     per_census,
     period_certificates,
 )
-from .pl_oracle import build_lift, oracle_counts
 from .spectral import (DOMINANCE_EPS, SpectrumReport, eigenvalues,
                        exceeds_perron_root)
 from .words import (BRANCH_FREE, CIRCLE_CAP, MapAction, Word, generator_index,
@@ -143,10 +142,11 @@ def parse_spec(text: str) -> MapSpecDocument:
         def err(msg: str) -> InputError:
             return InputError(f"line {lineno}: {msg}")
 
-        if line.replace(" ", "").startswith("n="):
+        head, eq, value = line.partition("=")
+        if eq and head.rstrip() == "n":
             if n is not None:
                 raise err("duplicate n= declaration")
-            n = _positive(line.split("=", 1)[1].strip(), "circle count", err)
+            n = _positive(value.strip(), "circle count", err)
             if n > CIRCLE_CAP:
                 raise err(f"circle count {n} over the cap of {CIRCLE_CAP} circles")
             continue
@@ -430,6 +430,10 @@ def _run_oracle(f: MapAction, options: ReportOptions, fixes: tuple[int, ...],
                 warnings: list[str]) -> dict:
     if options.no_oracle:
         return {"status": "skipped", "reason": "disabled by flag"}
+    # imported here, by the first report that runs the oracle: a
+    # `--no-oracle` process never loads the lift
+    from .pl_oracle import build_lift, oracle_counts
+
     try:
         lift = build_lift(f)
     except LiftConstructionError as e:

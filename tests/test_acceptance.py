@@ -12,14 +12,13 @@ from bouquet_dyn import (
     PowerSequences,
     abelianize,
     action,
-    build_lift,
     eigenvalues,
     fix_counts,
-    oracle_counts,
 )
 from bouquet_dyn.cli import ReportOptions, run_report
 from bouquet_dyn.homology import invert_divisor_sums
 from bouquet_dyn.periods import ALL_PERIODS
+from bouquet_dyn.pl_oracle import build_lift, oracle_counts
 from bouquet_dyn.spectral import dominant_test, m0_bound
 
 from conftest import (

@@ -21,15 +21,30 @@ of 1-2 letters, 13 824 reports, about 11 s) against its tally, `N3_TALLY`.
 `test_exit_0_reports_have_possible_census` samples the whole n <= 2
 domain, refused maps included: every report that exits 0 has a census
 that a map can have.
+
+`test_domain_digest` holds every map of the n <= 2 domain, refused
+maps included, to the bytes `analyze` wrote for it when
+`domain_digest.json` was last written: at two option sets, in JSON and
+in text, the exit code, stdout and stderr of each run.  A change that
+declares new output rewrites the digest in the same commit, with
+`PYTHONPATH=src python tests/test_domain.py`.
 """
 
+import argparse
+import hashlib
+import io
 import json
 import random
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from bouquet_dyn import cli
 from bouquet_dyn.cli import (ReportOptions, fixture_names, main, parse_spec,
                              report_has_failures, run_report)
 from bouquet_dyn.errors import InconsistencyError, InputError
@@ -265,3 +280,92 @@ def test_n3_tally():
         if failure:
             tally[failure[0]] += 1
     assert tally == N3_TALLY, tally
+
+
+DIGEST = Path(__file__).with_name("domain_digest.json")
+
+#: the (horizon, oracle depth) of each option set the digest runs, as
+#: `--horizon H --oracle-depth D`, each in both formats
+DIGEST_SETTINGS = ((40, 40), (12, 60))
+
+
+def _memoized(report):
+    """`run_report` that reads one report for the text and the JSON run
+    of one option set: it is a function of its arguments alone, and the
+    digest spends half its time there otherwise.  A refusal is kept and
+    raised again."""
+    last = {}
+
+    def run(doc, options):
+        if (doc, options) not in last:
+            last.clear()
+            try:
+                last[doc, options] = report(doc, options)
+            except (InputError, InconsistencyError) as e:
+                last[doc, options] = e
+        result = last[doc, options]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    return run
+
+
+def domain_digest(path) -> dict:
+    """The digest of the whole n <= 2 domain through `cli._analyze`, each
+    spec written to `path` in turn: per option set and format, the exit
+    tally and the sha256 of every run's [exit code, stdout, stderr] in
+    domain order, and per spec the first 8 hex digits of the sha256 of
+    its four runs, so that a mismatch names the first spec that differs."""
+    settings = {f"--horizon {h} --oracle-depth {d} --format {fmt}":
+                argparse.Namespace(spec_file=str(path), horizon=h,
+                                   oracle_depth=d, no_oracle=False,
+                                   format=fmt)
+                for h, d in DIGEST_SETTINGS for fmt in ("json", "text")}
+    tallies = {name: Counter() for name in settings}
+    hashes = {name: hashlib.sha256() for name in settings}
+    per_spec = []
+    with mock.patch.object(cli, "run_report", _memoized(cli.run_report)):
+        for k, texts, _ in _domain():
+            Path(path).write_text(_spec(k, texts), encoding="utf-8")
+            spec_hash = hashlib.sha256()
+            for name, args in settings.items():
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli._analyze(args)
+                run = (json.dumps([code, out.getvalue(), err.getvalue()])
+                       + "\n").encode()
+                tallies[name][str(code)] += 1
+                hashes[name].update(run)
+                spec_hash.update(run)
+            per_spec.append(spec_hash.hexdigest()[:8])
+    return {"specs": len(per_spec),
+            "settings": {name: {"exits": dict(sorted(tallies[name].items())),
+                                "sha256": hashes[name].hexdigest()}
+                         for name in settings},
+            "per_spec": per_spec}
+
+
+def test_domain_digest(tmp_path):
+    # every report, usage error and refusal of the domain is byte for
+    # byte the committed one; each option set and format exits 0 on
+    # 1 379 specs, 1 on 89 and 2 on 124
+    want = json.loads(DIGEST.read_text())
+    got = domain_digest(tmp_path / "map.bqd")
+    specs = list(_domain())
+    first = next((i for i, (a, b) in enumerate(
+        zip(got["per_spec"], want["per_spec"])) if a != b), None)
+    differ = [name for name, setting in want["settings"].items()
+              if got["settings"].get(name) != setting]
+    where = ("no spec's own digest differs" if first is None else
+             f"first spec that differs, #{first} of {len(specs)}:\n"
+             + _spec(*specs[first][:2]))
+    assert got == want, f"{differ}; {where}"
+    assert {tuple(s["exits"].values()) for s in got["settings"].values()} == {
+        (1379, 89, 124)}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        DIGEST.write_text(json.dumps(domain_digest(Path(scratch) / "map.bqd"),
+                                     indent=1) + "\n")

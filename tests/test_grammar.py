@@ -1,6 +1,7 @@
 """The letter and image-line parsers, written with `str` methods, accept
 exactly the grammar of the regular expressions they replaced, and read
-the same values from it; an index past the digits of CIRCLE_CAP is
+the same values from it; the n= line allows any whitespace around n and
+its value, as the other lines do; an index past the digits of CIRCLE_CAP is
 refused by its digit count, and a letter's index past CIRCLE_CAP by its
 value."""
 
@@ -101,7 +102,8 @@ def test_image_line_grammar():
 
 
 @pytest.mark.parametrize("line", ["a1 ->", "a1 - > a1", "a01 -> a1",
-                                  "a1' -> a1", "a² -> a1", "a1 => a1"])
+                                  "a1' -> a1", "a² -> a1", "a1 => a1",
+                                  "nn=2", "n x=2", "n2=2"])
 def test_not_an_image_line(line):
     with pytest.raises(InputError, match="^line 3: unrecognized line"):
         parse_spec(f"n=1\nbranch: free\n{line}\n")
@@ -111,6 +113,15 @@ def test_arrow_spacing():
     for line in ["a1->a1 a1", "a1 \u00a0->\u2003a1 a1", "a1\t->\ta1\ta1"]:
         doc = parse_spec(f"n=1\nbranch: free\n{line}\n")
         assert doc.action.images == (Word.parse("a1 a1"),)
+
+
+@pytest.mark.parametrize("line", ["n=2", "n = 2", "n\t=2", "n\u00a0=2",
+                                  "n\u2003=\u20032", "n =\t2", " n\t=\t2 "])
+def test_declaration_spacing(line):
+    # the n= line is read at its first "=", with any whitespace around n,
+    # as `branch:` and the image lines allow any whitespace
+    doc = parse_spec(f"{line}\nbranch:\tfree\na1\t->\ta1\na2 -> a2 a1\n")
+    assert doc.action.n == 2 and doc.action.branch_class is None
 
 
 @pytest.mark.parametrize("build", [

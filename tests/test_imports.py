@@ -119,6 +119,38 @@ def test_first_json_write_loads_the_encoder():
     assert out == "False\nTrue True True\n"
 
 
+def test_oracle_loads_with_its_first_report():
+    # importing the CLI module loads every package module but the lift,
+    # and a `--no-oracle` report, text or JSON, loads no package module;
+    # the first report that runs the oracle loads it and writes the
+    # fixture's frozen bytes
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from bouquet_dyn import cli; "
+        "loaded = lambda: sorted(m for m in sys.modules "
+        "if m.startswith('bouquet_dyn')); "
+        "read = lambda name: open(sys.argv[2] + name, encoding='utf-8').read(); "
+        "before = loaded(); print(*before); "
+        "report = cli.run_report(cli.parse_spec(read('rotor_g4.bqd')), "
+        "cli.ReportOptions(no_oracle=True)); "
+        "cli.render_text(report); cli.render_json(report); "
+        "print(loaded() == before); "
+        "report = cli.run_report(cli.parse_spec(read('expand_double_g1.bqd')), "
+        "cli.ReportOptions()); "
+        "print(sorted(set(loaded()) - set(before)), "
+        "cli.render_json(report) == read('expand_double_g1.json'))")
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent),
+         f"{PACKAGE / 'fixtures'}/"],
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    package = " ".join(["bouquet_dyn"] + [
+        f"bouquet_dyn.{name}"
+        for name in ("cli", "errors", "homology", "periods", "spectral",
+                     "words")])
+    assert out == f"{package}\nTrue\n['bouquet_dyn.pl_oracle'] True\n"
+
+
 def test_no_record_compiles_code():
     # `collections.namedtuple` compiles each record's `__new__` at import,
     # and `typing.NamedTuple` adds a class creation on top: the records

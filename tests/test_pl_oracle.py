@@ -13,10 +13,8 @@ from bouquet_dyn import (
     PowerSequences,
     abelianize,
     action,
-    build_lift,
     fix_counts,
     homology,
-    oracle_counts,
     pl_oracle,
 )
 from bouquet_dyn.errors import (
@@ -25,7 +23,8 @@ from bouquet_dyn.errors import (
     LiftConstructionError,
 )
 from bouquet_dyn.homology import mat_mul, power_traces, recur
-from bouquet_dyn.pl_oracle import OracleCounts, PLLift, lift_branch_period
+from bouquet_dyn.pl_oracle import (OracleCounts, PLLift, build_lift,
+                                   lift_branch_period, oracle_counts)
 
 from conftest import (
     PIECE_BUDGET,

@@ -15,15 +15,16 @@ from fractions import Fraction
 import pytest
 
 import bouquet_dyn
-from bouquet_dyn import (PowerSequences, abelianize, build_lift, eigenvalues,
-                         fix_counts, oracle_counts, per_census)
+from bouquet_dyn import (PowerSequences, abelianize, eigenvalues, fix_counts,
+                         per_census)
 from bouquet_dyn.cli import (DEFAULT_ENTROPY_HORIZON, DEFAULT_ORACLE_DEPTH,
                              Claim, MapSpecDocument, ReportOptions, parse_spec,
                              run_report)
 from bouquet_dyn.errors import (DIGIT_CAP, InconsistencyError, InputError,
                                 Record, shown)
 from bouquet_dyn.periods import Conclusion, PeriodCertificate
-from bouquet_dyn.pl_oracle import PLLift, _ratio, lift_branch_period
+from bouquet_dyn.pl_oracle import (PLLift, _ratio, build_lift,
+                                   lift_branch_period, oracle_counts)
 from bouquet_dyn.spectral import exceeds_perron_root, squarefree_parts
 from bouquet_dyn.words import Letter, MapAction, Word, action
 
