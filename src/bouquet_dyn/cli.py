@@ -430,8 +430,7 @@ def _run_oracle(f: MapAction, options: ReportOptions, fixes: tuple[int, ...],
                 warnings: list[str]) -> dict:
     if options.no_oracle:
         return {"status": "skipped", "reason": "disabled by flag"}
-    # imported here, by the first report that runs the oracle: a
-    # `--no-oracle` process never loads the lift
+    # imported here, not at the top: a `--no-oracle` process never loads it
     from .pl_oracle import build_lift, oracle_counts
 
     try:

@@ -1,9 +1,9 @@
 """The letter and image-line parsers, written with `str` methods, accept
 exactly the grammar of the regular expressions they replaced, and read
 the same values from it; the n= line allows any whitespace around n and
-its value, as the other lines do; an index past the digits of CIRCLE_CAP is
-refused by its digit count, and a letter's index past CIRCLE_CAP by its
-value."""
+its value, as the other lines do; an index past the digits of CIRCLE_CAP
+is refused by its digit count, and a letter's index past CIRCLE_CAP by
+its value."""
 
 import random
 import re

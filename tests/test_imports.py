@@ -144,11 +144,10 @@ def test_oracle_loads_with_its_first_report():
          f"{PACKAGE / 'fixtures'}/"],
         capture_output=True, text=True, timeout=60, check=True,
     ).stdout
-    package = " ".join(["bouquet_dyn"] + [
-        f"bouquet_dyn.{name}"
-        for name in ("cli", "errors", "homology", "periods", "spectral",
-                     "words")])
-    assert out == f"{package}\nTrue\n['bouquet_dyn.pl_oracle'] True\n"
+    assert out == ("bouquet_dyn bouquet_dyn.cli bouquet_dyn.errors "
+                   "bouquet_dyn.homology bouquet_dyn.periods "
+                   "bouquet_dyn.spectral bouquet_dyn.words\nTrue\n"
+                   "['bouquet_dyn.pl_oracle'] True\n")
 
 
 def test_no_record_compiles_code():
