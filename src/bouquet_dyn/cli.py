@@ -11,6 +11,10 @@ The input format is line-based:
     a3 -> a1 a3
     claim: l(3) = 2         # optional; mismatches become warnings
 
+A line is read at its mark (the first "=" of the n line, the first ":" of
+a branch, horizon or claim line, an image line's "->"): any whitespace
+may stand before and after it; in a claim's body, ASCII whitespace only.
+
 Exit codes: 0 all checks pass, 1 input or usage error (a declared branch
 period k with per(k) < k included: the branching point's orbit alone has
 k points of least period k), 2 cross-check mismatch, a printed spectral
@@ -50,9 +54,9 @@ DEFAULT_HORIZON = 12
 DEFAULT_ORACLE_DEPTH = 6
 DEFAULT_ENTROPY_HORIZON = 30
 
-#: a claim line, matched only on a line that starts with "claim:": `re` is
+#: a claim line after its "claim:", matched only on a claim line: `re` is
 #: loaded there, so importing this module does not load it
-_CLAIM_PATTERN = r"^claim:\s*(L|l|fix|per)\s*\(\s*(\d+)\s*\)\s*=\s*(-?\d+)\s*$"
+_CLAIM_PATTERN = r"^\s*(L|l|fix|per)\s*\(\s*(\d+)\s*\)\s*=\s*(-?\d+)\s*$"
 
 
 class Claim(Record, fields="quantity m value text"):
@@ -150,26 +154,28 @@ def parse_spec(text: str) -> MapSpecDocument:
             if n > CIRCLE_CAP:
                 raise err(f"circle count {n} over the cap of {CIRCLE_CAP} circles")
             continue
-        if line.startswith("branch:"):
+        key, colon, rest = line.partition(":")
+        key = colon and key.rstrip()
+        if key == "branch":
             if branch_seen:
                 raise err("duplicate branch declaration")
             branch_seen = True
-            rest = line[len("branch:"):].strip()
+            rest = rest.strip()
             if rest.startswith("period"):
                 branch = _positive(rest[len("period"):].strip(),
                                    "branch period", err)
             elif rest != "free":
                 raise err(f"bad branch declaration {shown(rest)}")
             continue
-        if line.startswith("horizon:"):
+        if key == "horizon":
             if horizon is not None:
                 raise err("duplicate horizon declaration")
-            horizon = _positive(line[len("horizon:"):].strip(), "horizon", err)
+            horizon = _positive(rest.strip(), "horizon", err)
             continue
-        if line.startswith("claim:"):
+        if key == "claim":
             import re
 
-            claim_match = re.match(_CLAIM_PATTERN, line, re.ASCII)
+            claim_match = re.match(_CLAIM_PATTERN, rest, re.ASCII)
             if claim_match is None:
                 raise err(f"bad claim syntax {shown(line)}")
             quantity, m, value = claim_match.groups()

@@ -277,14 +277,7 @@ def oracle_counts(lift: PLLift, depth: int) -> OracleCounts:
 def lift_branch_period(lift: PLLift, depth: int) -> int | None:
     """The lift's branch period, `oracle_counts`' exact one, when it is
     at most `depth`, else None; a lift that `oracle_counts` refuses at
-    depth 1, or a depth past ITERATE_CAP, is refused.  It follows point 0
-    through the point map alone: off the integers its orbit meets each
-    point of O* at most once before it cycles."""
+    depth 1, or a depth past ITERATE_CAP, is refused."""
     check_int(depth, "depth", 1, ITERATE_CAP)
-    pts, point, _, _ = _walk(lift, 1)
-    i = point[0]
-    for t in range(1, min(depth, len(pts)) + 1):
-        if pts[i] % lift.scale == 0:
-            return t
-        i = point[i]
-    return None
+    period = oracle_counts(lift, 1).branch_period
+    return period if period is not None and period <= depth else None

@@ -22,7 +22,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 
@@ -312,6 +312,45 @@ def probe64_spec(index: int) -> str:
                   for _ in range(64)]
     return "n=64\nbranch: free\n" + "".join(
         f"a{j} -> {w}\n" for j, w in enumerate(images, start=1))
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive domain, enumerated once for every test that reads it
+
+def domain_maps(sizes=(1, 2), lengths=(1, 2, 3)) -> Iterator[tuple]:
+    """(class, image texts, admitted) for every map of the domain with n
+    in `sizes` and image words of `lengths` letters, of either sign,
+    declared free or of class 1, 2 or 3; `admitted` is whether the two
+    admissibility rules let the map through."""
+    for n, mark in product(sizes, ("", "'")):
+        words = [idxs for length in lengths
+                 for idxs in product(range(1, n + 1), repeat=length)]
+        for combo in product(words, repeat=n):
+            texts = tuple(" ".join(f"a{i}{mark}" for i in w) for w in combo)
+            for k in (None, 1, 2, 3):
+                yield k, texts, _admitted(combo, k)
+
+
+def _admitted(combo, k) -> bool:
+    """Whether the two admissibility rules let the map through: refuse a
+    cycle of single-letter images, and refuse a class other than 1 when
+    no circle is common to every image word."""
+    single = {j: w[0] for j, w in enumerate(combo, start=1) if len(w) == 1}
+    for j in single:
+        seen = set()
+        while j in single and j not in seen:
+            seen.add(j)
+            j = single[j]
+        if j in seen:
+            return False
+    return k == 1 or bool(set.intersection(*map(set, combo)))
+
+
+def domain_spec(k, texts) -> str:
+    """The spec text of one map of the domain."""
+    branch = "free" if k is None else f"period {k}"
+    return f"n={len(texts)}\nbranch: {branch}\n" + "".join(
+        f"a{j} -> {w}\n" for j, w in enumerate(texts, start=1))
 
 
 def char_poly(a: IntMatrix) -> list[int]:

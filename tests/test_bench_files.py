@@ -12,12 +12,13 @@ sets; from record 49 on, it names the Python version that ran it.  The gate logi
 of `tools/bench_pair.py` (wins, quartiles, `--pairs`, same output, the
 claim rule's verdict, its refusal to write a record whose outputs differ
 unless declared) is checked on hand-built runs, and its interleaved mode
-by an A/A run against HEAD in a clone under tmp_path."""
+by an A/A run against HEAD in a one-commit repository under tmp_path."""
 
 import importlib.util
 import json
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 from pathlib import Path
@@ -304,19 +305,27 @@ def test_main_writes_declared_changes(tmp_path, fake_runs, capsys, digest,
 
 
 def test_interleaved_a_a_smoke(tmp_path, monkeypatch):
-    # HEAD against itself in a clone under tmp_path: one pass of three
-    # maps per workload, with no process pair; nothing is written into
-    # the checkout
-    clone = tmp_path / "clone"
-    subprocess.run(["git", "clone", "-q", "--shared", str(ROOT), str(clone)],
-                   check=True, capture_output=True)
-    monkeypatch.setattr(bench_pair, "ROOT", clone)
+    # HEAD against itself in a one-commit repository under tmp_path, made
+    # from the files a run reads, so that the checkout need not be a git
+    # clone: one pass of three maps per workload, with no process pair;
+    # nothing is written into the checkout
+    repo = tmp_path / "repo"
+    for name in ("src", "perfbench", "tools"):
+        shutil.copytree(ROOT / name, repo / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    for args in (["init", "-q"], ["add", "-A"],
+                 ["-c", "user.name=A/A", "-c", "user.email=a-a@example.invalid",
+                  "-c", "commit.gpgsign=false", "commit", "-q", "-m", "A/A"]):
+        subprocess.run(["git", *args], cwd=repo, check=True,
+                       capture_output=True)
+    monkeypatch.setattr(bench_pair, "ROOT", repo)
     monkeypatch.setattr(bench_pair, "INTERLEAVED_MAPS", 3)
     before = sorted(ROOT.glob("BENCH_*.json"))
     assert bench_pair.main(["--pr", "0", "--parent", "HEAD",
                             "--interleaved", "1"]) == 0
     assert sorted(ROOT.glob("BENCH_*.json")) == before
-    rec = json.loads((clone / "BENCH_0.json").read_text())
+    rec = json.loads((repo / "BENCH_0.json").read_text())
     assert rec["parent"] == rec["change"] and rec["workloads"] == {}
     assert set(rec["interleaved"]) == {w["name"] for w in BENCH["workloads"]}
     for w in rec["interleaved"].values():

@@ -3,9 +3,9 @@ circles whose image words have 1-3 letters, of either sign, declared
 free or of branch class 1, 2 or 3, at horizon and oracle depth 40.
 
 The admissibility gate does not exist yet, so its two rules are a
-filter here: refuse a cycle of single-letter images, and refuse a branch
-class other than 1 when no circle is common to every image word.  A
-third rule, the declared orbit, reads the census, so the report makes
+filter (`conftest.domain_maps`): refuse a cycle of single-letter
+images, and refuse a branch class other than 1 when no circle is common
+to every image word.  A third rule, the declared orbit, reads the census, so the report makes
 it: an admitted map declared of class k whose census has per(k) < k
 must exit 1 naming it (`ORBIT_REFUSED` of them).  Every other
 admitted map must then report with no failure at all (every Lefschetz
@@ -15,6 +15,11 @@ one certificate for the reason given.  The list may only get shorter.
 Wherever the lift's branch orbit is the declared one, the oracle's fix
 statement must pass (the lift's count equals fix(m) for every m <= 40);
 elsewhere the lift counts another map, and the statement reads null.
+
+`test_word_reversal_keeps_the_report` runs every map of the domain,
+refused maps included, against its twin with every image word reversed,
+a conjugate map: the two reports agree but for the image words, or the
+two refusals agree.
 
 `test_n3_tally` checks the larger n = 3 domain the same way (image words
 of 1-2 letters, 13 824 reports, about 11 s) against its tally, `N3_TALLY`.
@@ -38,7 +43,6 @@ import random
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -49,7 +53,8 @@ from bouquet_dyn.cli import (ReportOptions, fixture_names, main, parse_spec,
                              report_has_failures, run_report)
 from bouquet_dyn.errors import InconsistencyError, InputError
 
-from conftest import ENTROPY_KEYS, fmbig_reference, load_fixture
+from conftest import (ENTROPY_KEYS, domain_maps, domain_spec, fmbig_reference,
+                      load_fixture)
 
 HORIZON = 40
 
@@ -89,41 +94,9 @@ N3_TALLY = {"reports": 13824, "admitted": 5688, "orbit": 1704,
             "delaylowgrow(m=2; lowgrow(d))": 24}
 
 
-def _domain(sizes=(1, 2), lengths=(1, 2, 3)):
-    """(class, image texts, admitted) for every map of the domain with n
-    in `sizes` and image words of `lengths` letters."""
-    for n, mark in product(sizes, ("", "'")):
-        words = [idxs for length in lengths
-                 for idxs in product(range(1, n + 1), repeat=length)]
-        for combo in product(words, repeat=n):
-            texts = tuple(" ".join(f"a{i}{mark}" for i in w) for w in combo)
-            for k in (None, 1, 2, 3):
-                yield k, texts, _admitted(combo, k)
-
-
-def _admitted(combo, k) -> bool:
-    """Whether the two admissibility rules let the map through."""
-    single = {j: w[0] for j, w in enumerate(combo, start=1) if len(w) == 1}
-    for j in single:
-        seen = set()
-        while j in single and j not in seen:
-            seen.add(j)
-            j = single[j]
-        if j in seen:
-            return False
-    return k == 1 or bool(set.intersection(*map(set, combo)))
-
-
-def _spec(k, texts) -> str:
-    """The spec text of one map of the domain."""
-    branch = "free" if k is None else f"period {k}"
-    return f"n={len(texts)}\nbranch: {branch}\n" + "".join(
-        f"a{j} -> {w}\n" for j, w in enumerate(texts, start=1))
-
-
 def _report(k, texts) -> dict:
     """The horizon-40 report of one map of the domain."""
-    return run_report(parse_spec(_spec(k, texts)),
+    return run_report(parse_spec(domain_spec(k, texts)),
                       ReportOptions(horizon=HORIZON, oracle_depth=HORIZON))
 
 
@@ -133,7 +106,7 @@ def domain():
     reports, [the admitted (class, image texts) the orbit rule refuses]),
     built once for the module's tests."""
     reports, refused = {}, []
-    for k, texts, ok in _domain():
+    for k, texts, ok in domain_maps():
         if not ok:
             continue
         try:
@@ -165,7 +138,7 @@ def _failure(key, report):
 
 
 def test_admitted_maps_report_no_failure(admitted):
-    assert (sum(1 for _ in _domain()), len(admitted)) == (1592, 1263)
+    assert (sum(1 for _ in domain_maps()), len(admitted)) == (1592, 1263)
     flagged = {}
     for key, report in admitted.items():
         failure = _failure(key, report)
@@ -185,7 +158,7 @@ def test_orbit_refusals_exit_1(domain, tmp_path, capsys):
     path = tmp_path / "map.bqd"
     for k, texts in refused:
         assert k == 2 and all("'" in w for w in texts), texts
-        path.write_text(_spec(k, texts))
+        path.write_text(domain_spec(k, texts))
         assert main(["analyze", str(path), "--horizon", str(HORIZON)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(
@@ -197,11 +170,11 @@ def test_exit_0_reports_have_possible_census(tmp_path, capsys):
     # a seeded sample of the whole domain, refused maps included: a
     # report that exits 0 has m | per(m) for every m <= 40 (Dold), and
     # per(k) >= k for its declared class k, the branching point's orbit
-    specs = random.Random(26).sample(list(_domain()), 400)
+    specs = random.Random(26).sample(list(domain_maps()), 400)
     path = tmp_path / "map.bqd"
     codes = Counter()
     for k, texts, _ in specs:
-        path.write_text(_spec(k, texts))
+        path.write_text(domain_spec(k, texts))
         code = main(["analyze", str(path), "--horizon", str(HORIZON),
                      "--oracle-depth", str(HORIZON), "--format", "json"])
         codes[code] += 1
@@ -257,12 +230,33 @@ def test_each_fact_printed_once(admitted):
         assert set(fmbig_reference(fixes)) <= set(report["census"]["period_set"])
 
 
+def _outcome(k, texts):
+    """The horizon-40 report of one map of the domain less its image
+    words, or the (type, text) of the exception that refuses it."""
+    try:
+        report = _report(k, texts)
+    except (InputError, InconsistencyError) as e:
+        return type(e), str(e)
+    del report["input"]["images"]
+    return report
+
+
+def test_word_reversal_keeps_the_report():
+    # reversing every image word is conjugacy by the reflection of every
+    # petal, so on every map of the domain, refused maps included, the
+    # reversed twin gets the same report, image words aside, or the same
+    # refusal
+    for k, texts, _ in domain_maps():
+        twin = tuple(" ".join(reversed(w.split())) for w in texts)
+        assert _outcome(k, twin) == _outcome(k, texts), domain_spec(k, texts)
+
+
 def test_n3_tally():
     # only refused maps may raise `InconsistencyError`, an admitted map
     # may be refused by the orbit rule, and every other admitted map must
     # pass as in `test_admitted_maps_report_no_failure`
     tally = Counter()
-    for k, texts, ok in _domain((3,), (1, 2)):
+    for k, texts, ok in domain_maps((3,), (1, 2)):
         tally["reports"] += 1
         tally["admitted"] += ok
         try:
@@ -326,8 +320,8 @@ def domain_digest(path) -> dict:
     hashes = {name: hashlib.sha256() for name in settings}
     per_spec = []
     with mock.patch.object(cli, "run_report", _memoized(cli.run_report)):
-        for k, texts, _ in _domain():
-            Path(path).write_text(_spec(k, texts), encoding="utf-8")
+        for k, texts, _ in domain_maps():
+            Path(path).write_text(domain_spec(k, texts), encoding="utf-8")
             spec_hash = hashlib.sha256()
             for name, args in settings.items():
                 out, err = io.StringIO(), io.StringIO()
@@ -352,14 +346,14 @@ def test_domain_digest(tmp_path):
     # 1 379 specs, 1 on 89 and 2 on 124
     want = json.loads(DIGEST.read_text())
     got = domain_digest(tmp_path / "map.bqd")
-    specs = list(_domain())
+    specs = list(domain_maps())
     first = next((i for i, (a, b) in enumerate(
         zip(got["per_spec"], want["per_spec"])) if a != b), None)
     differ = [name for name, setting in want["settings"].items()
               if got["settings"].get(name) != setting]
     where = ("no spec's own digest differs" if first is None else
              f"first spec that differs, #{first} of {len(specs)}:\n"
-             + _spec(*specs[first][:2]))
+             + domain_spec(*specs[first][:2]))
     assert got == want, f"{differ}; {where}"
     assert {tuple(s["exits"].values()) for s in got["settings"].values()} == {
         (1379, 89, 124)}

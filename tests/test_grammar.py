@@ -124,6 +124,18 @@ def test_declaration_spacing(line):
     assert doc.action.n == 2 and doc.action.branch_class is None
 
 
+@pytest.mark.parametrize("line", ["branch : free", "branch\t: free",
+                                  "horizon : 5", "claim : L(1) = -1"])
+def test_colon_spacing(line):
+    # `branch`, `horizon` and `claim` are read up to the line's first ":",
+    # with any whitespace before it, as n is read at its first "="
+    head = "" if line.startswith("branch") else "branch: free\n"
+    doc = parse_spec(f"n=1\n{head}{line}\na1 -> a1 a1\n")
+    assert doc.action.branch_class is None
+    assert doc.horizon == (5 if line.startswith("horizon") else None)
+    assert [c.text for c in doc.claims] == [line] * line.startswith("claim")
+
+
 @pytest.mark.parametrize("build", [
     lambda: action("a" + "9" * 5000),
     lambda: action("a1", "a2 a" + "9" * 5000),

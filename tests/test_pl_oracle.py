@@ -1,7 +1,6 @@
 """Piecewise-linear lift: construction, composition, crossing counts,
 and the cover identity that lets the oracle count no covers."""
 
-import itertools
 import math
 import random
 import tracemalloc
@@ -32,6 +31,7 @@ from conftest import (
     Walk,
     census,
     divisors,
+    domain_maps,
     fraction_pieces,
     iterate_action,
     iterate_lift,
@@ -282,9 +282,10 @@ class TestBranchOrbit:
         assert lift_branch_period(SLOW_RETURN, 20) == 20
 
     def test_helper_reads_the_counts_period(self):
-        # the helper follows the point map alone, and gives the period
-        # that the counts read off their cycles, capped at its depth, on
-        # seeded lifts of both signs, branch orbits periodic or not
+        # the helper reads the counts' period at depth 1, so that period
+        # must not depend on the depth: on seeded lifts of both signs,
+        # branch orbits periodic or not, the counts give it at every depth
+        # they reach, and the helper gives it capped at its own depth
         rng = random.Random(41)
         cases = [SLOW_RETURN, FLIP]
         for sign in (1, -1):
@@ -293,38 +294,17 @@ class TestBranchOrbit:
         cases += [random_branch_periodic_action(rng)[1] for _ in range(60)]
         periods = set()
         for lift in cases:
+            period = oracle_counts(lift, 1).branch_period
             for depth in (1, 2, 3, 5, 8, 13, 21, 30):
-                try:
-                    period = oracle_counts(lift, depth).branch_period
-                except DegenerateMapError:
-                    continue
                 capped = period if period is not None and period <= depth else None
                 assert lift_branch_period(lift, depth) == capped, (lift, depth)
                 periods.add(capped)
+                try:
+                    counts = oracle_counts(lift, depth)
+                except DegenerateMapError:
+                    continue
+                assert counts.branch_period == period, (lift, depth)
         assert {None, 1, 2, 3, 20} <= periods, periods
-
-    def test_no_second_orbit_walk(self, monkeypatch):
-        # the counts read the branch period off the point map: with the
-        # helper's own orbit walk refused they come out the same
-        rng = random.Random(14)
-        cases = [(SLOW_RETURN, 19), (FLIP, 1)]
-        while len(cases) < 80:
-            f = random_action(rng, n_max=4, len_max=3)
-            try:
-                lift = build_lift(f)
-                depth = rng.randint(1, 30)
-                oracle_counts(lift, depth)
-            except LiftConstructionError:
-                continue
-            cases.append((lift, depth))
-        expected = [oracle_counts(lift, depth) for lift, depth in cases]
-        assert {c.branch_period is None for c in expected} == {True, False}
-
-        def refused(*args):
-            raise AssertionError("a second walk of the branch orbit")
-
-        monkeypatch.setattr(pl_oracle, "lift_branch_period", refused)
-        assert [oracle_counts(lift, depth) for lift, depth in cases] == expected
 
 
 class TestCountFixed:
@@ -536,14 +516,11 @@ class TestTableMatchesWalk:
 
 
 def lift_viable_domain():
-    """(action, lift) for every map of the exhaustive domain (n <= 2,
-    image words of 1-3 letters, either sign) that has a canonical lift."""
-    for n, mark in itertools.product((1, 2), ("", "'")):
-        words = [" ".join(f"a{i}{mark}" for i in letters)
-                 for size in (1, 2, 3)
-                 for letters in itertools.product(range(1, n + 1), repeat=size)]
-        for images in itertools.product(words, repeat=n):
-            f = action(*images)
+    """(action, lift) for every map of the exhaustive domain
+    (`conftest.domain_maps`, declared free) that has a canonical lift."""
+    for k, texts, _ in domain_maps():
+        if k is None:
+            f = action(*texts)
             try:
                 yield f, build_lift(f)
             except LiftConstructionError:

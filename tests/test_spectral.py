@@ -1,7 +1,6 @@
 """Characteristic polynomial, eigenvalues, entropy, growth thresholds."""
 
 import cmath
-import itertools
 import math
 import random
 
@@ -27,8 +26,8 @@ from conftest import (
     bareiss_exceeds_perron_root,
     cap_edge_spec,
     char_poly,
+    domain_maps,
     eigenvalues_stepwise,
-    horner,
     load_fixture,
     m0_bound_stepwise,
     mat_pow,
@@ -216,34 +215,6 @@ def bits(values):
     return [(z.real.hex(), z.imag.hex()) for z in values]
 
 
-def durand_kerner_cmath(coeffs):
-    """`_durand_kerner` as written with `cmath`: the start points are
-    radius * exp(2 pi i (i + 1/4) / d)."""
-    d = len(coeffs) - 1
-    if d == 0:
-        return []
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
-    roots = [radius * cmath.exp(2j * math.pi * (i + 0.25) / d)
-             for i in range(d)]
-    for _ in range(200):
-        moved = 0.0
-        new = list(roots)
-        for i in range(d):
-            denom = complex(1)
-            for j in range(d):
-                if j != i:
-                    denom *= roots[i] - roots[j]
-            if denom == 0:
-                continue
-            step = horner(coeffs, roots[i]) / denom
-            new[i] = roots[i] - step
-            moved = max(moved, abs(step))
-        roots = new
-        if moved < 1e-14:
-            break
-    return roots
-
-
 class TestStartPoints:
     def test_math_start_is_cmath_start(self):
         # exp(it) of a pure-imaginary argument is exp(0.0) cos t, exp(0.0)
@@ -255,18 +226,6 @@ class TestStartPoints:
                 want = [radius * cmath.exp(2j * math.pi * (i + 0.25) / d)
                         for i in range(d)]
                 assert bits(got) == bits(want), d
-
-    def test_solver_matches_cmath_start(self, rng):
-        # the same start points give the same sweeps, so the same roots
-        seen = 0
-        for _ in range(80):
-            char = char_poly(random_matrix(rng, rng.randint(1, 7)))
-            for part, _ in squarefree_parts(strip_zeros(char)[0]):
-                coeffs = [float(c) for c in part]
-                assert bits(_durand_kerner(coeffs)) == bits(
-                    durand_kerner_cmath(coeffs))
-                seen += 1
-        assert seen > 60
 
 
 class TestEntropy:
@@ -508,18 +467,10 @@ def seeded_polynomials(rng: random.Random, count: int):
 
 
 def domain_polynomials():
-    """The characteristic polynomials of the n <= 2 domain's matrices:
-    M = s|M| for a sign s, and each column of |M| sums to an image word's
-    length, 1-3."""
-    columns = {1: [(1,), (2,), (3,)],
-               2: [(a, s - a) for s in (1, 2, 3) for a in range(s + 1)]}
-    chars = set()
-    for n, choices in columns.items():
-        for cols in itertools.product(choices, repeat=n):
-            for sign in (1, -1):
-                rows = tuple(tuple(sign * x for x in row) for row in zip(*cols))
-                chars.add(tuple(record_char(rows)))
-    return chars
+    """The characteristic polynomials of the n <= 2 domain's matrices
+    (`conftest.domain_maps`)."""
+    return {tuple(record_char(abelianize(action(*texts))))
+            for k, texts, _ in domain_maps() if k is None}
 
 
 class TestStepwiseReference:
