@@ -14,7 +14,8 @@ walk over every piece of the composed lifts for the oracle's count on
 the Markov partition, and the same walk's cover counts for the norms
 ||M^m||_1), the one `record`, `census`, `certificates`
 and `certificate` the suite reads a map's census and certificates with,
-and the one set of a report's entropy keys."""
+the one enumerator of the exhaustive domain, and the one set of a
+report's entropy keys."""
 
 import json
 import math

@@ -2,12 +2,12 @@
 circles whose image words have 1-3 letters, of either sign, declared
 free or of branch class 1, 2 or 3, at horizon and oracle depth 40.
 
-The admissibility gate does not exist yet, so its two rules are a
-filter (`conftest.domain_maps`): refuse a cycle of single-letter
-images, and refuse a branch class other than 1 when no circle is common
-to every image word.  A third rule, the declared orbit, reads the census, so the report makes
-it: an admitted map declared of class k whose census has per(k) < k
-must exit 1 naming it (`ORBIT_REFUSED` of them).  Every other
+The admissibility gate does not exist yet, so its two rules are a filter
+(`conftest.domain_maps`): refuse a cycle of single-letter images, and
+refuse a branch class other than 1 when no circle is common to every
+image word.  A third rule, the declared orbit, reads the census, so the
+report makes it: an admitted map declared of class k whose census has
+per(k) < k must exit 1 naming it (`ORBIT_REFUSED` of them).  Every other
 admitted map must then report with no failure at all (every Lefschetz
 check passes, the oracle does not mismatch, and every certificate holds
 in the census), except the maps in `EXPECTED`, each flagged on exactly

@@ -133,7 +133,8 @@ def test_colon_spacing(line):
     doc = parse_spec(f"n=1\n{head}{line}\na1 -> a1 a1\n")
     assert doc.action.branch_class is None
     assert doc.horizon == (5 if line.startswith("horizon") else None)
-    assert [c.text for c in doc.claims] == [line] * line.startswith("claim")
+    assert [c.text for c in doc.claims] == (
+        [line] if line.startswith("claim") else [])
 
 
 @pytest.mark.parametrize("build", [
